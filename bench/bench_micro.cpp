@@ -581,6 +581,26 @@ void BM_FormulaGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FormulaGraphBuild);
 
+// Generator verification alone, the step of the Shatter flow that
+// re-checks every automorphism the search returns against the formula:
+// each iteration verifies all generators of queen8_8 at K=20 with SC, a
+// suite-sized encoding.
+void BM_SymmetryVerify(benchmark::State& state) {
+  const Graph g = make_queen_graph(8, 8);
+  const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
+  const SymmetryInfo info = detect_symmetries(enc.formula);
+  std::int64_t verified = 0;
+  for (auto _ : state) {
+    for (const Perm& p : info.generators) {
+      benchmark::DoNotOptimize(is_formula_symmetry(enc.formula, p));
+    }
+    verified += static_cast<std::int64_t>(info.generators.size());
+  }
+  state.counters["generators_per_sec"] = benchmark::Counter(
+      static_cast<double>(verified), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SymmetryVerify);
+
 void BM_ShatterMyciel(benchmark::State& state) {
   const Graph g = make_myciel_dimacs(4);
   for (auto _ : state) {

@@ -193,54 +193,70 @@ Perm literal_permutation(const FormulaGraph& fg, std::span<const int> perm) {
 
 bool is_formula_symmetry(const Formula& formula,
                          std::span<const int> lit_perm) {
-  if (static_cast<int>(lit_perm.size()) != 2 * formula.num_vars()) return false;
-  auto map_lit = [&](Lit l) {
-    return Lit::from_code(lit_perm[static_cast<std::size_t>(l.code())]);
-  };
-
-  // Clauses: permuted clause must be an existing clause.
-  std::set<Clause> clause_set;
-  for (const Clause& c : formula.clauses()) {
-    Clause sorted = c;
-    std::sort(sorted.begin(), sorted.end());
-    clause_set.insert(std::move(sorted));
+  const int lits = 2 * formula.num_vars();
+  if (static_cast<int>(lit_perm.size()) != lits || !is_permutation(lit_perm)) {
+    return false;
   }
+  auto image_code = [&](int code) {
+    return lit_perm[static_cast<std::size_t>(code)];
+  };
+  for (int code = 0; code < lits; ++code) {
+    if ((image_code(code) ^ 1) != image_code(code ^ 1)) return false;
+  }
+  auto moved = [&](Lit l) { return image_code(l.code()) != l.code(); };
+
+  // A constraint with no moved literal maps to itself. The image of one
+  // that touches a moved literal l touches pi(l), which is moved too (by
+  // injectivity, pi(pi(l)) == pi(l) would force pi(l) == l). So only the
+  // touched constraints need checking, and only against each other.
+  std::vector<Clause> clauses;
   for (const Clause& c : formula.clauses()) {
-    Clause image;
-    image.reserve(c.size());
-    for (const Lit l : c) image.push_back(map_lit(l));
+    if (std::none_of(c.begin(), c.end(), moved)) continue;
+    Clause& key = clauses.emplace_back(c);
+    std::sort(key.begin(), key.end());
+  }
+  std::sort(clauses.begin(), clauses.end());
+  Clause image;
+  for (const Clause& c : clauses) {
+    image.clear();
+    for (const Lit l : c) image.push_back(Lit::from_code(image_code(l.code())));
     std::sort(image.begin(), image.end());
-    if (!clause_set.contains(image)) return false;
+    if (!std::binary_search(clauses.begin(), clauses.end(), image)) {
+      return false;
+    }
   }
 
-  // PB constraints: permuted constraint must exist (canonical form).
-  using CanonicalPb = std::pair<std::int64_t, std::vector<std::pair<std::int64_t, int>>>;
-  auto canonical = [](std::int64_t bound, std::vector<PbTerm> terms) {
-    std::vector<std::pair<std::int64_t, int>> body;
-    body.reserve(terms.size());
-    for (const PbTerm& t : terms) body.emplace_back(t.coeff, t.lit.code());
-    std::sort(body.begin(), body.end());
-    return CanonicalPb{bound, std::move(body)};
-  };
-  std::set<CanonicalPb> pb_set;
+  // PB constraints in canonical form: bound, then sorted (coeff, code).
+  using CanonicalPb =
+      std::pair<std::int64_t, std::vector<std::pair<std::int64_t, int>>>;
+  std::vector<CanonicalPb> pbs;
   for (const PbConstraint& pb : formula.pb_constraints()) {
-    pb_set.insert(canonical(pb.bound(),
-                            {pb.terms().begin(), pb.terms().end()}));
+    const auto terms = pb.terms();
+    if (std::none_of(terms.begin(), terms.end(),
+                     [&](const PbTerm& t) { return moved(t.lit); })) {
+      continue;
+    }
+    CanonicalPb& key = pbs.emplace_back();
+    key.first = pb.bound();
+    for (const PbTerm& t : terms) key.second.emplace_back(t.coeff, t.lit.code());
+    std::sort(key.second.begin(), key.second.end());
   }
-  for (const PbConstraint& pb : formula.pb_constraints()) {
-    std::vector<PbTerm> image;
-    for (const PbTerm& t : pb.terms()) image.push_back({t.coeff, map_lit(t.lit)});
-    if (!pb_set.contains(canonical(pb.bound(), std::move(image)))) return false;
+  std::sort(pbs.begin(), pbs.end());
+  for (const CanonicalPb& pb : pbs) {
+    CanonicalPb mapped = pb;
+    for (auto& term : mapped.second) term.second = image_code(term.second);
+    std::sort(mapped.second.begin(), mapped.second.end());
+    if (!std::binary_search(pbs.begin(), pbs.end(), mapped)) return false;
   }
 
-  // Objective: the multiset of (coeff, literal) terms must be preserved.
+  // Objective: the set of (coeff, literal) terms must be preserved.
   if (formula.objective()) {
     std::set<std::pair<std::int64_t, int>> terms;
     for (const PbTerm& t : formula.objective()->terms) {
       terms.insert({t.coeff, t.lit.code()});
     }
     for (const PbTerm& t : formula.objective()->terms) {
-      if (!terms.contains({t.coeff, map_lit(t.lit).code()})) return false;
+      if (!terms.contains({t.coeff, image_code(t.lit.code())})) return false;
     }
   }
   return true;

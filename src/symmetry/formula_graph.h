@@ -46,9 +46,16 @@ FormulaGraph build_formula_graph(const Formula& formula);
 /// constraint vertices.
 Perm literal_permutation(const FormulaGraph& fg, std::span<const int> perm);
 
-/// True iff `lit_perm` (a permutation of literal codes) maps the formula
-/// onto itself: clauses to clauses, PB constraints to PB constraints with
-/// equal bound, objective terms to objective terms with equal coefficient.
+/// True iff `lit_perm` maps the formula onto itself: clauses to clauses,
+/// PB constraints to PB constraints with equal bound, objective terms to
+/// objective terms with equal coefficient.
+///
+/// `lit_perm` must be a bijection on the 2*num_vars literal codes that
+/// commutes with negation (perm(~l) == ~perm(l)); any other map, including
+/// one of the wrong length, is rejected. Only constraints that contain a
+/// moved literal are checked (the rest map to themselves), so the cost is
+/// one linear scan of the formula plus a sort of, and one binary search
+/// per, the touched constraints.
 bool is_formula_symmetry(const Formula& formula, std::span<const int> lit_perm);
 
 }  // namespace symcolor

@@ -15,6 +15,12 @@ SymmetryInfo detect_symmetries(const Formula& formula,
   info.complete = result.complete;
   info.log10_order = result.log10_order;
   for (const Perm& graph_perm : result.generators) {
+    // Breaking a subset of verified symmetries is sound; an unverified
+    // generator is never kept.
+    if (deadline.expired()) {
+      info.complete = false;
+      break;
+    }
     Perm lit_perm = literal_permutation(fg, graph_perm);
     if (lit_perm.empty() || !is_formula_symmetry(formula, lit_perm)) {
       ++info.spurious_rejected;

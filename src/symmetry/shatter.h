@@ -26,7 +26,9 @@ struct SymmetryInfo {
 
 /// Detect the symmetries of `formula` (Saucy stand-in on the colored
 /// formula graph). Each returned generator is verified to be a true
-/// formula symmetry; failures are counted and dropped.
+/// formula symmetry; failures are counted and dropped. The deadline is
+/// polled between generators too: on expiry verification stops, only the
+/// generators verified so far are returned, and `complete` is false.
 SymmetryInfo detect_symmetries(const Formula& formula,
                                const Deadline& deadline = {});
 

@@ -3,12 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include "pb/optimizer.h"
 #include "symmetry/formula_graph.h"
 #include "symmetry/lexleader.h"
 #include "symmetry/shatter.h"
+#include "util/rng.h"
 
 namespace symcolor {
 namespace {
@@ -142,6 +145,28 @@ TEST(IsFormulaSymmetry, PhaseShiftOnFreeVariable) {
   EXPECT_TRUE(is_formula_symmetry(f, phase));
 }
 
+TEST(IsFormulaSymmetry, RejectsNonInjectiveMap) {
+  Formula f;
+  f.new_vars(2);
+  EXPECT_FALSE(is_formula_symmetry(f, Perm{0, 0, 2, 3}));
+  // Negation-consistent but not injective: x0 and x1 both map to x0.
+  EXPECT_FALSE(is_formula_symmetry(f, Perm{0, 1, 0, 1}));
+}
+
+TEST(IsFormulaSymmetry, RejectsOutOfRangeImage) {
+  Formula f;
+  f.new_vars(2);
+  EXPECT_FALSE(is_formula_symmetry(f, Perm{0, 1, 4, 5}));
+  EXPECT_FALSE(is_formula_symmetry(f, Perm{-2, -1, 2, 3}));
+}
+
+TEST(IsFormulaSymmetry, RejectsNegationInconsistentMap) {
+  Formula f;
+  f.new_vars(2);
+  // A bijection, but x0 -> x1 while ~x0 -> ~x0.
+  EXPECT_FALSE(is_formula_symmetry(f, Perm{2, 1, 0, 3}));
+}
+
 TEST(IsFormulaSymmetry, ChecksObjective) {
   Formula f;
   f.new_vars(2);
@@ -198,6 +223,243 @@ TEST(DetectSymmetries, GeneratorsAreFormulaSymmetries) {
   for (const Perm& p : info.generators) {
     EXPECT_TRUE(is_formula_symmetry(f, p));
   }
+}
+
+TEST(DetectSymmetries, ExpiredDeadlineKeepsOnlyVerifiedGenerators) {
+  Formula f;
+  f.new_vars(6);
+  std::vector<Lit> lits;
+  for (int i = 0; i < 6; ++i) lits.push_back(Lit::positive(i));
+  f.add_exactly(lits, 1);
+  const Deadline deadline(1e-9);
+  while (!deadline.expired()) {
+  }
+  const SymmetryInfo info = detect_symmetries(f, deadline);
+  EXPECT_FALSE(info.complete);
+  for (const Perm& p : info.generators) {
+    EXPECT_TRUE(is_formula_symmetry(f, p));
+  }
+}
+
+// ---- Differential check of the support-restricted verifier ----
+
+/// The whole-formula check that is_formula_symmetry replaced: it maps every
+/// clause, PB row and objective term and looks each image up in a set of
+/// all of them. Meaningful only for negation-consistent bijections.
+bool reference_is_formula_symmetry(const Formula& formula,
+                                   std::span<const int> lit_perm) {
+  if (static_cast<int>(lit_perm.size()) != 2 * formula.num_vars()) return false;
+  auto map_lit = [&](Lit l) {
+    return Lit::from_code(lit_perm[static_cast<std::size_t>(l.code())]);
+  };
+  std::set<Clause> clause_set;
+  for (const Clause& c : formula.clauses()) {
+    Clause sorted = c;
+    std::sort(sorted.begin(), sorted.end());
+    clause_set.insert(std::move(sorted));
+  }
+  for (const Clause& c : formula.clauses()) {
+    Clause image;
+    for (const Lit l : c) image.push_back(map_lit(l));
+    std::sort(image.begin(), image.end());
+    if (!clause_set.contains(image)) return false;
+  }
+  using CanonicalPb =
+      std::pair<std::int64_t, std::vector<std::pair<std::int64_t, int>>>;
+  auto canonical = [](std::int64_t bound, std::vector<PbTerm> terms) {
+    std::vector<std::pair<std::int64_t, int>> body;
+    for (const PbTerm& t : terms) body.emplace_back(t.coeff, t.lit.code());
+    std::sort(body.begin(), body.end());
+    return CanonicalPb{bound, std::move(body)};
+  };
+  std::set<CanonicalPb> pb_set;
+  for (const PbConstraint& pb : formula.pb_constraints()) {
+    pb_set.insert(canonical(pb.bound(), {pb.terms().begin(), pb.terms().end()}));
+  }
+  for (const PbConstraint& pb : formula.pb_constraints()) {
+    std::vector<PbTerm> image;
+    for (const PbTerm& t : pb.terms()) image.push_back({t.coeff, map_lit(t.lit)});
+    if (!pb_set.contains(canonical(pb.bound(), std::move(image)))) return false;
+  }
+  if (formula.objective()) {
+    std::set<std::pair<std::int64_t, int>> terms;
+    for (const PbTerm& t : formula.objective()->terms) {
+      terms.insert({t.coeff, t.lit.code()});
+    }
+    for (const PbTerm& t : formula.objective()->terms) {
+      if (!terms.contains({t.coeff, map_lit(t.lit).code()})) return false;
+    }
+  }
+  return true;
+}
+
+/// A formula as plain data, so a test can rebuild it with one part changed.
+struct FormulaSpec {
+  int num_vars = 0;
+  std::vector<Clause> clauses;
+  std::vector<std::pair<std::vector<PbTerm>, std::int64_t>> at_least_rows;
+  std::vector<PbTerm> objective;
+
+  [[nodiscard]] Formula build() const {
+    Formula f;
+    f.new_vars(num_vars);
+    for (const Clause& c : clauses) f.add_clause(c);
+    for (const auto& [terms, bound] : at_least_rows) {
+      f.add_pb(PbConstraint::at_least(terms, bound));
+    }
+    if (!objective.empty()) {
+      Objective obj;
+      obj.terms = objective;
+      f.set_objective(obj);
+    }
+    return f;
+  }
+};
+
+Lit apply(const Perm& p, Lit l) {
+  return Lit::from_code(p[static_cast<std::size_t>(l.code())]);
+}
+
+/// A random negation-consistent involution: disjoint variable pairs, each
+/// swapped either straight (x <-> y) or with a phase flip (x <-> ~y).
+Perm random_swaps(Rng& rng, int num_vars) {
+  Perm p = identity_perm(2 * num_vars);
+  const std::vector<int> vars = rng.permutation(num_vars);
+  const int pairs = 1 + static_cast<int>(rng.below(
+                            static_cast<std::uint64_t>(num_vars / 2)));
+  for (int i = 0; i < pairs; ++i) {
+    const Var a = vars[static_cast<std::size_t>(2 * i)];
+    const Var b = vars[static_cast<std::size_t>(2 * i + 1)];
+    const bool flip = rng.chance(0.3);
+    for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      const Lit image(to, flip);
+      p[static_cast<std::size_t>(Lit::positive(from).code())] = image.code();
+      p[static_cast<std::size_t>(Lit::negative(from).code())] = (~image).code();
+    }
+  }
+  return p;
+}
+
+/// Random clauses, PB rows and objective terms, each added together with
+/// its image under the involution `sigma`, so `sigma` is a symmetry.
+FormulaSpec random_symmetric_spec(Rng& rng, int num_vars, const Perm& sigma) {
+  FormulaSpec spec;
+  spec.num_vars = num_vars;
+  auto random_lits = [&](int size) {
+    const std::vector<int> vars = rng.permutation(num_vars);
+    std::vector<Lit> lits;
+    for (int i = 0; i < size; ++i) {
+      lits.emplace_back(vars[static_cast<std::size_t>(i)], rng.chance(0.5));
+    }
+    return lits;
+  };
+  const int num_clauses = static_cast<int>(rng.range(2, 8));
+  for (int i = 0; i < num_clauses; ++i) {
+    const Clause c = random_lits(static_cast<int>(rng.range(1, 4)));
+    Clause image;
+    for (const Lit l : c) image.push_back(apply(sigma, l));
+    spec.clauses.push_back(c);
+    if (!std::is_permutation(c.begin(), c.end(), image.begin(), image.end())) {
+      spec.clauses.push_back(image);
+    }
+  }
+  const int num_rows = static_cast<int>(rng.range(1, 4));
+  for (int i = 0; i < num_rows; ++i) {
+    std::vector<PbTerm> terms;
+    std::int64_t sum = 0;
+    for (const Lit l : random_lits(static_cast<int>(rng.range(2, 4)))) {
+      terms.push_back({rng.range(1, 3), l});
+      sum += terms.back().coeff;
+    }
+    const std::int64_t bound = rng.range(1, sum);
+    std::vector<PbTerm> image;
+    for (const PbTerm& t : terms) image.push_back({t.coeff, apply(sigma, t.lit)});
+    spec.at_least_rows.emplace_back(terms, bound);
+    if (!std::is_permutation(terms.begin(), terms.end(), image.begin(),
+                             image.end())) {
+      spec.at_least_rows.emplace_back(image, bound);
+    }
+  }
+  std::vector<char> in_objective(static_cast<std::size_t>(num_vars), 0);
+  for (Var v = 0; v < num_vars; ++v) {
+    if (in_objective[static_cast<std::size_t>(v)] || !rng.chance(0.5)) continue;
+    const std::int64_t coeff = rng.range(1, 3);
+    for (const Lit l : {Lit::positive(v), apply(sigma, Lit::positive(v))}) {
+      if (in_objective[static_cast<std::size_t>(l.var())]) continue;
+      in_objective[static_cast<std::size_t>(l.var())] = 1;
+      spec.objective.push_back({coeff, l});
+    }
+  }
+  return spec;
+}
+
+bool moves_any(const Perm& p, std::span<const Lit> lits) {
+  return std::any_of(lits.begin(), lits.end(),
+                     [&](Lit l) { return apply(p, l) != l; });
+}
+
+TEST(IsFormulaSymmetryDifferential, AgreesWithWholeFormulaCheck) {
+  int checks = 0;
+  int perturbations_rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    const int n = static_cast<int>(rng.range(4, 9));
+    const Perm sigma = random_swaps(rng, n);
+    const FormulaSpec spec = random_symmetric_spec(rng, n, sigma);
+    const Formula f = spec.build();
+    auto agree = [&](const Formula& formula, const Perm& p) {
+      const bool expected = reference_is_formula_symmetry(formula, p);
+      EXPECT_EQ(is_formula_symmetry(formula, p), expected) << "seed " << seed;
+      ++checks;
+      return expected;
+    };
+    EXPECT_TRUE(agree(f, sigma)) << "seed " << seed;
+
+    // Real generators and their pairwise compositions.
+    const SymmetryInfo info = detect_symmetries(f);
+    std::vector<Perm> checked = {sigma};
+    for (const Perm& a : info.generators) {
+      EXPECT_TRUE(agree(f, a)) << "seed " << seed;
+      checked.push_back(a);
+      for (const Perm& b : info.generators) {
+        EXPECT_TRUE(agree(f, compose(a, b))) << "seed " << seed;
+      }
+    }
+    // Random negation-consistent swaps, symmetries or not.
+    for (int i = 0; i < 20; ++i) agree(f, random_swaps(rng, n));
+
+    // Perturbations that break one clause, one PB bound or one objective
+    // coefficient that sigma moves.
+    std::vector<FormulaSpec> perturbed;
+    for (std::size_t i = 0; i < spec.clauses.size(); ++i) {
+      if (!moves_any(sigma, spec.clauses[i])) continue;
+      FormulaSpec s = spec;
+      s.clauses.erase(s.clauses.begin() + static_cast<std::ptrdiff_t>(i));
+      perturbed.push_back(std::move(s));
+    }
+    for (std::size_t i = 0; i < spec.at_least_rows.size(); ++i) {
+      std::vector<Lit> lits;
+      for (const PbTerm& t : spec.at_least_rows[i].first) lits.push_back(t.lit);
+      if (!moves_any(sigma, lits)) continue;
+      FormulaSpec s = spec;
+      std::int64_t& bound = s.at_least_rows[i].second;
+      bound += bound > 1 ? -1 : 1;
+      perturbed.push_back(std::move(s));
+    }
+    for (std::size_t i = 0; i < spec.objective.size(); ++i) {
+      if (apply(sigma, spec.objective[i].lit) == spec.objective[i].lit) continue;
+      FormulaSpec s = spec;
+      ++s.objective[i].coeff;
+      perturbed.push_back(std::move(s));
+    }
+    for (const FormulaSpec& s : perturbed) {
+      const Formula g = s.build();
+      if (!agree(g, sigma)) ++perturbations_rejected;
+      for (const Perm& p : checked) agree(g, p);
+    }
+  }
+  EXPECT_GT(checks, 1000);
+  EXPECT_GT(perturbations_rejected, 100);
 }
 
 TEST(LexLeader, SingleSwapKeepsOneRepresentativePerOrbit) {
