@@ -29,7 +29,7 @@
 #include "pb/optimizer.h"
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 #include "sat/watcher_pool.h"
 #include "symmetry/formula_graph.h"
 #include "symmetry/shatter.h"

@@ -66,11 +66,14 @@ void PermGroup::add_generator(const Perm& g) {
     // Scan the Schreier generators of level i. On the first failure,
     // register the offender (which re-marks this level dirty) and
     // restart from the worklist — the registration rebuilt our orbit.
+    // Registration may also push_back a fresh level, which invalidates
+    // `lvl`: the loop conditions test `failed` first so they never read
+    // through the dangling reference.
     Level& lvl = levels_[i];
     bool failed = false;
-    for (std::size_t xi = 0; xi < lvl.orbit.size() && !failed; ++xi) {
+    for (std::size_t xi = 0; !failed && xi < lvl.orbit.size(); ++xi) {
       const int x = lvl.orbit[xi];
-      for (std::size_t si = 0; si < lvl.gens.size() && !failed; ++si) {
+      for (std::size_t si = 0; !failed && si < lvl.gens.size(); ++si) {
         const Perm& s = lvl.gens[si];
         const int sx = s[static_cast<std::size_t>(x)];
         const int sx_idx = lvl.orbit_index_of[static_cast<std::size_t>(sx)];

@@ -9,7 +9,7 @@
 #include "coloring/heuristics.h"
 #include "coloring/sbp.h"
 #include "graph/clique.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {

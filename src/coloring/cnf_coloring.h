@@ -45,10 +45,10 @@ struct SatLoopOptions {
   AmoEncoding amo = AmoEncoding::Sequential;
   SbpOptions sbps;
   /// Solver configuration, including the ONE thread knob:
-  /// solver.portfolio_threads > 1 races the clone-based portfolio inside
-  /// every SAT call (sat/portfolio.h). The minimum color count is
+  /// solver.portfolio_threads > 1 races the clone-based parallel engine
+  /// inside every SAT call (sat/parallel_solver.h). The minimum color count is
   /// identical at any thread count — only the wall-clock changes. In the
-  /// incremental pipeline the portfolio master carries learned clauses
+  /// incremental pipeline the engine's master carries learned clauses
   /// (its own and imported core clauses) across the K queries.
   SolverConfig solver;
   double time_budget_seconds = 0.0;

@@ -41,11 +41,11 @@ struct ColoringOptions {
   /// Run the pre-solve simplifier (root propagation, pure literals,
   /// subsumption) after SBPs are in place.
   bool presimplify = false;
-  /// Racing portfolio workers inside every CDCL solve (sat/portfolio.h);
+  /// Parallel workers inside every CDCL solve (sat/parallel_solver.h);
   /// 1 = the plain sequential engine. The reported optimum is identical
   /// at any thread count. Ignored by SolverKind::GenericIlp.
   int threads = 1;
-  /// > 0 switches the backend to cube-and-conquer (sat/cube_solver.h):
+  /// > 0 switches the parallel engine to its cube-and-conquer schedule:
   /// the search space is split into assumption cubes of up to this depth
   /// and dealt to `threads` workers. Answers stay exact; 0 = off.
   int cube_depth = 0;

@@ -7,7 +7,7 @@
 #include <memory>
 
 #include "cnf/objective_ladder.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {

@@ -39,7 +39,7 @@
 // Every loop drives an abstract SolverEngine obtained from
 // make_solver_engine, never a concrete solver: setting
 // SolverConfig::portfolio_threads > 1 swaps the sequential CDCL backend
-// for the clone-based parallel portfolio (sat/portfolio.h) without the
+// for the clone-based parallel engine (sat/parallel_solver.h) without the
 // loops changing shape, and the optima are identical at any thread count.
 
 #include <cstdint>

@@ -27,8 +27,8 @@
 // three academic solvers differ; see pb/solver_profiles.h.
 //
 // The solver implements the SolverEngine interface (sat/solver_engine.h)
-// and is the unit of parallelism of the clone-based portfolio
-// (sat/portfolio.h): the arena/pool storage makes a deep copy a handful
+// and is the unit of parallelism of the clone-based parallel engine
+// (sat/parallel_solver.h): the arena/pool storage makes a deep copy a handful
 // of memcpys, reconfigure() diversifies a clone in place, and the
 // ClauseSharing hooks let racing workers exchange core-tier (glue <=
 // share_max_lbd) learnt clauses — exported at learn time, imported at
@@ -304,21 +304,23 @@ struct SolverConfig {
   /// arbitrarily long clauses on wide-glue instances).
   int share_max_size = 64;
 
-  // ---- parallel portfolio (read by make_solver_engine/PortfolioSolver,
+  // ---- parallel engine (read by make_solver_engine/ParallelSolver,
   // ---- ignored by CdclSolver itself) ----
-  /// Number of racing workers; <= 1 selects the plain sequential engine
-  /// with zero threading overhead.
+  /// Number of parallel workers; <= 1 (with cube_depth == 0) selects the
+  /// plain sequential engine with zero threading overhead.
   int portfolio_threads = 1;
-  /// Reproducible mode: clause sharing and cooperative cancellation off,
-  /// every worker runs to completion, the lowest-indexed definitive
-  /// answer wins. Costs the race's early-exit benefit; meant for tests.
+  /// Reproducible mode: clause sharing and cooperative cancellation off.
+  /// A race runs every worker to completion and the lowest-indexed
+  /// definitive answer wins; the cube schedule runs one worker in FIFO
+  /// deal order. Costs the parallel speedup; meant for tests.
   bool portfolio_deterministic = false;
   /// Bound on the shared export buffer (clauses; further exports drop).
   std::size_t portfolio_buffer = 1 << 14;
 
-  // ---- cube-and-conquer (read by make_solver_engine/CubeAndConquerSolver,
+  // ---- cube-and-conquer (read by make_solver_engine/ParallelSolver,
   // ---- ignored by CdclSolver itself) ----
-  /// > 0 selects the cube-and-conquer engine: lookahead probing splits the
+  /// > 0 selects the cube schedule of the parallel engine (0 = the race):
+  /// lookahead probing splits the
   /// search space into assumption cubes of (up to) this depth, dealt to
   /// portfolio_threads workers from a shared queue. 0 = off. Splitting
   /// beats the racing portfolio when the instance is hard enough that one

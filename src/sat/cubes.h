@@ -1,6 +1,6 @@
 #pragma once
-// Cube generation and the cube work queue of the cube-and-conquer engine
-// (sat/cube_solver.h).
+// Cube generation and the cube work queue of the parallel engine's cube
+// schedule (sat/parallel_solver.h).
 //
 // A *cube* is a conjunction of literals that carves out one branch of the
 // search space; the engine solves each cube as extra assumptions stacked

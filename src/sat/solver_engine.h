@@ -12,12 +12,13 @@
 // last_core() is what lets core-guided search lift lower bounds from
 // Unsat answers. The two implementations are
 //   * CdclSolver (sat/cdcl.h) — the sequential CDCL(+PB) engine, and
-//   * PortfolioSolver (sat/portfolio.h) — N diversified CdclSolver workers
-//     spawned by cloning one master, racing on threads with core-clause
-//     exchange.
-// make_solver_engine (sat/portfolio.h) picks between them from
-// SolverConfig::portfolio_threads, so a thread-count knob anywhere in the
-// pipeline swaps the whole backend without the caller changing shape.
+//   * ParallelSolver (sat/parallel_solver.h) — N diversified CdclSolver
+//     workers spawned by cloning one master, on threads with core-clause
+//     exchange, either racing on the whole query or conquering a
+//     lookahead cube partition.
+// make_solver_engine (sat/parallel_solver.h) picks between them from
+// SolverConfig::portfolio_threads and cube_depth, so a knob anywhere in
+// the pipeline swaps the whole backend without the caller changing shape.
 //
 // Design constraint: the interface is deliberately coarse — one virtual
 // call per solve/add, never per propagation or per conflict. The CDCL hot
@@ -25,8 +26,8 @@
 // of the concrete solver, so interposing this interface costs nothing
 // measurable on propagation throughput.
 //
-// ClauseSharing is the companion interface a portfolio passes to its
-// workers: export_clause() publishes a freshly learnt core-tier clause,
+// ClauseSharing is the companion interface the parallel engine passes to
+// its workers: export_clause() publishes a freshly learnt core-tier clause,
 // import_clauses() drains every clause published by other workers since
 // the caller's cursor. Workers call it only at learn time (exports are
 // throttled to glue clauses, LBD <= SolverConfig::share_max_lbd) and at
@@ -219,7 +220,7 @@ void for_each_stat(SolverStats& into, const SolverStats& from, F&& f) {
 
 }  // namespace detail
 
-/// Fold `delta` field-wise into `*into`. The parallel engines use this to
+/// Fold `delta` field-wise into `*into`. The parallel engine uses this to
 /// sum every worker's counters into one aggregated view.
 inline void accumulate_stats(SolverStats* into, const SolverStats& delta) {
   detail::for_each_stat(
@@ -338,10 +339,9 @@ class SolverEngine {
 
   /// Aggregated view across every worker the engine ran: the field-wise sum
   /// of the master's and all clones' counters, cumulative across solve()
-  /// calls. For a sequential engine this IS stats(); the parallel engines
-  /// (portfolio, cube-and-conquer) override it so the losers' search — most
-  /// of the work in a race — stays measurable instead of being dropped with
-  /// the losing workers.
+  /// calls. For a sequential engine this IS stats(); the parallel engine
+  /// overrides it so the losers' search — most of the work in a race —
+  /// stays measurable instead of being dropped with the losing workers.
   [[nodiscard]] virtual const SolverStats& aggregated_stats() const noexcept {
     return stats();
   }
@@ -352,8 +352,8 @@ class SolverEngine {
   /// literal substitution, per the engine's SolverConfig::inprocess mode)
   /// at a quiescent point, regardless of the conflict cadence. Returns the
   /// number of changes made (literals dropped + clauses removed + variables
-  /// replaced); 0 for engines without an inprocessor. The parallel engines
-  /// forward to their master so a pre-clone round benefits every worker.
+  /// replaced); 0 for engines without an inprocessor. The parallel engine
+  /// forwards to its master so a pre-clone round benefits every worker.
   virtual std::int64_t inprocess(const SolveBudget& /*budget*/ = {}) {
     return 0;
   }

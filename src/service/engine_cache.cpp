@@ -3,7 +3,7 @@
 #include <utility>
 
 #include "cnf/formula.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 

@@ -5,7 +5,7 @@
 #include <exception>
 #include <utility>
 
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 

@@ -14,7 +14,7 @@
 #include "graph/generators.h"
 #include "pb/optimizer.h"
 #include "pb/solver_profiles.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {

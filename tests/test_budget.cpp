@@ -16,7 +16,7 @@
 #include "pb/optimizer.h"
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 #include "util/budget.h"
 
 namespace symcolor {
@@ -343,7 +343,7 @@ TEST(CdclInterrupt, PortfolioStopFlagDoesNotLeakAcrossSolves) {
   // definitive answer again (no stale cooperative-stop state).
   SolverConfig config;
   config.portfolio_threads = 2;
-  PortfolioSolver solver(pigeonhole_formula(5, 6), config);
+  ParallelSolver solver(pigeonhole_formula(5, 6), config);
   EXPECT_EQ(solver.solve(), SolveResult::Sat);
   EXPECT_EQ(solver.solve(), SolveResult::Sat);
   EXPECT_EQ(solver.last_trip(), BudgetTrip::None);

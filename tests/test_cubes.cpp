@@ -15,9 +15,8 @@
 #include "coloring/encoder.h"
 #include "graph/generators.h"
 #include "pb/solver_profiles.h"
-#include "sat/cube_solver.h"
 #include "sat/cubes.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {
@@ -208,7 +207,7 @@ TEST(CubeSolve, AgreesWithSequentialAcrossSuiteAndWorkerCounts) {
     const SolveResult expected = reference.solve();
     ASSERT_NE(expected, SolveResult::Unknown) << c.name;
     for (const int workers : {1, 2, 4}) {
-      CubeAndConquerSolver solver(c.formula, cube_config(3, workers));
+      ParallelSolver solver(c.formula, cube_config(3, workers));
       const SolveResult got = solver.solve();
       EXPECT_EQ(got, expected) << c.name << " @ " << workers << " workers";
       if (got == SolveResult::Sat) {
@@ -229,11 +228,11 @@ TEST(CubeSolve, TinySlicesForceStealingSplitsWithoutChangingAnswers) {
   // while answers must not move.
   for (const int workers : {1, 2}) {
     SolverConfig config = cube_config(2, workers, /*warmup=*/4, /*slice=*/4);
-    CubeAndConquerSolver unsat(queen5_plain(4), config);
+    ParallelSolver unsat(queen5_plain(4), config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << workers << " workers";
     EXPECT_GT(unsat.last_cubes() + unsat.last_splits(), 0u)
         << workers << " workers";
-    CubeAndConquerSolver sat(queen5_plain(5), config);
+    ParallelSolver sat(queen5_plain(5), config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << workers << " workers";
     EXPECT_TRUE(queen5_plain(5).satisfied_by(sat.model()));
   }
@@ -245,7 +244,7 @@ TEST(CubeSolve, RefutationReportsCubeScheduleStats) {
   const Formula f =
       encode_k_coloring(make_queen_graph(6, 6), 6, SbpOptions::nu_only())
           .formula;
-  CubeAndConquerSolver solver(f, cube_config(3, 2, /*warmup=*/200,
+  ParallelSolver solver(f, cube_config(3, 2, /*warmup=*/200,
                                              /*slice=*/2000));
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_GT(solver.last_cubes(), 0u);
@@ -260,7 +259,7 @@ TEST(CubeSolve, AssumptionCoreIsValidSubsetOfAssumptions) {
   std::vector<std::vector<Var>> vars;
   const Formula f = pigeonhole_formula(5, 5, &vars);
   for (const int workers : {1, 2}) {
-    CubeAndConquerSolver solver(f, cube_config(2, workers));
+    ParallelSolver solver(f, cube_config(2, workers));
     // Three pigeons squeezed into two holes (plus untouched slack
     // everywhere else): unsat under the assumptions, sat without them.
     std::vector<Lit> assumptions;
@@ -292,8 +291,8 @@ TEST(CubeSolve, DeterministicModeReproducesAnswerModelAndStats) {
   for (const int k : {4, 5}) {
     SolverConfig config = cube_config(3, 4);
     config.portfolio_deterministic = true;
-    CubeAndConquerSolver a(queen5_plain(k), config);
-    CubeAndConquerSolver b(queen5_plain(k), config);
+    ParallelSolver a(queen5_plain(k), config);
+    ParallelSolver b(queen5_plain(k), config);
     const SolveResult ra = a.solve();
     const SolveResult rb = b.solve();
     EXPECT_EQ(ra, rb);
@@ -310,7 +309,7 @@ TEST(CubeSolve, DeterministicModeReproducesAnswerModelAndStats) {
 TEST(CubeSolve, PresetInterruptReturnsUnknownWithTripThenRecovers) {
   SolveBudget budget;
   budget.interrupt();
-  CubeAndConquerSolver solver(queen5_plain(5), cube_config(3, 2));
+  ParallelSolver solver(queen5_plain(5), cube_config(3, 2));
   EXPECT_EQ(solver.solve(budget), SolveResult::Unknown);
   EXPECT_EQ(solver.last_trip(), BudgetTrip::Interrupt);
   budget.clear_interrupt();
@@ -325,7 +324,7 @@ TEST(CubeSolve, ConflictBudgetTripsWithWellFormedStats) {
     SolverConfig config = cube_config(2, workers, /*warmup=*/16,
                                       /*slice=*/16);
     config.cube_max_extra_depth = 1;  // converge to slice-free cubes fast
-    CubeAndConquerSolver solver(f, config);
+    ParallelSolver solver(f, config);
     const SolveBudget budget(0.0, /*conflicts=*/60, 0);
     EXPECT_EQ(solver.solve(budget), SolveResult::Unknown)
         << workers << " workers";
@@ -344,7 +343,7 @@ TEST(CubeFaults, DeadCubeWorkerIsContainedAndAnswersStayCorrect) {
     SolverConfig config = cube_config(3, 2, /*warmup=*/4, /*slice=*/32);
     config.fault_injection.worker = 1;
     config.fault_injection.throw_after_conflicts = 1;
-    CubeAndConquerSolver solver(queen5_plain(k), config);
+    ParallelSolver solver(queen5_plain(k), config);
     const SolveResult r = solver.solve();
     EXPECT_EQ(r, k == 5 ? SolveResult::Sat : SolveResult::Unsat) << "k=" << k;
     EXPECT_LE(solver.last_fault_count(), 1) << "k=" << k;
@@ -361,7 +360,7 @@ TEST(CubeFaults, AllWorkersDeadRethrows) {
   SolverConfig config = cube_config(3, 2, /*warmup=*/4, /*slice=*/32);
   config.fault_injection.worker = -1;  // every worker
   config.fault_injection.throw_after_conflicts = 1;
-  CubeAndConquerSolver solver(queen5_plain(4), config);
+  ParallelSolver solver(queen5_plain(4), config);
   EXPECT_THROW(solver.solve(), std::exception);
 }
 
@@ -377,7 +376,7 @@ TEST(AggregatedStats, PortfolioAggregatedCountsAllWorkersAndAccumulates) {
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.portfolio_threads = 2;
   config.portfolio_deterministic = true;  // every worker runs to completion
-  PortfolioSolver solver(queen5_plain(4), config);
+  ParallelSolver solver(queen5_plain(4), config);
   ASSERT_EQ(solver.solve(), SolveResult::Unsat);
   const std::int64_t first = solver.aggregated_stats().conflicts;
   // Both workers refuted the instance, so the all-workers sum must exceed
@@ -390,7 +389,7 @@ TEST(AggregatedStats, PortfolioAggregatedCountsAllWorkersAndAccumulates) {
 }
 
 TEST(AggregatedStats, CubeAggregatedIncludesWarmupAndWorkers) {
-  CubeAndConquerSolver solver(queen5_plain(4), cube_config(3, 2));
+  ParallelSolver solver(queen5_plain(4), cube_config(3, 2));
   ASSERT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_GE(solver.aggregated_stats().conflicts, solver.stats().conflicts);
   EXPECT_GT(solver.aggregated_stats().propagations, 0);

@@ -18,7 +18,7 @@
 #include "graph/generators.h"
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {

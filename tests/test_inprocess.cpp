@@ -18,7 +18,7 @@
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
 #include "sat/inprocess.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 #include "service/engine_cache.h"
 
 namespace symcolor {

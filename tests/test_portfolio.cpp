@@ -1,12 +1,16 @@
-// Portfolio / SolverEngine tests: clone equivalence, deterministic-mode
-// reproducibility, core-clause import soundness on the queen/myciel
-// suite, 2-vs-1-thread agreement across the SAT-loop and PB optimizer
-// paths, restart blocking, the conflict-interval reduce schedule, and
-// per-worker seed mixing.
+// Parallel engine / SolverEngine tests: clone equivalence,
+// deterministic-mode reproducibility, core-clause import soundness on the
+// queen/myciel suite, 2-vs-1-thread agreement across the SAT-loop and PB
+// optimizer paths, restart blocking, the conflict-interval reduce
+// schedule, per-worker seed mixing, and a randomized differential test of
+// both schedules against the sequential engine.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cnf/formula.h"
 #include "coloring/cnf_coloring.h"
@@ -14,7 +18,7 @@
 #include "graph/generators.h"
 #include "pb/optimizer.h"
 #include "pb/solver_profiles.h"
-#include "sat/portfolio.h"
+#include "sat/parallel_solver.h"
 #include "util/rng.h"
 
 namespace symcolor {
@@ -135,8 +139,8 @@ TEST(Portfolio, DeterministicModeIsReproducible) {
   config.portfolio_deterministic = true;
   const Formula f = queen5_formula(5);
 
-  PortfolioSolver a(f, config);
-  PortfolioSolver b(f, config);
+  ParallelSolver a(f, config);
+  ParallelSolver b(f, config);
   ASSERT_EQ(a.solve(), SolveResult::Sat);
   ASSERT_EQ(b.solve(), SolveResult::Sat);
   EXPECT_EQ(a.model(), b.model());
@@ -173,7 +177,7 @@ TEST(Portfolio, ImportSoundnessOnQueenMycielSuite) {
   config.share_max_lbd = 3;  // share a little more than the default glue
   for (const Case& c : cases) {
     for (int round = 0; round < 3; ++round) {  // vary thread interleaving
-      PortfolioSolver solver(c.formula, config);
+      ParallelSolver solver(c.formula, config);
       EXPECT_EQ(solver.solve(), c.expected) << "round " << round;
       if (c.expected == SolveResult::Sat) {
         EXPECT_TRUE(c.formula.satisfied_by(solver.model()));
@@ -588,9 +592,9 @@ TEST(PbShare, PortfolioRaceWithPbTrafficStaysSound) {
   config.portfolio_threads = 4;
   config.share_max_lbd = 4;
   for (int round = 0; round < 3; ++round) {
-    PortfolioSolver unsat(queen5_formula(4), config);
+    ParallelSolver unsat(queen5_formula(4), config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << "round " << round;
-    PortfolioSolver sat(queen5_formula(5), config);
+    ParallelSolver sat(queen5_formula(5), config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << "round " << round;
   }
 }
@@ -605,10 +609,10 @@ TEST(ClauseImport, PortfolioRaceSurvivesDegenerateImports) {
   config.portfolio_threads = 4;
   config.share_max_lbd = 4;  // admit enough traffic to exercise the path
   for (int round = 0; round < 3; ++round) {
-    PortfolioSolver unsat(
+    ParallelSolver unsat(
         encode_k_coloring(myciel, 3, SbpOptions::nu_sc()).formula, config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << "round " << round;
-    PortfolioSolver sat(
+    ParallelSolver sat(
         encode_k_coloring(myciel, 4, SbpOptions::nu_sc()).formula, config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << "round " << round;
   }
@@ -645,13 +649,13 @@ TEST(PortfolioFaults, FaultyWorkerStillAnswers) {
       const int min_faults = (threads > 1 && deterministic) ? 1 : 0;
       const int max_faults = threads > 1 ? 1 : 0;
 
-      PortfolioSolver sat(queen5_plain_formula(5), config);
+      ParallelSolver sat(queen5_plain_formula(5), config);
       EXPECT_EQ(sat.solve(), SolveResult::Sat)
           << threads << " threads, deterministic=" << deterministic;
       EXPECT_GE(sat.last_fault_count(), min_faults);
       EXPECT_LE(sat.last_fault_count(), max_faults);
 
-      PortfolioSolver unsat(queen5_plain_formula(4), config);
+      ParallelSolver unsat(queen5_plain_formula(4), config);
       EXPECT_EQ(unsat.solve(), SolveResult::Unsat)
           << threads << " threads, deterministic=" << deterministic;
       EXPECT_GE(unsat.last_fault_count(), min_faults);
@@ -669,7 +673,7 @@ TEST(PortfolioFaults, MasterFaultRecoversAndNextSolveIsHealthy) {
   config.fault_injection.worker = 0;
   config.fault_injection.throw_after_conflicts = 1;
 
-  PortfolioSolver solver(queen5_plain_formula(4), config);
+  ParallelSolver solver(queen5_plain_formula(4), config);
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_EQ(solver.last_fault_count(), 1);
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
@@ -685,7 +689,7 @@ TEST(PortfolioFaults, AllWorkersDeadRethrows) {
   config.fault_injection.worker = -1;
   config.fault_injection.throw_after_conflicts = 1;
 
-  PortfolioSolver solver(queen5_plain_formula(4), config);
+  ParallelSolver solver(queen5_plain_formula(4), config);
   EXPECT_THROW(solver.solve(), std::runtime_error);
 }
 
@@ -698,11 +702,11 @@ TEST(PortfolioFaults, PoisonedImportIsolatedToItsWorker) {
   config.fault_injection.worker = 1;
   config.fault_injection.poison_import = true;
 
-  PortfolioSolver sat(queen5_plain_formula(5), config);
+  ParallelSolver sat(queen5_plain_formula(5), config);
   EXPECT_EQ(sat.solve(), SolveResult::Sat);
   EXPECT_EQ(sat.last_fault_count(), 1);
 
-  PortfolioSolver unsat(queen5_plain_formula(4), config);
+  ParallelSolver unsat(queen5_plain_formula(4), config);
   EXPECT_EQ(unsat.solve(), SolveResult::Unsat);
   EXPECT_EQ(unsat.last_fault_count(), 1);
 }
@@ -715,7 +719,7 @@ TEST(PortfolioFaults, SingleThreadFaultPropagates) {
   config.fault_injection.worker = 0;
   config.fault_injection.throw_after_conflicts = 1;
 
-  PortfolioSolver solver(queen5_plain_formula(4), config);
+  ParallelSolver solver(queen5_plain_formula(4), config);
   EXPECT_THROW(solver.solve(), std::runtime_error);
 }
 
@@ -727,7 +731,7 @@ TEST(PortfolioFaults, PresetInterruptReturnsUnknownWithTrip) {
   // Hard enough that the first poll-cadence check fires long before any
   // worker could finish, small enough that the re-armed solve is quick.
   const Formula f = pigeonhole_formula(8, 7);
-  PortfolioSolver solver(f, config);
+  ParallelSolver solver(f, config);
   SolveBudget budget;
   budget.interrupt();
   EXPECT_EQ(solver.solve(budget), SolveResult::Unknown);
@@ -736,6 +740,102 @@ TEST(PortfolioFaults, PresetInterruptReturnsUnknownWithTrip) {
   budget.clear_interrupt();
   EXPECT_EQ(solver.solve(budget), SolveResult::Unsat);
   EXPECT_EQ(solver.last_trip(), BudgetTrip::None);
+}
+
+// ---- differential: both schedules vs the sequential engine ----
+
+/// Random 3-CNF near the satisfiability threshold plus a few weighted
+/// at-most rows, so both answers and both propagation kinds show up.
+Formula random_cnf_pb(Rng& rng, int vars) {
+  Formula f;
+  f.new_vars(vars);
+  const auto random_lit = [&] {
+    const Var v = static_cast<Var>(rng.below(static_cast<std::uint64_t>(vars)));
+    return rng.chance(0.5) ? Lit::positive(v) : Lit::negative(v);
+  };
+  const int clauses = vars * 37 / 10;
+  for (int c = 0; c < clauses; ++c) {
+    f.add_clause({random_lit(), random_lit(), random_lit()});
+  }
+  for (int row = 0; row < 3; ++row) {
+    std::vector<PbTerm> terms;
+    std::int64_t sum = 0;
+    for (int t = 0; t < 8; ++t) {
+      terms.push_back({rng.range(1, 4), random_lit()});
+      sum += terms.back().coeff;
+    }
+    f.add_pb(PbConstraint::at_most(std::move(terms), sum * 2 / 3));
+  }
+  return f;
+}
+
+TEST(ParallelDifferential, SchedulesAgreeWithSequentialUnderAssumptions) {
+  Rng rng(0xD1FFu);
+  int sat = 0;
+  int unsat_with_core = 0;
+  int cube_runs = 0;
+  for (int round = 0; round < 24; ++round) {
+    const Formula f = random_cnf_pb(rng, 50);
+    std::vector<Lit> assumptions;
+    const int num_assumptions = static_cast<int>(rng.below(6));
+    for (int a = 0; a < num_assumptions; ++a) {
+      const Var v = static_cast<Var>(a * 7 + static_cast<int>(rng.below(7)));
+      assumptions.push_back(rng.chance(0.5) ? Lit::positive(v)
+                                            : Lit::negative(v));
+    }
+    const SolverConfig base = profile_config(SolverKind::PbsII);
+    CdclSolver reference(f, base);
+    const SolveResult expected = reference.solve({}, assumptions);
+    ASSERT_NE(expected, SolveResult::Unknown);
+
+    for (const int depth : {0, 1, 2, 3}) {
+      for (const int workers : {1, 2, 4}) {
+        for (const bool deterministic : {false, true}) {
+          SolverConfig config = base;
+          config.cube_depth = depth;
+          config.portfolio_threads = workers;
+          config.portfolio_deterministic = deterministic;
+          config.cube_warmup_conflicts = 2;  // reach the cube phase
+          config.cube_conflict_slice = 8;    // and split stuck cubes
+          const std::string where =
+              "round " + std::to_string(round) + ", depth " +
+              std::to_string(depth) + ", " + std::to_string(workers) +
+              " workers, deterministic=" + std::to_string(deterministic);
+          ParallelSolver solver(f, config);
+          const SolveResult got = solver.solve({}, assumptions);
+          ASSERT_EQ(got, expected) << where;
+          cube_runs += solver.last_cubes() > 0;
+          if (got == SolveResult::Sat) {
+            ++sat;
+            EXPECT_TRUE(f.satisfied_by(solver.model())) << where;
+            for (const Lit l : assumptions) {
+              EXPECT_EQ(lit_value(solver.model()[static_cast<std::size_t>(
+                                      l.var())],
+                                  l.negated()),
+                        LBool::True)
+                  << where;
+            }
+            continue;
+          }
+          const std::vector<Lit> core(solver.last_core().begin(),
+                                      solver.last_core().end());
+          unsat_with_core += !core.empty();
+          for (const Lit l : core) {
+            EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l),
+                      assumptions.end())
+                << where << ": core literal is not an assumption";
+          }
+          // The core alone must refute, re-solved from scratch.
+          CdclSolver check(f, base);
+          EXPECT_EQ(check.solve({}, core), SolveResult::Unsat) << where;
+        }
+      }
+    }
+  }
+  // The draw must exercise every outcome the checks above cover.
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat_with_core, 0);
+  EXPECT_GT(cube_runs, 0);
 }
 
 }  // namespace
