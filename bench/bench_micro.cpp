@@ -572,6 +572,19 @@ void BM_AutomorphismQueen(benchmark::State& state) {
 }
 BENCHMARK(BM_AutomorphismQueen);
 
+// The search as the Shatter flow runs it: the formula graph of queen8_8
+// at K=20 with SC (2.8k vertices), whose S_18 color symmetry dominates
+// the search tree.
+void BM_AutomorphismFormulaGraph(benchmark::State& state) {
+  const Graph g = make_queen_graph(8, 8);
+  const FormulaGraph fg = build_formula_graph(
+      encode_coloring(g, 20, SbpOptions::sc_only()).formula);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(find_automorphisms(fg.graph, fg.vertex_colors));
+  }
+}
+BENCHMARK(BM_AutomorphismFormulaGraph);
+
 void BM_FormulaGraphBuild(benchmark::State& state) {
   const Graph g = make_random_gnm(125, 736, 0xD51);
   const ColoringEncoding enc = encode_coloring(g, 20);

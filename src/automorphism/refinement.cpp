@@ -29,7 +29,6 @@ OrderedPartition::OrderedPartition(int n, std::span<const int> colors) {
   }
   position_.resize(static_cast<std::size_t>(n));
   cell_of_.resize(static_cast<std::size_t>(n));
-  count_.assign(static_cast<std::size_t>(n), 0);
 
   int start = 0;
   while (start < n) {
@@ -43,9 +42,8 @@ OrderedPartition::OrderedPartition(int n, std::span<const int> colors) {
     } else {
       end = n;
     }
-    const int id = static_cast<int>(cells_.size());
-    cells_.push_back({start, end - start});
-    live_.push_back(1);
+    // The stable sort of 0..n-1 leaves every color class ascending.
+    const int id = add_cell({start, end - start}, true);
     ++num_cells_;
     for (int i = start; i < end; ++i) {
       const int v = elements_[static_cast<std::size_t>(i)];
@@ -54,6 +52,19 @@ OrderedPartition::OrderedPartition(int n, std::span<const int> colors) {
     }
     start = end;
   }
+}
+
+int OrderedPartition::add_cell(Cell cell, bool sorted) {
+  cells_.push_back(cell);
+  live_.push_back(1);
+  sorted_.push_back(sorted ? 1 : 0);
+  if (!sorted) ++unsorted_cells_;
+  return static_cast<int>(cells_.size()) - 1;
+}
+
+void OrderedPartition::retire(int cell_id) {
+  live_[static_cast<std::size_t>(cell_id)] = 0;
+  if (sorted_[static_cast<std::size_t>(cell_id)] == 0) --unsorted_cells_;
 }
 
 int OrderedPartition::target_cell() const {
@@ -73,7 +84,7 @@ int OrderedPartition::target_cell() const {
 
 int OrderedPartition::individualize(int vertex) {
   const int old_id = cell_of_[static_cast<std::size_t>(vertex)];
-  Cell old_cell = cells_[static_cast<std::size_t>(old_id)];
+  const Cell old_cell = cells_[static_cast<std::size_t>(old_id)];
   assert(old_cell.size > 1);
 
   // Swap the vertex to the front of its cell's range.
@@ -85,13 +96,16 @@ int OrderedPartition::individualize(int vertex) {
   position_[static_cast<std::size_t>(vertex)] = front;
   position_[static_cast<std::size_t>(other)] = pos;
 
-  live_[static_cast<std::size_t>(old_id)] = 0;
-  const int singleton_id = static_cast<int>(cells_.size());
-  cells_.push_back({old_cell.start, 1});
-  live_.push_back(1);
-  const int rest_id = static_cast<int>(cells_.size());
-  cells_.push_back({old_cell.start + 1, old_cell.size - 1});
-  live_.push_back(1);
+  // The remainder stays ascending only when the swap moved the old front
+  // (the cell's minimum) no further than the remainder's first slot; a
+  // one-member remainder always is.
+  const bool rest_sorted = old_cell.size == 2 ||
+                           (sorted_[static_cast<std::size_t>(old_id)] != 0 &&
+                            pos - front <= 1);
+  retire(old_id);
+  const int singleton_id = add_cell({old_cell.start, 1}, true);
+  const int rest_id =
+      add_cell({old_cell.start + 1, old_cell.size - 1}, rest_sorted);
   ++num_cells_;  // one cell became two
 
   cell_of_[static_cast<std::size_t>(vertex)] = singleton_id;
@@ -102,47 +116,67 @@ int OrderedPartition::individualize(int vertex) {
   return singleton_id;
 }
 
-int OrderedPartition::split_cell_by_count(int cell_id,
-                                          std::vector<int>* new_cells,
-                                          std::uint64_t* trace) {
+int OrderedPartition::split_cell(int cell_id, RefineScratch& s,
+                                 std::uint64_t* trace) {
   const Cell cell = cells_[static_cast<std::size_t>(cell_id)];
-  auto begin = elements_.begin() + cell.start;
-  auto end = begin + cell.size;
-  // Group members by their neighbour count in the splitter.
-  std::sort(begin, end, [&](int a, int b) {
-    if (count_[static_cast<std::size_t>(a)] != count_[static_cast<std::size_t>(b)]) {
-      return count_[static_cast<std::size_t>(a)] < count_[static_cast<std::size_t>(b)];
+  const std::vector<int>& count = s.count_;
+  const auto count_of = [&](int v) { return count[static_cast<std::size_t>(v)]; };
+  const auto by_count = [&](int a, int b) {
+    if (count_of(a) != count_of(b)) return count_of(a) < count_of(b);
+    return a < b;  // ties by id, so every split leaves its cells ascending
+  };
+  const auto first = elements_.begin() + cell.start;
+  const auto last = first + cell.size;
+
+  // Group members by their neighbour count in the splitter, ties by id.
+  if (sorted_[static_cast<std::size_t>(cell_id)] == 0) {
+    std::sort(first, last, by_count);
+  } else if (s.cell_touched_[static_cast<std::size_t>(cell_id)] == cell.size) {
+    if (!std::is_sorted(first, last, by_count)) std::sort(first, last, by_count);
+  } else {
+    // Ascending cell: the untouched members (count 0) lead in their
+    // current order; only the touched ones need sorting.
+    s.buffer_.clear();
+    auto out = first;
+    for (auto it = first; it != last; ++it) {
+      if (count_of(*it) == 0) {
+        *out++ = *it;
+      } else {
+        s.buffer_.push_back(*it);
+      }
     }
-    return a < b;  // deterministic within equal counts (any order is fine)
-  });
+    if (!std::is_sorted(s.buffer_.begin(), s.buffer_.end(), by_count)) {
+      std::sort(s.buffer_.begin(), s.buffer_.end(), by_count);
+    }
+    std::copy(s.buffer_.begin(), s.buffer_.end(), out);
+  }
 
   // Detect group boundaries.
-  new_cells->clear();
+  s.new_cells_.clear();
+  const int end = cell.start + cell.size;
   int group_start = cell.start;
   int largest = -1;
   int largest_size = 0;
-  for (int i = cell.start; i < cell.start + cell.size; ++i) {
-    const bool last = (i + 1 == cell.start + cell.size);
-    const std::int64_t c =
-        count_[static_cast<std::size_t>(elements_[static_cast<std::size_t>(i)])];
-    const std::int64_t next_c =
-        last ? -1
-             : count_[static_cast<std::size_t>(
-                   elements_[static_cast<std::size_t>(i + 1)])];
-    if (last || c != next_c) {
+  for (int i = cell.start; i < end; ++i) {
+    const bool last_member = (i + 1 == end);
+    const int c = count_of(elements_[static_cast<std::size_t>(i)]);
+    if (last_member || c != count_of(elements_[static_cast<std::size_t>(i + 1)])) {
       const int group_size = i + 1 - group_start;
-      if (group_start == cell.start && last) {
-        // Single group: no split; positions may have been permuted though.
-        for (int j = cell.start; j < cell.start + cell.size; ++j) {
-          position_[static_cast<std::size_t>(
-              elements_[static_cast<std::size_t>(j)])] = j;
+      if (group_start == cell.start && last_member) {
+        // Single group: no split. An unsorted cell was permuted by the
+        // sort and is ascending now.
+        if (sorted_[static_cast<std::size_t>(cell_id)] == 0) {
+          for (int j = cell.start; j < end; ++j) {
+            position_[static_cast<std::size_t>(
+                elements_[static_cast<std::size_t>(j)])] = j;
+          }
+          sorted_[static_cast<std::size_t>(cell_id)] = 1;
+          --unsorted_cells_;
         }
         return 0;
       }
-      const int id = static_cast<int>(cells_.size());
-      cells_.push_back({group_start, group_size});
-      live_.push_back(1);
-      new_cells->push_back(id);
+      const int id = add_cell({group_start, group_size}, true);
+      s.new_cells_.push_back(id);
       *trace = mix(*trace, static_cast<std::uint64_t>(c) * 1315423911ULL +
                                static_cast<std::uint64_t>(group_size));
       if (group_size > largest_size) {
@@ -154,9 +188,9 @@ int OrderedPartition::split_cell_by_count(int cell_id,
   }
 
   // Commit the split: retire the parent, relabel members.
-  live_[static_cast<std::size_t>(cell_id)] = 0;
-  num_cells_ += static_cast<int>(new_cells->size()) - 1;
-  for (const int id : *new_cells) {
+  retire(cell_id);
+  num_cells_ += static_cast<int>(s.new_cells_.size()) - 1;
+  for (const int id : s.new_cells_) {
     const Cell& c = cells_[static_cast<std::size_t>(id)];
     for (int i = c.start; i < c.start + c.size; ++i) {
       const int v = elements_[static_cast<std::size_t>(i)];
@@ -169,69 +203,81 @@ int OrderedPartition::split_cell_by_count(int cell_id,
 }
 
 std::uint64_t OrderedPartition::refine(const Graph& graph,
-                                       std::vector<int> worklist) {
+                                       std::span<const int> worklist) {
+  RefineScratch scratch;
+  return refine(graph, worklist, scratch);
+}
+
+std::uint64_t OrderedPartition::refine(const Graph& graph,
+                                       std::span<const int> worklist,
+                                       RefineScratch& s) {
   std::uint64_t trace = 0x51CA9D;
-  std::vector<char> on_worklist(live_.size(), 0);
-  for (const int id : worklist) {
-    if (id >= 0 && id < static_cast<int>(on_worklist.size())) {
-      on_worklist[static_cast<std::size_t>(id)] = 1;
-    }
+  if (s.count_.size() < elements_.size()) s.count_.resize(elements_.size(), 0);
+  // on_worklist_ and cell_touched_ are all zero between calls; they only
+  // ever grow.
+  const auto slots = [&] { return cells_.size(); };
+  if (s.on_worklist_.size() < slots()) s.on_worklist_.resize(slots(), 0);
+  const auto valid = [&](int id) {
+    return id >= 0 && static_cast<std::size_t>(id) < slots();
+  };
+  s.worklist_.assign(worklist.begin(), worklist.end());
+  for (const int id : s.worklist_) {
+    if (valid(id)) s.on_worklist_[static_cast<std::size_t>(id)] = 1;
   }
-  std::vector<int> splitter_elements;
-  std::vector<int> new_cells;
 
   std::size_t head = 0;
-  while (head < worklist.size()) {
-    const int splitter = worklist[head++];
-    if (splitter >= static_cast<int>(live_.size())) continue;
-    on_worklist[static_cast<std::size_t>(splitter)] = 0;
+  while (head < s.worklist_.size()) {
+    const int splitter = s.worklist_[head++];
+    if (!valid(splitter)) continue;
+    s.on_worklist_[static_cast<std::size_t>(splitter)] = 0;
     if (!live_[static_cast<std::size_t>(splitter)]) continue;
     if (discrete()) break;
 
-    splitter_elements.assign(cell_elements(splitter).begin(),
-                             cell_elements(splitter).end());
-
-    // Count neighbours in the splitter; remember touched cells.
-    touched_.clear();
-    for (const int u : splitter_elements) {
-      for (const int w : graph.neighbors(u)) {
-        if (count_[static_cast<std::size_t>(w)] == 0) {
-          const int c = cell_of_[static_cast<std::size_t>(w)];
-          if (touched_.empty() || std::find(touched_.begin(), touched_.end(),
-                                            c) == touched_.end()) {
-            touched_.push_back(c);
-          }
+    // Count neighbours in the splitter; remember touched vertices and
+    // cells (a cell is new when its touched counter leaves zero).
+    if (s.cell_touched_.size() < slots()) s.cell_touched_.resize(slots(), 0);
+    const Cell splitter_cell = cells_[static_cast<std::size_t>(splitter)];
+    for (int i = splitter_cell.start;
+         i < splitter_cell.start + splitter_cell.size; ++i) {
+      for (const int w : graph.neighbors(elements_[static_cast<std::size_t>(i)])) {
+        if (s.count_[static_cast<std::size_t>(w)]++ != 0) continue;
+        s.touched_.push_back(w);
+        const int c = cell_of_[static_cast<std::size_t>(w)];
+        if (s.cell_touched_[static_cast<std::size_t>(c)]++ == 0) {
+          s.touched_cells_.push_back(c);
         }
-        ++count_[static_cast<std::size_t>(w)];
       }
     }
-    std::sort(touched_.begin(), touched_.end());
+    std::sort(s.touched_cells_.begin(), s.touched_cells_.end());
 
-    for (const int cell_id : touched_) {
-      if (!live_[static_cast<std::size_t>(cell_id)]) continue;
+    for (const int cell_id : s.touched_cells_) {
       if (cells_[static_cast<std::size_t>(cell_id)].size == 1) continue;
-      const int largest = split_cell_by_count(cell_id, &new_cells, &trace);
-      if (new_cells.empty()) continue;
-      on_worklist.resize(live_.size(), 0);
+      const int largest = split_cell(cell_id, s, &trace);
+      if (s.new_cells_.empty()) continue;
+      s.on_worklist_.resize(std::max(s.on_worklist_.size(), slots()), 0);
       const bool parent_queued =
-          cell_id < static_cast<int>(on_worklist.size()) &&
-          on_worklist[static_cast<std::size_t>(cell_id)] != 0;
-      if (parent_queued) on_worklist[static_cast<std::size_t>(cell_id)] = 0;
-      for (const int id : new_cells) {
+          s.on_worklist_[static_cast<std::size_t>(cell_id)] != 0;
+      if (parent_queued) s.on_worklist_[static_cast<std::size_t>(cell_id)] = 0;
+      for (const int id : s.new_cells_) {
         // Hopcroft's trick: when the parent was not pending, the largest
         // part can be skipped as a future splitter.
         if (!parent_queued && id == largest) continue;
-        worklist.push_back(id);
-        on_worklist[static_cast<std::size_t>(id)] = 1;
+        s.worklist_.push_back(id);
+        s.on_worklist_[static_cast<std::size_t>(id)] = 1;
       }
     }
 
     // Clear scratch counts.
-    for (const int u : splitter_elements) {
-      for (const int w : graph.neighbors(u)) {
-        count_[static_cast<std::size_t>(w)] = 0;
-      }
+    for (const int w : s.touched_) s.count_[static_cast<std::size_t>(w)] = 0;
+    for (const int c : s.touched_cells_) {
+      s.cell_touched_[static_cast<std::size_t>(c)] = 0;
     }
+    s.touched_.clear();
+    s.touched_cells_.clear();
+  }
+  for (; head < s.worklist_.size(); ++head) {
+    const int id = s.worklist_[head];
+    if (valid(id)) s.on_worklist_[static_cast<std::size_t>(id)] = 0;
   }
   trace = mix(trace, static_cast<std::uint64_t>(num_cells_));
   return trace;

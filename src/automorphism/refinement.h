@@ -8,6 +8,12 @@
 // so re-refining after individualizing a single vertex costs only the
 // affected region of the graph. The sequence of splits (the refinement
 // trace) is an isomorphism invariant used to prune the search tree.
+//
+// A split orders a cell's members by (neighbour count, vertex id). Most
+// cells already list their members in ascending id order (every split
+// leaves them so); for those the split is a stable compaction of the
+// untouched members plus a sort of the touched ones only, which yields
+// exactly the order of a whole-cell sort.
 
 #include <cstdint>
 #include <span>
@@ -16,6 +22,22 @@
 #include "graph/graph.h"
 
 namespace symcolor {
+
+/// Scratch buffers of OrderedPartition::refine. Reusing one across calls
+/// (and across partitions of the same graph) makes refinement allocation
+/// free once the buffers have grown. Not shareable between threads.
+class RefineScratch {
+ private:
+  friend class OrderedPartition;
+  std::vector<int> count_;          // vertex -> neighbours in the splitter
+  std::vector<int> touched_;        // vertices with count_ > 0
+  std::vector<int> cell_touched_;   // cell id -> touched members
+  std::vector<int> touched_cells_;  // cells with cell_touched_ > 0
+  std::vector<int> worklist_;
+  std::vector<char> on_worklist_;   // cell id -> queued in worklist_
+  std::vector<int> new_cells_;
+  std::vector<int> buffer_;         // touched members of the cell being split
+};
 
 class OrderedPartition {
  public:
@@ -60,6 +82,13 @@ class OrderedPartition {
     return elements_;
   }
 
+  /// True when every cell is known to list its members in ascending
+  /// vertex order. Conservative: an individualized cell's remainder is
+  /// counted as unsorted until a refinement reorders it.
+  [[nodiscard]] bool cells_sorted() const noexcept {
+    return unsorted_cells_ == 0;
+  }
+
   /// The first smallest non-singleton cell id, or -1 if discrete.
   [[nodiscard]] int target_cell() const;
 
@@ -72,25 +101,28 @@ class OrderedPartition {
   /// from the given splitter worklist (pass all live cells, or just the
   /// cell returned by individualize). Returns a trace hash: an
   /// isomorphism-invariant fingerprint of all splits performed.
-  std::uint64_t refine(const Graph& graph, std::vector<int> worklist);
+  std::uint64_t refine(const Graph& graph, std::span<const int> worklist,
+                       RefineScratch& scratch);
+  /// As above with one-shot scratch buffers.
+  std::uint64_t refine(const Graph& graph, std::span<const int> worklist);
 
   /// Labeling of a discrete partition: label[i] = vertex in cell position
   /// i; requires discrete().
   [[nodiscard]] std::vector<int> labeling() const;
 
  private:
-  int split_cell_by_count(int cell_id, std::vector<int>* new_cells,
-                          std::uint64_t* trace);
+  int split_cell(int cell_id, RefineScratch& s, std::uint64_t* trace);
+  int add_cell(Cell cell, bool sorted);
+  void retire(int cell_id);
 
   std::vector<int> elements_;   // vertices grouped by cell, cell-contiguous
   std::vector<int> position_;   // vertex -> index in elements_
   std::vector<int> cell_of_;    // vertex -> cell id
   std::vector<Cell> cells_;     // append-only; replaced cells marked dead
   std::vector<char> live_;
+  std::vector<char> sorted_;    // cell id -> members in ascending order
   int num_cells_ = 0;
-
-  std::vector<std::int64_t> count_;  // scratch: neighbour counts
-  std::vector<int> touched_;         // scratch: cells touched by splitter
+  int unsorted_cells_ = 0;      // live cells with sorted_ == 0
 };
 
 }  // namespace symcolor

@@ -285,6 +285,63 @@ TEST(CubeSolve, AssumptionCoreIsValidSubsetOfAssumptions) {
   }
 }
 
+TEST(CubeSolve, GenerationRefutedBranchKeepsItsAssumptionsInTheCore) {
+  // Lookahead generation splits on v (it forces the most literals both
+  // ways). Under assumption a1 the v=1 branch is then refuted by
+  // propagation alone (both phases of w conflict), so it never becomes a
+  // cube and no worker core records a1. The v=0 cubes are a pigeonhole
+  // instance gated by a2. A core of the per-cube parts alone would be
+  // {a2}, which does not refute: F with a2 alone has the v=1 models.
+  Formula f;
+  const Var a1 = f.new_var();
+  const Var a2 = f.new_var();
+  const Var v = f.new_var();
+  const Var w = f.new_var();
+  for (int i = 0; i < 6; ++i) {
+    f.add_clause({Lit::negative(v), Lit::positive(f.new_var())});
+    f.add_clause({Lit::positive(v), Lit::positive(f.new_var())});
+  }
+  for (const Lit wl : {Lit::negative(w), Lit::positive(w)}) {
+    const Var r = f.new_var();
+    f.add_clause({Lit::negative(a1), Lit::negative(v), wl, Lit::positive(r)});
+    f.add_clause({Lit::negative(a1), Lit::negative(v), wl, Lit::negative(r)});
+  }
+  std::vector<std::vector<Var>> x(5);
+  for (std::vector<Var>& pigeon : x) {
+    Clause c{Lit::positive(v), Lit::negative(a2)};
+    for (int h = 0; h < 4; ++h) {
+      pigeon.push_back(f.new_var());
+      c.push_back(Lit::positive(pigeon.back()));
+    }
+    f.add_clause(std::move(c));
+  }
+  for (std::size_t h = 0; h < 4; ++h) {
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      for (std::size_t j = i + 1; j < x.size(); ++j) {
+        f.add_clause({Lit::negative(x[i][h]), Lit::negative(x[j][h])});
+      }
+    }
+  }
+  const std::vector<Lit> assumptions{Lit::positive(a1), Lit::positive(a2)};
+  CdclSolver alone(f, profile_config(SolverKind::PbsII));
+  ASSERT_EQ(alone.solve({}, std::vector<Lit>{Lit::positive(a2)}),
+            SolveResult::Sat);
+
+  for (const int workers : {1, 2}) {
+    // No warmup and no slicing: generation alone decides the partition.
+    SolverConfig config = cube_config(2, workers, /*warmup=*/0, /*slice=*/0);
+    config.cube_candidates = 64;
+    config.cube_easy_frac = 1.0;
+    ParallelSolver solver(f, config);
+    ASSERT_EQ(solver.solve({}, assumptions), SolveResult::Unsat);
+    const std::vector<Lit> core(solver.last_core().begin(),
+                                solver.last_core().end());
+    CdclSolver check(f, profile_config(SolverKind::PbsII));
+    EXPECT_EQ(check.solve({}, core), SolveResult::Unsat)
+        << workers << " workers: the core misses a1";
+  }
+}
+
 // ---- deterministic mode ----
 
 TEST(CubeSolve, DeterministicModeReproducesAnswerModelAndStats) {
