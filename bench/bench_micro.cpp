@@ -594,25 +594,36 @@ void BM_FormulaGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FormulaGraphBuild);
 
-// Generator verification alone, the step of the Shatter flow that
-// re-checks every automorphism the search returns against the formula:
-// each iteration verifies all generators of queen8_8 at K=20 with SC, a
-// suite-sized encoding.
-void BM_SymmetryVerify(benchmark::State& state) {
-  const Graph g = make_queen_graph(8, 8);
+// Generator verification as the Shatter flow runs it: each iteration
+// indexes the formula once (SymmetryVerifier) and checks every generator
+// the search returned against it, on the K=20 SC encoding of `g`.
+void run_symmetry_verify(benchmark::State& state, const Graph& g) {
   const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
   const SymmetryInfo info = detect_symmetries(enc.formula);
   std::int64_t verified = 0;
   for (auto _ : state) {
+    SymmetryVerifier verifier(enc.formula);
     for (const Perm& p : info.generators) {
-      benchmark::DoNotOptimize(is_formula_symmetry(enc.formula, p));
+      benchmark::DoNotOptimize(verifier.is_symmetry(p));
     }
     verified += static_cast<std::int64_t>(info.generators.size());
   }
   state.counters["generators_per_sec"] = benchmark::Counter(
       static_cast<double>(verified), benchmark::Counter::kIsRate);
 }
+
+// queen8_8: 18 generators on a suite-sized encoding.
+void BM_SymmetryVerify(benchmark::State& state) {
+  run_symmetry_verify(state, make_queen_graph(8, 8));
+}
 BENCHMARK(BM_SymmetryVerify);
+
+// The DSJC125.9 shape, G(125, 6961): color swaps that each touch ~14k
+// binary clauses, where the per-generator cost dominates.
+void BM_SymmetryVerifyDense(benchmark::State& state) {
+  run_symmetry_verify(state, make_random_gnm(125, 6961, 0xD59));
+}
+BENCHMARK(BM_SymmetryVerifyDense);
 
 void BM_ShatterMyciel(benchmark::State& state) {
   const Graph g = make_myciel_dimacs(4);

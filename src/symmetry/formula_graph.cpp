@@ -1,9 +1,11 @@
 #include "symmetry/formula_graph.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <map>
-#include <set>
+
+#include "util/rng.h"
 
 namespace symcolor {
 namespace {
@@ -191,75 +193,211 @@ Perm literal_permutation(const FormulaGraph& fg, std::span<const int> perm) {
   return lit_perm;
 }
 
-bool is_formula_symmetry(const Formula& formula,
-                         std::span<const int> lit_perm) {
-  const int lits = 2 * formula.num_vars();
-  if (static_cast<int>(lit_perm.size()) != lits || !is_permutation(lit_perm)) {
+namespace {
+
+/// Advance an epoch stamp; on wrap-around clear every slot so no stale
+/// stamp can equal the new epoch.
+std::uint32_t next_epoch(std::vector<std::uint32_t>& stamps,
+                         std::uint32_t& epoch) {
+  if (++epoch == 0) {
+    std::fill(stamps.begin(), stamps.end(), 0);
+    epoch = 1;
+  }
+  return epoch;
+}
+
+}  // namespace
+
+SymmetryVerifier::SymmetryVerifier(const Formula& formula)
+    : num_lits_(2 * formula.num_vars()), num_clauses_(formula.num_clauses()) {
+  const int num_constraints = num_clauses_ + formula.num_pb();
+  begin_.reserve(static_cast<std::size_t>(num_constraints) + 1);
+  begin_.push_back(0);
+  for (const Clause& c : formula.clauses()) {
+    for (const Lit l : c) lits_.push_back(l.code());
+    begin_.push_back(lits_.size());
+  }
+  pb_base_ = lits_.size();
+  for (const PbConstraint& pb : formula.pb_constraints()) {
+    for (const PbTerm& t : pb.terms()) {
+      lits_.push_back(t.lit.code());
+      coeffs_.push_back(t.coeff);
+    }
+    begin_.push_back(lits_.size());
+    bounds_.push_back(pb.bound());
+  }
+
+  Rng rng;
+  lit_hash_.resize(static_cast<std::size_t>(num_lits_));
+  for (std::uint64_t& h : lit_hash_) h = rng.next();
+  const Perm identity = identity_perm(num_lits_);
+  hash_.resize(static_cast<std::size_t>(num_constraints));
+  table_.assign(std::bit_ceil(2 * hash_.size() + 1), -1);
+  table_mask_ = table_.size() - 1;
+  for (int id = 0; id < num_constraints; ++id) {
+    const std::uint64_t h = image_hash(id, identity);
+    hash_[static_cast<std::size_t>(id)] = h;
+    std::size_t slot = h & table_mask_;
+    while (table_[slot] >= 0) slot = (slot + 1) & table_mask_;
+    table_[slot] = id;
+  }
+
+  // Occurrence lists by counting sort over the literal codes.
+  occ_begin_.assign(static_cast<std::size_t>(num_lits_) + 1, 0);
+  for (const int code : lits_) ++occ_begin_[static_cast<std::size_t>(code) + 1];
+  for (std::size_t c = 1; c < occ_begin_.size(); ++c) {
+    occ_begin_[c] += occ_begin_[c - 1];
+  }
+  occ_.resize(lits_.size());
+  std::vector<int> next(occ_begin_.begin(), occ_begin_.end() - 1);
+  for (int id = 0; id < num_constraints; ++id) {
+    for (const int code : literals(id)) {
+      occ_[static_cast<std::size_t>(next[static_cast<std::size_t>(code)]++)] = id;
+    }
+  }
+
+  if (formula.objective()) {
+    for (const PbTerm& t : formula.objective()->terms) {
+      objective_.emplace_back(t.lit.code(), t.coeff);
+    }
+    std::sort(objective_.begin(), objective_.end());
+  }
+  visited_.assign(hash_.size(), 0);
+  marked_.assign(static_cast<std::size_t>(num_lits_), 0);
+  term_at_.assign(static_cast<std::size_t>(num_lits_), 0);
+}
+
+std::span<const int> SymmetryVerifier::literals(int id) const {
+  const std::size_t first = begin_[static_cast<std::size_t>(id)];
+  return {lits_.data() + first, begin_[static_cast<std::size_t>(id) + 1] - first};
+}
+
+const std::int64_t* SymmetryVerifier::coefficients(int id) const {
+  return coeffs_.data() + (begin_[static_cast<std::size_t>(id)] - pb_base_);
+}
+
+std::int64_t SymmetryVerifier::bound(int id) const {
+  return bounds_[static_cast<std::size_t>(id - num_clauses_)];
+}
+
+std::uint64_t SymmetryVerifier::image_hash(int id,
+                                           std::span<const int> perm) const {
+  // Order-independent: a sum of one random word per image literal, each
+  // weighted by its coefficient in a PB row (whose bound seeds the sum).
+  // Unsigned arithmetic, so the products and the sum wrap.
+  const std::span<const int> lits = literals(id);
+  auto word = [&](int code) {
+    return lit_hash_[static_cast<std::size_t>(
+        perm[static_cast<std::size_t>(code)])];
+  };
+  if (!is_pb(id)) {
+    std::uint64_t h = 0;
+    for (const int code : lits) h += word(code);
+    return h;
+  }
+  const std::int64_t* coeffs = coefficients(id);
+  std::uint64_t h = Rng(static_cast<std::uint64_t>(bound(id))).next();
+  for (std::size_t k = 0; k < lits.size(); ++k) {
+    h += static_cast<std::uint64_t>(coeffs[k]) * word(lits[k]);
+  }
+  return h;
+}
+
+bool SymmetryVerifier::image_present(int id, std::uint64_t h,
+                                     std::span<const int> perm) {
+  for (std::size_t slot = h & table_mask_; table_[slot] >= 0;
+       slot = (slot + 1) & table_mask_) {
+    const int candidate = table_[slot];
+    if (hash_[static_cast<std::size_t>(candidate)] == h &&
+        is_image(id, candidate, perm)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool SymmetryVerifier::is_image(int id, int candidate,
+                                std::span<const int> perm) {
+  // Constraints hold distinct literals (clauses are deduplicated, PB rows
+  // have one term per variable), so equal size plus every image literal
+  // present in the candidate means equal literal sets.
+  const std::span<const int> lits = literals(id);
+  const std::span<const int> cand = literals(candidate);
+  const bool pb = is_pb(id);
+  if (pb != is_pb(candidate) || lits.size() != cand.size() ||
+      (pb && bound(id) != bound(candidate))) {
     return false;
   }
-  auto image_code = [&](int code) {
-    return lit_perm[static_cast<std::size_t>(code)];
-  };
-  for (int code = 0; code < lits; ++code) {
-    if ((image_code(code) ^ 1) != image_code(code ^ 1)) return false;
+  const std::uint32_t mark = next_epoch(marked_, mark_epoch_);
+  for (std::size_t k = 0; k < cand.size(); ++k) {
+    const auto code = static_cast<std::size_t>(cand[k]);
+    marked_[code] = mark;
+    term_at_[code] = static_cast<int>(k);
   }
-  auto moved = [&](Lit l) { return image_code(l.code()) != l.code(); };
+  const std::int64_t* coeffs = pb ? coefficients(id) : nullptr;
+  const std::int64_t* cand_coeffs = pb ? coefficients(candidate) : nullptr;
+  for (std::size_t k = 0; k < lits.size(); ++k) {
+    const auto image =
+        static_cast<std::size_t>(perm[static_cast<std::size_t>(lits[k])]);
+    if (marked_[image] != mark) return false;
+    if (pb && cand_coeffs[term_at_[image]] != coeffs[k]) return false;
+  }
+  return true;
+}
 
-  // A constraint with no moved literal maps to itself. The image of one
-  // that touches a moved literal l touches pi(l), which is moved too (by
-  // injectivity, pi(pi(l)) == pi(l) would force pi(l) == l). So only the
-  // touched constraints need checking, and only against each other.
-  std::vector<Clause> clauses;
-  for (const Clause& c : formula.clauses()) {
-    if (std::none_of(c.begin(), c.end(), moved)) continue;
-    Clause& key = clauses.emplace_back(c);
-    std::sort(key.begin(), key.end());
+bool SymmetryVerifier::is_symmetry(std::span<const int> lit_perm) {
+  if (static_cast<int>(lit_perm.size()) != num_lits_ ||
+      !is_permutation(lit_perm)) {
+    return false;
   }
-  std::sort(clauses.begin(), clauses.end());
-  Clause image;
-  for (const Clause& c : clauses) {
-    image.clear();
-    for (const Lit l : c) image.push_back(Lit::from_code(image_code(l.code())));
-    std::sort(image.begin(), image.end());
-    if (!std::binary_search(clauses.begin(), clauses.end(), image)) {
+  for (int code = 0; code < num_lits_; ++code) {
+    if ((lit_perm[static_cast<std::size_t>(code)] ^ 1) !=
+        lit_perm[static_cast<std::size_t>(code ^ 1)]) {
       return false;
     }
   }
 
-  // PB constraints in canonical form: bound, then sorted (coeff, code).
-  using CanonicalPb =
-      std::pair<std::int64_t, std::vector<std::pair<std::int64_t, int>>>;
-  std::vector<CanonicalPb> pbs;
-  for (const PbConstraint& pb : formula.pb_constraints()) {
-    const auto terms = pb.terms();
-    if (std::none_of(terms.begin(), terms.end(),
-                     [&](const PbTerm& t) { return moved(t.lit); })) {
-      continue;
+  // A constraint with no moved literal maps to itself. The image of one
+  // that touches a moved literal l touches pi(l), which is moved too (by
+  // injectivity, pi(pi(l)) == pi(l) would force pi(l) == l). So only the
+  // touched constraints need checking, each once.
+  //
+  // Per moved literal, the image hashes of its unvisited constraints are
+  // computed and their table slots prefetched before any is probed.
+  const std::uint32_t visit = next_epoch(visited_, visit_epoch_);
+  for (int code = 0; code < num_lits_; ++code) {
+    if (lit_perm[static_cast<std::size_t>(code)] == code) continue;
+    pending_.clear();
+    for (int k = occ_begin_[static_cast<std::size_t>(code)];
+         k < occ_begin_[static_cast<std::size_t>(code) + 1]; ++k) {
+      const int id = occ_[static_cast<std::size_t>(k)];
+      std::uint32_t& seen = visited_[static_cast<std::size_t>(id)];
+      if (seen == visit) continue;
+      seen = visit;
+      const std::uint64_t h = image_hash(id, lit_perm);
+      __builtin_prefetch(&table_[h & table_mask_]);
+      pending_.emplace_back(id, h);
     }
-    CanonicalPb& key = pbs.emplace_back();
-    key.first = pb.bound();
-    for (const PbTerm& t : terms) key.second.emplace_back(t.coeff, t.lit.code());
-    std::sort(key.second.begin(), key.second.end());
-  }
-  std::sort(pbs.begin(), pbs.end());
-  for (const CanonicalPb& pb : pbs) {
-    CanonicalPb mapped = pb;
-    for (auto& term : mapped.second) term.second = image_code(term.second);
-    std::sort(mapped.second.begin(), mapped.second.end());
-    if (!std::binary_search(pbs.begin(), pbs.end(), mapped)) return false;
+    for (const auto& [id, h] : pending_) {
+      if (!image_present(id, h, lit_perm)) return false;
+    }
   }
 
-  // Objective: the set of (coeff, literal) terms must be preserved.
-  if (formula.objective()) {
-    std::set<std::pair<std::int64_t, int>> terms;
-    for (const PbTerm& t : formula.objective()->terms) {
-      terms.insert({t.coeff, t.lit.code()});
-    }
-    for (const PbTerm& t : formula.objective()->terms) {
-      if (!terms.contains({t.coeff, image_code(t.lit.code())})) return false;
+  // Objective: the set of (literal, coeff) terms must be preserved.
+  for (const auto& [code, coeff] : objective_) {
+    const int image = lit_perm[static_cast<std::size_t>(code)];
+    if (image != code &&
+        !std::binary_search(objective_.begin(), objective_.end(),
+                            std::pair{image, coeff})) {
+      return false;
     }
   }
   return true;
+}
+
+bool is_formula_symmetry(const Formula& formula,
+                         std::span<const int> lit_perm) {
+  return SymmetryVerifier(formula).is_symmetry(lit_perm);
 }
 
 }  // namespace symcolor

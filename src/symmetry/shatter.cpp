@@ -1,5 +1,7 @@
 #include "symmetry/shatter.h"
 
+#include <optional>
+
 #include "symmetry/formula_graph.h"
 #include "util/logging.h"
 
@@ -9,20 +11,31 @@ SymmetryInfo detect_symmetries(const Formula& formula,
                                const Deadline& deadline) {
   SymmetryInfo info;
   Timer timer;
-  const FormulaGraph fg = build_formula_graph(formula);
-  const AutomorphismResult result =
-      find_automorphisms(fg.graph, fg.vertex_colors, deadline);
-  info.complete = result.complete;
-  info.log10_order = result.log10_order;
-  for (const Perm& graph_perm : result.generators) {
+  // Literal maps of the graph automorphisms; an empty map is spurious.
+  // The graph and the search result are freed before the verifier builds
+  // its index of the formula, so peak memory is the larger of the two.
+  std::vector<Perm> candidates;
+  {
+    const FormulaGraph fg = build_formula_graph(formula);
+    const AutomorphismResult result =
+        find_automorphisms(fg.graph, fg.vertex_colors, deadline);
+    info.complete = result.complete;
+    info.log10_order = result.log10_order;
+    candidates.reserve(result.generators.size());
+    for (const Perm& graph_perm : result.generators) {
+      candidates.push_back(literal_permutation(fg, graph_perm));
+    }
+  }
+  std::optional<SymmetryVerifier> verifier;
+  for (Perm& lit_perm : candidates) {
     // Breaking a subset of verified symmetries is sound; an unverified
     // generator is never kept.
     if (deadline.expired()) {
       info.complete = false;
       break;
     }
-    Perm lit_perm = literal_permutation(fg, graph_perm);
-    if (lit_perm.empty() || !is_formula_symmetry(formula, lit_perm)) {
+    if (!verifier) verifier.emplace(formula);
+    if (lit_perm.empty() || !verifier->is_symmetry(lit_perm)) {
       ++info.spurious_rejected;
       SYMCOLOR_WARN() << "discarding spurious symmetry generator";
       continue;

@@ -401,32 +401,44 @@ bool moves_any(const Perm& p, std::span<const Lit> lits) {
 TEST(IsFormulaSymmetryDifferential, AgreesWithWholeFormulaCheck) {
   int checks = 0;
   int perturbations_rejected = 0;
+  int swaps_rejected = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
     const int n = static_cast<int>(rng.range(4, 9));
     const Perm sigma = random_swaps(rng, n);
     const FormulaSpec spec = random_symmetric_spec(rng, n, sigma);
     const Formula f = spec.build();
-    auto agree = [&](const Formula& formula, const Perm& p) {
+    // One verifier per formula answers every map checked against it, so
+    // visit stamps or literal marks left over from an earlier call (an
+    // accepted map, or one rejected part-way) would show as a
+    // disagreement on a later call. The one-shot wrapper must agree too.
+    auto agree = [&](SymmetryVerifier& verifier, const Formula& formula,
+                     const Perm& p) {
       const bool expected = reference_is_formula_symmetry(formula, p);
+      EXPECT_EQ(verifier.is_symmetry(p), expected) << "seed " << seed;
       EXPECT_EQ(is_formula_symmetry(formula, p), expected) << "seed " << seed;
       ++checks;
       return expected;
     };
-    EXPECT_TRUE(agree(f, sigma)) << "seed " << seed;
+    SymmetryVerifier verifier(f);
+    EXPECT_TRUE(agree(verifier, f, sigma)) << "seed " << seed;
 
     // Real generators and their pairwise compositions.
     const SymmetryInfo info = detect_symmetries(f);
     std::vector<Perm> checked = {sigma};
     for (const Perm& a : info.generators) {
-      EXPECT_TRUE(agree(f, a)) << "seed " << seed;
+      EXPECT_TRUE(agree(verifier, f, a)) << "seed " << seed;
       checked.push_back(a);
       for (const Perm& b : info.generators) {
-        EXPECT_TRUE(agree(f, compose(a, b))) << "seed " << seed;
+        EXPECT_TRUE(agree(verifier, f, compose(a, b))) << "seed " << seed;
       }
     }
-    // Random negation-consistent swaps, symmetries or not.
-    for (int i = 0; i < 20; ++i) agree(f, random_swaps(rng, n));
+    // Random negation-consistent swaps, symmetries or not, each followed
+    // by sigma, so accepted and rejected maps alternate.
+    for (int i = 0; i < 20; ++i) {
+      if (!agree(verifier, f, random_swaps(rng, n))) ++swaps_rejected;
+      EXPECT_TRUE(agree(verifier, f, sigma)) << "seed " << seed;
+    }
 
     // Perturbations that break one clause, one PB bound or one objective
     // coefficient that sigma moves.
@@ -454,12 +466,96 @@ TEST(IsFormulaSymmetryDifferential, AgreesWithWholeFormulaCheck) {
     }
     for (const FormulaSpec& s : perturbed) {
       const Formula g = s.build();
-      if (!agree(g, sigma)) ++perturbations_rejected;
-      for (const Perm& p : checked) agree(g, p);
+      SymmetryVerifier g_verifier(g);
+      if (!agree(g_verifier, g, sigma)) ++perturbations_rejected;
+      for (const Perm& p : checked) {
+        agree(g_verifier, g, p);
+        agree(g_verifier, g, sigma);
+      }
     }
   }
-  EXPECT_GT(checks, 1000);
+  EXPECT_GT(checks, 2000);
+  EXPECT_GT(swaps_rejected, 300);
   EXPECT_GT(perturbations_rejected, 100);
+}
+
+/// x_a <-> x_b for each listed pair, phases kept.
+Perm var_swaps(int num_vars, std::initializer_list<std::pair<Var, Var>> pairs) {
+  Perm p = identity_perm(2 * num_vars);
+  for (const auto& [a, b] : pairs) {
+    for (const bool negated : {false, true}) {
+      p[static_cast<std::size_t>(Lit(a, negated).code())] = Lit(b, negated).code();
+      p[static_cast<std::size_t>(Lit(b, negated).code())] = Lit(a, negated).code();
+    }
+  }
+  return p;
+}
+
+/// Checks each of `maps` with one verifier reused across all of them and
+/// with the one-shot wrapper, both against the whole-formula reference;
+/// returns the reference answers.
+std::vector<bool> verify_all(const Formula& f, const std::vector<Perm>& maps) {
+  SymmetryVerifier verifier(f);
+  std::vector<bool> answers;
+  for (const Perm& p : maps) {
+    const bool expected = reference_is_formula_symmetry(f, p);
+    EXPECT_EQ(verifier.is_symmetry(p), expected);
+    EXPECT_EQ(is_formula_symmetry(f, p), expected);
+    answers.push_back(expected);
+  }
+  return answers;
+}
+
+TEST(SymmetryVerifier, RejectsClauseMappedOntoClausalPbRow) {
+  // The clause (x0 | x1) and the PB rows x2 + x3 >= 1 and x0 + x1 >= 1.
+  // Swapping {x0, x1} with {x2, x3} maps the PB rows onto each other, but
+  // the clause only onto a PB row with its literals: not a symmetry, since
+  // a clause maps only onto clauses.
+  Formula f;
+  f.new_vars(4);
+  f.add_clause({Lit::positive(0), Lit::positive(1)});
+  for (const Var v : {2, 0}) {
+    f.add_pb(PbConstraint::at_least(
+        {{1, Lit::positive(v)}, {1, Lit::positive(v + 1)}}, 1));
+  }
+  ASSERT_TRUE(f.pb_constraints()[0].is_clause());
+  const Perm within = var_swaps(4, {{0, 1}, {2, 3}});
+  const Perm across = var_swaps(4, {{0, 2}, {1, 3}});
+  EXPECT_EQ(verify_all(f, {within, across, within, across}),
+            (std::vector<bool>{true, false, true, false}));
+}
+
+TEST(SymmetryVerifier, RejectsPbRowsWithDifferentCoefficients) {
+  // 2x0 + x1 >= 2 and x2 + 2x3 >= 2: x0<->x3, x1<->x2 maps each row onto
+  // the other; x0<->x2, x1<->x3 keeps the literal sets but not the
+  // coefficients.
+  Formula f;
+  f.new_vars(4);
+  f.add_pb(PbConstraint::at_least({{2, Lit::positive(0)}, {1, Lit::positive(1)}},
+                                  2));
+  f.add_pb(PbConstraint::at_least({{1, Lit::positive(2)}, {2, Lit::positive(3)}},
+                                  2));
+  const Perm matching = var_swaps(4, {{0, 3}, {1, 2}});
+  const Perm mismatched = var_swaps(4, {{0, 2}, {1, 3}});
+  EXPECT_EQ(verify_all(f, {matching, mismatched, matching, mismatched}),
+            (std::vector<bool>{true, false, true, false}));
+}
+
+TEST(SymmetryVerifier, RejectsPbRowsWithDifferentBounds) {
+  // x0 + x1 + x2 + x3 >= 2 and x4 + x5 + x6 + x7 >= 3: swapping the two
+  // blocks keeps the literal sets and coefficients but not the bounds.
+  Formula f;
+  f.new_vars(8);
+  f.add_at_least({Lit::positive(0), Lit::positive(1), Lit::positive(2),
+                  Lit::positive(3)},
+                 2);
+  f.add_at_least({Lit::positive(4), Lit::positive(5), Lit::positive(6),
+                  Lit::positive(7)},
+                 3);
+  const Perm within = var_swaps(8, {{0, 1}, {4, 5}});
+  const Perm across = var_swaps(8, {{0, 4}, {1, 5}, {2, 6}, {3, 7}});
+  EXPECT_EQ(verify_all(f, {within, across, within, across}),
+            (std::vector<bool>{true, false, true, false}));
 }
 
 TEST(LexLeader, SingleSwapKeepsOneRepresentativePerOrbit) {
