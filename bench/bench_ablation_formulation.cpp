@@ -45,8 +45,8 @@ int main() {
       const SymmetryInfo sym =
           detect_symmetries(enc.formula, Deadline(budgets.detect_seconds));
       const OptResult r =
-          minimize_linear(enc.formula, profile_config(SolverKind::PbsII),
-                          Deadline(budgets.solve_seconds));
+          minimize(enc.formula, profile_config(SolverKind::PbsII),
+                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, "assignment",
                  std::to_string(enc.formula.num_vars()),
                  std::to_string(enc.formula.num_clauses() +
@@ -64,8 +64,8 @@ int main() {
       const SymmetryInfo sym =
           detect_symmetries(enc->formula, Deadline(budgets.detect_seconds));
       const OptResult r =
-          minimize_linear(enc->formula, profile_config(SolverKind::PbsII),
-                          Deadline(budgets.solve_seconds));
+          minimize(enc->formula, profile_config(SolverKind::PbsII),
+                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, "indep-set",
                  std::to_string(enc->formula.num_vars()),
                  std::to_string(enc->formula.num_clauses()),

@@ -67,8 +67,8 @@ int main() {
           break;
       }
       const OptResult r =
-          minimize_linear(enc.formula, profile_config(SolverKind::PbsII),
-                          Deadline(budgets.solve_seconds));
+          minimize(enc.formula, profile_config(SolverKind::PbsII),
+                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, variant_name(variant),
                  std::to_string(stats.clauses_added),
                  std::to_string(stats.vars_added),

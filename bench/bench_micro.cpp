@@ -242,66 +242,6 @@ void BM_CdclReduceDbChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_CdclReduceDbChurn);
 
-// Propagation throughput under constant inprocessing churn: the interval
-// is cranked down so a full vivification + substitution round runs every
-// ~200 conflicts of the fixed 2000-conflict prefix, measuring what the
-// restart-boundary inprocessor (detach/re-propagate/reattach cycles plus
-// the occasional watch rebuild) taxes the hot path when driven far above
-// its production cadence.
-void BM_CdclVivificationChurn(benchmark::State& state) {
-  const Graph g = make_queen_graph(7, 7);
-  const ColoringEncoding enc = encode_k_coloring(g, 8, SbpOptions::nu_sc());
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.conflict_budget = 2000;
-  config.inprocess = InprocessMode::Full;
-  config.inprocess_interval_base = 200;
-  config.inprocess_interval_inc = 0;
-  std::int64_t propagations = 0;
-  std::int64_t rounds = 0;
-  std::int64_t vivified = 0;
-  for (auto _ : state) {
-    CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve());
-    propagations += solver.stats().propagations;
-    rounds += solver.stats().inprocess_rounds;
-    vivified += solver.stats().vivified_clauses +
-                solver.stats().viv_removed_clauses;
-  }
-  state.counters["propagations_per_sec"] = benchmark::Counter(
-      static_cast<double>(propagations), benchmark::Counter::kIsRate);
-  state.counters["inprocess_rounds_per_iter"] =
-      static_cast<double>(rounds) /
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-  state.counters["vivified_per_iter"] =
-      static_cast<double>(vivified) /
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
-}
-BENCHMARK(BM_CdclVivificationChurn);
-
-// Inprocessing-on twin of BM_CdclPropagationThroughput: the same fixed
-// 2000-conflict prefix with Full-mode rounds forced every ~200 conflicts.
-// Gated against the plain row in CI — the shrunk clause database must pay
-// for the rounds, keeping the two rates within the regression band.
-void BM_CdclInprocessPropagationThroughput(benchmark::State& state) {
-  const int q = static_cast<int>(state.range(0));
-  const Graph g = make_queen_graph(q, q);
-  const ColoringEncoding enc = encode_k_coloring(g, q + 1, SbpOptions::nu_sc());
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.conflict_budget = 2000;
-  config.inprocess = InprocessMode::Full;
-  config.inprocess_interval_base = 200;
-  config.inprocess_interval_inc = 0;
-  std::int64_t propagations = 0;
-  for (auto _ : state) {
-    CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve());
-    propagations += solver.stats().propagations;
-  }
-  state.counters["propagations_per_sec"] = benchmark::Counter(
-      static_cast<double>(propagations), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CdclInprocessPropagationThroughput)->Arg(6)->Arg(7);
-
 // Raw flat-pool cost: interleaved pushes across many rows (the watch-list
 // write pattern during clause attachment) followed by a compaction, per
 // iteration. Tracks the amortized-doubling growth path in isolation.
@@ -457,17 +397,16 @@ BENCHMARK(BM_CdclAssumptionSolve);
 
 // Optimizer-style probe ladder on one persistent engine where every call
 // EXTENDS the previous assumption vector: {~y(6)}, then {~y(6),~y(5)},
-// then {~y(6),~y(5),~y(4)}, repeated. Consecutive calls share a maximal
-// assumption prefix, so trail reuse keeps the shared levels (and their
-// propagations) alive across the return instead of rebuilding them —
-// exactly the linear-strengthening ladder the optimizer and SAT loop
-// drive. The bench-compare gate on this bench guards the reuse path.
+// then {~y(6),~y(5),~y(4)}, repeated — exactly the linear-strengthening
+// ladder the optimizer and SAT loop drive. Every solve() returns at level
+// 0, so each call re-propagates its whole assumption prefix; what carries
+// over is learned state. The name is kept so the bench-compare gate
+// history on this ladder carries over.
 void BM_CdclAssumptionPrefixReuse(benchmark::State& state) {
   const Graph g = make_queen_graph(5, 5);
   const ColoringEncoding enc = encode_k_coloring(g, 7, SbpOptions::nu_sc());
   const SolverConfig config = profile_config(SolverKind::PbsII);
   std::int64_t solves = 0;
-  std::int64_t reused = 0;
   for (auto _ : state) {
     CdclSolver solver(enc.formula, config);
     std::vector<Lit> assume;
@@ -479,13 +418,9 @@ void BM_CdclAssumptionPrefixReuse(benchmark::State& state) {
         ++solves;
       }
     }
-    reused += solver.stats().reused_trail_literals;
   }
   state.counters["assumption_solves_per_sec"] = benchmark::Counter(
       static_cast<double>(solves), benchmark::Counter::kIsRate);
-  state.counters["reused_trail_lits_per_iter"] =
-      static_cast<double>(reused) /
-      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
 }
 BENCHMARK(BM_CdclAssumptionPrefixReuse);
 
@@ -547,8 +482,9 @@ void BM_MinimizeMyciel(benchmark::State& state) {
   const Graph g = make_myciel_dimacs(static_cast<int>(state.range(0)));
   const ColoringEncoding enc = encode_coloring(g, 8, SbpOptions::nu_sc());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(minimize_linear(
-        enc.formula, profile_config(SolverKind::PbsII), Deadline(30.0)));
+    benchmark::DoNotOptimize(minimize(enc.formula,
+                                      profile_config(SolverKind::PbsII),
+                                      Deadline(30.0), SearchStrategy::Linear));
   }
 }
 BENCHMARK(BM_MinimizeMyciel)->Arg(3)->Arg(4);

@@ -54,6 +54,6 @@ int main() {
       "DSJC125.1 5, DSJC125.9 >20, games120 9, huck 11, jean 10,\n"
       "miles250 8, mulsol >20, myciel3/4/5 = 4/5/6, queen5/6/7 = 5/7/7,\n"
       "queen8_12 12, zeroin >20. Edge counts halve the paper's doubled\n"
-      "directed-record counts; see EXPERIMENTS.md.\n");
+      "directed-record counts.\n");
   return 0;
 }

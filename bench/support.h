@@ -13,7 +13,7 @@
 //   SYMCOLOR_K              color limit for Table 2/3     (default 20)
 //   SYMCOLOR_FULL=1         lift budgets to paper scale (1000 s / 60 s)
 // Trends (who wins, by what factor, where timeouts appear) are the
-// reproduction target, not absolute runtimes; see EXPERIMENTS.md.
+// reproduction target, not absolute runtimes.
 
 #include <cstdint>
 #include <string>

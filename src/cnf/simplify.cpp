@@ -2,11 +2,79 @@
 
 #include <algorithm>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
-#include "sat/inprocess.h"
-
 namespace symcolor {
+
+RootClauseStatus reduce_clause_at_root(std::span<const Lit> lits,
+                                       std::span<const LBool> values,
+                                       Clause* reduced) {
+  bool touched = false;
+  for (const Lit l : lits) {
+    if (lit_value(values[static_cast<std::size_t>(l.var())], l.negated()) !=
+        LBool::Undef) {
+      touched = true;
+      break;
+    }
+  }
+  if (!touched) return RootClauseStatus::Unchanged;
+  reduced->clear();
+  for (const Lit l : lits) {
+    const LBool v =
+        lit_value(values[static_cast<std::size_t>(l.var())], l.negated());
+    if (v == LBool::True) return RootClauseStatus::Satisfied;
+    if (v == LBool::Undef) reduced->push_back(l);
+  }
+  if (reduced->empty()) return RootClauseStatus::Empty;
+  if (reduced->size() == 1) return RootClauseStatus::Unit;
+  return RootClauseStatus::Shortened;
+}
+
+RootPbReduction reduce_pb_at_root(std::span<const PbTerm> terms,
+                                  std::int64_t bound,
+                                  std::span<const LBool> values) {
+  RootPbReduction out;
+  std::vector<PbTerm> open;
+  open.reserve(terms.size());
+  for (const PbTerm& t : terms) {
+    const LBool v = lit_value(values[static_cast<std::size_t>(t.lit.var())],
+                              t.lit.negated());
+    if (v == LBool::True) {
+      if (__builtin_sub_overflow(bound, t.coeff, &bound)) {
+        throw std::overflow_error("pb root fold: bound underflow");
+      }
+    } else if (v == LBool::Undef) {
+      open.push_back(t);
+    }
+    // False terms contribute nothing: drop.
+  }
+  PbConstraint folded = PbConstraint::at_least(std::move(open), bound);
+  if (folded.is_tautology()) {
+    out.status = RootPbStatus::Satisfied;
+    return out;
+  }
+  if (folded.is_contradiction()) {
+    out.status = RootPbStatus::Contradiction;
+    return out;
+  }
+  if (folded.is_clause()) {
+    out.status = RootPbStatus::Clause;
+    out.constraint = std::move(folded);
+    return out;
+  }
+  out.status = RootPbStatus::Open;
+  // Every remaining literal is unassigned, so the row's slack is simply
+  // coeff_sum - bound; any coefficient above it forces its literal.
+  const std::int64_t slack = folded.coeff_sum() - folded.bound();
+  for (const PbTerm& t : folded.terms()) {
+    if (t.coeff <= slack) break;  // terms sorted by descending coefficient
+    out.forced.push_back(t.lit);
+  }
+  out.constraint = std::move(folded);
+  return out;
+}
+
 namespace {
 
 class Simplifier {
@@ -75,10 +143,9 @@ class Simplifier {
   }
 
   /// One sweep of root-level propagation; true if anything changed. The
-  /// per-constraint reduction logic is the restart-boundary inprocessor's
-  /// (sat/inprocess.h reduce_clause_at_root / reduce_pb_at_root) — this
-  /// preprocessor is a thin wrapper that routes the shared verdicts into
-  /// its own bookkeeping.
+  /// per-constraint verdicts come from reduce_clause_at_root /
+  /// reduce_pb_at_root; this routes them into the simplifier's own
+  /// bookkeeping.
   bool propagate_round() {
     bool changed = false;
     // Clauses: drop satisfied, strip false literals, detect units.

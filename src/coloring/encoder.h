@@ -34,8 +34,7 @@ struct SbpOptions {
   /// Use the paper's literal LI construction (quadratic, existentially
   /// chosen V indicators, weak propagation) instead of this library's
   /// arc-consistent chained LI. Only meaningful with li = true; kept as
-  /// a separate knob because the two differ sharply in solver behaviour
-  /// (see EXPERIMENTS.md on the Table 3 LI row).
+  /// a separate knob because the two differ sharply in solver behaviour.
   bool li_paper_literal = false;
 
   [[nodiscard]] bool any() const noexcept { return nu || ca || li || sc; }

@@ -54,7 +54,6 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
     SolverConfig config = profile_config(options.solver);
     config.portfolio_threads = options.threads;
     config.cube_depth = options.cube_depth;
-    config.inprocess = options.inprocess;
     if (options.chrono_threshold >= 0) {
       config.chrono_threshold = options.chrono_threshold;
     }

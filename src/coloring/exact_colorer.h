@@ -49,11 +49,9 @@ struct ColoringOptions {
   /// the search space is split into assumption cubes of up to this depth
   /// and dealt to `threads` workers. Answers stay exact; 0 = off.
   int cube_depth = 0;
-  /// Restart-boundary inprocessing of every CDCL engine in the run
-  /// (sat/inprocess.h): Off, Viv (budgeted clause vivification, the
-  /// default) or Full (vivification + equivalent-literal substitution).
-  /// Answers are identical in every mode. Ignored by GenericIlp.
-  InprocessMode inprocess = InprocessMode::Viv;
+  /// Compat residue, read by nothing in src/: only suitebench's
+  /// workloads.cpp reads it (deleted by ROADMAP item 2's [benchmark] PR).
+  InprocessMode inprocess = InprocessMode::Off;
   /// Chronological-backtracking threshold of every CDCL engine
   /// (SolverConfig::chrono_threshold): < 0 keeps the solver profile's
   /// default, 0 disables, > 0 overrides the backjump-distance cutoff.

@@ -52,12 +52,11 @@ struct MinimizeRun {
   /// is refused outright (Unknown) once the ledger is exhausted. Every
   /// Unknown records which bound tripped in result.tripped.
   ///
-  /// Incremental note: the engine may retain the trail prefix of this
-  /// probe's assumptions across the return (SolverConfig::reuse_trail),
-  /// so consecutive probes sharing an assumption prefix — the ladder
-  /// walks below — skip re-propagating it. commit_upper_bound()'s
-  /// add_clause()/add_pb() between probes triggers the engine's lazy
-  /// root backtrack, which keeps that retention sound.
+  /// Incremental note: every probe returns with the engine back at
+  /// decision level 0, so commit_upper_bound()'s add_clause()/add_pb()
+  /// between probes always lands on the root assignment. What carries
+  /// from probe to probe is learned state (clauses, activities, phases),
+  /// never an assumption trail.
   SolveResult probe(std::span<const Lit> assumptions = {}) {
     const BudgetTrip pre = ledger.trip();
     if (pre != BudgetTrip::None) {
@@ -341,17 +340,6 @@ OptResult minimize(const Formula& formula, const SolverConfig& config,
     return run.finish(run.bisect(std::max(lower_hint, lb)));
   }
   return run.finish(run.strengthen());
-}
-
-OptResult minimize_linear(const Formula& formula, const SolverConfig& config,
-                          const SolveBudget& budget) {
-  return minimize(formula, config, budget, SearchStrategy::Linear);
-}
-
-OptResult minimize_binary(const Formula& formula, const SolverConfig& config,
-                          const SolveBudget& budget, std::int64_t lower_hint) {
-  return minimize(formula, config, budget, SearchStrategy::Binary,
-                  lower_hint);
 }
 
 }  // namespace symcolor

@@ -116,13 +116,4 @@ OptResult minimize(const Formula& formula, const SolverConfig& config,
                    const SolveBudget& budget, SearchStrategy strategy,
                    std::int64_t lower_hint = 0);
 
-/// minimize() with SearchStrategy::Linear.
-OptResult minimize_linear(const Formula& formula, const SolverConfig& config,
-                          const SolveBudget& budget);
-
-/// minimize() with SearchStrategy::Binary.
-OptResult minimize_binary(const Formula& formula, const SolverConfig& config,
-                          const SolveBudget& budget,
-                          std::int64_t lower_hint = 0);
-
 }  // namespace symcolor

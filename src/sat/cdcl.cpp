@@ -7,7 +7,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "sat/inprocess.h"
 #include "sat/luby.h"
 
 namespace symcolor {
@@ -34,11 +33,6 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
   vardata_.assign(n, {});
   order_.assign_scores(n, 0.0);
   polarity_.assign(n, config_.default_phase ? 1 : 0);
-  subst_.reserve(n);
-  for (std::size_t v = 0; v < n; ++v) {
-    subst_.push_back(Lit::positive(static_cast<Var>(v)));
-  }
-  eliminated_.assign(n, 0);
   seen_.assign(n, 0);
   cp_coef_.assign(n, 0);
   cp_lit_.assign(n, kUndefLit);
@@ -75,15 +69,9 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
           ? config_.max_learnts_init
           : std::max(800.0, static_cast<double>(arena_.live_clauses()) / 8.0);
   next_reduce_conflicts_ = config_.reduce_interval_base;
-  next_inprocess_conflicts_ = config_.inprocess_interval_base;
 }
 
 void CdclSolver::reconfigure(const SolverConfig& config) {
-  // Lazy-quiescence entry: a retained assumption trail is consequences of
-  // formula + previous assumptions; a solver about to change personality
-  // (and the clone-then-reconfigure worker-spawn paths that funnel through
-  // here) must start from root state.
-  lazy_root_backtrack();
   config_ = config;
   rng_ = Rng(config.random_seed);
   // std::vector copies do not preserve capacity, so a freshly cloned
@@ -96,8 +84,6 @@ void CdclSolver::reconfigure(const SolverConfig& config) {
   // clean baseline instead of inheriting the previous policy's averages.
   next_reduce_conflicts_ = stats_.conflicts + config.reduce_interval_base;
   reduce_rounds_ = 0;
-  next_inprocess_conflicts_ = stats_.conflicts + config.inprocess_interval_base;
-  inprocess_rounds_done_ = 0;
   lbd_ema_fast_ = lbd_ema_slow_ = 0.0;
   lbd_ema_seeded_ = false;
   trail_ema_ = 0.0;
@@ -105,18 +91,7 @@ void CdclSolver::reconfigure(const SolverConfig& config) {
 }
 
 bool CdclSolver::add_clause(Clause clause) {
-  // Lazy-quiescence entry: mutating the formula invalidates any retained
-  // assumption trail, so discard it before simplifying against what must
-  // be the level-0 assignment.
-  lazy_root_backtrack();
   if (!ok_) return false;
-  // Clauses arriving after a Full inprocessing round may name variables a
-  // substitution eliminated; rewrite them into the representative alphabet
-  // first (the sort/unique/adjacent-var pass below then absorbs duplicate
-  // and tautological pairs a merge creates).
-  if (!reconstruction_.empty()) {
-    for (Lit& l : clause) l = map_lit(l);
-  }
   // Simplify against the level-0 assignment.
   Clause simplified;
   std::sort(clause.begin(), clause.end());
@@ -141,28 +116,7 @@ bool CdclSolver::add_clause(Clause clause) {
 }
 
 bool CdclSolver::add_pb(PbConstraint constraint) {
-  // Same lazy-quiescence entry as add_clause: the slack/forced-literal
-  // admission logic below reads the level-0 assignment.
-  lazy_root_backtrack();
   if (!ok_) return false;
-  // Same late-arrival boundary as add_clause: rewrite the row into the
-  // representative alphabet. Re-normalizing merges terms that now share a
-  // variable (same or opposite polarity) exactly as construction would.
-  if (!reconstruction_.empty()) {
-    bool mapped = false;
-    for (const PbTerm& t : constraint.terms()) {
-      if (map_lit(t.lit) != t.lit) {
-        mapped = true;
-        break;
-      }
-    }
-    if (mapped) {
-      std::vector<PbTerm> terms(constraint.terms().begin(),
-                                constraint.terms().end());
-      for (PbTerm& t : terms) t.lit = map_lit(t.lit);
-      constraint = PbConstraint::at_least(std::move(terms), constraint.bound());
-    }
-  }
   if (constraint.is_tautology()) return true;
   if (constraint.is_contradiction()) {
     ok_ = false;
@@ -1096,26 +1050,6 @@ void CdclSolver::backtrack(int target_level) {
   qhead_ = bound;
 }
 
-void CdclSolver::lazy_root_backtrack() {
-  backtrack(0);
-  prev_asms_.clear();
-}
-
-void CdclSolver::exit_backtrack() {
-  // Retain the assumption-level prefix across the solve() return: levels
-  // 1..retain mirror the call's first `retain` assumptions (prev_asms_ was
-  // set to the call's mapped assumption vector at entry), and each is a
-  // propagation fixpoint — qhead_ never jumps forward, so nothing pending
-  // below the truncation point is skipped. With reuse off this degrades to
-  // the classic eager backtrack(0).
-  int retain = 0;
-  if (config_.reuse_trail) {
-    retain = std::min(decision_level(), static_cast<int>(prev_asms_.size()));
-  }
-  backtrack(retain);
-  prev_asms_.resize(static_cast<std::size_t>(retain));
-}
-
 Lit CdclSolver::pick_branch() {
   if (config_.random_branch_freq > 0.0 &&
       rng_.uniform() < config_.random_branch_freq) {
@@ -1124,19 +1058,14 @@ Lit CdclSolver::pick_branch() {
     for (int tries = 0; tries < 16; ++tries) {
       const Var v =
           static_cast<Var>(rng_.below(static_cast<std::uint64_t>(n)));
-      if (value(v) == LBool::Undef &&
-          eliminated_[static_cast<std::size_t>(v)] == 0) {
+      if (value(v) == LBool::Undef) {
         return Lit(v, polarity_[static_cast<std::size_t>(v)] == 0);
       }
     }
   }
-  // Substituted-away variables stay in the heap (it has no remove
-  // operation) and are skipped here: they occur in no live constraint, so
-  // branching on them would spend decisions deciding nothing.
   while (!order_.empty()) {
     const Var v = order_.pop_max();
-    if (value(v) == LBool::Undef &&
-        eliminated_[static_cast<std::size_t>(v)] == 0) {
+    if (value(v) == LBool::Undef) {
       const bool phase_true = config_.phase_saving
                                   ? polarity_[static_cast<std::size_t>(v)] != 0
                                   : config_.default_phase;
@@ -1335,13 +1264,6 @@ bool CdclSolver::drain_imports() {
     }
     PbConstraint imported;
     try {
-      // Remap into the representative alphabet BEFORE normalization so the
-      // re-normalization below (and not an uncaught throw inside add_pb's
-      // own remap) is the only overflow surface; terms whose variables
-      // merged since the exporter published collapse here.
-      if (!reconstruction_.empty()) {
-        for (PbTerm& t : sp.terms) t.lit = map_lit(t.lit);
-      }
       imported = PbConstraint::at_least(std::move(sp.terms), sp.degree);
     } catch (const std::overflow_error&) {
       // The exporter's arithmetic was overflow-checked, but re-normalizing
@@ -1500,54 +1422,6 @@ void CdclSolver::maybe_reduce() {
   }
 }
 
-bool CdclSolver::on_restart(const SolveBudget& budget,
-                            std::span<const Lit> assumptions,
-                            std::span<const Lit>* asms) {
-  // Everything below is root-level work. A retained-trail solve entry
-  // arrives here above level 0: skip the whole round — the first real
-  // restart unwinds to level 0 and catches up on the same schedules.
-  if (decision_level() != 0) return true;
-  // Absorb clauses other portfolio workers published. At level 0 imports
-  // take the ordinary root-clause path; deriving level-0 unsat from a
-  // foreign clause ends the search outright.
-  if (hooks_.sharing != nullptr && !drain_imports()) {
-    ok_ = false;
-    return false;
-  }
-  // Restart-boundary inprocessing (sat/inprocess.h): on the conflict
-  // schedule, run a budgeted simplification round — level 0 is the one
-  // point where deleting and rewriting constraints is sound. The round
-  // runs under a child slice of the caller's budget, so its propagation
-  // work both honors the caller's deadline and (being counted in
-  // stats_.propagations) burns down the caller's prop cap.
-  if (config_.inprocess != InprocessMode::Off &&
-      stats_.conflicts >= next_inprocess_conflicts_) {
-    const SolveBudget slice =
-        budget.child(0.0, 0, config_.inprocess_prop_budget);
-    Inprocessor(*this).run(slice);
-    ++inprocess_rounds_done_;
-    next_inprocess_conflicts_ =
-        stats_.conflicts + config_.inprocess_interval_base +
-        config_.inprocess_interval_inc * inprocess_rounds_done_;
-    if (!ok_) return false;
-    if (!reconstruction_.empty()) {
-      mapped_assumptions_.assign(assumptions.begin(), assumptions.end());
-      for (Lit& a : mapped_assumptions_) a = map_lit(a);
-      *asms = mapped_assumptions_;
-    }
-  }
-  // Refresh the trail-reuse bookkeeping for this solve's exit retention:
-  // a substitution round above remaps the assumption alphabet, and a
-  // mid-solve import's add_clause path clears prev_asms_ through the lazy
-  // backtrack — both are repaired here, at level 0, where retention state
-  // is vacuous and reassignment is always sound.
-  if (config_.reuse_trail) prev_asms_.assign(asms->begin(), asms->end());
-  // NO reduce here: the reduce cadence lives in the inner search loop
-  // (maybe_reduce()); an extra boundary check would fire rounds slightly
-  // earlier and shift the search trajectory for no benefit.
-  return true;
-}
-
 SolveResult CdclSolver::budget_exit(BudgetTrip trip) {
   last_trip_ = trip;
   switch (trip) {
@@ -1557,7 +1431,7 @@ SolveResult CdclSolver::budget_exit(BudgetTrip trip) {
     case BudgetTrip::Interrupt: ++stats_.interrupt_exits; break;
     case BudgetTrip::None: break;
   }
-  exit_backtrack();
+  backtrack(0);
   return SolveResult::Unknown;
 }
 
@@ -1578,10 +1452,7 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
   }
   // Rebuild hooks for the flat pools: incremental add_clause/add_pb since
   // the last solve appended through the growth path; re-compact to CSR
-  // order so the search starts from a garbage-free layout. (Pool layout
-  // only — slacks and assignments are untouched, so a retained trail can
-  // stand through a compaction; in practice a dirty pool implies add_pb
-  // ran, whose lazy backtrack already cleared any retained trail.)
+  // order so the search starts from a garbage-free layout.
   if (pb_occs_dirty_) {
     pb_occs_.compact();
     pb_occs_dirty_ = false;
@@ -1591,52 +1462,10 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
   for (const Lit a : assumptions) {
     if (!a.valid() || a.var() >= num_vars()) return SolveResult::Unsat;
   }
-  // Internal view of the caller's assumptions: once a Full inprocessing
-  // round has merged variables, assumption literals must be taken in the
-  // representative alphabet. Refreshed from the ORIGINALS (idempotent)
-  // after any mid-solve round extends the substitution.
-  std::span<const Lit> asms = assumptions;
-  if (!reconstruction_.empty()) {
-    mapped_assumptions_.assign(assumptions.begin(), assumptions.end());
-    for (Lit& a : mapped_assumptions_) a = map_lit(a);
-    asms = mapped_assumptions_;
-  }
-  // Assumption-trail reuse: the previous solve retained its assumption-
-  // level prefix (levels 1..k mirror prev_asms_[0..k-1], each a
-  // propagation fixpoint); keep the longest prefix matching this call's
-  // assumptions and unwind only above it. Any formula mutation since the
-  // last solve went through lazy_root_backtrack(), which cleared
-  // prev_asms_ — so a nonzero keep certifies the retained levels are a
-  // fixpoint of the CURRENT formula under the shared assumption prefix.
-  int keep = 0;
-  if (config_.reuse_trail) {
-    const int limit =
-        std::min(decision_level(),
-                 std::min(static_cast<int>(prev_asms_.size()),
-                          static_cast<int>(asms.size())));
-    while (keep < limit &&
-           prev_asms_[static_cast<std::size_t>(keep)] ==
-               asms[static_cast<std::size_t>(keep)]) {
-      ++keep;
-    }
-  }
-  backtrack(keep);
-  if (keep > 0) {
-    // Everything above the root block survived the re-entry: these are
-    // propagations the eager contract would have discarded and re-derived.
-    stats_.reused_trail_literals +=
-        static_cast<std::int64_t>(trail_.size()) -
-        static_cast<std::int64_t>(trail_lim_[0]);
-  }
-  prev_asms_.assign(asms.begin(), asms.end());
-  // Root propagation absorbs constraints added since the last solve. A
-  // retained prefix (keep > 0) is already at fixpoint with nothing added,
-  // so the root pass only runs from level 0 — and a conflict there is
-  // final. Above level 0 any queue the previous solve left pending (a
-  // budgeted exit can retain an enqueued-but-unpropagated literal) is
-  // drained by the search loop's first propagate(), where a conflict goes
-  // through ordinary analysis instead of being misread as level-0 unsat.
-  if (decision_level() == 0 && propagate().valid()) {
+  // Every solve() exit unwinds to level 0, so the root pass absorbs
+  // whatever was added since the last solve; a conflict there is final.
+  assert(decision_level() == 0);
+  if (propagate().valid()) {
     ok_ = false;
     return SolveResult::Unsat;
   }
@@ -1667,12 +1496,14 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       config_.fault_injection.throw_after_conflicts;
 
   for (;;) {
-    // Restart boundary (also the solve entry): import drain, inprocess
-    // hook and reduce cadence live behind one helper so the lazy-backtrack
-    // entry — which arrives here ABOVE level 0 on a retained trail and
-    // must skip all root-level work until the first real restart — cannot
-    // order them inconsistently.
-    if (!on_restart(budget, assumptions, &asms)) return SolveResult::Unsat;
+    // Restart boundary (also the solve entry): absorb clauses other
+    // portfolio workers published. We are at decision level 0 here, so
+    // imports take the ordinary root-clause path; deriving level-0 unsat
+    // from a foreign clause ends the search outright.
+    if (hooks_.sharing != nullptr && !drain_imports()) {
+      ok_ = false;
+      return SolveResult::Unsat;
+    }
     // Scheduled restart interval; the adaptive scheme restarts on the
     // LBD-EMA condition instead and ignores the schedule.
     const std::int64_t interval =
@@ -1912,8 +1743,8 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
 
       // Take pending assumptions as pseudo-decisions first.
       Lit next = kUndefLit;
-      while (decision_level() < static_cast<int>(asms.size())) {
-        const Lit a = asms[static_cast<std::size_t>(decision_level())];
+      while (decision_level() < static_cast<int>(assumptions.size())) {
+        const Lit a = assumptions[static_cast<std::size_t>(decision_level())];
         if (value(a) == LBool::True) {
           new_decision_level();  // already satisfied: dummy level
         } else if (value(a) == LBool::False) {
@@ -1921,25 +1752,7 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
           // implies ~a. Extract the failed-assumption core while the
           // implication graph is still standing, then unwind.
           analyze_final(a);
-          if (!reconstruction_.empty()) {
-            // The walk produced internal (substituted) literals; the core
-            // contract promises a subset of the CALLER's assumptions.
-            // Keep exactly the originals whose image lies in the internal
-            // core — a superset of a minimal core, still jointly unsat.
-            std::vector<Lit> internal(core_.begin(), core_.end());
-            std::sort(internal.begin(), internal.end());
-            core_.clear();
-            for (const Lit orig : assumptions) {
-              if (std::binary_search(internal.begin(), internal.end(),
-                                     map_lit(orig))) {
-                core_.push_back(orig);
-              }
-            }
-          }
-          // Lazy exit: levels 1..decision_level() are all assumption
-          // levels here (the failing assumption was never taken), so the
-          // whole standing prefix is retainable for the next call.
-          exit_backtrack();
+          backtrack(0);
           return SolveResult::Unsat;
         } else {
           next = a;
@@ -1949,14 +1762,9 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       if (!next.valid()) {
         next = pick_branch();
         if (!next.valid()) {
-          // Complete assignment: SAT. Substituted-away variables are not
-          // assigned by search; extend_model() derives their values from
-          // their representatives.
+          // Complete assignment: SAT.
           model_.assign(assigns_.begin(), assigns_.end());
-          if (!reconstruction_.empty()) extend_model();
-          // Lazy exit: unwind the branch levels, keep the assumption
-          // prefix (model_ was captured above, so the unwind is safe).
-          exit_backtrack();
+          backtrack(0);
           return SolveResult::Sat;
         }
         ++stats_.decisions;
@@ -1974,27 +1782,17 @@ CdclSolver::ProbeResult CdclSolver::probe_assumptions(
     result.refuted = true;
     return result;
   }
-  // Probing branches from a clean root, so discard any trail prefix a
-  // previous solve() retained (and its reuse bookkeeping with it).
-  lazy_root_backtrack();
+  assert(decision_level() == 0);
   if (propagate().valid()) {
     ok_ = false;  // level-0 conflict: unsat outright
     result.refuted = true;
     return result;
   }
   const int root = static_cast<int>(trail_.size());
-  // Free variables the search could actually branch on: substituted-away
-  // variables are neither assigned nor branchable, so they leave the
-  // denominator of the forced-fraction easiness estimate.
-  result.free_vars =
-      num_vars() - root - static_cast<int>(reconstruction_.size());
-  for (const Lit raw : assumptions) {
-    if (!raw.valid() || raw.var() >= num_vars()) {
-      result.refuted = true;
-      break;
-    }
-    const Lit a = map_lit(raw);
-    if (value(a) == LBool::False) {
+  result.free_vars = num_vars() - root;
+  for (const Lit a : assumptions) {
+    if (!a.valid() || a.var() >= num_vars() ||
+        value(a) == LBool::False) {
       result.refuted = true;
       break;
     }
@@ -2018,10 +1816,7 @@ std::vector<Var> CdclSolver::top_branch_candidates(int k) const {
   if (k <= 0) return pool;
   pool.reserve(static_cast<std::size_t>(num_vars()));
   for (Var v = 0; v < num_vars(); ++v) {
-    if (value(v) == LBool::Undef &&
-        eliminated_[static_cast<std::size_t>(v)] == 0) {
-      pool.push_back(v);
-    }
+    if (value(v) == LBool::Undef) pool.push_back(v);
   }
   const std::vector<double>& activity = order_.scores();
   const auto occurrences = [this](Var v) {

@@ -143,16 +143,9 @@ enum class PbAnalysis { Weaken, CuttingPlanes };
 /// diversification axis.
 enum class ReduceScheme { DbSize, ConflictInterval };
 
-/// Inprocessing at restart boundaries (sat/inprocess.h):
-///   * Off  — the formula never changes after preprocessing.
-///   * Viv  — clause vivification only: re-propagate clauses to drop
-///     falsified literals and delete satisfied/subsumed rows. Always
-///     sound, touches no variable identities. The default.
-///   * Full — vivification plus equivalent-literal substitution: Tarjan
-///     SCC over the binary implication graph collapses x <-> y cycles
-///     into one representative per class; eliminated variables are
-///     reconstructed into the model via the reconstruction stack.
-enum class InprocessMode { Off, Viv, Full };
+/// Compat residue: the engine has no inprocessor; only suitebench's
+/// workloads.cpp still names this (deleted by ROADMAP item 2's [benchmark] PR).
+enum class InprocessMode { Off };
 
 /// Deterministic fault injection for the portfolio's exception-barrier
 /// tests (production configs leave this disarmed). The portfolio arms the
@@ -246,7 +239,7 @@ struct SolverConfig {
   /// (linear back-off, CaDiCaL/Glucose style).
   std::int64_t reduce_interval_inc = 300;
 
-  // ---- incremental hot path (chrono backtracking + trail reuse) ----
+  // ---- incremental hot path (chronological backtracking) ----
   /// Chronological backtracking (CaDiCaL/MapleLCM lineage): when the 1UIP
   /// backjump would discard more than this many decision levels, undo only
   /// the conflicting level instead and keep the rest of the trail — the
@@ -258,29 +251,9 @@ struct SolverConfig {
   /// decision level, so analyze()/analyze_final()/LBD scans run unchanged.
   /// <= 0 disables (always jump to the assertion level).
   std::int64_t chrono_threshold = 100;
-  /// Keep the assumption-implied trail prefix alive across solve() calls:
-  /// the next solve() under assumptions sharing a prefix with the previous
-  /// call's backtracks only to the first differing assumption instead of
-  /// level 0. Quiescence becomes lazy — clone()/inprocess()/add_clause()/
-  /// add_pb()/reconfigure() discard the retained prefix on entry. This is
-  /// what makes optimizer probe ladders and sibling cube solves nearly
-  /// free to re-enter.
-  bool reuse_trail = true;
-
-  // ---- inprocessing (restart-boundary simplification) ----
-  /// What the restart-boundary inprocessor does (see InprocessMode).
-  InprocessMode inprocess = InprocessMode::Viv;
-  /// Conflicts before the first inprocessing round...
-  std::int64_t inprocess_interval_base = 4000;
-  /// ...and each later round after base + inc * completed_rounds more
-  /// conflicts (linear back-off, like the reduce schedule).
-  std::int64_t inprocess_interval_inc = 4000;
-  /// Clauses vivified per round (churn cap — a round touches a rotating
-  /// window of the DB, not all of it).
-  std::int64_t inprocess_viv_cap = 500;
-  /// Propagations one round may spend before it stops early (folded into
-  /// the SolveBudget child slice the round runs under).
-  std::int64_t inprocess_prop_budget = 200000;
+  /// Compat residue, read by nothing in src/: only suitebench's
+  /// workloads.cpp sets it (deleted by ROADMAP item 2's [benchmark] PR).
+  InprocessMode inprocess = InprocessMode::Off;
 
   // ---- PB conflict analysis ----
   /// Analysis mode for PB conflicts (see PbAnalysis). Weaken is the
@@ -380,12 +353,11 @@ class CdclSolver final : public SolverEngine {
   CdclSolver& operator=(const CdclSolver&) = delete;
 
   /// Add a clause after construction (used by the optimization loop to
-  /// strengthen objective bounds between calls). Discards any retained
-  /// assumption trail first (lazy root backtrack), so the addition always
-  /// happens at level 0. Returns false if the addition makes the instance
-  /// trivially unsat.
+  /// strengthen objective bounds between calls). The solver is at level 0
+  /// between solves, so the addition always happens there. Returns false
+  /// if the addition makes the instance trivially unsat.
   bool add_clause(Clause clause) override;
-  /// Add a PB constraint after construction (same lazy-backtrack entry).
+  /// Add a PB constraint after construction (level 0, like add_clause).
   bool add_pb(PbConstraint constraint) override;
 
   /// Solve under optional assumptions. Returns Unknown when a resource
@@ -395,15 +367,10 @@ class CdclSolver final : public SolverEngine {
   /// config.conflict_budget (tighter wins); asynchronous conditions are
   /// polled on a coarse cadence (every 256 search steps), so interrupt
   /// latency is bounded by that many conflicts. Can be called repeatedly;
-  /// learned clauses persist across calls. Quiescence is lazy under
-  /// config.reuse_trail: every exit path retains at most the
-  /// assumption-implied trail prefix (levels 1..k mirror the call's first
-  /// k assumptions, each a propagation fixpoint), and the next solve()
-  /// keeps the longest prefix matching its own assumptions instead of
-  /// re-propagating it. clone()/inprocess()/add_clause()/add_pb()/
-  /// reconfigure() discard the retained prefix on entry, so observable
-  /// root-state behavior is unchanged from the eager backtrack-to-0
-  /// contract.
+  /// learned clauses persist across calls. Every exit — Sat, Unsat (with
+  /// or without a core) and every Unknown — unwinds to decision level 0,
+  /// so no assumption state outlives the call: the solver is quiescent
+  /// on return and the next solve() starts from the root.
   ///
   /// Entry poll / stale interrupts: solve() polls the budget before doing
   /// ANY work, and it never clears the budget's interrupt flag — the flag
@@ -441,12 +408,7 @@ class CdclSolver final : public SolverEngine {
   }
 
   [[nodiscard]] std::unique_ptr<SolverEngine> clone() const override {
-    auto copy = std::make_unique<CdclSolver>(*this);
-    // Lazy-quiescence normalization: a retained assumption trail on `this`
-    // is consequences of formula + previous assumptions; the clone must
-    // start at level 0 holding consequences of the formula alone.
-    copy->lazy_root_backtrack();
-    return copy;
+    return std::make_unique<CdclSolver>(*this);
   }
 
   // ---- portfolio hooks ----
@@ -464,38 +426,12 @@ class CdclSolver final : public SolverEngine {
   /// cadence as the deadline and returns Unknown once it is set.
   void set_interrupt(const std::atomic<bool>* stop) { hooks_.stop = stop; }
   /// Swap the configuration of a live solver (the portfolio diversifies
-  /// clones this way). Discards any retained assumption trail first (lazy
-  /// root backtrack — this is the normalization step of the clone-then-
-  /// reconfigure worker-spawn paths). Learned clauses, activities and
-  /// saved phases are kept; the RNG is reseeded from the new config and
-  /// the restart/reduce schedule state is re-armed. Phase diversification via default_phase
+  /// clones this way). Learned clauses, activities and saved phases are
+  /// kept; the RNG is reseeded from the new config and the restart/reduce
+  /// schedule state is re-armed. Phase diversification via default_phase
   /// therefore only bites with phase_saving off (saved polarities win
   /// otherwise).
   void reconfigure(const SolverConfig& config) override;
-
-  // ---- inprocessing (sat/inprocess.h runs the passes) ----
-  /// Run one inprocessing round now (per config_.inprocess; no-op when
-  /// Off), regardless of the conflict cadence. Must be called at a
-  /// quiescent point. Returns literals dropped + clauses removed + vars
-  /// replaced. The solve loop calls the same machinery on its own
-  /// conflict schedule at restart boundaries.
-  std::int64_t inprocess(const SolveBudget& budget = {}) override;
-  /// Resolve `l` through the equivalent-literal substitution map to its
-  /// current representative (identity until a Full round merged its
-  /// class). Callers passing literals across the solver boundary after a
-  /// substitution — assumptions, imports, incremental additions — go
-  /// through here.
-  [[nodiscard]] Lit map_lit(Lit l) const noexcept {
-    for (;;) {
-      const Lit r = subst_[static_cast<std::size_t>(l.var())];
-      if (r.var() == l.var()) return l;
-      l = l.negated() ? ~r : r;
-    }
-  }
-  /// Variables eliminated by equivalent-literal substitution so far.
-  [[nodiscard]] std::int64_t replaced_vars() const noexcept {
-    return static_cast<std::int64_t>(reconstruction_.size());
-  }
 
   // ---- cube-generation probes (driven by sat/cubes.h) ----
   /// Outcome of one propagation-count lookahead probe.
@@ -562,13 +498,12 @@ class CdclSolver final : public SolverEngine {
   /// snapshots the last reduce_db(), this reflects the current instant.
   [[nodiscard]] TierCounts learned_tier_counts() const;
 
- private:
-  /// The inprocessor (sat/inprocess.cpp) is the solver's simplification
-  /// arm: it rewrites the clause arena, watcher pools, PB rows and
-  /// substitution state in place, so it works on the private storage
-  /// directly rather than through a widened public surface.
-  friend class Inprocessor;
+  /// Current decision level; 0 whenever no solve() is running.
+  [[nodiscard]] int decision_level() const noexcept {
+    return static_cast<int>(trail_lim_.size());
+  }
 
+ private:
   // ---- constraint storage ----
   /// Long-clause watcher. Binary clauses never appear here: they live in
   /// the dedicated bin_watches_ pool, where the blocker IS the other
@@ -632,9 +567,6 @@ class CdclSolver final : public SolverEngine {
   }
   [[nodiscard]] int level(Var v) const noexcept {
     return vardata_[static_cast<std::size_t>(v)].level;
-  }
-  [[nodiscard]] int decision_level() const noexcept {
-    return static_cast<int>(trail_lim_.size());
   }
 
   void enqueue(Lit l, Reason reason);
@@ -766,26 +698,6 @@ class CdclSolver final : public SolverEngine {
     return 1u << (static_cast<std::uint32_t>(level(v)) & 31u);
   }
   void backtrack(int target_level);
-  /// Discard any retained assumption trail: unwind to level 0 and forget
-  /// the previous solve's assumption vector. Every mutation entry point
-  /// (add_clause/add_pb/reconfigure/inprocess) and clone normalization
-  /// funnels through here — the "lazy" half of the quiescence contract.
-  void lazy_root_backtrack();
-  /// Exit-path unwind of solve(): with config_.reuse_trail, keep the
-  /// assumption-level prefix of the trail alive (levels 1..k, k =
-  /// min(decision_level, #assumptions)) and truncate prev_asms_ to match;
-  /// otherwise backtrack to level 0.
-  void exit_backtrack();
-  /// Restart-boundary housekeeping in one fixed order: foreign-constraint
-  /// import drain, the conflict-cadence inprocessing hook (with the
-  /// assumption re-remap a Full round requires), then the reduce_db
-  /// cadence check. No-op above level 0 — a retained-trail solve entry
-  /// skips it and catches up at the first real restart, which unwinds to
-  /// level 0 first. Returns false when level-0 unsatisfiability was
-  /// derived.
-  bool on_restart(const SolveBudget& budget,
-                  std::span<const Lit> assumptions,
-                  std::span<const Lit>* asms);
   /// Fire reduce_db() when the configured scheme's trigger holds.
   void maybe_reduce();
   Lit pick_branch();
@@ -937,50 +849,10 @@ class CdclSolver final : public SolverEngine {
   std::vector<SharedClause> import_buf_;  // drain_imports scratch
   std::vector<SharedPb> pb_import_buf_;   // drain_imports scratch (PB rows)
 
-  // ---- equivalent-literal substitution (inprocess Full) ----
-  /// Per-variable representative literal; identity (positive own literal)
-  /// until a Full inprocessing round merges the variable's equivalence
-  /// class. Chains are variable-decreasing (the representative is the
-  /// smallest variable of its SCC), so map_lit() terminates.
-  std::vector<Lit> subst_;
-  /// 1 = variable substituted away: never branched on, absent from every
-  /// live constraint. (ActivityHeap has no remove op; pick_branch skips.)
-  std::vector<char> eliminated_;
-  /// Model-reconstruction stack: (var, representative literal at merge
-  /// time), in elimination order. extend_model() replays it backwards to
-  /// give eliminated variables their forced values in model_.
-  struct SubstRecord {
-    Var var;
-    Lit repr;
-  };
-  std::vector<SubstRecord> reconstruction_;
-  /// Conflict count that triggers the next inprocessing round, plus the
-  /// completed-rounds counter driving the linear back-off.
-  std::int64_t next_inprocess_conflicts_ = 0;
-  std::int64_t inprocess_rounds_done_ = 0;
-  /// Rotating vivification start position (ordinal among candidate
-  /// clauses — survives GC, unlike a ClauseRef).
-  std::uint64_t viv_cursor_ = 0;
-  /// Caller-facing assumptions of the in-flight solve(), remapped through
-  /// subst_ for internal use (member so mid-solve Full rounds can re-remap
-  /// in place).
-  std::vector<Lit> mapped_assumptions_;
-  /// Trail reuse: the mapped assumption vector of the most recent solve().
-  /// Invariant: for k < min(decision_level(), prev_asms_.size()), level
-  /// k+1 of the trail was opened for assumption prev_asms_[k] (as a
-  /// pseudo-decision, or as a dummy level when the assumption was already
-  /// implied). backtrack() only pops levels, so the invariant survives any
-  /// partial unwind; lazy_root_backtrack() clears both sides at once.
-  std::vector<Lit> prev_asms_;
-  /// Fill in model_ values for substituted-away variables by replaying
-  /// reconstruction_ backwards. Called on every Sat exit.
-  void extend_model();
-
   std::vector<LBool> model_;
   std::vector<Lit> core_;  // failed-assumption core of the last Unsat
-  /// Record a budgeted exit (trip kind + stats counter) and unwind via
-  /// exit_backtrack(); every Unknown return of solve() funnels through
-  /// this.
+  /// Record a budgeted exit (trip kind + stats counter) and unwind to
+  /// level 0; every Unknown return of solve() funnels through this.
   SolveResult budget_exit(BudgetTrip trip);
   BudgetTrip last_trip_ = BudgetTrip::None;
   bool ok_ = true;  // false once level-0 conflict derived

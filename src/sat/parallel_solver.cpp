@@ -544,9 +544,7 @@ void ParallelSolver::settle(Pool& pool, const SolverStats& before) {
   if (!pool.faults[0]) return;
   // The master died: rebuild it from the first surviving clone. Sound
   // because a quiescent clone holds only consequences of the same shared
-  // formula; the copy is re-based onto the master personality, and
-  // reconfigure()'s lazy root backtrack discards any assumption-trail
-  // prefix the survivor retained.
+  // formula; the copy is re-based onto the master personality.
   const auto survivor =
       std::find(pool.faults.begin(), pool.faults.end(), nullptr) -
       pool.faults.begin();

@@ -223,11 +223,6 @@ class ParallelSolver final : public SolverEngine {
   [[nodiscard]] BudgetTrip last_trip() const noexcept override {
     return last_trip_;
   }
-  /// Inprocess the master; the next solve()'s clones (and cube generation)
-  /// inherit the shrunk formula and the substitution state.
-  std::int64_t inprocess(const SolveBudget& budget = {}) override {
-    return master_->inprocess(budget);
-  }
 
   // ---- introspection (tests / benchmarks / --stats) ----
   /// Index of the worker whose answer the last solve() surfaced; -1 when

@@ -126,21 +126,13 @@ struct SolverStats {
   /// Stuck cubes split and re-dealt after tripping their conflict slice.
   std::int64_t cube_splits = 0;
 
-  // ---- inprocessing (restart-boundary simplification) ----
-  /// Inprocessing rounds completed (vivification, plus SCC substitution
-  /// when SolverConfig::inprocess == Full).
+  // ---- compat residue: always 0 ----
+  /// Always 0; only suitebench's workloads.cpp reads it (deleted by
+  /// ROADMAP item 2's [benchmark] PR).
   std::int64_t inprocess_rounds = 0;
-  /// Clauses shortened by vivification (falsified literals dropped or a
-  /// propagation-implied suffix cut off).
+  /// Always 0; only suitebench's workloads.cpp reads it (deleted by
+  /// ROADMAP item 2's [benchmark] PR).
   std::int64_t vivified_clauses = 0;
-  /// Literals removed from vivified clauses.
-  std::int64_t vivified_literals = 0;
-  /// Clauses deleted outright by vivification (root-satisfied or
-  /// propagation-subsumed rows).
-  std::int64_t viv_removed_clauses = 0;
-  /// Variables eliminated by equivalent-literal substitution (binary
-  /// implication-graph SCC collapse).
-  std::int64_t replaced_vars = 0;
 
   // ---- resource-control exits (which budget ended a solve early) ----
   /// Unknown exits because the wall-clock deadline ran out.
@@ -153,12 +145,12 @@ struct SolverStats {
   /// portfolio's cooperative stop flag).
   std::int64_t interrupt_exits = 0;
 
-  // ---- incremental hot path (chronological backtracking + trail reuse) ----
+  // ---- incremental hot path (chronological backtracking) ----
   /// Conflicts resolved by undoing only the conflicting level instead of
   /// jumping all the way back to the 1UIP assertion level.
   std::int64_t chrono_backtracks = 0;
-  /// Trail literals kept alive across solve() calls because the new
-  /// assumption vector shared a prefix with the previous call's.
+  /// Always 0; only suitebench's workloads.cpp reads it (deleted by
+  /// ROADMAP item 2's [benchmark] PR).
   std::int64_t reused_trail_literals = 0;
   /// Trail literals between the 1UIP assertion level and the conflicting
   /// level that a chronological backtrack did not undo — assignments the
@@ -206,9 +198,6 @@ void for_each_stat(SolverStats& into, const SolverStats& from, F&& f) {
   f(into.cube_splits, from.cube_splits);
   f(into.inprocess_rounds, from.inprocess_rounds);
   f(into.vivified_clauses, from.vivified_clauses);
-  f(into.vivified_literals, from.vivified_literals);
-  f(into.viv_removed_clauses, from.viv_removed_clauses);
-  f(into.replaced_vars, from.replaced_vars);
   f(into.deadline_exits, from.deadline_exits);
   f(into.conflict_budget_exits, from.conflict_budget_exits);
   f(into.prop_budget_exits, from.prop_budget_exits);
@@ -296,26 +285,19 @@ class SolverEngine {
  public:
   virtual ~SolverEngine() = default;
 
-  /// Add a clause between solves. A retained assumption trail from the
-  /// previous solve() is lazily discarded first (see solve()), so the
-  /// addition always happens at level 0. Returns false if the addition
-  /// makes the instance trivially unsat.
+  /// Add a clause between solves (level-0 only). Returns false if the
+  /// addition makes the instance trivially unsat.
   virtual bool add_clause(Clause clause) = 0;
-  /// Add a PB constraint between solves (same lazy-backtrack entry as
-  /// add_clause()).
+  /// Add a PB constraint between solves (level-0 only).
   virtual bool add_pb(PbConstraint constraint) = 0;
 
   /// Solve under optional assumptions. Returns Unknown when the budget
   /// ends the solve early — wall clock, conflict or propagation cap, or
   /// an asynchronous interrupt(); last_trip() reports which. Can be called
-  /// repeatedly; learned state persists across calls. Quiescence is lazy:
-  /// an engine may keep the assumption-implied trail prefix alive across
-  /// the return so the next solve() with a shared assumption prefix skips
-  /// re-propagating it, but every observable entry point that needs root
-  /// state — clone(), inprocess(), add_clause()/add_pb(), reconfigure() —
-  /// discards the retained prefix first, so callers see the same behavior
-  /// as an eager backtrack-to-0. Retained state is always a consequence of
-  /// formula + previous assumptions, never of a budget or answer.
+  /// repeatedly; learned state persists across calls. No assumption state
+  /// outlives the call: every exit returns to decision level 0, so the
+  /// solver is quiescent (clone() is valid) and a later solve() with
+  /// different assumptions starts clean.
   /// (A bare Deadline still converts implicitly to a SolveBudget.)
   virtual SolveResult solve(const SolveBudget& budget = {},
                             std::span<const Lit> assumptions = {}) = 0;
@@ -348,28 +330,14 @@ class SolverEngine {
 
   [[nodiscard]] virtual int num_vars() const noexcept = 0;
 
-  /// Run one inprocessing round right now (vivification + equivalent-
-  /// literal substitution, per the engine's SolverConfig::inprocess mode)
-  /// at a quiescent point, regardless of the conflict cadence. Returns the
-  /// number of changes made (literals dropped + clauses removed + variables
-  /// replaced); 0 for engines without an inprocessor. The parallel engine
-  /// forwards to its master so a pre-clone round benefits every worker.
-  virtual std::int64_t inprocess(const SolveBudget& /*budget*/ = {}) {
-    return 0;
-  }
-
   /// Deep copy of the full solver state — constraints, learned clauses,
   /// activities, saved phases, root trail. Must only be called at a
-  /// quiescent point (between solve() calls). The copy performs the lazy
-  /// root backtrack, so a retained assumption trail on `this` never leaks
-  /// into the clone: the clone starts at level 0 holding only consequences
-  /// of the formula. The clone is independent: solving one never touches
-  /// the other.
+  /// quiescent point (between solve() calls). The clone is independent:
+  /// solving one never touches the other.
   [[nodiscard]] virtual std::unique_ptr<SolverEngine> clone() const = 0;
 
   /// Swap the configuration of a live engine at a quiescent point, keeping
-  /// learned state (clauses, activities, saved phases). Discards any
-  /// retained assumption trail first (lazy backtrack). This is what makes
+  /// learned state (clauses, activities, saved phases). This is what makes
   /// warm-start caching work: a service clones a preprocessed master and
   /// then reconfigures the clone with the request's own knobs (budget
   /// personality, fault injection, thread count is fixed at construction)

@@ -35,12 +35,6 @@ std::unique_ptr<SolverEngine> EngineCache::acquire(const std::string& key,
   lock.unlock();
   std::unique_ptr<SolverEngine> master =
       make_solver_engine(formula, master_config);
-  // Admission-time inprocessing: one round on the resident master (per
-  // the request's inprocess mode; no-op when Off) so every warm-started
-  // session — this request's clone included — inherits the shrunk
-  // formula and, under Full, the substitution/reconstruction state,
-  // instead of each clone re-deriving the same simplification.
-  master->inprocess();
   std::unique_ptr<SolverEngine> result = master->clone();
   lock.lock();
 

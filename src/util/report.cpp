@@ -52,27 +52,12 @@ std::string format_budget_line(BudgetTrip tripped, const SolverStats& stats) {
   return buf;
 }
 
-std::string format_inprocess_line(const SolverStats& stats) {
-  char buf[200];
-  std::snprintf(buf, sizeof(buf),
-                "inprocess: %lld rounds, %lld clauses vivified, "
-                "%lld literals dropped, %lld clauses removed, "
-                "%lld vars replaced",
-                static_cast<long long>(stats.inprocess_rounds),
-                static_cast<long long>(stats.vivified_clauses),
-                static_cast<long long>(stats.vivified_literals),
-                static_cast<long long>(stats.viv_removed_clauses),
-                static_cast<long long>(stats.replaced_vars));
-  return buf;
-}
-
 std::string format_incremental_line(const SolverStats& stats) {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
                 "incremental: %lld chrono backtracks, "
-                "%lld reused trail literals, %lld saved propagations",
+                "%lld saved propagations",
                 static_cast<long long>(stats.chrono_backtracks),
-                static_cast<long long>(stats.reused_trail_literals),
                 static_cast<long long>(stats.saved_propagations));
   return buf;
 }

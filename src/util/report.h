@@ -42,16 +42,9 @@ inline constexpr int kExitUsage = 3;
 [[nodiscard]] std::string format_budget_line(BudgetTrip tripped,
                                              const SolverStats& stats);
 
-/// "inprocess: N rounds, N clauses vivified, N literals dropped, N
-/// clauses removed, N vars replaced" — the restart-boundary inprocessing
-/// summary, printed only when at least one round ran (inprocess_rounds >
-/// 0, i.e. never under --inprocess off).
-[[nodiscard]] std::string format_inprocess_line(const SolverStats& stats);
-
-/// "incremental: N chrono backtracks, N reused trail literals, N saved
-/// propagations" — the incremental hot-path summary (chronological
-/// backtracking + assumption-trail reuse), printed only when at least one
-/// counter is nonzero (e.g. never with --chrono 0 on a one-shot solve).
+/// "incremental: N chrono backtracks, N saved propagations" — the
+/// chronological-backtracking summary, printed only when at least one
+/// chronological backtrack fired (never with --chrono 0).
 [[nodiscard]] std::string format_incremental_line(const SolverStats& stats);
 
 }  // namespace symcolor

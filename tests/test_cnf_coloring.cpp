@@ -140,8 +140,8 @@ TEST(PbToCnf, ToPureCnfPreservesOptimum) {
   const Formula cnf = to_pure_cnf(f, &stats);
   EXPECT_EQ(cnf.num_pb(), 0);
   EXPECT_GT(stats.clauses, 0);
-  const OptResult a = minimize_linear(f, {}, {});
-  const OptResult b = minimize_linear(cnf, {}, {});
+  const OptResult a = minimize(f, {}, {}, SearchStrategy::Linear);
+  const OptResult b = minimize(cnf, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(b.status, OptStatus::Optimal);
   EXPECT_EQ(a.best_value, b.best_value);
 }
@@ -299,7 +299,7 @@ TEST(SetCover, OptimumEqualsChromaticNumber) {
     const Graph g = make_random_gnm(10, 20, seed);
     const auto enc = encode_set_cover_coloring(g);
     ASSERT_TRUE(enc.has_value());
-    const OptResult r = minimize_linear(enc->formula, {}, {});
+    const OptResult r = minimize(enc->formula, {}, {}, SearchStrategy::Linear);
     ASSERT_EQ(r.status, OptStatus::Optimal);
     EXPECT_EQ(r.best_value, dsaturbnb_chi(g)) << "seed=" << seed;
     const auto coloring = enc->decode(r.model, g.num_vertices());

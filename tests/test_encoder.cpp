@@ -65,7 +65,7 @@ TEST(Encoder, DecisionVariantHasNoObjective) {
 
 TEST(Encoder, TriangleNeedsThreeColors) {
   const ColoringEncoding enc = encode_coloring(triangle(), 4);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 3);
   const auto colors = enc.decode(r.model);
@@ -90,7 +90,7 @@ TEST(Encoder, EdgelessGraphOneColor) {
   Graph g(4);
   g.finalize();
   const ColoringEncoding enc = encode_coloring(g, 3);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 1);
 }
@@ -102,7 +102,7 @@ TEST(Encoder, BipartiteGraphTwoColors) {
   }
   g.finalize();
   const ColoringEncoding enc = encode_coloring(g, 5);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 2);
 }
@@ -115,7 +115,7 @@ TEST(Encoder, InsufficientColorsInfeasible) {
   }
   g.finalize();
   const ColoringEncoding enc = encode_coloring(g, 4);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Infeasible);
 }
 

@@ -1,16 +1,17 @@
-// Incremental hot-path tests: chronological backtracking and
-// assumption-trail reuse. Covers on-vs-off answer agreement across the
-// engine stack (plain / portfolio / cube-and-conquer at 1, 2 and 4
-// threads) on queen/myciel/random instances, repeated assumption-ladder
-// solves on one persistent engine, last_core() soundness when the
-// refuting solve reused a retained trail prefix, clone-after-reused-trail
-// equivalence, the inprocess-Full substitution interaction (the public
-// inprocess() hook must lazily discard the retained prefix), and
-// add_clause()/reconfigure() after a retained trail.
+// Incremental solving tests: chronological backtracking and repeated
+// assumption solves on one persistent engine. Covers chrono on-vs-off
+// answer agreement across the engine stack (plain / portfolio /
+// cube-and-conquer at 1, 2 and 4 threads) on queen/myciel/random
+// instances, assumption ladders, last_core() soundness on a ladder,
+// clone()/add_clause()/reconfigure() after an assumption solve, and the
+// exit contract: every solve() returns at decision level 0.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "cnf/formula.h"
@@ -19,6 +20,7 @@
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
 #include "sat/parallel_solver.h"
+#include "util/budget.h"
 
 namespace symcolor {
 namespace {
@@ -39,19 +41,44 @@ Formula random_plain(int k, std::uint64_t seed) {
       .formula;
 }
 
-/// Incremental features fully on, with the chrono threshold cranked down
-/// to 1 so the tiny test instances actually take chronological backtracks
-/// (the production default of 100 would never fire at these depths).
+/// Chronological backtracking on, with the threshold cranked down to 1 so
+/// the tiny test instances actually take chronological backtracks (the
+/// production default of 100 would never fire at these depths); off = 0.
 SolverConfig inc_config(bool on, int threads = 1, int cube_depth = 0) {
   SolverConfig c = profile_config(SolverKind::PbsII);
   c.portfolio_threads = threads;
   c.cube_depth = cube_depth;
   c.chrono_threshold = on ? 1 : 0;
-  c.reuse_trail = on;
   return c;
 }
 
-// ---- on-vs-off agreement across the engine stack ----
+/// Pigeonhole: `pigeons` into `holes`, at most one pigeon per hole.
+/// Unsat, and exponentially hard for resolution, when pigeons > holes.
+Formula pigeonhole(int pigeons, int holes) {
+  Formula f;
+  std::vector<std::vector<Var>> in(static_cast<std::size_t>(pigeons));
+  for (auto& row : in) {
+    for (int h = 0; h < holes; ++h) row.push_back(f.new_var());
+  }
+  for (const auto& row : in) {
+    Clause c;
+    for (const Var v : row) c.push_back(Lit::positive(v));
+    f.add_clause(std::move(c));
+  }
+  for (int h = 0; h < holes; ++h) {
+    for (int p1 = 0; p1 < pigeons; ++p1) {
+      for (int p2 = p1 + 1; p2 < pigeons; ++p2) {
+        f.add_clause({Lit::negative(in[static_cast<std::size_t>(p1)]
+                                      [static_cast<std::size_t>(h)]),
+                      Lit::negative(in[static_cast<std::size_t>(p2)]
+                                      [static_cast<std::size_t>(h)])});
+      }
+    }
+  }
+  return f;
+}
+
+// ---- chrono on-vs-off agreement across the engine stack ----
 
 struct AgreementCase {
   const char* name;
@@ -95,9 +122,9 @@ TEST(IncrementalAgreement, PortfolioFourThreads) { check_agreement(4, 0); }
 TEST(IncrementalAgreement, CubeDepthTwoTwoThreads) { check_agreement(2, 2); }
 TEST(IncrementalAgreement, CubeDepthTwoFourThreads) { check_agreement(4, 2); }
 
-// The features must actually FIRE on the instances the matrix runs, or
-// the agreement above proves nothing about the new code paths.
-TEST(IncrementalAgreement, FeaturesActuallyFireOnQueen) {
+// Chronological backtracking must actually FIRE on the instances the
+// matrix runs, or the agreement above proves nothing about its code path.
+TEST(IncrementalAgreement, ChronoActuallyFiresOnQueen) {
   const ColoringEncoding enc =
       encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
   CdclSolver solver(enc.formula, inc_config(true));
@@ -107,15 +134,14 @@ TEST(IncrementalAgreement, FeaturesActuallyFireOnQueen) {
     (void)solver.solve({}, assume);
   }
   EXPECT_GT(solver.stats().chrono_backtracks, 0);
-  EXPECT_GT(solver.stats().reused_trail_literals, 0);
   EXPECT_GT(solver.stats().saved_propagations, 0);
 }
 
 // ---- persistent-engine assumption ladders ----
 
 // The optimizer-style ladder on one persistent engine must give the same
-// verdict at every rung as a fresh solver with the features off.
-TEST(TrailReuse, LadderMatchesFreshSolver) {
+// verdict at every rung as a fresh solver with chrono off.
+TEST(AssumptionSolve, LadderMatchesFreshSolver) {
   const ColoringEncoding enc =
       encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
   CdclSolver persistent(enc.formula, inc_config(true));
@@ -131,10 +157,9 @@ TEST(TrailReuse, LadderMatchesFreshSolver) {
   }
 }
 
-// Re-solving the SAME assumptions must reuse the retained prefix and
-// still answer correctly; switching to a DIFFERENT prefix must not leak
-// stale implications from the previous one.
-TEST(TrailReuse, RepeatAndSwitchPrefixes) {
+// Re-solving the SAME assumptions must answer the same way; switching to
+// a DIFFERENT prefix must not leak implications of the previous one.
+TEST(AssumptionSolve, RepeatAndSwitchPrefixes) {
   Formula f;
   const Var a = f.new_var();
   const Var b = f.new_var();
@@ -155,13 +180,13 @@ TEST(TrailReuse, RepeatAndSwitchPrefixes) {
   EXPECT_EQ(solver.solve({}, both), SolveResult::Unsat);
 }
 
-// ---- last_core() soundness under reused prefixes ----
+// ---- last_core() soundness on a ladder ----
 
-TEST(TrailReuse, CoreSoundAfterReusedPrefix) {
+TEST(AssumptionSolve, CoreSoundAfterSharedPrefix) {
   const ColoringEncoding enc =
       encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
   CdclSolver solver(enc.formula, inc_config(true));
-  // SAT rungs first so the UNSAT rung enters with a reusable prefix.
+  // SAT rungs first: the UNSAT rung extends the prefix they solved under.
   std::vector<Lit> assume = {Lit::negative(enc.y(6))};
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
   assume.push_back(Lit::negative(enc.y(5)));
@@ -181,17 +206,17 @@ TEST(TrailReuse, CoreSoundAfterReusedPrefix) {
   EXPECT_EQ(check.solve({}, core), SolveResult::Unsat);
 }
 
-// ---- clone-after-reused-trail equivalence ----
+// ---- clone / mutation after an assumption solve ----
 
-TEST(TrailReuse, CloneAfterRetainedTrailIsEquivalent) {
+TEST(AssumptionSolve, CloneAfterAssumptionSolveIsEquivalent) {
   const ColoringEncoding enc =
       encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
   CdclSolver solver(enc.formula, inc_config(true));
   const std::vector<Lit> assume = {Lit::negative(enc.y(6)),
                                    Lit::negative(enc.y(5))};
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
-  // The trail prefix for `assume` is retained; the clone must come out
-  // quiescent and answer every query like a fresh engine would.
+  // The clone carries learned state but no assumption: it must answer
+  // every query like a fresh engine would.
   std::unique_ptr<SolverEngine> clone = solver.clone();
   ASSERT_EQ(clone->solve(), SolveResult::Sat);
   EXPECT_TRUE(enc.formula.satisfied_by(clone->model()));
@@ -199,47 +224,12 @@ TEST(TrailReuse, CloneAfterRetainedTrailIsEquivalent) {
                                          Lit::negative(enc.y(5)),
                                          Lit::negative(enc.y(4))};
   EXPECT_EQ(clone->solve({}, unsat_ladder), SolveResult::Unsat);
-  // The original keeps working after the clone, reuse intact.
+  // The original keeps working after the clone.
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
   EXPECT_TRUE(enc.formula.satisfied_by(solver.model()));
 }
 
-// ---- inprocess-Full interaction: substitution forces the lazy backtrack ----
-
-TEST(TrailReuse, InprocessFullAfterRetainedTrail) {
-  // x0 <-> x1 chained equivalences plus a free side: after a retained
-  // assumption trail, the public inprocess() hook must lazily backtrack
-  // to the root before substituting (it asserts level 0 internally), and
-  // later solves must not reuse the stale pre-substitution prefix.
-  Formula f;
-  const Var x0 = f.new_var();
-  const Var x1 = f.new_var();
-  const Var x2 = f.new_var();
-  const Var x3 = f.new_var();
-  f.add_clause({Lit::negative(x0), Lit::positive(x1)});
-  f.add_clause({Lit::negative(x1), Lit::positive(x0)});
-  f.add_clause({Lit::positive(x2), Lit::positive(x3)});
-  SolverConfig config = inc_config(true);
-  config.inprocess = InprocessMode::Full;
-  CdclSolver solver(f, config);
-  const std::vector<Lit> assume = {Lit::positive(x0), Lit::positive(x2)};
-  ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
-  solver.inprocess();
-  EXPECT_GE(solver.replaced_vars(), 1);
-  // Same assumptions again: the retained prefix was discarded, so this
-  // re-propagates through the substituted alphabet and must still agree.
-  ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
-  EXPECT_TRUE(f.satisfied_by(solver.model()));
-  EXPECT_EQ(solver.model()[x1], LBool::True);
-  // And an assumption naming the substituted-away variable still works.
-  const std::vector<Lit> through_sub = {Lit::negative(x1)};
-  ASSERT_EQ(solver.solve({}, through_sub), SolveResult::Sat);
-  EXPECT_EQ(solver.model()[x0], LBool::False);
-}
-
-// ---- mutation after a retained trail ----
-
-TEST(TrailReuse, AddClauseAfterRetainedTrail) {
+TEST(AssumptionSolve, AddClauseAfterAssumptionSolve) {
   Formula f;
   const Var a = f.new_var();
   const Var b = f.new_var();
@@ -247,8 +237,8 @@ TEST(TrailReuse, AddClauseAfterRetainedTrail) {
   CdclSolver solver(f, inc_config(true));
   const std::vector<Lit> assume = {Lit::positive(a)};
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
-  // add_clause() must lazily discard the retained [a] prefix; the new
-  // clause then makes that same assumption infeasible.
+  // The new clause lands on the root assignment and makes that same
+  // assumption infeasible.
   ASSERT_TRUE(solver.add_clause({Lit::negative(a)}));
   EXPECT_EQ(solver.solve({}, assume), SolveResult::Unsat);
   ASSERT_EQ(solver.solve(), SolveResult::Sat);
@@ -256,17 +246,60 @@ TEST(TrailReuse, AddClauseAfterRetainedTrail) {
   EXPECT_EQ(solver.model()[b], LBool::True);
 }
 
-TEST(TrailReuse, ReconfigureAfterRetainedTrail) {
+TEST(AssumptionSolve, ReconfigureAfterAssumptionSolve) {
   const ColoringEncoding enc =
       encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
-  // Retain a trail, then flip the features off via reconfigure(): the
-  // prefix must be discarded and subsequent solves run the classic path.
+  // Solve under an assumption, then flip chrono off via reconfigure():
+  // subsequent solves run the classic path and still agree.
   CdclSolver ladder(enc.formula, inc_config(true));
   const std::vector<Lit> assume = {Lit::negative(enc.y(6))};
   ASSERT_EQ(ladder.solve({}, assume), SolveResult::Sat);
   ladder.reconfigure(inc_config(false));
   ASSERT_EQ(ladder.solve({}, assume), SolveResult::Sat);
   EXPECT_TRUE(enc.formula.satisfied_by(ladder.model()));
+}
+
+// ---- the exit contract: every solve() returns at level 0 ----
+
+TEST(AssumptionSolve, EveryExitKindReturnsAtLevelZero) {
+  // Sat under assumptions.
+  const ColoringEncoding enc =
+      encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
+  CdclSolver queen(enc.formula, inc_config(true));
+  std::vector<Lit> assume = {Lit::negative(enc.y(6)),
+                             Lit::negative(enc.y(5))};
+  ASSERT_EQ(queen.solve({}, assume), SolveResult::Sat);
+  EXPECT_EQ(queen.decision_level(), 0) << "Sat exit";
+
+  // Unsat with a nonempty failed-assumption core.
+  assume.push_back(Lit::negative(enc.y(4)));
+  ASSERT_EQ(queen.solve({}, assume), SolveResult::Unsat);
+  EXPECT_FALSE(queen.last_core().empty());
+  EXPECT_EQ(queen.decision_level(), 0) << "Unsat-with-core exit";
+
+  // Unknown from a conflict cap, mid-search under an assumption.
+  const Formula php = pigeonhole(10, 9);
+  const std::vector<Lit> first_pigeon_in_hole0 = {Lit::positive(0)};
+  CdclSolver capped(php, inc_config(true));
+  ASSERT_EQ(capped.solve(SolveBudget(0.0, 50), first_pigeon_in_hole0),
+            SolveResult::Unknown);
+  EXPECT_EQ(capped.last_trip(), BudgetTrip::Conflicts);
+  EXPECT_EQ(capped.decision_level(), 0) << "conflict-cap exit";
+
+  // Unknown from interrupt(), raised from another thread mid-search (the
+  // 60 s deadline is only a backstop).
+  CdclSolver interrupted(php, inc_config(true));
+  const SolveBudget budget(60.0);
+  std::thread interrupter([&budget] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    budget.interrupt();
+  });
+  const SolveResult r = interrupted.solve(budget, first_pigeon_in_hole0);
+  interrupter.join();
+  ASSERT_EQ(r, SolveResult::Unknown);
+  EXPECT_EQ(interrupted.last_trip(), BudgetTrip::Interrupt);
+  EXPECT_GT(interrupted.stats().conflicts, 0) << "interrupt hit before search";
+  EXPECT_EQ(interrupted.decision_level(), 0) << "interrupt exit";
 }
 
 }  // namespace

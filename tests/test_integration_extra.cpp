@@ -151,8 +151,8 @@ TEST(PipelineCombos, OpbExportRoundTripSolvesSame) {
   const Graph g = make_myciel_dimacs(3);
   const ColoringEncoding enc = encode_coloring(g, 6, SbpOptions::nu_only());
   const Formula reread = read_opb_string(write_opb_string(enc.formula));
-  const OptResult a = minimize_linear(enc.formula, {}, {});
-  const OptResult b = minimize_linear(reread, {}, {});
+  const OptResult a = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
+  const OptResult b = minimize(reread, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(a.status, OptStatus::Optimal);
   ASSERT_EQ(b.status, OptStatus::Optimal);
   EXPECT_EQ(a.best_value, b.best_value);

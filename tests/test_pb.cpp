@@ -48,7 +48,7 @@ std::int64_t brute_force_min(const Formula& f) {
 
 TEST(MinimizeLinear, SimpleCardinalityObjective) {
   const Formula f = min_true_vars(6, 3);
-  const OptResult r = minimize_linear(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 3);
   EXPECT_TRUE(f.satisfied_by(r.model));
@@ -58,7 +58,7 @@ TEST(MinimizeLinear, InfeasibleReported) {
   Formula f = min_true_vars(3, 2);
   // Forbid every variable: infeasible.
   for (int i = 0; i < 3; ++i) f.add_unit(Lit::negative(i));
-  const OptResult r = minimize_linear(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Infeasible);
 }
 
@@ -66,7 +66,7 @@ TEST(MinimizeLinear, NoObjectiveDegeneratesToDecision) {
   Formula f;
   const Var a = f.new_var();
   f.add_unit(Lit::positive(a));
-  const OptResult r = minimize_linear(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_FALSE(r.model.empty());
 }
@@ -77,7 +77,7 @@ TEST(MinimizeLinear, ZeroOptimumWhenUnconstrained) {
   const Var first = f.new_vars(4);
   for (int i = 0; i < 4; ++i) obj.terms.push_back({1, Lit::positive(first + i)});
   f.set_objective(obj);
-  const OptResult r = minimize_linear(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 0);
 }
@@ -93,15 +93,15 @@ TEST(MinimizeLinear, WeightedObjective) {
   Objective obj;
   obj.terms = {{5, Lit::positive(a)}, {1, Lit::positive(b)}, {1, Lit::positive(c)}};
   f.set_objective(obj);
-  const OptResult r = minimize_linear(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 2);
 }
 
 TEST(MinimizeBinary, MatchesLinear) {
   const Formula f = min_true_vars(7, 4);
-  const OptResult lin = minimize_linear(f, {}, {});
-  const OptResult bin = minimize_binary(f, {}, {});
+  const OptResult lin = minimize(f, {}, {}, SearchStrategy::Linear);
+  const OptResult bin = minimize(f, {}, {}, SearchStrategy::Binary);
   EXPECT_EQ(bin.status, OptStatus::Optimal);
   EXPECT_EQ(bin.best_value, lin.best_value);
 }
@@ -109,13 +109,13 @@ TEST(MinimizeBinary, MatchesLinear) {
 TEST(MinimizeBinary, InfeasibleReported) {
   Formula f = min_true_vars(3, 2);
   for (int i = 0; i < 3; ++i) f.add_unit(Lit::negative(i));
-  const OptResult r = minimize_binary(f, {}, {});
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Binary);
   EXPECT_EQ(r.status, OptStatus::Infeasible);
 }
 
 TEST(MinimizeCore, MatchesLinearOnCardinalityObjective) {
   const Formula f = min_true_vars(7, 4);
-  const OptResult lin = minimize_linear(f, {}, {});
+  const OptResult lin = minimize(f, {}, {}, SearchStrategy::Linear);
   const OptResult core = minimize(f, {}, {}, SearchStrategy::CoreGuided);
   EXPECT_EQ(core.status, OptStatus::Optimal);
   EXPECT_EQ(core.best_value, lin.best_value);

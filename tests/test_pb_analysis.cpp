@@ -196,8 +196,10 @@ TEST(PbAnalysisEquivalence, OptimizerOptimaMatchOnQueenMyciel) {
       SolverConfig native = weaken;
       native.pb_analysis = PbAnalysis::CuttingPlanes;
 
-      const OptResult w = minimize_linear(enc.formula, weaken, Deadline{});
-      const OptResult n = minimize_linear(enc.formula, native, Deadline{});
+      const OptResult w =
+          minimize(enc.formula, weaken, {}, SearchStrategy::Linear);
+      const OptResult n =
+          minimize(enc.formula, native, {}, SearchStrategy::Linear);
       ASSERT_EQ(w.status, OptStatus::Optimal) << threads << " threads";
       ASSERT_EQ(n.status, OptStatus::Optimal) << threads << " threads";
       EXPECT_EQ(w.best_value, c.optimum);
@@ -212,7 +214,7 @@ TEST(PbAnalysisEquivalence, BinarySearchOptimizerMatchesAcrossModes) {
   const ColoringEncoding enc = encode_coloring(g, 7, SbpOptions::nu_sc());
   SolverConfig native = profile_config(SolverKind::Galena);
   native.portfolio_threads = 2;
-  const OptResult b = minimize_binary(enc.formula, native, Deadline{});
+  const OptResult b = minimize(enc.formula, native, {}, SearchStrategy::Binary);
   ASSERT_EQ(b.status, OptStatus::Optimal);
   EXPECT_EQ(b.best_value, 5);
 }

@@ -253,14 +253,14 @@ TEST(Portfolio, OptimizerAgreesAcrossThreadCounts) {
   SolverConfig two = one;
   two.portfolio_threads = 2;
 
-  const OptResult l1 = minimize_linear(enc.formula, one, Deadline{});
-  const OptResult l2 = minimize_linear(enc.formula, two, Deadline{});
+  const OptResult l1 = minimize(enc.formula, one, {}, SearchStrategy::Linear);
+  const OptResult l2 = minimize(enc.formula, two, {}, SearchStrategy::Linear);
   ASSERT_EQ(l1.status, OptStatus::Optimal);
   ASSERT_EQ(l2.status, OptStatus::Optimal);
   EXPECT_EQ(l1.best_value, 5);
   EXPECT_EQ(l2.best_value, l1.best_value);
 
-  const OptResult b2 = minimize_binary(enc.formula, two, Deadline{});
+  const OptResult b2 = minimize(enc.formula, two, {}, SearchStrategy::Binary);
   ASSERT_EQ(b2.status, OptStatus::Optimal);
   EXPECT_EQ(b2.best_value, l1.best_value);
 

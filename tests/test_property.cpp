@@ -174,7 +174,7 @@ TEST_P(EngineAgreement, CdclAndGenericBnbAgree) {
   for (int i = 0; i < vars; ++i) obj.terms.push_back({1, Lit::positive(i)});
   f.set_objective(obj);
 
-  const OptResult cdcl = minimize_linear(f, {}, {});
+  const OptResult cdcl = minimize(f, {}, {}, SearchStrategy::Linear);
   const OptResult bnb = solve_generic_ilp(f, {});
   EXPECT_EQ(cdcl.status, bnb.status) << "seed=" << seed;
   if (cdcl.status == OptStatus::Optimal) {

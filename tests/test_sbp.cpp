@@ -252,7 +252,7 @@ TEST(LowestIndexPaperLiteral, QuadraticallyLarger) {
 TEST(LowestIndexPaperLiteral, OptimalValuePreserved) {
   const Graph g = figure1_graph();
   const ColoringEncoding enc = encode_coloring(g, 4, SbpOptions::li_paper());
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 3);
 }
@@ -297,7 +297,7 @@ TEST_P(SbpRowTest, OptimalValuePreserved) {
   const SbpOptions sbps = paper_sbp_rows()[static_cast<std::size_t>(GetParam())];
   const Graph g = figure1_graph();
   const ColoringEncoding enc = encode_coloring(g, 4, sbps);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal) << sbps.label();
   EXPECT_EQ(r.best_value, 3) << sbps.label();
   EXPECT_TRUE(g.is_proper_coloring(enc.decode(r.model))) << sbps.label();
@@ -311,7 +311,7 @@ TEST_P(SbpRowTest, InfeasibilityPreserved) {
   }
   g.finalize();
   const ColoringEncoding enc = encode_coloring(g, 3, sbps);
-  const OptResult r = minimize_linear(enc.formula, {}, {});
+  const OptResult r = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Infeasible) << sbps.label();
 }
 

@@ -1,8 +1,12 @@
 // Tests for the pre-solve simplifier: root propagation, pure literals,
-// subsumption, and model-set preservation.
+// subsumption, model-set preservation, and the per-constraint root
+// reduction helpers the propagation round is built on.
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "cnf/pb_constraint.h"
 #include "cnf/simplify.h"
 #include "coloring/encoder.h"
 #include "graph/generators.h"
@@ -77,7 +81,7 @@ TEST(Simplify, ObjectiveVariablesNeverPureFixed) {
   SimplifyStats stats;
   const Formula out = simplify(f, &stats);
   // Fixing `a` true would be pure but would cost objective value.
-  const OptResult r = minimize_linear(out, {}, {});
+  const OptResult r = minimize(out, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.best_value, 0);
 }
@@ -154,8 +158,8 @@ TEST(Simplify, PreservesColoringOptimum) {
   const ColoringEncoding enc = encode_coloring(g, 6, SbpOptions::nu_sc());
   SimplifyStats stats;
   const Formula out = simplify(enc.formula, &stats);
-  const OptResult plain = minimize_linear(enc.formula, {}, {});
-  const OptResult simplified = minimize_linear(out, {}, {});
+  const OptResult plain = minimize(enc.formula, {}, {}, SearchStrategy::Linear);
+  const OptResult simplified = minimize(out, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(plain.status, OptStatus::Optimal);
   ASSERT_EQ(simplified.status, OptStatus::Optimal);
   EXPECT_EQ(plain.best_value, simplified.best_value);
@@ -188,6 +192,70 @@ TEST(Simplify, WidthCapSkipsLongClauses) {
   SimplifyStats stats;
   const Formula out = simplify(f, &stats, options);
   EXPECT_EQ(out.num_clauses(), 2);  // no subsumption attempted
+}
+
+
+// ---- root reduction of one constraint ----
+
+TEST(ReduceClauseAtRoot, UnassignedClauseIsUnchanged) {
+  std::vector<LBool> values(3, LBool::Undef);
+  const Clause c = {Lit::positive(0), Lit::negative(1), Lit::positive(2)};
+  Clause reduced;
+  EXPECT_EQ(reduce_clause_at_root(c, values, &reduced),
+            RootClauseStatus::Unchanged);
+}
+
+TEST(ReduceClauseAtRoot, SatisfiedShortenedUnitEmpty) {
+  std::vector<LBool> values(4, LBool::Undef);
+  values[0] = LBool::True;
+  values[1] = LBool::False;
+  Clause reduced;
+  EXPECT_EQ(reduce_clause_at_root(
+                Clause{Lit::positive(0), Lit::positive(2)}, values, &reduced),
+            RootClauseStatus::Satisfied);
+  EXPECT_EQ(reduce_clause_at_root(
+                Clause{Lit::positive(1), Lit::positive(2), Lit::positive(3)},
+                values, &reduced),
+            RootClauseStatus::Shortened);
+  EXPECT_EQ(reduced, (Clause{Lit::positive(2), Lit::positive(3)}));
+  EXPECT_EQ(reduce_clause_at_root(
+                Clause{Lit::positive(1), Lit::positive(2)}, values, &reduced),
+            RootClauseStatus::Unit);
+  EXPECT_EQ(reduced, (Clause{Lit::positive(2)}));
+  EXPECT_EQ(reduce_clause_at_root(Clause{Lit::positive(1), Lit::negative(0)},
+                                  values, &reduced),
+            RootClauseStatus::Empty);
+}
+
+TEST(ReducePbAtRoot, FoldsAssignmentsAndForcesHighCoeffs) {
+  // 3a + 2b + 1c >= 4 with a=True: residual 2b + 1c >= 1 (a clause).
+  std::vector<LBool> values(3, LBool::Undef);
+  values[0] = LBool::True;
+  const std::vector<PbTerm> terms = {{3, Lit::positive(0)},
+                                     {2, Lit::positive(1)},
+                                     {1, Lit::positive(2)}};
+  const RootPbReduction r = reduce_pb_at_root(terms, 4, values);
+  EXPECT_EQ(r.status, RootPbStatus::Clause);
+  // Same row with nothing assigned: bound 4 of coeff-sum 6 forces a
+  // (coeff 3 > 6 - 4) but not b.
+  std::vector<LBool> open(3, LBool::Undef);
+  const RootPbReduction o = reduce_pb_at_root(terms, 4, open);
+  EXPECT_EQ(o.status, RootPbStatus::Open);
+  ASSERT_EQ(o.forced.size(), 1u);
+  EXPECT_EQ(o.forced[0], Lit::positive(0));
+}
+
+TEST(ReducePbAtRoot, SatisfiedAndContradiction) {
+  std::vector<LBool> values(2, LBool::Undef);
+  values[0] = LBool::True;
+  const std::vector<PbTerm> terms = {{2, Lit::positive(0)},
+                                     {1, Lit::positive(1)}};
+  EXPECT_EQ(reduce_pb_at_root(terms, 2, values).status,
+            RootPbStatus::Satisfied);
+  values[0] = LBool::False;
+  values[1] = LBool::False;
+  EXPECT_EQ(reduce_pb_at_root(terms, 2, values).status,
+            RootPbStatus::Contradiction);
 }
 
 }  // namespace

@@ -652,8 +652,8 @@ TEST(Shatter, PreservesOptimalValue) {
   Formula broken = f;
   const ShatterStats stats = shatter(broken);
   EXPECT_GT(stats.sbp.clauses_added, 0);
-  const OptResult plain = minimize_linear(f, {}, {});
-  const OptResult with_sbp = minimize_linear(broken, {}, {});
+  const OptResult plain = minimize(f, {}, {}, SearchStrategy::Linear);
+  const OptResult with_sbp = minimize(broken, {}, {}, SearchStrategy::Linear);
   ASSERT_EQ(plain.status, OptStatus::Optimal);
   ASSERT_EQ(with_sbp.status, OptStatus::Optimal);
   EXPECT_EQ(plain.best_value, 2);
@@ -669,7 +669,7 @@ TEST(Shatter, PreservesUnsatisfiability) {
   f.add_at_most(lits, 1);
   Formula broken = f;
   shatter(broken);
-  const OptResult r = minimize_linear(broken, {}, {});
+  const OptResult r = minimize(broken, {}, {}, SearchStrategy::Linear);
   EXPECT_EQ(r.status, OptStatus::Infeasible);
 }
 

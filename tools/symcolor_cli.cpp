@@ -17,9 +17,6 @@
 //   --cube-depth <n> cube-and-conquer: split the search space into
 //                   assumption cubes of up to depth n and deal them to
 //                   --threads workers (default 0 = race full copies)
-//   --inprocess <m> restart-boundary inprocessing: off | viv | full
-//                   (default viv; full adds equivalent-literal
-//                   substitution — the answer is identical in every mode)
 //   --chrono <n>    chronological-backtracking threshold: backjumps
 //                   longer than n levels undo only the conflicting level
 //                   (0 = always full backjump; default is the solver
@@ -81,7 +78,7 @@ void usage() {
                "usage: symcolor_cli [-k K] [--sbp row] [--shatter] "
                "[--solver s] [--search linear|binary|core]\n"
                "                    [--threads n] [--cube-depth n] "
-               "[--inprocess off|viv|full] [--chrono n]\n"
+               "[--chrono n]\n"
                "                    [--decision] [--satloop] [--opb file] "
                "[--stats]\n"
                "                    (<graph.col> | --instance <name>)\n"
@@ -109,13 +106,6 @@ std::optional<SearchStrategy> parse_search(const std::string& name) {
   return std::nullopt;
 }
 
-std::optional<InprocessMode> parse_inprocess(const std::string& name) {
-  if (name == "off") return InprocessMode::Off;
-  if (name == "viv") return InprocessMode::Viv;
-  if (name == "full") return InprocessMode::Full;
-  return std::nullopt;
-}
-
 std::optional<SolverKind> parse_solver(const std::string& name) {
   if (name == "pbs") return SolverKind::PbsOriginal;
   if (name == "pbs2") return SolverKind::PbsII;
@@ -135,7 +125,6 @@ int main(int argc, char** argv) {
   SearchStrategy search = SearchStrategy::Linear;
   int threads = 1;
   int cube_depth = 0;
-  InprocessMode inprocess = InprocessMode::Viv;
   long long chrono = -1;  // < 0 = keep the solver profile's default
   double timeout = 0.0;
   long long conflict_budget = 0;
@@ -182,11 +171,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr || std::atoi(v) < 0) { usage(); return kExitUsage; }
       cube_depth = std::atoi(v);
-    } else if (arg == "--inprocess") {
-      const char* v = next();
-      const auto parsed = v != nullptr ? parse_inprocess(v) : std::nullopt;
-      if (!parsed) { usage(); return kExitUsage; }
-      inprocess = *parsed;
     } else if (arg == "--chrono") {
       const char* v = next();
       if (v == nullptr || std::atoll(v) < 0) { usage(); return kExitUsage; }
@@ -285,7 +269,6 @@ int main(int argc, char** argv) {
     options.search = search;
     options.solver.portfolio_threads = threads;
     options.solver.cube_depth = cube_depth;
-    options.solver.inprocess = inprocess;
     if (chrono >= 0) options.solver.chrono_threshold = chrono;
     options.budget = &run_budget;
     const SatLoopResult r = solve_coloring_sat_loop(graph, options);
@@ -310,7 +293,6 @@ int main(int argc, char** argv) {
   options.search = search;
   options.threads = threads;
   options.cube_depth = cube_depth;
-  options.inprocess = inprocess;
   options.chrono_threshold = chrono;
   options.presimplify = presimplify;
   options.budget = &run_budget;
@@ -340,12 +322,7 @@ int main(int argc, char** argv) {
       // split counts summed over every decision query).
       std::printf("%s\n", format_cubes_line(r.solver_stats_all).c_str());
     }
-    if (r.solver_stats_all.inprocess_rounds > 0) {
-      std::printf("%s\n",
-                  format_inprocess_line(r.solver_stats_all).c_str());
-    }
-    if (r.solver_stats_all.chrono_backtracks > 0 ||
-        r.solver_stats_all.reused_trail_literals > 0) {
+    if (r.solver_stats_all.chrono_backtracks > 0) {
       // Incremental hot path: only interesting when it fired (a one-shot
       // solve with --chrono 0 never touches these counters).
       std::printf("%s\n",

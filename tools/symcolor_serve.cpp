@@ -234,9 +234,6 @@ Json stats_to_json(const ServiceStats& s) {
   out["queued_now"] = static_cast<std::int64_t>(s.queued_now);
   out["running_now"] = static_cast<std::int64_t>(s.running_now);
   out["conflicts"] = s.solver_totals.conflicts;
-  out["inprocess_rounds"] = s.solver_totals.inprocess_rounds;
-  out["vivified_clauses"] = s.solver_totals.vivified_clauses;
-  out["replaced_vars"] = s.solver_totals.replaced_vars;
   return out;
 }
 
@@ -423,13 +420,7 @@ int main(int argc, char** argv) {
   if (print_stats) {
     std::fprintf(stderr, "%s\n",
                  format_solver_line(final_stats.solver_totals).c_str());
-    if (final_stats.solver_totals.inprocess_rounds > 0) {
-      std::fprintf(
-          stderr, "%s\n",
-          format_inprocess_line(final_stats.solver_totals).c_str());
-    }
-    if (final_stats.solver_totals.chrono_backtracks > 0 ||
-        final_stats.solver_totals.reused_trail_literals > 0) {
+    if (final_stats.solver_totals.chrono_backtracks > 0) {
       // Same conditional convention as the CLI: the incremental hot-path
       // line appears only when the feature actually fired.
       std::fprintf(
