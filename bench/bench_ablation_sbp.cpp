@@ -1,4 +1,4 @@
-// Ablation: lex-leader SBP construction size (DESIGN.md decision #3).
+// Ablation: lex-leader SBP construction size.
 // Compares the linear tautology-free chain (Aloul et al. 2003) against
 // the auxiliary-free quadratic weakening (Crawford-style) and truncated
 // chains, on encoded coloring instances: SBP size, residual work, and

@@ -1,4 +1,4 @@
-// Ablation: objective search strategy (DESIGN.md decision #5) — the
+// Ablation: objective search strategy — the
 // paper's Section 4.1 procedure sketch contrasts linear strengthening
 // with binary search over the color bound; core-guided search (UNSAT-core
 // lower-bound lifting) is the modern third option. All three now run on

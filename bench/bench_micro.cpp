@@ -21,6 +21,7 @@
 
 #include "automorphism/refinement.h"
 #include "automorphism/search.h"
+#include "coloring/cnf_coloring.h"
 #include "coloring/dsatur_bnb.h"
 #include "coloring/encoder.h"
 #include "coloring/heuristics.h"
@@ -577,6 +578,18 @@ void BM_GreedyClique(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedyClique);
+
+// The SAT loop's exact clique bound on the DSJC125.9 shape, G(125, 6961):
+// the one suite instance whose clique number the node cap leaves unproved,
+// so every iteration runs the full capped search.
+void BM_MaxCliqueCapped(benchmark::State& state) {
+  const Graph g = make_random_gnm(125, 6961, 0xD59);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        max_clique(g, SolveBudget{}, nullptr, kSatLoopCliqueNodeCap));
+  }
+}
+BENCHMARK(BM_MaxCliqueCapped);
 
 void BM_DsaturHeuristic(benchmark::State& state) {
   const Graph g = make_random_gnm(200, 4000, 3);

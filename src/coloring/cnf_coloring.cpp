@@ -143,11 +143,31 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
     return result;
   }
 
-  // Bounds: a feasible DSATUR coloring above, a greedy clique below
-  // (Section 4.1's procedure).
+  // Bounds (Section 4.1's procedure): a feasible DSATUR coloring above, a
+  // clique below. max_clique starts from the greedy clique and runs its
+  // branch and bound only when that clique is smaller than the DSATUR
+  // count, stopping once it meets it. Its node cap is the only limit that
+  // may bind on its own, so the bound is the same on every machine.
   std::vector<int> best_coloring = dsatur_coloring(graph);
   int upper = Graph::count_colors(best_coloring);  // feasible
-  int lower = std::max<int>(1, static_cast<int>(greedy_clique(graph).size()));
+  std::vector<int> clique =
+      max_clique(graph, budget, nullptr, kSatLoopCliqueNodeCap, upper);
+  int lower = std::max<int>(1, static_cast<int>(clique.size()));
+
+  // Clique pinning (Van Gelder 2008): clique[i] takes color i in every
+  // K-query. Any proper coloring can be relabeled to agree, and under NU
+  // the pinned colors are used and form the prefix, so no query changes
+  // its answer. Every query has k >= lower >= |clique|, so every pin fits.
+  // SC, CA and LI fix colors their own way, so they turn pinning off.
+  const bool pin =
+      !options.sbps.sc && !options.sbps.ca && !options.sbps.li;
+  const auto pin_clique = [&](ColoringEncoding& enc) {
+    if (!pin) return;
+    for (std::size_t i = 0; i < clique.size(); ++i) {
+      enc.formula.add_unit(
+          Lit::positive(enc.x(clique[i], static_cast<int>(i))));
+    }
+  };
 
   bool timed_out = false;
   // One search loop serves both pipelines; only the query differs (an
@@ -217,7 +237,9 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
     return r;
   };
 
-  if (options.incremental) {
+  if (lower >= upper) {
+    // Closed by bounds: the clique meets the DSATUR coloring.
+  } else if (options.incremental) {
     // One encoding at the upper bound; NU makes color usage a prefix, so
     // assuming ~y(k) asserts "at most k colors" — the y block IS a
     // selector ladder, and all three strategies drive the same persistent
@@ -228,6 +250,7 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
     sbps.nu = true;
     ColoringEncoding enc =
         encode_k_coloring_cnf(graph, upper, options.amo, sbps);
+    pin_clique(enc);
     const std::unique_ptr<SolverEngine> solver =
         make_solver_engine(enc.formula, options.solver);
     run_search([&](int k) {
@@ -249,6 +272,7 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
     run_search([&](int k) {
       ColoringEncoding enc =
           encode_k_coloring_cnf(graph, k, options.amo, options.sbps);
+      pin_clique(enc);
       const std::unique_ptr<SolverEngine> solver =
           make_solver_engine(enc.formula, options.solver);
       const SolveResult r = budgeted_solve(*solver, {});
@@ -262,6 +286,7 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
 
   result.num_colors = upper;
   result.coloring = best_coloring;
+  result.clique = std::move(clique);
   // Graceful degradation: the DSATUR seed guarantees a feasible coloring,
   // so a budgeted exit is always Feasible with the best one found and the
   // tightest PROVEN lower bound (clique seed, lifted by Unsat queries).

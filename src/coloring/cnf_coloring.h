@@ -16,6 +16,21 @@
 //    and clique lower bounds (the per-instance procedure the paper
 //    sketches in Section 4.1).
 //
+// Bounds come first. DSATUR gives the upper bound and greedy_clique a
+// lower one; only when the two leave a gap does the exact max_clique run,
+// under a fixed search-node cap (never a wall cap, so the bound is the same
+// on every machine) and stopping once it meets the DSATUR count. A clique
+// that meets it closes the run with no SAT call at all.
+//
+// The clique also breaks color symmetry. Every K-query pins clique vertex
+// i to color i (Van Gelder, "Another look at graph coloring via
+// propositional satisfiability", 2008): selective coloring's two pinned
+// vertices generalized to q. Any proper coloring can be relabeled to
+// agree, and NU stays valid because the pinned colors 0..q-1 form the used
+// prefix. SC, CA and LI fix colors in their own way, so pinning applies
+// only when `sbps` selects none of them (NU alone, or no SBPs: the CLI's
+// --satloop default).
+//
 // Every SAT call goes through the SolverEngine factory, so the loop runs
 // unchanged on the sequential CDCL engine (portfolio_threads = 1) or on
 // the clone-based parallel portfolio (portfolio_threads > 1).
@@ -40,6 +55,13 @@ const char* amo_encoding_name(AmoEncoding encoding);
 ColoringEncoding encode_k_coloring_cnf(const Graph& graph, int max_colors,
                                        AmoEncoding amo,
                                        const SbpOptions& sbps = {});
+
+/// Search-node cap of the SAT loop's exact max_clique: a fixed constant,
+/// not an option. Every instance of the 20-instance suite but DSJC125.9
+/// proves its clique number within it, each in under 1 ms; on DSJC125.9,
+/// whose clique number stays unproved, the cap binds after about 10 ms
+/// (Release build, 4-vCPU x86 VM).
+inline constexpr std::int64_t kSatLoopCliqueNodeCap = 1000;
 
 struct SatLoopOptions {
   AmoEncoding amo = AmoEncoding::Sequential;
@@ -81,10 +103,14 @@ struct SatLoopResult {
   OptStatus status = OptStatus::Unknown;
   int num_colors = -1;
   std::vector<int> coloring;
-  /// Tightest PROVEN lower bound on the chromatic number: the greedy
-  /// clique, lifted by every Unsat K-query. Equals num_colors when status
+  /// Tightest PROVEN lower bound on the chromatic number: the clique
+  /// below, lifted by every Unsat K-query. Equals num_colors when status
   /// is Optimal; on a budgeted exit chi lies in [lower_bound, num_colors].
   int lower_bound = 0;
+  /// The clique the loop started from (vertex ids, ascending): the
+  /// certificate for chi >= clique.size(), checkable with is_clique. At
+  /// most lower_bound; smaller when Unsat queries lifted the bound.
+  std::vector<int> clique;
   int sat_calls = 0;
   double seconds = 0.0;
   /// Which resource bound cut the loop short (None when Optimal).

@@ -9,21 +9,36 @@ namespace {
 /// Branch-and-bound state for max_clique.
 class CliqueSearch {
  public:
-  CliqueSearch(const Graph& graph, const Deadline& deadline)
-      : graph_(graph), deadline_(deadline) {}
+  CliqueSearch(const Graph& graph, const SolveBudget& budget,
+               std::int64_t node_cap, int upper_bound)
+      : graph_(graph),
+        budget_(budget),
+        node_cap_(node_cap),
+        upper_bound_(upper_bound) {}
 
   std::vector<int> run(std::vector<int> seed, bool* proved_optimal) {
     best_ = std::move(seed);
-    std::vector<int> candidates(static_cast<std::size_t>(graph_.num_vertices()));
-    std::iota(candidates.begin(), candidates.end(), 0);
     current_.clear();
     complete_ = true;
-    expand(candidates);
+    done_ = reached_upper_bound();
+    if (!done_) {
+      std::vector<int> candidates(
+          static_cast<std::size_t>(graph_.num_vertices()));
+      std::iota(candidates.begin(), candidates.end(), 0);
+      expand(candidates);
+    }
     if (proved_optimal != nullptr) *proved_optimal = complete_;
+    std::sort(best_.begin(), best_.end());
     return best_;
   }
 
  private:
+  // A clique as large as the caller's upper bound on omega is maximum.
+  [[nodiscard]] bool reached_upper_bound() const {
+    return upper_bound_ > 0 &&
+           best_.size() >= static_cast<std::size_t>(upper_bound_);
+  }
+
   // Greedy coloring of the candidate set; returns per-candidate color
   // numbers (1-based). max color bounds the clique extension size.
   std::vector<int> color_bound(const std::vector<int>& candidates) const {
@@ -50,10 +65,13 @@ class CliqueSearch {
   }
 
   void expand(std::vector<int>& candidates) {
-    if (deadline_.expired()) {
+    if ((node_cap_ > 0 && nodes_ >= node_cap_) ||
+        budget_.poll() != BudgetTrip::None) {
       complete_ = false;
+      done_ = true;
       return;
     }
+    ++nodes_;
     // Order candidates so higher colors (harder vertices) are tried first,
     // and prune with |current| + color(v) <= |best|.
     std::vector<int> color = color_bound(candidates);
@@ -69,7 +87,7 @@ class CliqueSearch {
       sorted_color[i] = color[order[i]];
     }
 
-    for (std::size_t i = sorted.size(); i-- > 0;) {
+    for (std::size_t i = sorted.size(); !done_ && i-- > 0;) {
       if (current_.size() + static_cast<std::size_t>(sorted_color[i]) <=
           best_.size()) {
         return;  // bound: no extension can beat the incumbent
@@ -81,7 +99,10 @@ class CliqueSearch {
         if (graph_.has_edge(sorted[j], v)) next.push_back(sorted[j]);
       }
       if (next.empty()) {
-        if (current_.size() > best_.size()) best_ = current_;
+        if (current_.size() > best_.size()) {
+          best_ = current_;
+          done_ = reached_upper_bound();
+        }
       } else {
         expand(next);
       }
@@ -90,10 +111,16 @@ class CliqueSearch {
   }
 
   const Graph& graph_;
-  const Deadline& deadline_;
+  const SolveBudget& budget_;
+  const std::int64_t node_cap_;
+  const int upper_bound_;
+  std::int64_t nodes_ = 0;
   std::vector<int> best_;
   std::vector<int> current_;
   bool complete_ = true;
+  // Set when the search must unwind: a limit tripped (complete_ false) or
+  // the incumbent reached the caller's upper bound (complete_ stays true).
+  bool done_ = false;
 };
 
 }  // namespace
@@ -128,9 +155,10 @@ std::vector<int> greedy_clique(const Graph& graph) {
   return best;
 }
 
-std::vector<int> max_clique(const Graph& graph, const Deadline& deadline,
-                            bool* proved_optimal) {
-  CliqueSearch search(graph, deadline);
+std::vector<int> max_clique(const Graph& graph, const SolveBudget& budget,
+                            bool* proved_optimal, std::int64_t node_cap,
+                            int upper_bound) {
+  CliqueSearch search(graph, budget, node_cap, upper_bound);
   return search.run(greedy_clique(graph), proved_optimal);
 }
 

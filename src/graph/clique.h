@@ -1,13 +1,14 @@
 #pragma once
 // Clique computation: a fast greedy heuristic (lower bound for the
 // chromatic number, used to seed the exact colorer) and a small exact
-// branch-and-bound maximum-clique solver for validation on benchmark-sized
-// graphs.
+// branch-and-bound maximum-clique solver, node-capped so that the SAT loop
+// can afford it as its lower bound.
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/timer.h"
+#include "util/budget.h"
 
 namespace symcolor {
 
@@ -17,11 +18,24 @@ namespace symcolor {
 std::vector<int> greedy_clique(const Graph& graph);
 
 /// Exact maximum clique via branch and bound with greedy-coloring bounds
-/// (a compact Tomita-style MCS). `deadline` caps the search; on timeout the
-/// best clique found so far is returned and `*proved_optimal` (if non-null)
-/// is set to false.
-std::vector<int> max_clique(const Graph& graph, const Deadline& deadline = {},
-                            bool* proved_optimal = nullptr);
+/// (a compact Tomita-style MCS), seeded with greedy_clique. Returns the
+/// clique sorted ascending, never smaller than the greedy one.
+///
+/// The search stops early in three ways:
+///  * after `node_cap` search nodes (<= 0 = unlimited). The cap is the
+///    deterministic limit: the same graph and cap give the same clique on
+///    every machine;
+///  * when `budget` reports a trip (deadline or interrupt; its counted caps
+///    do not apply). A legacy `Deadline` converts implicitly;
+///  * when the clique reaches `upper_bound` (<= 0 = none), an upper bound
+///    on the clique number the caller already knows, such as the color
+///    count of a proper coloring. That clique is maximum.
+/// `*proved_optimal` (if non-null) is true iff the returned clique is
+/// proved maximum: false after a node-cap or budget stop, true after the
+/// search finished or met `upper_bound`.
+std::vector<int> max_clique(const Graph& graph, const SolveBudget& budget = {},
+                            bool* proved_optimal = nullptr,
+                            std::int64_t node_cap = 0, int upper_bound = 0);
 
 /// True iff `vertices` are pairwise adjacent in `graph`.
 bool is_clique(const Graph& graph, const std::vector<int>& vertices);

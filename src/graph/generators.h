@@ -9,7 +9,7 @@
 // register allocation) are distributed as data files we cannot ship, so we
 // provide deterministic synthetic generators that preserve each family's
 // structural character (size, density, clique structure and hence
-// chromatic number). See DESIGN.md "Substitutions" for the rationale.
+// chromatic number).
 
 #include <cstdint>
 #include <vector>

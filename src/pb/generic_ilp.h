@@ -13,8 +13,9 @@
 //     the branching order, reproducing the paper's observation that SBPs
 //     hamper the generic solver,
 //   * learns nothing and never restarts.
-// See DESIGN.md "Substitutions" for what this stand-in does and does not
-// reproduce of CPLEX's behaviour.
+// It reproduces that qualitative contrast only: there is no LP relaxation,
+// no cut generation and no presolve, and PB constraints must be
+// cardinality constraints.
 
 #include "cnf/formula.h"
 #include "pb/optimizer.h"

@@ -8,7 +8,6 @@
 // (src/sat) whose knobs cover the axes those solvers differ on (restart
 // policy, activity decay, learned-clause minimization, diversification),
 // and CPLEX as a separate learning-free branch-and-bound (generic_ilp).
-// DESIGN.md documents this substitution.
 
 #include <string>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "graph/clique.h"
 #include "graph/generators.h"
 
@@ -84,6 +86,64 @@ TEST(MaxClique, MycielskiIsTriangleFree) {
 TEST(MaxClique, AtLeastGreedy) {
   const Graph g = make_random_gnm(35, 250, 5);
   EXPECT_GE(max_clique(g).size(), greedy_clique(g).size());
+}
+
+// G(125, 6961): the DSJC125.9 shape, whose clique number the branch and
+// bound cannot prove within a small node cap.
+Graph dense_random() { return make_random_gnm(125, 6961, 0xD59); }
+
+TEST(MaxClique, NodeCapIsDeterministic) {
+  const Graph g = dense_random();
+  bool proved_a = true;
+  bool proved_b = true;
+  const auto a = max_clique(g, SolveBudget{}, &proved_a, 1000);
+  const auto b = max_clique(g, SolveBudget{}, &proved_b, 1000);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(proved_a, proved_b);
+  EXPECT_TRUE(is_clique(g, a));
+  EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
+}
+
+TEST(MaxClique, BindingNodeCapIsNotProved) {
+  const Graph g = dense_random();
+  bool proved = true;
+  const auto clique = max_clique(g, SolveBudget{}, &proved, 1000);
+  EXPECT_FALSE(proved);
+  EXPECT_TRUE(is_clique(g, clique));
+  EXPECT_GE(clique.size(), greedy_clique(g).size());
+}
+
+TEST(MaxClique, LooseNodeCapStillProves) {
+  const Graph g = make_queen_graph(8, 12);
+  bool proved = false;
+  const auto clique = max_clique(g, SolveBudget{}, &proved, 1000);
+  EXPECT_TRUE(proved);
+  EXPECT_EQ(clique.size(), 12u);
+  EXPECT_GT(clique.size(), greedy_clique(g).size());
+}
+
+TEST(MaxClique, StopsAtCallerUpperBound) {
+  // A clique as large as a known upper bound on omega is maximum, so the
+  // search stops there and reports a proof, even under a cap that would
+  // otherwise bind.
+  const Graph g = dense_random();
+  const auto capped = max_clique(g, SolveBudget{}, nullptr, 1000);
+  bool proved = false;
+  const auto clique = max_clique(g, SolveBudget{}, &proved, 1000,
+                                 static_cast<int>(capped.size()));
+  EXPECT_TRUE(proved);
+  EXPECT_EQ(clique.size(), capped.size());
+  EXPECT_TRUE(is_clique(g, clique));
+}
+
+TEST(MaxClique, InterruptedBudgetStops) {
+  const Graph g = dense_random();
+  const SolveBudget budget;
+  budget.interrupt();
+  bool proved = true;
+  const auto clique = max_clique(g, budget, &proved);
+  EXPECT_FALSE(proved);
+  EXPECT_EQ(clique, greedy_clique(g));
 }
 
 TEST(IsClique, Basics) {

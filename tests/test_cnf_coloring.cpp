@@ -197,28 +197,81 @@ TEST(SatLoop, FindsChromaticNumbers) {
 TEST(SatLoop, AllSearchStrategiesAgree) {
   // Linear, binary and core-guided searches over K must reach the same
   // chromatic number, in both the per-K-rebuild and the incremental
-  // (one persistent engine, y(k)-assumption) pipelines.
+  // (one persistent engine, y(k)-assumption) pipelines, with clique
+  // pinning (no SBPs, NU) and without it (SC, CA, LI). The graphs are
+  // ones where the clique and DSATUR bounds leave a gap, so every row
+  // makes SAT calls.
+  std::vector<Graph> graphs;
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
-    const Graph g = make_random_gnm(12, 30, seed);
-    const int expected = dsatur_branch_and_bound(g).num_colors;
-    for (const bool incremental : {false, true}) {
-      for (const SearchStrategy strategy :
-           {SearchStrategy::Linear, SearchStrategy::Binary,
-            SearchStrategy::CoreGuided}) {
-        SatLoopOptions options;
-        options.incremental = incremental;
-        options.search = strategy;
-        const SatLoopResult r = solve_coloring_sat_loop(g, options);
-        ASSERT_EQ(r.status, OptStatus::Optimal)
-            << "seed=" << seed << " incremental=" << incremental
-            << " strategy=" << search_strategy_name(strategy);
-        EXPECT_EQ(r.num_colors, expected)
-            << "seed=" << seed << " incremental=" << incremental
-            << " strategy=" << search_strategy_name(strategy);
-        EXPECT_TRUE(g.is_proper_coloring(r.coloring));
+    graphs.push_back(make_random_gnm(16, 50, seed));
+  }
+  graphs.push_back(make_myciel_dimacs(3));
+  const std::vector<SbpOptions> sbp_rows = {
+      SbpOptions::none(), SbpOptions::nu_only(), SbpOptions::sc_only(),
+      SbpOptions::ca_only(), SbpOptions::li_only()};
+  for (const SbpOptions& sbps : sbp_rows) {
+    int sat_calls = 0;
+    for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+      const Graph& g = graphs[gi];
+      const int expected = dsatur_branch_and_bound(g).num_colors;
+      for (const bool incremental : {false, true}) {
+        for (const SearchStrategy strategy :
+             {SearchStrategy::Linear, SearchStrategy::Binary,
+              SearchStrategy::CoreGuided}) {
+          SatLoopOptions options;
+          options.sbps = sbps;
+          options.incremental = incremental;
+          options.search = strategy;
+          const SatLoopResult r = solve_coloring_sat_loop(g, options);
+          const std::string where =
+              "graph=" + std::to_string(gi) + " sbps=" + sbps.label() +
+              " incremental=" + std::to_string(incremental) +
+              " strategy=" + search_strategy_name(strategy);
+          ASSERT_EQ(r.status, OptStatus::Optimal) << where;
+          EXPECT_EQ(r.num_colors, expected) << where;
+          EXPECT_TRUE(g.is_proper_coloring(r.coloring)) << where;
+          EXPECT_TRUE(is_clique(g, r.clique)) << where;
+          EXPECT_LE(static_cast<int>(r.clique.size()), r.lower_bound) << where;
+          sat_calls += r.sat_calls;
+        }
       }
     }
+    EXPECT_GT(sat_calls, 0) << sbps.label();
   }
+}
+
+TEST(SatLoop, CliqueCertifiesLowerBound) {
+  // The returned clique is the lower-bound witness, on optimal runs and
+  // on budgeted stops alike. games120 closes on bounds alone: its exact
+  // clique meets the DSATUR coloring, so no SAT call is made.
+  SatLoopOptions options;
+  options.conflict_budget = 2000;
+  for (const Instance& inst : dimacs_suite()) {
+    if (inst.name != "games120" && inst.name != "myciel5" &&
+        inst.name != "queen8_12") {
+      continue;
+    }
+    const SatLoopResult r = solve_coloring_sat_loop(inst.graph, options);
+    EXPECT_TRUE(is_clique(inst.graph, r.clique)) << inst.name;
+    EXPECT_LE(static_cast<int>(r.clique.size()), r.lower_bound) << inst.name;
+    EXPECT_GE(r.clique.size(), greedy_clique(inst.graph).size()) << inst.name;
+    if (inst.name == "games120") {
+      EXPECT_EQ(r.status, OptStatus::Optimal);
+      EXPECT_EQ(r.sat_calls, 0);
+      EXPECT_EQ(static_cast<int>(r.clique.size()), r.num_colors);
+    }
+  }
+}
+
+TEST(SatLoop, CliquePinningClosesQueen6) {
+  // Pinning a maximum clique to colors 0..5 leaves the K=6 refutation far
+  // fewer color relabelings to rule out; it fits in 10k conflicts.
+  SatLoopOptions options;
+  options.conflict_budget = 10000;
+  const SatLoopResult r = solve_coloring_sat_loop(make_queen_graph(6, 6), options);
+  EXPECT_EQ(r.status, OptStatus::Optimal);
+  EXPECT_EQ(r.num_colors, 7);
+  EXPECT_EQ(r.clique.size(), 6u);
 }
 
 TEST(SatLoop, EmptyGraph) {

@@ -667,9 +667,12 @@ TEST(PortfolioFaults, FaultyWorkerStillAnswers) {
 TEST(PortfolioFaults, MasterFaultRecoversAndNextSolveIsHealthy) {
   // Worker 0 (the master itself) dies; a surviving clone answers, the
   // master is rebuilt from it, and — fault specs being one-shot — a
-  // second solve on the same engine runs fault-free.
+  // second solve on the same engine runs fault-free. Deterministic mode
+  // turns early exit off, so the master always reaches its first conflict
+  // and the fault fires; in a race the clone could answer first.
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.portfolio_threads = 2;
+  config.portfolio_deterministic = true;
   config.fault_injection.worker = 0;
   config.fault_injection.throw_after_conflicts = 1;
 

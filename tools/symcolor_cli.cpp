@@ -273,15 +273,15 @@ int main(int argc, char** argv) {
     options.budget = &run_budget;
     const SatLoopResult r = solve_coloring_sat_loop(graph, options);
     if (r.status == OptStatus::Optimal) {
-      std::printf("chromatic number: %d (%d SAT calls, %.3f s)\n",
-                  r.num_colors, r.sat_calls, r.seconds);
+      std::printf("chromatic number: %d (clique %zu, %d SAT calls, %.3f s)\n",
+                  r.num_colors, r.clique.size(), r.sat_calls, r.seconds);
       return kExitSolved;
     }
     std::printf(
         "stopped (%s); best coloring uses %d colors; "
-        "chromatic number >= %d proven (%d SAT calls, %.3f s)\n",
-        budget_trip_name(r.tripped), r.num_colors, r.lower_bound, r.sat_calls,
-        r.seconds);
+        "chromatic number >= %d proven (clique %zu, %d SAT calls, %.3f s)\n",
+        budget_trip_name(r.tripped), r.num_colors, r.lower_bound,
+        r.clique.size(), r.sat_calls, r.seconds);
     return kExitStopped;
   }
 
