@@ -74,12 +74,12 @@ void BM_CdclPropagationThroughput(benchmark::State& state) {
   const int q = static_cast<int>(state.range(0));
   const Graph g = make_queen_graph(q, q);
   const ColoringEncoding enc = encode_k_coloring(g, q + 1, SbpOptions::nu_sc());
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.conflict_budget = 2000;
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  const SolveBudget budget(0.0, 2000);
   std::int64_t propagations = 0;
   for (auto _ : state) {
     CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve());
+    benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
   }
   state.counters["propagations_per_sec"] = benchmark::Counter(
@@ -135,12 +135,12 @@ void BM_CdclPbPropagationThroughput(benchmark::State& state) {
       f.add_clause({Lit::negative(e.u * k + c), Lit::negative(e.v * k + c)});
     }
   }
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.conflict_budget = 2000;
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  const SolveBudget budget(0.0, 2000);
   std::int64_t propagations = 0;
   for (auto _ : state) {
     CdclSolver solver(f, config);
-    benchmark::DoNotOptimize(solver.solve());
+    benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
   }
   state.counters["propagations_per_sec"] = benchmark::Counter(
@@ -185,12 +185,12 @@ void BM_CdclPbConflictAnalysis(benchmark::State& state) {
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.pb_analysis =
       state.range(0) == 0 ? PbAnalysis::Weaken : PbAnalysis::CuttingPlanes;
-  config.conflict_budget = 1500;
+  const SolveBudget budget(0.0, 1500);
   std::int64_t conflicts = 0;
   std::int64_t resolutions = 0;
   for (auto _ : state) {
     CdclSolver solver(f, config);
-    benchmark::DoNotOptimize(solver.solve());
+    benchmark::DoNotOptimize(solver.solve(budget));
     conflicts += solver.stats().conflicts;
     resolutions += solver.stats().pb_resolutions;
   }
@@ -202,21 +202,6 @@ void BM_CdclPbConflictAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_CdclPbConflictAnalysis)->Arg(0)->Arg(1);
 
-// Same queen decision workload under adaptive (LBD-EMA) restarts: tracks
-// the scheduling overhead and search-quality effect of the Glucose-style
-// scheme against the Luby default of BM_CdclQueenDecision.
-void BM_CdclAdaptiveRestartDecision(benchmark::State& state) {
-  const Graph g = make_queen_graph(5, 5);
-  const ColoringEncoding enc = encode_k_coloring(g, 5, SbpOptions::nu_sc());
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.restart_scheme = RestartScheme::Adaptive;
-  for (auto _ : state) {
-    CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve());
-  }
-}
-BENCHMARK(BM_CdclAdaptiveRestartDecision);
-
 // Propagation throughput under constant clause-database churn: a tiny
 // learnt limit drives reduce_db() (LBD-tiered retention + arena GC +
 // watcher-pool compaction) every few conflicts, so this measures how much
@@ -225,13 +210,13 @@ void BM_CdclReduceDbChurn(benchmark::State& state) {
   const Graph g = make_queen_graph(7, 7);
   const ColoringEncoding enc = encode_k_coloring(g, 8, SbpOptions::nu_sc());
   SolverConfig config = profile_config(SolverKind::PbsII);
-  config.conflict_budget = 1000;
   config.max_learnts_init = 64;
+  const SolveBudget budget(0.0, 1000);
   std::int64_t propagations = 0;
   std::int64_t collections = 0;
   for (auto _ : state) {
     CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve());
+    benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
     collections += solver.stats().arena_collections;
   }
@@ -267,9 +252,9 @@ BENCHMARK(BM_WatcherPoolChurn)->Arg(256)->Arg(4096);
 // Wall-clock of the clone-based portfolio (threads = range arg) against
 // the identical pipeline single-threaded. queen9 at K = chi + 1 with
 // NU-only SBPs is deliberately heavy-tailed: the base PBS II personality
-// wanders for tens of seconds before finding a model while the
-// adaptive-with-blocking worker finishes in a few, so the race shows the
-// portfolio's robustness value even on a single core (the winner's solo
+// wanders for tens of seconds before finding a model while a diversified
+// worker finishes in a few, so the race shows the portfolio's robustness
+// value even on a single core (the winner's solo
 // time times the timeslicing factor still beats the unlucky base by an
 // order of magnitude; on real multicore the gap widens). Real time, not
 // CPU time: worker threads run outside the benchmark thread.

@@ -6,10 +6,12 @@
 // directory completes on a laptop in minutes. Environment knobs:
 //   SYMCOLOR_TIMEOUT        per-solve budget in seconds   (default 0.5)
 //   SYMCOLOR_DETECT_TIMEOUT symmetry-detection budget     (default 1.5)
-//                           for the standalone detect_symmetries calls of
-//                           bench_table2 and the ablation binaries only.
-//                           run_instance (Tables 3/4/5) never passes it on:
-//                           there detection shares the per-solve budget.
+//                           bounding the standalone detect_symmetries runs
+//                           of bench_table2 and of the formulation and SBP
+//                           ablations. Tables 3/4/5 (run_instance) do not
+//                           read it: they run under the one
+//                           SYMCOLOR_TIMEOUT budget that covers detection
+//                           plus solve.
 //   SYMCOLOR_K              color limit for Table 2/3     (default 20)
 //   SYMCOLOR_FULL=1         lift budgets to paper scale (1000 s / 60 s)
 // Trends (who wins, by what factor, where timeouts appear) are the

@@ -23,6 +23,17 @@ inline bool mul_ov(std::int64_t a, std::int64_t b, std::int64_t* out) {
   return __builtin_mul_overflow(a, b, out);
 }
 
+// Learnt-constraint activity decay (clause and PB rows alike; MiniSat's
+// value — every solver profile uses it).
+constexpr double kClauseDecay = 0.999;
+// Cutting-planes resolution steps per conflict before bailing to the
+// Weaken path (defensive bound; real analyses stay far below).
+constexpr int kPbMaxResolutions = 4096;
+// Longest clause or PB row exchanged between parallel workers, enforced on
+// both sides (glue caps alone admit arbitrarily long clauses on wide-glue
+// instances).
+constexpr std::size_t kShareMaxSize = 64;
+
 }  // namespace
 
 CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
@@ -68,7 +79,6 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
       config_.max_learnts_init > 0.0
           ? config_.max_learnts_init
           : std::max(800.0, static_cast<double>(arena_.live_clauses()) / 8.0);
-  next_reduce_conflicts_ = config_.reduce_interval_base;
 }
 
 void CdclSolver::reconfigure(const SolverConfig& config) {
@@ -80,14 +90,6 @@ void CdclSolver::reconfigure(const SolverConfig& config) {
   trail_.reserve(assigns_.size());
   trail_lim_.reserve(assigns_.size());
   if (config.max_learnts_init > 0.0) max_learnts_ = config.max_learnts_init;
-  // Re-arm schedule state so the new restart/reduce policies start from a
-  // clean baseline instead of inheriting the previous policy's averages.
-  next_reduce_conflicts_ = stats_.conflicts + config.reduce_interval_base;
-  reduce_rounds_ = 0;
-  lbd_ema_fast_ = lbd_ema_slow_ = 0.0;
-  lbd_ema_seeded_ = false;
-  trail_ema_ = 0.0;
-  trail_ema_seeded_ = false;
 }
 
 bool CdclSolver::add_clause(Clause clause) {
@@ -714,7 +716,7 @@ CdclSolver::PbOutcome CdclSolver::analyze_pb(Conflict conflict,
       if (cp_assertive()) break;
       return PbOutcome::Fallback;
     }
-    if (++steps > config_.pb_max_resolutions) return PbOutcome::Fallback;
+    if (++steps > kPbMaxResolutions) return PbOutcome::Fallback;
     bump_var(l.var());
     if (r.kind == ReasonKind::ClauseRef) {
       bump_clause(r.index);
@@ -953,66 +955,20 @@ void CdclSolver::analyze_final(Lit failed) {
   seen_[static_cast<std::size_t>(failed.var())] = 0;
 }
 
-bool CdclSolver::lit_redundant(Lit p, std::uint32_t abstract_levels) {
-  redundant_stack_.clear();
-  redundant_stack_.push_back(p);
-  // Marks added during this walk are undone on failure but kept on
-  // success: a variable proven reachable-from-redundant stays absorbing
-  // for the remaining candidates (memoization across the clause).
-  const std::size_t undo_from = analyze_toclear_.size();
-  while (!redundant_stack_.empty()) {
-    const Lit x = redundant_stack_.back();
-    redundant_stack_.pop_back();
-    const Reason r = vardata_[static_cast<std::size_t>(x.var())].reason;
-    const bool ok = for_each_reason_lit(r, ~x, [&](Lit q) {
-      const auto v = static_cast<std::size_t>(q.var());
-      if (seen_[v] || level(q.var()) == 0) return true;  // already absorbed
-      if (vardata_[v].reason.kind == ReasonKind::None ||
-          (abstract_level(q.var()) & abstract_levels) == 0) {
-        return false;  // decision, or a level the clause cannot absorb
-      }
-      seen_[v] = 1;
-      analyze_toclear_.push_back(q.var());
-      redundant_stack_.push_back(q);
-      return true;
-    });
-    if (!ok) {
-      for (std::size_t j = undo_from; j < analyze_toclear_.size(); ++j) {
-        seen_[static_cast<std::size_t>(analyze_toclear_[j])] = 0;
-      }
-      analyze_toclear_.resize(undo_from);
-      return false;
-    }
-  }
-  return true;
-}
-
 void CdclSolver::minimize_learnt(std::vector<Lit>* learnt) {
   // Re-mark so redundancy checks can consult membership.
   for (const Lit l : *learnt) seen_[static_cast<std::size_t>(l.var())] = 1;
-  std::uint32_t abstract_levels = 0;
-  if (config_.minimize_recursive) {
-    for (std::size_t i = 1; i < learnt->size(); ++i) {
-      abstract_levels |= abstract_level((*learnt)[i].var());
-    }
-  }
   std::size_t keep = 1;
   for (std::size_t i = 1; i < learnt->size(); ++i) {
     const Lit l = (*learnt)[i];
     const Reason r = vardata_[static_cast<std::size_t>(l.var())].reason;
-    bool redundant = r.kind != ReasonKind::None;
-    if (redundant) {
-      if (config_.minimize_recursive) {
-        redundant = lit_redundant(l, abstract_levels);
-      } else {
-        // Redundant iff every reason literal is already in the clause or
-        // at level 0; the visitor aborts at the first counterexample.
-        redundant = for_each_reason_lit(r, ~l, [&](Lit q) {
+    // Redundant iff every reason literal is already in the clause or at
+    // level 0; the visitor aborts at the first counterexample.
+    const bool redundant =
+        r.kind != ReasonKind::None && for_each_reason_lit(r, ~l, [&](Lit q) {
           return seen_[static_cast<std::size_t>(q.var())] != 0 ||
                  level(q.var()) == 0;
         });
-      }
-    }
     if (redundant) {
       ++stats_.minimized_literals;
     } else {
@@ -1102,8 +1058,8 @@ void CdclSolver::bump_clause(ClauseRef cref) {
 
 void CdclSolver::decay_activities() {
   var_inc_ /= config_.var_decay;
-  clause_inc_ /= config_.clause_decay;
-  pb_inc_ /= config_.clause_decay;
+  clause_inc_ /= kClauseDecay;
+  pb_inc_ /= kClauseDecay;
 }
 
 void CdclSolver::bump_pb(std::uint32_t pb_index) {
@@ -1155,44 +1111,9 @@ void CdclSolver::touch_learnt(ClauseRef cref) {
   }
 }
 
-void CdclSolver::update_restart_emas(int lbd) {
-  const auto x = static_cast<double>(lbd);
-  if (!lbd_ema_seeded_) {
-    // Seed both averages with the first observation instead of pulling
-    // them up from zero (which would block restarts for thousands of
-    // conflicts while the slow EMA warms).
-    lbd_ema_fast_ = x;
-    lbd_ema_slow_ = x;
-    lbd_ema_seeded_ = true;
-    return;
-  }
-  lbd_ema_fast_ += config_.restart_ema_fast * (x - lbd_ema_fast_);
-  lbd_ema_slow_ += config_.restart_ema_slow * (x - lbd_ema_slow_);
-}
-
-void CdclSolver::maybe_block_restart(std::int64_t conflicts_this_restart) {
-  // Glucose-style restart blocking, evaluated AT the conflict (the trail
-  // is still at conflict depth here — both sides of the comparison see
-  // conflict-time sizes): when a restart is pending on the LBD-EMA
-  // condition but this conflict's trail runs much deeper than conflicts
-  // typically do, the search is plausibly filling in a model — defuse the
-  // pending restart by pulling the fast EMA back to the long-run mean
-  // instead of restarting.
-  if (config_.restart_scheme != RestartScheme::Adaptive ||
-      !config_.restart_blocking || !trail_ema_seeded_ || !lbd_ema_seeded_ ||
-      conflicts_this_restart < config_.adaptive_min_conflicts) {
-    return;
-  }
-  if (lbd_ema_fast_ > config_.restart_margin * lbd_ema_slow_ &&
-      static_cast<double>(trail_.size()) > config_.block_margin * trail_ema_) {
-    ++stats_.blocked_restarts;
-    lbd_ema_fast_ = lbd_ema_slow_;
-  }
-}
-
 void CdclSolver::maybe_export(std::span<const Lit> learnt, int lbd) {
   if (hooks_.sharing == nullptr || lbd > config_.share_max_lbd ||
-      learnt.size() > static_cast<std::size_t>(config_.share_max_size)) {
+      learnt.size() > kShareMaxSize) {
     return;
   }
   // Only count clauses the (bounded) exchange actually accepted.
@@ -1208,7 +1129,7 @@ void CdclSolver::maybe_export_pb(std::span<const PbTerm> terms,
   // only), so the PB lane carries traffic exactly when a cutting-planes
   // worker is in the race.
   if (hooks_.sharing == nullptr || glue > config_.share_max_lbd ||
-      terms.size() > static_cast<std::size_t>(config_.share_max_size)) {
+      terms.size() > kShareMaxSize) {
     return;
   }
   if (hooks_.sharing->export_pb(hooks_.worker_id, terms, degree, glue)) {
@@ -1233,7 +1154,7 @@ bool CdclSolver::drain_imports() {
     // Re-check glue and size against this solver's thresholds and count
     // what gets turned away.
     if (sc.lbd > config_.share_max_lbd ||
-        sc.lits.size() > static_cast<std::size_t>(config_.share_max_size)) {
+        sc.lits.size() > kShareMaxSize) {
       ++stats_.rejected_imports;
       continue;
     }
@@ -1258,7 +1179,7 @@ bool CdclSolver::drain_imports() {
                              &pb_import_buf_);
   for (SharedPb& sp : pb_import_buf_) {
     if (sp.lbd > config_.share_max_lbd ||
-        sp.terms.size() > static_cast<std::size_t>(config_.share_max_size)) {
+        sp.terms.size() > kShareMaxSize) {
       ++stats_.rejected_imports;
       continue;
     }
@@ -1405,21 +1326,9 @@ TierCounts CdclSolver::learned_tier_counts() const {
 }
 
 void CdclSolver::maybe_reduce() {
-  const bool reduce_now =
-      config_.reduce_scheme == ReduceScheme::ConflictInterval
-          ? stats_.conflicts >= next_reduce_conflicts_
-          : static_cast<double>(learnt_count_) >= max_learnts_;
-  if (!reduce_now) return;
+  if (static_cast<double>(learnt_count_) < max_learnts_) return;
   reduce_db();
-  if (config_.reduce_scheme == ReduceScheme::ConflictInterval) {
-    // Linear back-off (CaDiCaL lineage): each completed round earns the
-    // DB a longer leash before the next one.
-    ++reduce_rounds_;
-    next_reduce_conflicts_ = stats_.conflicts + config_.reduce_interval_base +
-                             config_.reduce_interval_inc * reduce_rounds_;
-  } else {
-    max_learnts_ *= 1.2;
-  }
+  max_learnts_ *= 1.2;
 }
 
 SolveResult CdclSolver::budget_exit(BudgetTrip trip) {
@@ -1478,17 +1387,11 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
     lbd_level_stamp_.resize(max_levels, 0);
   }
 
-  const bool adaptive = config_.restart_scheme == RestartScheme::Adaptive;
   std::int64_t restart_number = 0;
   std::vector<Lit> learnt;
   PbLearned pl;  // analyze_pb output, hoisted like `learnt` (vector reuse)
-  // Counted budgets are hoisted to plain integer compares: the config-level
-  // conflict budget and the per-call one combine to whichever is tighter.
-  std::int64_t conflict_budget = config_.conflict_budget;
-  if (budget.conflict_budget() > 0 &&
-      (conflict_budget <= 0 || budget.conflict_budget() < conflict_budget)) {
-    conflict_budget = budget.conflict_budget();
-  }
+  // Counted budgets are hoisted to plain integer compares.
+  const std::int64_t conflict_budget = budget.conflict_budget();
   const std::int64_t prop_budget = budget.prop_budget();
   const std::int64_t start_conflicts = stats_.conflicts;
   const std::int64_t start_props = stats_.propagations;
@@ -1504,11 +1407,8 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       ok_ = false;
       return SolveResult::Unsat;
     }
-    // Scheduled restart interval; the adaptive scheme restarts on the
-    // LBD-EMA condition instead and ignores the schedule.
     const std::int64_t interval =
-        adaptive ? 0
-        : config_.restart_scheme == RestartScheme::Luby
+        config_.restart_scheme == RestartScheme::Luby
             ? luby(restart_number + 1) * config_.restart_base
             : static_cast<std::int64_t>(
                   static_cast<double>(config_.restart_base) *
@@ -1563,17 +1463,6 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
             ok_ = false;
             return SolveResult::Unsat;
           }
-          // Sample the conflict-time trail size into the blocking EMA
-          // before analysis backtracks it away.
-          if (config_.restart_blocking) {
-            const auto trail_size = static_cast<double>(trail_.size());
-            if (!trail_ema_seeded_) {
-              trail_ema_ = trail_size;
-              trail_ema_seeded_ = true;
-            } else {
-              trail_ema_ += config_.block_ema * (trail_size - trail_ema_);
-            }
-          }
           bool handled = false;
           if (config_.pb_analysis == PbAnalysis::CuttingPlanes &&
               conflict.kind == ReasonKind::PbRef) {
@@ -1590,8 +1479,6 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
               case PbOutcome::Learned: {
                 handled = true;
                 stats_.lbd_sum += pl.glue;
-                update_restart_emas(pl.glue);
-                maybe_block_restart(conflicts_this_restart);
                 if (pl.is_clause) maybe_export(pl.clause, pl.glue);
                 // Chronological backtracking deliberately does NOT apply
                 // to PB-learned outcomes: a PB resolvent assertive at its
@@ -1674,8 +1561,6 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
             int lbd = 1;
             analyze(conflict, &learnt, &backjump, &lbd);
             stats_.lbd_sum += lbd;
-            update_restart_emas(lbd);
-            maybe_block_restart(conflicts_this_restart);
             maybe_export(learnt, lbd);
             // Chronological backtracking (CaDiCaL/MapleLCM): when the
             // 1UIP backjump would discard a long stretch of levels, undo
@@ -1718,24 +1603,7 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       }
 
       // No conflict: restart, reduce, or decide.
-      bool restart_now;
-      if (adaptive) {
-        // (Restart blocking already ran at conflict time: a blocked
-        // restart reset the fast EMA there, so the condition below is
-        // false for it by construction.)
-        restart_now = conflicts_this_restart >= config_.adaptive_min_conflicts &&
-                      lbd_ema_seeded_ &&
-                      lbd_ema_fast_ > config_.restart_margin * lbd_ema_slow_;
-        if (restart_now) {
-          ++stats_.adaptive_restarts;
-          // Re-arm: pull the fast average back to the long-run mean so the
-          // next interval measures fresh post-restart quality.
-          lbd_ema_fast_ = lbd_ema_slow_;
-        }
-      } else {
-        restart_now = conflicts_this_restart >= interval;
-      }
-      if (restart_now) {
+      if (conflicts_this_restart >= interval) {
         backtrack(0);
         break;  // restart
       }

@@ -13,18 +13,18 @@
 //     coefficient-scaled addition with saturation and gcd rounding, and
 //     the resolvent is learned as a PB constraint (tiered in reduce_db()
 //     beside the learnt clauses) or as a clause when it degenerates,
-//   * optional learned-clause minimization (self-subsumption),
+//   * optional learned-clause minimization (local self-subsumption
+//     against each literal's direct reason),
 //   * VSIDS variable activity with phase saving,
-//   * Luby, geometric, or Glucose-style adaptive (LBD-EMA) restarts, the
-//     adaptive scheme optionally guarded by Glucose's trail-size restart
-//     blocking (suppress a restart while the trail is far above its
-//     long-run average — the worker is plausibly near a model),
+//   * Luby or geometric restart schedules,
 //   * LBD-tiered learned-clause retention with activity tie-breaking,
-//     reducible either on DB size (default) or on a CaDiCaL-style
-//     conflict-interval schedule (ReduceScheme::ConflictInterval).
+//     reduced whenever the learnt DB crosses a growing size limit,
+//   * chronological backtracking on long clausal backjumps.
 //
-// The configuration knobs expose exactly the axes along which the paper's
-// three academic solvers differ; see pb/solver_profiles.h.
+// SolverConfig groups its fields by who sets them: the solver-profile
+// axes along which the paper's solvers differ (pb/solver_profiles.h), the
+// pipeline and parallel-engine knobs, and the test levers that let small
+// instances reach reduction, sharing and fault paths.
 //
 // The solver implements the SolverEngine interface (sat/solver_engine.h)
 // and is the unit of parallelism of the clone-based parallel engine
@@ -90,12 +90,6 @@
 //     aggressive than MiniSat's (first reduction at max(800, m/8) learnts)
 //     — a small local pool is what keeps the watch lists short and the
 //     propagation loop in cache.
-//   * Restarts: Luby and geometric schedules as before, plus
-//     RestartScheme::Adaptive — restart when the fast EMA of recent
-//     learnt-clause LBDs exceeds restart_margin times the slow EMA,
-//     signalling that search has wandered into a region producing worse
-//     (higher-glue) clauses than its long-run average. stats() reports how
-//     many restarts the EMA condition triggered.
 
 #include <atomic>
 #include <cstdint>
@@ -114,7 +108,7 @@
 
 namespace symcolor {
 
-enum class RestartScheme { Luby, Geometric, Adaptive };
+enum class RestartScheme { Luby, Geometric };
 
 /// How conflicts whose conflicting constraint is pseudo-Boolean are
 /// analyzed:
@@ -134,14 +128,6 @@ enum class RestartScheme { Luby, Geometric, Adaptive };
 ///     falls back to the Weaken path (counted in stats().pb_fallbacks),
 ///     so the mode is never less sound than weakening.
 enum class PbAnalysis { Weaken, CuttingPlanes };
-
-/// When reduce_db() fires: on learned-DB size crossing a growing limit
-/// (MiniSat lineage, the default) or on a conflict-count schedule that
-/// grows linearly per reduction (CaDiCaL/Glucose lineage) — the latter
-/// decouples reduction cadence from how fast the DB happens to grow,
-/// which behaves better on very long solves and is a portfolio
-/// diversification axis.
-enum class ReduceScheme { DbSize, ConflictInterval };
 
 /// Compat residue: the engine has no inprocessor; only suitebench's
 /// workloads.cpp still names this (deleted by ROADMAP item 2's [benchmark] PR).
@@ -167,9 +153,20 @@ struct FaultInjection {
   }
 };
 
+/// Search configuration. Three groups of fields:
+///   * solver-profile axes — the knobs along which the paper's solvers
+///     differ, set by profile_config (pb/solver_profiles.h) and varied
+///     per worker by diversify_config (sat/parallel_solver.h);
+///   * pipeline and parallel-engine knobs — chronological backtracking,
+///     worker count and the cube schedule, set by the CLI and callers;
+///   * test levers — defaults every caller keeps, which tests override to
+///     reach reduction, tiering, sharing and fault paths that test-sized
+///     instances do not otherwise reach.
+/// Conflict, propagation and wall-clock caps are not configuration: they
+/// travel per solve() call in a SolveBudget.
 struct SolverConfig {
+  // ---- solver-profile axes ----
   double var_decay = 0.95;
-  double clause_decay = 0.999;
   RestartScheme restart_scheme = RestartScheme::Luby;
   /// Conflicts in the first restart interval.
   std::int64_t restart_base = 100;
@@ -181,65 +178,15 @@ struct SolverConfig {
   /// indicators where most variables are 0 in a solution).
   bool default_phase = false;
   bool minimize_learned = true;
-  /// Deep (recursive) minimization: walk the whole implication graph under
-  /// each candidate literal instead of only its direct reason. Removes
-  /// far more literals on structured instances — shorter learnt clauses
-  /// make every later watch scan, analysis, and LBD pass cheaper. Off by
-  /// default: on the paper's coloring encodings learnt clauses span many
-  /// decision levels, so the deep walk rarely absorbs enough to pay for
-  /// itself (measured on the queen benchmarks). Only consulted when
-  /// minimize_learned is set.
-  bool minimize_recursive = false;
   /// Fraction of decisions taken uniformly at random (diversification).
   double random_branch_freq = 0.0;
   std::uint64_t random_seed = 0x5EED;
-  /// Hard conflict budget; <= 0 means unlimited.
-  std::int64_t conflict_budget = 0;
-  /// Initial learned-clause limit before the first reduce_db(); <= 0 means
-  /// the automatic max(800, num_clauses / 8) — deliberately aggressive,
-  /// see the tier discussion in the header comment. Tests use a tiny
-  /// value to force frequent reductions/collections.
-  double max_learnts_init = 0.0;
+  /// Analysis mode for PB conflicts (see PbAnalysis). Weaken is the
+  /// default; the Galena profile and half the parallel personalities run
+  /// CuttingPlanes.
+  PbAnalysis pb_analysis = PbAnalysis::Weaken;
 
-  // ---- LBD tiers (reduce_db retention) ----
-  /// Learnt clauses with LBD <= tier_core_lbd are never deleted.
-  int tier_core_lbd = 2;
-  /// Learnt clauses with LBD <= tier_mid_lbd survive a reduction while
-  /// they have been used in conflict analysis since the previous one.
-  int tier_mid_lbd = 6;
-
-  // ---- adaptive (Glucose-style) restarts ----
-  /// Smoothing factor of the fast LBD EMA (recent search quality).
-  double restart_ema_fast = 1.0 / 32.0;
-  /// Smoothing factor of the slow LBD EMA (long-run search quality).
-  double restart_ema_slow = 1.0 / 4096.0;
-  /// Restart when fast_ema > restart_margin * slow_ema.
-  double restart_margin = 1.25;
-  /// Minimum conflicts between adaptive restarts (lets the fast EMA
-  /// re-stabilize after the post-restart reset).
-  std::int64_t adaptive_min_conflicts = 50;
-
-  // ---- restart blocking (Glucose trail-size heuristic) ----
-  /// Suppress an adaptive restart when the current trail is much larger
-  /// than its long-run average at conflicts: a deep trail means the worker
-  /// is plausibly close to completing a model, and restarting would throw
-  /// that progress away. Only consulted under RestartScheme::Adaptive.
-  bool restart_blocking = false;
-  /// Block when trail size > block_margin * trail EMA (Glucose uses 1.4).
-  double block_margin = 1.4;
-  /// Smoothing factor of the trail-size EMA (Glucose averages ~5000
-  /// trailing conflicts).
-  double block_ema = 1.0 / 5000.0;
-
-  // ---- reduce_db scheduling ----
-  ReduceScheme reduce_scheme = ReduceScheme::DbSize;
-  /// ConflictInterval: first reduction after this many conflicts...
-  std::int64_t reduce_interval_base = 2000;
-  /// ...and each later one after base + inc * completed_reductions more
-  /// (linear back-off, CaDiCaL/Glucose style).
-  std::int64_t reduce_interval_inc = 300;
-
-  // ---- incremental hot path (chronological backtracking) ----
+  // ---- pipeline knobs ----
   /// Chronological backtracking (CaDiCaL/MapleLCM lineage): when the 1UIP
   /// backjump would discard more than this many decision levels, undo only
   /// the conflicting level instead and keep the rest of the trail — the
@@ -255,43 +202,11 @@ struct SolverConfig {
   /// workloads.cpp sets it (deleted by ROADMAP item 2's [benchmark] PR).
   InprocessMode inprocess = InprocessMode::Off;
 
-  // ---- PB conflict analysis ----
-  /// Analysis mode for PB conflicts (see PbAnalysis). Weaken is the
-  /// default; the Galena profile and half the portfolio personalities
-  /// run CuttingPlanes.
-  PbAnalysis pb_analysis = PbAnalysis::Weaken;
-  /// Cap on cutting-planes resolution steps per conflict before bailing
-  /// to the Weaken path (defensive bound; real analyses stay far below).
-  int pb_max_resolutions = 4096;
-
-  // ---- portfolio clause sharing ----
-  /// Learnt clauses with LBD <= share_max_lbd are exported to the
-  /// attached ClauseSharing sink (core-tier currency: glue <= 2 by
-  /// default, matching tier_core_lbd; learnt units export as glue 1).
-  /// The same cap is re-checked on the importer side: a foreign clause
-  /// whose learn-time glue exceeds the importer's own threshold is
-  /// dropped and counted in stats().rejected_imports.
-  int share_max_lbd = 2;
-  /// Size cap enforced on both sides of the exchange: clauses longer than
-  /// this are neither exported nor imported (glue caps alone admit
-  /// arbitrarily long clauses on wide-glue instances).
-  int share_max_size = 64;
-
   // ---- parallel engine (read by make_solver_engine/ParallelSolver,
   // ---- ignored by CdclSolver itself) ----
   /// Number of parallel workers; <= 1 (with cube_depth == 0) selects the
   /// plain sequential engine with zero threading overhead.
   int portfolio_threads = 1;
-  /// Reproducible mode: clause sharing and cooperative cancellation off.
-  /// A race runs every worker to completion and the lowest-indexed
-  /// definitive answer wins; the cube schedule runs one worker in FIFO
-  /// deal order. Costs the parallel speedup; meant for tests.
-  bool portfolio_deterministic = false;
-  /// Bound on the shared export buffer (clauses; further exports drop).
-  std::size_t portfolio_buffer = 1 << 14;
-
-  // ---- cube-and-conquer (read by make_solver_engine/ParallelSolver,
-  // ---- ignored by CdclSolver itself) ----
   /// > 0 selects the cube schedule of the parallel engine (0 = the race):
   /// lookahead probing splits the
   /// search space into assumption cubes of (up to) this depth, dealt to
@@ -300,6 +215,31 @@ struct SolverConfig {
   /// worker cannot finish a whole-space search inside the budget; racing
   /// wins on instances where diversification alone finds a short proof.
   int cube_depth = 0;
+
+  // ---- test levers ----
+  /// Initial learned-clause limit before the first reduce_db(); <= 0 means
+  /// the automatic max(800, num_clauses / 8) — deliberately aggressive,
+  /// see the tier discussion in the header comment. Tests use a tiny
+  /// value to force frequent reductions/collections; diversify_config
+  /// gives every fourth worker a tighter first reduction with it.
+  double max_learnts_init = 0.0;
+  /// Learnt clauses with LBD <= tier_core_lbd are never deleted.
+  int tier_core_lbd = 2;
+  /// Learnt clauses with LBD <= tier_mid_lbd survive a reduction while
+  /// they have been used in conflict analysis since the previous one.
+  int tier_mid_lbd = 6;
+  /// Learnt clauses with LBD <= share_max_lbd are exported to the
+  /// attached ClauseSharing sink (core-tier currency: glue <= 2 by
+  /// default, matching tier_core_lbd; learnt units export as glue 1).
+  /// The same cap is re-checked on the importer side: a foreign clause
+  /// whose learn-time glue exceeds the importer's own threshold is
+  /// dropped and counted in stats().rejected_imports.
+  int share_max_lbd = 2;
+  /// Reproducible mode: clause sharing and cooperative cancellation off.
+  /// A race runs every worker to completion and the lowest-indexed
+  /// definitive answer wins; the cube schedule runs one worker in FIFO
+  /// deal order. Costs the parallel speedup; meant for tests.
+  bool portfolio_deterministic = false;
   /// Candidate variables probed (both phases) per cube split, drawn from
   /// the top of the activity heap.
   int cube_candidates = 8;
@@ -320,7 +260,6 @@ struct SolverConfig {
   /// fraction of the free variables by unit propagation is emitted as a
   /// leaf cube instead of being split further (the subproblem is easy).
   double cube_easy_frac = 0.3;
-
   /// Deterministic fault injection (tests only; see FaultInjection).
   FaultInjection fault_injection;
 };
@@ -363,8 +302,7 @@ class CdclSolver final : public SolverEngine {
   /// Solve under optional assumptions. Returns Unknown when a resource
   /// bound ends the solve early — the budget's wall clock, conflict or
   /// propagation cap, its interrupt() flag, or the portfolio stop flag —
-  /// with last_trip() recording which. Conflict caps combine with
-  /// config.conflict_budget (tighter wins); asynchronous conditions are
+  /// with last_trip() recording which. Asynchronous conditions are
   /// polled on a coarse cadence (every 256 search steps), so interrupt
   /// latency is bounded by that many conflicts. Can be called repeatedly;
   /// learned clauses persist across calls. Every exit — Sat, Unsat (with
@@ -427,10 +365,10 @@ class CdclSolver final : public SolverEngine {
   void set_interrupt(const std::atomic<bool>* stop) { hooks_.stop = stop; }
   /// Swap the configuration of a live solver (the portfolio diversifies
   /// clones this way). Learned clauses, activities and saved phases are
-  /// kept; the RNG is reseeded from the new config and the restart/reduce
-  /// schedule state is re-armed. Phase diversification via default_phase
-  /// therefore only bites with phase_saving off (saved polarities win
-  /// otherwise).
+  /// kept; the RNG is reseeded from the new config and a positive
+  /// max_learnts_init resets the reduce limit. Phase diversification via
+  /// default_phase therefore only bites with phase_saving off (saved
+  /// polarities win otherwise).
   void reconfigure(const SolverConfig& config) override;
 
   // ---- cube-generation probes (driven by sat/cubes.h) ----
@@ -681,24 +619,10 @@ class CdclSolver final : public SolverEngine {
   /// reasons are retained), then compact pbs_, pb_terms_ and pb_occs_ and
   /// remap trail PbRef reasons — the PB analog of the clause arena GC.
   void reduce_learned_pbs();
-  /// Glucose-style restart blocking, evaluated at conflict depth (must be
-  /// called before backtracking): when a restart is pending on the
-  /// LBD-EMA condition but this conflict's trail runs much deeper than
-  /// conflicts typically do, defuse the pending restart by pulling the
-  /// fast EMA back to the long-run mean.
-  void maybe_block_restart(std::int64_t conflicts_this_restart);
   void minimize_learnt(std::vector<Lit>* learnt);
-  /// Recursive redundancy test (MiniSat ccmin=2): true iff every path
-  /// from `p`'s reason back to decisions ends in clause literals or
-  /// level 0. `abstract_levels` is the bitmask of levels present in the
-  /// learnt clause — any reason touching a level outside it cannot be
-  /// absorbed, which prunes most failing walks in O(1).
-  bool lit_redundant(Lit p, std::uint32_t abstract_levels);
-  [[nodiscard]] std::uint32_t abstract_level(Var v) const noexcept {
-    return 1u << (static_cast<std::uint32_t>(level(v)) & 31u);
-  }
   void backtrack(int target_level);
-  /// Fire reduce_db() when the configured scheme's trigger holds.
+  /// Fire reduce_db() once the learnt DB reaches max_learnts_, then grow
+  /// the limit.
   void maybe_reduce();
   Lit pick_branch();
   void new_decision_level() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
@@ -735,8 +659,6 @@ class CdclSolver final : public SolverEngine {
   /// Mark a learnt clause used by conflict analysis and improve its
   /// stored LBD if the recomputed value is smaller (tier promotion).
   void touch_learnt(ClauseRef cref);
-  /// Fold one learnt-clause LBD into the fast/slow restart EMAs.
-  void update_restart_emas(int lbd);
   /// Publish a freshly learnt clause to the sharing sink when its glue
   /// qualifies (called for learnt units too, as glue 1).
   void maybe_export(std::span<const Lit> learnt, int lbd);
@@ -747,7 +669,7 @@ class CdclSolver final : public SolverEngine {
   /// Absorb every foreign clause and PB row published since the import
   /// cursors (must be at decision level 0 — restart boundaries and solve
   /// entry). The importer re-checks its own size/LBD admission caps
-  /// (share_max_lbd / share_max_size; rejections counted in
+  /// (share_max_lbd and the fixed size cap; rejections counted in
   /// stats().rejected_imports), and a foreign constraint that is empty —
   /// or falsified — under the level-0 assignment derives unsatisfiability
   /// explicitly. Returns false when an import derives level-0
@@ -789,7 +711,6 @@ class CdclSolver final : public SolverEngine {
 
   std::vector<char> seen_;      // scratch for analyze()
   std::vector<Var> analyze_toclear_;            // marks to reset post-analyze
-  std::vector<Lit> redundant_stack_;            // DFS stack, lit_redundant
   std::vector<std::uint64_t> lbd_level_stamp_;  // by level, for LBD scans
   std::uint64_t lbd_stamp_ = 0;
 
@@ -817,19 +738,6 @@ class CdclSolver final : public SolverEngine {
   };
   std::vector<BjEnt> cp_bj_ents_;
   std::vector<std::int64_t> cp_bj_suffix_;
-
-  // Adaptive-restart state: exponential moving averages of learnt LBD.
-  double lbd_ema_fast_ = 0.0;
-  double lbd_ema_slow_ = 0.0;
-  bool lbd_ema_seeded_ = false;
-
-  // Restart-blocking state: EMA of trail size sampled at conflicts.
-  double trail_ema_ = 0.0;
-  bool trail_ema_seeded_ = false;
-
-  // ConflictInterval reduce schedule: next trigger and completed rounds.
-  std::int64_t next_reduce_conflicts_ = 0;
-  std::int64_t reduce_rounds_ = 0;
 
   /// Portfolio attachment (sharing sink, worker identity, interrupt
   /// flag). Self-resetting on copy: a cloned solver must start detached

@@ -30,24 +30,21 @@ SolverConfig diversify_config(const SolverConfig& base, int index) {
   c.random_seed = mix_worker_seed(base.random_seed, index);
   switch (index % 4) {
     case 1:
-      // SAT-dense personality: adaptive restarts guarded by trail-size
-      // blocking — hangs on to deep trails instead of restarting them.
-      // Also flips to native cutting-planes PB learning, so on PB-heavy
-      // instances the portfolio always races both analysis modes
-      // (a no-op on purely clausal formulas).
-      c.restart_scheme = RestartScheme::Adaptive;
-      c.restart_blocking = true;
+      // Native cutting-planes PB learning under long Luby restarts: the
+      // worker holds on to deep trails between rare restarts, and on
+      // PB-heavy instances the portfolio always races both analysis
+      // modes (a no-op on purely clausal formulas).
+      c.restart_scheme = RestartScheme::Luby;
+      c.restart_base = 512;
       c.pb_analysis = PbAnalysis::CuttingPlanes;
       break;
     case 2:
-      // Slow-and-steady: gentle geometric restarts with the
-      // conflict-interval reduce schedule (keeps more clauses early).
-      // Explicitly pins clause-weakening PB analysis so a CuttingPlanes
-      // base (the Galena profile) still races a weakening worker.
+      // Slow-and-steady: gentle geometric restarts. Explicitly pins
+      // clause-weakening PB analysis so a CuttingPlanes base (the Galena
+      // profile) still races a weakening worker.
       c.restart_scheme = RestartScheme::Geometric;
       c.restart_base = 100;
       c.restart_growth = 1.3;
-      c.reduce_scheme = ReduceScheme::ConflictInterval;
       c.pb_analysis = PbAnalysis::Weaken;
       break;
     case 3:
@@ -62,9 +59,8 @@ SolverConfig diversify_config(const SolverConfig& base, int index) {
       break;
     default:
       // index % 4 == 0 (workers 4, 8, ...): the base personality with a
-      // tighter reduce cadence and deeper minimization.
+      // tighter first reduction.
       c.max_learnts_init = 512;
-      c.minimize_recursive = true;
       break;
   }
   return c;
@@ -155,6 +151,10 @@ std::size_t ClauseExchange::dropped() const {
 
 namespace {
 
+/// Bound on the shared export buffer (constraints per lane; further
+/// exports drop).
+constexpr std::size_t kExchangeCapacity = 1 << 14;
+
 /// Whether `fault` is armed for a worker other than `index` (a negative
 /// target arms every worker).
 bool aimed_elsewhere(const FaultInjection& fault, int index) {
@@ -181,7 +181,7 @@ struct ParallelSolver::Pool {
   /// learned or imported so far) carry over.
   Pool(CdclSolver& master, const SolverConfig& config, int n)
       : clone_base(master.stats()),
-        exchange(config.portfolio_buffer, n),
+        exchange(kExchangeCapacity, n),
         results(static_cast<std::size_t>(n), SolveResult::Unknown),
         trips(static_cast<std::size_t>(n), BudgetTrip::None),
         faults(static_cast<std::size_t>(n)) {

@@ -12,8 +12,8 @@
 //   * workers 1..N-1 are fresh clones of the master — the contiguous
 //     arena/pool storage makes a clone a handful of memcpys — each
 //     diversified by diversify_config along the classic portfolio axes
-//     (restart scheme, polarity policy, reduce cadence, random-branching
-//     rate, PB analysis mode, and a per-worker RNG seed).
+//     (restart schedule, polarity policy, first-reduction size,
+//     random-branching rate, PB analysis mode, and a per-worker RNG seed).
 //
 // The schedule follows from SolverConfig::cube_depth:
 //
@@ -83,8 +83,8 @@ namespace symcolor {
 
 /// Worker `index`'s diversified configuration (index 0 returns `base`
 /// unchanged). Cycles through four personalities that vary the restart
-/// scheme, phase policy, reduce cadence and random-branching rate, and
-/// always reseeds the RNG via mix_worker_seed.
+/// schedule, PB analysis mode, phase policy, first-reduction size and
+/// random-branching rate, and always reseeds the RNG via mix_worker_seed.
 [[nodiscard]] SolverConfig diversify_config(const SolverConfig& base,
                                             int index);
 

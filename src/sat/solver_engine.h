@@ -78,21 +78,13 @@ struct SolverStats {
   std::int64_t tier_mid = 0;
   std::int64_t tier_local = 0;
 
-  // ---- restart-mode activity ----
-  /// Restarts triggered by the adaptive LBD-EMA condition (a subset of
-  /// `restarts`; the remainder followed the Luby/geometric schedule).
-  std::int64_t adaptive_restarts = 0;
-  /// Adaptive restarts suppressed by the Glucose-style trail-size blocking
-  /// heuristic (the worker looked close to a model).
-  std::int64_t blocked_restarts = 0;
-
   // ---- portfolio clause exchange ----
   /// Learnt clauses this solver published to its ClauseSharing sink.
   std::int64_t exported_clauses = 0;
   /// Clauses this solver absorbed from other portfolio workers.
   std::int64_t imported_clauses = 0;
   /// Foreign clauses/PB rows dropped at import time for failing the
-  /// importer's own size/LBD caps (share_max_lbd / share_max_size
+  /// importer's own size/LBD caps (share_max_lbd and the fixed size cap
   /// re-checked on arrival — diversified workers need not trust the
   /// exporter's thresholds).
   std::int64_t rejected_imports = 0;
@@ -181,8 +173,6 @@ void for_each_stat(SolverStats& into, const SolverStats& from, F&& f) {
   f(into.tier_core, from.tier_core);
   f(into.tier_mid, from.tier_mid);
   f(into.tier_local, from.tier_local);
-  f(into.adaptive_restarts, from.adaptive_restarts);
-  f(into.blocked_restarts, from.blocked_restarts);
   f(into.exported_clauses, from.exported_clauses);
   f(into.imported_clauses, from.imported_clauses);
   f(into.rejected_imports, from.rejected_imports);

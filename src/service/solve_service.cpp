@@ -48,8 +48,6 @@ void accumulate(SolverStats* into, const SolverStats& s) {
   into->lbd_sum += s.lbd_sum;
   into->tier_promotions += s.tier_promotions;
   into->tier_demotions += s.tier_demotions;
-  into->adaptive_restarts += s.adaptive_restarts;
-  into->blocked_restarts += s.blocked_restarts;
   into->exported_clauses += s.exported_clauses;
   into->imported_clauses += s.imported_clauses;
   into->rejected_imports += s.rejected_imports;

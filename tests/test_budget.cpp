@@ -283,18 +283,6 @@ TEST(CdclBudget, DeadlineTripsViaBudget) {
   EXPECT_EQ(solver.stats().deadline_exits, 1);
 }
 
-TEST(CdclBudget, TighterOfConfigAndBudgetConflictCapsWins) {
-  SolverConfig config;
-  config.conflict_budget = 50;
-  CdclSolver a(pigeonhole_formula(8, 7), config);
-  EXPECT_EQ(a.solve(SolveBudget(0.0, 10000)), SolveResult::Unknown);
-  EXPECT_LE(a.stats().conflicts, 60);
-
-  CdclSolver b(pigeonhole_formula(8, 7), config);
-  EXPECT_EQ(b.solve(SolveBudget(0.0, 20)), SolveResult::Unknown);
-  EXPECT_LE(b.stats().conflicts, 30);
-}
-
 TEST(CdclBudget, SuccessfulSolveReportsNoTrip) {
   CdclSolver solver(pigeonhole_formula(6, 5));
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);

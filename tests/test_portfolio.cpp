@@ -112,17 +112,15 @@ TEST(SolverClone, ReproducesResultAndStatsOnFixedInstance) {
 }
 
 TEST(SolverClone, MidSearchCloneCarriesLearnedState) {
-  SolverConfig budgeted = profile_config(SolverKind::PbsII);
-  budgeted.conflict_budget = 100;
-  CdclSolver master(pigeonhole_formula(7, 6), budgeted);
-  ASSERT_EQ(master.solve(), SolveResult::Unknown);  // budget must bite
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  CdclSolver master(pigeonhole_formula(7, 6), config);
+  // The budget must bite.
+  ASSERT_EQ(master.solve(SolveBudget(0.0, 100)), SolveResult::Unknown);
   ASSERT_GT(master.stats().learned_clauses, 0);
 
   CdclSolver clone(master);
-  SolverConfig unlimited = budgeted;
-  unlimited.conflict_budget = 0;
-  master.reconfigure(unlimited);
-  clone.reconfigure(unlimited);
+  master.reconfigure(config);
+  clone.reconfigure(config);
   EXPECT_EQ(master.solve(), SolveResult::Unsat);
   EXPECT_EQ(clone.solve(), SolveResult::Unsat);
   // Same mid-search snapshot, same config: the continuations coincide.
@@ -270,88 +268,6 @@ TEST(Portfolio, OptimizerAgreesAcrossThreadCounts) {
   EXPECT_EQ(c2.best_value, l1.best_value);
 }
 
-// ---- restart blocking ----
-
-TEST(RestartBlocking, AnswersAgreeWithAndWithoutBlocking) {
-  for (const int k : {4, 5}) {
-    const Formula f = queen5_formula(k);
-    SolverConfig adaptive = profile_config(SolverKind::PbsII);
-    adaptive.restart_scheme = RestartScheme::Adaptive;
-    SolverConfig blocking = adaptive;
-    blocking.restart_blocking = true;
-    CdclSolver plain(f, adaptive);
-    CdclSolver blocked(f, blocking);
-    const SolveResult rp = plain.solve();
-    const SolveResult rb = blocked.solve();
-    ASSERT_NE(rp, SolveResult::Unknown);
-    EXPECT_EQ(rb, rp) << "k=" << k;
-    if (rb == SolveResult::Sat) EXPECT_TRUE(f.satisfied_by(blocked.model()));
-  }
-}
-
-TEST(RestartBlocking, HairTriggerMarginSuppressesAdaptiveRestarts) {
-  // margin 0 blocks every adaptive restart once the trail EMA is seeded,
-  // so the EMA condition that fires on this instance (see
-  // CdclRestarts.AdaptiveTriggersOnHighGlueBursts) must be converted
-  // into blocked restarts instead.
-  SolverConfig config;
-  config.restart_scheme = RestartScheme::Adaptive;
-  config.adaptive_min_conflicts = 8;
-  config.restart_margin = 1.0;
-  config.restart_blocking = true;
-  config.block_margin = 0.0;
-  CdclSolver solver(pigeonhole_formula(7, 6), config);
-  EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  EXPECT_GT(solver.stats().blocked_restarts, 0);
-  EXPECT_EQ(solver.stats().adaptive_restarts, 0);
-}
-
-TEST(RestartBlocking, OffByDefaultAndNeverCountedWhenOff) {
-  SolverConfig config;
-  EXPECT_FALSE(config.restart_blocking);
-  config.restart_scheme = RestartScheme::Adaptive;
-  CdclSolver solver(pigeonhole_formula(6, 5), config);
-  EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  EXPECT_EQ(solver.stats().blocked_restarts, 0);
-}
-
-// ---- conflict-interval reduce schedule ----
-
-TEST(ReduceInterval, SchedulesReductionsAndAgreesWithDbSize) {
-  const Formula f = pigeonhole_formula(7, 6);  // UNSAT: steady conflicts
-  SolverConfig interval = profile_config(SolverKind::PbsII);
-  interval.reduce_scheme = ReduceScheme::ConflictInterval;
-  interval.reduce_interval_base = 50;
-  interval.reduce_interval_inc = 25;
-  CdclSolver a(f, interval);
-  EXPECT_EQ(a.solve(), SolveResult::Unsat);
-  // reduce_db() snapshots the tier census every time it runs; a nonzero
-  // census on a >50-conflict search proves the schedule fired.
-  ASSERT_GT(a.stats().conflicts, 50);
-  EXPECT_GT(a.stats().tier_core + a.stats().tier_mid + a.stats().tier_local,
-            0);
-
-  CdclSolver b(f, profile_config(SolverKind::PbsII));
-  EXPECT_EQ(b.solve(), SolveResult::Unsat);
-}
-
-TEST(ReduceInterval, BacksOffLinearlyUnderChurn) {
-  // A tiny base with zero increment reduces roughly every 20 conflicts;
-  // a huge increment must reduce far fewer times on the same workload.
-  const Formula f = pigeonhole_formula(7, 6);
-  SolverConfig eager = profile_config(SolverKind::PbsII);
-  eager.reduce_scheme = ReduceScheme::ConflictInterval;
-  eager.reduce_interval_base = 20;
-  eager.reduce_interval_inc = 0;
-  SolverConfig lazy = eager;
-  lazy.reduce_interval_inc = 10000;
-  CdclSolver e(f, eager);
-  CdclSolver l(f, lazy);
-  EXPECT_EQ(e.solve(), SolveResult::Unsat);
-  EXPECT_EQ(l.solve(), SolveResult::Unsat);
-  EXPECT_GE(e.stats().deleted_clauses, l.stats().deleted_clauses);
-}
-
 // ---- per-worker seed mixing ----
 
 TEST(WorkerSeeds, MixingIsIdentityForMasterAndDistinctAcrossWorkers) {
@@ -387,13 +303,17 @@ TEST(WorkerSeeds, DiversifiedConfigsReseedAndVary) {
   // and PB analysis is a diversification axis: worker 1 always runs
   // native cutting planes, worker 2 always runs clause weakening, so both
   // modes race regardless of the base profile.
-  EXPECT_TRUE(diversify_config(base, 1).restart_blocking);
-  EXPECT_EQ(diversify_config(base, 1).pb_analysis, PbAnalysis::CuttingPlanes);
-  EXPECT_EQ(diversify_config(base, 2).reduce_scheme,
-            ReduceScheme::ConflictInterval);
-  EXPECT_EQ(diversify_config(base, 2).pb_analysis, PbAnalysis::Weaken);
+  const SolverConfig w1 = diversify_config(base, 1);
+  EXPECT_EQ(w1.restart_scheme, RestartScheme::Luby);
+  EXPECT_EQ(w1.restart_base, 512);
+  EXPECT_EQ(w1.pb_analysis, PbAnalysis::CuttingPlanes);
+  const SolverConfig w2 = diversify_config(base, 2);
+  EXPECT_EQ(w2.restart_scheme, RestartScheme::Geometric);
+  EXPECT_DOUBLE_EQ(w2.restart_growth, 1.3);
+  EXPECT_EQ(w2.pb_analysis, PbAnalysis::Weaken);
   EXPECT_FALSE(diversify_config(base, 3).phase_saving);
   EXPECT_TRUE(diversify_config(base, 3).default_phase);
+  EXPECT_DOUBLE_EQ(diversify_config(base, 4).max_learnts_init, 512);
 }
 
 // ---- import admission control and degenerate imports ----
@@ -401,7 +321,8 @@ TEST(WorkerSeeds, DiversifiedConfigsReseedAndVary) {
 TEST(ClauseImport, ImporterReappliesGlueAndSizeCaps) {
   // The exporter's thresholds are not trusted: a foreign clause whose
   // learn-time glue exceeds the importer's share_max_lbd, or whose length
-  // exceeds share_max_size, must be dropped at import time and counted.
+  // exceeds the 64-literal exchange cap, must be dropped at import time and
+  // counted.
   Formula f;
   const Var first = f.new_vars(80);
   f.add_clause({Lit::positive(first), Lit::positive(first + 1)});
@@ -418,7 +339,7 @@ TEST(ClauseImport, ImporterReappliesGlueAndSizeCaps) {
   for (int i = 0; i < 70; ++i) oversized.push_back(Lit::positive(first + i));
   ASSERT_TRUE(exchange.export_clause(/*worker=*/1, oversized, /*lbd=*/1));
 
-  SolverConfig config;  // share_max_lbd = 2, share_max_size = 64
+  SolverConfig config;  // share_max_lbd = 2; exchange size cap 64
   CdclSolver solver(f, config);
   solver.set_sharing(&exchange, /*worker=*/0);
   EXPECT_EQ(solver.solve(), SolveResult::Sat);
@@ -511,7 +432,7 @@ TEST(PbShare, ImporterReappliesGlueAndSizeCaps) {
   ASSERT_TRUE(
       exchange.export_pb(/*worker=*/1, oversized, /*degree=*/3, /*lbd=*/1));
 
-  SolverConfig config;  // share_max_lbd = 2, share_max_size = 64
+  SolverConfig config;  // share_max_lbd = 2; exchange size cap 64
   CdclSolver solver(f, config);
   solver.set_sharing(&exchange, /*worker=*/0);
   ASSERT_EQ(solver.solve(), SolveResult::Sat);
@@ -792,7 +713,7 @@ TEST(ParallelDifferential, SchedulesAgreeWithSequentialUnderAssumptions) {
     ASSERT_NE(expected, SolveResult::Unknown);
 
     for (const int depth : {0, 1, 2, 3}) {
-      for (const int workers : {1, 2, 4}) {
+      for (const int workers : {1, 2, 4, 5}) {
         for (const bool deterministic : {false, true}) {
           SolverConfig config = base;
           config.cube_depth = depth;

@@ -238,10 +238,8 @@ TEST(Cdcl, IncrementalPbAddition) {
 }
 
 TEST(Cdcl, ConflictBudgetReturnsUnknown) {
-  SolverConfig config;
-  config.conflict_budget = 1;
-  CdclSolver solver(pigeonhole(7, 6), config);
-  EXPECT_EQ(solver.solve(), SolveResult::Unknown);
+  CdclSolver solver(pigeonhole(7, 6));
+  EXPECT_EQ(solver.solve(SolveBudget(0, 1)), SolveResult::Unknown);
 }
 
 TEST(Cdcl, DeadlineReturnsUnknown) {
@@ -494,8 +492,6 @@ TEST_P(SolverConfigTest, AllConfigurationsAgreeOnPigeonhole) {
     case 3: config.phase_saving = false; break;
     case 4: config.random_branch_freq = 0.05; break;
     case 5: config.default_phase = true; break;
-    case 6: config.restart_scheme = RestartScheme::Adaptive; break;
-    case 7: config.minimize_recursive = true; break;
   }
   {
     CdclSolver solver(pigeonhole(5, 5), config);
@@ -507,7 +503,7 @@ TEST_P(SolverConfigTest, AllConfigurationsAgreeOnPigeonhole) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SolverConfigTest, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Sweep, SolverConfigTest, ::testing::Range(0, 6));
 
 // ---- flat occurrence pool (watch lists / PB occurrence storage) ----
 
@@ -647,12 +643,11 @@ TEST(CdclLbd, EveryLearntClauseGetsGlue) {
 }
 
 TEST(CdclLbd, TierCensusCoversAllLearnts) {
-  SolverConfig config;
-  config.conflict_budget = 300;  // stop mid-search with learnts attached
   const Formula f = pigeonhole(7, 6);
-  CdclSolver solver(f, config);
+  CdclSolver solver(f);
   const std::int64_t problem_clauses = solver.live_clauses();
-  (void)solver.solve();
+  // Stop mid-search with learnts attached.
+  (void)solver.solve(SolveBudget(0, 300));
   const TierCounts tiers = solver.learned_tier_counts();
   EXPECT_EQ(tiers.core + tiers.mid + tiers.local,
             solver.live_clauses() - problem_clauses);
@@ -708,53 +703,6 @@ TEST(CdclLbd, TouchPromotionImprovesGlue) {
   CdclSolver solver(pigeonhole(7, 6), config);
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_GT(solver.stats().tier_promotions, 0);
-}
-
-// ---- adaptive (LBD-EMA) restarts ----
-
-TEST(CdclRestarts, AdaptiveAgreesWithLubyOnAnswers) {
-  for (const std::uint64_t seed : {11u, 22u, 33u, 44u}) {
-    Rng rng(seed);
-    Formula f;
-    f.new_vars(10);
-    for (int c = 0; c < 42; ++c) {
-      Clause clause;
-      const int len = 1 + static_cast<int>(rng.below(3));
-      for (int i = 0; i < len; ++i) {
-        clause.push_back(
-            Lit(static_cast<Var>(rng.below(10)), rng.chance(0.5)));
-      }
-      f.add_clause(std::move(clause));
-    }
-    SolverConfig adaptive;
-    adaptive.restart_scheme = RestartScheme::Adaptive;
-    CdclSolver a(f, adaptive);
-    CdclSolver b(f, SolverConfig{});
-    const SolveResult ra = a.solve();
-    const SolveResult rb = b.solve();
-    ASSERT_NE(ra, SolveResult::Unknown);
-    EXPECT_EQ(ra, rb) << "seed " << seed;
-    if (ra == SolveResult::Sat) EXPECT_TRUE(f.satisfied_by(a.model()));
-  }
-}
-
-TEST(CdclRestarts, AdaptiveTriggersOnHighGlueBursts) {
-  // A hair-trigger margin makes the fast EMA cross the slow one almost
-  // immediately on a conflict-heavy UNSAT instance.
-  SolverConfig config;
-  config.restart_scheme = RestartScheme::Adaptive;
-  config.adaptive_min_conflicts = 8;
-  config.restart_margin = 1.0;
-  CdclSolver solver(pigeonhole(7, 6), config);
-  EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  EXPECT_GT(solver.stats().adaptive_restarts, 0);
-  EXPECT_GE(solver.stats().restarts, solver.stats().adaptive_restarts);
-}
-
-TEST(CdclRestarts, ScheduledSchemesNeverCountAdaptive) {
-  CdclSolver solver(pigeonhole(6, 5), SolverConfig{});
-  EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  EXPECT_EQ(solver.stats().adaptive_restarts, 0);
 }
 
 // ---- incremental adds through the flat pools ----

@@ -41,12 +41,17 @@
 // Exit code: 0 optimal/SAT, 1 infeasible/UNSAT, 2 budget/interrupt stop,
 // 3 usage error.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 #include "cnf/writers.h"
 #include "coloring/cnf_coloring.h"
@@ -86,6 +91,24 @@ void usage() {
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
                "[--prop-budget n]\n");
+}
+
+/// Strict numeric flag value: the whole token must parse as a finite T no
+/// smaller than `min`; anything else (missing, empty, trailing junk,
+/// overflow, NaN/inf) is nullopt.
+template <typename T>
+std::optional<T> parse_number(const char* text,
+                              T min = std::numeric_limits<T>::lowest()) {
+  if (text == nullptr) return std::nullopt;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  if (value < min) return std::nullopt;
+  return value;
 }
 
 std::optional<SbpOptions> parse_sbp(const std::string& name) {
@@ -143,9 +166,9 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "-k") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      k = std::atoi(v);
+      const auto v = parse_number<int>(next(), 1);
+      if (!v) { usage(); return kExitUsage; }
+      k = *v;
     } else if (arg == "--sbp") {
       const char* v = next();
       const auto parsed = v != nullptr ? parse_sbp(v) : std::nullopt;
@@ -164,29 +187,29 @@ int main(int argc, char** argv) {
       if (!parsed) { usage(); return kExitUsage; }
       search = *parsed;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) { usage(); return kExitUsage; }
-      threads = std::atoi(v);
+      const auto v = parse_number<int>(next(), 1);
+      if (!v) { usage(); return kExitUsage; }
+      threads = *v;
     } else if (arg == "--cube-depth") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 0) { usage(); return kExitUsage; }
-      cube_depth = std::atoi(v);
+      const auto v = parse_number<int>(next(), 0);
+      if (!v) { usage(); return kExitUsage; }
+      cube_depth = *v;
     } else if (arg == "--chrono") {
-      const char* v = next();
-      if (v == nullptr || std::atoll(v) < 0) { usage(); return kExitUsage; }
-      chrono = std::atoll(v);
+      const auto v = parse_number<long long>(next(), 0);
+      if (!v) { usage(); return kExitUsage; }
+      chrono = *v;
     } else if (arg == "--timeout") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      timeout = std::atof(v);
+      const auto v = parse_number<double>(next());
+      if (!v) { usage(); return kExitUsage; }
+      timeout = *v;
     } else if (arg == "--conflict-budget") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      conflict_budget = std::atoll(v);
+      const auto v = parse_number<long long>(next());
+      if (!v) { usage(); return kExitUsage; }
+      conflict_budget = *v;
     } else if (arg == "--prop-budget") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      prop_budget = std::atoll(v);
+      const auto v = parse_number<long long>(next());
+      if (!v) { usage(); return kExitUsage; }
+      prop_budget = *v;
     } else if (arg == "--decision") {
       decision = true;
     } else if (arg == "--simplify") {
