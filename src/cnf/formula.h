@@ -42,7 +42,6 @@ class Formula {
   /// the formula trivially unsat.
   void add_clause(Clause clause);
   void add_unit(Lit l) { add_clause({l}); }
-  void add_binary(Lit a, Lit b) { add_clause({a, b}); }
   /// a -> b, i.e. (~a | b).
   void add_implication(Lit a, Lit b) { add_clause({~a, b}); }
 

@@ -10,10 +10,6 @@
 namespace symcolor {
 namespace {
 
-int dimacs_code(Lit l) {
-  return l.negated() ? -(l.var() + 1) : (l.var() + 1);
-}
-
 void write_opb_terms(std::ostream& out, std::span<const PbTerm> terms) {
   for (const PbTerm& t : terms) {
     out << (t.coeff >= 0 ? "+" : "") << t.coeff << ' '
@@ -22,31 +18,6 @@ void write_opb_terms(std::ostream& out, std::span<const PbTerm> terms) {
 }
 
 }  // namespace
-
-void write_dimacs_cnf(std::ostream& out, const Formula& formula) {
-  for (const PbConstraint& c : formula.pb_constraints()) {
-    if (!c.is_clause()) {
-      throw std::invalid_argument(
-          "write_dimacs_cnf: formula has non-clausal PB constraints");
-    }
-  }
-  out << "p cnf " << formula.num_vars() << ' '
-      << formula.num_clauses() + formula.num_pb() << '\n';
-  for (const Clause& clause : formula.clauses()) {
-    for (Lit l : clause) out << dimacs_code(l) << ' ';
-    out << "0\n";
-  }
-  for (const PbConstraint& c : formula.pb_constraints()) {
-    for (const PbTerm& t : c.terms()) out << dimacs_code(t.lit) << ' ';
-    out << "0\n";
-  }
-}
-
-std::string write_dimacs_cnf_string(const Formula& formula) {
-  std::ostringstream out;
-  write_dimacs_cnf(out, formula);
-  return out.str();
-}
 
 void write_opb(std::ostream& out, const Formula& formula) {
   out << "* #variable= " << formula.num_vars()

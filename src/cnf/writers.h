@@ -1,10 +1,8 @@
 #pragma once
-// Serialization of formulas to the two standard interchange formats:
-//  * DIMACS CNF ("p cnf"), clauses only — rejects formulas with PB parts
-//    unless they are clauses in disguise;
-//  * OPB (pseudo-Boolean competition format), the natural format for the
-//    paper's 0-1 ILP instances including the objective.
-// A matching OPB reader supports round-trip tests and external tooling.
+// Serialization of formulas to OPB (pseudo-Boolean competition format),
+// the natural format for the paper's 0-1 ILP instances including the
+// objective. A matching OPB reader supports round-trip tests and external
+// tooling.
 
 #include <iosfwd>
 #include <string>
@@ -12,11 +10,6 @@
 #include "cnf/formula.h"
 
 namespace symcolor {
-
-/// Write DIMACS CNF. Throws std::invalid_argument if the formula has PB
-/// constraints that are not plain clauses.
-void write_dimacs_cnf(std::ostream& out, const Formula& formula);
-std::string write_dimacs_cnf_string(const Formula& formula);
 
 /// Write OPB: objective ("min: ..."), then one line per constraint.
 /// Clauses are emitted as cardinality >= 1 constraints.

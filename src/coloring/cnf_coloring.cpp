@@ -213,28 +213,15 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
     }
   };
 
-  // Shared probe wrapper: refuse once the ledger is spent (so a budget trip
-  // inside one query ends the whole loop), hand each SAT call a remainder
-  // slice, and charge back what it consumed.
-  const auto budgeted_solve = [&](SolverEngine& solver,
-                                  std::span<const Lit> assume) -> SolveResult {
-    const BudgetTrip pre = ledger.trip();
-    if (pre != BudgetTrip::None) {
-      result.tripped = pre;
-      return SolveResult::Unknown;
+  // A Sat answer becomes the incumbent only once its decoded coloring is
+  // checked proper (O(|E|)), as run_pipeline checks its own.
+  const auto adopt = [&](const ColoringEncoding& enc,
+                         const SolverEngine& solver) {
+    best_coloring = enc.decode(solver.model());
+    if (!graph.is_proper_coloring(best_coloring)) {
+      throw std::logic_error("solver returned an improper coloring");
     }
-    ++result.sat_calls;
-    const SolveBudget slice = ledger.probe();
-    const std::int64_t conflicts_before = solver.stats().conflicts;
-    const std::int64_t props_before = solver.stats().propagations;
-    const SolveResult r = solver.solve(slice, assume);
-    ledger.charge(solver.stats().conflicts - conflicts_before,
-                  solver.stats().propagations - props_before);
-    if (r == SolveResult::Unknown) {
-      const BudgetTrip trip = solver.last_trip();
-      result.tripped = trip != BudgetTrip::None ? trip : ledger.trip();
-    }
-    return r;
+    upper = Graph::count_colors(best_coloring);
   };
 
   if (lower >= upper) {
@@ -255,10 +242,10 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
         make_solver_engine(enc.formula, options.solver);
     run_search([&](int k) {
       const std::vector<Lit> assume{Lit::negative(enc.y(k))};
-      const SolveResult r = budgeted_solve(*solver, assume);
+      const SolveResult r = charged_solve(*solver, ledger, assume,
+                                          &result.sat_calls, &result.tripped);
       if (r == SolveResult::Sat) {
-        best_coloring = enc.decode(solver->model());
-        upper = Graph::count_colors(best_coloring);
+        adopt(enc, *solver);
       } else if (r == SolveResult::Unsat) {
         // The failed-assumption core certifies an Unsat came from the
         // ~y(k) bound rather than the formula itself (an empty core
@@ -275,11 +262,9 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
       pin_clique(enc);
       const std::unique_ptr<SolverEngine> solver =
           make_solver_engine(enc.formula, options.solver);
-      const SolveResult r = budgeted_solve(*solver, {});
-      if (r == SolveResult::Sat) {
-        best_coloring = enc.decode(solver->model());
-        upper = Graph::count_colors(best_coloring);
-      }
+      const SolveResult r = charged_solve(*solver, ledger, {},
+                                          &result.sat_calls, &result.tripped);
+      if (r == SolveResult::Sat) adopt(enc, *solver);
       return r;
     });
   }

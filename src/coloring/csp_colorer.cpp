@@ -17,13 +17,6 @@ class CspSearch {
     if (options.max_colors < 1) {
       throw std::invalid_argument("csp colorer needs max_colors >= 1");
     }
-    order_ = options.order.empty() ? std::vector<int>() : options.order;
-    if (order_.empty()) {
-      order_.resize(static_cast<std::size_t>(graph.num_vertices()));
-      for (int v = 0; v < graph.num_vertices(); ++v) {
-        order_[static_cast<std::size_t>(v)] = v;
-      }
-    }
     colors_.assign(static_cast<std::size_t>(graph.num_vertices()), -1);
   }
 
@@ -31,7 +24,7 @@ class CspSearch {
     Timer timer;
     CspColorerResult result;
     result.completed = true;
-    result.satisfiable = extend(0, 0, &result);
+    result.satisfiable = extend(0, 0);
     if (!completed_) result.completed = false;
     if (result.satisfiable) result.coloring = colors_;
     result.nodes = nodes_;
@@ -40,13 +33,12 @@ class CspSearch {
   }
 
  private:
-  bool extend(std::size_t position, int used_colors, CspColorerResult* result) {
+  bool extend(int v, int used_colors) {
     if ((++nodes_ & 0x3FF) == 0 && deadline_.expired()) {
       completed_ = false;
       return false;
     }
-    if (position == order_.size()) return true;
-    const int v = order_[position];
+    if (v == graph_.num_vertices()) return true;
     // With dynamic value-symmetry breaking only one fresh color is
     // tried; all fresh colors are interchangeable under any partial
     // assignment, so this loses no solutions.
@@ -64,7 +56,7 @@ class CspSearch {
       if (!feasible) continue;
       colors_[static_cast<std::size_t>(v)] = c;
       const int next_used = std::max(used_colors, c + 1);
-      if (extend(position + 1, next_used, result)) return true;
+      if (extend(v + 1, next_used)) return true;
       colors_[static_cast<std::size_t>(v)] = -1;
       if (!completed_) return false;
     }
@@ -74,7 +66,6 @@ class CspSearch {
   const Graph& graph_;
   const CspColorerOptions& options_;
   const Deadline& deadline_;
-  std::vector<int> order_;
   std::vector<int> colors_;
   long long nodes_ = 0;
   bool completed_ = true;

@@ -4,7 +4,8 @@
 // the counterpart to its static SBPs.
 //
 // Graph coloring as a CSP has one variable per vertex with domain
-// 1..K and a not-equals constraint per edge (NECSP). Color values are
+// 1..K and a not-equals constraint per edge (NECSP); the search assigns
+// the vertices in natural order. Color values are
 // interchangeable, and a dynamic solver can exploit that *during
 // search*: when extending a partial assignment, trying more than one
 // so-far-unused color is redundant — all fresh colors are symmetric.
@@ -24,8 +25,6 @@ struct CspColorerOptions {
   /// Dynamic value-symmetry breaking: a vertex may try at most one
   /// fresh (so-far-unused) color per node.
   bool break_value_symmetry = true;
-  /// Vertex order to assign along; empty = natural order.
-  std::vector<int> order;
 };
 
 struct CspColorerResult {

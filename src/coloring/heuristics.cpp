@@ -1,43 +1,6 @@
 #include "coloring/heuristics.h"
 
-#include <algorithm>
-#include <numeric>
-#include <stdexcept>
-
 namespace symcolor {
-
-std::vector<int> greedy_coloring(const Graph& graph,
-                                 std::span<const int> order) {
-  const int n = graph.num_vertices();
-  if (static_cast<int>(order.size()) != n) {
-    throw std::invalid_argument("order size mismatch");
-  }
-  std::vector<int> colors(static_cast<std::size_t>(n), -1);
-  std::vector<char> used(static_cast<std::size_t>(n) + 1, 0);
-  for (const int v : order) {
-    for (const int u : graph.neighbors(v)) {
-      const int c = colors[static_cast<std::size_t>(u)];
-      if (c >= 0) used[static_cast<std::size_t>(c)] = 1;
-    }
-    int color = 0;
-    while (used[static_cast<std::size_t>(color)]) ++color;
-    colors[static_cast<std::size_t>(v)] = color;
-    for (const int u : graph.neighbors(v)) {
-      const int c = colors[static_cast<std::size_t>(u)];
-      if (c >= 0) used[static_cast<std::size_t>(c)] = 0;
-    }
-  }
-  return colors;
-}
-
-std::vector<int> welsh_powell_coloring(const Graph& graph) {
-  std::vector<int> order(static_cast<std::size_t>(graph.num_vertices()));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return graph.degree(a) > graph.degree(b);
-  });
-  return greedy_coloring(graph, order);
-}
 
 std::vector<int> dsatur_coloring(const Graph& graph) {
   const int n = graph.num_vertices();
@@ -78,13 +41,6 @@ std::vector<int> dsatur_coloring(const Graph& graph) {
     }
   }
   return colors;
-}
-
-int heuristic_upper_bound(const Graph& graph) {
-  if (graph.num_vertices() == 0) return 0;
-  const auto dsatur = dsatur_coloring(graph);
-  const auto wp = welsh_powell_coloring(graph);
-  return std::min(Graph::count_colors(dsatur), Graph::count_colors(wp));
 }
 
 }  // namespace symcolor

@@ -1,28 +1,17 @@
 #pragma once
-// Coloring heuristics: upper bounds for the exact flow and baselines for
-// the related-work comparison (paper Sections 2.1 and 4.1 step 1).
+// DSATUR, the coloring heuristic behind every upper bound (paper Section
+// 4.1 step 1): the first incumbent of the SAT loop, the CSP colorer and
+// DSATUR branch-and-bound.
 
-#include <span>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace symcolor {
 
-/// Greedy coloring in the given vertex order; each vertex takes the
-/// smallest color unused by its already-colored neighbours.
-std::vector<int> greedy_coloring(const Graph& graph, std::span<const int> order);
-
-/// Welsh-Powell: greedy in non-increasing degree order.
-std::vector<int> welsh_powell_coloring(const Graph& graph);
-
 /// Brelaz's DSATUR: repeatedly color the vertex with maximal saturation
 /// degree (number of distinct neighbour colors), tie-broken by degree.
 /// Optimal on bipartite graphs.
 std::vector<int> dsatur_coloring(const Graph& graph);
-
-/// Convenience: number of colors used by the best of the heuristics above
-/// (an upper bound on the chromatic number).
-int heuristic_upper_bound(const Graph& graph);
 
 }  // namespace symcolor

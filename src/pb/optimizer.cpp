@@ -58,23 +58,8 @@ struct MinimizeRun {
   /// from probe to probe is learned state (clauses, activities, phases),
   /// never an assumption trail.
   SolveResult probe(std::span<const Lit> assumptions = {}) {
-    const BudgetTrip pre = ledger.trip();
-    if (pre != BudgetTrip::None) {
-      result.tripped = pre;
-      return SolveResult::Unknown;
-    }
-    ++result.probes;
-    const SolveBudget slice = ledger.probe();
-    const std::int64_t conflicts_before = engine->stats().conflicts;
-    const std::int64_t props_before = engine->stats().propagations;
-    const SolveResult r = engine->solve(slice, assumptions);
-    ledger.charge(engine->stats().conflicts - conflicts_before,
-                  engine->stats().propagations - props_before);
-    if (r == SolveResult::Unknown) {
-      const BudgetTrip trip = engine->last_trip();
-      result.tripped = trip != BudgetTrip::None ? trip : ledger.trip();
-    }
-    return r;
+    return charged_solve(*engine, ledger, assumptions, &result.probes,
+                         &result.tripped);
   }
 
   void record_incumbent() {

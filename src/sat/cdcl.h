@@ -29,10 +29,11 @@
 // The solver implements the SolverEngine interface (sat/solver_engine.h)
 // and is the unit of parallelism of the clone-based parallel engine
 // (sat/parallel_solver.h): the arena/pool storage makes a deep copy a handful
-// of memcpys, reconfigure() diversifies a clone in place, and the
-// ClauseSharing hooks let racing workers exchange core-tier (glue <=
-// share_max_lbd) learnt clauses — exported at learn time, imported at
-// restart boundaries where a plain level-0 clause addition is sound.
+// of memcpys, reconfigure() diversifies a clone in place, and an attached
+// ClauseExchange (set_sharing) lets racing workers exchange core-tier
+// (glue <= share_max_lbd) learnt clauses — exported at learn time,
+// imported at restart boundaries where a plain level-0 clause addition is
+// sound.
 //
 // Constraint storage (the propagation hot path):
 //   * Clauses live in a single contiguous ClauseArena (sat/clause_arena.h)
@@ -229,7 +230,7 @@ struct SolverConfig {
   /// they have been used in conflict analysis since the previous one.
   int tier_mid_lbd = 6;
   /// Learnt clauses with LBD <= share_max_lbd are exported to the
-  /// attached ClauseSharing sink (core-tier currency: glue <= 2 by
+  /// attached ClauseExchange (core-tier currency: glue <= 2 by
   /// default, matching tier_core_lbd; learnt units export as glue 1).
   /// The same cap is re-checked on the importer side: a foreign clause
   /// whose learn-time glue exceeds the importer's own threshold is
@@ -354,7 +355,7 @@ class CdclSolver final : public SolverEngine {
   /// clauses (LBD <= config.share_max_lbd) are exported at learn time;
   /// foreign clauses are imported at every restart boundary. The import
   /// cursor resets on attach, so re-attaching to a fresh pool is safe.
-  void set_sharing(ClauseSharing* sharing, int worker_id) {
+  void set_sharing(ClauseExchange* sharing, int worker_id) {
     hooks_.sharing = sharing;
     hooks_.worker_id = worker_id;
     hooks_.import_cursor = 0;
@@ -744,7 +745,7 @@ class CdclSolver final : public SolverEngine {
   /// — these point into the spawning portfolio's solve() frame — and
   /// encoding that here keeps the solver's copy constructor defaultable.
   struct PortfolioHooks {
-    ClauseSharing* sharing = nullptr;
+    ClauseExchange* sharing = nullptr;
     int worker_id = 0;
     std::size_t import_cursor = 0;
     std::size_t pb_import_cursor = 0;

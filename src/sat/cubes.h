@@ -22,13 +22,6 @@
 // fixed depth plus an estimated-hardness heuristic (a branch that already
 // forces a configured fraction of the free variables is emitted as a leaf
 // — it is easy enough to finish in one worker slice).
-//
-// CubeSource/CubeSink is the scheduler's queue seam: CubeQueue is the
-// in-process implementation (mutex + condvar work deque with outstanding-
-// work tracking and predicate pruning), and a later PR can put the same
-// interface in front of a cross-process work queue — cubes are plain
-// literal vectors, trivially serializable — without the workers changing
-// shape. That is the sharding story.
 
 #include <algorithm>
 #include <condition_variable>
@@ -54,39 +47,17 @@ struct Cube {
   int depth = 0;
 };
 
-/// Producer side of the cube queue.
-class CubeSink {
- public:
-  virtual ~CubeSink() = default;
-  virtual void push(Cube cube) = 0;
-};
-
-/// Consumer side of the cube queue. A popped cube is *in flight* until the
-/// worker calls finish() for it exactly once; splitting a cube means
-/// push()ing its children before finish()ing the parent, so the
-/// outstanding count never touches zero while work remains.
-class CubeSource {
- public:
-  virtual ~CubeSource() = default;
-  /// Block until a cube is available (true), every outstanding cube has
-  /// finished (false — the partition is exhausted), or stop() was called
-  /// (false). Spurious wakeups are handled internally.
-  [[nodiscard]] virtual bool pop(Cube* out) = 0;
-  /// The most recently popped cube reached a terminal state (refuted,
-  /// split-and-redealt, or abandoned). Must be called exactly once per
-  /// successful pop(); a worker re-dealing a cube pushes first.
-  virtual void finish() = 0;
-  /// Cancel: wake every blocked pop() and make all future pops fail.
-  virtual void stop() = 0;
-};
-
-/// In-process cube queue: FIFO deque under one mutex, with outstanding-
+/// The cube work queue: FIFO deque under one mutex, with outstanding-
 /// work tracking for exhaustion detection and predicate pruning for
 /// core-driven sibling refutation. FIFO order is what makes deterministic
-/// mode reproducible — cubes are solved in deal order.
-class CubeQueue final : public CubeSource, public CubeSink {
+/// mode reproducible — cubes are solved in deal order. A popped cube is
+/// *in flight* until the worker calls finish() for it exactly once;
+/// splitting a cube means push()ing its children before finish()ing the
+/// parent, so the outstanding count never touches zero while work
+/// remains.
+class CubeQueue {
  public:
-  void push(Cube cube) override {
+  void push(Cube cube) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       queue_.push_back(std::move(cube));
@@ -95,7 +66,10 @@ class CubeQueue final : public CubeSource, public CubeSink {
     cv_.notify_one();
   }
 
-  [[nodiscard]] bool pop(Cube* out) override {
+  /// Block until a cube is available (true), every outstanding cube has
+  /// finished (false — the partition is exhausted), or stop() was called
+  /// (false). Spurious wakeups are handled internally.
+  [[nodiscard]] bool pop(Cube* out) {
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock, [this] {
       return stopped_ || !queue_.empty() || outstanding_ == 0;
@@ -106,7 +80,10 @@ class CubeQueue final : public CubeSource, public CubeSink {
     return true;
   }
 
-  void finish() override {
+  /// The most recently popped cube reached a terminal state (refuted,
+  /// split-and-redealt, or abandoned). Must be called exactly once per
+  /// successful pop(); a worker re-dealing a cube pushes first.
+  void finish() {
     bool drained = false;
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -115,7 +92,8 @@ class CubeQueue final : public CubeSource, public CubeSink {
     if (drained) cv_.notify_all();
   }
 
-  void stop() override {
+  /// Cancel: wake every blocked pop() and make all future pops fail.
+  void stop() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       stopped_ = true;

@@ -1,8 +1,10 @@
 #include "sat/parallel_solver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -64,89 +66,6 @@ SolverConfig diversify_config(const SolverConfig& base, int index) {
       break;
   }
   return c;
-}
-
-bool ClauseExchange::export_clause(int worker, std::span<const Lit> lits,
-                                   int lbd) {
-  Shard& shard = shard_for(worker);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  // The sequence number is claimed INSIDE the shard's critical section:
-  // an importer that later observes next_seq_ >= seq and locks this shard
-  // is therefore guaranteed to see the append below (see the class
-  // comment for the full argument).
-  const std::size_t seq = next_seq_.fetch_add(1, std::memory_order_acq_rel);
-  if (seq >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  // The exporter already filtered on its own glue cap; the learn-time LBD
-  // rides along so every importer can re-apply its own admission caps.
-  shard.entries.push_back({worker, seq, {Clause(lits.begin(), lits.end()), lbd}});
-  return true;
-}
-
-void ClauseExchange::import_clauses(int worker, std::size_t* cursor,
-                                    std::vector<SharedClause>* out) {
-  const std::size_t horizon =
-      std::min(next_seq_.load(std::memory_order_acquire), capacity_);
-  if (*cursor >= horizon) return;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = std::lower_bound(
-        shard.entries.begin(), shard.entries.end(), *cursor,
-        [](const Entry& e, std::size_t c) { return e.seq < c; });
-    for (; it != shard.entries.end() && it->seq < horizon; ++it) {
-      if (it->worker == worker) continue;  // own export
-      out->push_back(it->clause);
-    }
-  }
-  *cursor = horizon;
-}
-
-bool ClauseExchange::export_pb(int worker, std::span<const PbTerm> terms,
-                               std::int64_t degree, int lbd) {
-  Shard& shard = shard_for(worker);
-  const std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::size_t seq =
-      next_pb_seq_.fetch_add(1, std::memory_order_acq_rel);
-  if (seq >= capacity_) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  shard.pb_entries.push_back(
-      {worker, seq,
-       {std::vector<PbTerm>(terms.begin(), terms.end()), degree, lbd}});
-  return true;
-}
-
-void ClauseExchange::import_pbs(int worker, std::size_t* cursor,
-                                std::vector<SharedPb>* out) {
-  const std::size_t horizon =
-      std::min(next_pb_seq_.load(std::memory_order_acquire), capacity_);
-  if (*cursor >= horizon) return;
-  for (Shard& shard : shards_) {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = std::lower_bound(
-        shard.pb_entries.begin(), shard.pb_entries.end(), *cursor,
-        [](const PbEntry& e, std::size_t c) { return e.seq < c; });
-    for (; it != shard.pb_entries.end() && it->seq < horizon; ++it) {
-      if (it->worker == worker) continue;  // own export
-      out->push_back(it->pb);
-    }
-  }
-  *cursor = horizon;
-}
-
-std::size_t ClauseExchange::exported() const {
-  return std::min(next_seq_.load(std::memory_order_acquire), capacity_);
-}
-
-std::size_t ClauseExchange::exported_pbs() const {
-  return std::min(next_pb_seq_.load(std::memory_order_acquire), capacity_);
-}
-
-std::size_t ClauseExchange::dropped() const {
-  return dropped_.load(std::memory_order_relaxed);
 }
 
 namespace {
@@ -289,9 +208,6 @@ ParallelSolver::ParallelSolver(const ParallelSolver& other)
       last_trip_(other.last_trip_),
       last_winner_(other.last_winner_),
       last_faults_(other.last_faults_),
-      last_exported_(other.last_exported_),
-      last_exported_pbs_(other.last_exported_pbs_),
-      last_dropped_(other.last_dropped_),
       last_cubes_(other.last_cubes_),
       last_refuted_(other.last_refuted_),
       last_pruned_(other.last_pruned_),
@@ -300,7 +216,6 @@ ParallelSolver::ParallelSolver(const ParallelSolver& other)
 SolveResult ParallelSolver::solve(const SolveBudget& budget,
                                   std::span<const Lit> assumptions) {
   last_faults_ = 0;
-  last_exported_ = last_exported_pbs_ = last_dropped_ = 0;
   last_cubes_ = last_refuted_ = last_pruned_ = last_splits_ = 0;
   // Every clone copies the master's CUMULATIVE counters at spawn; this
   // snapshot is what the master's own contribution is measured against.
@@ -524,9 +439,6 @@ void ParallelSolver::settle(Pool& pool, const SolverStats& before) {
   for (const auto& clone : pool.clones) {
     accumulate_stats(&agg_stats_, stats_delta(clone->stats(), pool.clone_base));
   }
-  last_exported_ = pool.exchange.exported();
-  last_exported_pbs_ = pool.exchange.exported_pbs();
-  last_dropped_ = pool.exchange.dropped();
 
   const auto dead = std::count_if(
       pool.faults.begin(), pool.faults.end(),

@@ -32,8 +32,9 @@
 //     A Sat cube answers the query; refuting every cube refutes it.
 //
 // Either way workers exchange core-tier learnt clauses and learned PB rows
-// through a bounded ClauseExchange (exports at learn time, imports at
-// restart boundaries as ordinary level-0 additions). Sharing across cubes
+// through one bounded ClauseExchange per solve (sat/solver_engine.h;
+// exports at learn time, imports at restart boundaries as ordinary
+// level-0 additions). Sharing across cubes
 // is sound: learnt constraints are consequences of the formula alone —
 // conflict analysis never resolves on assumption pseudo-decisions. The
 // ANSWER is exact at any worker count; only the wall clock moves.
@@ -60,12 +61,9 @@
 // Budgets: wall clock and interrupt are global; counted caps
 // (conflicts/propagations) bound each worker's solve, not the sum.
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -87,76 +85,6 @@ namespace symcolor {
 /// random-branching rate, and always reseeds the RNG via mix_worker_seed.
 [[nodiscard]] SolverConfig diversify_config(const SolverConfig& base,
                                             int index);
-
-/// Bounded, sharded constraint pool: each worker publishes into its OWN
-/// shard (one short lock nobody else writes under), so two exporters
-/// never contend with each other — only an importer scanning a shard
-/// contends with that shard's single producer. A global atomic sequence
-/// counter per lane stamps every accepted entry; importers snapshot the
-/// counter as a horizon and drain `[cursor, horizon)` from every foreign
-/// shard, which is race-free because an entry's sequence number is
-/// claimed inside its shard's critical section — once an importer holds a
-/// shard's lock, every entry of that shard below the snapshotted horizon
-/// is fully published. Per-worker cursors therefore keep their old
-/// meaning (entries drained so far) across the sharding. Clauses and
-/// learned PB rows travel in separate lanes, each bounded by `capacity`;
-/// exports past it are counted and dropped (bounding both memory and
-/// import work).
-class ClauseExchange final : public ClauseSharing {
- public:
-  /// `num_workers` sizes the shard array; worker ids outside
-  /// [0, num_workers) share the last shard (correct, merely slower). The
-  /// default covers direct test construction with small worker ids.
-  explicit ClauseExchange(std::size_t capacity, int num_workers = 8)
-      : shards_(num_workers > 0 ? static_cast<std::size_t>(num_workers) : 1),
-        capacity_(capacity) {}
-
-  bool export_clause(int worker, std::span<const Lit> lits,
-                     int lbd) override;
-  void import_clauses(int worker, std::size_t* cursor,
-                      std::vector<SharedClause>* out) override;
-  bool export_pb(int worker, std::span<const PbTerm> terms,
-                 std::int64_t degree, int lbd) override;
-  void import_pbs(int worker, std::size_t* cursor,
-                  std::vector<SharedPb>* out) override;
-
-  [[nodiscard]] std::size_t exported() const;
-  [[nodiscard]] std::size_t exported_pbs() const;
-  [[nodiscard]] std::size_t dropped() const;
-
- private:
-  struct Entry {
-    int worker;
-    std::size_t seq;
-    SharedClause clause;
-  };
-  struct PbEntry {
-    int worker;
-    std::size_t seq;
-    SharedPb pb;
-  };
-  /// One producer's lane pair. Entries are appended in increasing seq
-  /// order (claims happen under this mutex), so imports binary-search
-  /// their cursor.
-  struct Shard {
-    mutable std::mutex mutex;
-    std::vector<Entry> entries;
-    std::vector<PbEntry> pb_entries;
-  };
-
-  [[nodiscard]] Shard& shard_for(int worker) {
-    const auto i = worker >= 0 ? static_cast<std::size_t>(worker) : 0;
-    return shards_[std::min(i, shards_.size() - 1)];
-  }
-
-  std::vector<Shard> shards_;
-  std::size_t capacity_;
-  /// Sequence numbers claimed per lane (accepted = min(claimed, capacity);
-  /// claims at or past capacity are drops).
-  std::atomic<std::size_t> next_seq_{0};
-  std::atomic<std::size_t> next_pb_seq_{0};
-  std::atomic<std::size_t> dropped_{0};
-};
 
 /// SolverEngine that runs a pool of diversified clones of one master
 /// CdclSolver per solve() call, racing them (cube_depth == 0) or dealing
@@ -231,16 +159,6 @@ class ParallelSolver final : public SolverEngine {
   /// Workers that died behind the exception barrier in the last solve()
   /// (0 on every healthy run).
   [[nodiscard]] int last_fault_count() const noexcept { return last_faults_; }
-  /// Clause-exchange traffic of the last solve().
-  [[nodiscard]] std::size_t last_exchange_exported() const noexcept {
-    return last_exported_;
-  }
-  [[nodiscard]] std::size_t last_exchange_exported_pbs() const noexcept {
-    return last_exported_pbs_;
-  }
-  [[nodiscard]] std::size_t last_exchange_dropped() const noexcept {
-    return last_dropped_;
-  }
   /// Cubes the generator emitted for the last solve (0 in a race, and when
   /// the warmup answered or the solve fell back to a plain master run).
   [[nodiscard]] std::size_t last_cubes() const noexcept {
@@ -288,9 +206,6 @@ class ParallelSolver final : public SolverEngine {
   BudgetTrip last_trip_ = BudgetTrip::None;
   int last_winner_ = -1;
   int last_faults_ = 0;
-  std::size_t last_exported_ = 0;
-  std::size_t last_exported_pbs_ = 0;
-  std::size_t last_dropped_ = 0;
   std::size_t last_cubes_ = 0;
   std::size_t last_refuted_ = 0;
   std::size_t last_pruned_ = 0;

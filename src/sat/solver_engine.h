@@ -26,17 +26,25 @@
 // of the concrete solver, so interposing this interface costs nothing
 // measurable on propagation throughput.
 //
-// ClauseSharing is the companion interface the parallel engine passes to
-// its workers: export_clause() publishes a freshly learnt core-tier clause,
+// ClauseExchange is the bounded clause pool the parallel engine hands its
+// workers: export_clause() publishes a freshly learnt core-tier clause,
 // import_clauses() drains every clause published by other workers since
-// the caller's cursor. Workers call it only at learn time (exports are
-// throttled to glue clauses, LBD <= SolverConfig::share_max_lbd) and at
-// restart boundaries (imports happen at decision level 0, where a plain
-// level-0 clause addition is sound), so a mutex-guarded implementation is
-// uncontended in practice.
+// the caller's cursor (learned PB rows travel the same way through
+// export_pb()/import_pbs()). Workers call it only at learn time (exports
+// are throttled to glue clauses, LBD <= SolverConfig::share_max_lbd) and
+// at restart boundaries (imports happen at decision level 0, where a
+// plain level-0 clause addition is sound).
+//
+// charged_solve() is the one ledger-charged probe of the pipeline: the PB
+// optimizer and the SAT-loop colorer both run every solve of a search
+// through it, so a whole search shares one conflict/propagation budget.
 
+#include <algorithm>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -79,7 +87,7 @@ struct SolverStats {
   std::int64_t tier_local = 0;
 
   // ---- portfolio clause exchange ----
-  /// Learnt clauses this solver published to its ClauseSharing sink.
+  /// Learnt clauses this solver published to its ClauseExchange.
   std::int64_t exported_clauses = 0;
   /// Clauses this solver absorbed from other portfolio workers.
   std::int64_t imported_clauses = 0;
@@ -89,7 +97,7 @@ struct SolverStats {
   /// exporter's thresholds).
   std::int64_t rejected_imports = 0;
   /// Learned PB rows (cutting-planes resolvents) this solver published to
-  /// its ClauseSharing sink.
+  /// its ClauseExchange.
   std::int64_t exported_pbs = 0;
   /// Learned PB rows this solver absorbed from other portfolio workers.
   std::int64_t imported_pbs = 0;
@@ -236,36 +244,82 @@ struct SharedPb {
   int lbd = 0;
 };
 
-/// Shared clause pool between portfolio workers. Implementations must be
-/// safe to call from multiple worker threads concurrently.
-class ClauseSharing {
+/// Bounded, sharded constraint pool between parallel workers, safe to
+/// call from every worker thread concurrently. Each worker publishes into
+/// its OWN shard (one short lock nobody else writes under), so two
+/// exporters never contend with each other — only an importer scanning a
+/// shard contends with that shard's single producer. A global atomic
+/// sequence counter per lane stamps every accepted entry; importers
+/// snapshot the counter as a horizon and drain `[cursor, horizon)` from
+/// every foreign shard, which is race-free because an entry's sequence
+/// number is claimed inside its shard's critical section — once an
+/// importer holds a shard's lock, every entry of that shard below the
+/// snapshotted horizon is fully published. Clauses and learned PB rows
+/// travel in separate lanes, each bounded by `capacity`; exports past it
+/// are counted and dropped (bounding both memory and import work).
+class ClauseExchange {
  public:
-  virtual ~ClauseSharing() = default;
+  /// `num_workers` sizes the shard array; worker ids outside
+  /// [0, num_workers) share the last shard (correct, merely slower). The
+  /// default covers direct test construction with small worker ids.
+  explicit ClauseExchange(std::size_t capacity, int num_workers = 8)
+      : shards_(num_workers > 0 ? static_cast<std::size_t>(num_workers) : 1),
+        capacity_(capacity) {}
+
   /// Publish a learnt clause (already minimized; lbd is its glue at learn
   /// time). `worker` identifies the exporter so it can skip its own
-  /// clauses on import. Bounded implementations may drop the clause;
-  /// returns whether it was actually accepted into the pool.
-  virtual bool export_clause(int worker, std::span<const Lit> lits,
-                             int lbd) = 0;
+  /// clauses on import. Returns whether the clause was accepted into the
+  /// pool (false once the lane is full).
+  bool export_clause(int worker, std::span<const Lit> lits, int lbd);
   /// Append every clause published since `*cursor` by a worker other than
   /// `worker` to `out` (with its learn-time glue), and advance the cursor
   /// past them.
-  virtual void import_clauses(int worker, std::size_t* cursor,
-                              std::vector<SharedClause>* out) = 0;
-
+  void import_clauses(int worker, std::size_t* cursor,
+                      std::vector<SharedClause>* out);
   /// Publish a learned PB row (a cutting-planes resolvent; terms in
-  /// descending-coefficient order, glue measured at learn time). The
-  /// default refuses every row, so clause-only sharing implementations
-  /// keep working unchanged.
-  virtual bool export_pb(int /*worker*/, std::span<const PbTerm> /*terms*/,
-                         std::int64_t /*degree*/, int /*lbd*/) {
-    return false;
+  /// descending-coefficient order, glue measured at learn time).
+  bool export_pb(int worker, std::span<const PbTerm> terms,
+                 std::int64_t degree, int lbd);
+  /// The PB-row counterpart of import_clauses().
+  void import_pbs(int worker, std::size_t* cursor,
+                  std::vector<SharedPb>* out);
+
+  [[nodiscard]] std::size_t exported() const;
+  [[nodiscard]] std::size_t exported_pbs() const;
+  [[nodiscard]] std::size_t dropped() const;
+
+ private:
+  struct Entry {
+    int worker;
+    std::size_t seq;
+    SharedClause clause;
+  };
+  struct PbEntry {
+    int worker;
+    std::size_t seq;
+    SharedPb pb;
+  };
+  /// One producer's lane pair. Entries are appended in increasing seq
+  /// order (claims happen under this mutex), so imports binary-search
+  /// their cursor.
+  struct Shard {
+    mutable std::mutex mutex;
+    std::vector<Entry> entries;
+    std::vector<PbEntry> pb_entries;
+  };
+
+  [[nodiscard]] Shard& shard_for(int worker) {
+    const auto i = worker >= 0 ? static_cast<std::size_t>(worker) : 0;
+    return shards_[std::min(i, shards_.size() - 1)];
   }
-  /// Append every PB row published since `*cursor` by a worker other than
-  /// `worker` to `out`, and advance the cursor past them. Default: no-op
-  /// (nothing was accepted by the default export_pb).
-  virtual void import_pbs(int /*worker*/, std::size_t* /*cursor*/,
-                          std::vector<SharedPb>* /*out*/) {}
+
+  std::vector<Shard> shards_;
+  std::size_t capacity_;
+  /// Sequence numbers claimed per lane (accepted = min(claimed, capacity);
+  /// claims at or past capacity are drops).
+  std::atomic<std::size_t> next_seq_{0};
+  std::atomic<std::size_t> next_pb_seq_{0};
+  std::atomic<std::size_t> dropped_{0};
 };
 
 /// Abstract solve backend: incremental constraint addition, assumption
@@ -334,5 +388,15 @@ class SolverEngine {
   /// without rebuilding or disturbing the cached engine.
   virtual void reconfigure(const SolverConfig& config) = 0;
 };
+
+/// One solve of a budgeted search, charged to the search's ledger. Once
+/// the ledger is spent the solve is refused: Unknown, with the ledger's
+/// trip in `*tripped`. Otherwise it bumps `*solves`, hands the engine
+/// ledger.probe() (the unspent remainder of every counted cap), and
+/// charges back the conflicts and propagations the solve used; an Unknown
+/// answer records which bound tripped in `*tripped`.
+SolveResult charged_solve(SolverEngine& engine, BudgetLedger& ledger,
+                          std::span<const Lit> assumptions, int* solves,
+                          BudgetTrip* tripped);
 
 }  // namespace symcolor

@@ -31,40 +31,6 @@ const char* reject_reason_name(RejectReason reason) noexcept {
   return "none";
 }
 
-namespace {
-
-/// Fold one session's solver work into the service-wide totals.
-void accumulate(SolverStats* into, const SolverStats& s) {
-  into->decisions += s.decisions;
-  into->propagations += s.propagations;
-  into->conflicts += s.conflicts;
-  into->restarts += s.restarts;
-  into->learned_clauses += s.learned_clauses;
-  into->learned_literals += s.learned_literals;
-  into->minimized_literals += s.minimized_literals;
-  into->deleted_clauses += s.deleted_clauses;
-  into->arena_collections += s.arena_collections;
-  into->pb_short_circuits += s.pb_short_circuits;
-  into->lbd_sum += s.lbd_sum;
-  into->tier_promotions += s.tier_promotions;
-  into->tier_demotions += s.tier_demotions;
-  into->exported_clauses += s.exported_clauses;
-  into->imported_clauses += s.imported_clauses;
-  into->rejected_imports += s.rejected_imports;
-  into->exported_pbs += s.exported_pbs;
-  into->imported_pbs += s.imported_pbs;
-  into->learned_pbs += s.learned_pbs;
-  into->deleted_pbs += s.deleted_pbs;
-  into->pb_resolutions += s.pb_resolutions;
-  into->pb_fallbacks += s.pb_fallbacks;
-  into->deadline_exits += s.deadline_exits;
-  into->conflict_budget_exits += s.conflict_budget_exits;
-  into->prop_budget_exits += s.prop_budget_exits;
-  into->interrupt_exits += s.interrupt_exits;
-}
-
-}  // namespace
-
 SolveService::SolveService(ServiceConfig config)
     : config_(config),
       service_budget_(config.parent_budget != nullptr
@@ -364,7 +330,7 @@ void SolveService::finalize_locked(Session& session, SessionResult result) {
     case SessionOutcome::Rejected: ++stats_.rejected; break;
     case SessionOutcome::Failed: ++stats_.failed; break;
   }
-  accumulate(&stats_.solver_totals, result.stats);
+  accumulate_stats(&stats_.solver_totals, result.stats);
   if (result.solve_seconds > 0.0) {
     ema_session_seconds_ = ema_session_seconds_ <= 0.0
                                ? result.solve_seconds

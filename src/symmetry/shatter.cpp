@@ -1,9 +1,9 @@
 #include "symmetry/shatter.h"
 
+#include <cstdio>
 #include <optional>
 
 #include "symmetry/formula_graph.h"
-#include "util/logging.h"
 
 namespace symcolor {
 
@@ -37,7 +37,8 @@ SymmetryInfo detect_symmetries(const Formula& formula,
     if (!verifier) verifier.emplace(formula);
     if (lit_perm.empty() || !verifier->is_symmetry(lit_perm)) {
       ++info.spurious_rejected;
-      SYMCOLOR_WARN() << "discarding spurious symmetry generator";
+      std::fputs("[symcolor WARN] discarding spurious symmetry generator\n",
+                 stderr);
       continue;
     }
     info.generators.push_back(std::move(lit_perm));

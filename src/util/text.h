@@ -1,8 +1,15 @@
 #pragma once
 // Small text helpers shared by parsers and report printers.
 
+#include <charconv>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace symcolor {
@@ -25,5 +32,23 @@ std::string format_seconds(double seconds, bool timed_out = false);
 /// Render a large count compactly, e.g. 1.1e+168 style for symmetry-group
 /// orders that overflow any integer type (input is log10 of the count).
 std::string format_pow10(double log10_count);
+
+/// Strict numeric flag value for the command-line tools: the whole token
+/// must parse as a finite T no smaller than `min`; anything else (missing,
+/// empty, trailing junk, overflow, NaN/inf) is nullopt.
+template <typename T>
+std::optional<T> parse_number(const char* text,
+                              T min = std::numeric_limits<T>::lowest()) {
+  if (text == nullptr) return std::nullopt;
+  const char* end = text + std::strlen(text);
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  if (value < min) return std::nullopt;
+  return value;
+}
 
 }  // namespace symcolor

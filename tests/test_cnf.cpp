@@ -205,33 +205,6 @@ TEST(Objective, ValueCountsTrueTerms) {
   EXPECT_EQ(obj.value(vals), 2);
 }
 
-TEST(Writers, DimacsCnfFormat) {
-  Formula f;
-  const Var a = f.new_var();
-  const Var b = f.new_var();
-  f.add_clause({Lit::positive(a), Lit::negative(b)});
-  const std::string text = write_dimacs_cnf_string(f);
-  EXPECT_NE(text.find("p cnf 2 1"), std::string::npos);
-  EXPECT_NE(text.find("1 -2 0"), std::string::npos);
-}
-
-TEST(Writers, DimacsCnfAcceptsClausalPb) {
-  Formula f;
-  const Var a = f.new_var();
-  const Var b = f.new_var();
-  f.add_at_least({Lit::positive(a), Lit::positive(b)}, 1);
-  EXPECT_NO_THROW((void)write_dimacs_cnf_string(f));
-}
-
-TEST(Writers, DimacsCnfRejectsRealPb) {
-  Formula f;
-  const Var a = f.new_var();
-  const Var b = f.new_var();
-  const Var c = f.new_var();
-  f.add_at_least({Lit::positive(a), Lit::positive(b), Lit::positive(c)}, 2);
-  EXPECT_THROW((void)write_dimacs_cnf_string(f), std::invalid_argument);
-}
-
 TEST(Writers, OpbRoundTripConstraints) {
   Formula f;
   const Var a = f.new_var();

@@ -1,8 +1,6 @@
-// Tests for coloring heuristics and the exact DSATUR branch and bound.
+// Tests for the DSATUR heuristic and the exact DSATUR branch and bound.
 
 #include <gtest/gtest.h>
-
-#include <numeric>
 
 #include "coloring/dsatur_bnb.h"
 #include "coloring/heuristics.h"
@@ -27,33 +25,6 @@ Graph even_cycle(int n) {
   return g;
 }
 
-TEST(Greedy, ProperOnRandomGraph) {
-  const Graph g = make_random_gnm(40, 200, 3);
-  std::vector<int> order(40);
-  std::iota(order.begin(), order.end(), 0);
-  const auto colors = greedy_coloring(g, order);
-  EXPECT_TRUE(g.is_proper_coloring(colors));
-}
-
-TEST(Greedy, OrderSizeMismatchThrows) {
-  const Graph g = make_random_gnm(10, 20, 3);
-  std::vector<int> order(5);
-  EXPECT_THROW((void)greedy_coloring(g, order), std::invalid_argument);
-}
-
-TEST(Greedy, CompleteGraphUsesNColors) {
-  const Graph g = complete_graph(5);
-  std::vector<int> order{0, 1, 2, 3, 4};
-  EXPECT_EQ(Graph::count_colors(greedy_coloring(g, order)), 5);
-}
-
-TEST(WelshPowell, ProperAndBoundedByMaxDegreePlusOne) {
-  const Graph g = make_random_gnm(50, 300, 9);
-  const auto colors = welsh_powell_coloring(g);
-  EXPECT_TRUE(g.is_proper_coloring(colors));
-  EXPECT_LE(Graph::count_colors(colors), g.max_degree() + 1);
-}
-
 TEST(Dsatur, OptimalOnBipartite) {
   // DSATUR is exact on bipartite graphs (Brelaz).
   const Graph g = even_cycle(10);
@@ -75,13 +46,6 @@ TEST(Dsatur, EdgelessGraph) {
   Graph g(5);
   g.finalize();
   EXPECT_EQ(Graph::count_colors(dsatur_coloring(g)), 1);
-}
-
-TEST(HeuristicUpperBound, NeverBelowCliqueOnKnownFamilies) {
-  EXPECT_EQ(heuristic_upper_bound(complete_graph(7)), 7);
-  EXPECT_GE(heuristic_upper_bound(make_queen_graph(5, 5)), 5);
-  EXPECT_GE(heuristic_upper_bound(make_myciel_dimacs(3)), 4);
-  EXPECT_EQ(heuristic_upper_bound(Graph(0)), 0);
 }
 
 TEST(DsaturBnb, EmptyGraph) {

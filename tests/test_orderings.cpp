@@ -1,27 +1,14 @@
-// Tests for vertex orderings, structural utilities, the NECSP CSP
-// colorer, and the incremental SAT loop.
+// Tests for the NECSP CSP colorer, which assigns vertices in a fixed
+// order and breaks value symmetry dynamically.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <set>
-
-#include "coloring/cnf_coloring.h"
 #include "coloring/csp_colorer.h"
 #include "coloring/dsatur_bnb.h"
-#include "coloring/heuristics.h"
 #include "graph/generators.h"
-#include "graph/orderings.h"
 
 namespace symcolor {
 namespace {
-
-Graph path_graph(int n) {
-  Graph g(n);
-  for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
-  g.finalize();
-  return g;
-}
 
 Graph complete_graph(int n) {
   Graph g(n);
@@ -31,117 +18,6 @@ Graph complete_graph(int n) {
   g.finalize();
   return g;
 }
-
-bool is_permutation_of_vertices(const std::vector<int>& order, int n) {
-  std::set<int> values(order.begin(), order.end());
-  return static_cast<int>(order.size()) == n &&
-         static_cast<int>(values.size()) == n && *values.begin() == 0 &&
-         *values.rbegin() == n - 1;
-}
-
-TEST(Orderings, NaturalOrder) {
-  const Graph g = path_graph(4);
-  EXPECT_EQ(natural_order(g), (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(Orderings, DegreeOrderDescending) {
-  Graph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(1, 3);
-  g.finalize();
-  const auto order = degree_order(g);
-  EXPECT_EQ(order[0], 1);  // degree 3
-  EXPECT_TRUE(is_permutation_of_vertices(order, 4));
-}
-
-TEST(Orderings, DegeneracyOfKnownGraphs) {
-  EXPECT_EQ(degeneracy(path_graph(6)), 1);     // trees are 1-degenerate
-  EXPECT_EQ(degeneracy(complete_graph(5)), 4);  // K5 is 4-degenerate
-  Graph cycle(6);
-  for (int i = 0; i < 6; ++i) cycle.add_edge(i, (i + 1) % 6);
-  cycle.finalize();
-  EXPECT_EQ(degeneracy(cycle), 2);
-  Graph empty(4);
-  empty.finalize();
-  EXPECT_EQ(degeneracy(empty), 0);
-}
-
-TEST(Orderings, DegeneracyOrderBoundsGreedyColors) {
-  // Greedy along a degeneracy order uses <= degeneracy + 1 colors.
-  for (std::uint64_t seed = 0; seed < 8; ++seed) {
-    const Graph g = make_random_gnm(30, 90, seed);
-    int d = 0;
-    const auto order = degeneracy_order(g, &d);
-    ASSERT_TRUE(is_permutation_of_vertices(order, 30));
-    const auto colors = greedy_coloring(g, order);
-    EXPECT_TRUE(g.is_proper_coloring(colors));
-    EXPECT_LE(Graph::count_colors(colors), d + 1) << "seed=" << seed;
-  }
-}
-
-TEST(Orderings, DegeneracyOrderBackDegreeInvariant) {
-  // Every vertex has at most `degeneracy` neighbours earlier in the order.
-  const Graph g = make_random_gnm(25, 80, 3);
-  int d = 0;
-  const auto order = degeneracy_order(g, &d);
-  std::vector<int> position(25);
-  for (int i = 0; i < 25; ++i) position[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])] = i;
-  for (int v = 0; v < 25; ++v) {
-    int earlier = 0;
-    for (const int u : g.neighbors(v)) {
-      if (position[static_cast<std::size_t>(u)] <
-          position[static_cast<std::size_t>(v)]) {
-        ++earlier;
-      }
-    }
-    // Smallest-last: when v is colored, at most `d` neighbours are
-    // already colored (they were removed after v in the degeneracy
-    // sweep).
-    EXPECT_LE(earlier, d);
-  }
-}
-
-TEST(Orderings, BfsOrderVisitsComponentFirst) {
-  Graph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  // 3, 4 isolated.
-  g.finalize();
-  const auto order = bfs_order(g, 0);
-  ASSERT_TRUE(is_permutation_of_vertices(order, 5));
-  EXPECT_EQ(order[0], 0);
-  EXPECT_EQ(order[1], 1);
-  EXPECT_EQ(order[2], 2);
-}
-
-TEST(Orderings, ConnectedComponents) {
-  Graph g(6);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
-  g.finalize();
-  std::vector<int> component;
-  EXPECT_EQ(connected_components(g, &component), 4);
-  EXPECT_EQ(component[0], component[1]);
-  EXPECT_EQ(component[2], component[3]);
-  EXPECT_NE(component[0], component[2]);
-  EXPECT_NE(component[4], component[5]);
-}
-
-TEST(Orderings, BipartitenessDetection) {
-  std::vector<int> sides;
-  EXPECT_TRUE(is_bipartite(path_graph(5), &sides));
-  EXPECT_NE(sides[0], sides[1]);
-  Graph odd(5);
-  for (int i = 0; i < 5; ++i) odd.add_edge(i, (i + 1) % 5);
-  odd.finalize();
-  EXPECT_FALSE(is_bipartite(odd));
-  Graph empty(3);
-  empty.finalize();
-  EXPECT_TRUE(is_bipartite(empty));
-}
-
-// ---- CSP colorer ----
 
 TEST(CspColorer, DecisionMatchesChromaticNumber) {
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
@@ -196,19 +72,10 @@ TEST(CspColorer, MinimizationMatchesBnb) {
   }
 }
 
-TEST(CspColorer, CustomOrderRespected) {
-  const Graph g = path_graph(4);
-  CspColorerOptions options;
-  options.max_colors = 2;
-  options.order = {3, 2, 1, 0};
-  const CspColorerResult r = csp_k_coloring(g, options);
-  EXPECT_TRUE(r.satisfiable);
-}
-
 TEST(CspColorer, RejectsZeroColors) {
   CspColorerOptions options;
   options.max_colors = 0;
-  EXPECT_THROW((void)csp_k_coloring(path_graph(2), options),
+  EXPECT_THROW((void)csp_k_coloring(complete_graph(2), options),
                std::invalid_argument);
 }
 
@@ -218,32 +85,6 @@ TEST(CspColorer, DeadlineStopsSearch) {
   const CspColorerResult r =
       csp_min_coloring(g, /*break_value_symmetry=*/false, deadline);
   EXPECT_TRUE(g.is_proper_coloring(r.coloring));  // heuristic incumbent
-}
-
-// ---- incremental SAT loop ----
-
-TEST(IncrementalSatLoop, MatchesRebuildLoop) {
-  SatLoopOptions rebuild;
-  SatLoopOptions incremental;
-  incremental.incremental = true;
-  for (std::uint64_t seed = 50; seed < 56; ++seed) {
-    const Graph g = make_random_gnm(12, 30, seed);
-    const SatLoopResult a = solve_coloring_sat_loop(g, rebuild);
-    const SatLoopResult b = solve_coloring_sat_loop(g, incremental);
-    ASSERT_EQ(a.status, OptStatus::Optimal);
-    ASSERT_EQ(b.status, OptStatus::Optimal);
-    EXPECT_EQ(a.num_colors, b.num_colors) << "seed=" << seed;
-    EXPECT_TRUE(g.is_proper_coloring(b.coloring));
-  }
-}
-
-TEST(IncrementalSatLoop, KnownChromaticNumbers) {
-  SatLoopOptions options;
-  options.incremental = true;
-  EXPECT_EQ(solve_coloring_sat_loop(make_myciel_dimacs(3), options).num_colors,
-            4);
-  EXPECT_EQ(
-      solve_coloring_sat_loop(make_queen_graph(5, 5), options).num_colors, 5);
 }
 
 }  // namespace

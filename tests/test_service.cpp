@@ -130,6 +130,33 @@ TEST(ServiceBasics, RequestWithoutFormulaFailsWellFormed) {
   EXPECT_TRUE(r.well_formed());
 }
 
+TEST(ServiceBasics, SolverTotalsSumEveryCounterOfDeliveredSessions) {
+  // solver_totals is the field-wise sum of the delivered sessions' stats,
+  // chronological-backtracking counters included (they feed serve's
+  // `--stats` incremental: line).
+  SolveService service(ServiceConfig{.workers = 2});
+  std::vector<SessionId> ids;
+  for (const auto& formula : {pigeonhole(7, 6), pigeonhole(6, 5)}) {
+    SolveRequest request = decision(formula);
+    request.config.chrono_threshold = 1;
+    ids.push_back(service.submit(std::move(request)));
+  }
+  SolverStats expected;
+  for (const SessionId id : ids) {
+    const SessionResult r = service.wait(id);
+    EXPECT_EQ(r.outcome, SessionOutcome::Unsat);
+    accumulate_stats(&expected, r.stats);
+  }
+  SolverStats totals = service.stats().solver_totals;
+  int field = 0;
+  detail::for_each_stat(totals, expected,
+                        [&](std::int64_t& got, const std::int64_t want) {
+                          EXPECT_EQ(got, want) << "SolverStats field " << field;
+                          ++field;
+                        });
+  EXPECT_GT(totals.chrono_backtracks, 0);
+}
+
 // ---- admission control / load shedding ----
 
 TEST(ServiceAdmission, SaturatedQueueShedsNewestWithRetryHint) {

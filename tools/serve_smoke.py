@@ -13,6 +13,9 @@ well-formed terminal response and the process exits 0.
 Run 2 arms a service-wide --timeout and checks the budget-stop exit
 convention shared with symcolor_cli: the in-flight session degrades and
 the process exits 2.
+
+Run 3 passes malformed or out-of-range numeric flag values, which must
+print usage and exit 3 before the server reads any request.
 """
 
 import json
@@ -207,12 +210,27 @@ def run_service_timeout(binary):
     print("timeout run ok: session degraded, exit 2")
 
 
+def run_malformed_flags(binary):
+    for bad in (["--workers", "2x"], ["--workers", "0"], ["--queue", "5q"],
+                ["--queue", "0"], ["--grace", "-1"], ["--grace", "abc"],
+                ["--timeout", "abc"], ["--timeout", "inf"],
+                ["--default-timeout", "1s"], ["--workers"]):
+        proc = subprocess.run([binary, *bad], stdin=subprocess.DEVNULL,
+                              capture_output=True, text=True, timeout=30)
+        what = " ".join(bad)
+        check(proc.returncode == 3,
+              f"{what} must exit 3, got {proc.returncode}")
+        check("usage:" in proc.stderr, f"{what} must print usage")
+    print("malformed-flag run ok: every bad value exits 3 with usage")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: serve_smoke.py <symcolor_serve>", file=sys.stderr)
         return 3
     run_batch(sys.argv[1])
     run_service_timeout(sys.argv[1])
+    run_malformed_flags(sys.argv[1])
     print("serve_smoke: all checks passed")
     return 0
 

@@ -41,17 +41,11 @@
 // Exit code: 0 optimal/SAT, 1 infeasible/UNSAT, 2 budget/interrupt stop,
 // 3 usage error.
 
-#include <charconv>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <optional>
 #include <string>
-#include <system_error>
-#include <type_traits>
 
 #include "cnf/writers.h"
 #include "coloring/cnf_coloring.h"
@@ -59,6 +53,7 @@
 #include "graph/dimacs_col.h"
 #include "graph/generators.h"
 #include "util/report.h"
+#include "util/text.h"
 
 using namespace symcolor;
 
@@ -91,24 +86,6 @@ void usage() {
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
                "[--prop-budget n]\n");
-}
-
-/// Strict numeric flag value: the whole token must parse as a finite T no
-/// smaller than `min`; anything else (missing, empty, trailing junk,
-/// overflow, NaN/inf) is nullopt.
-template <typename T>
-std::optional<T> parse_number(const char* text,
-                              T min = std::numeric_limits<T>::lowest()) {
-  if (text == nullptr) return std::nullopt;
-  const char* end = text + std::strlen(text);
-  T value{};
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return std::nullopt;
-  }
-  if (value < min) return std::nullopt;
-  return value;
 }
 
 std::optional<SbpOptions> parse_sbp(const std::string& name) {

@@ -61,6 +61,7 @@
 #include "service/solve_service.h"
 #include "util/json.h"
 #include "util/report.h"
+#include "util/text.h"
 
 using namespace symcolor;
 
@@ -319,25 +320,25 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "--workers") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) { usage(); return kExitUsage; }
-      config.workers = std::atoi(v);
+      const auto v = parse_number<int>(next(), 1);
+      if (!v) { usage(); return kExitUsage; }
+      config.workers = *v;
     } else if (arg == "--queue") {
-      const char* v = next();
-      if (v == nullptr || std::atoi(v) < 1) { usage(); return kExitUsage; }
-      config.queue_capacity = static_cast<std::size_t>(std::atoi(v));
+      const auto v = parse_number<std::size_t>(next(), 1);
+      if (!v) { usage(); return kExitUsage; }
+      config.queue_capacity = *v;
     } else if (arg == "--grace") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      config.drain_grace_seconds = std::atof(v);
+      const auto v = parse_number<double>(next(), 0.0);
+      if (!v) { usage(); return kExitUsage; }
+      config.drain_grace_seconds = *v;
     } else if (arg == "--timeout") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      serve_timeout = std::atof(v);
+      const auto v = parse_number<double>(next());
+      if (!v) { usage(); return kExitUsage; }
+      serve_timeout = *v;
     } else if (arg == "--default-timeout") {
-      const char* v = next();
-      if (v == nullptr) { usage(); return kExitUsage; }
-      config.default_timeout_seconds = std::atof(v);
+      const auto v = parse_number<double>(next());
+      if (!v) { usage(); return kExitUsage; }
+      config.default_timeout_seconds = *v;
     } else if (arg == "--stats") {
       print_stats = true;
     } else {
