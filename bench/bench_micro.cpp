@@ -464,6 +464,25 @@ void BM_OptimizerSearchStrategies(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizerSearchStrategies)->Arg(0)->Arg(1)->Arg(2);
 
+// The SAT loop with the CLI --satloop defaults (sequential AMO, no SBPs,
+// clique pinning) on queen7_7, per search strategy: every K-query runs on
+// one persistent engine. Arg = SearchStrategy (0 linear, 1 binary, 2 core).
+void BM_SatLoopSearchStrategies(benchmark::State& state) {
+  const Graph g = make_queen_graph(7, 7);
+  SatLoopOptions options;
+  options.search = static_cast<SearchStrategy>(state.range(0));
+  std::int64_t sat_calls = 0;
+  for (auto _ : state) {
+    const SatLoopResult r = solve_coloring_sat_loop(g, options);
+    benchmark::DoNotOptimize(r.num_colors);
+    sat_calls += r.sat_calls;
+  }
+  state.counters["sat_calls_per_iter"] =
+      static_cast<double>(sat_calls) /
+      static_cast<double>(std::max<std::int64_t>(1, state.iterations()));
+}
+BENCHMARK(BM_SatLoopSearchStrategies)->Arg(0)->Arg(1)->Arg(2);
+
 void BM_MinimizeMyciel(benchmark::State& state) {
   const Graph g = make_myciel_dimacs(static_cast<int>(state.range(0)));
   const ColoringEncoding enc = encode_coloring(g, 8, SbpOptions::nu_sc());

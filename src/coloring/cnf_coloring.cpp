@@ -1,7 +1,6 @@
 #include "coloring/cnf_coloring.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 
@@ -154,27 +153,56 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
       max_clique(graph, budget, nullptr, kSatLoopCliqueNodeCap, upper);
   int lower = std::max<int>(1, static_cast<int>(clique.size()));
 
-  // Clique pinning (Van Gelder 2008): clique[i] takes color i in every
-  // K-query. Any proper coloring can be relabeled to agree, and under NU
-  // the pinned colors are used and form the prefix, so no query changes
-  // its answer. Every query has k >= lower >= |clique|, so every pin fits.
-  // SC, CA and LI fix colors their own way, so they turn pinning off.
-  const bool pin =
-      !options.sbps.sc && !options.sbps.ca && !options.sbps.li;
-  const auto pin_clique = [&](ColoringEncoding& enc) {
-    if (!pin) return;
-    for (std::size_t i = 0; i < clique.size(); ++i) {
-      enc.formula.add_unit(
-          Lit::positive(enc.x(clique[i], static_cast<int>(i))));
-    }
-  };
-
   bool timed_out = false;
-  // One search loop serves both pipelines; only the query differs (an
-  // assumption probe against one persistent engine, or a per-K rebuild).
-  // `query(k)` answers "is the graph <= k-colorable?" and on Sat pulls
-  // `upper` down via the decoded coloring.
-  const auto run_search = [&](auto&& query) {
+  // A clique that meets the DSATUR coloring closes the run by bounds.
+  if (lower < upper) {
+    // One encoding at the upper bound with NU forced on: color usage is
+    // then a prefix, so assuming ~y(k) asserts "at most k colors" (the y
+    // block is a selector ladder, as in the PB optimizer). Every K-query
+    // runs on this one engine, and learned clauses survive every query,
+    // in both directions of the binary search. solver.portfolio_threads
+    // is the one thread knob; the factory picks the backend from it.
+    SbpOptions sbps = options.sbps;
+    sbps.nu = true;
+    ColoringEncoding enc =
+        encode_k_coloring_cnf(graph, upper, options.amo, sbps);
+    // Clique pinning (Van Gelder 2008): clique[i] takes color i. Any
+    // proper coloring can be relabeled to agree, and under NU the pinned
+    // colors are used and form the prefix, so no query changes its
+    // answer. Every query has k >= lower >= |clique|, so every pin fits.
+    // SC, CA and LI fix colors their own way, so they turn pinning off.
+    if (!options.sbps.sc && !options.sbps.ca && !options.sbps.li) {
+      for (std::size_t i = 0; i < clique.size(); ++i) {
+        enc.formula.add_unit(
+            Lit::positive(enc.x(clique[i], static_cast<int>(i))));
+      }
+    }
+    const std::unique_ptr<SolverEngine> solver =
+        make_solver_engine(enc.formula, options.solver);
+
+    // `query(k)` answers "is the graph <= k-colorable?". A Sat answer
+    // becomes the incumbent only once its decoded coloring is checked
+    // proper (O(|E|)), as run_pipeline checks its own, and pulls `upper`
+    // down to its color count.
+    const auto query = [&](int k) {
+      const std::vector<Lit> assume{Lit::negative(enc.y(k))};
+      const SolveResult r = charged_solve(*solver, ledger, assume,
+                                          &result.sat_calls, &result.tripped);
+      if (r == SolveResult::Sat) {
+        best_coloring = enc.decode(solver->model());
+        if (!graph.is_proper_coloring(best_coloring)) {
+          throw std::logic_error("solver returned an improper coloring");
+        }
+        upper = Graph::count_colors(best_coloring);
+      } else if (r == SolveResult::Unsat && solver->last_core().empty()) {
+        // Every Unsat lifts `lower` or proves `upper` optimal, so it must
+        // come from the ~y(k) bound. An empty core would mean the encoding
+        // is unsatisfiable outright, which the DSATUR coloring rules out.
+        throw std::logic_error("K-query refuted without its ~y(k) bound");
+      }
+      return r;
+    };
+
     switch (options.search) {
       case SearchStrategy::Linear:
         while (upper > lower) {
@@ -211,62 +239,6 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
         }
         break;
     }
-  };
-
-  // A Sat answer becomes the incumbent only once its decoded coloring is
-  // checked proper (O(|E|)), as run_pipeline checks its own.
-  const auto adopt = [&](const ColoringEncoding& enc,
-                         const SolverEngine& solver) {
-    best_coloring = enc.decode(solver.model());
-    if (!graph.is_proper_coloring(best_coloring)) {
-      throw std::logic_error("solver returned an improper coloring");
-    }
-    upper = Graph::count_colors(best_coloring);
-  };
-
-  if (lower >= upper) {
-    // Closed by bounds: the clique meets the DSATUR coloring.
-  } else if (options.incremental) {
-    // One encoding at the upper bound; NU makes color usage a prefix, so
-    // assuming ~y(k) asserts "at most k colors" — the y block IS a
-    // selector ladder, and all three strategies drive the same persistent
-    // engine through it (learned clauses survive every probe, in both
-    // directions of the binary search). solver.portfolio_threads is the
-    // one thread knob; the factory picks the backend from it.
-    SbpOptions sbps = options.sbps;
-    sbps.nu = true;
-    ColoringEncoding enc =
-        encode_k_coloring_cnf(graph, upper, options.amo, sbps);
-    pin_clique(enc);
-    const std::unique_ptr<SolverEngine> solver =
-        make_solver_engine(enc.formula, options.solver);
-    run_search([&](int k) {
-      const std::vector<Lit> assume{Lit::negative(enc.y(k))};
-      const SolveResult r = charged_solve(*solver, ledger, assume,
-                                          &result.sat_calls, &result.tripped);
-      if (r == SolveResult::Sat) {
-        adopt(enc, *solver);
-      } else if (r == SolveResult::Unsat) {
-        // The failed-assumption core certifies an Unsat came from the
-        // ~y(k) bound rather than the formula itself (an empty core
-        // would mean the encoding is unsatisfiable outright, which the
-        // feasible DSATUR coloring rules out).
-        assert(!solver->last_core().empty());
-      }
-      return r;
-    });
-  } else {
-    run_search([&](int k) {
-      ColoringEncoding enc =
-          encode_k_coloring_cnf(graph, k, options.amo, options.sbps);
-      pin_clique(enc);
-      const std::unique_ptr<SolverEngine> solver =
-          make_solver_engine(enc.formula, options.solver);
-      const SolveResult r = charged_solve(*solver, ledger, {},
-                                          &result.sat_calls, &result.tripped);
-      if (r == SolveResult::Sat) adopt(enc, *solver);
-      return r;
-    });
   }
 
   result.num_colors = upper;

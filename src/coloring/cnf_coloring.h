@@ -12,9 +12,10 @@
 //    encodings for the per-vertex exactly-one constraint (pairwise,
 //    sequential counter, commander), instance-independent SBPs included
 //    (CA's PB inequalities are compiled to CNF via pb_to_cnf);
-//  * a descending / binary search over K driven by DSATUR upper bounds
-//    and clique lower bounds (the per-instance procedure the paper
-//    sketches in Section 4.1).
+//  * a linear / binary / core-guided search over K between a clique
+//    lower bound and a DSATUR upper bound (the per-instance procedure
+//    the paper sketches in Section 4.1), every query answered by ONE
+//    persistent engine (see below).
 //
 // Bounds come first. DSATUR gives the upper bound and greedy_clique a
 // lower one; only when the two leave a gap does the exact max_clique run,
@@ -22,18 +23,22 @@
 // on every machine) and stopping once it meets the DSATUR count. A clique
 // that meets it closes the run with no SAT call at all.
 //
-// The clique also breaks color symmetry. Every K-query pins clique vertex
-// i to color i (Van Gelder, "Another look at graph coloring via
-// propositional satisfiability", 2008): selective coloring's two pinned
-// vertices generalized to q. Any proper coloring can be relabeled to
-// agree, and NU stays valid because the pinned colors 0..q-1 form the used
-// prefix. SC, CA and LI fix colors in their own way, so pinning applies
+// The clique also breaks color symmetry. The encoding pins clique vertex
+// i to color i, once for every K-query (Van Gelder, "Another look at
+// graph coloring via propositional satisfiability", 2008): selective
+// coloring's two pinned vertices generalized to q. Any proper coloring
+// can be relabeled to agree, and NU stays valid because the pinned colors
+// 0..q-1 form the used prefix. SC, CA and LI fix colors in their own way, so pinning applies
 // only when `sbps` selects none of them (NU alone, or no SBPs: the CLI's
 // --satloop default).
 //
-// Every SAT call goes through the SolverEngine factory, so the loop runs
+// The loop encodes once, at the DSATUR bound with NU forced on, and asks
+// "<= k colors?" by assuming ~y(k): null-color elimination makes color
+// usage a prefix, so one assumption caps the count (SAT solving under
+// assumptions, Een & Sorensson 2003). Learned clauses survive every
+// query. The engine comes from the SolverEngine factory, so the loop runs
 // unchanged on the sequential CDCL engine (portfolio_threads = 1) or on
-// the clone-based parallel portfolio (portfolio_threads > 1).
+// the parallel engine (portfolio_threads > 1, racing or cube schedule).
 
 #include "coloring/encoder.h"
 #include "pb/optimizer.h"
@@ -69,25 +74,18 @@ struct SatLoopOptions {
   /// Solver configuration, including the ONE thread knob:
   /// solver.portfolio_threads > 1 races the clone-based parallel engine
   /// inside every SAT call (sat/parallel_solver.h). The minimum color count is
-  /// identical at any thread count — only the wall-clock changes. In the
-  /// incremental pipeline the engine's master carries learned clauses
-  /// (its own and imported core clauses) across the K queries.
+  /// identical at any thread count — only the wall-clock changes. The
+  /// engine's master carries learned clauses (its own and imported core
+  /// clauses) across the K queries.
   SolverConfig solver;
   double time_budget_seconds = 0.0;
   /// Search strategy over K (the same enum the PB optimizer uses):
   ///   * Linear — descend from the DSATUR upper bound until UNSAT;
   ///   * Binary — bisect [clique, DSATUR];
   ///   * CoreGuided — ascend from the clique lower bound, each UNSAT
-  ///     lifting it (in the incremental pipeline the y(k) assumption's
-  ///     failed core certifies the lift).
+  ///     lifting it (the ~y(k) assumption's failed core certifies the
+  ///     lift).
   SearchStrategy search = SearchStrategy::Linear;
-  /// Keep ONE solver across all K queries: encode once at the upper
-  /// bound with NU forced on, and query "<= k colors" by assuming
-  /// ~y(k) (null-color elimination makes the usage prefix-closed, so a
-  /// single assumption caps the color count — the same retractable-bound
-  /// machinery the PB optimizer's selector ladder generalizes). Learned
-  /// clauses survive across queries, under every search strategy.
-  bool incremental = false;
   /// Whole-run conflict / propagation budgets across ALL SAT calls
   /// (<= 0 = unlimited); spread over the queries by a BudgetLedger.
   std::int64_t conflict_budget = 0;

@@ -196,11 +196,10 @@ TEST(SatLoop, FindsChromaticNumbers) {
 
 TEST(SatLoop, AllSearchStrategiesAgree) {
   // Linear, binary and core-guided searches over K must reach the same
-  // chromatic number, in both the per-K-rebuild and the incremental
-  // (one persistent engine, y(k)-assumption) pipelines, with clique
-  // pinning (no SBPs, NU) and without it (SC, CA, LI). The graphs are
-  // ones where the clique and DSATUR bounds leave a gap, so every row
-  // makes SAT calls.
+  // chromatic number on the one persistent engine (y(k) assumptions),
+  // with clique pinning (no SBPs, NU) and without it (SC, CA, LI). The
+  // graphs are ones where the clique and DSATUR bounds leave a gap, so
+  // every row makes SAT calls.
   std::vector<Graph> graphs;
   for (std::uint64_t seed = 10; seed < 16; ++seed) {
     graphs.push_back(make_random_gnm(16, 50, seed));
@@ -214,26 +213,22 @@ TEST(SatLoop, AllSearchStrategiesAgree) {
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
       const Graph& g = graphs[gi];
       const int expected = dsatur_branch_and_bound(g).num_colors;
-      for (const bool incremental : {false, true}) {
-        for (const SearchStrategy strategy :
-             {SearchStrategy::Linear, SearchStrategy::Binary,
-              SearchStrategy::CoreGuided}) {
-          SatLoopOptions options;
-          options.sbps = sbps;
-          options.incremental = incremental;
-          options.search = strategy;
-          const SatLoopResult r = solve_coloring_sat_loop(g, options);
-          const std::string where =
-              "graph=" + std::to_string(gi) + " sbps=" + sbps.label() +
-              " incremental=" + std::to_string(incremental) +
-              " strategy=" + search_strategy_name(strategy);
-          ASSERT_EQ(r.status, OptStatus::Optimal) << where;
-          EXPECT_EQ(r.num_colors, expected) << where;
-          EXPECT_TRUE(g.is_proper_coloring(r.coloring)) << where;
-          EXPECT_TRUE(is_clique(g, r.clique)) << where;
-          EXPECT_LE(static_cast<int>(r.clique.size()), r.lower_bound) << where;
-          sat_calls += r.sat_calls;
-        }
+      for (const SearchStrategy strategy :
+           {SearchStrategy::Linear, SearchStrategy::Binary,
+            SearchStrategy::CoreGuided}) {
+        SatLoopOptions options;
+        options.sbps = sbps;
+        options.search = strategy;
+        const SatLoopResult r = solve_coloring_sat_loop(g, options);
+        const std::string where =
+            "graph=" + std::to_string(gi) + " sbps=" + sbps.label() +
+            " strategy=" + search_strategy_name(strategy);
+        ASSERT_EQ(r.status, OptStatus::Optimal) << where;
+        EXPECT_EQ(r.num_colors, expected) << where;
+        EXPECT_TRUE(g.is_proper_coloring(r.coloring)) << where;
+        EXPECT_TRUE(is_clique(g, r.clique)) << where;
+        EXPECT_LE(static_cast<int>(r.clique.size()), r.lower_bound) << where;
+        sat_calls += r.sat_calls;
       }
     }
     EXPECT_GT(sat_calls, 0) << sbps.label();

@@ -217,29 +217,34 @@ TEST(Portfolio, IncrementalModelEnumerationMatchesSequential) {
 // ---- 2-vs-1-thread agreement across the call layers ----
 
 TEST(Portfolio, SatLoopAgreesAcrossThreadCounts) {
-  // SatLoopOptions::solver.portfolio_threads is the single source of
-  // truth for the SAT-loop's thread count (the old duplicated
-  // SatLoopOptions::portfolio_threads knob is gone); 1 vs 2 threads must
-  // agree on the optimum, under every search strategy.
+  // SatLoopOptions::solver.portfolio_threads is the SAT loop's one thread
+  // knob; 1 vs 2 threads must agree on the optimum under every search
+  // strategy, both racing full copies and under the cube schedule (CLI
+  // --satloop --threads 2 --cube-depth 2; no warmup, so cubes are dealt
+  // on every query). myciel3 leaves a gap between its clique (2) and
+  // DSATUR bounds, so every row makes SAT calls.
   const Graph g = make_myciel_dimacs(3);
-  for (const bool incremental : {false, true}) {
-    for (const SearchStrategy strategy :
-         {SearchStrategy::Linear, SearchStrategy::Binary,
-          SearchStrategy::CoreGuided}) {
-      SatLoopOptions one;
-      one.incremental = incremental;
-      one.search = strategy;
+  for (const SearchStrategy strategy :
+       {SearchStrategy::Linear, SearchStrategy::Binary,
+        SearchStrategy::CoreGuided}) {
+    SatLoopOptions one;
+    one.search = strategy;
+    const SatLoopResult r1 = solve_coloring_sat_loop(g, one);
+    ASSERT_EQ(r1.status, OptStatus::Optimal);
+    EXPECT_EQ(r1.num_colors, 4);
+    EXPECT_GT(r1.sat_calls, 0);
+    for (const int cube_depth : {0, 2}) {
       SatLoopOptions two = one;
       two.solver.portfolio_threads = 2;
-      const SatLoopResult r1 = solve_coloring_sat_loop(g, one);
+      two.solver.cube_depth = cube_depth;
+      two.solver.cube_warmup_conflicts = 0;
       const SatLoopResult r2 = solve_coloring_sat_loop(g, two);
-      ASSERT_EQ(r1.status, OptStatus::Optimal);
-      ASSERT_EQ(r2.status, OptStatus::Optimal);
-      EXPECT_EQ(r1.num_colors, 4);
-      EXPECT_EQ(r2.num_colors, r1.num_colors)
-          << (incremental ? "incremental " : "per-K rebuild ")
-          << search_strategy_name(strategy);
-      EXPECT_TRUE(g.is_proper_coloring(r2.coloring));
+      const std::string where = std::string(search_strategy_name(strategy)) +
+                                " cube_depth=" + std::to_string(cube_depth);
+      ASSERT_EQ(r2.status, OptStatus::Optimal) << where;
+      EXPECT_EQ(r2.num_colors, r1.num_colors) << where;
+      EXPECT_TRUE(g.is_proper_coloring(r2.coloring)) << where;
+      EXPECT_GT(r2.sat_calls, 0) << where;
     }
   }
 }

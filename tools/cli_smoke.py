@@ -3,8 +3,9 @@
 
 Usage: cli_smoke.py <path-to-symcolor_cli>
 
-Malformed or out-of-range numeric flag values must print usage and exit 3
-(never crash or silently fall back to a default). Three short solves pin
+Malformed or out-of-range numeric flag values, and flags --satloop does
+not honor, must print usage and exit 3 (never crash or silently fall back
+to a default or ignore the flag). Three short solves pin
 the answer line and the exit-code convention: 0 optimal, 2 budget stop.
 """
 
@@ -35,7 +36,12 @@ def main():
     cli = sys.argv[1]
 
     for bad in (["-k", "0"], ["-k", "abc"], ["--threads", "2x"],
-                ["--timeout", "abc"]):
+                ["--timeout", "abc"],
+                # --satloop rejects the flags only the native pipeline
+                # honors, whatever their value (pbs2 is the default).
+                ["--satloop", "--decision"], ["--satloop", "-k", "3"],
+                ["--satloop", "--shatter"], ["--satloop", "--simplify"],
+                ["--satloop", "--solver", "pbs2"]):
         code, _, err = run(cli, "--instance", "myciel3", *bad)
         check(code == EXIT_USAGE,
               f"{' '.join(bad)} must exit {EXIT_USAGE}, got {code}")

@@ -24,7 +24,11 @@
 //                   every setting)
 //   --decision      K-colorability query instead of minimization
 //   --simplify      pre-solve simplification (units, pures, subsumption)
-//   --satloop       pure-CNF SAT-loop pipeline instead of native PB
+//   --satloop       pure-CNF SAT-loop pipeline instead of native PB: one
+//                   persistent CNF engine answers every K-query. Takes
+//                   --sbp, --search, --threads, --cube-depth, --chrono and
+//                   the resource-control flags; -k, --decision, --shatter,
+//                   --simplify and --solver are usage errors with it
 //   --opb <file>    dump the encoded 0-1 ILP instance as OPB and exit
 //   --stats         print symmetry/solver statistics
 //
@@ -82,6 +86,11 @@ void usage() {
                "                    [--decision] [--satloop] [--opb file] "
                "[--stats]\n"
                "                    (<graph.col> | --instance <name>)\n"
+               "--satloop takes --sbp, --search, --threads, --cube-depth, "
+               "--chrono and the\n"
+               "                    resource-control flags, not -k, "
+               "--decision, --shatter,\n"
+               "                    --simplify or --solver\n"
                "resource control (<= 0 = unlimited; Ctrl-C interrupts and "
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
@@ -136,6 +145,9 @@ int main(int argc, char** argv) {
   std::string opb_path;
   std::string graph_path;
   std::string instance_name;
+  // The last flag given that --satloop does not honor. Presence decides,
+  // not value: `--solver pbs2` names the default.
+  const char* native_only_flag = nullptr;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -143,6 +155,7 @@ int main(int argc, char** argv) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     if (arg == "-k") {
+      native_only_flag = "-k";
       const auto v = parse_number<int>(next(), 1);
       if (!v) { usage(); return kExitUsage; }
       k = *v;
@@ -153,7 +166,9 @@ int main(int argc, char** argv) {
       sbps = *parsed;
     } else if (arg == "--shatter") {
       shatter_flow = true;
+      native_only_flag = "--shatter";
     } else if (arg == "--solver") {
+      native_only_flag = "--solver";
       const char* v = next();
       const auto parsed = v != nullptr ? parse_solver(v) : std::nullopt;
       if (!parsed) { usage(); return kExitUsage; }
@@ -189,8 +204,10 @@ int main(int argc, char** argv) {
       prop_budget = *v;
     } else if (arg == "--decision") {
       decision = true;
+      native_only_flag = "--decision";
     } else if (arg == "--simplify") {
       presimplify = true;
+      native_only_flag = "--simplify";
     } else if (arg == "--satloop") {
       satloop = true;
     } else if (arg == "--stats") {
@@ -209,6 +226,11 @@ int main(int argc, char** argv) {
     } else {
       graph_path = arg;
     }
+  }
+  if (satloop && native_only_flag != nullptr) {
+    std::fprintf(stderr, "--satloop does not take %s\n", native_only_flag);
+    usage();
+    return kExitUsage;
   }
 
   Graph graph;
