@@ -467,6 +467,8 @@ BENCHMARK(BM_OptimizerSearchStrategies)->Arg(0)->Arg(1)->Arg(2);
 // The SAT loop with the CLI --satloop defaults (sequential AMO, no SBPs,
 // clique pinning) on queen7_7, per search strategy: every K-query runs on
 // one persistent engine. Arg = SearchStrategy (0 linear, 1 binary, 2 core).
+// sat_calls_per_iter counts minimize()'s probes: its opening unconstrained
+// probe included, and under core one mining probe per pinned color.
 void BM_SatLoopSearchStrategies(benchmark::State& state) {
   const Graph g = make_queen_graph(7, 7);
   SatLoopOptions options;

@@ -31,8 +31,8 @@
 // (the engine's variable count is fixed at construction). Distinct-sum
 // sets can explode for adversarial weight patterns, so construction dry-
 // runs the value sets first and refuses (ok() == false, formula left
-// untouched) past `max_values`; callers fall back to permanent-row
-// strengthening in that case.
+// untouched) past `max_values`; minimize() rejects such an objective with
+// std::invalid_argument.
 
 #include <cstdint>
 #include <vector>

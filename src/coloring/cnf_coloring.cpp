@@ -1,14 +1,12 @@
 #include "coloring/cnf_coloring.h"
 
 #include <algorithm>
-#include <memory>
 #include <stdexcept>
 
 #include "cnf/pb_to_cnf.h"
 #include "coloring/heuristics.h"
 #include "coloring/sbp.h"
 #include "graph/clique.h"
-#include "sat/parallel_solver.h"
 
 namespace symcolor {
 namespace {
@@ -124,15 +122,13 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
   Timer timer;
   // The whole loop runs under one budget: a child of the caller's when one
   // is supplied (inheriting its deadline/interrupt and clamped to its
-  // counted caps), a fresh one otherwise. A ledger spreads the counted
-  // caps across the individual SAT calls.
+  // counted caps), a fresh one otherwise.
   const SolveBudget budget =
       options.budget != nullptr
           ? options.budget->child(options.time_budget_seconds,
                                   options.conflict_budget, options.prop_budget)
           : SolveBudget(options.time_budget_seconds, options.conflict_budget,
                         options.prop_budget);
-  BudgetLedger ledger(budget);
   SatLoopResult result;
 
   if (graph.num_vertices() == 0) {
@@ -147,110 +143,57 @@ SatLoopResult solve_coloring_sat_loop(const Graph& graph,
   // branch and bound only when that clique is smaller than the DSATUR
   // count, stopping once it meets it. Its node cap is the only limit that
   // may bind on its own, so the bound is the same on every machine.
-  std::vector<int> best_coloring = dsatur_coloring(graph);
-  int upper = Graph::count_colors(best_coloring);  // feasible
-  std::vector<int> clique =
-      max_clique(graph, budget, nullptr, kSatLoopCliqueNodeCap, upper);
-  int lower = std::max<int>(1, static_cast<int>(clique.size()));
+  result.coloring = dsatur_coloring(graph);
+  result.num_colors = Graph::count_colors(result.coloring);  // feasible
+  result.clique = max_clique(graph, budget, nullptr, kSatLoopCliqueNodeCap,
+                             result.num_colors);
+  result.lower_bound = std::max<int>(1, static_cast<int>(result.clique.size()));
+  result.status = OptStatus::Optimal;
 
-  bool timed_out = false;
   // A clique that meets the DSATUR coloring closes the run by bounds.
-  if (lower < upper) {
+  if (result.lower_bound < result.num_colors) {
     // One encoding at the upper bound with NU forced on: color usage is
-    // then a prefix, so assuming ~y(k) asserts "at most k colors" (the y
-    // block is a selector ladder, as in the PB optimizer). Every K-query
-    // runs on this one engine, and learned clauses survive every query,
-    // in both directions of the binary search. solver.portfolio_threads
-    // is the one thread knob; the factory picks the backend from it.
+    // then a prefix, and minimize() drives the color-count objective
+    // through its selector ladder on one persistent engine, so learned
+    // clauses survive every K-query. solver.portfolio_threads is the one
+    // thread knob; the factory picks the backend from it.
     SbpOptions sbps = options.sbps;
     sbps.nu = true;
     ColoringEncoding enc =
-        encode_k_coloring_cnf(graph, upper, options.amo, sbps);
+        encode_k_coloring_cnf(graph, result.num_colors, options.amo, sbps);
     // Clique pinning (Van Gelder 2008): clique[i] takes color i. Any
     // proper coloring can be relabeled to agree, and under NU the pinned
-    // colors are used and form the prefix, so no query changes its
-    // answer. Every query has k >= lower >= |clique|, so every pin fits.
-    // SC, CA and LI fix colors their own way, so they turn pinning off.
+    // colors are used and form the prefix, so no K-query changes its
+    // answer. SC, CA and LI fix colors their own way, so they turn
+    // pinning off.
     if (!options.sbps.sc && !options.sbps.ca && !options.sbps.li) {
-      for (std::size_t i = 0; i < clique.size(); ++i) {
+      for (std::size_t i = 0; i < result.clique.size(); ++i) {
         enc.formula.add_unit(
-            Lit::positive(enc.x(clique[i], static_cast<int>(i))));
+            Lit::positive(enc.x(result.clique[i], static_cast<int>(i))));
       }
     }
-    const std::unique_ptr<SolverEngine> solver =
-        make_solver_engine(enc.formula, options.solver);
-
-    // `query(k)` answers "is the graph <= k-colorable?". A Sat answer
-    // becomes the incumbent only once its decoded coloring is checked
-    // proper (O(|E|)), as run_pipeline checks its own, and pulls `upper`
-    // down to its color count.
-    const auto query = [&](int k) {
-      const std::vector<Lit> assume{Lit::negative(enc.y(k))};
-      const SolveResult r = charged_solve(*solver, ledger, assume,
-                                          &result.sat_calls, &result.tripped);
-      if (r == SolveResult::Sat) {
-        best_coloring = enc.decode(solver->model());
-        if (!graph.is_proper_coloring(best_coloring)) {
-          throw std::logic_error("solver returned an improper coloring");
-        }
-        upper = Graph::count_colors(best_coloring);
-      } else if (r == SolveResult::Unsat && solver->last_core().empty()) {
-        // Every Unsat lifts `lower` or proves `upper` optimal, so it must
-        // come from the ~y(k) bound. An empty core would mean the encoding
-        // is unsatisfiable outright, which the DSATUR coloring rules out.
-        throw std::logic_error("K-query refuted without its ~y(k) bound");
-      }
-      return r;
-    };
-
-    switch (options.search) {
-      case SearchStrategy::Linear:
-        while (upper > lower) {
-          const SolveResult r = query(upper - 1);
-          if (r == SolveResult::Unknown) {
-            timed_out = true;
-            break;
-          }
-          if (r == SolveResult::Unsat) break;  // upper proved optimal
-        }
-        break;
-      case SearchStrategy::Binary:
-        while (lower < upper) {
-          const int mid = lower + (upper - lower) / 2;
-          const SolveResult r = query(mid);
-          if (r == SolveResult::Unknown) {
-            timed_out = true;
-            break;
-          }
-          if (r == SolveResult::Unsat) lower = mid + 1;
-          // Sat updates `upper` via the decoded coloring.
-        }
-        break;
-      case SearchStrategy::CoreGuided:
-        // Ascend from the clique bound; every UNSAT answer lifts it.
-        // Sat at k == lower pulls `upper` down to it: loop exits.
-        while (lower < upper) {
-          const SolveResult r = query(lower);
-          if (r == SolveResult::Unknown) {
-            timed_out = true;
-            break;
-          }
-          if (r == SolveResult::Unsat) ++lower;
-        }
-        break;
+    add_color_count_objective(&enc);
+    const OptResult r = minimize(std::move(enc.formula), options.solver,
+                                 budget, options.search, result.lower_bound);
+    // The DSATUR coloring satisfies the encoding, so Infeasible is a bug.
+    if (r.status == OptStatus::Infeasible) {
+      throw std::logic_error("DSATUR-colorable encoding refuted");
     }
+    result.sat_calls = r.probes;
+    result.solver_stats = r.stats;
+    result.tripped = r.tripped;
+    result.lower_bound = static_cast<int>(r.lower_bound);  // >= the hint
+    if (!r.model.empty() && r.best_value < result.num_colors) {
+      result.coloring = enc.decode_checked(graph, r.model, r.best_value);
+      result.num_colors = static_cast<int>(r.best_value);
+    }
+    // Graceful degradation: the DSATUR seed guarantees a feasible
+    // coloring, so a budgeted exit is Feasible with the best one found
+    // and the tightest proven lower bound.
+    if (r.status != OptStatus::Optimal) result.status = OptStatus::Feasible;
   }
 
-  result.num_colors = upper;
-  result.coloring = best_coloring;
-  result.clique = std::move(clique);
-  // Graceful degradation: the DSATUR seed guarantees a feasible coloring,
-  // so a budgeted exit is always Feasible with the best one found and the
-  // tightest PROVEN lower bound (clique seed, lifted by Unsat queries).
-  result.status = timed_out ? OptStatus::Feasible : OptStatus::Optimal;
-  result.lower_bound = timed_out ? lower : upper;
-  result.budget_exhausted = timed_out;
-  if (!timed_out) result.tripped = BudgetTrip::None;
+  result.budget_exhausted = result.status != OptStatus::Optimal;
   result.seconds = timer.seconds();
   return result;
 }

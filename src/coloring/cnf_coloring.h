@@ -12,10 +12,11 @@
 //    encodings for the per-vertex exactly-one constraint (pairwise,
 //    sequential counter, commander), instance-independent SBPs included
 //    (CA's PB inequalities are compiled to CNF via pb_to_cnf);
-//  * a linear / binary / core-guided search over K between a clique
-//    lower bound and a DSATUR upper bound (the per-instance procedure
-//    the paper sketches in Section 4.1), every query answered by ONE
-//    persistent engine (see below).
+//  * the search over K between a clique lower bound and a DSATUR upper
+//    bound (the per-instance procedure the paper sketches in Section
+//    4.1), run by minimize() (pb/optimizer.h) like every other
+//    optimization: linear, binary or core-guided, on ONE persistent
+//    engine (see below).
 //
 // Bounds come first. DSATUR gives the upper bound and greedy_clique a
 // lower one; only when the two leave a gap does the exact max_clique run,
@@ -32,10 +33,11 @@
 // only when `sbps` selects none of them (NU alone, or no SBPs: the CLI's
 // --satloop default).
 //
-// The loop encodes once, at the DSATUR bound with NU forced on, and asks
-// "<= k colors?" by assuming ~y(k): null-color elimination makes color
-// usage a prefix, so one assumption caps the count (SAT solving under
-// assumptions, Een & Sorensson 2003). Learned clauses survive every
+// The loop encodes once, at the DSATUR bound with NU forced on, adds the
+// objective MIN sum_j y(j), and hands the formula to minimize() with the
+// clique size as its proven lower bound. Each K-query "<= k colors?" is
+// then one assumption on minimize()'s objective ladder (SAT solving under
+// assumptions, Een & Sorensson 2003), and learned clauses survive every
 // query. The engine comes from the SolverEngine factory, so the loop runs
 // unchanged on the sequential CDCL engine (portfolio_threads = 1) or on
 // the parallel engine (portfolio_threads > 1, racing or cube schedule).
@@ -79,15 +81,13 @@ struct SatLoopOptions {
   /// clauses) across the K queries.
   SolverConfig solver;
   double time_budget_seconds = 0.0;
-  /// Search strategy over K (the same enum the PB optimizer uses):
-  ///   * Linear — descend from the DSATUR upper bound until UNSAT;
-  ///   * Binary — bisect [clique, DSATUR];
-  ///   * CoreGuided — ascend from the clique lower bound, each UNSAT
-  ///     lifting it (the ~y(k) assumption's failed core certifies the
-  ///     lift).
+  /// Search strategy over K, passed straight to minimize(): Linear
+  /// descends from the first model until UNSAT or the clique bound,
+  /// Binary bisects [clique, best], CoreGuided lifts the bound from
+  /// failed-assumption cores before bisecting.
   SearchStrategy search = SearchStrategy::Linear;
   /// Whole-run conflict / propagation budgets across ALL SAT calls
-  /// (<= 0 = unlimited); spread over the queries by a BudgetLedger.
+  /// (<= 0 = unlimited); minimize() spreads them over its probes.
   std::int64_t conflict_budget = 0;
   std::int64_t prop_budget = 0;
   /// Optional external budget (not owned; must outlive the call). The run
@@ -102,14 +102,18 @@ struct SatLoopResult {
   int num_colors = -1;
   std::vector<int> coloring;
   /// Tightest PROVEN lower bound on the chromatic number: the clique
-  /// below, lifted by every Unsat K-query. Equals num_colors when status
-  /// is Optimal; on a budgeted exit chi lies in [lower_bound, num_colors].
+  /// below, lifted by minimize()'s proven bound. Equals num_colors when
+  /// status is Optimal; on a budgeted exit chi lies in
+  /// [lower_bound, num_colors].
   int lower_bound = 0;
   /// The clique the loop started from (vertex ids, ascending): the
   /// certificate for chi >= clique.size(), checkable with is_clique. At
   /// most lower_bound; smaller when Unsat queries lifted the bound.
   std::vector<int> clique;
+  /// minimize()'s probe count; 0 when the bounds closed the run.
   int sat_calls = 0;
+  /// The engine's counters over every probe (zero when no SAT call ran).
+  SolverStats solver_stats;
   double seconds = 0.0;
   /// Which resource bound cut the loop short (None when Optimal).
   BudgetTrip tripped = BudgetTrip::None;

@@ -75,19 +75,21 @@ ColoringEncoding encode_impl(const Graph& graph, int max_colors,
     f.add_clause(std::move(some_user));
   }
 
-  if (with_objective) {
-    Objective objective;
-    for (int j = 0; j < k; ++j) {
-      objective.terms.push_back({1, Lit::positive(enc.y(j))});
-    }
-    f.set_objective(std::move(objective));
-  }
+  if (with_objective) add_color_count_objective(&enc);
 
   add_instance_independent_sbps(graph, &enc, sbps);
   return enc;
 }
 
 }  // namespace
+
+void add_color_count_objective(ColoringEncoding* enc) {
+  Objective objective;
+  for (int j = 0; j < enc->num_colors; ++j) {
+    objective.terms.push_back({1, Lit::positive(enc->y(j))});
+  }
+  enc->formula.set_objective(std::move(objective));
+}
 
 ColoringEncoding encode_coloring(const Graph& graph, int max_colors,
                                  const SbpOptions& sbps) {
@@ -113,6 +115,19 @@ std::vector<int> ColoringEncoding::decode(std::span<const LBool> model) const {
     if (colors[static_cast<std::size_t>(i)] == -1) {
       throw std::runtime_error("decode: uncolored vertex");
     }
+  }
+  return colors;
+}
+
+std::vector<int> ColoringEncoding::decode_checked(
+    const Graph& graph, std::span<const LBool> model,
+    std::optional<std::int64_t> objective_value) const {
+  std::vector<int> colors = decode(model);
+  if (!graph.is_proper_coloring(colors)) {
+    throw std::logic_error("solver returned an improper coloring");
+  }
+  if (objective_value && Graph::count_colors(colors) != *objective_value) {
+    throw std::logic_error("objective value disagrees with coloring");
   }
   return colors;
 }

@@ -16,6 +16,7 @@
 // lex-leader SBPs both key off.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -80,7 +81,17 @@ struct ColoringEncoding {
   /// Extract the per-vertex coloring (values in 0..num_colors-1) from a
   /// satisfying model. Throws if some vertex has no color set.
   [[nodiscard]] std::vector<int> decode(std::span<const LBool> model) const;
+
+  /// decode() plus the checks a pipeline makes before trusting a model: the
+  /// coloring must be proper for `graph` and, when `objective_value` is
+  /// given, use exactly that many colors. Throws std::logic_error if not.
+  [[nodiscard]] std::vector<int> decode_checked(
+      const Graph& graph, std::span<const LBool> model,
+      std::optional<std::int64_t> objective_value) const;
 };
+
+/// Set the color-count objective MIN sum_j y(j) on enc->formula.
+void add_color_count_objective(ColoringEncoding* enc);
 
 /// Build the optimization encoding (with objective). `sbps` selects
 /// instance-independent SBPs added during formulation.

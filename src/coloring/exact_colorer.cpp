@@ -1,7 +1,7 @@
 #include "coloring/exact_colorer.h"
 
 #include <algorithm>
-#include <stdexcept>
+#include <optional>
 
 #include "cnf/simplify.h"
 #include "graph/clique.h"
@@ -58,7 +58,8 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
       config.chrono_threshold = options.chrono_threshold;
     }
     result = optimization
-                 ? minimize(enc.formula, config, budget, options.search)
+                 ? minimize(std::move(enc.formula), config, budget,
+                            options.search)
                  : solve_decision(enc.formula, config, budget);
   }
   outcome.solve_seconds = solve_timer.seconds();
@@ -78,15 +79,10 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
   outcome.budget_exhausted = result.budget_exhausted;
 
   if (!result.model.empty()) {
-    outcome.coloring = enc.decode(result.model);
-    if (!graph.is_proper_coloring(outcome.coloring)) {
-      throw std::logic_error("solver returned an improper coloring");
-    }
+    outcome.coloring = enc.decode_checked(
+        graph, result.model,
+        optimization ? std::optional(result.best_value) : std::nullopt);
     outcome.num_colors = Graph::count_colors(outcome.coloring);
-    if (optimization &&
-        outcome.num_colors != static_cast<int>(result.best_value)) {
-      throw std::logic_error("objective value disagrees with coloring");
-    }
   }
   outcome.total_seconds = total.seconds();
   return outcome;

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 
 #include "cnf/objective_ladder.h"
 #include "sat/parallel_solver.h"
@@ -12,8 +13,8 @@
 namespace symcolor {
 namespace {
 
-/// objective <= bound as a normalized PB constraint (the permanent-row
-/// fallback used when the selector ladder was refused).
+/// objective <= bound as a normalized PB constraint: the counting form of
+/// a committed upper bound.
 PbConstraint objective_at_most(const Objective& objective, std::int64_t bound) {
   std::vector<PbTerm> terms(objective.terms.begin(), objective.terms.end());
   return PbConstraint::at_most(std::move(terms), bound);
@@ -22,9 +23,8 @@ PbConstraint objective_at_most(const Objective& objective, std::int64_t bound) {
 /// Shared state of one minimization run: the persistent engine, the
 /// ladder, and the result being assembled.
 struct MinimizeRun {
-  const Formula& formula;
-  const Objective& objective;
-  const SolveBudget& budget;
+  const Objective objective;
+  const int num_vars;  // of the caller's formula, before the ladder
   BudgetLedger ledger;
   OptResult result;
   Timer timer;
@@ -32,14 +32,16 @@ struct MinimizeRun {
   ObjectiveLadder ladder;
   std::unique_ptr<SolverEngine> engine;
 
-  MinimizeRun(const Formula& f, const SolverConfig& config,
-              const SolveBudget& b)
-      : formula(f),
-        objective(*f.objective()),
-        budget(b),
+  MinimizeRun(Formula f, const SolverConfig& config, const SolveBudget& b)
+      : objective(*f.objective()),
+        num_vars(f.num_vars()),
         ledger(b),
-        working(f),
+        working(std::move(f)),
         ladder(&working, objective) {
+    if (!ladder.ok()) {
+      throw std::invalid_argument(
+          "minimize: objective has too many distinct sums for its ladder");
+    }
     engine = make_solver_engine(working, config);
     // The ladder floor (objective value with every normalized term off) is
     // proven by construction; mining and Unsat probes only lift it.
@@ -48,9 +50,9 @@ struct MinimizeRun {
 
   /// One solve against the persistent engine, charged to the run ledger.
   /// The run's conflict/propagation caps are whole-run budgets: each probe
-  /// gets a child budget carrying only the unspent remainder, and a probe
-  /// is refused outright (Unknown) once the ledger is exhausted. Every
-  /// Unknown records which bound tripped in result.tripped.
+  /// gets ledger.probe(), a slice carrying only the unspent remainder, and
+  /// a probe is refused outright (Unknown) once the ledger is exhausted.
+  /// Every Unknown records which bound tripped in result.tripped.
   ///
   /// Incremental note: every probe returns with the engine back at
   /// decision level 0, so commit_upper_bound()'s add_clause()/add_pb()
@@ -58,8 +60,35 @@ struct MinimizeRun {
   /// from probe to probe is learned state (clauses, activities, phases),
   /// never an assumption trail.
   SolveResult probe(std::span<const Lit> assumptions = {}) {
-    return charged_solve(*engine, ledger, assumptions, &result.probes,
-                         &result.tripped);
+    const BudgetTrip pre = ledger.trip();
+    if (pre != BudgetTrip::None) {
+      result.tripped = pre;
+      return SolveResult::Unknown;
+    }
+    ++result.probes;
+    const std::int64_t conflicts_before = engine->stats().conflicts;
+    const std::int64_t props_before = engine->stats().propagations;
+    const SolveResult r = engine->solve(ledger.probe(), assumptions);
+    ledger.charge(engine->stats().conflicts - conflicts_before,
+                  engine->stats().propagations - props_before);
+    if (r == SolveResult::Unknown) {
+      const BudgetTrip trip = engine->last_trip();
+      result.tripped = trip != BudgetTrip::None ? trip : ledger.trip();
+    }
+    return r;
+  }
+
+  /// Probe under the single ladder assumption asserting objective <= bound.
+  /// A bound below the objective's floor is Unsat without a solve.
+  SolveResult probe_at_most(std::int64_t bound) {
+    const ObjectiveLadder::Bound b = ladder.at_most(bound);
+    if (b.kind == ObjectiveLadder::Bound::Kind::Infeasible) {
+      return SolveResult::Unsat;
+    }
+    if (b.kind == ObjectiveLadder::Bound::Kind::Assume) {
+      return probe({&b.lit, 1});
+    }
+    return probe();
   }
 
   void record_incumbent() {
@@ -79,7 +108,6 @@ struct MinimizeRun {
   /// power on the closing UNSAT proof). Only the MOVING probe bound
   /// rides on a retractable assumption.
   void commit_upper_bound() {
-    if (!ladder.ok()) return;  // the fallback path adds permanent PB rows
     const std::int64_t target = result.best_value - 1;
     if (target >= committed_ub) return;
     committed_ub = target;
@@ -99,7 +127,7 @@ struct MinimizeRun {
     // Surface the model over the ORIGINAL variables only; the ladder
     // auxiliaries are an implementation detail of the search.
     if (!result.model.empty()) {
-      result.model.resize(static_cast<std::size_t>(formula.num_vars()));
+      result.model.resize(static_cast<std::size_t>(num_vars));
     }
     // Status/bound consistency, enforced in one place:
     //  * Feasible PROMISES an incumbent — a budgeted exit that never found
@@ -122,38 +150,24 @@ struct MinimizeRun {
     return result;
   }
 
-  /// Bisect [lo, best_value - 1] with ladder assumptions on the one
-  /// engine, starting from a recorded incumbent. `lo` must be a proven
-  /// lower bound; every Unsat probe raises it (and result.lower_bound)
-  /// further. Returns the final status (Optimal, or Feasible once the
-  /// budget trips — the incumbent and the proven bound both survive).
-  OptStatus bisect(std::int64_t lo) {
-    if (lo > result.lower_bound) result.lower_bound = lo;
+  /// Bisect [result.lower_bound, best_value - 1] with ladder assumptions
+  /// on the one engine, starting from a recorded incumbent. Every Unsat
+  /// probe raises the proven lower bound. Returns the final status
+  /// (Optimal, or Feasible once the budget trips — the incumbent and the
+  /// proven bound both survive).
+  OptStatus bisect() {
+    std::int64_t lo = result.lower_bound;
     std::int64_t hi = result.best_value - 1;
     while (lo <= hi) {
-      const BudgetTrip trip = ledger.trip();
-      if (trip != BudgetTrip::None) {
-        result.tripped = trip;
-        return OptStatus::Feasible;
-      }
       const std::int64_t mid = lo + (hi - lo) / 2;
-      const ObjectiveLadder::Bound bound = ladder.at_most(mid);
-      if (bound.kind == ObjectiveLadder::Bound::Kind::Infeasible) {
-        lo = mid + 1;  // below the objective's floor (defensive)
-        continue;
-      }
-      std::span<const Lit> assume;
-      if (bound.kind == ObjectiveLadder::Bound::Kind::Assume) {
-        assume = {&bound.lit, 1};
-      }
-      const SolveResult r = probe(assume);
+      const SolveResult r = probe_at_most(mid);
       if (r == SolveResult::Sat) {
         record_incumbent();
         hi = result.best_value - 1;
       } else if (r == SolveResult::Unsat) {
         // No model at or below mid: the optimum is proven > mid.
         lo = mid + 1;
-        if (lo > result.lower_bound) result.lower_bound = lo;
+        result.lower_bound = lo;
       } else {
         return OptStatus::Feasible;  // probe() recorded the trip
       }
@@ -162,41 +176,16 @@ struct MinimizeRun {
   }
 
   /// Linear strengthening from a recorded incumbent: repeatedly assume
-  /// objective <= best - 1 until UNSAT. Used by SearchStrategy::Linear
-  /// and as the ladder-less fallback (permanent rows) for every strategy.
+  /// objective <= best - 1 until UNSAT, or until the incumbent meets the
+  /// proven lower bound.
   OptStatus strengthen() {
-    for (;;) {
-      const std::int64_t target = result.best_value - 1;
-      if (ladder.ok()) {
-        const ObjectiveLadder::Bound bound = ladder.at_most(target);
-        if (bound.kind == ObjectiveLadder::Bound::Kind::Infeasible) {
-          return OptStatus::Optimal;  // incumbent sits on the floor
-        }
-        std::span<const Lit> assume;
-        if (bound.kind == ObjectiveLadder::Bound::Kind::Assume) {
-          assume = {&bound.lit, 1};
-        }
-        const SolveResult r = probe(assume);
-        if (r == SolveResult::Sat) {
-          record_incumbent();
-          continue;
-        }
-        return r == SolveResult::Unsat ? OptStatus::Optimal
-                                       : OptStatus::Feasible;
-      }
-      // Ladder refused (adversarial weight pattern): strengthen with
-      // permanent PB rows on the same persistent engine — still zero
-      // rebuilds, just no retraction, so Binary/CoreGuided degrade to
-      // linear strengthening here.
-      engine->add_pb(objective_at_most(objective, target));
-      const SolveResult r = probe();
-      if (r == SolveResult::Sat) {
-        record_incumbent();
-        continue;
-      }
-      return r == SolveResult::Unsat ? OptStatus::Optimal
-                                     : OptStatus::Feasible;
+    while (result.best_value > result.lower_bound) {
+      const SolveResult r = probe_at_most(result.best_value - 1);
+      if (r == SolveResult::Unsat) break;
+      if (r == SolveResult::Unknown) return OptStatus::Feasible;
+      record_incumbent();
     }
+    return OptStatus::Optimal;
   }
 };
 
@@ -245,11 +234,12 @@ OptResult solve_decision(const Formula& formula, const SolverConfig& config,
   return result;
 }
 
-OptResult minimize(const Formula& formula, const SolverConfig& config,
+OptResult minimize(Formula formula, const SolverConfig& config,
                    const SolveBudget& budget, SearchStrategy strategy,
                    std::int64_t lower_hint) {
   if (!formula.objective()) return solve_decision(formula, config, budget);
-  MinimizeRun run(formula, config, budget);
+  MinimizeRun run(std::move(formula), config, budget);
+  run.result.lower_bound = std::max(run.result.lower_bound, lower_hint);
 
   // Every strategy opens with an unconstrained probe: Infeasible is
   // decided once, and the incumbent immediately commits the permanent
@@ -258,14 +248,16 @@ OptResult minimize(const Formula& formula, const SolverConfig& config,
   if (first == SolveResult::Unsat) return run.finish(OptStatus::Infeasible);
   if (first == SolveResult::Unknown) return run.finish(OptStatus::Unknown);
   run.record_incumbent();
+  if (run.result.best_value <= run.result.lower_bound) {
+    return run.finish(OptStatus::Optimal);
+  }
 
-  std::int64_t lb = run.ladder.min_value();
-  // Core mining needs the committed incumbent bound (ladder path) for two
-  // reasons: the mined lb feeds the ladder bisection only, and without
-  // the bound a mining Sat model may be WORSE than the incumbent — the
-  // bound guarantees every later model strictly improves, which is what
-  // lets record_incumbent overwrite unconditionally.
-  if (strategy == SearchStrategy::CoreGuided && run.ladder.ok()) {
+  // Core mining needs the committed incumbent bound for two reasons: the
+  // mined lb feeds the ladder bisection only, and without the bound a
+  // mining Sat model may be WORSE than the incumbent — the bound
+  // guarantees every later model strictly improves, which is what lets
+  // record_incumbent overwrite unconditionally.
+  if (strategy == SearchStrategy::CoreGuided) {
     // Disjoint-core mining: assume every objective term contributes
     // nothing; every UNSAT answer's failed-assumption core names terms
     // that cannot all stay off, lifting the lower bound by the core's
@@ -315,16 +307,14 @@ OptResult minimize(const Formula& formula, const SolverConfig& config,
         break;
       }
     }
-    lb += lifted;
     // Mined cores are proofs: even if the budget trips before bisection,
     // the lifted floor is a sound bound to hand back.
-    if (lb > run.result.lower_bound) run.result.lower_bound = lb;
+    run.result.lower_bound =
+        std::max(run.result.lower_bound, run.ladder.min_value() + lifted);
   }
 
-  if (strategy != SearchStrategy::Linear && run.ladder.ok()) {
-    return run.finish(run.bisect(std::max(lower_hint, lb)));
-  }
-  return run.finish(run.strengthen());
+  return run.finish(strategy == SearchStrategy::Linear ? run.strengthen()
+                                                       : run.bisect());
 }
 
 }  // namespace symcolor

@@ -12,17 +12,11 @@
 //
 //   * SearchStrategy::Linear — iterative strengthening, SAT-to-UNSAT:
 //     solve; on SAT with value W re-solve assuming objective <= W-1;
-//     repeat until UNSAT, proving the last model optimal. Each probe
-//     tightens the previous one, so the assumption ladder loses nothing
-//     over the old permanent-row strengthening — and keeps the engine
-//     reusable afterwards.
-//   * SearchStrategy::Binary — bisect [lower_hint, first incumbent - 1].
-//     Historically this rebuilt a fresh solver per probe because a
-//     permanent "objective <= mid" row cannot be retracted when the probe
-//     answers UNSAT; with ladder assumptions the SAME engine serves both
-//     directions of the search and every learned clause carries over
-//     (zero rebuilds — see the ROADMAP PR 5 table for the conflict
-//     counts this saves).
+//     repeat until UNSAT (or until W meets the proven lower bound),
+//     proving the last model optimal.
+//   * SearchStrategy::Binary — bisect [lower bound, first incumbent - 1].
+//     Ladder assumptions let the SAME engine serve both directions of
+//     the search, so every learned clause carries over.
 //   * SearchStrategy::CoreGuided — MaxSAT-style lower-bound lifting:
 //     assume every objective term false and mine disjoint UNSAT cores
 //     (SolverEngine::last_core()); each core proves some term in it must
@@ -36,6 +30,11 @@
 // in which side of the bound their probes are easy on. A formula without
 // an objective degenerates to a single decision query under any strategy.
 //
+// The SAT-loop colorer (coloring/cnf_coloring) is one more caller: its
+// CNF K-coloring encoding carries the color-count objective, so "is the
+// graph k-colorable?" is a ladder probe like any other and the loop has
+// no K-search of its own.
+//
 // Every loop drives an abstract SolverEngine obtained from
 // make_solver_engine, never a concrete solver: setting
 // SolverConfig::portfolio_threads > 1 swaps the sequential CDCL backend
@@ -43,6 +42,7 @@
 // loops changing shape, and the optima are identical at any thread count.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cnf/formula.h"
@@ -52,9 +52,9 @@
 
 namespace symcolor {
 
-/// Objective search strategy, shared by every optimization caller (the
-/// native PB pipeline in coloring/exact_colorer, the SAT-loop colorer in
-/// coloring/cnf_coloring, the CLI's --search flag).
+/// Objective search strategy of minimize(), chosen by every optimization
+/// caller (the native PB pipeline in coloring/exact_colorer, the SAT-loop
+/// colorer in coloring/cnf_coloring, the CLI's --search flag).
 enum class SearchStrategy { Linear, Binary, CoreGuided };
 
 const char* search_strategy_name(SearchStrategy strategy);
@@ -83,8 +83,8 @@ struct OptResult {
   int probes = 0;
   double seconds = 0.0;
   /// Tightest PROVEN lower bound on the objective from minimize() runs:
-  /// the ladder floor, lifted by core-guided mining and by every Unsat
-  /// bisection probe. Equals best_value when status is Optimal; on a
+  /// the ladder floor, lifted by the caller's lower_hint, by core-guided
+  /// mining and by every Unsat bisection probe. Equals best_value when status is Optimal; on a
   /// budgeted Feasible exit the optimum lies in [lower_bound, best_value].
   /// Not meaningful for pure decision queries.
   std::int64_t lower_bound = 0;
@@ -104,16 +104,21 @@ OptResult solve_decision(const Formula& formula, const SolverConfig& config,
                          const SolveBudget& budget);
 
 /// Minimize the formula's objective with the given strategy on one
-/// persistent engine. `lower_hint` seeds the lower bound of the Binary
-/// and CoreGuided searches (ignored by Linear); it must itself be a
-/// proven bound — it is folded into OptResult::lower_bound. The budget
+/// persistent engine. The formula is taken by value so a caller that is
+/// done with it can move it in instead of paying for a copy. `lower_hint`
+/// is a caller-proven lower bound on the objective, folded into
+/// OptResult::lower_bound: every strategy reports Optimal as soon as an
+/// incumbent meets it, and Binary/CoreGuided bisect from it. The budget
 /// covers the WHOLE run: its conflict/propagation caps are spread across
 /// probes by a BudgetLedger, and interrupt()/deadline preempt between and
 /// inside probes. Degradation contract: a budgeted exit keeps the best
 /// incumbent (status Feasible) and the tightest proven lower bound; only
-/// a run with no incumbent at all reports Unknown.
-OptResult minimize(const Formula& formula, const SolverConfig& config,
+/// a run with no incumbent at all reports Unknown. Throws
+/// std::invalid_argument when the objective has too many distinct sums
+/// for an ObjectiveLadder (cnf/objective_ladder.h).
+OptResult minimize(Formula formula, const SolverConfig& config,
                    const SolveBudget& budget, SearchStrategy strategy,
-                   std::int64_t lower_hint = 0);
+                   std::int64_t lower_hint =
+                       std::numeric_limits<std::int64_t>::min());
 
 }  // namespace symcolor

@@ -85,26 +85,4 @@ std::size_t ClauseExchange::dropped() const {
   return dropped_.load(std::memory_order_relaxed);
 }
 
-SolveResult charged_solve(SolverEngine& engine, BudgetLedger& ledger,
-                          std::span<const Lit> assumptions, int* solves,
-                          BudgetTrip* tripped) {
-  const BudgetTrip pre = ledger.trip();
-  if (pre != BudgetTrip::None) {
-    *tripped = pre;
-    return SolveResult::Unknown;
-  }
-  ++*solves;
-  const SolveBudget slice = ledger.probe();
-  const std::int64_t conflicts_before = engine.stats().conflicts;
-  const std::int64_t props_before = engine.stats().propagations;
-  const SolveResult r = engine.solve(slice, assumptions);
-  ledger.charge(engine.stats().conflicts - conflicts_before,
-                engine.stats().propagations - props_before);
-  if (r == SolveResult::Unknown) {
-    const BudgetTrip trip = engine.last_trip();
-    *tripped = trip != BudgetTrip::None ? trip : ledger.trip();
-  }
-  return r;
-}
-
 }  // namespace symcolor

@@ -34,10 +34,6 @@
 // are throttled to glue clauses, LBD <= SolverConfig::share_max_lbd) and
 // at restart boundaries (imports happen at decision level 0, where a
 // plain level-0 clause addition is sound).
-//
-// charged_solve() is the one ledger-charged probe of the pipeline: the PB
-// optimizer and the SAT-loop colorer both run every solve of a search
-// through it, so a whole search shares one conflict/propagation budget.
 
 #include <algorithm>
 #include <atomic>
@@ -388,15 +384,5 @@ class SolverEngine {
   /// without rebuilding or disturbing the cached engine.
   virtual void reconfigure(const SolverConfig& config) = 0;
 };
-
-/// One solve of a budgeted search, charged to the search's ledger. Once
-/// the ledger is spent the solve is refused: Unknown, with the ledger's
-/// trip in `*tripped`. Otherwise it bumps `*solves`, hands the engine
-/// ledger.probe() (the unspent remainder of every counted cap), and
-/// charges back the conflicts and propagations the solve used; an Unknown
-/// answer records which bound tripped in `*tripped`.
-SolveResult charged_solve(SolverEngine& engine, BudgetLedger& ledger,
-                          std::span<const Lit> assumptions, int* solves,
-                          BudgetTrip* tripped);
 
 }  // namespace symcolor

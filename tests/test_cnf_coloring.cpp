@@ -196,7 +196,7 @@ TEST(SatLoop, FindsChromaticNumbers) {
 
 TEST(SatLoop, AllSearchStrategiesAgree) {
   // Linear, binary and core-guided searches over K must reach the same
-  // chromatic number on the one persistent engine (y(k) assumptions),
+  // chromatic number on the one persistent engine (minimize()'s ladder),
   // with clique pinning (no SBPs, NU) and without it (SC, CA, LI). The
   // graphs are ones where the clique and DSATUR bounds leave a gap, so
   // every row makes SAT calls.
@@ -280,6 +280,8 @@ TEST(SatLoop, CountsSatCalls) {
   const SatLoopResult r =
       solve_coloring_sat_loop(make_myciel_dimacs(3), options);
   EXPECT_GE(r.sat_calls, 1);
+  // The engine's counters come back with the answer (--satloop --stats).
+  EXPECT_GT(r.solver_stats.propagations, 0);
 }
 
 // ---- maximal independent sets / Mehrotra-Trick ----

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "cnf/objective_ladder.h"
 #include "pb/generic_ilp.h"
 #include "pb/optimizer.h"
@@ -257,12 +259,10 @@ TEST(ObjectiveLadder, RefusesPastValueCapWithoutTouchingFormula) {
   EXPECT_EQ(ladder.soft_terms().size(), 10u);
 }
 
-TEST(Minimize, LadderFallbackStillReachesTheOptimum) {
-  // Distinct power-of-two weights blow past a small cap inside minimize's
-  // default, but the default cap is 2^16 values — force the fallback by
-  // constructing a wider spread: 20 powers of two exceeds 2^16 distinct
-  // sums as soon as 17 terms can be active. minimize() must still land
-  // on the optimum through permanent-row strengthening.
+TEST(Minimize, RejectsObjectiveTheLadderRefuses) {
+  // 20 distinct powers of two have 2^20 distinct sums, past the ladder's
+  // default cap of 2^16 values: minimize() has no search without the
+  // ladder, so it must refuse the objective up front for every strategy.
   Formula f;
   Objective obj;
   std::vector<Lit> lits;
@@ -271,15 +271,29 @@ TEST(Minimize, LadderFallbackStillReachesTheOptimum) {
     lits.push_back(Lit::positive(v));
     obj.terms.push_back({std::int64_t{1} << i, Lit::positive(v)});
   }
-  f.add_at_least(lits, 1);  // at least one term on; optimum = weight 1
+  f.add_at_least(lits, 1);
   f.set_objective(obj);
   for (const SearchStrategy strategy :
        {SearchStrategy::Linear, SearchStrategy::Binary,
         SearchStrategy::CoreGuided}) {
-    const OptResult r = minimize(f, {}, {}, strategy);
-    ASSERT_EQ(r.status, OptStatus::Optimal) << search_strategy_name(strategy);
-    EXPECT_EQ(r.best_value, 1) << search_strategy_name(strategy);
+    EXPECT_THROW((void)minimize(f, {}, {}, strategy), std::invalid_argument)
+        << search_strategy_name(strategy);
   }
+}
+
+TEST(Minimize, LowerHintEndsLinearSearchWithoutClosingProbe) {
+  // Exactly 3 of 6 true: every model has value 3, the optimum. With the
+  // optimum as its proven lower hint, Linear must stop on the first model
+  // instead of spending a closing Unsat probe on "<= 2".
+  Formula f = min_true_vars(6, 3);
+  std::vector<Lit> lits;
+  for (Var v = 0; v < 6; ++v) lits.push_back(Lit::positive(v));
+  f.add_at_most(lits, 3);
+  const OptResult r = minimize(f, {}, {}, SearchStrategy::Linear, 3);
+  EXPECT_EQ(r.status, OptStatus::Optimal);
+  EXPECT_EQ(r.best_value, 3);
+  EXPECT_EQ(r.lower_bound, 3);
+  EXPECT_EQ(r.probes, 1);
 }
 
 TEST(GenericIlp, SimpleOptimum) {

@@ -5,8 +5,10 @@ Usage: cli_smoke.py <path-to-symcolor_cli>
 
 Malformed or out-of-range numeric flag values, and flags --satloop does
 not honor, must print usage and exit 3 (never crash or silently fall back
-to a default or ignore the flag). Three short solves pin
-the answer line and the exit-code convention: 0 optimal, 2 budget stop.
+to a default or ignore the flag). Short solves pin the answer line and
+the exit-code convention (0 optimal, 2 budget stop) on both pipelines
+and under every --satloop search strategy, and --satloop --stats must
+print the same `solver:` line as the native pipeline.
 """
 
 import subprocess
@@ -52,6 +54,12 @@ def main():
          EXIT_SOLVED, "chromatic number: 5"),
         (["--instance", "queen6_6", "--satloop"],
          EXIT_SOLVED, "chromatic number: 7"),
+        (["--instance", "queen6_6", "--satloop", "--search", "binary"],
+         EXIT_SOLVED, "chromatic number: 7"),
+        (["--instance", "queen6_6", "--satloop", "--search", "core"],
+         EXIT_SOLVED, "chromatic number: 7"),
+        (["--instance", "queen6_6", "--satloop", "--stats"],
+         EXIT_SOLVED, "solver:"),
         (["--instance", "queen7_7", "--conflict-budget", "1"],
          EXIT_STOPPED, "stopped (conflicts)"),
     ]

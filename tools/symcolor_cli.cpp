@@ -8,10 +8,11 @@
 //   --sbp <row>     none | nu | ca | li | liq | sc | nu+sc  (default none)
 //   --shatter       add instance-dependent lex-leader SBPs
 //   --solver <s>    pbs | pbs2 | galena | pueblo | generic  (default pbs2)
-//   --search <s>    objective search strategy on ONE persistent engine:
-//                   linear (strengthen from above), binary (bisect), or
-//                   core (UNSAT-core lower-bound lifting); default linear.
-//                   Applies to both the native PB and --satloop pipelines
+//   --search <s>    objective search strategy of the one optimizer
+//                   (minimize) on ONE persistent engine: linear
+//                   (strengthen from above), binary (bisect), or core
+//                   (UNSAT-core lower-bound lifting); default linear.
+//                   Both the native PB and --satloop pipelines run it
 //   --threads <n>   racing portfolio workers per CDCL solve (default 1;
 //                   the answer is identical at any thread count)
 //   --cube-depth <n> cube-and-conquer: split the search space into
@@ -294,6 +295,11 @@ int main(int argc, char** argv) {
     if (chrono >= 0) options.solver.chrono_threshold = chrono;
     options.budget = &run_budget;
     const SatLoopResult r = solve_coloring_sat_loop(graph, options);
+    if (stats) {
+      std::printf("%s\n", format_solver_line(r.solver_stats).c_str());
+      std::printf("%s\n",
+                  format_budget_line(r.tripped, r.solver_stats).c_str());
+    }
     if (r.status == OptStatus::Optimal) {
       std::printf("chromatic number: %d (clique %zu, %d SAT calls, %.3f s)\n",
                   r.num_colors, r.clique.size(), r.sat_calls, r.seconds);
