@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "coloring/cnf_coloring.h"
+#include "coloring/exact_colorer.h"
 #include "graph/generators.h"
 #include "pb/solver_profiles.h"
 #include "support.h"
@@ -46,17 +47,16 @@ int main() {
     for (const AmoEncoding amo :
          {AmoEncoding::Pairwise, AmoEncoding::Sequential,
           AmoEncoding::Commander}) {
-      SatLoopOptions options;
+      ColoringOptions options;
       options.amo = amo;
       options.sbps = SbpOptions::nu_sc();
-      options.solver = profile_config(SolverKind::PbsII);
       options.time_budget_seconds = budgets.solve_seconds;
-      const SatLoopResult r = solve_coloring_sat_loop(inst.graph, options);
+      const ColoringOutcome r = solve_coloring_sat_loop(inst.graph, options);
       const ColoringEncoding probe = encode_k_coloring_cnf(
           inst.graph, budgets.max_colors, amo, options.sbps);
       table.row({inst.name,
                  std::string("SAT-") + amo_encoding_name(amo),
-                 time_cell(r.seconds, r.status == OptStatus::Optimal),
+                 time_cell(r.total_seconds, r.status == OptStatus::Optimal),
                  r.num_colors > 0 ? std::to_string(r.num_colors) : "-",
                  std::to_string(r.sat_calls),
                  std::to_string(probe.formula.num_clauses())});

@@ -21,9 +21,9 @@
 
 #include "automorphism/refinement.h"
 #include "automorphism/search.h"
-#include "coloring/cnf_coloring.h"
 #include "coloring/dsatur_bnb.h"
 #include "coloring/encoder.h"
+#include "coloring/exact_colorer.h"
 #include "coloring/heuristics.h"
 #include "graph/clique.h"
 #include "graph/generators.h"
@@ -471,11 +471,11 @@ BENCHMARK(BM_OptimizerSearchStrategies)->Arg(0)->Arg(1)->Arg(2);
 // probe included, and under core one mining probe per pinned color.
 void BM_SatLoopSearchStrategies(benchmark::State& state) {
   const Graph g = make_queen_graph(7, 7);
-  SatLoopOptions options;
+  ColoringOptions options;
   options.search = static_cast<SearchStrategy>(state.range(0));
   std::int64_t sat_calls = 0;
   for (auto _ : state) {
-    const SatLoopResult r = solve_coloring_sat_loop(g, options);
+    const ColoringOutcome r = solve_coloring_sat_loop(g, options);
     benchmark::DoNotOptimize(r.num_colors);
     sat_calls += r.sat_calls;
   }

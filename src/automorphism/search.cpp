@@ -58,10 +58,10 @@ bool maps_edges_at(const Graph& graph, std::span<const int> perm,
 class Search {
  public:
   Search(const Graph& graph, std::span<const int> colors,
-         const Deadline& deadline)
+         const SolveBudget& budget)
       : graph_(graph),
         colors_(colors.begin(), colors.end()),
-        deadline_(deadline),
+        budget_(budget),
         theta_(graph.num_vertices()),
         gamma_(identity_perm(graph.num_vertices())) {}
 
@@ -85,9 +85,11 @@ class Search {
 
  private:
   /// Polled at every node, so even a search of a handful of nodes sees
-  /// an expired deadline.
+  /// an expired deadline or an interrupt.
   [[nodiscard]] bool budget_exceeded() {
-    if (result_.complete && deadline_.expired()) result_.complete = false;
+    if (result_.complete && budget_.poll() != BudgetTrip::None) {
+      result_.complete = false;
+    }
     return !result_.complete;
   }
 
@@ -231,7 +233,7 @@ class Search {
 
   const Graph& graph_;
   std::vector<int> colors_;
-  const Deadline& deadline_;
+  const SolveBudget& budget_;
   DisjointSets theta_;
   AutomorphismResult result_;
   std::vector<std::uint64_t> first_traces_;
@@ -254,8 +256,8 @@ bool is_automorphism(const Graph& graph, std::span<const int> perm,
 
 AutomorphismResult find_automorphisms(const Graph& graph,
                                       std::span<const int> colors,
-                                      const Deadline& deadline) {
-  Search search(graph, colors, deadline);
+                                      const SolveBudget& budget) {
+  Search search(graph, colors, budget);
   return search.run();
 }
 

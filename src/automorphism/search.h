@@ -23,6 +23,7 @@
 
 #include "automorphism/perm.h"
 #include "graph/graph.h"
+#include "util/budget.h"
 #include "util/timer.h"
 
 namespace symcolor {
@@ -34,16 +35,19 @@ struct AutomorphismResult {
   std::int64_t nodes = 0;
   std::int64_t leaves = 0;      ///< a sparse exit counts as its leaf
   std::int64_t bad_leaves = 0;  ///< leaves that failed the adjacency check
-  bool complete = true;         ///< false when the deadline cut the search
+  bool complete = true;         ///< false when the budget cut the search
   double seconds = 0.0;
 };
 
 /// Find automorphism-group generators of `graph` respecting the vertex
 /// coloring `colors` (vertices may only map to vertices of equal color;
-/// pass empty for uncolored). Deterministic for a fixed input.
+/// pass empty for uncolored). Deterministic for a fixed input. `budget`
+/// is polled at every search node: a deadline or an interrupt() stops the
+/// search with the generators found so far and `complete` false (its
+/// counted caps do not apply). A legacy `Deadline` converts implicitly.
 AutomorphismResult find_automorphisms(const Graph& graph,
                                       std::span<const int> colors = {},
-                                      const Deadline& deadline = {});
+                                      const SolveBudget& budget = {});
 
 /// True iff `perm` is a permutation that maps edges to edges and respects
 /// `colors`. Only edges at moved vertices are looked up.

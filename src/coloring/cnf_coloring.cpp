@@ -4,9 +4,7 @@
 #include <stdexcept>
 
 #include "cnf/pb_to_cnf.h"
-#include "coloring/heuristics.h"
 #include "coloring/sbp.h"
-#include "graph/clique.h"
 
 namespace symcolor {
 namespace {
@@ -115,87 +113,6 @@ ColoringEncoding encode_k_coloring_cnf(const Graph& graph, int max_colors,
     enc.formula = to_pure_cnf(enc.formula);
   }
   return enc;
-}
-
-SatLoopResult solve_coloring_sat_loop(const Graph& graph,
-                                      const SatLoopOptions& options) {
-  Timer timer;
-  // The whole loop runs under one budget: a child of the caller's when one
-  // is supplied (inheriting its deadline/interrupt and clamped to its
-  // counted caps), a fresh one otherwise.
-  const SolveBudget budget =
-      options.budget != nullptr
-          ? options.budget->child(options.time_budget_seconds,
-                                  options.conflict_budget, options.prop_budget)
-          : SolveBudget(options.time_budget_seconds, options.conflict_budget,
-                        options.prop_budget);
-  SatLoopResult result;
-
-  if (graph.num_vertices() == 0) {
-    result.status = OptStatus::Optimal;
-    result.num_colors = 0;
-    result.seconds = timer.seconds();
-    return result;
-  }
-
-  // Bounds (Section 4.1's procedure): a feasible DSATUR coloring above, a
-  // clique below. max_clique starts from the greedy clique and runs its
-  // branch and bound only when that clique is smaller than the DSATUR
-  // count, stopping once it meets it. Its node cap is the only limit that
-  // may bind on its own, so the bound is the same on every machine.
-  result.coloring = dsatur_coloring(graph);
-  result.num_colors = Graph::count_colors(result.coloring);  // feasible
-  result.clique = max_clique(graph, budget, nullptr, kSatLoopCliqueNodeCap,
-                             result.num_colors);
-  result.lower_bound = std::max<int>(1, static_cast<int>(result.clique.size()));
-  result.status = OptStatus::Optimal;
-
-  // A clique that meets the DSATUR coloring closes the run by bounds.
-  if (result.lower_bound < result.num_colors) {
-    // One encoding at the upper bound with NU forced on: color usage is
-    // then a prefix, and minimize() drives the color-count objective
-    // through its selector ladder on one persistent engine, so learned
-    // clauses survive every K-query. solver.portfolio_threads is the one
-    // thread knob; the factory picks the backend from it.
-    SbpOptions sbps = options.sbps;
-    sbps.nu = true;
-    ColoringEncoding enc =
-        encode_k_coloring_cnf(graph, result.num_colors, options.amo, sbps);
-    // Clique pinning (Van Gelder 2008): clique[i] takes color i. Any
-    // proper coloring can be relabeled to agree, and under NU the pinned
-    // colors are used and form the prefix, so no K-query changes its
-    // answer. SC, CA and LI fix colors their own way, so they turn
-    // pinning off.
-    if (!options.sbps.sc && !options.sbps.ca && !options.sbps.li) {
-      for (std::size_t i = 0; i < result.clique.size(); ++i) {
-        enc.formula.add_unit(
-            Lit::positive(enc.x(result.clique[i], static_cast<int>(i))));
-      }
-    }
-    add_color_count_objective(&enc);
-    const OptResult r = minimize(std::move(enc.formula), options.solver,
-                                 budget, options.search, result.lower_bound);
-    // The DSATUR coloring satisfies the encoding, so Infeasible is a bug.
-    if (r.status == OptStatus::Infeasible) {
-      throw std::logic_error("DSATUR-colorable encoding refuted");
-    }
-    result.sat_calls = r.probes;
-    result.solver_stats = r.stats;
-    result.tripped = r.tripped;
-    result.lower_bound = static_cast<int>(r.lower_bound);  // >= the hint
-    if (!r.model.empty() && r.best_value < result.num_colors) {
-      result.coloring = enc.decode_checked(graph, r.model, r.best_value);
-      result.num_colors = static_cast<int>(r.best_value);
-    }
-    // Graceful degradation: the DSATUR seed guarantees a feasible
-    // coloring, so a budgeted exit is Feasible with the best one found
-    // and the tightest proven lower bound.
-    if (r.status != OptStatus::Optimal) result.status = OptStatus::Feasible;
-  }
-
-  result.budget_exhausted = result.status != OptStatus::Optimal;
-  result.seconds = timer.seconds();
-  return result;
 }
 
 }  // namespace symcolor

@@ -1,17 +1,34 @@
 #pragma once
-// The library's main entry point: optimal graph coloring by reduction to
-// 0-1 ILP with configurable symmetry breaking — the full experimental
-// pipeline of the paper in one call.
+// The library's entry points: exact graph coloring by reduction to 0-1
+// ILP or CNF with configurable symmetry breaking, the paper's whole
+// experimental pipeline in one call. One driver runs all three, stage by
+// stage under one SolveBudget; each entry point picks its plan:
 //
-//   graph --encode(K, instance-independent SBPs)--> 0-1 ILP formula
-//         --[optional: Shatter instance-dependent SBPs]-->
-//         --solver personality (PBS II / Galena / Pueblo / generic ILP)-->
-//         minimum-coloring model --> per-vertex colors.
+//   stage       solve_coloring, solve_k_coloring  solve_coloring_sat_loop
+//   1 bounds    -                                 DSATUR + capped max_clique;
+//                                                 meeting bounds end the run
+//   2 encode    0-1 ILP at K = max_colors         CNF at the DSATUR bound,
+//               (+ MIN sum_j y(j) if minimizing)  NU, clique pinned, + MIN
+//   3 symmetry  [Shatter]                         -
+//   4 simplify  [presimplify]                     -
+//   5 solve     minimize / solve_decision /       minimize from the clique
+//               generic ILP
+//   6 decode    per-vertex colors, checked proper and against the objective
+//
+// The SAT loop is the paper's Section 2.3 alternative, "repeatedly solving
+// instances of the K-coloring using a SAT solver, with the value of K
+// being updated after each call", bounds first as in Section 4.1.
+// minimize() answers each K-query as one assumption on one persistent
+// engine (Een & Sorensson 2003). Clique vertex i is pinned to color i
+// (Van Gelder 2008): any proper coloring can be relabeled to agree, and
+// under NU the pinned colors form the used prefix, so no K-query changes
+// its answer. SC, CA and LI fix colors their own way and turn pinning off.
 
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "coloring/cnf_coloring.h"
 #include "coloring/encoder.h"
 #include "pb/generic_ilp.h"
 #include "pb/optimizer.h"
@@ -20,16 +37,30 @@
 
 namespace symcolor {
 
+/// Search-node cap of the bounds stage's exact max_clique: a fixed
+/// constant, not an option. Every instance of the 20-instance suite but
+/// DSJC125.9 proves its clique number within it, each in under 1 ms; on
+/// DSJC125.9, whose clique number stays unproved, the cap binds after
+/// about 10 ms (Release build, 4-vCPU x86 VM).
+inline constexpr std::int64_t kSatLoopCliqueNodeCap = 1000;
+
 struct ColoringOptions {
   /// Color bound K of the encoding (paper uses 20 and 30). A graph whose
-  /// chromatic number exceeds this is reported Infeasible.
+  /// chromatic number exceeds this is reported Infeasible. The SAT loop
+  /// ignores it: it encodes at its DSATUR bound.
   int max_colors = 20;
   /// Instance-independent SBPs added during formulation.
   SbpOptions sbps;
-  /// Run the Shatter flow (detect + lex-leader SBPs) before solving.
+  /// At-most-one encoding of the per-vertex exactly-one constraint in the
+  /// SAT loop's CNF; the native 0-1 ILP encoding ignores it.
+  AmoEncoding amo = AmoEncoding::Sequential;
+  /// Run the Shatter flow (detect + lex-leader SBPs) before solving. The
+  /// SAT loop rejects it: a lex-leader clause from a generator that moves
+  /// a y(k) is unsound under minimize()'s K-assumptions.
   bool instance_dependent_sbps = false;
   /// Truncate lex-leader chains (0 = full support).
   int sbp_max_support = 0;
+  /// Solver personality. The SAT loop rejects SolverKind::GenericIlp.
   SolverKind solver = SolverKind::PbsII;
   /// Per-instance wall budget in seconds (0 = unlimited), covering
   /// symmetry detection plus solving.
@@ -39,7 +70,7 @@ struct ColoringOptions {
   /// one persistent engine and reach the same optimum.
   SearchStrategy search = SearchStrategy::Linear;
   /// Run the pre-solve simplifier (root propagation, pure literals,
-  /// subsumption) after SBPs are in place.
+  /// subsumption) after SBPs are in place. The SAT loop rejects it.
   bool presimplify = false;
   /// Parallel workers inside every CDCL solve (sat/parallel_solver.h);
   /// 1 = the plain sequential engine. The reported optimum is identical
@@ -74,6 +105,8 @@ struct ColoringOutcome {
   /// Infeasible: chromatic number exceeds max_colors.
   /// Feasible: timeout with a valid (not proved optimal) coloring.
   /// Unknown: timeout without any coloring.
+  /// The SAT loop reports only Optimal or Feasible: its bounds stage
+  /// always finds a coloring.
   OptStatus status = OptStatus::Unknown;
   int num_colors = -1;
   std::vector<int> coloring;  ///< per-vertex colors, empty unless found
@@ -85,6 +118,14 @@ struct ColoringOutcome {
   /// whether the exit was budget-driven rather than a proof.
   BudgetTrip tripped = BudgetTrip::None;
   bool budget_exhausted = false;
+  /// A clique of the graph (vertex ids, ascending), the certificate for
+  /// chi >= clique.size(), checkable with is_clique. The bounds stage's
+  /// clique, or the greedy clique that lifts a budgeted minimization's
+  /// lower_bound; empty when the run needed none.
+  std::vector<int> clique;
+  /// Solve calls the solve stage issued (OptResult::probes); 0 when the
+  /// bounds closed the run.
+  int sat_calls = 0;
 
   // Pipeline statistics.
   int formula_vars = 0;
@@ -113,5 +154,18 @@ ColoringOutcome solve_coloring(const Graph& graph,
 /// colors? Uses the same pipeline without an objective.
 ColoringOutcome solve_k_coloring(const Graph& graph,
                                  const ColoringOptions& options = {});
+
+/// Minimize the number of colors through the SAT-loop plan: bounds first,
+/// then CNF K-queries on one persistent engine. Reads `sbps`, `amo`,
+/// `solver`, `search`, `threads`, `cube_depth`, `chrono_threshold` and the
+/// budget fields; ignores `max_colors`. Throws std::invalid_argument for
+/// `instance_dependent_sbps`, `presimplify` and SolverKind::GenericIlp,
+/// which it cannot honor.
+ColoringOutcome solve_coloring_sat_loop(const Graph& graph,
+                                        const ColoringOptions& options = {});
+
+/// Read only by suitebench; ROADMAP item 1c's [benchmark] PR deletes them.
+using SatLoopOptions = ColoringOptions;
+using SatLoopResult = ColoringOutcome;
 
 }  // namespace symcolor

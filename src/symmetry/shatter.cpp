@@ -8,7 +8,7 @@
 namespace symcolor {
 
 SymmetryInfo detect_symmetries(const Formula& formula,
-                               const Deadline& deadline) {
+                               const SolveBudget& budget) {
   SymmetryInfo info;
   Timer timer;
   // Literal maps of the graph automorphisms; an empty map is spurious.
@@ -18,7 +18,7 @@ SymmetryInfo detect_symmetries(const Formula& formula,
   {
     const FormulaGraph fg = build_formula_graph(formula);
     const AutomorphismResult result =
-        find_automorphisms(fg.graph, fg.vertex_colors, deadline);
+        find_automorphisms(fg.graph, fg.vertex_colors, budget);
     info.complete = result.complete;
     info.log10_order = result.log10_order;
     candidates.reserve(result.generators.size());
@@ -30,7 +30,7 @@ SymmetryInfo detect_symmetries(const Formula& formula,
   for (Perm& lit_perm : candidates) {
     // Breaking a subset of verified symmetries is sound; an unverified
     // generator is never kept.
-    if (deadline.expired()) {
+    if (budget.poll() != BudgetTrip::None) {
       info.complete = false;
       break;
     }
@@ -47,10 +47,10 @@ SymmetryInfo detect_symmetries(const Formula& formula,
   return info;
 }
 
-ShatterStats shatter(Formula& formula, const Deadline& detect_deadline,
+ShatterStats shatter(Formula& formula, const SolveBudget& budget,
                      int max_support) {
   ShatterStats stats;
-  stats.symmetry = detect_symmetries(formula, detect_deadline);
+  stats.symmetry = detect_symmetries(formula, budget);
   stats.sbp =
       add_lex_leader_sbps(formula, stats.symmetry.generators, max_support);
   return stats;

@@ -26,11 +26,13 @@ struct SymmetryInfo {
 
 /// Detect the symmetries of `formula` (Saucy stand-in on the colored
 /// formula graph). Each returned generator is verified to be a true
-/// formula symmetry; failures are counted and dropped. The deadline is
-/// polled between generators too: on expiry verification stops, only the
-/// generators verified so far are returned, and `complete` is false.
+/// formula symmetry; failures are counted and dropped. The budget's
+/// deadline and interrupt() are polled inside the automorphism search and
+/// between generators: on a trip only the generators verified so far are
+/// returned, and `complete` is false. A legacy `Deadline` converts
+/// implicitly.
 SymmetryInfo detect_symmetries(const Formula& formula,
-                               const Deadline& deadline = {});
+                               const SolveBudget& budget = {});
 
 struct ShatterStats {
   SymmetryInfo symmetry;
@@ -38,7 +40,7 @@ struct ShatterStats {
 };
 
 /// Full flow: detect symmetries, then append lex-leader SBPs to `formula`.
-ShatterStats shatter(Formula& formula, const Deadline& detect_deadline = {},
+ShatterStats shatter(Formula& formula, const SolveBudget& budget = {},
                      int max_support = 0);
 
 }  // namespace symcolor

@@ -462,9 +462,9 @@ TEST(ColoringBudget, SatLoopDegradesToBestColoringAndProvenBound) {
   // a 5-conflict budget, so the loop must stop with the DSATUR coloring
   // and the clique lower bound.
   const Graph g = make_myciel_dimacs(4);
-  SatLoopOptions options;
+  ColoringOptions options;
   options.conflict_budget = 5;
-  const SatLoopResult r = solve_coloring_sat_loop(g, options);
+  const ColoringOutcome r = solve_coloring_sat_loop(g, options);
   EXPECT_EQ(r.status, OptStatus::Feasible);
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_EQ(r.tripped, BudgetTrip::Conflicts);
@@ -476,7 +476,7 @@ TEST(ColoringBudget, SatLoopDegradesToBestColoringAndProvenBound) {
 
 TEST(ColoringBudget, SatLoopOptimalRunProvesItsBound) {
   const Graph g = make_myciel_dimacs(3);
-  const SatLoopResult r = solve_coloring_sat_loop(g, {});
+  const ColoringOutcome r = solve_coloring_sat_loop(g, {});
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.num_colors, 4);
   EXPECT_EQ(r.lower_bound, 4);
@@ -490,13 +490,31 @@ TEST(ColoringBudget, SatLoopHonorsExternalInterruptedBudget) {
   const Graph g = make_myciel_dimacs(4);
   SolveBudget external;
   external.interrupt();
-  SatLoopOptions options;
+  ColoringOptions options;
   options.budget = &external;
-  const SatLoopResult r = solve_coloring_sat_loop(g, options);
+  const ColoringOutcome r = solve_coloring_sat_loop(g, options);
   EXPECT_EQ(r.status, OptStatus::Feasible);
   EXPECT_EQ(r.tripped, BudgetTrip::Interrupt);
   EXPECT_TRUE(g.is_proper_coloring(r.coloring));
   EXPECT_GE(r.lower_bound, 1);
+}
+
+TEST(ColoringBudget, ShatterHonorsExternalInterruptedBudget) {
+  // The symmetry stage polls the run's whole budget, not only its wall
+  // clock: an already-interrupted external budget stops detection before
+  // it completes, and the solve reports the interrupt.
+  const Graph g = make_queen_graph(5, 5);
+  SolveBudget external;
+  external.interrupt();
+  ColoringOptions options;
+  options.sbps = SbpOptions::sc_only();
+  options.instance_dependent_sbps = true;
+  options.budget = &external;
+  const ColoringOutcome r = solve_coloring(g, options);
+  ASSERT_TRUE(r.symmetry.has_value());
+  EXPECT_FALSE(r.symmetry->complete);
+  EXPECT_EQ(r.tripped, BudgetTrip::Interrupt);
+  EXPECT_FALSE(r.solved());
 }
 
 TEST(ColoringBudget, ExactColorerReportsTripAndBound) {

@@ -6,6 +6,7 @@
 #include "cnf/pb_to_cnf.h"
 #include "coloring/cnf_coloring.h"
 #include "coloring/dsatur_bnb.h"
+#include "coloring/exact_colorer.h"
 #include "coloring/set_cover_formulation.h"
 #include "graph/clique.h"
 #include "graph/generators.h"
@@ -187,7 +188,7 @@ TEST_P(AmoSweep, SbpRowsStayCorrect) {
 INSTANTIATE_TEST_SUITE_P(AllEncodings, AmoSweep, ::testing::Range(0, 3));
 
 TEST(SatLoop, FindsChromaticNumbers) {
-  SatLoopOptions options;
+  ColoringOptions options;
   EXPECT_EQ(solve_coloring_sat_loop(make_myciel_dimacs(3), options).num_colors,
             4);
   EXPECT_EQ(solve_coloring_sat_loop(make_queen_graph(5, 5), options).num_colors,
@@ -216,10 +217,10 @@ TEST(SatLoop, AllSearchStrategiesAgree) {
       for (const SearchStrategy strategy :
            {SearchStrategy::Linear, SearchStrategy::Binary,
             SearchStrategy::CoreGuided}) {
-        SatLoopOptions options;
+        ColoringOptions options;
         options.sbps = sbps;
         options.search = strategy;
-        const SatLoopResult r = solve_coloring_sat_loop(g, options);
+        const ColoringOutcome r = solve_coloring_sat_loop(g, options);
         const std::string where =
             "graph=" + std::to_string(gi) + " sbps=" + sbps.label() +
             " strategy=" + search_strategy_name(strategy);
@@ -239,14 +240,14 @@ TEST(SatLoop, CliqueCertifiesLowerBound) {
   // The returned clique is the lower-bound witness, on optimal runs and
   // on budgeted stops alike. games120 closes on bounds alone: its exact
   // clique meets the DSATUR coloring, so no SAT call is made.
-  SatLoopOptions options;
+  ColoringOptions options;
   options.conflict_budget = 2000;
   for (const Instance& inst : dimacs_suite()) {
     if (inst.name != "games120" && inst.name != "myciel5" &&
         inst.name != "queen8_12") {
       continue;
     }
-    const SatLoopResult r = solve_coloring_sat_loop(inst.graph, options);
+    const ColoringOutcome r = solve_coloring_sat_loop(inst.graph, options);
     EXPECT_TRUE(is_clique(inst.graph, r.clique)) << inst.name;
     EXPECT_LE(static_cast<int>(r.clique.size()), r.lower_bound) << inst.name;
     EXPECT_GE(r.clique.size(), greedy_clique(inst.graph).size()) << inst.name;
@@ -261,27 +262,55 @@ TEST(SatLoop, CliqueCertifiesLowerBound) {
 TEST(SatLoop, CliquePinningClosesQueen6) {
   // Pinning a maximum clique to colors 0..5 leaves the K=6 refutation far
   // fewer color relabelings to rule out; it fits in 10k conflicts.
-  SatLoopOptions options;
+  ColoringOptions options;
   options.conflict_budget = 10000;
-  const SatLoopResult r = solve_coloring_sat_loop(make_queen_graph(6, 6), options);
+  const ColoringOutcome r =
+      solve_coloring_sat_loop(make_queen_graph(6, 6), options);
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.num_colors, 7);
   EXPECT_EQ(r.clique.size(), 6u);
 }
 
 TEST(SatLoop, EmptyGraph) {
-  const SatLoopResult r = solve_coloring_sat_loop(Graph(0), {});
+  const ColoringOutcome r = solve_coloring_sat_loop(Graph(0), {});
   EXPECT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.num_colors, 0);
 }
 
 TEST(SatLoop, CountsSatCalls) {
-  SatLoopOptions options;
-  const SatLoopResult r =
+  ColoringOptions options;
+  const ColoringOutcome r =
       solve_coloring_sat_loop(make_myciel_dimacs(3), options);
   EXPECT_GE(r.sat_calls, 1);
-  // The engine's counters come back with the answer (--satloop --stats).
+  // The engine's counters and the formula size come back with the answer
+  // (--satloop --stats).
   EXPECT_GT(r.solver_stats.propagations, 0);
+  EXPECT_GT(r.formula_vars, 0);
+  EXPECT_GT(r.formula_clauses, 0);
+  EXPECT_EQ(r.formula_pb, 0);
+}
+
+// The SAT loop throws for the options it cannot honor rather than
+// silently ignoring them.
+TEST(SatLoop, RejectsShatter) {
+  ColoringOptions options;
+  options.instance_dependent_sbps = true;
+  EXPECT_THROW(solve_coloring_sat_loop(make_myciel_dimacs(3), options),
+               std::invalid_argument);
+}
+
+TEST(SatLoop, RejectsPresimplify) {
+  ColoringOptions options;
+  options.presimplify = true;
+  EXPECT_THROW(solve_coloring_sat_loop(make_myciel_dimacs(3), options),
+               std::invalid_argument);
+}
+
+TEST(SatLoop, RejectsGenericIlp) {
+  ColoringOptions options;
+  options.solver = SolverKind::GenericIlp;
+  EXPECT_THROW(solve_coloring_sat_loop(make_myciel_dimacs(3), options),
+               std::invalid_argument);
 }
 
 // ---- maximal independent sets / Mehrotra-Trick ----

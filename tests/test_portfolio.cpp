@@ -15,6 +15,7 @@
 #include "cnf/formula.h"
 #include "coloring/cnf_coloring.h"
 #include "coloring/encoder.h"
+#include "coloring/exact_colorer.h"
 #include "graph/generators.h"
 #include "pb/optimizer.h"
 #include "pb/solver_profiles.h"
@@ -217,35 +218,41 @@ TEST(Portfolio, IncrementalModelEnumerationMatchesSequential) {
 // ---- 2-vs-1-thread agreement across the call layers ----
 
 TEST(Portfolio, SatLoopAgreesAcrossThreadCounts) {
-  // SatLoopOptions::solver.portfolio_threads is the SAT loop's one thread
-  // knob; 1 vs 2 threads must agree on the optimum under every search
-  // strategy, both racing full copies and under the cube schedule (CLI
-  // --satloop --threads 2 --cube-depth 2; no warmup, so cubes are dealt
-  // on every query). myciel3 leaves a gap between its clique (2) and
-  // DSATUR bounds, so every row makes SAT calls.
+  // ColoringOptions::threads is the SAT loop's one thread knob; 1 vs 2
+  // threads must agree on the optimum under every search strategy, both
+  // racing full copies (CLI --satloop --threads 2) and under the cube
+  // schedule (--threads 2 --cube-depth 2). myciel3 leaves a gap between
+  // its clique (2) and DSATUR bounds, so every row makes SAT calls.
   const Graph g = make_myciel_dimacs(3);
+  // On myciel3 every query ends inside the cube schedule's default warmup,
+  // so the cube row runs on myciel5 (chi 6), which deals cubes.
+  const Graph cube_graph = make_myciel_dimacs(5);
   for (const SearchStrategy strategy :
        {SearchStrategy::Linear, SearchStrategy::Binary,
         SearchStrategy::CoreGuided}) {
-    SatLoopOptions one;
+    const std::string name = search_strategy_name(strategy);
+    ColoringOptions one;
     one.search = strategy;
-    const SatLoopResult r1 = solve_coloring_sat_loop(g, one);
-    ASSERT_EQ(r1.status, OptStatus::Optimal);
-    EXPECT_EQ(r1.num_colors, 4);
-    EXPECT_GT(r1.sat_calls, 0);
-    for (const int cube_depth : {0, 2}) {
-      SatLoopOptions two = one;
-      two.solver.portfolio_threads = 2;
-      two.solver.cube_depth = cube_depth;
-      two.solver.cube_warmup_conflicts = 0;
-      const SatLoopResult r2 = solve_coloring_sat_loop(g, two);
-      const std::string where = std::string(search_strategy_name(strategy)) +
-                                " cube_depth=" + std::to_string(cube_depth);
-      ASSERT_EQ(r2.status, OptStatus::Optimal) << where;
-      EXPECT_EQ(r2.num_colors, r1.num_colors) << where;
-      EXPECT_TRUE(g.is_proper_coloring(r2.coloring)) << where;
-      EXPECT_GT(r2.sat_calls, 0) << where;
-    }
+    const ColoringOutcome r1 = solve_coloring_sat_loop(g, one);
+    ASSERT_EQ(r1.status, OptStatus::Optimal) << name;
+    EXPECT_EQ(r1.num_colors, 4) << name;
+    EXPECT_GT(r1.sat_calls, 0) << name;
+
+    ColoringOptions race = one;
+    race.threads = 2;
+    const ColoringOutcome r2 = solve_coloring_sat_loop(g, race);
+    ASSERT_EQ(r2.status, OptStatus::Optimal) << name;
+    EXPECT_EQ(r2.num_colors, r1.num_colors) << name;
+    EXPECT_TRUE(g.is_proper_coloring(r2.coloring)) << name;
+    EXPECT_GT(r2.sat_calls, 0) << name;
+
+    ColoringOptions cubes = race;
+    cubes.cube_depth = 2;
+    const ColoringOutcome rc = solve_coloring_sat_loop(cube_graph, cubes);
+    ASSERT_EQ(rc.status, OptStatus::Optimal) << name;
+    EXPECT_EQ(rc.num_colors, 6) << name;
+    EXPECT_TRUE(cube_graph.is_proper_coloring(rc.coloring)) << name;
+    EXPECT_GT(rc.solver_stats_all.cubes_dealt, 0) << name;
   }
 }
 

@@ -11,6 +11,7 @@ and under every --satloop search strategy, and --satloop --stats must
 print the same `solver:` line as the native pipeline.
 """
 
+import os
 import subprocess
 import sys
 
@@ -43,7 +44,10 @@ def main():
                 # honors, whatever their value (pbs2 is the default).
                 ["--satloop", "--decision"], ["--satloop", "-k", "3"],
                 ["--satloop", "--shatter"], ["--satloop", "--simplify"],
-                ["--satloop", "--solver", "pbs2"]):
+                ["--satloop", "--solver", "pbs2"],
+                # --opb dumps the native encoding, which --satloop never
+                # solves.
+                ["--satloop", "--opb", os.devnull]):
         code, _, err = run(cli, "--instance", "myciel3", *bad)
         check(code == EXIT_USAGE,
               f"{' '.join(bad)} must exit {EXIT_USAGE}, got {code}")

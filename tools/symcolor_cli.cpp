@@ -29,7 +29,7 @@
 //                   persistent CNF engine answers every K-query. Takes
 //                   --sbp, --search, --threads, --cube-depth, --chrono and
 //                   the resource-control flags; -k, --decision, --shatter,
-//                   --simplify and --solver are usage errors with it
+//                   --simplify, --solver and --opb are usage errors with it
 //   --opb <file>    dump the encoded 0-1 ILP instance as OPB and exit
 //   --stats         print symmetry/solver statistics
 //
@@ -53,7 +53,6 @@
 #include <string>
 
 #include "cnf/writers.h"
-#include "coloring/cnf_coloring.h"
 #include "coloring/exact_colorer.h"
 #include "graph/dimacs_col.h"
 #include "graph/generators.h"
@@ -91,7 +90,7 @@ void usage() {
                "--chrono and the\n"
                "                    resource-control flags, not -k, "
                "--decision, --shatter,\n"
-               "                    --simplify or --solver\n"
+               "                    --simplify, --solver or --opb\n"
                "resource control (<= 0 = unlimited; Ctrl-C interrupts and "
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
@@ -214,6 +213,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       stats = true;
     } else if (arg == "--opb") {
+      native_only_flag = "--opb";
       const char* v = next();
       if (v == nullptr) { usage(); return kExitUsage; }
       opb_path = v;
@@ -286,33 +286,6 @@ int main(int argc, char** argv) {
   g_run_budget = &run_budget;
   std::signal(SIGINT, on_sigint);
 
-  if (satloop) {
-    SatLoopOptions options;
-    options.sbps = sbps;
-    options.search = search;
-    options.solver.portfolio_threads = threads;
-    options.solver.cube_depth = cube_depth;
-    if (chrono >= 0) options.solver.chrono_threshold = chrono;
-    options.budget = &run_budget;
-    const SatLoopResult r = solve_coloring_sat_loop(graph, options);
-    if (stats) {
-      std::printf("%s\n", format_solver_line(r.solver_stats).c_str());
-      std::printf("%s\n",
-                  format_budget_line(r.tripped, r.solver_stats).c_str());
-    }
-    if (r.status == OptStatus::Optimal) {
-      std::printf("chromatic number: %d (clique %zu, %d SAT calls, %.3f s)\n",
-                  r.num_colors, r.clique.size(), r.sat_calls, r.seconds);
-      return kExitSolved;
-    }
-    std::printf(
-        "stopped (%s); best coloring uses %d colors; "
-        "chromatic number >= %d proven (clique %zu, %d SAT calls, %.3f s)\n",
-        budget_trip_name(r.tripped), r.num_colors, r.lower_bound,
-        r.clique.size(), r.sat_calls, r.seconds);
-    return kExitStopped;
-  }
-
   ColoringOptions options;
   options.max_colors = k;
   options.sbps = sbps;
@@ -324,8 +297,9 @@ int main(int argc, char** argv) {
   options.chrono_threshold = chrono;
   options.presimplify = presimplify;
   options.budget = &run_budget;
-  const ColoringOutcome r =
-      decision ? solve_k_coloring(graph, options) : solve_coloring(graph, options);
+  const ColoringOutcome r = satloop    ? solve_coloring_sat_loop(graph, options)
+                            : decision ? solve_k_coloring(graph, options)
+                                       : solve_coloring(graph, options);
 
   if (stats) {
     std::printf("formula: %d vars, %d clauses, %d PB\n", r.formula_vars,
@@ -360,28 +334,36 @@ int main(int argc, char** argv) {
                 format_budget_line(r.tripped, r.solver_stats).c_str());
   }
 
+  // Every answer line ends in a parenthesized tail: the wall time, and on
+  // the SAT loop first its clique certificate and SAT-call count.
+  char tail[96];
+  if (satloop) {
+    std::snprintf(tail, sizeof tail, "clique %zu, %d SAT calls, %.3f s",
+                  r.clique.size(), r.sat_calls, r.total_seconds);
+  } else {
+    std::snprintf(tail, sizeof tail, "%.3f s", r.total_seconds);
+  }
   switch (r.status) {
     case OptStatus::Optimal:
       if (decision) {
-        std::printf("%d-colorable: yes (%.3f s)\n", k, r.total_seconds);
+        std::printf("%d-colorable: yes (%s)\n", k, tail);
       } else {
-        std::printf("chromatic number: %d (%.3f s)\n", r.num_colors,
-                    r.total_seconds);
+        std::printf("chromatic number: %d (%s)\n", r.num_colors, tail);
       }
       return kExitSolved;
     case OptStatus::Infeasible:
-      std::printf("not %d-colorable (%.3f s)\n", k, r.total_seconds);
+      std::printf("not %d-colorable (%s)\n", k, tail);
       return kExitInfeasible;
     case OptStatus::Feasible:
       std::printf(
           "stopped (%s); best coloring uses %d colors; "
-          "chromatic number >= %lld proven (%.3f s)\n",
+          "chromatic number >= %lld proven (%s)\n",
           budget_trip_name(r.tripped), r.num_colors,
-          static_cast<long long>(r.lower_bound), r.total_seconds);
+          static_cast<long long>(r.lower_bound), tail);
       return kExitStopped;
     case OptStatus::Unknown:
-      std::printf("stopped (%s) with no coloring found (%.3f s)\n",
-                  budget_trip_name(r.tripped), r.total_seconds);
+      std::printf("stopped (%s) with no coloring found (%s)\n",
+                  budget_trip_name(r.tripped), tail);
       return kExitStopped;
   }
   return kExitStopped;
