@@ -5,7 +5,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "cnf/simplify.h"
 #include "coloring/heuristics.h"
 #include "graph/clique.h"
 
@@ -69,7 +68,7 @@ struct Plan {
   /// Stage 2's constraint encoding; reads the bounds when stage 1 ran.
   ColoringEncoding (*encode)(const Graph&, const ColoringOptions&,
                              const ColoringOutcome& bounds);
-  /// Stages 2 and 5: add MIN sum_j y(j) and minimize() it, or only ask
+  /// Stages 2 and 4: add MIN sum_j y(j) and minimize() it, or only ask
   /// solve_decision() whether the encoding is satisfiable.
   bool minimize;
 };
@@ -78,7 +77,7 @@ constexpr Plan kOptimizePlan{false, encode_pb_at_k, true};
 constexpr Plan kDecidePlan{false, encode_pb_at_k, false};
 constexpr Plan kSatLoopPlan{true, encode_cnf_at_upper_bound, true};
 
-/// Stage 5: the generic ILP, or one CDCL engine configured from the
+/// Stage 4: the generic ILP, or one CDCL engine configured from the
 /// options' solver profile and parallel knobs.
 OptResult solve_stage(Formula formula, const ColoringOptions& options,
                       bool optimize, const SolveBudget& budget,
@@ -99,6 +98,9 @@ OptResult solve_stage(Formula formula, const ColoringOptions& options,
 
 ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
                              const Plan& plan) {
+  if (options.presimplify) {
+    throw std::invalid_argument("the pipeline has no pre-solve simplifier");
+  }
   Timer total;
   // One budget covers the pipeline end to end, every stage included. A
   // child of the caller's budget when one is supplied (so an external
@@ -137,15 +139,11 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
     outcome.inst_dep_sbp_clauses = stats.sbp.clauses_added;
   }
 
-  // 4. Simplify.
-  if (options.presimplify) {
-    enc.formula = simplify(enc.formula);
-  }
   outcome.formula_vars = enc.formula.num_vars();
   outcome.formula_clauses = enc.formula.num_clauses();
   outcome.formula_pb = enc.formula.num_pb();
 
-  // 5. Solve.
+  // 4. Solve.
   Timer solve_timer;
   const OptResult result = solve_stage(std::move(enc.formula), options,
                                        plan.minimize, budget, lower_hint);
@@ -156,7 +154,7 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
   outcome.tripped = result.tripped;
   outcome.budget_exhausted = result.budget_exhausted;
 
-  // 6. Decode and check.
+  // 5. Decode and check.
   if (has_incumbent && result.status == OptStatus::Infeasible) {
     throw std::logic_error("encoding refuted although the bounds colored it");
   }
@@ -203,9 +201,6 @@ ColoringOutcome solve_coloring_sat_loop(const Graph& graph,
     // A lex-leader clause from a generator that moves a y(k) is unsound
     // under minimize()'s assumptions on the y(k).
     throw std::invalid_argument("the SAT loop does not run Shatter");
-  }
-  if (options.presimplify) {
-    throw std::invalid_argument("the SAT loop does not presimplify");
   }
   if (options.solver == SolverKind::GenericIlp) {
     throw std::invalid_argument("the SAT loop needs a CDCL solver profile");

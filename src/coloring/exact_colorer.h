@@ -10,10 +10,9 @@
 //   2 encode    0-1 ILP at K = max_colors         CNF at the DSATUR bound,
 //               (+ MIN sum_j y(j) if minimizing)  NU, clique pinned, + MIN
 //   3 symmetry  [Shatter]                         -
-//   4 simplify  [presimplify]                     -
-//   5 solve     minimize / solve_decision /       minimize from the clique
+//   4 solve     minimize / solve_decision /       minimize from the clique
 //               generic ILP
-//   6 decode    per-vertex colors, checked proper and against the objective
+//   5 decode    per-vertex colors, checked proper and against the objective
 //
 // The SAT loop is the paper's Section 2.3 alternative, "repeatedly solving
 // instances of the K-coloring using a SAT solver, with the value of K
@@ -69,8 +68,9 @@ struct ColoringOptions {
   /// binary search, or core-guided lower-bound lifting — all three run on
   /// one persistent engine and reach the same optimum.
   SearchStrategy search = SearchStrategy::Linear;
-  /// Run the pre-solve simplifier (root propagation, pure literals,
-  /// subsumption) after SBPs are in place. The SAT loop rejects it.
+  /// Compat residue: the pipeline has no pre-solve simplifier, and every
+  /// entry point throws std::invalid_argument when this is set. Read only
+  /// by suitebench; ROADMAP item 1c's [benchmark] PR deletes it.
   bool presimplify = false;
   /// Parallel workers inside every CDCL solve (sat/parallel_solver.h);
   /// 1 = the plain sequential engine. The reported optimum is identical
@@ -81,7 +81,7 @@ struct ColoringOptions {
   /// and dealt to `threads` workers. Answers stay exact; 0 = off.
   int cube_depth = 0;
   /// Compat residue, read by nothing in src/: only suitebench's
-  /// workloads.cpp reads it (deleted by ROADMAP item 2's [benchmark] PR).
+  /// workloads.cpp reads it (deleted by ROADMAP item 1c's [benchmark] PR).
   InprocessMode inprocess = InprocessMode::Off;
   /// Chronological-backtracking threshold of every CDCL engine
   /// (SolverConfig::chrono_threshold): < 0 keeps the solver profile's
@@ -159,8 +159,8 @@ ColoringOutcome solve_k_coloring(const Graph& graph,
 /// then CNF K-queries on one persistent engine. Reads `sbps`, `amo`,
 /// `solver`, `search`, `threads`, `cube_depth`, `chrono_threshold` and the
 /// budget fields; ignores `max_colors`. Throws std::invalid_argument for
-/// `instance_dependent_sbps`, `presimplify` and SolverKind::GenericIlp,
-/// which it cannot honor.
+/// `instance_dependent_sbps` and SolverKind::GenericIlp, which it cannot
+/// honor, and, as every entry point does, for `presimplify`.
 ColoringOutcome solve_coloring_sat_loop(const Graph& graph,
                                         const ColoringOptions& options = {});
 

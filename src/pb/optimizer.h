@@ -30,7 +30,7 @@
 // in which side of the bound their probes are easy on. A formula without
 // an objective degenerates to a single decision query under any strategy.
 //
-// The SAT-loop colorer (coloring/cnf_coloring) is one more caller: its
+// The SAT-loop colorer (coloring/exact_colorer) is one more caller: its
 // CNF K-coloring encoding carries the color-count objective, so "is the
 // graph k-colorable?" is a ladder probe like any other and the loop has
 // no K-search of its own.
@@ -53,8 +53,8 @@
 namespace symcolor {
 
 /// Objective search strategy of minimize(), chosen by every optimization
-/// caller (the native PB pipeline in coloring/exact_colorer, the SAT-loop
-/// colorer in coloring/cnf_coloring, the CLI's --search flag).
+/// caller (the native PB and SAT-loop colorers in coloring/exact_colorer,
+/// the CLI's --search flag).
 enum class SearchStrategy { Linear, Binary, CoreGuided };
 
 const char* search_strategy_name(SearchStrategy strategy);

@@ -131,7 +131,8 @@ enum class RestartScheme { Luby, Geometric };
 enum class PbAnalysis { Weaken, CuttingPlanes };
 
 /// Compat residue: the engine has no inprocessor; only suitebench's
-/// workloads.cpp still names this (deleted by ROADMAP item 2's [benchmark] PR).
+/// workloads.cpp still names this (deleted by ROADMAP item 1c's
+/// [benchmark] PR).
 enum class InprocessMode { Off };
 
 /// Deterministic fault injection for the portfolio's exception-barrier
@@ -200,7 +201,7 @@ struct SolverConfig {
   /// <= 0 disables (always jump to the assertion level).
   std::int64_t chrono_threshold = 100;
   /// Compat residue, read by nothing in src/: only suitebench's
-  /// workloads.cpp sets it (deleted by ROADMAP item 2's [benchmark] PR).
+  /// workloads.cpp sets it (deleted by ROADMAP item 1c's [benchmark] PR).
   InprocessMode inprocess = InprocessMode::Off;
 
   // ---- parallel engine (read by make_solver_engine/ParallelSolver,

@@ -3,7 +3,7 @@
 //
 // Every consumer of SAT/PB solving in this codebase (the 0-1 ILP
 // optimization loops in pb/optimizer, the incremental SAT-loop colorer in
-// coloring/cnf_coloring, the CLI) drives a solver exclusively through this
+// coloring/exact_colorer, the CLI) drives a solver exclusively through this
 // interface: add constraints, solve under assumptions, read the model,
 // the failed-assumption core and stats, clone. Assumptions are the
 // universal retraction mechanism of the pipeline — every optimization
@@ -124,10 +124,10 @@ struct SolverStats {
 
   // ---- compat residue: always 0 ----
   /// Always 0; only suitebench's workloads.cpp reads it (deleted by
-  /// ROADMAP item 2's [benchmark] PR).
+  /// ROADMAP item 1c's [benchmark] PR).
   std::int64_t inprocess_rounds = 0;
   /// Always 0; only suitebench's workloads.cpp reads it (deleted by
-  /// ROADMAP item 2's [benchmark] PR).
+  /// ROADMAP item 1c's [benchmark] PR).
   std::int64_t vivified_clauses = 0;
 
   // ---- resource-control exits (which budget ended a solve early) ----
@@ -146,7 +146,7 @@ struct SolverStats {
   /// jumping all the way back to the 1UIP assertion level.
   std::int64_t chrono_backtracks = 0;
   /// Always 0; only suitebench's workloads.cpp reads it (deleted by
-  /// ROADMAP item 2's [benchmark] PR).
+  /// ROADMAP item 1c's [benchmark] PR).
   std::int64_t reused_trail_literals = 0;
   /// Trail literals between the 1UIP assertion level and the conflicting
   /// level that a chronological backtrack did not undo — assignments the

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "coloring/dsatur_bnb.h"
 #include "coloring/exact_colorer.h"
@@ -91,6 +92,17 @@ TEST(ExactColorer, AllSearchStrategiesAgree) {
   ASSERT_EQ(c.status, OptStatus::Optimal);
   EXPECT_EQ(a.num_colors, b.num_colors);
   EXPECT_EQ(a.num_colors, c.num_colors);
+}
+
+// The pipeline has no pre-solve simplifier: every entry point throws for
+// the compat field rather than silently ignoring it.
+TEST(ExactColorer, RejectsPresimplify) {
+  ColoringOptions options;
+  options.max_colors = 6;
+  options.presimplify = true;
+  const Graph g = make_myciel_dimacs(3);
+  EXPECT_THROW(solve_coloring(g, options), std::invalid_argument);
+  EXPECT_THROW(solve_k_coloring(g, options), std::invalid_argument);
 }
 
 struct PipelineCase {

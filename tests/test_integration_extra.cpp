@@ -1,13 +1,12 @@
 // Additional integration coverage: weighted-coefficient formula graphs,
 // clause-database reduction under heavy conflict load, cross-module
-// pipelines (simplify + shatter + solve), and stress variants.
+// pipelines (shatter + solve), and stress variants.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "automorphism/group.h"
-#include "cnf/simplify.h"
 #include "cnf/writers.h"
 #include "coloring/exact_colorer.h"
 #include "graph/generators.h"
@@ -122,25 +121,23 @@ TEST(CdclStress, AssumptionsAfterLearnedClauses) {
   EXPECT_EQ(solver.solve(), SolveResult::Sat);
 }
 
-TEST(PipelineCombos, SimplifyPlusShatterPlusSolve) {
+TEST(PipelineCombos, ShatterPlusSolve) {
   const Graph g = make_myciel_dimacs(4);
   ColoringOptions options;
   options.max_colors = 7;
   options.sbps = SbpOptions::sc_only();
   options.instance_dependent_sbps = true;
-  options.presimplify = true;
   const ColoringOutcome r = solve_coloring(g, options);
   ASSERT_EQ(r.status, OptStatus::Optimal);
   EXPECT_EQ(r.num_colors, 5);
 }
 
-TEST(PipelineCombos, SimplifyPreservesEverySbpRow) {
+TEST(PipelineCombos, EverySbpRowFindsTheOptimum) {
   const Graph g = make_queen_graph(4, 4);
   for (const SbpOptions& sbps : paper_sbp_rows()) {
     ColoringOptions options;
     options.max_colors = 6;
     options.sbps = sbps;
-    options.presimplify = true;
     const ColoringOutcome r = solve_coloring(g, options);
     ASSERT_EQ(r.status, OptStatus::Optimal) << sbps.label();
     EXPECT_EQ(r.num_colors, 5) << sbps.label();
@@ -175,12 +172,11 @@ TEST(PipelineCombos, ShatterGeneratorsFormAGroupConsistentWithOrder) {
 
 TEST(PipelineCombos, DeepQueenInstanceEndToEnd) {
   // queen7_7 through the complete flow: encode + NU+SC + shatter +
-  // simplify + solve, checked against the known chromatic number 7.
+  // solve, checked against the known chromatic number 7.
   ColoringOptions options;
   options.max_colors = 9;
   options.sbps = SbpOptions::nu_sc();
   options.instance_dependent_sbps = true;
-  options.presimplify = true;
   options.time_budget_seconds = 30.0;
   const ColoringOutcome r = solve_coloring(make_queen_graph(7, 7), options);
   ASSERT_EQ(r.status, OptStatus::Optimal);

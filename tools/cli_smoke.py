@@ -40,10 +40,12 @@ def main():
 
     for bad in (["-k", "0"], ["-k", "abc"], ["--threads", "2x"],
                 ["--timeout", "abc"],
+                # The pipeline has no pre-solve simplifier.
+                ["--simplify"],
                 # --satloop rejects the flags only the native pipeline
                 # honors, whatever their value (pbs2 is the default).
                 ["--satloop", "--decision"], ["--satloop", "-k", "3"],
-                ["--satloop", "--shatter"], ["--satloop", "--simplify"],
+                ["--satloop", "--shatter"],
                 ["--satloop", "--solver", "pbs2"],
                 # --opb dumps the native encoding, which --satloop never
                 # solves.

@@ -4,10 +4,11 @@
 Usage: serve_smoke.py <path-to-symcolor_serve>
 
 Run 1 drives a scripted batch over a deliberately small pool
-(--workers 1 --queue 1): a SAT solve, an UNSAT solve, an over-budget
-solve that must degrade, a mid-flight cancellation, an overload burst
-where the newest requests are shed with retry hints, a stats probe, and
-a clean quit — asserting every submitted request reaches exactly one
+(--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests with a
+malformed `search`, `threads` or `cube_depth` that must fail, an
+over-budget solve that must degrade, a mid-flight cancellation, an
+overload burst where the newest requests are shed with retry hints, a
+stats probe, and a clean quit — asserting every submitted request reaches exactly one
 well-formed terminal response and the process exits 0.
 
 Run 2 arms a service-wide --timeout and checks the budget-stop exit
@@ -128,6 +129,19 @@ def run_batch(binary):
     srv.send({"op": "solve", "id": "unsat", **php(4, 3)})
     r = srv.result_of("unsat")
     check(r["outcome"] == "unsat", f"expected unsat, got {r}")
+
+    # 1b. A malformed knob fails the request with an error naming the
+    #     field, instead of running it on a default.
+    for rid, field, value in (("bad_search", "search", "bogus"),
+                              ("bad_threads", "threads", 0),
+                              ("big_threads", "threads", 65),
+                              ("bad_cube", "cube_depth", 99),
+                              ("neg_cube", "cube_depth", -1)):
+        srv.send({"op": "solve", "id": rid, field: value, **php(3, 4)})
+        r = srv.result_of(rid)
+        check(r["outcome"] == "failed", f"{field}={value!r} must fail: {r}")
+        check(field in r.get("error", ""),
+              f"{field}={value!r} error must name the field: {r}")
 
     # 2. Over-budget request degrades gracefully with the trip recorded.
     srv.send({"op": "solve", "id": "capped", "conflicts": 50, **slow})

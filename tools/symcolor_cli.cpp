@@ -24,12 +24,11 @@
 //                   profile's, currently 100; answers are identical at
 //                   every setting)
 //   --decision      K-colorability query instead of minimization
-//   --simplify      pre-solve simplification (units, pures, subsumption)
 //   --satloop       pure-CNF SAT-loop pipeline instead of native PB: one
 //                   persistent CNF engine answers every K-query. Takes
 //                   --sbp, --search, --threads, --cube-depth, --chrono and
 //                   the resource-control flags; -k, --decision, --shatter,
-//                   --simplify, --solver and --opb are usage errors with it
+//                   --solver and --opb are usage errors with it
 //   --opb <file>    dump the encoded 0-1 ILP instance as OPB and exit
 //   --stats         print symmetry/solver statistics
 //
@@ -90,7 +89,7 @@ void usage() {
                "--chrono and the\n"
                "                    resource-control flags, not -k, "
                "--decision, --shatter,\n"
-               "                    --simplify, --solver or --opb\n"
+               "                    --solver or --opb\n"
                "resource control (<= 0 = unlimited; Ctrl-C interrupts and "
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
@@ -140,7 +139,6 @@ int main(int argc, char** argv) {
   long long prop_budget = 0;
   bool decision = false;
   bool satloop = false;
-  bool presimplify = false;
   bool stats = false;
   std::string opb_path;
   std::string graph_path;
@@ -205,9 +203,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--decision") {
       decision = true;
       native_only_flag = "--decision";
-    } else if (arg == "--simplify") {
-      presimplify = true;
-      native_only_flag = "--simplify";
     } else if (arg == "--satloop") {
       satloop = true;
     } else if (arg == "--stats") {
@@ -295,7 +290,6 @@ int main(int argc, char** argv) {
   options.threads = threads;
   options.cube_depth = cube_depth;
   options.chrono_threshold = chrono;
-  options.presimplify = presimplify;
   options.budget = &run_budget;
   const ColoringOutcome r = satloop    ? solve_coloring_sat_loop(graph, options)
                             : decision ? solve_k_coloring(graph, options)

@@ -29,12 +29,13 @@
 // encoding; `"minimize":true` switches to the optimization encoding and
 // minimizes the color count), or raw `clauses` as DIMACS literal arrays
 // with `vars` — plus optional `timeout`/`conflicts`/`props` budgets,
-// `threads`, `cube_depth` (> 0 solves via cube-and-conquer: the search
-// space is split into assumption cubes dealt to `threads` workers),
-// `search` ("linear"|"binary"|"core"), `cache` (warm-start
+// `threads` (1..64), `cube_depth` (0..32; > 0 solves via cube-and-conquer:
+// the search space is split into assumption cubes dealt to `threads`
+// workers), `search` ("linear"|"binary"|"core"), `cache` (warm-start
 // instance encodings via the service engine cache), and the fault hook
 // `fault_conflicts` (throw after N conflicts; the per-session barrier
-// turns it into outcome "failed").
+// turns it into outcome "failed"). A `k`, `threads`, `cube_depth` or
+// `search` outside its range fails the request with an `error` naming it.
 //
 // Responses (one JSON object per line, in completion order):
 //   {"id":"r1","outcome":"sat","solve_s":0.01,...}
@@ -260,6 +261,18 @@ void handle_solve(SolveService& service, const Json& msg,
   } else {
     request.formula = clause_formula(msg, &error);
   }
+  // Malformed knobs fail the request, like a bad "k", rather than fall
+  // back to a default.
+  const std::string search = msg.get_string("search", "linear");
+  if (search == "binary") request.strategy = SearchStrategy::Binary;
+  else if (search == "core") request.strategy = SearchStrategy::CoreGuided;
+  else if (search != "linear") error = "\"search\" must be linear|binary|core";
+  const std::int64_t threads = msg.get_int("threads", 1);
+  if (threads < 1 || threads > 64) error = "\"threads\" out of range (1..64)";
+  const std::int64_t cube_depth = msg.get_int("cube_depth", 0);
+  if (cube_depth < 0 || cube_depth > 32) {
+    error = "\"cube_depth\" out of range (0..32)";
+  }
   if (!error.empty()) {
     Json out;
     out["id"] = client_id;
@@ -270,16 +283,11 @@ void handle_solve(SolveService& service, const Json& msg,
   }
 
   request.minimize = minimize;
-  const std::string search = msg.get_string("search", "linear");
-  if (search == "binary") request.strategy = SearchStrategy::Binary;
-  else if (search == "core") request.strategy = SearchStrategy::CoreGuided;
   request.timeout_seconds = msg.get_double("timeout", 0.0);
   request.conflict_budget = msg.get_int("conflicts", 0);
   request.prop_budget = msg.get_int("props", 0);
-  const int threads = static_cast<int>(msg.get_int("threads", 1));
-  request.config.portfolio_threads = threads >= 1 && threads <= 64 ? threads : 1;
-  const int cube_depth = static_cast<int>(msg.get_int("cube_depth", 0));
-  request.config.cube_depth = cube_depth >= 1 && cube_depth <= 32 ? cube_depth : 0;
+  request.config.portfolio_threads = static_cast<int>(threads);
+  request.config.cube_depth = static_cast<int>(cube_depth);
   const std::int64_t fault = msg.get_int("fault_conflicts", 0);
   if (fault > 0) {
     request.config.fault_injection.worker = -1;
