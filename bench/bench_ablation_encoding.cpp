@@ -1,14 +1,13 @@
 // Ablation: native-PB optimization vs the pure-CNF SAT loop (paper
-// Section 2.3's trade-off), across at-most-one encodings.
+// Section 2.3's trade-off).
 //
 // The paper argues 0-1 ILP solvers "do not require this extra step
 // [repeated SAT calls] and moreover tend to provide better performance";
-// this bench quantifies both halves: encoding sizes per AMO choice and
-// end-to-end optimization times.
+// this bench quantifies both halves: the size of the formula each route
+// solves, its solver calls, and end-to-end optimization times.
 
 #include <cstdio>
 
-#include "coloring/cnf_coloring.h"
 #include "coloring/exact_colorer.h"
 #include "graph/generators.h"
 #include "pb/solver_profiles.h"
@@ -32,6 +31,12 @@ int main() {
   instances.push_back({"queen6_6", make_queen_graph(6, 6), 7});
   instances.push_back({"jean", make_book_graph(80, 508, 10, 0x1EA4), 10});
 
+  // `calls` and `clauses` come from each run's own ColoringOutcome: the
+  // solver calls of its minimize() and the clauses of the formula it
+  // solved ("-" when the bounds closed the run before encoding).
+  auto clauses_cell = [](const ColoringOutcome& r) {
+    return r.formula_clauses > 0 ? std::to_string(r.formula_clauses) : "-";
+  };
   TablePrinter table({12, 14, 10, 9, 8, 10});
   table.row({"Instance", "pipeline", "time", "chi", "calls", "clauses"});
   table.rule();
@@ -41,33 +46,28 @@ int main() {
                                         /*instance_dependent=*/true,
                                         SolverKind::PbsII, budgets);
       table.row({inst.name, "PB-native", time_cell(r.seconds, r.solved),
-                 r.num_colors > 0 ? std::to_string(r.num_colors) : "-", "1",
-                 std::to_string(r.detail.formula_clauses)});
+                 r.num_colors > 0 ? std::to_string(r.num_colors) : "-",
+                 std::to_string(r.detail.sat_calls), clauses_cell(r.detail)});
     }
-    for (const AmoEncoding amo :
-         {AmoEncoding::Pairwise, AmoEncoding::Sequential,
-          AmoEncoding::Commander}) {
+    {
       ColoringOptions options;
-      options.amo = amo;
       options.sbps = SbpOptions::nu_sc();
       options.time_budget_seconds = budgets.solve_seconds;
       const ColoringOutcome r = solve_coloring_sat_loop(inst.graph, options);
-      const ColoringEncoding probe = encode_k_coloring_cnf(
-          inst.graph, budgets.max_colors, amo, options.sbps);
-      table.row({inst.name,
-                 std::string("SAT-") + amo_encoding_name(amo),
+      table.row({inst.name, "SAT-loop",
                  time_cell(r.total_seconds, r.status == OptStatus::Optimal),
                  r.num_colors > 0 ? std::to_string(r.num_colors) : "-",
-                 std::to_string(r.sat_calls),
-                 std::to_string(probe.formula.num_clauses())});
+                 std::to_string(r.sat_calls), clauses_cell(r)});
     }
     table.rule();
   }
   std::printf(
-      "\nExpected: identical chromatic numbers everywhere; the PB-native\n"
-      "flow avoids the K-update loop and the per-vertex AMO expansion\n"
-      "(one counter constraint vs hundreds of clauses), matching the\n"
-      "paper's argument for the 0-1 ILP route. The SAT loop profits from\n"
-      "starting at the DSATUR bound, so easy instances stay close.\n");
+      "\nExpected: identical chromatic numbers in both rows. The PB-native\n"
+      "flow encodes at K = max_colors, states each vertex's exactly-one as\n"
+      "a PB row (not counted in `clauses`) and adds Shatter's lex-leader\n"
+      "clauses. The SAT loop encodes at the DSATUR bound with the clique\n"
+      "pinned and a commander at-most-one per vertex, so it solves a\n"
+      "smaller formula in fewer calls, and it closes on bounds alone where\n"
+      "the clique meets DSATUR (\"-\" clauses, 0 calls).\n");
   return 0;
 }

@@ -15,21 +15,11 @@ std::int64_t Objective::value(std::span<const LBool> values) const {
   return total;
 }
 
-Var Formula::new_var(std::string name) {
-  names_.push_back(std::move(name));
-  return num_vars_++;
-}
-
 Var Formula::new_vars(int count) {
   if (count < 0) throw std::invalid_argument("negative variable count");
   const Var first = num_vars_;
-  names_.resize(names_.size() + static_cast<std::size_t>(count));
   num_vars_ += count;
   return first;
-}
-
-const std::string& Formula::var_name(Var v) const {
-  return names_.at(static_cast<std::size_t>(v));
 }
 
 void Formula::add_clause(Clause clause) {

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "cnf/literals.h"
@@ -29,13 +28,12 @@ class Formula {
  public:
   Formula() = default;
 
-  /// Allocate a fresh variable; optionally record a debug name.
-  Var new_var(std::string name = {});
+  /// Allocate a fresh variable.
+  Var new_var() { return num_vars_++; }
   /// Allocate `count` fresh variables; returns the first.
   Var new_vars(int count);
 
   [[nodiscard]] int num_vars() const noexcept { return num_vars_; }
-  [[nodiscard]] const std::string& var_name(Var v) const;
 
   /// Append a clause. Tautological clauses (l and ~l) are dropped;
   /// duplicate literals are merged. Empty clauses are recorded and make
@@ -82,7 +80,6 @@ class Formula {
   std::vector<Clause> clauses_;
   std::vector<PbConstraint> pb_constraints_;
   std::optional<Objective> objective_;
-  std::vector<std::string> names_;
   bool trivially_unsat_ = false;
 };
 

@@ -1,10 +1,19 @@
 #include "cnf/pb_to_cnf.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
 namespace symcolor {
 namespace {
+
+void add_pairwise_amo(Formula& formula, const std::vector<Lit>& lits) {
+  for (std::size_t a = 0; a < lits.size(); ++a) {
+    for (std::size_t b = a + 1; b < lits.size(); ++b) {
+      formula.add_clause({~lits[a], ~lits[b]});
+    }
+  }
+}
 
 /// Sinz sequential counter for "at most `bound` of `lits`".
 PbToCnfStats sequential_at_most(Formula& formula, const std::vector<Lit>& lits,
@@ -139,6 +148,35 @@ class BddEncoder {
 };
 
 }  // namespace
+
+PbToCnfStats encode_at_most_one(Formula& formula, std::vector<Lit> lits) {
+  const int vars_before = formula.num_vars();
+  const int clauses_before = formula.num_clauses();
+  // Groups of three with one commander each; recurse on the commanders.
+  constexpr std::size_t kGroup = 3;
+  while (lits.size() > kGroup) {
+    std::vector<Lit> commanders;
+    for (std::size_t start = 0; start < lits.size(); start += kGroup) {
+      const std::size_t end = std::min(start + kGroup, lits.size());
+      const std::vector<Lit> group(lits.begin() + static_cast<long>(start),
+                                   lits.begin() + static_cast<long>(end));
+      if (group.size() == 1) {
+        commanders.push_back(group[0]);
+        continue;
+      }
+      const Lit commander = Lit::positive(formula.new_var());
+      add_pairwise_amo(formula, group);
+      // Any group member implies its commander; a false commander
+      // silences the whole group.
+      for (const Lit l : group) formula.add_implication(l, commander);
+      commanders.push_back(commander);
+    }
+    lits = std::move(commanders);
+  }
+  add_pairwise_amo(formula, lits);
+  return {formula.num_vars() - vars_before,
+          formula.num_clauses() - clauses_before};
+}
 
 PbToCnfStats encode_cardinality_at_most(Formula& formula,
                                         const std::vector<Lit>& lits,

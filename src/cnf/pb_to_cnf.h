@@ -3,8 +3,12 @@
 //
 // The paper (Section 2.3) contrasts the native-PB route with CNF
 // conversions, citing Warners' linear-overhead transformation. This
-// module provides two converters used by the pure-CNF coloring pipeline:
+// module provides the converters used by the pure-CNF coloring encoding:
 //
+//  * at-most-one — the commander encoding (Klieber & Kwon 2007): groups
+//    of three, each with a pairwise AMO and a commander implied by every
+//    member; the commanders recurse until one group is left. About n/2
+//    auxiliary variables and 3n clauses;
 //  * cardinality constraints — the sequential-counter encoding
 //    (Sinz 2005 style): s(i,j) = "at least j of the first i+1 literals
 //    are true", O(n*bound) auxiliary variables and clauses, arc-
@@ -14,9 +18,9 @@
 //    bound) pairs; polynomial for the coefficient patterns that occur in
 //    practice.
 //
-// Both preserve equisatisfiability over the original variables: every
-// model of the original constraint extends to exactly one assignment of
-// the auxiliaries, and no new models over the original variables appear.
+// All three preserve equisatisfiability over the original variables:
+// every model of the original constraint extends to an assignment of the
+// auxiliaries, and no new models over the original variables appear.
 
 #include "cnf/formula.h"
 #include "cnf/pb_constraint.h"
@@ -27,6 +31,10 @@ struct PbToCnfStats {
   int aux_vars = 0;
   int clauses = 0;
 };
+
+/// Encode "at most one of `lits`" as CNF into `formula` using the
+/// commander construction.
+PbToCnfStats encode_at_most_one(Formula& formula, std::vector<Lit> lits);
 
 /// Encode "at least `bound` of `lits`" as CNF into `formula` using the
 /// sequential-counter construction. bound <= 0 is a no-op; an infeasible

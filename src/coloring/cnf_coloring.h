@@ -1,29 +1,23 @@
 #pragma once
-// Pure-CNF encoding of K-coloring: the formula of the SAT-loop plan
-// (exact_colorer.h).
-//
-// The per-vertex exactly-one constraint becomes one at-least-one clause
-// plus an at-most-one encoding of choice (pairwise, sequential counter,
-// commander). Instance-independent SBPs are included; CA's PB
-// inequalities are compiled to CNF via pb_to_cnf, so the formula holds
-// clauses only.
+// Compat residue of the SAT loop's former at-most-one choice: the loop's
+// pure-CNF formula is encode_k_coloring_cnf (coloring/encoder.h), with
+// one at-most-one encoding, the commander (cnf/pb_to_cnf.h). Everything
+// here is read only by suitebench; ROADMAP item 1c's [benchmark] PR
+// deletes it.
 
 #include "coloring/encoder.h"
 
 namespace symcolor {
 
-enum class AmoEncoding {
-  Pairwise,    ///< K(K-1)/2 binary clauses per vertex, no auxiliaries
-  Sequential,  ///< Sinz counter: ~3K clauses, K-1 auxiliaries per vertex
-  Commander,   ///< grouped commanders: ~flat hierarchy of group AMOs
-};
+/// The one at-most-one encoding.
+enum class AmoEncoding { Commander };
 
-const char* amo_encoding_name(AmoEncoding encoding);
-
-/// Pure-CNF decision encoding: is `graph` max_colors-colorable?
-/// The returned encoding's formula contains no PB constraints.
-ColoringEncoding encode_k_coloring_cnf(const Graph& graph, int max_colors,
-                                       AmoEncoding amo,
-                                       const SbpOptions& sbps = {});
+/// encode_k_coloring_cnf plus the `amo` parameter suitebench passes.
+inline ColoringEncoding encode_k_coloring_cnf(const Graph& graph,
+                                              int max_colors,
+                                              AmoEncoding /*amo*/,
+                                              const SbpOptions& sbps = {}) {
+  return encode_k_coloring_cnf(graph, max_colors, sbps);
+}
 
 }  // namespace symcolor

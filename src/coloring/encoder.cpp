@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "cnf/pb_to_cnf.h"
 #include "coloring/sbp.h"
 
 namespace symcolor {
@@ -28,8 +29,13 @@ std::vector<SbpOptions> paper_sbp_rows() {
 
 namespace {
 
+/// The one assignment encoder. `pure_cnf` states each vertex's
+/// exactly-one as an at-least-one clause plus the commander at-most-one
+/// and compiles CA's PB rows to CNF, so the formula holds clauses only;
+/// otherwise exactly-one is one PB equality, the paper's 0-1 ILP row.
 ColoringEncoding encode_impl(const Graph& graph, int max_colors,
-                             const SbpOptions& sbps, bool with_objective) {
+                             const SbpOptions& sbps, bool with_objective,
+                             bool pure_cnf) {
   if (max_colors < 1) throw std::invalid_argument("need at least one color");
   if (!graph.finalized()) throw std::invalid_argument("graph not finalized");
 
@@ -42,20 +48,20 @@ ColoringEncoding encode_impl(const Graph& graph, int max_colors,
   const int k = enc.num_colors;
 
   // x block, vertex-major, then y block (must match x()/y() arithmetic).
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < k; ++j) {
-      f.new_var("x_" + std::to_string(i) + "_" + std::to_string(j));
-    }
-  }
-  for (int j = 0; j < k; ++j) f.new_var("y_" + std::to_string(j));
+  f.new_vars(n * k + k);
 
   // Each vertex gets exactly one color.
   for (int i = 0; i < n; ++i) {
     std::vector<Lit> lits;
     lits.reserve(static_cast<std::size_t>(k));
     for (int j = 0; j < k; ++j) lits.push_back(Lit::positive(enc.x(i, j)));
-    f.add_exactly(lits, 1);
-    ++enc.ilp_equalities;
+    if (pure_cnf) {
+      f.add_clause(lits);
+      encode_at_most_one(f, std::move(lits));
+    } else {
+      f.add_exactly(lits, 1);
+      ++enc.ilp_equalities;
+    }
   }
 
   // Adjacent vertices differ in color.
@@ -78,6 +84,7 @@ ColoringEncoding encode_impl(const Graph& graph, int max_colors,
   if (with_objective) add_color_count_objective(&enc);
 
   add_instance_independent_sbps(graph, &enc, sbps);
+  if (pure_cnf && f.num_pb() > 0) f = to_pure_cnf(f);
   return enc;
 }
 
@@ -93,12 +100,20 @@ void add_color_count_objective(ColoringEncoding* enc) {
 
 ColoringEncoding encode_coloring(const Graph& graph, int max_colors,
                                  const SbpOptions& sbps) {
-  return encode_impl(graph, max_colors, sbps, /*with_objective=*/true);
+  return encode_impl(graph, max_colors, sbps, /*with_objective=*/true,
+                     /*pure_cnf=*/false);
 }
 
 ColoringEncoding encode_k_coloring(const Graph& graph, int max_colors,
                                    const SbpOptions& sbps) {
-  return encode_impl(graph, max_colors, sbps, /*with_objective=*/false);
+  return encode_impl(graph, max_colors, sbps, /*with_objective=*/false,
+                     /*pure_cnf=*/false);
+}
+
+ColoringEncoding encode_k_coloring_cnf(const Graph& graph, int max_colors,
+                                       const SbpOptions& sbps) {
+  return encode_impl(graph, max_colors, sbps, /*with_objective=*/false,
+                     /*pure_cnf=*/true);
 }
 
 std::vector<int> ColoringEncoding::decode(std::span<const LBool> model) const {

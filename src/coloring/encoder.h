@@ -11,6 +11,11 @@
 //       y(j) -> OR_i x(i,j)                               [K clauses]
 //   * objective MIN sum_j y(j).
 //
+// The SAT loop's pure-CNF variant (encode_k_coloring_cnf) is the same
+// encoding with each vertex equality stated as one at-least-one clause
+// plus the commander at-most-one (cnf/pb_to_cnf.h), and CA's PB rows
+// compiled to CNF, so its formula holds clauses only.
+//
 // Variable order is x-block (vertex-major), then y-block, then SBP
 // auxiliaries — the lowest-index ordering the LI construction and the
 // lex-leader SBPs both key off.
@@ -69,7 +74,8 @@ struct ColoringEncoding {
   }
 
   /// Count of vertex "exactly one color" equalities — the paper's #PB
-  /// statistic counts each equality as one 0-1 ILP constraint.
+  /// statistic counts each equality as one 0-1 ILP constraint. 0 in the
+  /// pure-CNF variant.
   int ilp_equalities = 0;
   /// Clauses contributed by instance-independent SBPs.
   int sbp_clauses = 0;
@@ -102,5 +108,10 @@ ColoringEncoding encode_coloring(const Graph& graph, int max_colors,
 /// the graph is max_colors-colorable.
 ColoringEncoding encode_k_coloring(const Graph& graph, int max_colors,
                                    const SbpOptions& sbps = {});
+
+/// Pure-CNF decision variant, the SAT loop's formula: no objective and no
+/// PB constraints.
+ColoringEncoding encode_k_coloring_cnf(const Graph& graph, int max_colors,
+                                       const SbpOptions& sbps = {});
 
 }  // namespace symcolor

@@ -48,8 +48,7 @@ ColoringEncoding encode_cnf_at_upper_bound(const Graph& graph,
                                            const ColoringOutcome& bounds) {
   SbpOptions sbps = options.sbps;
   sbps.nu = true;
-  ColoringEncoding enc =
-      encode_k_coloring_cnf(graph, bounds.num_colors, options.amo, sbps);
+  ColoringEncoding enc = encode_k_coloring_cnf(graph, bounds.num_colors, sbps);
   if (!options.sbps.sc && !options.sbps.ca && !options.sbps.li) {
     for (std::size_t i = 0; i < bounds.clique.size(); ++i) {
       enc.formula.add_unit(

@@ -50,9 +50,10 @@ struct ColoringOptions {
   int max_colors = 20;
   /// Instance-independent SBPs added during formulation.
   SbpOptions sbps;
-  /// At-most-one encoding of the per-vertex exactly-one constraint in the
-  /// SAT loop's CNF; the native 0-1 ILP encoding ignores it.
-  AmoEncoding amo = AmoEncoding::Sequential;
+  /// Compat residue: the SAT loop's CNF has one at-most-one encoding and
+  /// nothing in src/ reads this. Read only by suitebench; ROADMAP item
+  /// 1c's [benchmark] PR deletes it.
+  AmoEncoding amo = AmoEncoding::Commander;
   /// Run the Shatter flow (detect + lex-leader SBPs) before solving. The
   /// SAT loop rejects it: a lex-leader clause from a generator that moves
   /// a y(k) is unsound under minimize()'s K-assumptions.
@@ -156,9 +157,9 @@ ColoringOutcome solve_k_coloring(const Graph& graph,
                                  const ColoringOptions& options = {});
 
 /// Minimize the number of colors through the SAT-loop plan: bounds first,
-/// then CNF K-queries on one persistent engine. Reads `sbps`, `amo`,
-/// `solver`, `search`, `threads`, `cube_depth`, `chrono_threshold` and the
-/// budget fields; ignores `max_colors`. Throws std::invalid_argument for
+/// then CNF K-queries on one persistent engine. Reads `sbps`, `solver`,
+/// `search`, `threads`, `cube_depth`, `chrono_threshold` and the budget
+/// fields; ignores `max_colors`. Throws std::invalid_argument for
 /// `instance_dependent_sbps` and SolverKind::GenericIlp, which it cannot
 /// honor, and, as every entry point does, for `presimplify`.
 ColoringOutcome solve_coloring_sat_loop(const Graph& graph,

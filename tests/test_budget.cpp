@@ -9,7 +9,6 @@
 #include <chrono>
 #include <thread>
 
-#include "coloring/cnf_coloring.h"
 #include "coloring/encoder.h"
 #include "coloring/exact_colorer.h"
 #include "graph/generators.h"

@@ -132,11 +132,10 @@ TEST(PbConstraint, EqualityAfterCanonicalization) {
 
 TEST(Formula, NewVarsSequential) {
   Formula f;
-  EXPECT_EQ(f.new_var("a"), 0);
-  EXPECT_EQ(f.new_var("b"), 1);
+  EXPECT_EQ(f.new_var(), 0);
+  EXPECT_EQ(f.new_var(), 1);
   EXPECT_EQ(f.new_vars(3), 2);
   EXPECT_EQ(f.num_vars(), 5);
-  EXPECT_EQ(f.var_name(1), "b");
 }
 
 TEST(Formula, TautologicalClauseDropped) {

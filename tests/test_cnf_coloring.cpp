@@ -1,11 +1,13 @@
-// Tests for PB->CNF conversion, the pure-CNF coloring encodings, the
+// Tests for PB->CNF conversion, the pure-CNF coloring encoding, the
 // SAT-loop optimizer, and the Mehrotra-Trick set-cover formulation.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "cnf/pb_to_cnf.h"
-#include "coloring/cnf_coloring.h"
 #include "coloring/dsatur_bnb.h"
+#include "coloring/encoder.h"
 #include "coloring/exact_colorer.h"
 #include "coloring/set_cover_formulation.h"
 #include "graph/clique.h"
@@ -83,6 +85,29 @@ TEST(PbToCnf, InfeasibleBoundGivesUnsat) {
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
 }
 
+TEST(PbToCnf, AtMostOneExhaustive) {
+  // Every assignment of n = 0..10 literals, fixed by unit clauses: the
+  // commander encoding is satisfiable exactly when at most one is true.
+  // The range covers groups of three with remainders 0, 1 and 2, and two
+  // levels of commanders.
+  for (int n = 0; n <= 10; ++n) {
+    Formula amo;
+    amo.new_vars(n);
+    std::vector<Lit> lits;
+    for (int i = 0; i < n; ++i) lits.push_back(Lit::positive(i));
+    encode_at_most_one(amo, lits);
+    for (std::uint64_t mask = 0; mask < (1ULL << n); ++mask) {
+      Formula probe = amo;
+      for (int i = 0; i < n; ++i) {
+        probe.add_unit(Lit(i, ((mask >> i) & 1) == 0));
+      }
+      CdclSolver solver(probe);
+      EXPECT_EQ(solver.solve() == SolveResult::Sat, std::popcount(mask) <= 1)
+          << "n=" << n << " mask=" << mask;
+    }
+  }
+}
+
 TEST(PbToCnf, WeightedBddMatchesSemantics) {
   // 3a + 2b + c >= 4: satisfied by {a,b}, {a,c}, {a,b,c}, {b,c}? 2+1=3 no.
   // Models: a&b (5), a&c (4), a&b&c (6) -> 3 assignments.
@@ -147,24 +172,21 @@ TEST(PbToCnf, ToPureCnfPreservesOptimum) {
   EXPECT_EQ(a.best_value, b.best_value);
 }
 
-// ---- pure-CNF coloring encodings ----
+// ---- pure-CNF coloring encoding ----
 
-class AmoSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(AmoSweep, DecisionMatchesPbEncoding) {
-  const AmoEncoding amo = static_cast<AmoEncoding>(GetParam());
+TEST(CnfEncoding, DecisionMatchesPbEncoding) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     const Graph g = make_random_gnm(10, 22, seed);
     const int chi = dsatur_branch_and_bound(g).num_colors;
     for (const int k : {chi - 1, chi, chi + 1}) {
       if (k < 1) continue;
-      ColoringEncoding enc = encode_k_coloring_cnf(g, k, amo);
+      ColoringEncoding enc = encode_k_coloring_cnf(g, k);
       EXPECT_EQ(enc.formula.num_pb(), 0);
       CdclSolver solver(enc.formula);
       const SolveResult r = solver.solve();
       ASSERT_NE(r, SolveResult::Unknown);
       EXPECT_EQ(r == SolveResult::Sat, k >= chi)
-          << amo_encoding_name(amo) << " seed=" << seed << " k=" << k;
+          << "seed=" << seed << " k=" << k;
       if (r == SolveResult::Sat) {
         EXPECT_TRUE(g.is_proper_coloring(enc.decode(solver.model())));
       }
@@ -172,20 +194,16 @@ TEST_P(AmoSweep, DecisionMatchesPbEncoding) {
   }
 }
 
-TEST_P(AmoSweep, SbpRowsStayCorrect) {
-  const AmoEncoding amo = static_cast<AmoEncoding>(GetParam());
+TEST(CnfEncoding, SbpRowsStayCorrect) {
   const Graph g = make_random_gnm(9, 16, 5);
   const int chi = dsatur_branch_and_bound(g).num_colors;
   for (const SbpOptions& sbps : paper_sbp_rows()) {
-    ColoringEncoding enc = encode_k_coloring_cnf(g, chi, amo, sbps);
+    ColoringEncoding enc = encode_k_coloring_cnf(g, chi, sbps);
     EXPECT_EQ(enc.formula.num_pb(), 0) << sbps.label();
     CdclSolver solver(enc.formula);
-    EXPECT_EQ(solver.solve(), SolveResult::Sat)
-        << amo_encoding_name(amo) << " " << sbps.label();
+    EXPECT_EQ(solver.solve(), SolveResult::Sat) << sbps.label();
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(AllEncodings, AmoSweep, ::testing::Range(0, 3));
 
 TEST(SatLoop, FindsChromaticNumbers) {
   ColoringOptions options;

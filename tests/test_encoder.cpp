@@ -46,8 +46,6 @@ TEST(Encoder, VariableLayout) {
   EXPECT_EQ(enc.x(2, 3), 11);
   EXPECT_EQ(enc.y(0), 12);
   EXPECT_EQ(enc.y(3), 15);
-  EXPECT_EQ(enc.formula.var_name(enc.x(1, 2)), "x_1_2");
-  EXPECT_EQ(enc.formula.var_name(enc.y(1)), "y_1");
 }
 
 TEST(Encoder, ObjectiveSumsUsageVars) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cnf/formula.h"
-#include "coloring/cnf_coloring.h"
 #include "coloring/encoder.h"
 #include "coloring/exact_colorer.h"
 #include "graph/generators.h"
