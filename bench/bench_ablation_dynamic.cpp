@@ -36,17 +36,17 @@ int main() {
   table.rule();
   for (const Instance& inst : instances) {
     {
-      const Deadline deadline(budgets.solve_seconds);
+      const SolveBudget budget(budgets.solve_seconds);
       const CspColorerResult r =
-          csp_min_coloring(inst.graph, /*break_value_symmetry=*/true, deadline);
+          csp_min_coloring(inst.graph, /*break_value_symmetry=*/true, budget);
       table.row({inst.name, "CSP dynamic", time_cell(r.seconds, r.completed),
                  std::to_string(Graph::count_colors(r.coloring)),
                  std::to_string(r.nodes)});
     }
     {
-      const Deadline deadline(budgets.solve_seconds);
+      const SolveBudget budget(budgets.solve_seconds);
       const CspColorerResult r = csp_min_coloring(
-          inst.graph, /*break_value_symmetry=*/false, deadline);
+          inst.graph, /*break_value_symmetry=*/false, budget);
       table.row({inst.name, "CSP no-sym-breaking",
                  time_cell(r.seconds, r.completed),
                  std::to_string(Graph::count_colors(r.coloring)),

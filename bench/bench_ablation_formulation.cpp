@@ -43,10 +43,10 @@ int main() {
     {
       ColoringEncoding enc = encode_coloring(inst.graph, 8);
       const SymmetryInfo sym =
-          detect_symmetries(enc.formula, Deadline(budgets.detect_seconds));
+          detect_symmetries(enc.formula, SolveBudget(budgets.detect_seconds));
       const OptResult r =
           minimize(enc.formula, profile_config(SolverKind::PbsII),
-                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
+                   SolveBudget(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, "assignment",
                  std::to_string(enc.formula.num_vars()),
                  std::to_string(enc.formula.num_clauses() +
@@ -62,10 +62,10 @@ int main() {
         continue;
       }
       const SymmetryInfo sym =
-          detect_symmetries(enc->formula, Deadline(budgets.detect_seconds));
+          detect_symmetries(enc->formula, SolveBudget(budgets.detect_seconds));
       const OptResult r =
           minimize(enc->formula, profile_config(SolverKind::PbsII),
-                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
+                   SolveBudget(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, "indep-set",
                  std::to_string(enc->formula.num_vars()),
                  std::to_string(enc->formula.num_clauses()),

@@ -53,7 +53,7 @@ int main() {
       ColoringEncoding enc =
           encode_coloring(inst.graph, budgets.max_colors, {});
       const SymmetryInfo info =
-          detect_symmetries(enc.formula, Deadline(budgets.detect_seconds));
+          detect_symmetries(enc.formula, SolveBudget(budgets.detect_seconds));
       LexLeaderStats stats;
       switch (variant) {
         case SbpVariant::Linear:
@@ -68,7 +68,7 @@ int main() {
       }
       const OptResult r =
           minimize(enc.formula, profile_config(SolverKind::PbsII),
-                   Deadline(budgets.solve_seconds), SearchStrategy::Linear);
+                   SolveBudget(budgets.solve_seconds), SearchStrategy::Linear);
       table.row({inst.name, variant_name(variant),
                  std::to_string(stats.clauses_added),
                  std::to_string(stats.vars_added),

@@ -268,7 +268,7 @@ void BM_CdclPortfolioSpeedup(benchmark::State& state) {
     const auto engine = make_solver_engine(enc.formula, config);
     // The guard deadline only trips if a regression makes the race
     // pathological; a timeout would clamp the reported ratio from below.
-    benchmark::DoNotOptimize(engine->solve(Deadline(180.0)));
+    benchmark::DoNotOptimize(engine->solve(SolveBudget(180.0)));
   }
 }
 BENCHMARK(BM_CdclPortfolioSpeedup)
@@ -293,7 +293,7 @@ void BM_CdclCubeAndConquer(benchmark::State& state) {
   config.cube_depth = 4;
   for (auto _ : state) {
     const auto engine = make_solver_engine(enc.formula, config);
-    benchmark::DoNotOptimize(engine->solve(Deadline(180.0)));
+    benchmark::DoNotOptimize(engine->solve(SolveBudget(180.0)));
   }
 }
 BENCHMARK(BM_CdclCubeAndConquer)
@@ -369,7 +369,7 @@ void BM_CdclAssumptionSolve(benchmark::State& state) {
     CdclSolver solver(enc.formula, config);
     for (int k = 6; k >= 4; --k) {  // chi(queen5) = 5: SAT, SAT, UNSAT
       const std::vector<Lit> assume{Lit::negative(enc.y(k))};
-      benchmark::DoNotOptimize(solver.solve(Deadline{}, assume));
+      benchmark::DoNotOptimize(solver.solve(SolveBudget{}, assume));
       ++solves;
     }
     conflicts += solver.stats().conflicts;
@@ -400,7 +400,7 @@ void BM_CdclAssumptionPrefixReuse(benchmark::State& state) {
       assume.clear();
       for (int k = 6; k >= 4; --k) {  // chi(queen5) = 5: SAT, SAT, UNSAT
         assume.push_back(Lit::negative(enc.y(k)));
-        benchmark::DoNotOptimize(solver.solve(Deadline{}, assume));
+        benchmark::DoNotOptimize(solver.solve(SolveBudget{}, assume));
         ++solves;
       }
     }
@@ -426,7 +426,7 @@ void BM_CdclChronoBacktrack(benchmark::State& state) {
   std::int64_t saved = 0;
   for (auto _ : state) {
     CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.solve(Deadline{}));
+    benchmark::DoNotOptimize(solver.solve(SolveBudget{}));
     conflicts += solver.stats().conflicts;
     saved += solver.stats().saved_propagations;
   }
@@ -451,7 +451,7 @@ void BM_OptimizerSearchStrategies(benchmark::State& state) {
   std::int64_t conflicts = 0;
   std::int64_t probes = 0;
   for (auto _ : state) {
-    const OptResult r = minimize(enc.formula, config, Deadline(60.0), strategy);
+    const OptResult r = minimize(enc.formula, config, SolveBudget(60.0), strategy);
     benchmark::DoNotOptimize(r.best_value);
     conflicts += r.stats.conflicts;
     probes += r.probes;
@@ -491,7 +491,7 @@ void BM_MinimizeMyciel(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(minimize(enc.formula,
                                       profile_config(SolverKind::PbsII),
-                                      Deadline(30.0), SearchStrategy::Linear));
+                                      SolveBudget(30.0), SearchStrategy::Linear));
   }
 }
 BENCHMARK(BM_MinimizeMyciel)->Arg(3)->Arg(4);
@@ -572,7 +572,7 @@ void BM_ShatterMyciel(benchmark::State& state) {
   const Graph g = make_myciel_dimacs(4);
   for (auto _ : state) {
     ColoringEncoding enc = encode_coloring(g, 10);
-    benchmark::DoNotOptimize(shatter(enc.formula, Deadline(10.0)));
+    benchmark::DoNotOptimize(shatter(enc.formula, SolveBudget(10.0)));
   }
 }
 BENCHMARK(BM_ShatterMyciel);

@@ -34,9 +34,8 @@ int main() {
     const RunOutcome flow =
         run_instance(inst.graph, SbpOptions::sc_only(),
                      /*instance_dependent=*/true, SolverKind::PbsII, budgets);
-    const Deadline deadline(budgets.solve_seconds);
-    const DsaturBnbResult bnb =
-        dsatur_branch_and_bound(inst.graph, deadline);
+    const SolveBudget budget(budgets.solve_seconds);
+    const DsaturBnbResult bnb = dsatur_branch_and_bound(inst.graph, budget);
     table.row({inst.name,
                inst.chromatic_number > 0 ? std::to_string(inst.chromatic_number)
                                          : "?",

@@ -35,8 +35,8 @@ int main() {
       chi = std::to_string(inst.chromatic_number);
       source = "pinned";
     } else {
-      const Deadline deadline(budgets.solve_seconds);
-      const DsaturBnbResult r = dsatur_branch_and_bound(inst.graph, deadline);
+      const SolveBudget budget(budgets.solve_seconds);
+      const DsaturBnbResult r = dsatur_branch_and_bound(inst.graph, budget);
       if (r.proved_optimal) {
         chi = std::to_string(r.num_colors);
         source = "measured";

@@ -42,8 +42,8 @@ int main() {
       vars += enc.formula.num_vars();
       clauses += enc.formula.num_clauses();
       pb += enc.ilp_equalities + enc.sbp_pb_constraints;
-      const Deadline deadline(budgets.detect_seconds);
-      const SymmetryInfo info = detect_symmetries(enc.formula, deadline);
+      const SolveBudget budget(budgets.detect_seconds);
+      const SymmetryInfo info = detect_symmetries(enc.formula, budget);
       generators += static_cast<long long>(info.generators.size());
       log_orders.push_back(info.log10_order);
       detect_time += info.detect_seconds;

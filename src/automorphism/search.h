@@ -44,7 +44,7 @@ struct AutomorphismResult {
 /// pass empty for uncolored). Deterministic for a fixed input. `budget`
 /// is polled at every search node: a deadline or an interrupt() stops the
 /// search with the generators found so far and `complete` false (its
-/// counted caps do not apply). A legacy `Deadline` converts implicitly.
+/// counted caps do not apply).
 AutomorphismResult find_automorphisms(const Graph& graph,
                                       std::span<const int> colors = {},
                                       const SolveBudget& budget = {});

@@ -12,8 +12,8 @@ namespace {
 class CspSearch {
  public:
   CspSearch(const Graph& graph, const CspColorerOptions& options,
-            const Deadline& deadline)
-      : graph_(graph), options_(options), deadline_(deadline) {
+            const SolveBudget& budget)
+      : graph_(graph), options_(options), budget_(budget) {
     if (options.max_colors < 1) {
       throw std::invalid_argument("csp colorer needs max_colors >= 1");
     }
@@ -34,7 +34,7 @@ class CspSearch {
 
  private:
   bool extend(int v, int used_colors) {
-    if ((++nodes_ & 0x3FF) == 0 && deadline_.expired()) {
+    if ((nodes_++ & 0x3FF) == 0 && budget_.poll() != BudgetTrip::None) {
       completed_ = false;
       return false;
     }
@@ -65,7 +65,7 @@ class CspSearch {
 
   const Graph& graph_;
   const CspColorerOptions& options_;
-  const Deadline& deadline_;
+  const SolveBudget& budget_;
   std::vector<int> colors_;
   long long nodes_ = 0;
   bool completed_ = true;
@@ -75,14 +75,14 @@ class CspSearch {
 
 CspColorerResult csp_k_coloring(const Graph& graph,
                                 const CspColorerOptions& options,
-                                const Deadline& deadline) {
-  CspSearch search(graph, options, deadline);
+                                const SolveBudget& budget) {
+  CspSearch search(graph, options, budget);
   return search.run();
 }
 
 CspColorerResult csp_min_coloring(const Graph& graph,
                                   bool break_value_symmetry,
-                                  const Deadline& deadline) {
+                                  const SolveBudget& budget) {
   CspColorerResult best;
   best.completed = true;
   if (graph.num_vertices() == 0) {
@@ -101,7 +101,7 @@ CspColorerResult csp_min_coloring(const Graph& graph,
     CspColorerOptions options;
     options.max_colors = upper - 1;
     options.break_value_symmetry = break_value_symmetry;
-    const CspColorerResult probe = csp_k_coloring(graph, options, deadline);
+    const CspColorerResult probe = csp_k_coloring(graph, options, budget);
     best.nodes += probe.nodes;
     if (!probe.completed) {
       best.completed = false;

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/timer.h"
+#include "util/budget.h"
 
 namespace symcolor {
 
@@ -29,22 +29,26 @@ struct CspColorerOptions {
 
 struct CspColorerResult {
   bool satisfiable = false;
-  bool completed = false;  ///< search finished within the deadline
+  bool completed = false;  ///< search finished within the budget
   std::vector<int> coloring;
   long long nodes = 0;
   double seconds = 0.0;
 };
 
-/// Decide K-colorability by chronological backtracking.
+/// Decide K-colorability by chronological backtracking. `budget` is
+/// polled on entry and every 1024 search nodes: a deadline or an
+/// interrupt() stops the search with `completed` false (its counted caps
+/// do not apply).
 CspColorerResult csp_k_coloring(const Graph& graph,
                                 const CspColorerOptions& options,
-                                const Deadline& deadline = {});
+                                const SolveBudget& budget = {});
 
-/// Minimize colors by descending K queries (the NECSP optimization loop).
-/// Returns the chromatic number in `coloring`'s color count when
-/// `completed`.
+/// Minimize colors by descending K queries (the NECSP optimization loop),
+/// all under one `budget`. Returns the chromatic number in `coloring`'s
+/// color count when `completed`; a stopped run keeps the best proper
+/// coloring found so far.
 CspColorerResult csp_min_coloring(const Graph& graph,
                                   bool break_value_symmetry = true,
-                                  const Deadline& deadline = {});
+                                  const SolveBudget& budget = {});
 
 }  // namespace symcolor

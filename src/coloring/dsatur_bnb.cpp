@@ -10,9 +10,9 @@ namespace {
 
 class BnB {
  public:
-  BnB(const Graph& graph, const Deadline& deadline)
+  BnB(const Graph& graph, const SolveBudget& budget)
       : graph_(graph),
-        deadline_(deadline),
+        budget_(budget),
         n_(graph.num_vertices()),
         color_stride_(static_cast<std::size_t>(n_) + 2) {
     colors_.assign(static_cast<std::size_t>(n_), -1);
@@ -97,7 +97,7 @@ class BnB {
   }
 
   void search() {
-    if ((++nodes_ & 0x3FF) == 0 && deadline_.expired()) {
+    if ((nodes_++ & 0x3FF) == 0 && budget_.poll() != BudgetTrip::None) {
       complete_ = false;
       return;
     }
@@ -126,7 +126,7 @@ class BnB {
   }
 
   const Graph& graph_;
-  const Deadline& deadline_;
+  const SolveBudget& budget_;
   int n_;
   std::size_t color_stride_;
   std::vector<int> colors_;
@@ -144,8 +144,8 @@ class BnB {
 }  // namespace
 
 DsaturBnbResult dsatur_branch_and_bound(const Graph& graph,
-                                        const Deadline& deadline) {
-  BnB bnb(graph, deadline);
+                                        const SolveBudget& budget) {
+  BnB bnb(graph, budget);
   return bnb.run();
 }
 

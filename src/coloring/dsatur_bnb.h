@@ -10,20 +10,23 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "util/timer.h"
+#include "util/budget.h"
 
 namespace symcolor {
 
 struct DsaturBnbResult {
   int num_colors = 0;            ///< best coloring found
   std::vector<int> coloring;     ///< a witness with num_colors colors
-  bool proved_optimal = false;   ///< search exhausted within the deadline
+  bool proved_optimal = false;   ///< search exhausted within the budget
   long long nodes = 0;
   double seconds = 0.0;
 };
 
-/// Compute the chromatic number exactly (subject to the deadline).
+/// Compute the chromatic number exactly. `budget` is polled on entry and
+/// every 1024 search nodes: a deadline or an interrupt() stops the search
+/// with the best coloring so far and `proved_optimal` false (its counted
+/// caps do not apply).
 DsaturBnbResult dsatur_branch_and_bound(const Graph& graph,
-                                        const Deadline& deadline = {});
+                                        const SolveBudget& budget = {});
 
 }  // namespace symcolor

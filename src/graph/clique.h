@@ -26,7 +26,7 @@ std::vector<int> greedy_clique(const Graph& graph);
 ///    deterministic limit: the same graph and cap give the same clique on
 ///    every machine;
 ///  * when `budget` reports a trip (deadline or interrupt; its counted caps
-///    do not apply). A legacy `Deadline` converts implicitly;
+///    do not apply);
 ///  * when the clique reaches `upper_bound` (<= 0 = none), an upper bound
 ///    on the clique number the caller already knows, such as the color
 ///    count of a proper coloring. That clique is maximum.

@@ -109,9 +109,10 @@ OptResult solve_decision(const Formula& formula, const SolverConfig& config,
 /// is a caller-proven lower bound on the objective, folded into
 /// OptResult::lower_bound: every strategy reports Optimal as soon as an
 /// incumbent meets it, and Binary/CoreGuided bisect from it. The budget
-/// covers the WHOLE run: its conflict/propagation caps are spread across
-/// probes by a BudgetLedger, and interrupt()/deadline preempt between and
-/// inside probes. Degradation contract: a budgeted exit keeps the best
+/// covers the WHOLE run: the search counts what its probes spend, hands
+/// each probe a child budget holding the unspent remainder of the
+/// conflict/propagation caps and runs no probe once they are spent, and
+/// interrupt()/deadline preempt between and inside probes. Degradation contract: a budgeted exit keeps the best
 /// incumbent (status Feasible) and the tightest proven lower bound; only
 /// a run with no incumbent at all reports Unknown. Throws
 /// std::invalid_argument when the objective has too many distinct sums

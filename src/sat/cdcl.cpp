@@ -1420,17 +1420,13 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
     std::int64_t conflicts_this_restart = 0;
     std::int64_t ticks = 0;
     for (;;) {
-      // Asynchronous conditions (wall clock, interrupt flag, portfolio
-      // stop) ride a coarse cadence — one clock read / atomic load per 256
-      // search steps bounds the preemption latency without costing the
-      // propagation loop anything measurable.
+      // Asynchronous conditions (wall clock, interrupt flag) ride a coarse
+      // cadence — one clock read / atomic load per 256 search steps bounds
+      // the preemption latency without costing the propagation loop
+      // anything measurable.
       if (++ticks % 256 == 0) {
         const BudgetTrip async = budget.poll();
         if (async != BudgetTrip::None) return budget_exit(async);
-        if (hooks_.stop != nullptr &&
-            hooks_.stop->load(std::memory_order_relaxed)) {
-          return budget_exit(BudgetTrip::Interrupt);
-        }
       }
       // Counted budgets are two integer compares — checked every step, so
       // they never overshoot by more than one propagate() fixpoint.

@@ -92,7 +92,6 @@
 //     — a small local pool is what keeps the watch lists short and the
 //     propagation loop in cache.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -303,10 +302,11 @@ class CdclSolver final : public SolverEngine {
 
   /// Solve under optional assumptions. Returns Unknown when a resource
   /// bound ends the solve early — the budget's wall clock, conflict or
-  /// propagation cap, its interrupt() flag, or the portfolio stop flag —
-  /// with last_trip() recording which. Asynchronous conditions are
-  /// polled on a coarse cadence (every 256 search steps), so interrupt
-  /// latency is bounded by that many conflicts. Can be called repeatedly;
+  /// propagation cap, or its interrupt() flag (the parallel engine's
+  /// first-answer stop among them) — with last_trip() recording which.
+  /// Asynchronous conditions are polled on a coarse cadence (every 256
+  /// search steps), so interrupt latency is bounded by that many
+  /// conflicts. Can be called repeatedly;
   /// learned clauses persist across calls. Every exit — Sat, Unsat (with
   /// or without a core) and every Unknown — unwinds to decision level 0,
   /// so no assumption state outlives the call: the solver is quiescent
@@ -362,9 +362,6 @@ class CdclSolver final : public SolverEngine {
     hooks_.import_cursor = 0;
     hooks_.pb_import_cursor = 0;
   }
-  /// Cooperative cancellation: solve() polls the flag on the same coarse
-  /// cadence as the deadline and returns Unknown once it is set.
-  void set_interrupt(const std::atomic<bool>* stop) { hooks_.stop = stop; }
   /// Swap the configuration of a live solver (the portfolio diversifies
   /// clones this way). Learned clauses, activities and saved phases are
   /// kept; the RNG is reseeded from the new config and a positive
@@ -741,16 +738,15 @@ class CdclSolver final : public SolverEngine {
   std::vector<BjEnt> cp_bj_ents_;
   std::vector<std::int64_t> cp_bj_suffix_;
 
-  /// Portfolio attachment (sharing sink, worker identity, interrupt
-  /// flag). Self-resetting on copy: a cloned solver must start detached
-  /// — these point into the spawning portfolio's solve() frame — and
+  /// Portfolio attachment (sharing sink, worker identity). Self-resetting
+  /// on copy: a cloned solver must start detached — these point into the
+  /// spawning portfolio's solve() frame — and
   /// encoding that here keeps the solver's copy constructor defaultable.
   struct PortfolioHooks {
     ClauseExchange* sharing = nullptr;
     int worker_id = 0;
     std::size_t import_cursor = 0;
     std::size_t pb_import_cursor = 0;
-    const std::atomic<bool>* stop = nullptr;
     PortfolioHooks() = default;
     PortfolioHooks(const PortfolioHooks&) noexcept {}  // copy = detach
     PortfolioHooks& operator=(const PortfolioHooks&) = delete;

@@ -97,9 +97,13 @@ bool contains(const std::vector<Lit>& lits, Lit l) {
 struct ParallelSolver::Pool {
   /// Worker 0 is `master`; 1..n-1 are diversified clones of its current
   /// state, so constraints added between calls (and whatever the master
-  /// learned or imported so far) carry over.
-  Pool(CdclSolver& master, const SolverConfig& config, int n)
-      : clone_base(master.stats()),
+  /// learned or imported so far) carry over. Every worker solves under
+  /// `budget`, one child of the caller's.
+  Pool(CdclSolver& master, const SolverConfig& config, int n,
+       const SolveBudget& caller)
+      : budget(caller.child()),
+        deterministic(config.portfolio_deterministic),
+        clone_base(master.stats()),
         exchange(kExchangeCapacity, n),
         results(static_cast<std::size_t>(n), SolveResult::Unknown),
         trips(static_cast<std::size_t>(n), BudgetTrip::None),
@@ -114,17 +118,23 @@ struct ParallelSolver::Pool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers.size()); }
 
+  /// Stop every worker at its next poll. Deterministic mode never stops
+  /// early: every worker runs to completion.
+  void stop() const {
+    if (!deterministic) budget.interrupt();
+  }
+
   /// Worker `i` answered the whole query; the first claim stops the rest.
   void claim(int i, SolveResult r) {
     results[static_cast<std::size_t>(i)] = r;
     int none = -1;
-    if (first.compare_exchange_strong(none, i)) stop.store(true);
+    if (first.compare_exchange_strong(none, i)) stop();
   }
 
   /// The first claim — or, in deterministic mode, where every worker ran
   /// to completion, the lowest-indexed definitive answer, which repeated
   /// runs reproduce. Dead workers never claim, so they never win.
-  [[nodiscard]] int winner(bool deterministic) const {
+  [[nodiscard]] int winner() const {
     if (!deterministic) return first.load();
     const auto it = std::find_if(results.begin(), results.end(), [](auto r) {
       return r != SolveResult::Unknown;
@@ -143,18 +153,14 @@ struct ParallelSolver::Pool {
 
   /// Run `body(i, worker)` on every worker behind an exception barrier:
   /// worker 0 on the calling thread, the clones on their own threads.
-  /// Unless deterministic, workers share through the exchange and poll
-  /// the stop flag.
+  /// Unless deterministic, workers share through the exchange.
   template <typename Body>
-  void run(bool deterministic, Body body) {
+  void run(Body body) {
     const bool share = size() > 1 && !deterministic;
     const auto guarded = [&](int i) {
       CdclSolver& worker = *workers[static_cast<std::size_t>(i)];
       try {
-        if (share) {
-          worker.set_sharing(&exchange, i);
-          worker.set_interrupt(&stop);
-        }
+        if (share) worker.set_sharing(&exchange, i);
         body(i, worker);
       } catch (...) {
         // Exception barrier: record the death and leave the others
@@ -168,31 +174,179 @@ struct ParallelSolver::Pool {
       for (int i = 1; i < size(); ++i) threads.emplace_back(guarded, i);
     } catch (...) {
       // Thread creation failed (resource exhaustion): wave off the clones
-      // already running and join them before unwinding — destroying a
-      // joinable std::thread would terminate the process.
+      // already running, deterministic or not, and join them before
+      // unwinding — destroying a joinable std::thread would terminate the
+      // process.
       spawn_error = std::current_exception();
-      stop.store(true);
+      budget.interrupt();
     }
     if (!spawn_error) guarded(0);
     for (std::thread& t : threads) t.join();
-    // The exchange and stop flag die with the pool; the master persists.
+    // The exchange dies with the pool; the master persists.
     workers[0]->set_sharing(nullptr, 0);
-    workers[0]->set_interrupt(nullptr);
     if (spawn_error) std::rethrow_exception(spawn_error);
   }
 
+  /// The workers' budget: a child of the caller's, whose interrupt() is
+  /// the first-answer stop. Frame-local, so a stop never outlives the
+  /// solve() that fired it.
+  const SolveBudget budget;
+  const bool deterministic;
   std::vector<std::unique_ptr<CdclSolver>> clones;
   std::vector<CdclSolver*> workers;
   /// The master's cumulative counters, which every clone inherited.
   SolverStats clone_base;
   ClauseExchange exchange;
-  std::atomic<bool> stop{false};
   std::atomic<int> first{-1};
   /// Per worker: its answer to the whole query (Unknown unless claimed),
   /// the global budget condition that ended its run, and its death.
   std::vector<SolveResult> results;
   std::vector<BudgetTrip> trips;
   std::vector<std::exception_ptr> faults;
+};
+
+/// The conquer phase of the cube schedule: the pool's workers pull cubes
+/// from one queue until a cube answers the query, the partition is
+/// refuted, or a global condition winds the pool down.
+struct ParallelSolver::CubeRun {
+  Pool& pool;
+  std::span<const Lit> assumptions;
+  /// The caller's budget: its conditions, unlike the pool's first-answer
+  /// stop, are what a wound-down worker records as its trip.
+  const SolveBudget& caller;
+  const CubeGenOptions& gopts;
+  /// Cubes this deep run to completion instead of on a conflict slice.
+  int max_depth;
+  std::int64_t slice;
+  CubeQueue queue{};
+  /// Refutations without core attribution (generation probes, resplit
+  /// probes) poison the per-cube core union: the full assumption set,
+  /// always a valid core of an Unsat answer, stands in for it.
+  std::atomic<bool> core_unattributed;
+  std::atomic<std::size_t> refuted{0};
+  std::atomic<std::size_t> pruned{0};
+  std::atomic<std::size_t> splits{0};
+  std::mutex core_mutex{};
+  std::vector<Lit> union_core{};  // union of refuted cubes' caller parts
+
+  /// Worker `i`'s loop: pull and solve cubes until the queue drains or
+  /// stops, or this worker's last cube ends the pool's run.
+  void work(int i, CdclSolver& solver) {
+    Cube cube;
+    bool in_flight = false;
+    std::vector<Lit> combined;
+    try {
+      while (queue.pop(&cube)) {
+        in_flight = true;
+        const bool done = solve_cube(i, solver, cube, combined);
+        queue.finish();
+        in_flight = false;
+        if (done) {
+          queue.stop();
+          return;
+        }
+      }
+    } catch (...) {
+      // The partition must stay covered for Unsat to be sound: re-deal
+      // the dead worker's in-flight cube before the barrier records it.
+      if (in_flight) {
+        queue.push(std::move(cube));
+        queue.finish();
+      }
+      throw;
+    }
+  }
+
+  /// Solve one dealt cube under the caller's assumptions. True when this
+  /// was the worker's last cube: it answered the query, or a global
+  /// condition winds the pool down (the cube is then re-dealt so the
+  /// bookkeeping stays exact).
+  bool solve_cube(int i, CdclSolver& solver, Cube& cube,
+                  std::vector<Lit>& combined) {
+    combined.assign(assumptions.begin(), assumptions.end());
+    combined.insert(combined.end(), cube.lits.begin(), cube.lits.end());
+    // Shallow cubes run on a conflict slice so stragglers surface for
+    // splitting; past the split horizon a cube runs to completion.
+    const bool sliced = slice > 0 && cube.depth < max_depth;
+    const SolveResult r =
+        solver.solve(pool.budget.child(0.0, sliced ? slice : 0, 0), combined);
+    if (r == SolveResult::Sat) {
+      // A model of F + assumptions + cube is a model of the query.
+      pool.claim(i, r);
+      return true;
+    }
+    if (r == SolveResult::Unsat) return refute(i, solver, cube);
+    // Unknown: a slice-bounded conflict trip means a stuck cube (the
+    // work-stealing signal); anything else is a global condition.
+    const BudgetTrip trip = solver.last_trip();
+    const BudgetTrip parent = caller.poll();
+    if (pool.budget.interrupted() || !sliced ||
+        trip != BudgetTrip::Conflicts || parent != BudgetTrip::None) {
+      pool.trips[static_cast<std::size_t>(i)] =
+          parent != BudgetTrip::None ? parent : trip;
+      pool.stop();
+      queue.push(std::move(cube));
+      return true;
+    }
+    split(solver, cube);
+    return false;
+  }
+
+  /// A refuted cube. True when the refutation never leaned on the cube,
+  /// which answers the whole query; otherwise its core prunes the queue.
+  bool refute(int i, CdclSolver& solver, const Cube& cube) {
+    refuted.fetch_add(1, std::memory_order_relaxed);
+    // Split the analyzed core between the cube's own literals and the
+    // caller's assumptions.
+    const std::span<const Lit> core = solver.last_core();
+    std::vector<Lit> cube_part;
+    std::vector<Lit> assume_part;
+    std::partition_copy(core.begin(), core.end(),
+                        std::back_inserter(cube_part),
+                        std::back_inserter(assume_part),
+                        [&cube](Lit l) { return contains(cube.lits, l); });
+    if (cube_part.empty()) {
+      // F under the caller's assumptions alone is unsat — the global
+      // answer, with this worker's core.
+      pool.claim(i, SolveResult::Unsat);
+      return true;
+    }
+    {
+      const std::lock_guard<std::mutex> lock(core_mutex);
+      union_core.insert(union_core.end(), assume_part.begin(),
+                        assume_part.end());
+    }
+    // Core-driven sibling pruning: a queued cube containing every core
+    // cube-literal is a superset of a proven-unsat prefix.
+    pruned.fetch_add(queue.prune([&cube_part](const Cube& sib) {
+      return std::all_of(cube_part.begin(), cube_part.end(),
+                         [&sib](Lit l) { return contains(sib.lits, l); });
+    }));
+    return false;
+  }
+
+  /// A stuck cube: split it on THIS worker's activity heap — it reflects
+  /// exactly the cube's hard core — and re-deal the children. `cube`
+  /// stays intact until it is re-dealt, so a fault mid-split leaves it
+  /// to the worker's barrier.
+  void split(CdclSolver& solver, Cube& cube) {
+    CubeGenStats sstats;
+    SplitResult result = split_cube(solver, assumptions, cube, gopts, &sstats);
+    if (sstats.refuted_branches > 0) core_unattributed.store(true);
+    if (result.refuted) {
+      refuted.fetch_add(1, std::memory_order_relaxed);
+      return;
+    }
+    splits.fetch_add(1, std::memory_order_relaxed);
+    if (result.children.empty()) {
+      // No free candidate to split on: push past the split horizon so the
+      // cube runs to completion on its next deal.
+      cube.depth = max_depth;
+      queue.push(std::move(cube));
+      return;
+    }
+    for (Cube& child : result.children) queue.push(std::move(child));
+  }
 };
 
 ParallelSolver::ParallelSolver(const Formula& formula, SolverConfig config)
@@ -207,16 +361,11 @@ ParallelSolver::ParallelSolver(const ParallelSolver& other)
       agg_stats_(other.agg_stats_),
       last_trip_(other.last_trip_),
       last_winner_(other.last_winner_),
-      last_faults_(other.last_faults_),
-      last_cubes_(other.last_cubes_),
-      last_refuted_(other.last_refuted_),
-      last_pruned_(other.last_pruned_),
-      last_splits_(other.last_splits_) {}
+      last_faults_(other.last_faults_) {}
 
 SolveResult ParallelSolver::solve(const SolveBudget& budget,
                                   std::span<const Lit> assumptions) {
   last_faults_ = 0;
-  last_cubes_ = last_refuted_ = last_pruned_ = last_splits_ = 0;
   // Every clone copies the master's CUMULATIVE counters at spawn; this
   // snapshot is what the master's own contribution is measured against.
   const SolverStats before = master_->stats();
@@ -229,9 +378,9 @@ SolveResult ParallelSolver::solve(const SolveBudget& budget,
   }
   if (config_.cube_depth > 0) return conquer(budget, assumptions, before);
 
-  Pool pool(*master_, config_, std::max(1, config_.portfolio_threads));
-  pool.run(config_.portfolio_deterministic, [&](int i, CdclSolver& worker) {
-    const SolveResult r = worker.solve(budget, assumptions);
+  Pool pool(*master_, config_, std::max(1, config_.portfolio_threads), budget);
+  pool.run([&](int i, CdclSolver& worker) {
+    const SolveResult r = worker.solve(pool.budget, assumptions);
     pool.trips[static_cast<std::size_t>(i)] = worker.last_trip();
     if (r != SolveResult::Unknown) pool.claim(i, r);
   });
@@ -282,152 +431,51 @@ SolveResult ParallelSolver::conquer(const SolveBudget& budget,
     const SolveResult r = master_->solve(budget, assumptions);
     return master_answer(r, master_->last_trip());
   }
-  last_cubes_ = cubes.size();
 
   // ---- conquer ----
-  const int max_depth =
-      gopts.depth + std::max(0, config_.cube_max_extra_depth);
-  CubeQueue queue;
-  for (Cube& c : cubes) queue.push(std::move(c));
-  // Refutations without core attribution (generation probes, resplit
-  // probes) poison the per-cube core union: fall back to the full
-  // assumption set, which is always a valid core of an Unsat answer.
-  std::atomic<bool> core_unattributed{gstats.refuted_branches > 0};
-  std::atomic<std::size_t> refuted{0};
-  std::atomic<std::size_t> pruned{0};
-  std::atomic<std::size_t> splits{0};
-  std::mutex core_mutex;
-  std::vector<Lit> union_core;  // union of refuted cubes' caller parts
-
   const bool deterministic = config_.portfolio_deterministic;
   Pool pool(*master_, config_,
-            deterministic ? 1 : std::max(1, config_.portfolio_threads));
-  pool.run(deterministic, [&](int i, CdclSolver& solver) {
-    Cube cube;
-    bool in_flight = false;
-    try {
-      std::vector<Lit> combined;
-      while (queue.pop(&cube)) {
-        in_flight = true;
-        combined.assign(assumptions.begin(), assumptions.end());
-        combined.insert(combined.end(), cube.lits.begin(), cube.lits.end());
-        // Shallow cubes run on a conflict slice so stragglers surface for
-        // splitting; past the split horizon a cube runs to completion.
-        const bool sliced =
-            config_.cube_conflict_slice > 0 && cube.depth < max_depth;
-        const SolveResult r = solver.solve(
-            budget.child(0.0, sliced ? config_.cube_conflict_slice : 0, 0),
-            combined);
-        bool done = false;  // this worker's last cube
-        if (r == SolveResult::Sat) {
-          // A model of F + assumptions + cube is a model of the query.
-          pool.claim(i, r);
-          done = true;
-        } else if (r == SolveResult::Unsat) {
-          refuted.fetch_add(1, std::memory_order_relaxed);
-          // Split the analyzed core between the cube's own literals and
-          // the caller's assumptions.
-          const std::span<const Lit> core = solver.last_core();
-          std::vector<Lit> cube_part;
-          std::vector<Lit> assume_part;
-          std::partition_copy(
-              core.begin(), core.end(), std::back_inserter(cube_part),
-              std::back_inserter(assume_part),
-              [&cube](Lit l) { return contains(cube.lits, l); });
-          if (cube_part.empty()) {
-            // The refutation never leaned on the cube: F under the
-            // caller's assumptions alone is unsat — the global answer,
-            // with this worker's core.
-            pool.claim(i, r);
-            done = true;
-          } else {
-            {
-              const std::lock_guard<std::mutex> lock(core_mutex);
-              union_core.insert(union_core.end(), assume_part.begin(),
-                                assume_part.end());
-            }
-            // Core-driven sibling pruning: a queued cube containing every
-            // core cube-literal is a superset of a proven-unsat prefix.
-            pruned.fetch_add(queue.prune([&cube_part](const Cube& sib) {
-              return std::all_of(
-                  cube_part.begin(), cube_part.end(),
-                  [&sib](Lit l) { return contains(sib.lits, l); });
-            }));
-          }
-        } else {
-          // Unknown: a slice-bounded conflict trip means a stuck cube (the
-          // work-stealing signal); anything else is a global condition.
-          const BudgetTrip trip = solver.last_trip();
-          const BudgetTrip parent = budget.poll();
-          if (pool.stop.load() || !sliced || trip != BudgetTrip::Conflicts ||
-              parent != BudgetTrip::None) {
-            // Record the trip and wind the pool down, re-dealing the cube
-            // so the bookkeeping stays exact.
-            pool.trips[static_cast<std::size_t>(i)] =
-                parent != BudgetTrip::None ? parent : trip;
-            pool.stop.store(true);
-            queue.push(std::move(cube));
-            done = true;
-          } else {
-            // Split on THIS worker's activity heap — it reflects exactly
-            // the cube's hard core — and re-deal the children.
-            CubeGenStats sstats;
-            SplitResult split =
-                split_cube(solver, assumptions, cube, gopts, &sstats);
-            if (sstats.refuted_branches > 0) core_unattributed.store(true);
-            if (split.refuted) {
-              refuted.fetch_add(1, std::memory_order_relaxed);
-            } else if (split.children.empty()) {
-              // No free candidate to split on: push past the split
-              // horizon so the cube runs to completion on its next deal.
-              splits.fetch_add(1, std::memory_order_relaxed);
-              cube.depth = max_depth;
-              queue.push(std::move(cube));
-            } else {
-              splits.fetch_add(1, std::memory_order_relaxed);
-              for (Cube& child : split.children) queue.push(std::move(child));
-            }
-          }
-        }
-        queue.finish();
-        in_flight = false;
-        if (done) {
-          queue.stop();
-          return;
-        }
-      }
-    } catch (...) {
-      // The partition must stay covered for Unsat to be sound: re-deal
-      // the dead worker's in-flight cube before the barrier records it.
-      if (in_flight) {
-        queue.push(std::move(cube));
-        queue.finish();
-      }
-      throw;
-    }
-  });
+            deterministic ? 1 : std::max(1, config_.portfolio_threads),
+            budget);
+  CubeRun run{
+      .pool = pool,
+      .assumptions = assumptions,
+      .caller = budget,
+      .gopts = gopts,
+      .max_depth = gopts.depth + std::max(0, config_.cube_max_extra_depth),
+      .slice = config_.cube_conflict_slice,
+      .core_unattributed = {gstats.refuted_branches > 0}};
+  for (Cube& c : cubes) run.queue.push(std::move(c));
+  pool.run([&run](int i, CdclSolver& solver) { run.work(i, solver); });
   settle(pool, before);
-  last_refuted_ = refuted.load();
-  last_pruned_ = pruned.load();
-  last_splits_ = splits.load();
 
-  if (pool.winner(deterministic) < 0 &&
-      pool.first_trip() == BudgetTrip::None && queue.outstanding() == 0) {
+  SolveResult answer;
+  if (pool.winner() < 0 && pool.first_trip() == BudgetTrip::None &&
+      run.queue.outstanding() == 0) {
     // Every cube in the partition refuted: the query is Unsat. The core
     // is the union of the per-cube caller parts unless some refutation
     // lacked attribution, where the full assumption set stands in.
-    if (core_unattributed.load()) {
-      union_core.assign(assumptions.begin(), assumptions.end());
+    std::vector<Lit>& core = run.union_core;
+    if (run.core_unattributed.load()) {
+      core.assign(assumptions.begin(), assumptions.end());
     } else {
-      std::sort(union_core.begin(), union_core.end(),
+      std::sort(core.begin(), core.end(),
                 [](Lit a, Lit b) { return a.code() < b.code(); });
-      union_core.erase(std::unique(union_core.begin(), union_core.end()),
-                       union_core.end());
+      core.erase(std::unique(core.begin(), core.end()), core.end());
     }
-    return adopt(SolveResult::Unsat, *master_, 0, union_core,
-                 BudgetTrip::None);
+    answer = adopt(SolveResult::Unsat, *master_, 0, core, BudgetTrip::None);
+  } else {
+    answer = conclude(pool, budget);
   }
-  return conclude(pool, budget);
+  // Worker stats never carry the schedule counters: stamp them into both
+  // views.
+  for (SolverStats* s : {&stats_, &agg_stats_}) {
+    s->cubes_dealt += static_cast<std::int64_t>(cubes.size());
+    s->cubes_refuted += static_cast<std::int64_t>(run.refuted.load());
+    s->cube_siblings_pruned += static_cast<std::int64_t>(run.pruned.load());
+    s->cube_splits += static_cast<std::int64_t>(run.splits.load());
+  }
+  return answer;
 }
 
 void ParallelSolver::settle(Pool& pool, const SolverStats& before) {
@@ -466,7 +514,7 @@ void ParallelSolver::settle(Pool& pool, const SolverStats& before) {
 }
 
 SolveResult ParallelSolver::conclude(Pool& pool, const SolveBudget& budget) {
-  const int winner = pool.winner(config_.portfolio_deterministic);
+  const int winner = pool.winner();
   if (winner >= 0) {
     const SolveResult answer = pool.results[static_cast<std::size_t>(winner)];
     // Workers solve one shared query: definitive answers can only
@@ -494,16 +542,6 @@ SolveResult ParallelSolver::adopt(SolveResult r, const CdclSolver& from,
                                   int winner, std::span<const Lit> core,
                                   BudgetTrip trip) {
   stats_ = from.stats();
-  // Worker stats never carry the schedule counters: stamp them into both
-  // views (all zero in a race).
-  stats_.cubes_dealt = static_cast<std::int64_t>(last_cubes_);
-  stats_.cubes_refuted = static_cast<std::int64_t>(last_refuted_);
-  stats_.cube_siblings_pruned = static_cast<std::int64_t>(last_pruned_);
-  stats_.cube_splits = static_cast<std::int64_t>(last_splits_);
-  agg_stats_.cubes_dealt += stats_.cubes_dealt;
-  agg_stats_.cubes_refuted += stats_.cubes_refuted;
-  agg_stats_.cube_siblings_pruned += stats_.cube_siblings_pruned;
-  agg_stats_.cube_splits += stats_.cube_splits;
   if (r == SolveResult::Sat) model_ = from.model();
   core_.clear();
   if (r == SolveResult::Unsat) core_.assign(core.begin(), core.end());

@@ -19,8 +19,8 @@
 //
 //   * race (cube_depth == 0, ManySAT-style portfolio): every worker gets
 //     the empty cube — the whole query — under the caller's full budget.
-//     The first worker to reach a definitive answer wins; it flips the
-//     shared stop flag and the losers bail out at their next poll.
+//     The first worker to reach a definitive answer wins; it interrupts
+//     the pool's budget and the losers bail out at their next poll.
 //   * cubes (cube_depth > 0, cube-and-conquer): the master runs a short
 //     warmup solve (easy instances never go further), propagation-count
 //     lookahead on the warmed master partitions the space into assumption
@@ -58,10 +58,12 @@
 // solve() rethrow (the lowest-indexed worker's exception); a 1-worker
 // solve therefore propagates a fault to the caller unchanged.
 //
-// Budgets: wall clock and interrupt are global; counted caps
-// (conflicts/propagations) bound each worker's solve, not the sum.
+// Budgets: the pool runs every worker under one child of the caller's
+// budget, whose interrupt() is the first-answer stop (never fired in
+// deterministic mode) and whose children are the cube slices. Wall clock
+// and interrupt are global; counted caps (conflicts/propagations) bound
+// each worker's solve, not the sum.
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -159,27 +161,11 @@ class ParallelSolver final : public SolverEngine {
   /// Workers that died behind the exception barrier in the last solve()
   /// (0 on every healthy run).
   [[nodiscard]] int last_fault_count() const noexcept { return last_faults_; }
-  /// Cubes the generator emitted for the last solve (0 in a race, and when
-  /// the warmup answered or the solve fell back to a plain master run).
-  [[nodiscard]] std::size_t last_cubes() const noexcept {
-    return last_cubes_;
-  }
-  /// Cubes refuted by workers (full solves, not generation probes).
-  [[nodiscard]] std::size_t last_refuted_cubes() const noexcept {
-    return last_refuted_;
-  }
-  /// Queued siblings pruned unsolved by refuted cubes' cores.
-  [[nodiscard]] std::size_t last_pruned_siblings() const noexcept {
-    return last_pruned_;
-  }
-  /// Stuck cubes split further and re-dealt (the work-stealing tail).
-  [[nodiscard]] std::size_t last_splits() const noexcept {
-    return last_splits_;
-  }
-
  private:
   /// One solve's workers and their per-worker outcomes (parallel_solver.cpp).
   struct Pool;
+  /// The cube schedule's conquer phase over a Pool (parallel_solver.cpp).
+  struct CubeRun;
 
   /// The cube schedule: warmup, generation, then the pool on a CubeQueue.
   SolveResult conquer(const SolveBudget& budget,
@@ -206,10 +192,6 @@ class ParallelSolver final : public SolverEngine {
   BudgetTrip last_trip_ = BudgetTrip::None;
   int last_winner_ = -1;
   int last_faults_ = 0;
-  std::size_t last_cubes_ = 0;
-  std::size_t last_refuted_ = 0;
-  std::size_t last_pruned_ = 0;
-  std::size_t last_splits_ = 0;
 };
 
 /// Backend factory the whole pipeline funnels through: a plain CdclSolver

@@ -138,7 +138,7 @@ struct SolverStats {
   /// Unknown exits because the propagation budget ran out.
   std::int64_t prop_budget_exits = 0;
   /// Unknown exits because interrupt() fired (async preemption or the
-  /// portfolio's cooperative stop flag).
+  /// parallel engine's first-answer stop).
   std::int64_t interrupt_exits = 0;
 
   // ---- incremental hot path (chronological backtracking) ----
@@ -338,7 +338,6 @@ class SolverEngine {
   /// outlives the call: every exit returns to decision level 0, so the
   /// solver is quiescent (clone() is valid) and a later solve() with
   /// different assumptions starts clean.
-  /// (A bare Deadline still converts implicitly to a SolveBudget.)
   virtual SolveResult solve(const SolveBudget& budget = {},
                             std::span<const Lit> assumptions = {}) = 0;
 

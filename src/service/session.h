@@ -13,7 +13,8 @@
 //   Unsat     definitive refutation (decision UNSAT / minimize infeasible)
 //   Feasible  budget ran out with an incumbent: `model` holds the best
 //             solution found, the optimum lies in [lower_bound, best_value]
-//             (PR 6's graceful-degradation contract, surfaced per session)
+//             (minimize()'s graceful-degradation contract, surfaced per
+//             session)
 //   Degraded  budget ran out before any answer; `trip` says which bound
 //             (deadline / conflicts / propagations / interrupt) and the
 //             model is empty — never fabricated

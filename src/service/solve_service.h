@@ -1,6 +1,6 @@
 #pragma once
 // SolveService — the session manager turning the batch engine into a
-// long-lived, fault-tolerant solve service (ROADMAP item 2(c)).
+// long-lived, fault-tolerant solve service.
 //
 // Shape: N pool workers (std::thread) drain ONE bounded FIFO queue of
 // sessions. Each session runs under its own child SolveBudget chained

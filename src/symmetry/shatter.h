@@ -29,8 +29,7 @@ struct SymmetryInfo {
 /// formula symmetry; failures are counted and dropped. The budget's
 /// deadline and interrupt() are polled inside the automorphism search and
 /// between generators: on a trip only the generators verified so far are
-/// returned, and `complete` is false. A legacy `Deadline` converts
-/// implicitly.
+/// returned, and `complete` is false.
 SymmetryInfo detect_symmetries(const Formula& formula,
                                const SolveBudget& budget = {});
 

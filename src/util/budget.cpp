@@ -19,7 +19,7 @@ const char* budget_trip_name(BudgetTrip trip) noexcept {
 bool SolveBudget::unlimited() const noexcept {
   for (const SolveBudget* b = this; b != nullptr; b = b->parent_) {
     if (!b->deadline_.unlimited() || b->conflicts_ > 0 ||
-        b->propagations_ > 0 || b->pre_trip_ != BudgetTrip::None ||
+        b->propagations_ > 0 ||
         b->interrupted_.load(std::memory_order_acquire)) {
       return false;
     }
@@ -56,8 +56,8 @@ SolveBudget SolveBudget::child(double seconds, std::int64_t conflicts,
 
   // Counted budgets: a child request can never exceed the parent's cap,
   // and an uncapped request inherits the parent's cap outright. (Per-call
-  // counts reset each solve; callers that need "remaining across probes"
-  // semantics track consumption with a BudgetLedger.)
+  // counts reset each solve; a caller that needs "remaining across probes"
+  // counts what its probes spent, as minimize() does.)
   auto clamp = [](std::int64_t requested, std::int64_t parent) noexcept {
     if (requested <= 0) return parent > 0 ? parent : std::int64_t{0};
     if (parent > 0 && requested > parent) return parent;

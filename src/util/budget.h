@@ -1,5 +1,5 @@
 #pragma once
-// SolveBudget — the unified resource-control handle for the solve pipeline.
+// SolveBudget — the one way to bound or stop a solve.
 //
 // A budget bundles every way a caller can bound or preempt a solve:
 //   * a wall-clock deadline (seconds),
@@ -7,15 +7,17 @@
 //   * an asynchronous interrupt flag, settable from any thread or from a
 //     signal handler (it is a single atomic store).
 //
-// Everywhere in the pipeline a limit of <= 0 means "unlimited" — the same
-// convention Deadline already uses — so a default-constructed SolveBudget
-// imposes no constraint at all.
+// Everywhere in the pipeline a limit of <= 0 means "unlimited", so a
+// default-constructed SolveBudget imposes no constraint at all.
 //
 // Budgets form a parent chain: child() derives a per-probe budget that can
 // never exceed what remains of its parent, and interrupt / deadline expiry
 // anywhere up the chain preempts every descendant. The chain lets an outer
 // run (an optimizer search, a coloring loop, a CLI invocation) hand each
-// inner solve a slice while keeping one global kill switch.
+// inner solve a slice while keeping one global kill switch; the parallel
+// engine's first-answer stop is the interrupt of one such child. A
+// multi-probe search (minimize() in pb/optimizer) counts what its probes
+// spend and hands each one a child holding the remainder.
 //
 // SolveBudget is non-copyable (it owns an atomic and is the identity other
 // threads signal through); pass it by const reference. All mutating entry
@@ -55,9 +57,10 @@ class SolveBudget {
         conflicts_(conflicts > 0 ? conflicts : 0),
         propagations_(propagations > 0 ? propagations : 0) {}
 
-  /// Migration shim: every legacy `Deadline` call site is a SolveBudget
-  /// with only the wall clock armed. Intentionally implicit — the elapsed
-  /// time already consumed by the deadline carries over.
+  /// A SolveBudget with only the wall clock armed; the elapsed time
+  /// already consumed by the deadline carries over. Compat residue: only
+  /// suitebench's native_traced still converts a Deadline (ROADMAP item
+  /// 1c's [benchmark] PR deletes this constructor).
   SolveBudget(const Deadline& deadline) noexcept  // NOLINT(google-explicit-constructor)
       : deadline_(deadline) {}
 
@@ -67,7 +70,6 @@ class SolveBudget {
       : deadline_(other.deadline_),
         conflicts_(other.conflicts_),
         propagations_(other.propagations_),
-        pre_trip_(other.pre_trip_),
         parent_(other.parent_),
         interrupted_(other.interrupted_.load(std::memory_order_acquire)) {}
   SolveBudget& operator=(SolveBudget&&) = delete;
@@ -104,6 +106,8 @@ class SolveBudget {
 
   /// The wall-clock component of this budget alone (ancestors excluded);
   /// use deadline_expired() / remaining_seconds() for chain-aware checks.
+  /// Compat residue: only suitebench's native_traced reads it (ROADMAP
+  /// item 1c's [benchmark] PR deletes it).
   [[nodiscard]] const Deadline& deadline() const noexcept { return deadline_; }
 
   /// Conflict / propagation caps for one solve call; 0 = unlimited.
@@ -124,25 +128,14 @@ class SolveBudget {
   /// level is unlimited, clamped at 0 once expired.
   [[nodiscard]] double remaining_seconds() const noexcept;
 
-  /// Combined asynchronous check: a pre-recorded trip (see pre_tripped())
-  /// outranks everything, then Interrupt dominates Deadline; conflict and
-  /// propagation budgets are counted by the solver itself and are not
+  /// Combined asynchronous check: Interrupt dominates Deadline; conflict
+  /// and propagation budgets are counted by the solver itself and are not
   /// visible here. This is the call sitting on the CDCL poll cadence.
   [[nodiscard]] BudgetTrip poll() const noexcept {
-    if (pre_trip_ != BudgetTrip::None) return pre_trip_;
     if (interrupted()) return BudgetTrip::Interrupt;
     if (deadline_expired()) return BudgetTrip::Deadline;
     return BudgetTrip::None;
   }
-
-  /// The condition a definitively-exhausted budget was born tripped on
-  /// (None for ordinary budgets). A pre-tripped budget preempts a solve at
-  /// its entry poll before ANY work happens; BudgetLedger::probe() hands
-  /// one out once its counted caps are spent, so a search loop that fails
-  /// to check exhausted() gets a zero-work Unknown with the correct trip
-  /// kind instead of a drip of extra conflicts (or, on a conflict-free
-  /// instance, an effectively unlimited solve).
-  [[nodiscard]] BudgetTrip pre_tripped() const noexcept { return pre_trip_; }
 
   /// Derive a per-probe budget that can never exceed this one: the child's
   /// wall clock is clamped to the parent's remaining seconds and its
@@ -154,17 +147,6 @@ class SolveBudget {
                                   std::int64_t conflicts = 0,
                                   std::int64_t propagations = 0) const noexcept;
 
-  /// A child that is born tripped on `trip`: its poll() — and therefore
-  /// the solver's entry poll — reports that condition immediately, so a
-  /// solve handed this budget returns Unknown without doing any work,
-  /// with last_trip() recording the given kind. This is how an exhausted
-  /// BudgetLedger expresses "there is definitively nothing left".
-  [[nodiscard]] SolveBudget child_exhausted(BudgetTrip trip) const noexcept {
-    SolveBudget b(0.0, 0, 0, this);
-    b.pre_trip_ = trip;
-    return b;
-  }
-
  private:
   SolveBudget(double seconds, std::int64_t conflicts, std::int64_t propagations,
               const SolveBudget* parent) noexcept
@@ -175,84 +157,8 @@ class SolveBudget {
   Deadline deadline_;
   std::int64_t conflicts_ = 0;
   std::int64_t propagations_ = 0;
-  BudgetTrip pre_trip_ = BudgetTrip::None;
   const SolveBudget* parent_ = nullptr;
   mutable std::atomic<bool> interrupted_{false};
-};
-
-/// Accounting for a multi-probe search (optimizer strategies, the SAT
-/// coloring loop) running many solves under one SolveBudget. The solver
-/// counts conflicts/propagations per call, so the search must track the
-/// running total itself: charge() each probe's consumption, then probe()
-/// emits a child budget carrying only what is left.
-class BudgetLedger {
- public:
-  explicit BudgetLedger(const SolveBudget& parent) noexcept
-      : parent_(parent) {}
-
-  BudgetLedger(const BudgetLedger&) = delete;
-  BudgetLedger& operator=(const BudgetLedger&) = delete;
-
-  /// Record resources consumed by a finished probe.
-  void charge(std::int64_t conflicts, std::int64_t propagations) noexcept {
-    if (conflicts > 0) spent_conflicts_ += conflicts;
-    if (propagations > 0) spent_propagations_ += propagations;
-  }
-
-  /// The reason the search must stop now, or None to keep going. Counted
-  /// budgets report as Conflicts/Propagations; asynchronous conditions
-  /// (interrupt, wall clock) defer to the parent's poll().
-  [[nodiscard]] BudgetTrip trip() const noexcept {
-    const BudgetTrip async = parent_.poll();
-    if (async != BudgetTrip::None) return async;
-    if (parent_.conflict_budget() > 0 &&
-        spent_conflicts_ >= parent_.conflict_budget()) {
-      return BudgetTrip::Conflicts;
-    }
-    if (parent_.prop_budget() > 0 &&
-        spent_propagations_ >= parent_.prop_budget()) {
-      return BudgetTrip::Propagations;
-    }
-    return BudgetTrip::None;
-  }
-
-  [[nodiscard]] bool exhausted() const noexcept {
-    return trip() != BudgetTrip::None;
-  }
-
-  /// A child budget holding the unspent remainder of each counted budget.
-  /// When the ledger is already exhausted — including by a charge() racing
-  /// the final trip() check — the probe is born tripped on the exhausted
-  /// dimension, so a solve handed it returns Unknown at its entry poll
-  /// with zero work instead of receiving a residual (or, worse, an
-  /// effectively unlimited) slice. Wall clock and interrupt flow through
-  /// the parent link.
-  [[nodiscard]] SolveBudget probe() const noexcept {
-    if (const BudgetTrip t = trip(); t != BudgetTrip::None) {
-      return parent_.child_exhausted(t);
-    }
-    std::int64_t conflicts = 0;
-    if (parent_.conflict_budget() > 0) {
-      conflicts = parent_.conflict_budget() - spent_conflicts_;
-    }
-    std::int64_t propagations = 0;
-    if (parent_.prop_budget() > 0) {
-      propagations = parent_.prop_budget() - spent_propagations_;
-    }
-    return parent_.child(0.0, conflicts, propagations);
-  }
-
-  [[nodiscard]] std::int64_t spent_conflicts() const noexcept {
-    return spent_conflicts_;
-  }
-  [[nodiscard]] std::int64_t spent_propagations() const noexcept {
-    return spent_propagations_;
-  }
-
- private:
-  const SolveBudget& parent_;
-  std::int64_t spent_conflicts_ = 0;
-  std::int64_t spent_propagations_ = 0;
 };
 
 }  // namespace symcolor

@@ -77,10 +77,15 @@ class Json {
     const bool* b = std::get_if<bool>(&value_);
     return b != nullptr ? *b : fallback;
   }
+  /// An integer as is, a double truncated toward zero; `fallback` for
+  /// anything else, including a NaN, an infinity or a double outside the
+  /// int64 range, whose conversion would be undefined.
   [[nodiscard]] std::int64_t as_int(std::int64_t fallback = 0) const noexcept {
     if (const auto* i = std::get_if<std::int64_t>(&value_)) return *i;
     if (const auto* d = std::get_if<double>(&value_)) {
-      return static_cast<std::int64_t>(*d);
+      // [-2^63, 2^63) is exactly the doubles that truncate into int64;
+      // NaN fails both comparisons.
+      if (*d >= -0x1p63 && *d < 0x1p63) return static_cast<std::int64_t>(*d);
     }
     return fallback;
   }

@@ -76,7 +76,7 @@ TEST(AssumptionCore, SoundAndNonTrivialOnPigeonhole) {
     config.portfolio_threads = threads;
     const std::unique_ptr<SolverEngine> engine =
         make_solver_engine(php.formula, config);
-    ASSERT_EQ(engine->solve(Deadline{}, php.selectors), SolveResult::Unsat)
+    ASSERT_EQ(engine->solve(SolveBudget{}, php.selectors), SolveResult::Unsat)
         << threads << " threads";
     const std::span<const Lit> core = engine->last_core();
     // Soundness: every core literal is one of the assumptions, and no
@@ -97,13 +97,13 @@ TEST(AssumptionCore, SoundAndNonTrivialOnPigeonhole) {
 
     // Soundness, semantically: the core alone is already Unsat...
     const std::vector<Lit> core_only(core.begin(), core.end());
-    EXPECT_EQ(engine->solve(Deadline{}, core_only), SolveResult::Unsat);
+    EXPECT_EQ(engine->solve(SolveBudget{}, core_only), SolveResult::Unsat);
     // ...so its negation clause is a consequence: adding it and
     // re-solving under the full assumption set stays Unsat...
     Clause negation;
     for (const Lit l : core_only) negation.push_back(~l);
     ASSERT_TRUE(engine->add_clause(negation));
-    EXPECT_EQ(engine->solve(Deadline{}, php.selectors), SolveResult::Unsat);
+    EXPECT_EQ(engine->solve(SolveBudget{}, php.selectors), SolveResult::Unsat);
     // ...while the formula itself stays satisfiable (and the core of a
     // Sat answer is empty).
     EXPECT_EQ(engine->solve(), SolveResult::Sat);
@@ -119,7 +119,7 @@ TEST(AssumptionCore, EmptyWhenFormulaItselfUnsat) {
   f.add_unit(Lit::negative(a));
   CdclSolver solver(f);
   const std::vector<Lit> assume{Lit::positive(b)};
-  EXPECT_EQ(solver.solve(Deadline{}, assume), SolveResult::Unsat);
+  EXPECT_EQ(solver.solve(SolveBudget{}, assume), SolveResult::Unsat);
   EXPECT_TRUE(solver.last_core().empty());
 }
 
@@ -130,7 +130,7 @@ TEST(AssumptionCore, RootImpliedComplementYieldsUnitCore) {
   f.add_unit(Lit::positive(a));
   CdclSolver solver(f);
   const std::vector<Lit> assume{Lit::negative(a)};
-  ASSERT_EQ(solver.solve(Deadline{}, assume), SolveResult::Unsat);
+  ASSERT_EQ(solver.solve(SolveBudget{}, assume), SolveResult::Unsat);
   ASSERT_EQ(solver.last_core().size(), 1u);
   EXPECT_EQ(solver.last_core()[0], Lit::negative(a));
   // Without the assumption the instance is satisfiable again.
@@ -143,7 +143,7 @@ TEST(AssumptionCore, ContradictoryAssumptionsFormTheCore) {
   f.new_var();
   CdclSolver solver(f);
   const std::vector<Lit> assume{Lit::positive(a), Lit::negative(a)};
-  ASSERT_EQ(solver.solve(Deadline{}, assume), SolveResult::Unsat);
+  ASSERT_EQ(solver.solve(SolveBudget{}, assume), SolveResult::Unsat);
   const std::span<const Lit> core = solver.last_core();
   ASSERT_EQ(core.size(), 2u);
   EXPECT_TRUE(contains(core, Lit::positive(a)));
@@ -165,7 +165,7 @@ TEST(AssumptionCore, WalksPbReasonsAndDropsIrrelevantAssumptions) {
   CdclSolver solver(f);
   const std::vector<Lit> assume{Lit::negative(b), Lit::negative(c),
                                 Lit::negative(a)};
-  ASSERT_EQ(solver.solve(Deadline{}, assume), SolveResult::Unsat);
+  ASSERT_EQ(solver.solve(SolveBudget{}, assume), SolveResult::Unsat);
   const std::span<const Lit> core = solver.last_core();
   ASSERT_EQ(core.size(), 2u);
   EXPECT_TRUE(contains(core, Lit::negative(a)));
@@ -191,7 +191,7 @@ TEST(AssumptionClone, CloneAfterAssumptionUnsatStaysValid) {
     // assumptions, but the formula itself stays 5-colorable.
     std::vector<Lit> assume;
     for (int j = 0; j < 5; ++j) assume.push_back(Lit::negative(j));
-    ASSERT_EQ(engine->solve(Deadline{}, assume), SolveResult::Unsat)
+    ASSERT_EQ(engine->solve(SolveBudget{}, assume), SolveResult::Unsat)
         << threads << " threads";
     EXPECT_FALSE(engine->last_core().empty());
 
@@ -199,7 +199,7 @@ TEST(AssumptionClone, CloneAfterAssumptionUnsatStaysValid) {
     EXPECT_EQ(clone->solve(), SolveResult::Sat) << threads << " threads";
     EXPECT_TRUE(formula.satisfied_by(clone->model()));
     // The clone re-answers the assumption query too.
-    EXPECT_EQ(clone->solve(Deadline{}, assume), SolveResult::Unsat);
+    EXPECT_EQ(clone->solve(SolveBudget{}, assume), SolveResult::Unsat);
     // And the original engine is untouched by its clone's searches.
     EXPECT_EQ(engine->solve(), SolveResult::Sat) << threads << " threads";
   }
@@ -228,7 +228,7 @@ TEST(SearchStrategyEquivalence, QueenMycielOptimizerSuite) {
            {SearchStrategy::Linear, SearchStrategy::Binary,
             SearchStrategy::CoreGuided}) {
         const OptResult r =
-            minimize(enc.formula, config, Deadline{}, strategy);
+            minimize(enc.formula, config, SolveBudget{}, strategy);
         ASSERT_EQ(r.status, OptStatus::Optimal)
             << c.name << " " << search_strategy_name(strategy) << " "
             << threads << " threads";
@@ -254,7 +254,7 @@ TEST(SearchStrategyEquivalence, InfeasibleAndUnconstrainedEdges) {
     Objective obj;
     obj.terms.push_back({1, Lit::positive(a)});
     inf.set_objective(obj);
-    const OptResult r = minimize(inf, {}, Deadline{}, strategy);
+    const OptResult r = minimize(inf, {}, SolveBudget{}, strategy);
     EXPECT_EQ(r.status, OptStatus::Infeasible)
         << search_strategy_name(strategy);
 
@@ -265,7 +265,7 @@ TEST(SearchStrategyEquivalence, InfeasibleAndUnconstrainedEdges) {
       fobj.terms.push_back({1, Lit::positive(free.new_var())});
     }
     free.set_objective(fobj);
-    const OptResult z = minimize(free, {}, Deadline{}, strategy);
+    const OptResult z = minimize(free, {}, SolveBudget{}, strategy);
     EXPECT_EQ(z.status, OptStatus::Optimal) << search_strategy_name(strategy);
     EXPECT_EQ(z.best_value, 0) << search_strategy_name(strategy);
   }
@@ -287,7 +287,7 @@ TEST(SearchStrategyEquivalence, ModelCoversOriginalVariablesOnly) {
   for (const SearchStrategy strategy :
        {SearchStrategy::Linear, SearchStrategy::Binary,
         SearchStrategy::CoreGuided}) {
-    const OptResult r = minimize(f, {}, Deadline{}, strategy);
+    const OptResult r = minimize(f, {}, SolveBudget{}, strategy);
     ASSERT_EQ(r.status, OptStatus::Optimal);
     EXPECT_EQ(r.best_value, 2);
     EXPECT_EQ(r.model.size(), static_cast<std::size_t>(f.num_vars()));

@@ -296,9 +296,9 @@ TEST(Search, DeadlineProducesIncompleteFlag) {
   // polled before the root refinement and at every node, not once per
   // 256 nodes.
   const FormulaGraph fg = suite_formula_graph("queen5_5");
-  const Deadline deadline(1e-9);
+  const SolveBudget budget(1e-9);
   const AutomorphismResult r =
-      find_automorphisms(fg.graph, fg.vertex_colors, deadline);
+      find_automorphisms(fg.graph, fg.vertex_colors, budget);
   EXPECT_FALSE(r.complete);
   for (const Perm& p : r.generators) {
     EXPECT_TRUE(is_automorphism(fg.graph, p, fg.vertex_colors));

@@ -1,8 +1,8 @@
-// SolveBudget / BudgetLedger semantics and the budgeted-solve contract:
-// unlimited defaults, child clamping against the parent chain, async
-// interrupt (same-thread and cross-thread, with bounded latency), per-kind
-// budget trips in the CDCL loop, and graceful degradation through the
-// optimizer and the SAT-loop / exact colorers.
+// SolveBudget semantics and the budgeted-solve contract: unlimited
+// defaults, child clamping against the parent chain, async interrupt
+// (same-thread and cross-thread, with bounded latency), per-kind budget
+// trips in the CDCL loop, minimize()'s whole-run caps, and graceful
+// degradation through the optimizer and the SAT-loop / exact colorers.
 
 #include <gtest/gtest.h>
 
@@ -162,96 +162,6 @@ TEST(SolveBudgetChild, ParentInterruptPreemptsDescendants) {
   EXPECT_FALSE(grandchild.interrupted());
 }
 
-// ---- BudgetLedger ----
-
-TEST(BudgetLedger, TripsWhenChargesReachTheCap) {
-  const SolveBudget parent(0.0, 100, 0);
-  BudgetLedger ledger(parent);
-  EXPECT_EQ(ledger.trip(), BudgetTrip::None);
-  ledger.charge(60, 0);
-  EXPECT_EQ(ledger.trip(), BudgetTrip::None);
-  // The probe slice carries exactly the remainder.
-  EXPECT_EQ(ledger.probe().conflict_budget(), 40);
-  ledger.charge(40, 0);
-  EXPECT_EQ(ledger.trip(), BudgetTrip::Conflicts);
-  EXPECT_TRUE(ledger.exhausted());
-  EXPECT_EQ(ledger.spent_conflicts(), 100);
-}
-
-TEST(BudgetLedger, PropagationCapAndUnlimitedParent) {
-  const SolveBudget props(0.0, 0, 500);
-  BudgetLedger ledger(props);
-  ledger.charge(1000000, 499);  // conflicts unlimited: never trips on them
-  EXPECT_EQ(ledger.trip(), BudgetTrip::None);
-  ledger.charge(0, 1);
-  EXPECT_EQ(ledger.trip(), BudgetTrip::Propagations);
-
-  const SolveBudget open;
-  BudgetLedger free_ledger(open);
-  free_ledger.charge(1 << 30, 1 << 30);
-  EXPECT_EQ(free_ledger.trip(), BudgetTrip::None);
-  EXPECT_TRUE(free_ledger.probe().unlimited());
-}
-
-TEST(BudgetLedger, AsyncConditionsOutrankCountedOnes) {
-  const SolveBudget parent(0.0, 10, 0);
-  BudgetLedger ledger(parent);
-  ledger.charge(10, 0);
-  EXPECT_EQ(ledger.trip(), BudgetTrip::Conflicts);
-  parent.interrupt();
-  EXPECT_EQ(ledger.trip(), BudgetTrip::Interrupt);
-  parent.clear_interrupt();
-}
-
-// ---- exhausted-ledger probes (the probe-slice edge case) ----
-
-TEST(BudgetLedgerProbe, ExhaustedConflictLedgerHandsOutPreTrippedProbe) {
-  const SolveBudget parent(0.0, 50, 0);
-  BudgetLedger ledger(parent);
-  ledger.charge(50, 0);
-  ASSERT_TRUE(ledger.exhausted());
-  const SolveBudget probe = ledger.probe();
-  EXPECT_EQ(probe.pre_tripped(), BudgetTrip::Conflicts);
-  EXPECT_EQ(probe.poll(), BudgetTrip::Conflicts);
-  EXPECT_FALSE(probe.unlimited());
-  // Fails-before regression: the old remainder floor of 1 conflict let a
-  // CONFLICT-FREE solve run to a full answer on an exhausted ledger (the
-  // cap only counts conflicts, and an easy instance has none). A
-  // pre-tripped probe is refused at the solver's entry poll instead:
-  // Unknown, correct trip kind, zero work.
-  CdclSolver solver(pigeonhole_formula(5, 6));  // satisfiable, conflict-free
-  EXPECT_EQ(solver.solve(probe), SolveResult::Unknown);
-  EXPECT_EQ(solver.last_trip(), BudgetTrip::Conflicts);
-  EXPECT_EQ(solver.stats().conflicts, 0);
-  EXPECT_EQ(solver.stats().decisions, 0);
-}
-
-TEST(BudgetLedgerProbe, OverspentPropagationLedgerAlsoPreTrips) {
-  const SolveBudget parent(0.0, 0, 400);
-  BudgetLedger ledger(parent);
-  ledger.charge(0, 1000);  // overshoot past the cap mid-loop
-  const SolveBudget probe = ledger.probe();
-  EXPECT_EQ(probe.pre_tripped(), BudgetTrip::Propagations);
-  CdclSolver solver(pigeonhole_formula(5, 6));
-  EXPECT_EQ(solver.solve(probe), SolveResult::Unknown);
-  EXPECT_EQ(solver.last_trip(), BudgetTrip::Propagations);
-  EXPECT_EQ(solver.stats().decisions, 0);
-}
-
-TEST(BudgetLedgerProbe, PreTripSurvivesMoveAndOutranksAsyncConditions) {
-  const SolveBudget parent(0.0, 10, 0);
-  SolveBudget exhausted = parent.child_exhausted(BudgetTrip::Conflicts);
-  const SolveBudget moved = std::move(exhausted);
-  EXPECT_EQ(moved.pre_tripped(), BudgetTrip::Conflicts);
-  EXPECT_EQ(moved.poll(), BudgetTrip::Conflicts);
-  EXPECT_FALSE(moved.unlimited());
-  parent.interrupt();
-  // The recorded trip keeps reporting the dimension that actually ran
-  // out, not whatever fired later up the chain.
-  EXPECT_EQ(moved.poll(), BudgetTrip::Conflicts);
-  parent.clear_interrupt();
-}
-
 // ---- CDCL budget trips ----
 
 TEST(CdclBudget, ConflictBudgetTripsAndIsRecorded) {
@@ -324,16 +234,19 @@ TEST(CdclInterrupt, StickyInterruptPreemptsNextSolveByDesign) {
   EXPECT_EQ(solver.last_trip(), BudgetTrip::None);
 }
 
-TEST(CdclInterrupt, PortfolioStopFlagDoesNotLeakAcrossSolves) {
-  // The portfolio's internal stop flag is frame-local to each solve();
-  // a second solve on the same engine starts clean and reaches a
-  // definitive answer again (no stale cooperative-stop state).
+TEST(CdclInterrupt, PoolStopDoesNotLeakAcrossSolves) {
+  // The first-answer stop interrupts the pool's own child budget, which
+  // is frame-local to each solve(): a second solve on the same engine
+  // starts clean and reaches a definitive answer again, and the caller's
+  // budget is never interrupted.
   SolverConfig config;
   config.portfolio_threads = 2;
   ParallelSolver solver(pigeonhole_formula(5, 6), config);
-  EXPECT_EQ(solver.solve(), SolveResult::Sat);
-  EXPECT_EQ(solver.solve(), SolveResult::Sat);
+  const SolveBudget budget;
+  EXPECT_EQ(solver.solve(budget), SolveResult::Sat);
+  EXPECT_EQ(solver.solve(budget), SolveResult::Sat);
   EXPECT_EQ(solver.last_trip(), BudgetTrip::None);
+  EXPECT_FALSE(budget.interrupted());
 }
 
 TEST(CdclInterrupt, CrossThreadInterruptStopsTheSolve) {
@@ -385,6 +298,59 @@ TEST(OptimizerBudget, MinimizeWithNoIncumbentReportsUnknown) {
   EXPECT_TRUE(r.model.empty());
   EXPECT_TRUE(r.budget_exhausted);
   EXPECT_NE(r.tripped, BudgetTrip::None);
+}
+
+/// php(8, 8) minimizing the pigeons in hole 0. Every model puts exactly
+/// one pigeon there, so the first probe's incumbent is optimal, yet the
+/// proof — refuting php(8, 7) — runs far past a few hundred conflicts.
+Formula hole_zero_minimization() {
+  Formula f = pigeonhole_formula(8, 8);
+  Objective obj;
+  for (Var p = 0; p < 8; ++p) obj.terms.push_back({1, Lit::positive(p * 8)});
+  f.set_objective(obj);
+  return f;
+}
+
+TEST(OptimizerBudget, SpentConflictCapRefusesEveryLaterProbe) {
+  // Core-guided search: the incumbent probe, then a mining probe that
+  // spends the rest of the whole-run cap. Bisection then asks for one
+  // more probe, which must be refused without a solve: no probe runs on
+  // a spent cap, however cheap it would be.
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  const OptResult r = minimize(hole_zero_minimization(), config,
+                               SolveBudget(0.0, 300),
+                               SearchStrategy::CoreGuided);
+  EXPECT_EQ(r.status, OptStatus::Feasible);
+  EXPECT_EQ(r.best_value, 1);
+  EXPECT_EQ(r.probes, 2);
+  EXPECT_EQ(r.tripped, BudgetTrip::Conflicts);
+  EXPECT_EQ(r.stats.conflicts, 300) << "the run overspent its cap";
+}
+
+TEST(OptimizerBudget, SpentPropagationCapRefusesEveryLaterProbe) {
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  const OptResult r = minimize(hole_zero_minimization(), config,
+                               SolveBudget(0.0, 0, 20000),
+                               SearchStrategy::CoreGuided);
+  EXPECT_EQ(r.status, OptStatus::Feasible);
+  EXPECT_EQ(r.probes, 2);
+  EXPECT_EQ(r.tripped, BudgetTrip::Propagations);
+}
+
+TEST(OptimizerBudget, InterruptedBudgetRunsNoProbe) {
+  SolveBudget budget;
+  budget.interrupt();
+  for (const SearchStrategy strategy :
+       {SearchStrategy::Linear, SearchStrategy::Binary,
+        SearchStrategy::CoreGuided}) {
+    const OptResult r =
+        minimize(hole_zero_minimization(), {}, budget, strategy);
+    EXPECT_EQ(r.status, OptStatus::Unknown) << search_strategy_name(strategy);
+    EXPECT_EQ(r.probes, 0) << search_strategy_name(strategy);
+    EXPECT_EQ(r.tripped, BudgetTrip::Interrupt)
+        << search_strategy_name(strategy);
+    EXPECT_EQ(r.stats.decisions, 0) << search_strategy_name(strategy);
+  }
 }
 
 TEST(OptimizerBudget, DegradationKeepsIncumbentAndProvenBound) {

@@ -50,7 +50,7 @@ TEST(GreedyClique, EdgelessGraphGivesSingleton) {
 
 TEST(MaxClique, CompleteGraphExact) {
   bool proved = false;
-  const auto clique = max_clique(complete(7), Deadline{}, &proved);
+  const auto clique = max_clique(complete(7), SolveBudget{}, &proved);
   EXPECT_EQ(clique.size(), 7u);
   EXPECT_TRUE(proved);
 }
@@ -66,7 +66,7 @@ TEST(MaxClique, PlantedCliqueFound) {
   // A 9-clique planted in a sparse background must be found exactly.
   const Graph g = make_book_graph(50, 250, 9, 77);
   bool proved = false;
-  const auto clique = max_clique(g, Deadline{}, &proved);
+  const auto clique = max_clique(g, SolveBudget{}, &proved);
   EXPECT_TRUE(proved);
   EXPECT_EQ(clique.size(), 9u);
   EXPECT_TRUE(is_clique(g, clique));

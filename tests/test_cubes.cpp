@@ -230,7 +230,7 @@ TEST(CubeSolve, TinySlicesForceStealingSplitsWithoutChangingAnswers) {
     SolverConfig config = cube_config(2, workers, /*warmup=*/4, /*slice=*/4);
     ParallelSolver unsat(queen5_plain(4), config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << workers << " workers";
-    EXPECT_GT(unsat.last_cubes() + unsat.last_splits(), 0u)
+    EXPECT_GT(unsat.stats().cubes_dealt + unsat.stats().cube_splits, 0)
         << workers << " workers";
     ParallelSolver sat(queen5_plain(5), config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << workers << " workers";
@@ -247,8 +247,8 @@ TEST(CubeSolve, RefutationReportsCubeScheduleStats) {
   ParallelSolver solver(f, cube_config(3, 2, /*warmup=*/200,
                                              /*slice=*/2000));
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
-  EXPECT_GT(solver.last_cubes(), 0u);
-  EXPECT_GT(solver.last_refuted_cubes(), 0u);
+  EXPECT_GT(solver.stats().cubes_dealt, 0);
+  EXPECT_GT(solver.stats().cubes_refuted, 0);
   // Aggregated view covers every worker: at least the winner's own work.
   EXPECT_GE(solver.aggregated_stats().conflicts, solver.stats().conflicts);
 }
@@ -356,8 +356,8 @@ TEST(CubeSolve, DeterministicModeReproducesAnswerModelAndStats) {
     EXPECT_EQ(a.model(), b.model());
     EXPECT_EQ(a.stats().conflicts, b.stats().conflicts);
     EXPECT_EQ(a.stats().decisions, b.stats().decisions);
-    EXPECT_EQ(a.last_cubes(), b.last_cubes());
-    EXPECT_EQ(a.last_pruned_siblings(), b.last_pruned_siblings());
+    EXPECT_EQ(a.stats().cubes_dealt, b.stats().cubes_dealt);
+    EXPECT_EQ(a.stats().cube_siblings_pruned, b.stats().cube_siblings_pruned);
   }
 }
 

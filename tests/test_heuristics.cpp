@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "coloring/dsatur_bnb.h"
 #include "coloring/heuristics.h"
 #include "graph/generators.h"
@@ -91,9 +94,38 @@ TEST(DsaturBnb, NeverWorseThanDsaturHeuristic) {
 
 TEST(DsaturBnb, DeadlineGivesValidIncumbent) {
   const Graph g = make_random_gnm(60, 900, 4);
-  const Deadline deadline(0.005);
-  const auto r = dsatur_branch_and_bound(g, deadline);
+  const auto r = dsatur_branch_and_bound(g, SolveBudget(0.005));
   EXPECT_TRUE(g.is_proper_coloring(r.coloring));
+}
+
+TEST(DsaturBnb, InterruptedBudgetStopsAtEntryWithProperIncumbent) {
+  // myciel5: DSATUR's 6 colors are optimal, but proving it takes the
+  // search ~450k nodes. An interrupted budget stops it at its first node.
+  const Graph g = make_myciel_dimacs(5);
+  SolveBudget budget;
+  budget.interrupt();
+  const auto r = dsatur_branch_and_bound(g, budget);
+  EXPECT_FALSE(r.proved_optimal);
+  EXPECT_LE(r.nodes, 1);
+  EXPECT_TRUE(g.is_proper_coloring(r.coloring));
+  EXPECT_EQ(r.num_colors, Graph::count_colors(r.coloring));
+}
+
+TEST(DsaturBnb, CrossThreadInterruptStopsTheSearch) {
+  // G(80, 1600) keeps the search busy for many seconds. The 60 s backstop
+  // deadline only turns a lost interrupt into a failure instead of a hang.
+  const Graph g = make_random_gnm(80, 1600, 1);
+  const SolveBudget budget(60.0);
+  std::thread interrupter([&budget] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    budget.interrupt();
+  });
+  const auto r = dsatur_branch_and_bound(g, budget);
+  interrupter.join();
+  EXPECT_FALSE(r.proved_optimal);
+  EXPECT_LT(r.seconds, 30.0) << "the interrupt did not stop the search";
+  EXPECT_TRUE(g.is_proper_coloring(r.coloring));
+  EXPECT_EQ(r.num_colors, Graph::count_colors(r.coloring));
 }
 
 }  // namespace

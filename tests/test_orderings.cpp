@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "coloring/csp_colorer.h"
 #include "coloring/dsatur_bnb.h"
 #include "graph/generators.h"
@@ -81,10 +84,38 @@ TEST(CspColorer, RejectsZeroColors) {
 
 TEST(CspColorer, DeadlineStopsSearch) {
   const Graph g = make_random_gnm(60, 1000, 2);
-  const Deadline deadline(0.001);
-  const CspColorerResult r =
-      csp_min_coloring(g, /*break_value_symmetry=*/false, deadline);
+  const CspColorerResult r = csp_min_coloring(
+      g, /*break_value_symmetry=*/false, SolveBudget(0.001));
   EXPECT_TRUE(g.is_proper_coloring(r.coloring));  // heuristic incumbent
+}
+
+TEST(CspColorer, InterruptedBudgetStopsAtEntryWithProperIncumbent) {
+  // myciel5: DSATUR finds 6 colors and the clique bound is 2, so the loop
+  // must query K = 5, a refutation the CSP search does not finish in
+  // seconds. An interrupted budget stops that query at its first node.
+  const Graph g = make_myciel_dimacs(5);
+  SolveBudget budget;
+  budget.interrupt();
+  const CspColorerResult r = csp_min_coloring(g, true, budget);
+  EXPECT_FALSE(r.completed);
+  EXPECT_LE(r.nodes, 1);
+  EXPECT_TRUE(g.is_proper_coloring(r.coloring));
+}
+
+TEST(CspColorer, CrossThreadInterruptStopsTheSearch) {
+  // Same K = 5 query on myciel5. The 60 s backstop deadline only turns a
+  // lost interrupt into a failure instead of a hang.
+  const Graph g = make_myciel_dimacs(5);
+  const SolveBudget budget(60.0);
+  std::thread interrupter([&budget] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    budget.interrupt();
+  });
+  const CspColorerResult r = csp_min_coloring(g, true, budget);
+  interrupter.join();
+  EXPECT_FALSE(r.completed);
+  EXPECT_LT(r.seconds, 30.0) << "the interrupt did not stop the search";
+  EXPECT_TRUE(g.is_proper_coloring(r.coloring));
 }
 
 }  // namespace

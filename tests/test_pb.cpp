@@ -177,7 +177,7 @@ int ladder_projected_models(const Formula& f, int original_vars,
       probe.add_unit(Lit(static_cast<Var>(i), ((mask >> i) & 1) == 0));
     }
     CdclSolver solver(probe);
-    if (solver.solve(Deadline{}, assume) == SolveResult::Sat) ++count;
+    if (solver.solve(SolveBudget{}, assume) == SolveResult::Sat) ++count;
   }
   return count;
 }

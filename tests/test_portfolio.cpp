@@ -273,7 +273,7 @@ TEST(Portfolio, OptimizerAgreesAcrossThreadCounts) {
   ASSERT_EQ(b2.status, OptStatus::Optimal);
   EXPECT_EQ(b2.best_value, l1.best_value);
 
-  const OptResult c2 = minimize(enc.formula, two, Deadline{},
+  const OptResult c2 = minimize(enc.formula, two, SolveBudget{},
                                 SearchStrategy::CoreGuided);
   ASSERT_EQ(c2.status, OptStatus::Optimal);
   EXPECT_EQ(c2.best_value, l1.best_value);
@@ -631,17 +631,27 @@ TEST(PortfolioFaults, AllWorkersDeadRethrows) {
 TEST(PortfolioFaults, PoisonedImportIsolatedToItsWorker) {
   // A worker whose import path throws (poisoned exchange payload) dies at
   // its first drain; the exchange keeps serving the survivors and the
-  // race still concludes correctly.
+  // race still concludes correctly. A worker that starts after the race
+  // is won stops at its entry poll, before any drain, so the instances
+  // keep the master busy for about a thousand conflicts or more (queen7
+  // at k=7 is SAT, myciel4 at k=4 UNSAT, both without SBPs): far longer
+  // than it takes worker 1 to start.
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.portfolio_threads = 2;
   config.fault_injection.worker = 1;
   config.fault_injection.poison_import = true;
 
-  ParallelSolver sat(queen5_plain_formula(5), config);
+  const Formula sat_formula =
+      encode_k_coloring(make_queen_graph(7, 7), 7, SbpOptions::none())
+          .formula;
+  ParallelSolver sat(sat_formula, config);
   EXPECT_EQ(sat.solve(), SolveResult::Sat);
   EXPECT_EQ(sat.last_fault_count(), 1);
 
-  ParallelSolver unsat(queen5_plain_formula(4), config);
+  const Formula unsat_formula =
+      encode_k_coloring(make_myciel_dimacs(4), 4, SbpOptions::none())
+          .formula;
+  ParallelSolver unsat(unsat_formula, config);
   EXPECT_EQ(unsat.solve(), SolveResult::Unsat);
   EXPECT_EQ(unsat.last_fault_count(), 1);
 }
@@ -739,7 +749,7 @@ TEST(ParallelDifferential, SchedulesAgreeWithSequentialUnderAssumptions) {
           ParallelSolver solver(f, config);
           const SolveResult got = solver.solve({}, assumptions);
           ASSERT_EQ(got, expected) << where;
-          cube_runs += solver.last_cubes() > 0;
+          cube_runs += solver.stats().cubes_dealt > 0;
           if (got == SolveResult::Sat) {
             ++sat;
             EXPECT_TRUE(f.satisfied_by(solver.model())) << where;

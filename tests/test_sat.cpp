@@ -244,8 +244,7 @@ TEST(Cdcl, ConflictBudgetReturnsUnknown) {
 
 TEST(Cdcl, DeadlineReturnsUnknown) {
   CdclSolver solver(pigeonhole(9, 8));
-  const Deadline deadline(0.001);
-  const SolveResult r = solver.solve(deadline);
+  const SolveResult r = solver.solve(SolveBudget(0.001));
   // Either it finished very fast or it reports Unknown — never wrong.
   EXPECT_NE(r, SolveResult::Sat);
 }

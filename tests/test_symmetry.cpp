@@ -231,10 +231,10 @@ TEST(DetectSymmetries, ExpiredDeadlineKeepsOnlyVerifiedGenerators) {
   std::vector<Lit> lits;
   for (int i = 0; i < 6; ++i) lits.push_back(Lit::positive(i));
   f.add_exactly(lits, 1);
-  const Deadline deadline(1e-9);
-  while (!deadline.expired()) {
+  const SolveBudget budget(1e-9);
+  while (!budget.deadline_expired()) {
   }
-  const SymmetryInfo info = detect_symmetries(f, deadline);
+  const SymmetryInfo info = detect_symmetries(f, budget);
   EXPECT_FALSE(info.complete);
   for (const Perm& p : info.generators) {
     EXPECT_TRUE(is_formula_symmetry(f, p));

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -245,6 +247,29 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_FALSE(Json::parse("tru").has_value());
   EXPECT_FALSE(Json::parse("1 2").has_value());  // trailing garbage
   EXPECT_FALSE(Json::parse("nan").has_value());
+}
+
+TEST(Json, AsIntFallsBackForDoublesOutsideInt64) {
+  // Doubles inside the int64 range truncate toward zero.
+  EXPECT_EQ(Json::parse("2.9")->as_int(), 2);
+  EXPECT_EQ(Json::parse("-2.9")->as_int(), -2);
+  EXPECT_EQ(Json(-0x1p63).as_int(7), std::numeric_limits<std::int64_t>::min());
+  // Everything else, whose conversion would be undefined, takes the
+  // fallback: huge exponents, an integer literal past int64 (parsed as a
+  // double), the first double past the range, NaN and infinities.
+  EXPECT_EQ(Json::parse("1e300")->as_int(7), 7);
+  EXPECT_EQ(Json::parse("-1e300")->as_int(7), 7);
+  EXPECT_EQ(Json::parse("99999999999999999999")->as_int(7), 7);
+  EXPECT_EQ(Json(0x1p63).as_int(7), 7);
+  EXPECT_EQ(Json(std::nan("")).as_int(7), 7);
+  EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).as_int(7), 7);
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).as_int(7), 7);
+  // get_int() reads an out-of-range number as 0, which every serve range
+  // check rejects.
+  const auto msg = Json::parse(R"({"threads":1e300,"k":4294967301})");
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->get_int("threads", 1), 0);
+  EXPECT_EQ(msg->get_int("k", 8), 4294967301LL);
 }
 
 TEST(Json, DepthCapStopsHostileNesting) {

@@ -5,7 +5,7 @@ Usage: serve_smoke.py <path-to-symcolor_serve>
 
 Run 1 drives a scripted batch over a deliberately small pool
 (--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests with a
-malformed `search`, `threads` or `cube_depth` that must fail, an
+malformed `search`, `threads`, `cube_depth` or `k` that must fail, an
 over-budget solve that must degrade, a mid-flight cancellation, an
 overload burst where the newest requests are shed with retry hints, a
 stats probe, and a clean quit — asserting every submitted request reaches exactly one
@@ -131,16 +131,22 @@ def run_batch(binary):
     check(r["outcome"] == "unsat", f"expected unsat, got {r}")
 
     # 1b. A malformed knob fails the request with an error naming the
-    #     field, instead of running it on a default.
+    #     field, instead of running it on a default. `k` is read only for
+    #     built-in instances; 4294967301 is 5 once narrowed to 32 bits, so
+    #     it must be range-checked before any narrowing.
     for rid, field, value in (("bad_search", "search", "bogus"),
                               ("bad_threads", "threads", 0),
                               ("big_threads", "threads", 65),
+                              ("huge_threads", "threads", 1e300),
                               ("bad_cube", "cube_depth", 99),
-                              ("neg_cube", "cube_depth", -1)):
-        srv.send({"op": "solve", "id": rid, field: value, **php(3, 4)})
+                              ("neg_cube", "cube_depth", -1),
+                              ("zero_k", "k", 0),
+                              ("wrapped_k", "k", 4294967301)):
+        body = {"instance": "queen5_5"} if field == "k" else php(3, 4)
+        srv.send({"op": "solve", "id": rid, field: value, **body})
         r = srv.result_of(rid)
         check(r["outcome"] == "failed", f"{field}={value!r} must fail: {r}")
-        check(field in r.get("error", ""),
+        check(f'"{field}"' in r.get("error", ""),
               f"{field}={value!r} error must name the field: {r}")
 
     # 2. Over-budget request degrades gracefully with the trip recorded.

@@ -246,12 +246,13 @@ void handle_solve(SolveService& service, const Json& msg,
   const std::string instance = msg.get_string("instance");
   const bool minimize = msg.get_bool("minimize", false);
   if (!instance.empty()) {
-    const int k = static_cast<int>(msg.get_int("k", 8));
+    const std::int64_t k = msg.get_int("k", 8);
     if (k < 1 || k > 256) {
       error = "\"k\" out of range (1..256)";
     } else {
       std::string cache_key;
-      request.formula = instance_formula(instance, k, minimize, &cache_key);
+      request.formula = instance_formula(instance, static_cast<int>(k),
+                                         minimize, &cache_key);
       if (request.formula == nullptr) {
         error = "unknown instance \"" + instance + "\"";
       } else if (msg.get_bool("cache", false) && !minimize) {
