@@ -537,6 +537,23 @@ void BM_FormulaGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_FormulaGraphBuild);
 
+// Loading a formula into the engine, the fixed cost between the SBP
+// stage and the first decision: queen8_12's K=20 SC encoding with its
+// Shatter SBPs added (the suite-sbp configuration), one CdclSolver
+// constructed per iteration.
+void BM_EngineLoad(benchmark::State& state) {
+  ColoringEncoding enc =
+      encode_coloring(make_queen_graph(8, 12), 20, SbpOptions::sc_only());
+  shatter(enc.formula);
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  for (auto _ : state) {
+    CdclSolver solver(enc.formula, config);
+    benchmark::DoNotOptimize(solver.live_clauses());
+  }
+  state.counters["clauses"] = static_cast<double>(enc.formula.num_clauses());
+}
+BENCHMARK(BM_EngineLoad);
+
 // Generator verification as the Shatter flow runs it: each iteration
 // indexes the formula once (SymmetryVerifier) and checks every generator
 // the search returned against it, on the K=20 SC encoding of `g`.

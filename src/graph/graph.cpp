@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
 
 namespace symcolor {
@@ -28,12 +27,8 @@ void Graph::add_edge(int u, int v) {
 
 void Graph::finalize() {
   if (finalized_) return;
-  std::sort(edges_.begin(), edges_.end());
-  edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
-  // CSR build: count degrees, prefix-sum into offsets, then fill. Edges
-  // are sorted by (u, v), so each row comes out sorted ascending: for a
-  // vertex w, partners y < w are appended while scanning u = y (ascending
-  // y), then partners x > w while scanning u = w (ascending x).
+  // CSR build by counting sort: count both endpoints of every recorded
+  // edge (duplicates included), prefix-sum into offsets, and scatter.
   const auto n = static_cast<std::size_t>(num_vertices_);
   offsets_.assign(n + 1, 0);
   for (const Edge& e : edges_) {
@@ -42,12 +37,44 @@ void Graph::finalize() {
   }
   for (std::size_t v = 0; v < n; ++v) offsets_[v + 1] += offsets_[v];
   neighbors_.resize(2 * edges_.size());
-  std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges_) {
-    neighbors_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
-    neighbors_[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
+  {
+    std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
+    for (const Edge& e : edges_) {
+      neighbors_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(e.u)]++)] = e.v;
+      neighbors_[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(e.v)]++)] = e.u;
+    }
+  }
+  // Sort and dedup each row, compacting the rows leftward in place: the
+  // write position never passes the start of the row being read.
+  std::size_t write = 0;
+  std::size_t row_begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto row_end = static_cast<std::size_t>(offsets_[v + 1]);
+    const auto first = neighbors_.begin() + static_cast<std::ptrdiff_t>(row_begin);
+    const auto last = neighbors_.begin() + static_cast<std::ptrdiff_t>(row_end);
+    std::sort(first, last);
+    const auto unique_end = std::unique(first, last);
+    if (write != row_begin) {
+      std::copy(first, unique_end,
+                neighbors_.begin() + static_cast<std::ptrdiff_t>(write));
+    }
+    write += static_cast<std::size_t>(unique_end - first);
+    row_begin = row_end;
+    offsets_[v + 1] = static_cast<int>(write);
+  }
+  neighbors_.resize(write);
+  // The edge list, regenerated from the rows in (u, v) order.
+  edges_.clear();
+  for (std::size_t u = 0; u < n; ++u) {
+    const auto end = static_cast<std::size_t>(offsets_[u + 1]);
+    for (auto k = static_cast<std::size_t>(offsets_[u]); k < end; ++k) {
+      const int v = neighbors_[k];
+      if (static_cast<std::size_t>(v) > u) {
+        edges_.push_back({static_cast<int>(u), v});
+      }
+    }
   }
   finalized_ = true;
 }
@@ -141,8 +168,10 @@ bool Graph::is_proper_coloring(std::span<const int> colors) const {
 }
 
 int Graph::count_colors(std::span<const int> colors) {
-  std::set<int> used(colors.begin(), colors.end());
-  return static_cast<int>(used.size());
+  std::vector<int> used(colors.begin(), colors.end());
+  std::sort(used.begin(), used.end());
+  return static_cast<int>(std::unique(used.begin(), used.end()) -
+                          used.begin());
 }
 
 }  // namespace symcolor

@@ -47,6 +47,13 @@ class Graph {
 
   /// Sort adjacency lists and deduplicate edges. Idempotent. Most
   /// accessors below require the graph to be finalized.
+  ///
+  /// The CSR build never sorts the edge list: a counting sort scatters
+  /// both endpoints of every recorded edge into its row, each row is
+  /// sorted and deduplicated on its own (O(|E| log max degree)), and the
+  /// edge list is regenerated from the rows. The result is exactly that of
+  /// a global sort + unique: edges() sorted by (u, v) with no duplicates,
+  /// every row ascending, degree(v) the number of distinct neighbours.
   void finalize();
 
   [[nodiscard]] bool finalized() const noexcept { return finalized_; }

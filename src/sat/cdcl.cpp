@@ -65,11 +65,11 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
   ok_ = !formula.trivially_unsat();
   for (const Clause& clause : formula.clauses()) {
     if (!ok_) break;
-    add_clause(clause);
+    load_clause(clause);
   }
   for (const PbConstraint& c : formula.pb_constraints()) {
     if (!ok_) break;
-    add_pb(c);
+    load_pb(c);
   }
   // Aggressive first reduction (Glucose lineage): with LBD tiers
   // protecting core/mid clauses, a small local pool propagates much
@@ -92,32 +92,45 @@ void CdclSolver::reconfigure(const SolverConfig& config) {
   if (config.max_learnts_init > 0.0) max_learnts_ = config.max_learnts_init;
 }
 
-bool CdclSolver::add_clause(Clause clause) {
+bool CdclSolver::add_clause(Clause clause) { return load_clause(clause); }
+
+bool CdclSolver::add_pb(PbConstraint constraint) { return load_pb(constraint); }
+
+bool CdclSolver::load_clause(std::span<const Lit> lits) {
   if (!ok_) return false;
-  // Simplify against the level-0 assignment.
-  Clause simplified;
-  std::sort(clause.begin(), clause.end());
-  clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
-  for (std::size_t i = 0; i < clause.size(); ++i) {
-    const Lit l = clause[i];
-    if (i + 1 < clause.size() && clause[i + 1].var() == l.var()) return true;
+  load_lits_.assign(lits.begin(), lits.end());
+  return load_buffered_clause();
+}
+
+bool CdclSolver::load_buffered_clause() {
+  // Sort, dedup, then simplify against the level-0 assignment by
+  // compacting the undecided literals to the front of the same buffer
+  // (write index <= read index, and the tautology test reads ahead only).
+  std::vector<Lit>& lits = load_lits_;
+  std::sort(lits.begin(), lits.end());
+  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < lits.size(); ++i) {
+    const Lit l = lits[i];
+    if (i + 1 < lits.size() && lits[i + 1].var() == l.var()) return true;
     if (value(l) == LBool::True) return true;  // already satisfied
-    if (value(l) == LBool::Undef) simplified.push_back(l);
+    if (value(l) == LBool::Undef) lits[kept++] = l;
   }
-  if (simplified.empty()) {
+  lits.resize(kept);
+  if (lits.empty()) {
     ok_ = false;
     return false;
   }
-  if (simplified.size() == 1) {
-    enqueue(simplified[0], {ReasonKind::None, kInvalidClauseRef});
+  if (lits.size() == 1) {
+    enqueue(lits[0], {ReasonKind::None, kInvalidClauseRef});
     if (propagate().valid()) ok_ = false;
     return ok_;
   }
-  attach_clause(simplified, /*learnt=*/false);
+  attach_clause(lits, /*learnt=*/false);
   return true;
 }
 
-bool CdclSolver::add_pb(PbConstraint constraint) {
+bool CdclSolver::load_pb(const PbConstraint& constraint) {
   if (!ok_) return false;
   if (constraint.is_tautology()) return true;
   if (constraint.is_contradiction()) {
@@ -125,15 +138,15 @@ bool CdclSolver::add_pb(PbConstraint constraint) {
     return false;
   }
   if (constraint.is_clause()) {
-    Clause clause;
-    for (const PbTerm& t : constraint.terms()) clause.push_back(t.lit);
-    return add_clause(std::move(clause));
+    load_lits_.clear();
+    for (const PbTerm& t : constraint.terms()) load_lits_.push_back(t.lit);
+    return load_buffered_clause();
   }
-  attach_pb(constraint);
+  const std::uint32_t pb_index =
+      attach_pb_row(constraint.terms(), constraint.bound());
   // The new constraint may already be conflicting or unit under the
   // level-0 assignment; propagate() alone would not notice (no new trail
   // entries), so check it directly.
-  const auto pb_index = static_cast<std::uint32_t>(pbs_.size()) - 1;
   if (pbs_[pb_index].slack < 0) {
     ok_ = false;
     return false;
@@ -178,10 +191,6 @@ std::uint32_t CdclSolver::attach_pb_row(std::span<const PbTerm> terms,
   data.slack = slack;
   pbs_.push_back(data);
   return index;
-}
-
-void CdclSolver::attach_pb(const PbConstraint& constraint) {
-  attach_pb_row(constraint.terms(), constraint.bound());
 }
 
 void CdclSolver::enqueue(Lit l, Reason reason) {

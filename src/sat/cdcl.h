@@ -626,9 +626,21 @@ class CdclSolver final : public SolverEngine {
   Lit pick_branch();
   void new_decision_level() { trail_lim_.push_back(static_cast<int>(trail_.size())); }
 
+  /// The load path: every problem clause and PB row, from the constructor
+  /// or from add_clause/add_pb between solves, enters through these two.
+  /// A clause is copied once into the reusable load_lits_ buffer, sorted,
+  /// deduplicated and simplified against the level-0 assignment in place,
+  /// then attached in that sorted order — MiniSat's addClause_, which adds
+  /// "without making superfluous internal copy". So loading a formula
+  /// costs no heap allocation per clause. A PB row is read through the
+  /// reference; one that degenerates to a clause goes through the buffer.
+  /// Each returns false once level-0 unsatisfiability is derived.
+  bool load_clause(std::span<const Lit> lits);
+  bool load_pb(const PbConstraint& constraint);
+  /// load_clause on the literals already in load_lits_.
+  bool load_buffered_clause();
   ClauseRef attach_clause(std::span<const Lit> lits, bool learnt);
-  void attach_pb(const PbConstraint& constraint);
-  /// Shared storage path of attach_pb/attach_learned_pb: append the row
+  /// Shared storage path of load_pb/attach_learned_pb: append the row
   /// and its terms/occurrences, computing slack under the current
   /// assignment. Terms must be sorted by descending coefficient.
   std::uint32_t attach_pb_row(std::span<const PbTerm> terms,
@@ -686,8 +698,8 @@ class CdclSolver final : public SolverEngine {
   std::vector<PbData> pbs_;
   std::vector<PbTerm> pb_terms_;                // shared flat term pool
   FlatOccPool<PbOcc> pb_occs_;                  // rows by literal code
-  /// Set by attach_pb(); solve() re-compacts the occurrence pool to CSR
-  /// order before searching (the incremental add_pb rebuild hook).
+  /// Set by attach_pb_row(); solve() re-compacts the occurrence pool to
+  /// CSR order before searching (the incremental add_pb rebuild hook).
   bool pb_occs_dirty_ = false;
 
   std::vector<LBool> assigns_;      // by variable (model extraction)
@@ -708,6 +720,7 @@ class CdclSolver final : public SolverEngine {
   ActivityHeap order_;  // owns the VSIDS score array (order_.scores())
   std::vector<char> polarity_;  // saved phase, 1 = last value true
 
+  std::vector<Lit> load_lits_;  // load path scratch (load_clause)
   std::vector<char> seen_;      // scratch for analyze()
   std::vector<Var> analyze_toclear_;            // marks to reset post-analyze
   std::vector<std::uint64_t> lbd_level_stamp_;  // by level, for LBD scans

@@ -261,38 +261,52 @@ struct ReferenceAdjacency {
 class CsrEquivalenceTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(CsrEquivalenceTest, MatchesReferenceOnRandomGraph) {
+  // Random multigraphs: duplicates in both orientations and self-loops;
+  // the second round adds edges to a finalized graph and finalizes again.
   Rng rng(GetParam());
   const int n = 2 + static_cast<int>(rng.below(40));
   const int max_edges = n * (n - 1) / 2;
-  const int m = static_cast<int>(rng.below(
-      static_cast<std::uint64_t>(2 * max_edges) + 1));  // includes duplicates
   Graph g(n);
   ReferenceAdjacency ref(n);
-  for (int i = 0; i < m; ++i) {
-    const int u = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-    const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
-    g.add_edge(u, v);
-    ref.add(u, v);
-  }
-  g.finalize();
-
-  int max_degree = 0;
-  for (int v = 0; v < n; ++v) {
-    const std::set<int>& expected = ref.adj[static_cast<std::size_t>(v)];
-    EXPECT_EQ(g.degree(v), static_cast<int>(expected.size())) << "v=" << v;
-    max_degree = std::max(max_degree, static_cast<int>(expected.size()));
-    // neighbors() must be exactly the reference set, sorted ascending.
-    const std::span<const int> got = g.neighbors(v);
-    ASSERT_EQ(got.size(), expected.size()) << "v=" << v;
-    EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "v=" << v;
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
-        << "v=" << v;
-    for (int u = 0; u < n; ++u) {
-      EXPECT_EQ(g.has_edge(v, u), expected.count(u) == 1)
-          << "v=" << v << " u=" << u;
+  for (int round = 0; round < 2; ++round) {
+    const int m = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(2 * max_edges) + 1));  // includes duplicates
+    for (int i = 0; i < m; ++i) {
+      const int u = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      const int v = static_cast<int>(rng.below(static_cast<std::uint64_t>(n)));
+      g.add_edge(u, v);
+      ref.add(u, v);
     }
+    g.finalize();
+
+    // edges(): every pair once, u < v, sorted by (u, v).
+    std::vector<Edge> expected_edges;
+    for (int u = 0; u < n; ++u) {
+      for (const int v : ref.adj[static_cast<std::size_t>(u)]) {
+        if (u < v) expected_edges.push_back({u, v});
+      }
+    }
+    const std::span<const Edge> edges = g.edges();
+    EXPECT_EQ(std::vector<Edge>(edges.begin(), edges.end()), expected_edges);
+
+    int max_degree = 0;
+    for (int v = 0; v < n; ++v) {
+      const std::set<int>& expected = ref.adj[static_cast<std::size_t>(v)];
+      EXPECT_EQ(g.degree(v), static_cast<int>(expected.size())) << "v=" << v;
+      max_degree = std::max(max_degree, static_cast<int>(expected.size()));
+      // neighbors() must be exactly the reference set, sorted ascending.
+      const std::span<const int> got = g.neighbors(v);
+      ASSERT_EQ(got.size(), expected.size()) << "v=" << v;
+      EXPECT_TRUE(std::is_sorted(got.begin(), got.end())) << "v=" << v;
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expected.begin()))
+          << "v=" << v;
+      for (int u = 0; u < n; ++u) {
+        EXPECT_EQ(g.has_edge(v, u), expected.count(u) == 1)
+            << "v=" << v << " u=" << u;
+      }
+    }
+    EXPECT_EQ(g.max_degree(), max_degree);
   }
-  EXPECT_EQ(g.max_degree(), max_degree);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CsrEquivalenceTest,

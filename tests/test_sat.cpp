@@ -746,5 +746,90 @@ TEST(Cdcl, IncrementalAddClauseGrowsWatcherPools) {
             2 * static_cast<std::size_t>(solver.live_clauses()));
 }
 
+// ---- load path: constructor vs clause-by-clause addition ----
+
+/// A random 3-SAT core plus the shapes the load path must normalize:
+/// units first (so later literals are false at level 0), duplicate
+/// literals, tautologies, and PB rows (one degenerating to a clause).
+struct MessyFormula {
+  int num_vars = 0;
+  std::vector<Clause> clauses;
+  std::vector<PbConstraint> pbs;
+};
+
+MessyFormula messy_formula(std::uint64_t seed) {
+  Rng rng(seed);
+  MessyFormula m;
+  m.num_vars = 40;
+  auto lit = [&](int v) {
+    return rng.chance(0.5) ? Lit::positive(v) : Lit::negative(v);
+  };
+  auto var = [&] {
+    return static_cast<int>(rng.below(static_cast<std::uint64_t>(m.num_vars)));
+  };
+  m.clauses.push_back({lit(0)});
+  m.clauses.push_back({lit(1)});
+  for (int i = 0; i < 170; ++i) {
+    Clause c = {lit(var()), lit(var()), lit(var())};
+    if (i % 7 == 0) c.push_back(c[0]);    // duplicate literal
+    if (i % 11 == 0) c.push_back(~c[1]);  // tautology
+    // A literal of a unit-clause variable: true or false at level 0.
+    if (i % 5 == 0) c.push_back(lit(static_cast<int>(rng.below(2))));
+    m.clauses.push_back(std::move(c));
+  }
+  std::vector<PbTerm> terms;
+  for (int i = 0; i < 6; ++i) terms.push_back({1, lit(2 + var() % 38)});
+  m.pbs.push_back(PbConstraint::at_most(terms, 3));
+  m.pbs.push_back(PbConstraint::at_least(terms, 1));  // a clause as a PB row
+  std::vector<PbTerm> weighted;
+  for (int i = 0; i < 5; ++i) {
+    weighted.push_back({1 + static_cast<std::int64_t>(rng.below(4)),
+                        lit(2 + var() % 38)});
+  }
+  m.pbs.push_back(PbConstraint::at_least(weighted, 4));
+  return m;
+}
+
+TEST(CdclLoad, ConstructorMatchesClauseByClauseAddition) {
+  int sat = 0;
+  int unsat = 0;
+  std::int64_t conflicts = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const MessyFormula m = messy_formula(seed);
+    Formula full;
+    full.new_vars(m.num_vars);
+    for (const Clause& c : m.clauses) full.add_clause(c);
+    for (const PbConstraint& pb : m.pbs) full.add_pb(pb);
+    Formula empty;
+    empty.new_vars(m.num_vars);
+
+    CdclSolver loaded(full);
+    CdclSolver added(empty);
+    for (const Clause& c : m.clauses) added.add_clause(c);
+    for (const PbConstraint& pb : m.pbs) added.add_pb(pb);
+
+    const SolveResult r = loaded.solve();
+    ASSERT_EQ(added.solve(), r) << "seed " << seed;
+    conflicts += loaded.stats().conflicts;
+    EXPECT_EQ(added.stats().conflicts, loaded.stats().conflicts)
+        << "seed " << seed;
+    EXPECT_EQ(added.stats().decisions, loaded.stats().decisions)
+        << "seed " << seed;
+    EXPECT_EQ(added.stats().propagations, loaded.stats().propagations)
+        << "seed " << seed;
+    if (r == SolveResult::Sat) {
+      ++sat;
+      EXPECT_EQ(added.model(), loaded.model()) << "seed " << seed;
+      EXPECT_TRUE(full.satisfied_by(loaded.model())) << "seed " << seed;
+    } else {
+      ++unsat;
+    }
+  }
+  // The sweep must exercise both answers, and real search on the way.
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+  EXPECT_GT(conflicts, 0);
+}
+
 }  // namespace
 }  // namespace symcolor
