@@ -21,6 +21,17 @@ std::string SbpOptions::label() const {
   return out;
 }
 
+std::optional<SbpOptions> parse_sbp(std::string_view name) {
+  if (name == "none") return SbpOptions::none();
+  if (name == "nu") return SbpOptions::nu_only();
+  if (name == "ca") return SbpOptions::ca_only();
+  if (name == "li") return SbpOptions::li_only();
+  if (name == "liq") return SbpOptions::li_paper();
+  if (name == "sc") return SbpOptions::sc_only();
+  if (name == "nu+sc") return SbpOptions::nu_sc();
+  return std::nullopt;
+}
+
 std::vector<SbpOptions> paper_sbp_rows() {
   return {SbpOptions::none(),    SbpOptions::nu_only(), SbpOptions::ca_only(),
           SbpOptions::li_only(), SbpOptions::sc_only(), SbpOptions::nu_sc(),

@@ -22,8 +22,10 @@
 
 #include <cstdint>
 #include <optional>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cnf/formula.h"
@@ -54,6 +56,10 @@ struct SbpOptions {
   static SbpOptions sc_only() { return {.sc = true}; }
   static SbpOptions nu_sc() { return {.nu = true, .sc = true}; }
 };
+
+/// The SBP row named `name` by the front ends' `sbp` value: none | nu | ca
+/// | li | liq | sc | nu+sc; nullopt for any other name.
+std::optional<SbpOptions> parse_sbp(std::string_view name);
 
 /// The paper's Table 2/3 construction rows, in order, with the
 /// paper-literal LI variant appended as a seventh row.

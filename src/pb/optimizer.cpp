@@ -226,6 +226,14 @@ const char* search_strategy_name(SearchStrategy strategy) {
   return "?";
 }
 
+std::optional<SearchStrategy> parse_search(std::string_view name) {
+  for (const SearchStrategy s : {SearchStrategy::Linear, SearchStrategy::Binary,
+                                 SearchStrategy::CoreGuided}) {
+    if (name == search_strategy_name(s)) return s;
+  }
+  return std::nullopt;
+}
+
 OptResult solve_decision(const Formula& formula, const SolverConfig& config,
                          const SolveBudget& budget) {
   OptResult result;

@@ -43,6 +43,8 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "cnf/formula.h"
@@ -58,6 +60,10 @@ namespace symcolor {
 enum class SearchStrategy { Linear, Binary, CoreGuided };
 
 const char* search_strategy_name(SearchStrategy strategy);
+
+/// The inverse of search_strategy_name, the front ends' `search` value:
+/// linear | binary | core; nullopt for any other name.
+std::optional<SearchStrategy> parse_search(std::string_view name);
 
 enum class OptStatus {
   Optimal,     ///< best_value proved optimal

@@ -48,6 +48,15 @@ SolverConfig profile_config(SolverKind kind) {
   throw std::invalid_argument("profile_config: not a CDCL personality");
 }
 
+std::optional<SolverKind> parse_solver(std::string_view name) {
+  if (name == "pbs") return SolverKind::PbsOriginal;
+  if (name == "pbs2") return SolverKind::PbsII;
+  if (name == "galena") return SolverKind::Galena;
+  if (name == "pueblo") return SolverKind::Pueblo;
+  if (name == "generic") return SolverKind::GenericIlp;
+  return std::nullopt;
+}
+
 std::string solver_name(SolverKind kind) {
   switch (kind) {
     case SolverKind::PbsOriginal: return "PBS";

@@ -9,7 +9,9 @@
 // policy, activity decay, learned-clause minimization, diversification),
 // and CPLEX as a separate learning-free branch-and-bound (generic_ilp).
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "sat/cdcl.h"
 
@@ -31,6 +33,10 @@ SolverConfig profile_config(SolverKind kind);
 
 /// Display name used in benchmark tables ("PBS II", "CPLEX*", ...).
 std::string solver_name(SolverKind kind);
+
+/// The personality named `name` by the front ends' `solver` value: pbs |
+/// pbs2 | galena | pueblo | generic; nullopt for any other name.
+std::optional<SolverKind> parse_solver(std::string_view name);
 
 /// All personalities in the paper's Table 3/4 column order.
 inline constexpr SolverKind kTableSolvers[] = {

@@ -376,11 +376,8 @@ class SolverEngine {
   [[nodiscard]] virtual std::unique_ptr<SolverEngine> clone() const = 0;
 
   /// Swap the configuration of a live engine at a quiescent point, keeping
-  /// learned state (clauses, activities, saved phases). This is what makes
-  /// warm-start caching work: a service clones a preprocessed master and
-  /// then reconfigures the clone with the request's own knobs (budget
-  /// personality, fault injection, thread count is fixed at construction)
-  /// without rebuilding or disturbing the cached engine.
+  /// learned state (clauses, activities, saved phases); the parallel pool
+  /// diversifies its clones this way.
   virtual void reconfigure(const SolverConfig& config) = 0;
 };
 

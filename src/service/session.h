@@ -8,13 +8,13 @@
 // service, including overload, cancellation, worker crashes, and
 // drain/shutdown, lands in one of these:
 //
-//   Sat       definitive model (decision SAT, or minimize proved optimal —
-//             best_value then holds the optimum)
-//   Unsat     definitive refutation (decision UNSAT / minimize infeasible)
-//   Feasible  budget ran out with an incumbent: `model` holds the best
-//             solution found, the optimum lies in [lower_bound, best_value]
-//             (minimize()'s graceful-degradation contract, surfaced per
-//             session)
+//   Sat       definitive answer with a witness: a model of a clause
+//             request, or the coloring of a coloring request (the
+//             optimum when it minimized — `colors` then holds chi)
+//   Unsat     definitive refutation (UNSAT / not K-colorable)
+//   Feasible  budget ran out with an incumbent coloring: chi lies in
+//             [lower_bound, colors] (the driver's graceful-degradation
+//             contract, surfaced per session)
 //   Degraded  budget ran out before any answer; `trip` says which bound
 //             (deadline / conflicts / propagations / interrupt) and the
 //             model is empty — never fabricated
@@ -36,7 +36,7 @@
 #include <vector>
 
 #include "cnf/formula.h"
-#include "pb/optimizer.h"
+#include "coloring/exact_colorer.h"
 #include "sat/cdcl.h"
 #include "util/budget.h"
 
@@ -63,15 +63,26 @@ enum class RejectReason : std::uint8_t { None, QueueFull, ShuttingDown };
 
 [[nodiscard]] const char* reject_reason_name(RejectReason reason) noexcept;
 
-/// One solve request. The formula is shared (requests against a cached
-/// base formula all point at the same immutable object); everything else
-/// is per-request.
+/// The coloring driver's entry points share this signature:
+/// solve_coloring, solve_k_coloring and solve_coloring_sat_loop.
+using ColoringEntry = ColoringOutcome (*)(const Graph&, const ColoringOptions&);
+
+/// One solve request: a clause request (`formula`, solved by one engine
+/// under `config`) or a coloring request (`graph`, run through `entry`
+/// under `options`). The formula or graph is shared and immutable;
+/// everything else is per-request.
 struct SolveRequest {
   std::shared_ptr<const Formula> formula;
-  /// Per-request solver knobs — including portfolio_threads and the
-  /// fault_injection test hook; the service isolates whatever happens
+  /// The clause request's solver knobs — including portfolio_threads and
+  /// the fault_injection test hook; the service isolates whatever happens
   /// under them to this session.
   SolverConfig config;
+  std::shared_ptr<const Graph> graph;
+  /// The coloring request's options. The service points options.budget at
+  /// the session budget, so cancel(), the deadline, the counted caps and
+  /// the service interrupt reach every stage of the driver.
+  ColoringOptions options;
+  ColoringEntry entry = solve_coloring;
   /// Per-request budget dimensions, chained under the service-wide
   /// budget; <= 0 means unlimited (the service default may still apply a
   /// timeout). The deadline starts ticking at SUBMIT time, so time spent
@@ -80,15 +91,6 @@ struct SolveRequest {
   double timeout_seconds = 0.0;
   std::int64_t conflict_budget = 0;
   std::int64_t prop_budget = 0;
-  /// Minimize the formula's objective instead of a decision query
-  /// (ignored, with a decision fallback, when the formula has none).
-  bool minimize = false;
-  SearchStrategy strategy = SearchStrategy::Linear;
-  /// Non-empty: warm-start the decision path from the service's
-  /// EngineCache under this key (clone of a resident preprocessed
-  /// master). The minimize path ignores it (the optimizer owns its
-  /// engine lifecycle).
-  std::string cache_key;
 };
 
 /// The terminal result of a session. Exactly one of these is delivered
@@ -102,39 +104,45 @@ struct SessionResult {
   /// Which budget dimension ended the session early (Degraded/Cancelled,
   /// and Feasible exits); None on definitive answers.
   BudgetTrip trip = BudgetTrip::None;
-  /// Objective value of `model` (minimize sessions with a model only).
-  std::int64_t best_value = 0;
-  /// Tightest proven lower bound on the objective (minimize sessions).
+  /// Colors `coloring` uses (coloring requests with a coloring).
+  int colors = 0;
+  /// Tightest proven lower bound on chi (minimizing coloring requests).
   std::int64_t lower_bound = 0;
-  /// Satisfying/incumbent assignment; empty unless the outcome says
-  /// otherwise (never fabricated on Degraded/Rejected/Failed).
+  /// A clause request's satisfying assignment (Sat only).
   std::vector<LBool> model;
+  /// A coloring request's per-vertex colors: the answer on Sat, the
+  /// incumbent on Feasible and possibly on Cancelled. Like `model`, never
+  /// fabricated on Degraded/Rejected/Failed.
+  std::vector<int> coloring;
   SolverStats stats;
   /// Failed only: the contained exception's message.
   std::string error;
   double queue_seconds = 0.0;
   double solve_seconds = 0.0;
 
-  /// The machine-checkable outcome contract: models only where promised,
-  /// trips recorded on every budgeted exit, reasons on every rejection,
-  /// messages on every failure. Stress tests assert this on every
-  /// delivered result.
+  /// The machine-checkable outcome contract: witnesses only where
+  /// promised (a clause Sat carries a model, a coloring Sat or Feasible a
+  /// coloring, never both), trips recorded on every budgeted exit, reasons
+  /// on every rejection, messages on every failure. Stress tests assert
+  /// this on every delivered result.
   [[nodiscard]] bool well_formed() const noexcept {
+    const bool one_witness = model.empty() != coloring.empty();
+    const bool no_witness = model.empty() && coloring.empty();
     switch (outcome) {
       case SessionOutcome::Sat:
-        return !model.empty();
+        return one_witness;
       case SessionOutcome::Unsat:
-        return model.empty();
+        return no_witness;
       case SessionOutcome::Feasible:
-        return !model.empty() && trip != BudgetTrip::None;
+        return !coloring.empty() && model.empty() && trip != BudgetTrip::None;
       case SessionOutcome::Degraded:
-        return model.empty() && trip != BudgetTrip::None;
+        return no_witness && trip != BudgetTrip::None;
       case SessionOutcome::Cancelled:
         return trip != BudgetTrip::None;
       case SessionOutcome::Rejected:
-        return reject_reason != RejectReason::None && model.empty();
+        return reject_reason != RejectReason::None && no_witness;
       case SessionOutcome::Failed:
-        return !error.empty() && model.empty();
+        return !error.empty() && no_witness;
     }
     return false;
   }

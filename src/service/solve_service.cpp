@@ -35,8 +35,7 @@ SolveService::SolveService(ServiceConfig config)
     : config_(config),
       service_budget_(config.parent_budget != nullptr
                           ? config.parent_budget->child()
-                          : SolveBudget{}),
-      cache_(config.cache_capacity) {
+                          : SolveBudget{}) {
   if (config_.workers < 1) config_.workers = 1;
   if (config_.queue_capacity < 1) config_.queue_capacity = 1;
   workers_.reserve(static_cast<std::size_t>(config_.workers));
@@ -72,8 +71,9 @@ SessionId SolveService::submit(SolveRequest request) {
     return id;
   };
 
-  if (request.formula == nullptr) {
-    return reject(RejectReason::None, "request has no formula");
+  if ((request.formula == nullptr) == (request.graph == nullptr)) {
+    return reject(RejectReason::None,
+                  "request needs exactly one of a formula and a graph");
   }
   if (draining_ || stopping_) {
     return reject(RejectReason::ShuttingDown, nullptr);
@@ -145,15 +145,10 @@ bool SolveService::wait_any(SessionId* id, SessionResult* result) {
 }
 
 ServiceStats SolveService::stats() const {
-  ServiceStats out;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out = stats_;
-    out.queued_now = queue_.size();
-    out.running_now = static_cast<std::size_t>(running_);
-  }
-  out.cache_hits = cache_.hits();
-  out.cache_misses = cache_.misses();
+  std::lock_guard<std::mutex> lock(mutex_);
+  ServiceStats out = stats_;
+  out.queued_now = queue_.size();
+  out.running_now = static_cast<std::size_t>(running_);
   return out;
 }
 
@@ -242,66 +237,53 @@ SessionResult SolveService::run_session(Session& session) {
     return r;
   }
 
-  const auto cancelled = [&] {
-    return session.cancel_requested.load(std::memory_order_acquire);
-  };
-
   try {
-    const Formula& formula = *session.request.formula;
-    if (session.request.minimize && formula.objective().has_value()) {
-      OptResult opt = minimize(formula, session.request.config, session.budget,
-                               session.request.strategy);
-      r.stats = opt.stats;
-      r.best_value = opt.best_value;
-      r.lower_bound = opt.lower_bound;
-      r.trip = opt.tripped;
-      r.model = std::move(opt.model);
-      switch (opt.status) {
-        case OptStatus::Optimal:
-          r.outcome = SessionOutcome::Sat;
-          break;
-        case OptStatus::Infeasible:
-          r.outcome = SessionOutcome::Unsat;
-          r.model.clear();
-          break;
-        case OptStatus::Feasible:
-          r.outcome =
-              cancelled() ? SessionOutcome::Cancelled : SessionOutcome::Feasible;
-          break;
-        case OptStatus::Unknown:
-          r.outcome =
-              cancelled() ? SessionOutcome::Cancelled : SessionOutcome::Degraded;
-          r.model.clear();
-          break;
-      }
+    const SolveRequest& request = session.request;
+    OptStatus status = OptStatus::Unknown;
+    if (request.graph != nullptr) {
+      ColoringOptions options = request.options;
+      options.budget = &session.budget;
+      ColoringOutcome c = request.entry(*request.graph, options);
+      status = c.status;
+      r.stats = c.solver_stats;
+      r.trip = c.tripped;
+      r.colors = c.num_colors;
+      r.lower_bound = c.lower_bound;
+      r.coloring = std::move(c.coloring);
     } else {
-      std::unique_ptr<SolverEngine> engine;
-      if (!session.request.cache_key.empty()) {
-        engine = cache_.acquire(session.request.cache_key, formula,
-                                session.request.config);
-        // The clone carries the MASTER's (sanitized) config; arm the
-        // request's real one — personality knobs and, in tests, the
-        // fault spec — on this session's exclusive copy only.
-        engine->reconfigure(session.request.config);
-      } else {
-        engine = make_solver_engine(formula, session.request.config);
-      }
+      const std::unique_ptr<SolverEngine> engine =
+          make_solver_engine(*request.formula, request.config);
       const SolveResult sr = engine->solve(session.budget);
       r.stats = engine->stats();
-      switch (sr) {
-        case SolveResult::Sat:
-          r.outcome = SessionOutcome::Sat;
-          r.model = engine->model();
-          break;
-        case SolveResult::Unsat:
-          r.outcome = SessionOutcome::Unsat;
-          break;
-        case SolveResult::Unknown:
-          r.trip = engine->last_trip();
-          r.outcome =
-              cancelled() ? SessionOutcome::Cancelled : SessionOutcome::Degraded;
-          break;
+      r.trip = engine->last_trip();
+      if (sr == SolveResult::Sat) {
+        status = OptStatus::Optimal;
+        r.model = engine->model();
+      } else if (sr == SolveResult::Unsat) {
+        status = OptStatus::Infeasible;
       }
+    }
+    // A budgeted exit after cancel() is the cancellation, not a
+    // deadline or cap running out.
+    const bool cancelled =
+        session.cancel_requested.load(std::memory_order_acquire);
+    switch (status) {
+      case OptStatus::Optimal:
+        r.outcome = SessionOutcome::Sat;
+        break;
+      case OptStatus::Infeasible:
+        r.outcome = SessionOutcome::Unsat;
+        r.coloring.clear();
+        break;
+      case OptStatus::Feasible:
+        r.outcome =
+            cancelled ? SessionOutcome::Cancelled : SessionOutcome::Feasible;
+        break;
+      case OptStatus::Unknown:
+        r.outcome =
+            cancelled ? SessionOutcome::Cancelled : SessionOutcome::Degraded;
+        r.coloring.clear();
+        break;
     }
   } catch (const std::exception& e) {
     // Per-session exception barrier: the fault is contained here; the

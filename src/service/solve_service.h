@@ -2,6 +2,11 @@
 // SolveService — the session manager turning the batch engine into a
 // long-lived, fault-tolerant solve service.
 //
+// A session runs one of two solve paths: a coloring request goes through
+// the coloring driver (coloring/exact_colorer.h: bounds, encoding, SBPs,
+// Shatter, the SAT loop, exactly as the CLI runs it), a clause request
+// through one engine on its raw formula.
+//
 // Shape: N pool workers (std::thread) drain ONE bounded FIFO queue of
 // sessions. Each session runs under its own child SolveBudget chained
 // beneath the service-wide budget, so three kill switches compose:
@@ -29,8 +34,7 @@
 //   * Crashing sessions — run_session() is an exception barrier: a throw
 //     (SolverConfig::fault_injection in tests, a real bug in production)
 //     becomes outcome Failed for THAT session only; the worker thread
-//     and every other session keep going. Warm-start masters are never
-//     exposed to request faults (see service/engine_cache.h).
+//     and every other session keep going.
 //   * Shutdown — shutdown(grace) drains cleanly: queued sessions are
 //     rejected (ShuttingDown), in-flight ones get `grace` seconds to
 //     finish before the service budget interrupts them into graceful
@@ -50,7 +54,6 @@
 #include <thread>
 #include <vector>
 
-#include "service/engine_cache.h"
 #include "service/session.h"
 #include "util/budget.h"
 #include "util/timer.h"
@@ -71,8 +74,6 @@ struct ServiceConfig {
   /// Optional budget the service budget is chained under (e.g. the serve
   /// tool's --timeout); must outlive the service.
   const SolveBudget* parent_budget = nullptr;
-  /// Resident warm-start masters kept by the engine cache (0 disables).
-  std::size_t cache_capacity = 8;
 };
 
 /// Aggregate service counters (terminal outcomes sum to completed()).
@@ -88,8 +89,6 @@ struct ServiceStats {
   /// Sessions shed at dequeue because their budget was already spent
   /// (a subset of degraded/cancelled; zero engine work was done).
   std::int64_t shed_on_arrival = 0;
-  std::int64_t cache_hits = 0;
-  std::int64_t cache_misses = 0;
   std::size_t queued_now = 0;
   std::size_t running_now = 0;
   /// Solver work summed over every finished session (the service-side
@@ -177,7 +176,6 @@ class SolveService {
 
   ServiceConfig config_;
   SolveBudget service_budget_;
-  EngineCache cache_;
 
   mutable std::mutex mutex_;
   std::condition_variable queue_cv_;  // workers: queue non-empty / stopping

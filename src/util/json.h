@@ -122,22 +122,8 @@ class Json {
     return it != o->end() ? &it->second : nullptr;
   }
 
-  // Typed object-member conveniences with fallbacks.
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t fallback = 0) const noexcept {
-    const Json* v = find(key);
-    return v != nullptr && v->is_number() ? v->as_int() : fallback;
-  }
-  [[nodiscard]] double get_double(const std::string& key,
-                                  double fallback = 0.0) const noexcept {
-    const Json* v = find(key);
-    return v != nullptr && v->is_number() ? v->as_double() : fallback;
-  }
-  [[nodiscard]] bool get_bool(const std::string& key,
-                              bool fallback = false) const noexcept {
-    const Json* v = find(key);
-    return v != nullptr ? v->as_bool(fallback) : fallback;
-  }
+  /// The string member `key`, or `fallback` when it is absent or not a
+  /// string. Request fields whose type matters are read through find().
   [[nodiscard]] std::string get_string(const std::string& key,
                                        std::string fallback = {}) const {
     const Json* v = find(key);

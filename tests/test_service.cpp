@@ -1,17 +1,19 @@
-// SolveService robustness: every submitted request reaches EXACTLY ONE
-// well-formed terminal outcome through overload, cancellation, injected
-// worker crashes, warm-start caching, and drain/shutdown — including a
-// 72-session stress burst over a 4-worker pool (run under TSan in CI).
+// SolveService robustness: every submitted request, clause or coloring,
+// reaches EXACTLY ONE well-formed terminal outcome through overload,
+// cancellation, injected worker crashes, driver errors, and
+// drain/shutdown — including a 72-session stress burst over a 4-worker
+// pool (run under TSan in CI).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
-#include "coloring/encoder.h"
 #include "graph/generators.h"
 #include "service/solve_service.h"
 
@@ -61,6 +63,26 @@ SolveRequest decision(std::shared_ptr<const Formula> f) {
   return r;
 }
 
+// A coloring request on `graph` through `entry` (solve_coloring unless
+// named) at color bound `k`.
+SolveRequest coloring(Graph graph, int k,
+                      ColoringEntry entry = solve_coloring) {
+  SolveRequest r;
+  r.graph = std::make_shared<const Graph>(std::move(graph));
+  r.options.max_colors = k;
+  r.entry = entry;
+  return r;
+}
+
+Graph triangle() {
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  g.add_edge(0, 2);
+  g.finalize();
+  return g;
+}
+
 void spin_until_running(const SolveService& service) {
   while (service.stats().running_now == 0) {
     std::this_thread::yield();
@@ -85,23 +107,58 @@ TEST(ServiceBasics, DecisionSessionsReachSatAndUnsat) {
 }
 
 TEST(ServiceBasics, MinimizeSessionProvesOptimum) {
-  // Triangle: chromatic number 3; minimize over a 4-color encoding.
-  Graph triangle(3);
-  triangle.add_edge(0, 1);
-  triangle.add_edge(1, 2);
-  triangle.add_edge(0, 2);
-  triangle.finalize();
-  ColoringEncoding enc = encode_coloring(triangle, 4);
-
-  SolveRequest request;
-  request.formula = std::make_shared<Formula>(std::move(enc.formula));
-  request.minimize = true;
+  // Triangle: chromatic number 3, minimized at color bound 4.
   SolveService service(ServiceConfig{.workers = 1});
-  const SessionResult r = service.wait(service.submit(std::move(request)));
+  const SessionResult r = service.wait(service.submit(coloring(triangle(), 4)));
   EXPECT_EQ(r.outcome, SessionOutcome::Sat);
   EXPECT_TRUE(r.well_formed());
-  EXPECT_EQ(r.best_value, 3);
+  EXPECT_EQ(r.colors, 3);
   EXPECT_EQ(r.lower_bound, 3);
+  ASSERT_EQ(r.coloring.size(), 3u);
+  EXPECT_TRUE(triangle().is_proper_coloring(r.coloring));
+  EXPECT_TRUE(r.model.empty());
+}
+
+TEST(ServiceBasics, InfeasibleColoringRequestIsUnsat) {
+  SolveService service(ServiceConfig{.workers = 1});
+  const SessionResult r = service.wait(service.submit(coloring(triangle(), 2)));
+  EXPECT_EQ(r.outcome, SessionOutcome::Unsat);
+  EXPECT_TRUE(r.well_formed());
+  EXPECT_TRUE(r.coloring.empty());
+}
+
+TEST(ServiceBasics, CappedColoringRequestIsFeasibleWithCliqueBound) {
+  // queen6_6 (chi 7) is far from proved in 500 conflicts, but the driver
+  // has an incumbent by then and lifts the bound with a clique.
+  SolveService service(ServiceConfig{.workers = 1});
+  SolveRequest request = coloring(make_queen_graph(6, 6), 20);
+  request.conflict_budget = 500;
+  const SessionResult r = service.wait(service.submit(std::move(request)));
+  EXPECT_EQ(r.outcome, SessionOutcome::Feasible);
+  EXPECT_EQ(r.trip, BudgetTrip::Conflicts);
+  EXPECT_TRUE(r.well_formed());
+  EXPECT_GT(r.lower_bound, 0);
+  EXPECT_LE(r.lower_bound, r.colors);
+  EXPECT_EQ(Graph::count_colors(r.coloring), r.colors);
+}
+
+TEST(ServiceBasics, DriverRejectionFailsTheSessionWithItsMessage) {
+  // The SAT loop cannot run Shatter; the driver's invalid_argument
+  // reaches the client as the session's error.
+  SolveRequest request = coloring(triangle(), 4, solve_coloring_sat_loop);
+  request.options.instance_dependent_sbps = true;
+  std::string expected;
+  try {
+    (void)solve_coloring_sat_loop(*request.graph, request.options);
+  } catch (const std::invalid_argument& e) {
+    expected = e.what();
+  }
+  ASSERT_FALSE(expected.empty());
+  SolveService service(ServiceConfig{.workers = 1});
+  const SessionResult r = service.wait(service.submit(std::move(request)));
+  EXPECT_EQ(r.outcome, SessionOutcome::Failed);
+  EXPECT_EQ(r.error, expected);
+  EXPECT_TRUE(r.well_formed());
 }
 
 TEST(ServiceBasics, ResultsDeliveredExactlyOnce) {
@@ -128,6 +185,12 @@ TEST(ServiceBasics, RequestWithoutFormulaFailsWellFormed) {
   const SessionResult r = service.wait(service.submit(SolveRequest{}));
   EXPECT_EQ(r.outcome, SessionOutcome::Failed);
   EXPECT_TRUE(r.well_formed());
+  // A formula and a graph at once is no request either.
+  SolveRequest both = coloring(triangle(), 4);
+  both.formula = easy_sat();
+  const SessionResult b = service.wait(service.submit(std::move(both)));
+  EXPECT_EQ(b.outcome, SessionOutcome::Failed);
+  EXPECT_TRUE(b.well_formed());
 }
 
 TEST(ServiceBasics, SolverTotalsSumEveryCounterOfDeliveredSessions) {
@@ -196,6 +259,19 @@ TEST(ServiceCancel, MidFlightCancellationInterruptsTheSolve) {
   EXPECT_TRUE(r.well_formed());
   // Cancelling a finished session reports false.
   EXPECT_FALSE(service.cancel(id));
+}
+
+TEST(ServiceCancel, MidFlightCancellationInterruptsAColoringRequest) {
+  // myciel5 (chi 6) keeps the driver busy far longer than the cancel
+  // takes to land, in whichever stage it lands.
+  SolveService service(ServiceConfig{.workers = 1});
+  const SessionId id = service.submit(coloring(make_myciel_dimacs(5), 20));
+  spin_until_running(service);
+  EXPECT_TRUE(service.cancel(id));
+  const SessionResult r = service.wait(id);
+  EXPECT_EQ(r.outcome, SessionOutcome::Cancelled);
+  EXPECT_EQ(r.trip, BudgetTrip::Interrupt);
+  EXPECT_TRUE(r.well_formed());
 }
 
 TEST(ServiceCancel, QueuedSessionCancelsWithoutEngineWork) {
@@ -277,33 +353,6 @@ TEST(ServiceFaults, InjectedCrashFailsOnlyThatSession) {
   EXPECT_EQ(service.wait(after).outcome, SessionOutcome::Unsat);
 }
 
-TEST(ServiceFaults, CachedMasterSurvivesFaultyClone) {
-  SolveService service(ServiceConfig{.workers = 1, .cache_capacity = 4});
-  auto base = easy_unsat();
-
-  SolveRequest warm = decision(base);
-  warm.cache_key = "php/5/4";
-  EXPECT_EQ(service.wait(service.submit(std::move(warm))).outcome,
-            SessionOutcome::Unsat);
-
-  SolveRequest faulty = decision(base);
-  faulty.cache_key = "php/5/4";
-  faulty.config.fault_injection.worker = -1;
-  faulty.config.fault_injection.throw_after_conflicts = 1;
-  EXPECT_EQ(service.wait(service.submit(std::move(faulty))).outcome,
-            SessionOutcome::Failed);
-
-  // The resident master never saw the fault spec: the next hit under the
-  // same key clones a healthy engine.
-  SolveRequest again = decision(base);
-  again.cache_key = "php/5/4";
-  EXPECT_EQ(service.wait(service.submit(std::move(again))).outcome,
-            SessionOutcome::Unsat);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.cache_misses, 1);
-  EXPECT_EQ(stats.cache_hits, 2);
-}
-
 // ---- drain / shutdown ----
 
 TEST(ServiceShutdown, DrainRejectsQueuedAndDegradesRunning) {
@@ -348,8 +397,7 @@ TEST(ServiceShutdown, GracefulDrainLetsInFlightWorkFinish) {
 // ---- the acceptance stress: 72 concurrent sessions, 4 workers ----
 
 TEST(ServiceStress, EveryRequestReachesExactlyOneWellFormedOutcome) {
-  SolveService service(ServiceConfig{
-      .workers = 4, .queue_capacity = 16, .cache_capacity = 4});
+  SolveService service(ServiceConfig{.workers = 4, .queue_capacity = 16});
   constexpr int kRequests = 72;
 
   std::vector<SessionId> ids;
@@ -361,9 +409,8 @@ TEST(ServiceStress, EveryRequestReachesExactlyOneWellFormedOutcome) {
       case 0:  // easy SAT
         request = decision(easy_sat());
         break;
-      case 1:  // easy UNSAT, warm-started
-        request = decision(easy_unsat());
-        request.cache_key = "stress/php54";
+      case 1:  // coloring request through the driver: not 2-colorable
+        request = coloring(triangle(), 2);
         break;
       case 2:  // over-budget: degrades on its conflict cap
         request = decision(pigeonhole(8, 7));

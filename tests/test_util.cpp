@@ -229,8 +229,8 @@ TEST(Json, ParsesNestedStructures) {
       Json::parse(R"({"op":"solve","k":5,"clauses":[[1,-2],[2]],"f":true})");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->get_string("op"), "solve");
-  EXPECT_EQ(v->get_int("k"), 5);
-  EXPECT_TRUE(v->get_bool("f"));
+  EXPECT_EQ(v->find("k")->as_int(), 5);
+  EXPECT_TRUE(v->find("f")->as_bool());
   const Json* clauses = v->find("clauses");
   ASSERT_NE(clauses, nullptr);
   ASSERT_EQ(clauses->as_array().size(), 2u);
@@ -264,12 +264,6 @@ TEST(Json, AsIntFallsBackForDoublesOutsideInt64) {
   EXPECT_EQ(Json(std::nan("")).as_int(7), 7);
   EXPECT_EQ(Json(std::numeric_limits<double>::infinity()).as_int(7), 7);
   EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).as_int(7), 7);
-  // get_int() reads an out-of-range number as 0, which every serve range
-  // check rejects.
-  const auto msg = Json::parse(R"({"threads":1e300,"k":4294967301})");
-  ASSERT_TRUE(msg.has_value());
-  EXPECT_EQ(msg->get_int("threads", 1), 0);
-  EXPECT_EQ(msg->get_int("k", 8), 4294967301LL);
 }
 
 TEST(Json, DepthCapStopsHostileNesting) {

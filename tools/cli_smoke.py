@@ -40,6 +40,10 @@ def main():
 
     for bad in (["-k", "0"], ["-k", "abc"], ["--threads", "2x"],
                 ["--timeout", "abc"],
+                # Every front end bounds the thread count and cube depth
+                # (1..64, 0..32), since each worker is a thread.
+                ["--threads", "0"], ["--threads", "65"],
+                ["--cube-depth", "-1"], ["--cube-depth", "33"],
                 # The pipeline has no pre-solve simplifier.
                 ["--simplify"],
                 # --satloop rejects the flags only the native pipeline

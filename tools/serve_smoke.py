@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """End-to-end smoke test for symcolor_serve's newline-JSON protocol.
 
-Usage: serve_smoke.py <path-to-symcolor_serve>
+Usage: serve_smoke.py <path-to-symcolor_serve> <path-to-symcolor_cli>
 
 Run 1 drives a scripted batch over a deliberately small pool
-(--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests with a
-malformed `search`, `threads`, `cube_depth` or `k` that must fail, an
-over-budget solve that must degrade, a mid-flight cancellation, an
-overload burst where the newest requests are shed with retry hints, a
-stats probe, and a clean quit — asserting every submitted request reaches exactly one
-well-formed terminal response and the process exits 0.
+(--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests whose
+`search`, `threads`, `cube_depth`, `k` or `sbp` is out of range or of
+the wrong type and must fail, an over-budget solve that must degrade, a
+mid-flight cancellation, an overload burst where the newest requests are
+shed with retry hints, a stats probe, and a clean quit — asserting every
+submitted request reaches exactly one well-formed terminal response and
+the process exits 0.
 
 Run 2 arms a service-wide --timeout and checks the budget-stop exit
 convention shared with symcolor_cli: the in-flight session degrades and
@@ -17,13 +18,24 @@ the process exits 2.
 
 Run 3 passes malformed or out-of-range numeric flag values, which must
 print usage and exit 3 before the server reads any request.
+
+Run 4 checks that serve and the CLI give the same answer: for every
+built-in suite instance, under three standard flag sets, serve's
+`outcome`, `colors`, `lower_bound` (on "feasible") and `conflicts` must
+match the CLI's answer line and `solver:` line (read through
+suite_lines.py).
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 import threading
 import time
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from suite_lines import instance_names, summary  # noqa: E402
 
 
 def php(pigeons, holes):
@@ -131,18 +143,24 @@ def run_batch(binary):
     check(r["outcome"] == "unsat", f"expected unsat, got {r}")
 
     # 1b. A malformed knob fails the request with an error naming the
-    #     field, instead of running it on a default. `k` is read only for
-    #     built-in instances; 4294967301 is 5 once narrowed to 32 bits, so
-    #     it must be range-checked before any narrowing.
+    #     field, instead of running it on a default. 4294967301 is 5 once
+    #     narrowed to 32 bits, so it must be range-checked before any
+    #     narrowing; a string "4" or a fractional 5.5 is no integer, and 3
+    #     names no SBP row.
     for rid, field, value in (("bad_search", "search", "bogus"),
                               ("bad_threads", "threads", 0),
                               ("big_threads", "threads", 65),
                               ("huge_threads", "threads", 1e300),
+                              ("str_threads", "threads", "4"),
                               ("bad_cube", "cube_depth", 99),
+                              ("big_cube", "cube_depth", 33),
                               ("neg_cube", "cube_depth", -1),
                               ("zero_k", "k", 0),
-                              ("wrapped_k", "k", 4294967301)):
-        body = {"instance": "queen5_5"} if field == "k" else php(3, 4)
+                              ("wrapped_k", "k", 4294967301),
+                              ("frac_k", "k", 5.5),
+                              ("num_sbp", "sbp", 3)):
+        body = ({"instance": "queen5_5"} if field in ("k", "sbp")
+                else php(3, 4))
         srv.send({"op": "solve", "id": rid, field: value, **body})
         r = srv.result_of(rid)
         check(r["outcome"] == "failed", f"{field}={value!r} must fail: {r}")
@@ -231,7 +249,8 @@ def run_service_timeout(binary):
 
 
 def run_malformed_flags(binary):
-    for bad in (["--workers", "2x"], ["--workers", "0"], ["--queue", "5q"],
+    for bad in (["--workers", "2x"], ["--workers", "0"],
+                ["--workers", "65"], ["--queue", "5q"],
                 ["--queue", "0"], ["--grace", "-1"], ["--grace", "abc"],
                 ["--timeout", "abc"], ["--timeout", "inf"],
                 ["--default-timeout", "1s"], ["--workers"]):
@@ -244,13 +263,60 @@ def run_malformed_flags(binary):
     print("malformed-flag run ok: every bad value exits 3 with usage")
 
 
+# The standard flag sets, as CLI flags and as the same request fields.
+PARITY_FLAG_SETS = (
+    (["--sbp", "sc", "--shatter", "--solver", "pbs2"],
+     {"sbp": "sc", "shatter": True, "solver": "pbs2"}),
+    (["--sbp", "nu+sc", "--solver", "galena", "--conflict-budget", "10000"],
+     {"sbp": "nu+sc", "solver": "galena", "conflicts": 10000}),
+    (["--satloop", "--conflict-budget", "10000"],
+     {"satloop": True, "conflicts": 10000}),
+)
+
+
+def cli_answer(line):
+    """A suite_lines.py line as the response fields serve must match."""
+    _, code, answer, solver = line.split("\t")
+    # The exit code names the outcome: 0 sat, 1 unsat, 2 a budget stop.
+    outcome = {"0": "sat", "1": "unsat"}.get(
+        code, "feasible" if "best coloring" in answer else "degraded")
+    want = {"outcome": outcome}
+    for key, pattern in (("colors", r"(?:number:|uses) (\d+)"),
+                         ("lower_bound", r">= (\d+) proven"),
+                         ("conflicts", r"^solver: (\d+) conflicts")):
+        m = re.search(pattern, solver if key == "conflicts" else answer)
+        if m:
+            want[key] = int(m.group(1))
+    check("conflicts" in want, f"CLI printed no solver: line: {line!r}")
+    return want
+
+
+def run_parity(binary, cli):
+    names = instance_names(cli)
+    for flags, fields in PARITY_FLAG_SETS:
+        srv = Server(binary, ["--workers", "2"])
+        for name in names:
+            srv.send({"op": "solve", "id": name, "instance": name, **fields})
+        for name in names:
+            want = cli_answer(summary(cli, name, [*flags, "--stats"]))
+            got = srv.result_of(name, timeout=300.0)
+            check(all(got.get(k) == v for k, v in want.items()),
+                  f"{name} {' '.join(flags)}: CLI {want}, serve {got}")
+        srv.send({"op": "quit"})
+        check(srv.finish() == 0, "parity server must quit cleanly")
+        print(f"parity run ok: {len(names)} instances agree under "
+              f"{' '.join(flags)}")
+
+
 def main():
-    if len(sys.argv) != 2:
-        print("usage: serve_smoke.py <symcolor_serve>", file=sys.stderr)
+    if len(sys.argv) != 3:
+        print("usage: serve_smoke.py <symcolor_serve> <symcolor_cli>",
+              file=sys.stderr)
         return 3
     run_batch(sys.argv[1])
     run_service_timeout(sys.argv[1])
     run_malformed_flags(sys.argv[1])
+    run_parity(sys.argv[1], sys.argv[2])
     print("serve_smoke: all checks passed")
     return 0
 

@@ -13,11 +13,13 @@
 //                   (strengthen from above), binary (bisect), or core
 //                   (UNSAT-core lower-bound lifting); default linear.
 //                   Both the native PB and --satloop pipelines run it
-//   --threads <n>   racing portfolio workers per CDCL solve (default 1;
-//                   the answer is identical at any thread count)
+//   --threads <n>   racing portfolio workers per CDCL solve, 1..64
+//                   (default 1; the answer is identical at any thread
+//                   count)
 //   --cube-depth <n> cube-and-conquer: split the search space into
-//                   assumption cubes of up to depth n and deal them to
-//                   --threads workers (default 0 = race full copies)
+//                   assumption cubes of up to depth n (0..32) and deal
+//                   them to --threads workers (default 0 = race full
+//                   copies)
 //   --chrono <n>    chronological-backtracking threshold: backjumps
 //                   longer than n levels undo only the conflicting level
 //                   (0 = always full backjump; default is the solver
@@ -55,6 +57,7 @@
 #include "coloring/exact_colorer.h"
 #include "graph/dimacs_col.h"
 #include "graph/generators.h"
+#include "sat/parallel_solver.h"
 #include "util/report.h"
 #include "util/text.h"
 
@@ -94,33 +97,6 @@ void usage() {
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
                "[--prop-budget n]\n");
-}
-
-std::optional<SbpOptions> parse_sbp(const std::string& name) {
-  if (name == "none") return SbpOptions::none();
-  if (name == "nu") return SbpOptions::nu_only();
-  if (name == "ca") return SbpOptions::ca_only();
-  if (name == "li") return SbpOptions::li_only();
-  if (name == "liq") return SbpOptions::li_paper();
-  if (name == "sc") return SbpOptions::sc_only();
-  if (name == "nu+sc") return SbpOptions::nu_sc();
-  return std::nullopt;
-}
-
-std::optional<SearchStrategy> parse_search(const std::string& name) {
-  if (name == "linear") return SearchStrategy::Linear;
-  if (name == "binary") return SearchStrategy::Binary;
-  if (name == "core") return SearchStrategy::CoreGuided;
-  return std::nullopt;
-}
-
-std::optional<SolverKind> parse_solver(const std::string& name) {
-  if (name == "pbs") return SolverKind::PbsOriginal;
-  if (name == "pbs2") return SolverKind::PbsII;
-  if (name == "galena") return SolverKind::Galena;
-  if (name == "pueblo") return SolverKind::Pueblo;
-  if (name == "generic") return SolverKind::GenericIlp;
-  return std::nullopt;
 }
 
 }  // namespace
@@ -177,11 +153,11 @@ int main(int argc, char** argv) {
       if (!parsed) { usage(); return kExitUsage; }
       search = *parsed;
     } else if (arg == "--threads") {
-      const auto v = parse_number<int>(next(), 1);
+      const auto v = parse_number<int>(next());
       if (!v) { usage(); return kExitUsage; }
       threads = *v;
     } else if (arg == "--cube-depth") {
-      const auto v = parse_number<int>(next(), 0);
+      const auto v = parse_number<int>(next());
       if (!v) { usage(); return kExitUsage; }
       cube_depth = *v;
     } else if (arg == "--chrono") {
@@ -222,6 +198,11 @@ int main(int argc, char** argv) {
     } else {
       graph_path = arg;
     }
+  }
+  if (const char* error = parallel_knobs_error(threads, cube_depth)) {
+    std::fprintf(stderr, "%s\n", error);
+    usage();
+    return kExitUsage;
   }
   if (satloop && native_only_flag != nullptr) {
     std::fprintf(stderr, "--satloop does not take %s\n", native_only_flag);

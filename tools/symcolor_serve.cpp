@@ -5,7 +5,7 @@
 //   symcolor_serve [--workers N] [--queue N] [--grace S] [--timeout S]
 //                  [--default-timeout S] [--stats]
 //
-//   --workers N          pool workers (default 4)
+//   --workers N          pool workers, 1..64 (default 4)
 //   --queue N            admission bound on queued requests (default 64)
 //   --grace S            drain grace for in-flight sessions at shutdown
 //   --timeout S          service-wide wall budget; when it expires every
@@ -16,40 +16,42 @@
 //                        (same line formats as symcolor_cli; util/report.h)
 //
 // Requests (one JSON object per line):
-//   {"op":"solve","id":"r1","instance":"queen5_5","k":5}
-//   {"op":"solve","id":"r2","instance":"myciel4","k":5,"minimize":true,
-//    "search":"binary","timeout":1.5,"conflicts":100000,"threads":2}
-//   {"op":"solve","id":"r3","vars":2,"clauses":[[1,2],[-1],[-2]]}
-//   {"op":"cancel","id":"r1"}
-//   {"op":"stats"}
-//   {"op":"quit"}
+//   {"op":"solve","id":"r1","instance":"myciel4","sbp":"nu+sc",
+//    "solver":"galena","timeout":1.5,"conflicts":100000}
+//   {"op":"solve","id":"r2","vars":2,"clauses":[[1,2],[-1],[-2]]}
+//   {"op":"cancel","id":"r1"}   {"op":"stats"}   {"op":"quit"}
 //
-// Solve-request fields: a formula source — either `instance` (a member of
-// the built-in DIMACS-style suite) with color bound `k` (decision
-// encoding; `"minimize":true` switches to the optimization encoding and
-// minimizes the color count), or raw `clauses` as DIMACS literal arrays
-// with `vars` — plus optional `timeout`/`conflicts`/`props` budgets,
-// `threads` (1..64), `cube_depth` (0..32; > 0 solves via cube-and-conquer:
-// the search space is split into assumption cubes dealt to `threads`
-// workers), `search` ("linear"|"binary"|"core"), `cache` (warm-start
-// instance encodings via the service engine cache), and the fault hook
-// `fault_conflicts` (throw after N conflicts; the per-session barrier
-// turns it into outcome "failed"). A `k`, `threads`, `cube_depth` or
-// `search` outside its range fails the request with an `error` naming it.
+// A coloring request (`instance`, a built-in suite member) runs through
+// the CLI's driver (coloring/exact_colorer.h) and takes the CLI's options
+// under their names, values and defaults: `k` (1..256, 20), `decision`,
+// `satloop` (not both), `sbp`, `shatter`, `solver`, `search`, `threads`
+// (1..64), `cube_depth` (0..32), `chrono`. A clause request (`vars`,
+// `clauses` as DIMACS literal arrays) runs one engine and takes `threads`,
+// `cube_depth` and the fault hook `fault_conflicts` (throw after N
+// conflicts: outcome "failed"). Both take `timeout`/`conflicts`/`props`.
+// A mistyped, non-integral or out-of-range field fails the request with
+// an `error` naming it.
 //
 // Responses (one JSON object per line, in completion order):
-//   {"id":"r1","outcome":"sat","solve_s":0.01,...}
+//   {"id":"r1","outcome":"sat","colors":5,"lower_bound":5,"conflicts":216,
+//    "queue_s":0.0001,"solve_s":0.05}
+//   {"id":"r2","outcome":"unsat","conflicts":1,...}
 //   {"id":"r9","outcome":"rejected","reason":"queue_full","retry_after":0.2}
 //   {"op":"cancel","id":"r1","ok":true}        (acks, in request order)
 //   {"error":"parse error"}                    (malformed input lines)
+// `colors` counts the coloring's colors (chi on a minimizing "sat", the
+// incumbent on "feasible"), `lower_bound` is proven, and `conflicts` is
+// the CLI's `solver:` count; a clause "sat" carries `model_vars`.
 //
 // Exit code: 0 clean quit, 2 when the service budget tripped or SIGINT
 // stopped the server, 3 usage error — shared with symcolor_cli.
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -57,8 +59,8 @@
 #include <thread>
 #include <unordered_map>
 
-#include "coloring/encoder.h"
 #include "graph/generators.h"
+#include "sat/parallel_solver.h"
 #include "service/solve_service.h"
 #include "util/json.h"
 #include "util/report.h"
@@ -138,55 +140,107 @@ SessionId lookup_client(const std::string& client_id) {
   return it != g_client_session.end() ? it->second : kInvalidSession;
 }
 
-// Base formulas built from `instance` requests are immutable and shared;
-// one entry per (instance, k, minimize) so repeated requests reuse the
-// encoding AND give the service cache a stable identity to warm-start on.
-std::mutex g_formula_mutex;
-std::map<std::string, std::shared_ptr<const Formula>> g_formulas;
+// Typed request fields. An absent field keeps its default; a present one
+// of the wrong JSON type, a non-integral number where an integer belongs,
+// or a value out of range fails the request: error() names the first
+// such field, and nothing runs on a silent fallback.
+class Fields {
+ public:
+  explicit Fields(const Json& msg) : msg_(msg) {}
 
-std::shared_ptr<const Formula> instance_formula(const std::string& name, int k,
-                                                bool minimize,
-                                                std::string* cache_key) {
-  *cache_key = name + "/k=" + std::to_string(k) + (minimize ? "/min" : "/dec");
-  std::lock_guard<std::mutex> lock(g_formula_mutex);
-  const auto it = g_formulas.find(*cache_key);
-  if (it != g_formulas.end()) return it->second;
-  for (const Instance& inst : dimacs_suite()) {
-    if (inst.name != name) continue;
-    ColoringEncoding enc = minimize ? encode_coloring(inst.graph, k)
-                                    : encode_k_coloring(inst.graph, k);
-    auto formula = std::make_shared<Formula>(std::move(enc.formula));
-    g_formulas[*cache_key] = formula;
-    return formula;
+  std::int64_t integer(
+      const char* key, std::int64_t fallback,
+      std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+      std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+    const Json* v = typed(key, &Json::is_number, "must be an integer");
+    if (v == nullptr) return fallback;
+    // Integral doubles inside the int64 range convert exactly.
+    const double d = v->as_double();
+    if (!v->is_int() && !(std::trunc(d) == d && d >= -0x1p63 && d < 0x1p63)) {
+      fail(key, "must be an integer");
+      return fallback;
+    }
+    const std::int64_t n = v->as_int();
+    if (n >= lo && n <= hi) return n;
+    fail(key, "out of range (" + std::to_string(lo) + ".." +
+                  std::to_string(hi) + ")");
+    return fallback;
   }
-  return nullptr;
+  double number(const char* key, double fallback) {
+    const Json* v = typed(key, &Json::is_number, "must be a number");
+    return v != nullptr ? v->as_double() : fallback;
+  }
+  bool boolean(const char* key) {
+    const Json* v = typed(key, &Json::is_bool, "must be true or false");
+    return v != nullptr && v->as_bool();
+  }
+  /// A name `parse` maps to its value: an SBP row, solver or strategy.
+  template <typename Parse>
+  auto named(const char* key, const char* fallback, Parse parse,
+             const char* names) {
+    const Json* v = msg_.find(key);
+    const auto parsed = parse(v != nullptr ? v->as_string() : fallback);
+    if (v != nullptr && (!v->is_string() || !parsed)) fail(key, names);
+    return parsed.value_or(*parse(fallback));
+  }
+
+  void fail(const char* key, const std::string& what) {
+    fail(std::string("\"") + key + "\" " + what);
+  }
+  void fail(std::string message) {
+    if (error_.empty()) error_ = std::move(message);
+  }
+  [[nodiscard]] const std::string& error() const noexcept { return error_; }
+
+ private:
+  /// The field when present with the JSON type `is` tests; nullptr when
+  /// absent, and when mistyped, which also fails the request.
+  const Json* typed(const char* key, bool (Json::*is)() const noexcept,
+                    const char* what) {
+    const Json* v = msg_.find(key);
+    if (v == nullptr || (v->*is)()) return v;
+    fail(key, what);
+    return nullptr;
+  }
+
+  const Json& msg_;
+  std::string error_;
+};
+
+// The built-in suite, built once; coloring requests share its graphs.
+std::shared_ptr<const Graph> suite_graph(const std::string& name) {
+  static const auto graphs = [] {
+    std::map<std::string, std::shared_ptr<const Graph>> out;
+    for (Instance& inst : dimacs_suite()) {
+      out[inst.name] = std::make_shared<const Graph>(std::move(inst.graph));
+    }
+    return out;
+  }();
+  const auto it = graphs.find(name);
+  return it != graphs.end() ? it->second : nullptr;
 }
 
-std::shared_ptr<const Formula> clause_formula(const Json& msg,
-                                              std::string* error) {
-  const std::int64_t vars = msg.get_int("vars", 0);
+std::shared_ptr<const Formula> clause_formula(const Json& msg, Fields& fields) {
+  const std::int64_t vars = fields.integer("vars", 0, 1, 10'000'000);
   const Json* clauses = msg.find("clauses");
-  if (vars <= 0 || vars > 10'000'000 || clauses == nullptr ||
-      !clauses->is_array()) {
-    *error = "clause requests need \"vars\" (1..1e7) and \"clauses\"";
+  if (vars == 0 || clauses == nullptr || !clauses->is_array()) {
+    fields.fail("clause requests need \"vars\" (1..1e7) and \"clauses\"");
     return nullptr;
   }
   auto formula = std::make_shared<Formula>();
   formula->new_vars(static_cast<int>(vars));
   for (const Json& row : clauses->as_array()) {
-    if (!row.is_array()) {
-      *error = "each clause must be an array of DIMACS literals";
-      return nullptr;
-    }
     Clause clause;
     for (const Json& lit : row.as_array()) {
-      const std::int64_t code = lit.as_int(0);
-      if (code == 0 || code > vars || code < -vars) {
-        *error = "literal out of range";
-        return nullptr;
-      }
+      const std::int64_t code = lit.is_int() ? lit.as_int() : 0;
+      if (code == 0 || code > vars || code < -vars) break;
       const Var v = static_cast<Var>(code > 0 ? code - 1 : -code - 1);
       clause.push_back(code > 0 ? Lit::positive(v) : Lit::negative(v));
+    }
+    // A row that is no array, or that stopped at a bad literal.
+    if (!row.is_array() || clause.size() != row.as_array().size()) {
+      fields.fail("clauses", "must hold arrays of DIMACS literals");
+      return nullptr;
     }
     formula->add_clause(std::move(clause));
   }
@@ -206,10 +260,8 @@ Json result_to_json(const std::string& client_id, const SessionResult& r) {
   }
   if (!r.model.empty()) {
     out["model_vars"] = static_cast<std::int64_t>(r.model.size());
-    if (r.best_value != 0 || r.lower_bound != 0) {
-      out["best_value"] = r.best_value;
-    }
   }
+  if (!r.coloring.empty()) out["colors"] = r.colors;
   if (r.lower_bound != 0) out["lower_bound"] = r.lower_bound;
   if (!r.error.empty()) out["error"] = r.error;
   out["conflicts"] = r.stats.conflicts;
@@ -231,8 +283,6 @@ Json stats_to_json(const ServiceStats& s) {
   out["rejected"] = s.rejected;
   out["failed"] = s.failed;
   out["shed_on_arrival"] = s.shed_on_arrival;
-  out["cache_hits"] = s.cache_hits;
-  out["cache_misses"] = s.cache_misses;
   out["queued_now"] = static_cast<std::int64_t>(s.queued_now);
   out["running_now"] = static_cast<std::int64_t>(s.running_now);
   out["conflicts"] = s.solver_totals.conflicts;
@@ -241,60 +291,57 @@ Json stats_to_json(const ServiceStats& s) {
 
 void handle_solve(SolveService& service, const Json& msg,
                   const std::string& client_id) {
+  Fields fields(msg);
   SolveRequest request;
-  std::string error;
-  const std::string instance = msg.get_string("instance");
-  const bool minimize = msg.get_bool("minimize", false);
-  if (!instance.empty()) {
-    const std::int64_t k = msg.get_int("k", 8);
-    if (k < 1 || k > 256) {
-      error = "\"k\" out of range (1..256)";
-    } else {
-      std::string cache_key;
-      request.formula = instance_formula(instance, static_cast<int>(k),
-                                         minimize, &cache_key);
-      if (request.formula == nullptr) {
-        error = "unknown instance \"" + instance + "\"";
-      } else if (msg.get_bool("cache", false) && !minimize) {
-        request.cache_key = cache_key;
-      }
-    }
+  ColoringOptions& options = request.options;
+  options.max_colors = static_cast<int>(fields.integer("k", 20, 1, 256));
+  const bool decision = fields.boolean("decision");
+  const bool satloop = fields.boolean("satloop");
+  options.sbps = fields.named("sbp", "none", parse_sbp,
+                             "must be none|nu|ca|li|liq|sc|nu+sc");
+  options.instance_dependent_sbps = fields.boolean("shatter");
+  options.solver = fields.named("solver", "pbs2", parse_solver,
+                               "must be pbs|pbs2|galena|pueblo|generic");
+  options.search = fields.named("search", "linear", parse_search,
+                                "must be linear|binary|core");
+  const std::int64_t threads = fields.integer("threads", 1);
+  const std::int64_t cube_depth = fields.integer("cube_depth", 0);
+  if (const char* error = parallel_knobs_error(threads, cube_depth)) {
+    fields.fail(error);
+  }
+  options.threads = static_cast<int>(threads);
+  options.cube_depth = static_cast<int>(cube_depth);
+  options.chrono_threshold = fields.integer("chrono", -1, 0);
+  request.timeout_seconds = fields.number("timeout", 0.0);
+  request.conflict_budget = fields.integer("conflicts", 0);
+  request.prop_budget = fields.integer("props", 0);
+  const std::int64_t fault = fields.integer("fault_conflicts", 0, 0);
+
+  if (const Json* instance = msg.find("instance")) {
+    request.graph = suite_graph(instance->as_string());
+    if (!request.graph) fields.fail("instance", "must name a suite graph");
+    if (decision && satloop) fields.fail("decision", "excludes \"satloop\"");
+    if (fault > 0) fields.fail("fault_conflicts", "needs a clause request");
+    request.entry = satloop    ? solve_coloring_sat_loop
+                    : decision ? solve_k_coloring
+                               : solve_coloring;
   } else {
-    request.formula = clause_formula(msg, &error);
+    request.formula = clause_formula(msg, fields);
+    request.config.portfolio_threads = options.threads;
+    request.config.cube_depth = options.cube_depth;
+    if (fault > 0) {
+      request.config.fault_injection.worker = -1;
+      request.config.fault_injection.throw_after_conflicts = fault;
+    }
   }
-  // Malformed knobs fail the request, like a bad "k", rather than fall
-  // back to a default.
-  const std::string search = msg.get_string("search", "linear");
-  if (search == "binary") request.strategy = SearchStrategy::Binary;
-  else if (search == "core") request.strategy = SearchStrategy::CoreGuided;
-  else if (search != "linear") error = "\"search\" must be linear|binary|core";
-  const std::int64_t threads = msg.get_int("threads", 1);
-  if (threads < 1 || threads > 64) error = "\"threads\" out of range (1..64)";
-  const std::int64_t cube_depth = msg.get_int("cube_depth", 0);
-  if (cube_depth < 0 || cube_depth > 32) {
-    error = "\"cube_depth\" out of range (0..32)";
-  }
-  if (!error.empty()) {
+  if (!fields.error().empty()) {
     Json out;
     out["id"] = client_id;
     out["outcome"] = "failed";
-    out["error"] = error;
+    out["error"] = fields.error();
     emit(out);
     return;
   }
-
-  request.minimize = minimize;
-  request.timeout_seconds = msg.get_double("timeout", 0.0);
-  request.conflict_budget = msg.get_int("conflicts", 0);
-  request.prop_budget = msg.get_int("props", 0);
-  request.config.portfolio_threads = static_cast<int>(threads);
-  request.config.cube_depth = static_cast<int>(cube_depth);
-  const std::int64_t fault = msg.get_int("fault_conflicts", 0);
-  if (fault > 0) {
-    request.config.fault_injection.worker = -1;
-    request.config.fault_injection.throw_after_conflicts = fault;
-  }
-
   submit_session(service, std::move(request), client_id);
 }
 
@@ -330,7 +377,7 @@ int main(int argc, char** argv) {
     };
     if (arg == "--workers") {
       const auto v = parse_number<int>(next(), 1);
-      if (!v) { usage(); return kExitUsage; }
+      if (!v || *v > kMaxThreads) { usage(); return kExitUsage; }
       config.workers = *v;
     } else if (arg == "--queue") {
       const auto v = parse_number<std::size_t>(next(), 1);
