@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>

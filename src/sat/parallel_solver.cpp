@@ -558,16 +558,4 @@ std::unique_ptr<SolverEngine> make_solver_engine(const Formula& formula,
   return std::make_unique<ParallelSolver>(formula, config);
 }
 
-const char* parallel_knobs_error(std::int64_t threads,
-                                 std::int64_t cube_depth) noexcept {
-  static_assert(kMaxThreads == 64, "the message spells the range out");
-  if (threads < 1 || threads > kMaxThreads) {
-    return "\"threads\" out of range (1..64)";
-  }
-  if (cube_depth < 0 || cube_depth > 32) {
-    return "\"cube_depth\" out of range (0..32)";
-  }
-  return nullptr;
-}
-
 }  // namespace symcolor

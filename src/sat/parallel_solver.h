@@ -200,13 +200,10 @@ class ParallelSolver final : public SolverEngine {
 [[nodiscard]] std::unique_ptr<SolverEngine> make_solver_engine(
     const Formula& formula, const SolverConfig& config);
 
-/// Largest worker count a front end accepts: each is one std::thread.
+/// The ranges every front end bounds its thread count (1..kMaxThreads;
+/// each worker is one std::thread) and cube depth (0..kMaxCubeDepth) to.
+/// Each front end names its own flag or field when a value falls outside.
 inline constexpr int kMaxThreads = 64;
-
-/// The range check every front end applies to its thread count and cube
-/// depth: nullptr when `threads` is in 1..kMaxThreads and `cube_depth` in
-/// 0..32, otherwise a message naming the first one outside.
-[[nodiscard]] const char* parallel_knobs_error(std::int64_t threads,
-                                               std::int64_t cube_depth) noexcept;
+inline constexpr int kMaxCubeDepth = 32;
 
 }  // namespace symcolor

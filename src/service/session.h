@@ -104,8 +104,6 @@ struct SessionResult {
   /// Which budget dimension ended the session early (Degraded/Cancelled,
   /// and Feasible exits); None on definitive answers.
   BudgetTrip trip = BudgetTrip::None;
-  /// Colors `coloring` uses (coloring requests with a coloring).
-  int colors = 0;
   /// Tightest proven lower bound on chi (minimizing coloring requests).
   std::int64_t lower_bound = 0;
   /// A clause request's satisfying assignment (Sat only).

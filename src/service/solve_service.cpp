@@ -247,7 +247,6 @@ SessionResult SolveService::run_session(Session& session) {
       status = c.status;
       r.stats = c.solver_stats;
       r.trip = c.tripped;
-      r.colors = c.num_colors;
       r.lower_bound = c.lower_bound;
       r.coloring = std::move(c.coloring);
     } else {

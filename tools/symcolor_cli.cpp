@@ -153,12 +153,20 @@ int main(int argc, char** argv) {
       if (!parsed) { usage(); return kExitUsage; }
       search = *parsed;
     } else if (arg == "--threads") {
-      const auto v = parse_number<int>(next());
-      if (!v) { usage(); return kExitUsage; }
+      const auto v = parse_number<int>(next(), 1);
+      if (!v || *v > kMaxThreads) {
+        std::fprintf(stderr, "--threads takes 1..%d\n", kMaxThreads);
+        usage();
+        return kExitUsage;
+      }
       threads = *v;
     } else if (arg == "--cube-depth") {
-      const auto v = parse_number<int>(next());
-      if (!v) { usage(); return kExitUsage; }
+      const auto v = parse_number<int>(next(), 0);
+      if (!v || *v > kMaxCubeDepth) {
+        std::fprintf(stderr, "--cube-depth takes 0..%d\n", kMaxCubeDepth);
+        usage();
+        return kExitUsage;
+      }
       cube_depth = *v;
     } else if (arg == "--chrono") {
       const auto v = parse_number<long long>(next(), 0);
@@ -198,11 +206,6 @@ int main(int argc, char** argv) {
     } else {
       graph_path = arg;
     }
-  }
-  if (const char* error = parallel_knobs_error(threads, cube_depth)) {
-    std::fprintf(stderr, "%s\n", error);
-    usage();
-    return kExitUsage;
   }
   if (satloop && native_only_flag != nullptr) {
     std::fprintf(stderr, "--satloop does not take %s\n", native_only_flag);

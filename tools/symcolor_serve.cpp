@@ -25,12 +25,12 @@
 // the CLI's driver (coloring/exact_colorer.h) and takes the CLI's options
 // under their names, values and defaults: `k` (1..256, 20), `decision`,
 // `satloop` (not both), `sbp`, `shatter`, `solver`, `search`, `threads`
-// (1..64), `cube_depth` (0..32), `chrono`. A clause request (`vars`,
-// `clauses` as DIMACS literal arrays) runs one engine and takes `threads`,
+// (1..64) and `cube_depth` (0..32). A clause request (`vars`, `clauses`
+// as DIMACS literal arrays) runs one engine and takes `threads`,
 // `cube_depth` and the fault hook `fault_conflicts` (throw after N
 // conflicts: outcome "failed"). Both take `timeout`/`conflicts`/`props`.
-// A mistyped, non-integral or out-of-range field fails the request with
-// an `error` naming it.
+// A mistyped, non-integral or out-of-range field, or one that belongs to
+// the other request kind, fails the request with an `error` naming it.
 //
 // Responses (one JSON object per line, in completion order):
 //   {"id":"r1","outcome":"sat","colors":5,"lower_bound":5,"conflicts":216,
@@ -261,7 +261,7 @@ Json result_to_json(const std::string& client_id, const SessionResult& r) {
   if (!r.model.empty()) {
     out["model_vars"] = static_cast<std::int64_t>(r.model.size());
   }
-  if (!r.coloring.empty()) out["colors"] = r.colors;
+  if (!r.coloring.empty()) out["colors"] = Graph::count_colors(r.coloring);
   if (r.lower_bound != 0) out["lower_bound"] = r.lower_bound;
   if (!r.error.empty()) out["error"] = r.error;
   out["conflicts"] = r.stats.conflicts;
@@ -293,42 +293,50 @@ void handle_solve(SolveService& service, const Json& msg,
                   const std::string& client_id) {
   Fields fields(msg);
   SolveRequest request;
-  ColoringOptions& options = request.options;
-  options.max_colors = static_cast<int>(fields.integer("k", 20, 1, 256));
-  const bool decision = fields.boolean("decision");
-  const bool satloop = fields.boolean("satloop");
-  options.sbps = fields.named("sbp", "none", parse_sbp,
-                             "must be none|nu|ca|li|liq|sc|nu+sc");
-  options.instance_dependent_sbps = fields.boolean("shatter");
-  options.solver = fields.named("solver", "pbs2", parse_solver,
-                               "must be pbs|pbs2|galena|pueblo|generic");
-  options.search = fields.named("search", "linear", parse_search,
-                                "must be linear|binary|core");
-  const std::int64_t threads = fields.integer("threads", 1);
-  const std::int64_t cube_depth = fields.integer("cube_depth", 0);
-  if (const char* error = parallel_knobs_error(threads, cube_depth)) {
-    fields.fail(error);
-  }
-  options.threads = static_cast<int>(threads);
-  options.cube_depth = static_cast<int>(cube_depth);
-  options.chrono_threshold = fields.integer("chrono", -1, 0);
+  const auto threads =
+      static_cast<int>(fields.integer("threads", 1, 1, kMaxThreads));
+  const auto cube_depth =
+      static_cast<int>(fields.integer("cube_depth", 0, 0, kMaxCubeDepth));
   request.timeout_seconds = fields.number("timeout", 0.0);
   request.conflict_budget = fields.integer("conflicts", 0);
   request.prop_budget = fields.integer("props", 0);
-  const std::int64_t fault = fields.integer("fault_conflicts", 0, 0);
 
+  // A field of the other request kind fails the request: it would
+  // otherwise be dropped without a word.
   if (const Json* instance = msg.find("instance")) {
+    for (const char* key : {"vars", "clauses", "fault_conflicts"}) {
+      if (msg.find(key) != nullptr) fields.fail(key, "needs a clause request");
+    }
+    ColoringOptions& options = request.options;
+    options.max_colors = static_cast<int>(fields.integer("k", 20, 1, 256));
+    const bool decision = fields.boolean("decision");
+    const bool satloop = fields.boolean("satloop");
+    if (decision && satloop) fields.fail("decision", "excludes \"satloop\"");
+    options.sbps = fields.named("sbp", "none", parse_sbp,
+                               "must be none|nu|ca|li|liq|sc|nu+sc");
+    options.instance_dependent_sbps = fields.boolean("shatter");
+    options.solver = fields.named("solver", "pbs2", parse_solver,
+                                 "must be pbs|pbs2|galena|pueblo|generic");
+    options.search = fields.named("search", "linear", parse_search,
+                                  "must be linear|binary|core");
+    options.threads = threads;
+    options.cube_depth = cube_depth;
     request.graph = suite_graph(instance->as_string());
     if (!request.graph) fields.fail("instance", "must name a suite graph");
-    if (decision && satloop) fields.fail("decision", "excludes \"satloop\"");
-    if (fault > 0) fields.fail("fault_conflicts", "needs a clause request");
     request.entry = satloop    ? solve_coloring_sat_loop
                     : decision ? solve_k_coloring
                                : solve_coloring;
   } else {
+    for (const char* key :
+         {"k", "decision", "satloop", "sbp", "shatter", "solver", "search"}) {
+      if (msg.find(key) != nullptr) {
+        fields.fail(key, "needs an \"instance\" request");
+      }
+    }
+    const std::int64_t fault = fields.integer("fault_conflicts", 0, 0);
     request.formula = clause_formula(msg, fields);
-    request.config.portfolio_threads = options.threads;
-    request.config.cube_depth = options.cube_depth;
+    request.config.portfolio_threads = threads;
+    request.config.cube_depth = cube_depth;
     if (fault > 0) {
       request.config.fault_injection.worker = -1;
       request.config.fault_injection.throw_after_conflicts = fault;
