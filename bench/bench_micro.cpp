@@ -21,6 +21,7 @@
 
 #include "automorphism/refinement.h"
 #include "automorphism/search.h"
+#include "coloring/color_symmetry.h"
 #include "coloring/dsatur_bnb.h"
 #include "coloring/encoder.h"
 #include "coloring/exact_colorer.h"
@@ -527,6 +528,25 @@ void BM_AutomorphismFormulaGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutomorphismFormulaGraph);
+
+// The coloring detector as the pipeline's symmetry stage runs it on a
+// rigid suite graph, DSJC125.1 at K=20 with SC: the input-graph search
+// proves it rigid, and the 17 color transpositions are built and
+// verified in closed form instead of searching the formula graph.
+void BM_ColoringSymmetryClosedForm(benchmark::State& state) {
+  Graph g;
+  for (Instance& inst : dimacs_suite()) {
+    if (inst.name == "DSJC125.1") g = std::move(inst.graph);
+  }
+  const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
+  for (auto _ : state) {
+    const SymmetryInfo info =
+        detect_coloring_symmetries(g, enc, SbpOptions::sc_only());
+    if (!info.closed_form) state.SkipWithError("formula graph searched");
+    benchmark::DoNotOptimize(info.generators.data());
+  }
+}
+BENCHMARK(BM_ColoringSymmetryClosedForm);
 
 void BM_FormulaGraphBuild(benchmark::State& state) {
   const Graph g = make_random_gnm(125, 736, 0xD51);

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "coloring/color_symmetry.h"
 #include "coloring/heuristics.h"
 #include "graph/clique.h"
 
@@ -132,10 +133,13 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
 
   // 3. Symmetry.
   if (options.instance_dependent_sbps) {
-    const ShatterStats stats =
-        shatter(enc.formula, budget, options.sbp_max_support);
-    outcome.symmetry = stats.symmetry;
-    outcome.inst_dep_sbp_clauses = stats.sbp.clauses_added;
+    SymmetryInfo symmetry =
+        detect_coloring_symmetries(graph, enc, options.sbps, budget);
+    outcome.inst_dep_sbp_clauses =
+        add_lex_leader_sbps(enc.formula, symmetry.generators,
+                            options.sbp_max_support)
+            .clauses_added;
+    outcome.symmetry = std::move(symmetry);
   }
 
   outcome.formula_vars = enc.formula.num_vars();

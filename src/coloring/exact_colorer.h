@@ -14,6 +14,14 @@
 //               generic ILP
 //   5 decode    per-vertex colors, checked proper and against the objective
 //
+// Stage 3 runs Shatter as detect_coloring_symmetries plus lex-leader
+// SBPs. With no SBP row or SC alone, the color permutations are known in
+// closed form: when the input graph, SC's pins set apart, has no
+// automorphism, the stage emits the free colors' adjacent transpositions
+// and skips the formula-graph search (coloring/color_symmetry.h). Every
+// other case searches the formula graph. Both routes give the same
+// generators in the same order.
+//
 // The SAT loop is the paper's Section 2.3 alternative, "repeatedly solving
 // instances of the K-coloring using a SAT solver, with the value of K
 // being updated after each call", bounds first as in Section 4.1.

@@ -157,16 +157,13 @@ void add_li_paper_literal(ColoringEncoding* enc) {
   enc->sbp_clauses += f.num_clauses() - clauses_before;
 }
 
-/// SC (3.4): two unit clauses pinning colors on the highest-degree vertex
+/// SC (3.4): unit clauses pinning colors on the highest-degree vertex
 /// and its highest-degree neighbour.
-void add_sc(const Graph& graph, ColoringEncoding* enc) {
-  const auto [first, second] = selective_coloring_pins(graph);
-  if (first < 0) return;
+void add_sc(const std::vector<int>& pinned, ColoringEncoding* enc) {
   Formula& f = enc->formula;
   const int before = f.num_clauses();
-  f.add_unit(Lit::positive(enc->x(first, 0)));
-  if (second >= 0 && enc->num_colors >= 2) {
-    f.add_unit(Lit::positive(enc->x(second, 1)));
+  for (std::size_t c = 0; c < pinned.size(); ++c) {
+    f.add_unit(Lit::positive(enc->x(pinned[c], static_cast<int>(c))));
   }
   enc->sbp_clauses += f.num_clauses() - before;
 }
@@ -187,6 +184,20 @@ std::pair<int, int> selective_coloring_pins(const Graph& graph) {
   return {first, second};
 }
 
+ColorFreedom color_freedom(const Graph& graph, int num_colors,
+                           const SbpOptions& sbps) {
+  ColorFreedom freedom;
+  if (sbps.sc) {
+    const auto [first, second] = selective_coloring_pins(graph);
+    if (first >= 0) freedom.pinned.push_back(first);
+    if (second >= 0 && num_colors >= 2) freedom.pinned.push_back(second);
+  }
+  if (!sbps.nu && !sbps.ca && !sbps.li) {
+    freedom.first_free = static_cast<int>(freedom.pinned.size());
+  }
+  return freedom;
+}
+
 void add_instance_independent_sbps(const Graph& graph, ColoringEncoding* enc,
                                    const SbpOptions& sbps) {
   if (sbps.nu) add_nu(enc);
@@ -198,7 +209,9 @@ void add_instance_independent_sbps(const Graph& graph, ColoringEncoding* enc,
       add_li(enc);
     }
   }
-  if (sbps.sc) add_sc(graph, enc);
+  if (sbps.sc) {
+    add_sc(color_freedom(graph, enc->num_colors, sbps).pinned, enc);
+  }
 }
 
 }  // namespace symcolor

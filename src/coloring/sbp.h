@@ -18,6 +18,8 @@
 //       color 1 on its maximum-degree neighbour (2 unit clauses; breaks
 //       few symmetries at essentially zero cost).
 
+#include <vector>
+
 #include "graph/graph.h"
 
 namespace symcolor {
@@ -34,5 +36,23 @@ void add_instance_independent_sbps(const Graph& graph, ColoringEncoding* enc,
 /// vertex and its maximum-degree neighbour (smallest index on ties).
 /// second == -1 when the graph has no edges.
 std::pair<int, int> selective_coloring_pins(const Graph& graph);
+
+/// What an SBP row leaves of the color symmetry, known before any search.
+struct ColorFreedom {
+  /// Vertices the row pins, pinned[c] to color c: SC's one or two pins,
+  /// none for the other rows.
+  std::vector<int> pinned;
+  /// Colors first_free..K-1 stay interchangeable: every permutation of
+  /// them, applied to every x(v, j) and y(j), maps the row's constraints
+  /// to themselves. -1 when NU, CA or LI order the colors.
+  int first_free = -1;
+};
+
+/// The one statement of which colors row `sbps` leaves free at K =
+/// `num_colors` and which vertices SC pins. No row: all K colors are
+/// free. SC: the pins of selective_coloring_pins, the second only when
+/// it exists and K >= 2, and the colors above them.
+ColorFreedom color_freedom(const Graph& graph, int num_colors,
+                           const SbpOptions& sbps);
 
 }  // namespace symcolor

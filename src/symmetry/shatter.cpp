@@ -19,6 +19,7 @@ SymmetryInfo detect_symmetries(const Formula& formula,
     const FormulaGraph fg = build_formula_graph(formula);
     const AutomorphismResult result =
         find_automorphisms(fg.graph, fg.vertex_colors, budget);
+    info.formula_graph_vertices = fg.graph.num_vertices();
     info.complete = result.complete;
     info.log10_order = result.log10_order;
     candidates.reserve(result.generators.size());

@@ -22,6 +22,12 @@ struct SymmetryInfo {
   /// Graph automorphisms discarded as spurious (failed the formula-level
   /// verification); expected to be 0 for this library's encodings.
   int spurious_rejected = 0;
+  /// Which route produced `generators`: the color transpositions in
+  /// closed form after a search of the input graph
+  /// (coloring/color_symmetry.h), or a search of the formula graph.
+  bool closed_form = false;
+  /// Vertices of the searched formula graph; 0 on the closed-form route.
+  int formula_graph_vertices = 0;
 };
 
 /// Detect the symmetries of `formula` (Saucy stand-in on the colored

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace symcolor {
 namespace {
@@ -180,7 +181,11 @@ class Parser {
     if (!consume('{')) return std::nullopt;
     Json::Object members;
     skip_ws();
-    if (consume('}')) return Json(std::move(members));
+    // The result is built in place: moving a temporary Json into the
+    // optional draws false GCC 12 -Wmaybe-uninitialized warnings.
+    if (consume('}')) {
+      return std::optional<Json>(std::in_place, std::move(members));
+    }
     for (;;) {
       skip_ws();
       std::optional<std::string> key = string();
@@ -191,7 +196,9 @@ class Parser {
       if (!v) return std::nullopt;
       members[std::move(*key)] = std::move(*v);
       skip_ws();
-      if (consume('}')) return Json(std::move(members));
+      if (consume('}')) {
+        return std::optional<Json>(std::in_place, std::move(members));
+      }
       if (!consume(',')) return std::nullopt;
     }
   }

@@ -8,10 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
+#include "automorphism/search.h"
+#include "coloring/color_symmetry.h"
 #include "coloring/encoder.h"
 #include "coloring/sbp.h"
+#include "graph/generators.h"
 #include "pb/optimizer.h"
+#include "symmetry/formula_graph.h"
 #include "symmetry/shatter.h"
 
 namespace symcolor {
@@ -281,6 +287,26 @@ TEST(SelectiveColoring, EdgelessGraphNoSecondPin) {
   EXPECT_EQ(second, -1);
 }
 
+TEST(ColorFreedom, RowsStateTheirFreeColorsAndPins) {
+  const Graph g = figure1_graph();
+  const ColorFreedom none = color_freedom(g, 4, SbpOptions::none());
+  EXPECT_TRUE(none.pinned.empty());
+  EXPECT_EQ(none.first_free, 0);
+  const ColorFreedom sc = color_freedom(g, 4, SbpOptions::sc_only());
+  EXPECT_EQ(sc.pinned, (std::vector<int>{2, 0}));
+  EXPECT_EQ(sc.first_free, 2);
+  // One color leaves room for SC's first pin only.
+  EXPECT_EQ(color_freedom(g, 1, SbpOptions::sc_only()).pinned,
+            (std::vector<int>{2}));
+  for (const SbpOptions& row :
+       {SbpOptions::nu_only(), SbpOptions::ca_only(), SbpOptions::li_only(),
+        SbpOptions::nu_sc(), SbpOptions::li_paper()}) {
+    EXPECT_EQ(color_freedom(g, 4, row).first_free, -1) << row.label();
+  }
+  EXPECT_EQ(color_freedom(g, 4, SbpOptions::nu_sc()).pinned,
+            (std::vector<int>{2, 0}));
+}
+
 TEST(SelectiveColoring, AddsExactlyTwoUnitClauses) {
   const Graph g = figure1_graph();
   const ColoringEncoding plain = encode_coloring(g, 3);
@@ -328,6 +354,191 @@ TEST_P(SbpRowTest, SizeStatisticsConsistent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllRows, SbpRowTest, ::testing::Range(0, 7));
+
+// ---- color symmetries in closed form (coloring/color_symmetry.h) ----
+
+/// Detects the symmetries of `enc` both ways and expects the formula-graph
+/// search's answer; returns the coloring detector's result.
+SymmetryInfo expect_same_as_formula_search(const Graph& g,
+                                           const ColoringEncoding& enc,
+                                           const SbpOptions& sbps) {
+  const SymmetryInfo fast = detect_coloring_symmetries(g, enc, sbps);
+  const SymmetryInfo slow = detect_symmetries(enc.formula);
+  EXPECT_EQ(fast.generators, slow.generators) << sbps.label();
+  EXPECT_EQ(fast.log10_order, slow.log10_order) << sbps.label();
+  EXPECT_EQ(fast.complete, slow.complete) << sbps.label();
+  EXPECT_TRUE(fast.complete);
+  EXPECT_EQ(fast.spurious_rejected, slow.spurious_rejected);
+  EXPECT_EQ(fast.formula_graph_vertices,
+            fast.closed_form ? 0 : slow.formula_graph_vertices);
+  return fast;
+}
+
+/// A rigid G(n, m): the first seed whose graph has no automorphism.
+Graph rigid_gnm(int n, int m, std::uint64_t seed) {
+  for (;; ++seed) {
+    Graph g = make_random_gnm(n, m, seed);
+    if (find_automorphisms(g).generators.empty()) return g;
+  }
+}
+
+TEST(ColorSymmetry, SuiteMatchesFormulaSearchAndSkipsItOnRigidGraphs) {
+  const std::set<std::string> rigid = {
+      "anna",      "david",     "DSJC125.1", "DSJC125.9", "games120",
+      "huck",      "jean",      "mulsol.i.2", "mulsol.i.4", "zeroin.i.1",
+      "zeroin.i.2", "zeroin.i.3"};
+  for (const SbpOptions& sbps : {SbpOptions::none(), SbpOptions::sc_only()}) {
+    std::set<std::string> closed;
+    for (const Instance& inst : dimacs_suite()) {
+      SCOPED_TRACE(inst.name);
+      const ColoringEncoding enc = encode_coloring(inst.graph, 20, sbps);
+      if (expect_same_as_formula_search(inst.graph, enc, sbps).closed_form) {
+        closed.insert(inst.name);
+      }
+    }
+    EXPECT_EQ(closed, rigid) << sbps.label();
+  }
+}
+
+TEST(ColorSymmetry, ClosedFormGeneratorsAreAdjacentColorTranspositions) {
+  const Graph g = rigid_gnm(12, 20, 1);
+  const ColoringEncoding enc = encode_coloring(g, 6, SbpOptions::sc_only());
+  const SymmetryInfo info =
+      detect_coloring_symmetries(g, enc, SbpOptions::sc_only());
+  ASSERT_TRUE(info.closed_form);
+  // Colors 2..5 are free: (4 5), (3 4), (2 3), a group of 4! = 24.
+  ASSERT_EQ(info.generators.size(), 3U);
+  EXPECT_NEAR(info.log10_order, std::log10(24.0), 1e-12);
+  for (std::size_t i = 0; i < info.generators.size(); ++i) {
+    const int j = 4 - static_cast<int>(i);
+    const Perm& p = info.generators[i];
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(p[static_cast<std::size_t>(Lit::positive(enc.x(v, j)).code())],
+                Lit::positive(enc.x(v, j + 1)).code());
+      EXPECT_EQ(p[static_cast<std::size_t>(Lit::negative(enc.x(v, j)).code())],
+                Lit::negative(enc.x(v, j + 1)).code());
+      EXPECT_EQ(p[static_cast<std::size_t>(Lit::positive(enc.x(v, 0)).code())],
+                Lit::positive(enc.x(v, 0)).code());
+    }
+    EXPECT_EQ(p[static_cast<std::size_t>(Lit::positive(enc.y(j + 1)).code())],
+              Lit::positive(enc.y(j)).code());
+  }
+}
+
+TEST(ColorSymmetry, RandomRigidGraphsMatchFormulaSearch) {
+  int closed = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const int n = 8 + static_cast<int>(seed) * 2;
+    const Graph g = rigid_gnm(n, n * 2, seed * 101);
+    for (const int k : {2, 3, 5, 8}) {
+      for (const SbpOptions& sbps :
+           {SbpOptions::none(), SbpOptions::sc_only()}) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(k));
+        closed += expect_same_as_formula_search(
+                      g, encode_coloring(g, k, sbps), sbps).closed_form;
+        closed += expect_same_as_formula_search(
+                      g, encode_k_coloring(g, k, sbps), sbps).closed_form;
+      }
+    }
+  }
+  EXPECT_EQ(closed, 12 * 4 * 2 * 2);
+}
+
+TEST(ColorSymmetry, OrderingRowsFallBackUnchanged) {
+  const Graph g = rigid_gnm(14, 30, 7);
+  for (const SbpOptions& sbps :
+       {SbpOptions::nu_only(), SbpOptions::nu_sc(), SbpOptions::ca_only(),
+        SbpOptions::li_only(), SbpOptions::li_paper()}) {
+    const SymmetryInfo info =
+        expect_same_as_formula_search(g, encode_coloring(g, 5, sbps), sbps);
+    EXPECT_FALSE(info.closed_form) << sbps.label();
+    EXPECT_GT(info.formula_graph_vertices, 0) << sbps.label();
+  }
+}
+
+TEST(ColorSymmetry, EdgeCasesMatchFormulaSearch) {
+  const Graph empty = [] {
+    Graph g(0);
+    g.finalize();
+    return g;
+  }();
+  const Graph edgeless = [] {
+    Graph g(4);
+    g.finalize();
+    return g;
+  }();
+  const Graph single = [] {
+    Graph g(1);
+    g.finalize();
+    return g;
+  }();
+  const Graph rigid = rigid_gnm(10, 16, 3);
+  for (const SbpOptions& sbps : {SbpOptions::none(), SbpOptions::sc_only()}) {
+    SCOPED_TRACE(sbps.label());
+    for (const int k : {1, 2, 5}) {
+      SCOPED_TRACE("K=" + std::to_string(k));
+      for (const Graph* g : {&empty, &single, &rigid}) {
+        expect_same_as_formula_search(*g, encode_coloring(*g, k, sbps), sbps);
+        expect_same_as_formula_search(*g, encode_k_coloring(*g, k, sbps),
+                                      sbps);
+      }
+      // A graph without edges takes the formula route; vertices 1..3 of
+      // this one are interchangeable even with SC's one pin.
+      EXPECT_FALSE(expect_same_as_formula_search(
+                       edgeless, encode_coloring(edgeless, k, sbps), sbps)
+                       .closed_form);
+    }
+  }
+  // K = 1 leaves no two colors to swap, and SC's unit clause there
+  // repeats the vertex's one-literal exactly-one row: the formula search
+  // reports the swap of the two as a trivial generator, so K = 1 takes
+  // that route.
+  const SymmetryInfo one = expect_same_as_formula_search(
+      rigid, encode_coloring(rigid, 1, SbpOptions::sc_only()),
+      SbpOptions::sc_only());
+  EXPECT_FALSE(one.closed_form);
+  EXPECT_EQ(one.generators.size(), 1U);
+  // SC on a single vertex pins it to color 0 and leaves colors 1..4.
+  const SymmetryInfo sc = expect_same_as_formula_search(
+      single, encode_coloring(single, 5, SbpOptions::sc_only()),
+      SbpOptions::sc_only());
+  EXPECT_EQ(sc.generators.size(), 3U);
+  // Without an objective, one vertex at K = 2 has the complement of every
+  // variable as a symmetry beside the color swap.
+  EXPECT_EQ(expect_same_as_formula_search(
+                single, encode_k_coloring(single, 2), SbpOptions::none())
+                .generators.size(),
+            2U);
+}
+
+TEST(ColorSymmetry, InterruptedBudgetKeepsOnlyVerifiedGenerators) {
+  const Graph g = rigid_gnm(12, 20, 1);
+  for (const SbpOptions& sbps : {SbpOptions::none(), SbpOptions::nu_only()}) {
+    const ColoringEncoding enc = encode_coloring(g, 6, sbps);
+    const SolveBudget budget;
+    budget.interrupt();
+    const SymmetryInfo info = detect_coloring_symmetries(g, enc, sbps, budget);
+    EXPECT_FALSE(info.complete) << sbps.label();
+    for (const Perm& p : info.generators) {
+      EXPECT_TRUE(is_formula_symmetry(enc.formula, p)) << sbps.label();
+    }
+  }
+}
+
+TEST(ColorSymmetry, RejectedClosedFormFallsBackToFormulaSearch) {
+  // A unit clause added after encoding fixes color 4 on vertex 0, so the
+  // transpositions (3 4) and (4 5) are no symmetries any more.
+  const Graph g = rigid_gnm(12, 20, 1);
+  ColoringEncoding enc = encode_coloring(g, 6);
+  enc.formula.add_unit(Lit::positive(enc.x(0, 4)));
+  const SymmetryInfo info =
+      detect_coloring_symmetries(g, enc, SbpOptions::none());
+  const SymmetryInfo slow = detect_symmetries(enc.formula);
+  EXPECT_FALSE(info.closed_form);
+  EXPECT_EQ(info.spurious_rejected, slow.spurious_rejected + 1);
+  EXPECT_EQ(info.generators, slow.generators);
+  EXPECT_EQ(info.log10_order, slow.log10_order);
+}
 
 TEST(SbpSizes, MatchPaperFormulas) {
   const Graph g = figure1_graph();

@@ -6,7 +6,8 @@ Usage: serve_smoke.py <path-to-symcolor_serve> <path-to-symcolor_cli>
 Run 1 drives a scripted batch over a deliberately small pool
 (--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests whose
 `search`, `threads`, `cube_depth`, `k` or `sbp` is out of range or of
-the wrong type, or that mix coloring and clause fields, and must fail,
+the wrong type, or that carry a key outside their kind's list (a field
+of the other kind, or an unknown one), and must fail,
 an over-budget solve that must degrade, a
 mid-flight cancellation, an overload burst where the newest requests are
 shed with retry hints, a stats probe, and a clean quit — asserting every
@@ -167,11 +168,15 @@ def run_batch(binary):
         check(r["outcome"] == "failed", f"{field}={value!r} must fail: {r}")
         check(f'"{field}"' in r.get("error", ""),
               f"{field}={value!r} error must name the field: {r}")
-    # A field of the other request kind fails the request too, instead of
-    # being dropped: clauses beside an instance, a K on a clause request.
+    # A key outside the request kind's list fails the request too, instead
+    # of being dropped: clauses beside an instance, a K on a clause
+    # request, a field serve does not have, a misspelling.
     for rid, field, body in (("mixed", "vars", {"instance": "queen5_5",
                                                 **php(3, 4)}),
-                             ("clause_k", "k", {"k": 5, **php(3, 4)})):
+                             ("clause_k", "k", {"k": 5, **php(3, 4)}),
+                             ("chrono", "chrono", {"instance": "myciel4",
+                                                   "chrono": 5}),
+                             ("typo", "theads", {"theads": 4, **php(3, 4)})):
         srv.send({"op": "solve", "id": rid, **body})
         r = srv.result_of(rid)
         check(r["outcome"] == "failed", f"{rid} must fail: {r}")

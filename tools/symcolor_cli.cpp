@@ -283,10 +283,17 @@ int main(int argc, char** argv) {
     std::printf("formula: %d vars, %d clauses, %d PB\n", r.formula_vars,
                 r.formula_clauses, r.formula_pb);
     if (r.symmetry) {
-      std::printf("symmetries: 10^%.2f in %d generators (%.3f s detection)\n",
-                  r.symmetry->log10_order,
-                  static_cast<int>(r.symmetry->generators.size()),
-                  r.symmetry->detect_seconds);
+      const std::string route =
+          r.symmetry->closed_form
+              ? std::string("closed form")
+              : "formula graph, " +
+                    std::to_string(r.symmetry->formula_graph_vertices) +
+                    " vertices";
+      std::printf(
+          "symmetries: 10^%.2f in %d generators (%.3f s detection, %s)\n",
+          r.symmetry->log10_order,
+          static_cast<int>(r.symmetry->generators.size()),
+          r.symmetry->detect_seconds, route.c_str());
     }
     // Shared line formats (util/report.h) so tooling parses the CLI and
     // symcolor_serve identically.

@@ -29,8 +29,9 @@
 // as DIMACS literal arrays) runs one engine and takes `threads`,
 // `cube_depth` and the fault hook `fault_conflicts` (throw after N
 // conflicts: outcome "failed"). Both take `timeout`/`conflicts`/`props`.
-// A mistyped, non-integral or out-of-range field, or one that belongs to
-// the other request kind, fails the request with an `error` naming it.
+// A mistyped, non-integral or out-of-range field, or a key outside its
+// request kind's list (a misspelling, or a field of the other kind),
+// fails the request with an `error` naming it.
 //
 // Responses (one JSON object per line, in completion order):
 //   {"id":"r1","outcome":"sat","colors":5,"lower_bound":5,"conflicts":216,
@@ -46,16 +47,19 @@
 // Exit code: 0 clean quit, 2 when the service budget tripped or SIGINT
 // stopped the server, 3 usage error — shared with symcolor_cli.
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 
@@ -184,6 +188,21 @@ class Fields {
     return parsed.value_or(*parse(fallback));
   }
 
+  /// Fails the request on the keys outside `known`, naming each: a
+  /// misspelt field, or one of the other request kind, would otherwise
+  /// run on its default without a word.
+  void only(std::initializer_list<std::string_view> known, const char* kind) {
+    std::string unknown;
+    for (const auto& entry : msg_.as_object()) {
+      if (std::find(known.begin(), known.end(), entry.first) == known.end()) {
+        unknown += (unknown.empty() ? "\"" : ", \"") + entry.first + "\"";
+      }
+    }
+    if (!unknown.empty()) {
+      fail(std::string("no field of ") + kind + ": " + unknown);
+    }
+  }
+
   void fail(const char* key, const std::string& what) {
     fail(std::string("\"") + key + "\" " + what);
   }
@@ -301,12 +320,11 @@ void handle_solve(SolveService& service, const Json& msg,
   request.conflict_budget = fields.integer("conflicts", 0);
   request.prop_budget = fields.integer("props", 0);
 
-  // A field of the other request kind fails the request: it would
-  // otherwise be dropped without a word.
   if (const Json* instance = msg.find("instance")) {
-    for (const char* key : {"vars", "clauses", "fault_conflicts"}) {
-      if (msg.find(key) != nullptr) fields.fail(key, "needs a clause request");
-    }
+    fields.only({"op", "id", "threads", "cube_depth", "timeout", "conflicts",
+                 "props", "instance", "k", "decision", "satloop", "sbp",
+                 "shatter", "solver", "search"},
+                "a coloring request");
     ColoringOptions& options = request.options;
     options.max_colors = static_cast<int>(fields.integer("k", 20, 1, 256));
     const bool decision = fields.boolean("decision");
@@ -327,12 +345,9 @@ void handle_solve(SolveService& service, const Json& msg,
                     : decision ? solve_k_coloring
                                : solve_coloring;
   } else {
-    for (const char* key :
-         {"k", "decision", "satloop", "sbp", "shatter", "solver", "search"}) {
-      if (msg.find(key) != nullptr) {
-        fields.fail(key, "needs an \"instance\" request");
-      }
-    }
+    fields.only({"op", "id", "threads", "cube_depth", "timeout", "conflicts",
+                 "props", "vars", "clauses", "fault_conflicts"},
+                "a clause request");
     const std::int64_t fault = fields.integer("fault_conflicts", 0, 0);
     request.formula = clause_formula(msg, fields);
     request.config.portfolio_threads = threads;
