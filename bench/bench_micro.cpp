@@ -70,15 +70,17 @@ BENCHMARK(BM_CdclQueenDecision);
 // The headline hot-path number: raw unit propagations per second through
 // the watched-literal/PB engine on a symmetry-broken coloring instance.
 // A fixed conflict budget makes every iteration search the same prefix of
-// the tree, so the measurement is a pure propagation workload.
+// the tree, so the measurement is a pure propagation workload. A budget's
+// caps are a ledger of everything solved under it, so every iteration
+// gets a fresh one.
 void BM_CdclPropagationThroughput(benchmark::State& state) {
   const int q = static_cast<int>(state.range(0));
   const Graph g = make_queen_graph(q, q);
   const ColoringEncoding enc = encode_k_coloring(g, q + 1, SbpOptions::nu_sc());
   const SolverConfig config = profile_config(SolverKind::PbsII);
-  const SolveBudget budget(0.0, 2000);
   std::int64_t propagations = 0;
   for (auto _ : state) {
+    const SolveBudget budget(0.0, 2000);
     CdclSolver solver(enc.formula, config);
     benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
@@ -101,10 +103,10 @@ void BM_CdclBudgetedSolve(benchmark::State& state) {
   const SolverConfig config = profile_config(SolverKind::PbsII);
   // Every dimension armed but none reachable: 2000 conflicts bound the
   // prefix (as in the unbudgeted twin), the rest is pure checking cost.
-  const SolveBudget budget(/*seconds=*/3600.0, /*conflicts=*/2000,
-                           /*propagations=*/std::int64_t{1} << 60);
   std::int64_t propagations = 0;
   for (auto _ : state) {
+    const SolveBudget budget(/*seconds=*/3600.0, /*conflicts=*/2000,
+                             /*propagations=*/std::int64_t{1} << 60);
     CdclSolver solver(enc.formula, config);
     benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
@@ -137,9 +139,9 @@ void BM_CdclPbPropagationThroughput(benchmark::State& state) {
     }
   }
   const SolverConfig config = profile_config(SolverKind::PbsII);
-  const SolveBudget budget(0.0, 2000);
   std::int64_t propagations = 0;
   for (auto _ : state) {
+    const SolveBudget budget(0.0, 2000);
     CdclSolver solver(f, config);
     benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;
@@ -186,10 +188,10 @@ void BM_CdclPbConflictAnalysis(benchmark::State& state) {
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.pb_analysis =
       state.range(0) == 0 ? PbAnalysis::Weaken : PbAnalysis::CuttingPlanes;
-  const SolveBudget budget(0.0, 1500);
   std::int64_t conflicts = 0;
   std::int64_t resolutions = 0;
   for (auto _ : state) {
+    const SolveBudget budget(0.0, 1500);
     CdclSolver solver(f, config);
     benchmark::DoNotOptimize(solver.solve(budget));
     conflicts += solver.stats().conflicts;
@@ -212,10 +214,10 @@ void BM_CdclReduceDbChurn(benchmark::State& state) {
   const ColoringEncoding enc = encode_k_coloring(g, 8, SbpOptions::nu_sc());
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.max_learnts_init = 64;
-  const SolveBudget budget(0.0, 1000);
   std::int64_t propagations = 0;
   std::int64_t collections = 0;
   for (auto _ : state) {
+    const SolveBudget budget(0.0, 1000);
     CdclSolver solver(enc.formula, config);
     benchmark::DoNotOptimize(solver.solve(budget));
     propagations += solver.stats().propagations;

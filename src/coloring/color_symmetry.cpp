@@ -68,9 +68,10 @@ SymmetryInfo detect_coloring_symmetries(const Graph& graph,
   const ColorFreedom freedom = color_freedom(graph, enc.num_colors, sbps);
   // Degenerate inputs search the formula graph, where the group can hold
   // more than color permutations: at K = 1, SC's unit clause repeats its
-  // vertex's one-literal exactly-one row, and the search reports the swap
-  // of the two; on one vertex at K = 2 without an objective, complementing
-  // every variable is a symmetry.
+  // vertex's one-literal exactly-one row, and the swap of the two counts
+  // in log10_order (its identity literal map is no generator); on one
+  // vertex at K = 2 without an objective, complementing every variable is
+  // a symmetry.
   const bool closed_form_applies =
       freedom.first_free >= 0 && enc.num_colors >= 2 &&
       graph.num_edges() > 0 && graph.num_vertices() == n &&

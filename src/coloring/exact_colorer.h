@@ -98,8 +98,8 @@ struct ColoringOptions {
   /// Answers are identical at every setting. Ignored by GenericIlp.
   std::int64_t chrono_threshold = -1;
   /// Whole-pipeline conflict / propagation budgets across all CDCL probes
-  /// (<= 0 = unlimited; ignored by SolverKind::GenericIlp, whose search
-  /// has no comparable counters).
+  /// and all parallel workers (<= 0 = unlimited; ignored by
+  /// SolverKind::GenericIlp, whose search has no comparable counters).
   std::int64_t conflict_budget = 0;
   std::int64_t prop_budget = 0;
   /// Optional external budget (not owned; must outlive the call). The

@@ -26,9 +26,6 @@ struct MinimizeRun {
   const Objective objective;
   const int num_vars;  // of the caller's formula, before the ladder
   const SolveBudget& budget;
-  /// What the run's probes have spent of the budget's counted caps.
-  std::int64_t spent_conflicts = 0;
-  std::int64_t spent_propagations = 0;
   OptResult result;
   Timer timer;
   Formula working;
@@ -51,26 +48,10 @@ struct MinimizeRun {
     result.lower_bound = ladder.min_value();
   }
 
-  /// Why the run must stop before its next probe, or None to go on: the
-  /// budget's asynchronous conditions, then its counted caps, which cover
-  /// the WHOLE run rather than one probe.
-  [[nodiscard]] BudgetTrip stop_reason() const noexcept {
-    if (const BudgetTrip t = budget.poll(); t != BudgetTrip::None) return t;
-    if (budget.conflict_budget() > 0 &&
-        spent_conflicts >= budget.conflict_budget()) {
-      return BudgetTrip::Conflicts;
-    }
-    if (budget.prop_budget() > 0 &&
-        spent_propagations >= budget.prop_budget()) {
-      return BudgetTrip::Propagations;
-    }
-    return BudgetTrip::None;
-  }
-
-  /// One solve against the persistent engine. Each probe gets a child of
-  /// the run's budget carrying only the unspent remainder of its counted
-  /// caps, and a probe is refused outright (Unknown, no solve) once
-  /// stop_reason() fires, so no engine is ever handed a spent budget.
+  /// One solve against the persistent engine, under the run's budget: the
+  /// engine charges what each probe spends, so the counted caps cover the
+  /// WHOLE run. A probe is refused outright (Unknown, no solve) once the
+  /// budget polls tripped, so no engine is ever handed a spent budget.
   /// Every Unknown records which bound tripped in result.tripped.
   ///
   /// Incremental note: every probe returns with the engine back at
@@ -79,27 +60,15 @@ struct MinimizeRun {
   /// from probe to probe is learned state (clauses, activities, phases),
   /// never an assumption trail.
   SolveResult probe(std::span<const Lit> assumptions = {}) {
-    if (const BudgetTrip t = stop_reason(); t != BudgetTrip::None) {
+    if (const BudgetTrip t = budget.poll(); t != BudgetTrip::None) {
       result.tripped = t;
       return SolveResult::Unknown;
     }
     ++result.probes;
-    const auto left = [](std::int64_t cap, std::int64_t spent) {
-      return cap > 0 ? cap - spent : std::int64_t{0};
-    };
-    const std::int64_t conflicts_before = engine->stats().conflicts;
-    const std::int64_t props_before = engine->stats().propagations;
-    const SolveResult r = engine->solve(
-        budget.child(0.0, left(budget.conflict_budget(), spent_conflicts),
-                     left(budget.prop_budget(), spent_propagations)),
-        assumptions);
-    spent_conflicts += std::max<std::int64_t>(
-        0, engine->stats().conflicts - conflicts_before);
-    spent_propagations += std::max<std::int64_t>(
-        0, engine->stats().propagations - props_before);
+    const SolveResult r = engine->solve(budget, assumptions);
     if (r == SolveResult::Unknown) {
       const BudgetTrip trip = engine->last_trip();
-      result.tripped = trip != BudgetTrip::None ? trip : stop_reason();
+      result.tripped = trip != BudgetTrip::None ? trip : budget.poll();
     }
     return r;
   }

@@ -115,10 +115,11 @@ OptResult solve_decision(const Formula& formula, const SolverConfig& config,
 /// is a caller-proven lower bound on the objective, folded into
 /// OptResult::lower_bound: every strategy reports Optimal as soon as an
 /// incumbent meets it, and Binary/CoreGuided bisect from it. The budget
-/// covers the WHOLE run: the search counts what its probes spend, hands
-/// each probe a child budget holding the unspent remainder of the
-/// conflict/propagation caps and runs no probe once they are spent, and
-/// interrupt()/deadline preempt between and inside probes. Degradation contract: a budgeted exit keeps the best
+/// covers the WHOLE run: every probe solves under it and charges it what
+/// it spent, so the conflict/propagation caps bound the sum over all
+/// probes (and, on a parallel engine, over all workers); no probe runs
+/// once a cap is spent, and interrupt()/deadline preempt between and
+/// inside probes. Degradation contract: a budgeted exit keeps the best
 /// incumbent (status Feasible) and the tightest proven lower bound; only
 /// a run with no incumbent at all reports Unknown. Throws
 /// std::invalid_argument when the objective has too many distinct sums

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "sat/luby.h"
 
@@ -33,6 +34,13 @@ constexpr int kPbMaxResolutions = 4096;
 // both sides (glue caps alone admit arbitrarily long clauses on wide-glue
 // instances).
 constexpr std::size_t kShareMaxSize = 64;
+
+/// Runs `f` at scope exit, a throw included.
+template <typename F>
+struct OnExit {
+  F f;
+  ~OnExit() { f(); }
+};
 
 }  // namespace
 
@@ -1368,6 +1376,22 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       entry_trip != BudgetTrip::None) {
     return budget_exit(entry_trip);
   }
+  // The ledger: charge the chain what this call spends at every poll and,
+  // through the guard, on every exit.
+  std::int64_t charged_conflicts = stats_.conflicts;
+  std::int64_t charged_props = stats_.propagations;
+  const auto charge = [&] {
+    budget.charge(
+        stats_.conflicts - std::exchange(charged_conflicts, stats_.conflicts),
+        stats_.propagations -
+            std::exchange(charged_props, stats_.propagations));
+  };
+  const OnExit charge_on_exit{charge};
+  // Counted caps: the chain's remainder at entry, as integer compares.
+  const std::int64_t conflicts_left = budget.conflicts_left();
+  const std::int64_t props_left = budget.propagations_left();
+  const std::int64_t start_conflicts = stats_.conflicts;
+  const std::int64_t start_props = stats_.propagations;
   // Rebuild hooks for the flat pools: incremental add_clause/add_pb since
   // the last solve appended through the growth path; re-compact to CSR
   // order so the search starts from a garbage-free layout.
@@ -1399,11 +1423,6 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
   std::int64_t restart_number = 0;
   std::vector<Lit> learnt;
   PbLearned pl;  // analyze_pb output, hoisted like `learnt` (vector reuse)
-  // Counted budgets are hoisted to plain integer compares.
-  const std::int64_t conflict_budget = budget.conflict_budget();
-  const std::int64_t prop_budget = budget.prop_budget();
-  const std::int64_t start_conflicts = stats_.conflicts;
-  const std::int64_t start_props = stats_.propagations;
   const std::int64_t fault_after =
       config_.fault_injection.throw_after_conflicts;
 
@@ -1429,22 +1448,21 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
     std::int64_t conflicts_this_restart = 0;
     std::int64_t ticks = 0;
     for (;;) {
-      // Asynchronous conditions (wall clock, interrupt flag) ride a coarse
-      // cadence — one clock read / atomic load per 256 search steps bounds
-      // the preemption latency without costing the propagation loop
-      // anything measurable.
+      // The ledger and the asynchronous conditions (wall clock, interrupt
+      // flag, caps other solves spent) ride a coarse cadence — one charge
+      // and poll per 256 search steps bound the preemption latency without
+      // costing the propagation loop anything measurable.
       if (++ticks % 256 == 0) {
+        charge();
         const BudgetTrip async = budget.poll();
         if (async != BudgetTrip::None) return budget_exit(async);
       }
-      // Counted budgets are two integer compares — checked every step, so
-      // they never overshoot by more than one propagate() fixpoint.
-      if (conflict_budget > 0 &&
-          stats_.conflicts - start_conflicts >= conflict_budget) {
+      // This call's own spend is checked every step, so a cap never
+      // overshoots by more than one propagate() fixpoint.
+      if (stats_.conflicts - start_conflicts >= conflicts_left) {
         return budget_exit(BudgetTrip::Conflicts);
       }
-      if (prop_budget > 0 &&
-          stats_.propagations - start_props >= prop_budget) {
+      if (stats_.propagations - start_props >= props_left) {
         return budget_exit(BudgetTrip::Propagations);
       }
       Conflict conflict = propagate();

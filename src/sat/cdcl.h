@@ -306,11 +306,13 @@ class CdclSolver final : public SolverEngine {
   /// first-answer stop among them) — with last_trip() recording which.
   /// Asynchronous conditions are polled on a coarse cadence (every 256
   /// search steps), so interrupt latency is bounded by that many
-  /// conflicts. Can be called repeatedly;
-  /// learned clauses persist across calls. Every exit — Sat, Unsat (with
-  /// or without a core) and every Unknown — unwinds to decision level 0,
-  /// so no assumption state outlives the call: the solver is quiescent
-  /// on return and the next solve() starts from the root.
+  /// conflicts. Counted caps allow what the chain has left at entry; the
+  /// spend is charged to the chain at each poll and on exit. Can be
+  /// called repeatedly; learned clauses persist across calls. Every exit
+  /// — Sat, Unsat (with or without a core) and every Unknown — unwinds to
+  /// decision level 0, so no assumption state outlives the call: the
+  /// solver is quiescent on return and the next solve() starts from the
+  /// root.
   ///
   /// Entry poll / stale interrupts: solve() polls the budget before doing
   /// ANY work, and it never clears the budget's interrupt flag — the flag
@@ -347,10 +349,6 @@ class CdclSolver final : public SolverEngine {
     return static_cast<int>(assigns_.size());
   }
 
-  [[nodiscard]] std::unique_ptr<SolverEngine> clone() const override {
-    return std::make_unique<CdclSolver>(*this);
-  }
-
   // ---- portfolio hooks ----
   /// Attach (or detach with nullptr) a shared clause pool. Glue learnt
   /// clauses (LBD <= config.share_max_lbd) are exported at learn time;
@@ -368,7 +366,7 @@ class CdclSolver final : public SolverEngine {
   /// max_learnts_init resets the reduce limit. Phase diversification via
   /// default_phase therefore only bites with phase_saving off (saved
   /// polarities win otherwise).
-  void reconfigure(const SolverConfig& config) override;
+  void reconfigure(const SolverConfig& config);
 
   // ---- cube-generation probes (driven by sat/cubes.h) ----
   /// Outcome of one propagation-count lookahead probe.

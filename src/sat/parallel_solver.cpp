@@ -98,7 +98,7 @@ struct ParallelSolver::Pool {
   /// Worker 0 is `master`; 1..n-1 are diversified clones of its current
   /// state, so constraints added between calls (and whatever the master
   /// learned or imported so far) carry over. Every worker solves under
-  /// `budget`, one child of the caller's.
+  /// `budget`, one child of the caller's, or under a share carved from it.
   Pool(CdclSolver& master, const SolverConfig& config, int n,
        const SolveBudget& caller)
       : budget(caller.child()),
@@ -352,17 +352,6 @@ struct ParallelSolver::CubeRun {
 ParallelSolver::ParallelSolver(const Formula& formula, SolverConfig config)
     : config_(config), master_(std::make_unique<CdclSolver>(formula, config)) {}
 
-ParallelSolver::ParallelSolver(const ParallelSolver& other)
-    : config_(other.config_),
-      master_(std::make_unique<CdclSolver>(*other.master_)),
-      model_(other.model_),
-      core_(other.core_),
-      stats_(other.stats_),
-      agg_stats_(other.agg_stats_),
-      last_trip_(other.last_trip_),
-      last_winner_(other.last_winner_),
-      last_faults_(other.last_faults_) {}
-
 SolveResult ParallelSolver::solve(const SolveBudget& budget,
                                   std::span<const Lit> assumptions) {
   last_faults_ = 0;
@@ -376,11 +365,25 @@ SolveResult ParallelSolver::solve(const SolveBudget& budget,
   if (aimed_elsewhere(config_.fault_injection, 0)) {
     master_->reconfigure(worker_config(config_, 0));
   }
+  // A spent, expired or interrupted budget answers before any worker runs.
+  if (const BudgetTrip trip = budget.poll(); trip != BudgetTrip::None) {
+    return adopt(SolveResult::Unknown, *master_, -1, {}, trip);
+  }
   if (config_.cube_depth > 0) return conquer(budget, assumptions, before);
 
-  Pool pool(*master_, config_, std::max(1, config_.portfolio_threads), budget);
+  const int n = std::max(1, config_.portfolio_threads);
+  Pool pool(*master_, config_, n, budget);
+  // A deterministic race carves each worker 1/N of the counted caps up
+  // front, so no worker's trip depends on how far the others got.
+  std::vector<SolveBudget> shares;
+  if (pool.deterministic) {
+    shares.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) shares.push_back(pool.budget.share(n));
+  }
   pool.run([&](int i, CdclSolver& worker) {
-    const SolveResult r = worker.solve(pool.budget, assumptions);
+    const SolveResult r = worker.solve(
+        shares.empty() ? pool.budget : shares[static_cast<std::size_t>(i)],
+        assumptions);
     pool.trips[static_cast<std::size_t>(i)] = worker.last_trip();
     if (r != SolveResult::Unknown) pool.claim(i, r);
   });
@@ -396,15 +399,12 @@ SolveResult ParallelSolver::conquer(const SolveBudget& budget,
     accumulate_stats(&agg_stats_, stats_delta(master_->stats(), before));
     return adopt(r, *master_, 0, master_->last_core(), trip);
   };
-  if (const BudgetTrip trip = budget.poll(); trip != BudgetTrip::None) {
-    return master_answer(SolveResult::Unknown, trip);
-  }
 
   // ---- warmup ----
   // A short budgeted master solve answers easy instances outright and
   // seeds the activities/learned clauses the lookahead branches on. Only
   // an exhausted warmup conflict slice continues into the cube phase; the
-  // caller's own budget (deadline, interrupt, propagation cap) ends it.
+  // caller's own budget (deadline, interrupt, a spent cap) ends it.
   if (config_.cube_warmup_conflicts > 0) {
     const SolveResult r = master_->solve(
         budget.child(0.0, config_.cube_warmup_conflicts, 0), assumptions);

@@ -60,9 +60,9 @@
 //
 // Budgets: the pool runs every worker under one child of the caller's
 // budget, whose interrupt() is the first-answer stop (never fired in
-// deterministic mode) and whose children are the cube slices. Wall clock
-// and interrupt are global; counted caps (conflicts/propagations) bound
-// each worker's solve, not the sum.
+// deterministic mode) and whose children are the cube slices. All limits
+// are global: every worker charges the one chain, so a counted cap bounds
+// the workers' sum (a deterministic race carves each worker 1/N of it).
 
 #include <cstdint>
 #include <memory>
@@ -95,7 +95,6 @@ namespace symcolor {
 class ParallelSolver final : public SolverEngine {
  public:
   ParallelSolver(const Formula& formula, SolverConfig config);
-  ParallelSolver(const ParallelSolver& other);
 
   bool add_clause(Clause clause) override {
     return master_->add_clause(std::move(clause));
@@ -135,16 +134,6 @@ class ParallelSolver final : public SolverEngine {
   }
   [[nodiscard]] int num_vars() const noexcept override {
     return master_->num_vars();
-  }
-  [[nodiscard]] std::unique_ptr<SolverEngine> clone() const override {
-    return std::make_unique<ParallelSolver>(*this);
-  }
-  /// Swap the base configuration: the master is reconfigured in place and
-  /// the new base drives the next solve()'s schedule and diversification.
-  /// Existing learned state is kept either way.
-  void reconfigure(const SolverConfig& config) override {
-    config_ = config;
-    master_->reconfigure(config);
   }
   /// Which bound ended the last solve() early: None after a definitive
   /// answer, otherwise the lowest-indexed worker's recorded trip (under

@@ -5,7 +5,7 @@
 // optimization loops in pb/optimizer, the incremental SAT-loop colorer in
 // coloring/exact_colorer, the CLI) drives a solver exclusively through this
 // interface: add constraints, solve under assumptions, read the model,
-// the failed-assumption core and stats, clone. Assumptions are the
+// the failed-assumption core and stats. Assumptions are the
 // universal retraction mechanism of the pipeline — every optimization
 // loop expresses "objective <= W" as a single assumption on a selector
 // ladder and keeps ONE engine (and its learned state) across all probes;
@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -336,8 +335,8 @@ class SolverEngine {
   /// an asynchronous interrupt(); last_trip() reports which. Can be called
   /// repeatedly; learned state persists across calls. No assumption state
   /// outlives the call: every exit returns to decision level 0, so the
-  /// solver is quiescent (clone() is valid) and a later solve() with
-  /// different assumptions starts clean.
+  /// solver is quiescent and a later solve() with different assumptions
+  /// starts clean. The spend is charged to the budget (util/budget.h).
   virtual SolveResult solve(const SolveBudget& budget = {},
                             std::span<const Lit> assumptions = {}) = 0;
 
@@ -368,17 +367,6 @@ class SolverEngine {
   }
 
   [[nodiscard]] virtual int num_vars() const noexcept = 0;
-
-  /// Deep copy of the full solver state — constraints, learned clauses,
-  /// activities, saved phases, root trail. Must only be called at a
-  /// quiescent point (between solve() calls). The clone is independent:
-  /// solving one never touches the other.
-  [[nodiscard]] virtual std::unique_ptr<SolverEngine> clone() const = 0;
-
-  /// Swap the configuration of a live engine at a quiescent point, keeping
-  /// learned state (clauses, activities, saved phases); the parallel pool
-  /// diversifies its clones this way.
-  virtual void reconfigure(const SolverConfig& config) = 0;
 };
 
 }  // namespace symcolor

@@ -35,6 +35,8 @@ SymmetryInfo detect_symmetries(const Formula& formula,
       info.complete = false;
       break;
     }
+    // Swapping copies of a repeated constraint moves no literal.
+    if (!lit_perm.empty() && is_identity(lit_perm)) continue;
     if (!verifier) verifier.emplace(formula);
     if (lit_perm.empty() || !verifier->is_symmetry(lit_perm)) {
       ++info.spurious_rejected;

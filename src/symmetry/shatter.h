@@ -15,7 +15,8 @@ namespace symcolor {
 struct SymmetryInfo {
   /// Generators as literal permutations (closed under negation).
   std::vector<Perm> generators;
-  /// log10 of the detected symmetry-group order (0 = rigid formula).
+  /// log10 of the formula graph's group order (0 = rigid formula); it
+  /// overcounts when the formula repeats a constraint, whose copies swap.
   double log10_order = 0.0;
   double detect_seconds = 0.0;
   bool complete = true;
@@ -32,7 +33,8 @@ struct SymmetryInfo {
 
 /// Detect the symmetries of `formula` (Saucy stand-in on the colored
 /// formula graph). Each returned generator is verified to be a true
-/// formula symmetry; failures are counted and dropped. The budget's
+/// formula symmetry; failures are counted and dropped, identity literal
+/// maps (swapped copies of a constraint) dropped uncounted. The budget's
 /// deadline and interrupt() are polled inside the automorphism search and
 /// between generators: on a trip only the generators verified so far are
 /// returned, and `complete` is false.

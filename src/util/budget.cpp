@@ -1,6 +1,6 @@
 #include "util/budget.h"
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 
 namespace symcolor {
@@ -16,15 +16,23 @@ const char* budget_trip_name(BudgetTrip trip) noexcept {
   return "none";
 }
 
-bool SolveBudget::unlimited() const noexcept {
+void SolveBudget::charge(std::int64_t conflicts,
+                         std::int64_t propagations) const noexcept {
   for (const SolveBudget* b = this; b != nullptr; b = b->parent_) {
-    if (!b->deadline_.unlimited() || b->conflicts_ > 0 ||
-        b->propagations_ > 0 ||
-        b->interrupted_.load(std::memory_order_acquire)) {
-      return false;
-    }
+    b->spent_conflicts_ += conflicts;
+    b->spent_propagations_ += propagations;
   }
-  return true;
+}
+
+std::int64_t SolveBudget::left(
+    std::int64_t SolveBudget::*cap,
+    std::atomic<std::int64_t> SolveBudget::*spent) const noexcept {
+  std::int64_t left = kUncapped;
+  for (const SolveBudget* b = this; b != nullptr;
+       b = b->carved_ ? nullptr : b->parent_) {
+    if (b->*cap > 0) left = std::min(left, b->*cap - (b->*spent).load());
+  }
+  return std::max<std::int64_t>(left, 0);
 }
 
 bool SolveBudget::deadline_expired() const noexcept {
@@ -43,28 +51,14 @@ double SolveBudget::remaining_seconds() const noexcept {
   return remaining;
 }
 
-SolveBudget SolveBudget::child(double seconds, std::int64_t conflicts,
-                               std::int64_t propagations) const noexcept {
-  // Wall clock: the child gets min(requested, chain remaining). When the
-  // request is unlimited but an ancestor is not, inherit the remainder so
-  // the child's own deadline is armed too (cheap, and keeps deadline()
-  // meaningful for callers that only look at the child).
-  const double chain_left = remaining_seconds();
-  double budget_seconds = seconds > 0.0 ? seconds : chain_left;
-  if (budget_seconds > chain_left) budget_seconds = chain_left;
-  if (std::isinf(budget_seconds)) budget_seconds = 0.0;  // unlimited
-
-  // Counted budgets: a child request can never exceed the parent's cap,
-  // and an uncapped request inherits the parent's cap outright. (Per-call
-  // counts reset each solve; a caller that needs "remaining across probes"
-  // counts what its probes spent, as minimize() does.)
-  auto clamp = [](std::int64_t requested, std::int64_t parent) noexcept {
-    if (requested <= 0) return parent > 0 ? parent : std::int64_t{0};
-    if (parent > 0 && requested > parent) return parent;
-    return requested;
+SolveBudget SolveBudget::share(int n) const noexcept {
+  const auto part = [n](std::int64_t left) -> std::int64_t {
+    return left == kUncapped ? 0 : std::max<std::int64_t>(1, left / n);
   };
-  return SolveBudget(budget_seconds, clamp(conflicts, conflicts_),
-                     clamp(propagations, propagations_), this);
+  SolveBudget carved = child(0.0, part(conflicts_left()),
+                             part(propagations_left()));
+  carved.carved_ = true;
+  return carved;
 }
 
 }  // namespace symcolor

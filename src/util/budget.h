@@ -3,29 +3,36 @@
 //
 // A budget bundles every way a caller can bound or preempt a solve:
 //   * a wall-clock deadline (seconds),
-//   * a conflict budget and a propagation budget (counted per solve call),
+//   * a conflict cap and a propagation cap, counted against what the
+//     solves under this budget and its descendants have spent,
 //   * an asynchronous interrupt flag, settable from any thread or from a
 //     signal handler (it is a single atomic store).
 //
 // Everywhere in the pipeline a limit of <= 0 means "unlimited", so a
 // default-constructed SolveBudget imposes no constraint at all.
 //
-// Budgets form a parent chain: child() derives a per-probe budget that can
-// never exceed what remains of its parent, and interrupt / deadline expiry
-// anywhere up the chain preempts every descendant. The chain lets an outer
-// run (an optimizer search, a coloring loop, a CLI invocation) hand each
-// inner solve a slice while keeping one global kill switch; the parallel
-// engine's first-answer stop is the interrupt of one such child. A
-// multi-probe search (minimize() in pb/optimizer) counts what its probes
-// spend and hands each one a child holding the remainder.
+// Budgets form a parent chain. child() derives a budget whose own limits
+// apply on top of every ancestor's: interrupt, deadline expiry or a spent
+// cap anywhere up the chain preempts every descendant. The chain lets an
+// outer run (an optimizer search, a coloring loop, a CLI invocation) hand
+// each inner solve a slice while keeping one global kill switch; the
+// parallel engine's first-answer stop is the interrupt of one such child.
 //
-// SolveBudget is non-copyable (it owns an atomic and is the identity other
+// Counted caps are a run-wide ledger: the CDCL engine charges what it
+// spends (at its poll cadence and on exit) to its budget and every
+// ancestor, so a cap bounds the sum of all work under it — every probe of
+// a minimize() run, every race worker and cube slice of the parallel
+// engine. The lookahead probes of cube generation (sat/cubes.h) are not
+// charged.
+//
+// SolveBudget is non-copyable (it owns atomics and is the identity other
 // threads signal through); pass it by const reference. All mutating entry
 // points are const and thread-safe so that read-only holders — the CDCL
-// loop, a SIGINT handler — can poll and signal concurrently.
+// loop, a SIGINT handler — can poll, charge and signal concurrently.
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 
 #include "util/timer.h"
 
@@ -49,13 +56,17 @@ class SolveBudget {
   /// No limits, no parent.
   SolveBudget() noexcept = default;
 
-  /// Arm a wall-clock deadline and/or conflict and propagation budgets.
+  /// conflicts_left() / propagations_left() when nothing caps the count.
+  static constexpr std::int64_t kUncapped =
+      std::numeric_limits<std::int64_t>::max();
+
+  /// Arm a wall-clock deadline and/or conflict and propagation caps.
   /// Any argument <= 0 leaves that dimension unlimited.
   explicit SolveBudget(double seconds, std::int64_t conflicts = 0,
                        std::int64_t propagations = 0) noexcept
       : deadline_(seconds),
-        conflicts_(conflicts > 0 ? conflicts : 0),
-        propagations_(propagations > 0 ? propagations : 0) {}
+        conflict_cap_(conflicts > 0 ? conflicts : 0),
+        prop_cap_(propagations > 0 ? propagations : 0) {}
 
   /// A SolveBudget with only the wall clock armed; the elapsed time
   /// already consumed by the deadline carries over. Compat residue: only
@@ -68,10 +79,13 @@ class SolveBudget {
   SolveBudget& operator=(const SolveBudget&) = delete;
   SolveBudget(SolveBudget&& other) noexcept
       : deadline_(other.deadline_),
-        conflicts_(other.conflicts_),
-        propagations_(other.propagations_),
+        conflict_cap_(other.conflict_cap_),
+        prop_cap_(other.prop_cap_),
         parent_(other.parent_),
-        interrupted_(other.interrupted_.load(std::memory_order_acquire)) {}
+        carved_(other.carved_),
+        interrupted_(other.interrupted_.load(std::memory_order_acquire)),
+        spent_conflicts_(other.spent_conflicts_.load()),
+        spent_propagations_(other.spent_propagations_.load()) {}
   SolveBudget& operator=(SolveBudget&&) = delete;
 
   /// Request asynchronous preemption. Safe from any thread and from signal
@@ -110,16 +124,17 @@ class SolveBudget {
   /// item 1c's [benchmark] PR deletes it).
   [[nodiscard]] const Deadline& deadline() const noexcept { return deadline_; }
 
-  /// Conflict / propagation caps for one solve call; 0 = unlimited.
-  [[nodiscard]] std::int64_t conflict_budget() const noexcept {
-    return conflicts_;
-  }
-  [[nodiscard]] std::int64_t prop_budget() const noexcept {
-    return propagations_;
-  }
+  /// Record work spent under this budget here and at every ancestor.
+  void charge(std::int64_t conflicts, std::int64_t propagations) const noexcept;
 
-  /// True when neither this budget nor any ancestor constrains anything.
-  [[nodiscard]] bool unlimited() const noexcept;
+  /// What is left of the tightest conflict / propagation cap in the chain
+  /// (min of cap - spent, clamped at 0); kUncapped when none is set.
+  [[nodiscard]] std::int64_t conflicts_left() const noexcept {
+    return left(&SolveBudget::conflict_cap_, &SolveBudget::spent_conflicts_);
+  }
+  [[nodiscard]] std::int64_t propagations_left() const noexcept {
+    return left(&SolveBudget::prop_cap_, &SolveBudget::spent_propagations_);
+  }
 
   /// True when the wall clock has run out here or anywhere up the chain.
   [[nodiscard]] bool deadline_expired() const noexcept;
@@ -128,24 +143,34 @@ class SolveBudget {
   /// level is unlimited, clamped at 0 once expired.
   [[nodiscard]] double remaining_seconds() const noexcept;
 
-  /// Combined asynchronous check: Interrupt dominates Deadline; conflict
-  /// and propagation budgets are counted by the solver itself and are not
-  /// visible here. This is the call sitting on the CDCL poll cadence.
+  /// Combined check, in priority order: Interrupt, Deadline, then a spent
+  /// conflict cap, then a spent propagation cap, each anywhere up the
+  /// chain. This is the call sitting on the CDCL poll cadence.
   [[nodiscard]] BudgetTrip poll() const noexcept {
     if (interrupted()) return BudgetTrip::Interrupt;
     if (deadline_expired()) return BudgetTrip::Deadline;
+    if (conflicts_left() == 0) return BudgetTrip::Conflicts;
+    if (propagations_left() == 0) return BudgetTrip::Propagations;
     return BudgetTrip::None;
   }
 
-  /// Derive a per-probe budget that can never exceed this one: the child's
-  /// wall clock is clamped to the parent's remaining seconds and its
-  /// conflict/propagation caps to the parent's caps (a parent cap applies
-  /// even when the child asks for none). The child keeps a pointer back to
-  /// the parent, so parent-level interrupts and deadline expiry preempt it;
-  /// the parent must therefore outlive the child.
-  [[nodiscard]] SolveBudget child(double seconds = 0.0,
-                                  std::int64_t conflicts = 0,
-                                  std::int64_t propagations = 0) const noexcept;
+  /// Derive a budget that adds its own limits to this one's. The child
+  /// keeps a pointer back to the parent, so parent-level interrupts,
+  /// deadline expiry and spent caps preempt it (the chain walks above)
+  /// and its charges reach the parent; the parent must therefore outlive
+  /// the child.
+  [[nodiscard]] SolveBudget child(
+      double seconds = 0.0, std::int64_t conflicts = 0,
+      std::int64_t propagations = 0) const noexcept {
+    return SolveBudget(seconds, conflicts, propagations, this);
+  }
+
+  /// A child holding 1/n (n >= 1; at least 1) of each counted cap the
+  /// chain has left, standing in for the chain's caps: its counted trips
+  /// depend on its own spend alone, whatever its siblings spend. Its
+  /// charges still reach every ancestor. Carve only from a chain poll()
+  /// passes.
+  [[nodiscard]] SolveBudget share(int n) const noexcept;
 
  private:
   SolveBudget(double seconds, std::int64_t conflicts, std::int64_t propagations,
@@ -154,11 +179,18 @@ class SolveBudget {
     parent_ = parent;
   }
 
+  /// conflicts_left() / propagations_left() over one counted dimension.
+  [[nodiscard]] std::int64_t left(std::int64_t SolveBudget::*cap,
+      std::atomic<std::int64_t> SolveBudget::*spent) const noexcept;
+
   Deadline deadline_;
-  std::int64_t conflicts_ = 0;
-  std::int64_t propagations_ = 0;
+  std::int64_t conflict_cap_ = 0;
+  std::int64_t prop_cap_ = 0;
   const SolveBudget* parent_ = nullptr;
+  bool carved_ = false;  // share(): the counted-cap walk ends here
   mutable std::atomic<bool> interrupted_{false};
+  mutable std::atomic<std::int64_t> spent_conflicts_{0};
+  mutable std::atomic<std::int64_t> spent_propagations_{0};
 };
 
 }  // namespace symcolor

@@ -1,7 +1,7 @@
 // Assumption-native solving: failed-assumption cores (analyze_final),
-// core soundness and non-triviality on pigeonhole instances, clone
-// validity after Unsat-under-assumptions at 1 and 4 portfolio threads,
-// and search-strategy equivalence on the queen/myciel optimizer suite.
+// core soundness and non-triviality on pigeonhole instances, copy
+// validity after Unsat-under-assumptions, and search-strategy equivalence
+// on the queen/myciel optimizer suite.
 
 #include <gtest/gtest.h>
 
@@ -176,33 +176,26 @@ TEST(AssumptionCore, WalksPbReasonsAndDropsIrrelevantAssumptions) {
 // ---- clone validity after assumption-Unsat ----
 
 TEST(AssumptionClone, CloneAfterAssumptionUnsatStaysValid) {
-  // solve() must leave no residual assumption state: a clone taken right
-  // after Unsat-under-assumptions answers like a fresh solver, at 1 and
-  // 4 portfolio threads.
+  // solve() must leave no residual assumption state: a copy taken right
+  // after Unsat-under-assumptions answers like a fresh solver.
   const Graph g = make_queen_graph(5, 5);
   const Formula formula =
       encode_k_coloring(g, 5, SbpOptions::nu_sc()).formula;
-  for (const int threads : {1, 4}) {
-    SolverConfig config = profile_config(SolverKind::PbsII);
-    config.portfolio_threads = threads;
-    const std::unique_ptr<SolverEngine> engine =
-        make_solver_engine(formula, config);
-    // Force an arbitrary vertex away from every color: Unsat under
-    // assumptions, but the formula itself stays 5-colorable.
-    std::vector<Lit> assume;
-    for (int j = 0; j < 5; ++j) assume.push_back(Lit::negative(j));
-    ASSERT_EQ(engine->solve(SolveBudget{}, assume), SolveResult::Unsat)
-        << threads << " threads";
-    EXPECT_FALSE(engine->last_core().empty());
+  CdclSolver engine(formula, profile_config(SolverKind::PbsII));
+  // Force an arbitrary vertex away from every color: Unsat under
+  // assumptions, but the formula itself stays 5-colorable.
+  std::vector<Lit> assume;
+  for (int j = 0; j < 5; ++j) assume.push_back(Lit::negative(j));
+  ASSERT_EQ(engine.solve(SolveBudget{}, assume), SolveResult::Unsat);
+  EXPECT_FALSE(engine.last_core().empty());
 
-    const std::unique_ptr<SolverEngine> clone = engine->clone();
-    EXPECT_EQ(clone->solve(), SolveResult::Sat) << threads << " threads";
-    EXPECT_TRUE(formula.satisfied_by(clone->model()));
-    // The clone re-answers the assumption query too.
-    EXPECT_EQ(clone->solve(SolveBudget{}, assume), SolveResult::Unsat);
-    // And the original engine is untouched by its clone's searches.
-    EXPECT_EQ(engine->solve(), SolveResult::Sat) << threads << " threads";
-  }
+  CdclSolver clone(engine);
+  EXPECT_EQ(clone.solve(), SolveResult::Sat);
+  EXPECT_TRUE(formula.satisfied_by(clone.model()));
+  // The clone re-answers the assumption query too.
+  EXPECT_EQ(clone.solve(SolveBudget{}, assume), SolveResult::Unsat);
+  // And the original engine is untouched by its clone's searches.
+  EXPECT_EQ(engine.solve(), SolveResult::Sat);
 }
 
 // ---- strategy equivalence on the optimizer suite ----

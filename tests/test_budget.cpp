@@ -1,8 +1,9 @@
 // SolveBudget semantics and the budgeted-solve contract: unlimited
-// defaults, child clamping against the parent chain, async interrupt
-// (same-thread and cross-thread, with bounded latency), per-kind budget
-// trips in the CDCL loop, minimize()'s whole-run caps, and graceful
-// degradation through the optimizer and the SAT-loop / exact colorers.
+// defaults, children and the run-wide ledger of counted caps, async
+// interrupt (same-thread and cross-thread, with bounded latency), per-kind
+// budget trips in the CDCL loop, minimize()'s whole-run caps, caps shared
+// by parallel workers, and graceful degradation through the optimizer and
+// the SAT-loop / exact colorers.
 
 #include <gtest/gtest.h>
 
@@ -54,30 +55,45 @@ Formula pigeonhole_formula(int pigeons, int holes) {
 
 TEST(SolveBudget, DefaultIsUnlimited) {
   const SolveBudget b;
-  EXPECT_TRUE(b.unlimited());
   EXPECT_FALSE(b.deadline_expired());
   EXPECT_FALSE(b.interrupted());
-  EXPECT_EQ(b.conflict_budget(), 0);
-  EXPECT_EQ(b.prop_budget(), 0);
+  EXPECT_EQ(b.conflicts_left(), SolveBudget::kUncapped);
+  EXPECT_EQ(b.propagations_left(), SolveBudget::kUncapped);
+  EXPECT_EQ(b.poll(), BudgetTrip::None);
+  // Charging an uncapped budget never trips it.
+  b.charge(1000, 1000000);
+  EXPECT_EQ(b.conflicts_left(), SolveBudget::kUncapped);
   EXPECT_EQ(b.poll(), BudgetTrip::None);
 }
 
 TEST(SolveBudget, ZeroAndNegativeLimitsMeanUnlimited) {
   const SolveBudget zero(0.0, 0, 0);
-  EXPECT_TRUE(zero.unlimited());
+  EXPECT_EQ(zero.conflicts_left(), SolveBudget::kUncapped);
+  EXPECT_EQ(zero.propagations_left(), SolveBudget::kUncapped);
   const SolveBudget negative(-3.0, -10, -10);
-  EXPECT_TRUE(negative.unlimited());
   EXPECT_FALSE(negative.deadline_expired());
-  EXPECT_EQ(negative.conflict_budget(), 0);
-  EXPECT_EQ(negative.prop_budget(), 0);
+  EXPECT_EQ(negative.conflicts_left(), SolveBudget::kUncapped);
+  EXPECT_EQ(negative.propagations_left(), SolveBudget::kUncapped);
 }
 
 TEST(SolveBudget, ArmedLimitsAreVisible) {
   const SolveBudget b(3600.0, 100, 2000);
-  EXPECT_FALSE(b.unlimited());
-  EXPECT_EQ(b.conflict_budget(), 100);
-  EXPECT_EQ(b.prop_budget(), 2000);
+  EXPECT_EQ(b.conflicts_left(), 100);
+  EXPECT_EQ(b.propagations_left(), 2000);
   EXPECT_GT(b.remaining_seconds(), 0.0);
+}
+
+TEST(SolveBudget, ChargesSpendTheCapsAndTripPoll) {
+  const SolveBudget b(0.0, 100, 2000);
+  b.charge(40, 500);
+  EXPECT_EQ(b.conflicts_left(), 60);
+  EXPECT_EQ(b.propagations_left(), 1500);
+  EXPECT_EQ(b.poll(), BudgetTrip::None);
+  b.charge(0, 1600);  // overspent: the remainder clamps at 0
+  EXPECT_EQ(b.propagations_left(), 0);
+  EXPECT_EQ(b.poll(), BudgetTrip::Propagations);
+  b.charge(60, 0);  // a spent conflict cap reports first
+  EXPECT_EQ(b.poll(), BudgetTrip::Conflicts);
 }
 
 TEST(SolveBudget, RemainingSecondsClampsAtZeroAfterExpiry) {
@@ -106,35 +122,80 @@ TEST(SolveBudget, DeadlineConversionCarriesElapsedTime) {
   const SolveBudget b = expired;  // implicit migration shim
   EXPECT_TRUE(b.deadline_expired());
   const SolveBudget open = Deadline{};
-  EXPECT_TRUE(open.unlimited());
+  EXPECT_FALSE(open.deadline_expired());
+  EXPECT_EQ(open.poll(), BudgetTrip::None);
 }
 
-// ---- child clamping against the parent chain ----
+// ---- children against the parent chain ----
 
 TEST(SolveBudgetChild, CountedCapsNeverExceedParent) {
   const SolveBudget parent(0.0, 100, 1000);
-  // Asking for more than the parent has is clamped down.
+  // Asking for more than the parent has left gets the parent's remainder.
   const SolveBudget greedy = parent.child(0.0, 500, 5000);
-  EXPECT_EQ(greedy.conflict_budget(), 100);
-  EXPECT_EQ(greedy.prop_budget(), 1000);
+  EXPECT_EQ(greedy.conflicts_left(), 100);
+  EXPECT_EQ(greedy.propagations_left(), 1000);
   // Asking for less keeps the tighter value.
   const SolveBudget modest = parent.child(0.0, 10, 50);
-  EXPECT_EQ(modest.conflict_budget(), 10);
-  EXPECT_EQ(modest.prop_budget(), 50);
+  EXPECT_EQ(modest.conflicts_left(), 10);
+  EXPECT_EQ(modest.propagations_left(), 50);
   // Asking for nothing inherits the parent's caps (a child can never be
   // less constrained than its parent).
   const SolveBudget inherit = parent.child();
-  EXPECT_EQ(inherit.conflict_budget(), 100);
-  EXPECT_EQ(inherit.prop_budget(), 1000);
+  EXPECT_EQ(inherit.conflicts_left(), 100);
+  EXPECT_EQ(inherit.propagations_left(), 1000);
+
+  // A charge reaches every ancestor, so siblings share one ledger: what
+  // one child spends is gone for the parent and for every other child.
+  greedy.charge(70, 400);
+  EXPECT_EQ(parent.conflicts_left(), 30);
+  EXPECT_EQ(parent.propagations_left(), 600);
+  EXPECT_EQ(inherit.conflicts_left(), 30);
+  EXPECT_EQ(modest.conflicts_left(), 10);  // its own cap is still tighter
+  modest.charge(5, 0);
+  EXPECT_EQ(modest.conflicts_left(), 5);
+  EXPECT_EQ(parent.conflicts_left(), 25);
+  // Once the parent's cap is spent, every descendant polls it.
+  inherit.charge(25, 0);
+  EXPECT_EQ(parent.poll(), BudgetTrip::Conflicts);
+  EXPECT_EQ(modest.conflicts_left(), 0);
+  EXPECT_EQ(modest.poll(), BudgetTrip::Conflicts);
+  EXPECT_EQ(greedy.child().poll(), BudgetTrip::Conflicts);
 }
 
 TEST(SolveBudgetChild, UnlimitedParentPassesChildLimitsThrough) {
   const SolveBudget parent;
   const SolveBudget child = parent.child(0.0, 42, 7);
-  EXPECT_EQ(child.conflict_budget(), 42);
-  EXPECT_EQ(child.prop_budget(), 7);
-  EXPECT_FALSE(child.unlimited());
-  EXPECT_TRUE(parent.child().unlimited());
+  EXPECT_EQ(child.conflicts_left(), 42);
+  EXPECT_EQ(child.propagations_left(), 7);
+  EXPECT_EQ(parent.child().conflicts_left(), SolveBudget::kUncapped);
+  // The child's charges still reach the uncapped parent's ledger without
+  // capping it.
+  child.charge(42, 0);
+  EXPECT_EQ(child.poll(), BudgetTrip::Conflicts);
+  EXPECT_EQ(parent.poll(), BudgetTrip::None);
+}
+
+TEST(SolveBudgetChild, SharesAreCarvedFromTheRemainder) {
+  const SolveBudget parent(0.0, 100, 0);
+  parent.charge(20, 0);
+  const SolveBudget a = parent.share(4);
+  const SolveBudget b = parent.share(4);
+  EXPECT_EQ(a.conflicts_left(), 20);  // 80 left, 1/4 each
+  EXPECT_EQ(a.propagations_left(), SolveBudget::kUncapped);
+  // A share's trips depend on its own spend alone: a sibling overspending
+  // the parent does not cut it short, but its charges reach the parent.
+  b.charge(90, 0);
+  EXPECT_EQ(parent.poll(), BudgetTrip::Conflicts);
+  EXPECT_EQ(a.conflicts_left(), 20);
+  EXPECT_EQ(a.poll(), BudgetTrip::None);
+  a.charge(20, 0);
+  EXPECT_EQ(a.poll(), BudgetTrip::Conflicts);
+  // Interrupts still come from the whole chain.
+  parent.interrupt();
+  EXPECT_EQ(b.poll(), BudgetTrip::Interrupt);
+  // A share of a small remainder rounds down, but never to "uncapped".
+  const SolveBudget small(0.0, 2);
+  EXPECT_EQ(small.share(3).conflicts_left(), 1);
 }
 
 TEST(SolveBudgetChild, WallClockClampedToParentRemaining) {
@@ -269,6 +330,62 @@ TEST(CdclInterrupt, CrossThreadInterruptStopsTheSolve) {
   CdclSolver quick(pigeonhole_formula(6, 5));
   EXPECT_EQ(quick.solve(budget), SolveResult::Unsat);
   EXPECT_EQ(quick.last_trip(), BudgetTrip::None);
+}
+
+// ---- run-wide caps on the parallel engine ----
+
+/// myciel5 at K = 5 under the NU row: 6-chromatic, and refuting it takes
+/// every worker count far past the caps below.
+Formula myciel5_k5() {
+  return encode_k_coloring(make_myciel_dimacs(5), 5, SbpOptions::nu_only())
+      .formula;
+}
+
+SolverConfig parallel_config(int threads, int cube_depth) {
+  SolverConfig config = profile_config(SolverKind::PbsII);
+  config.portfolio_threads = threads;
+  config.cube_depth = cube_depth;
+  return config;
+}
+
+TEST(ParallelBudget, PropagationCapBoundsTheWorkersSum) {
+  // Every race worker and every cube slice charges the caller's budget,
+  // so the cap bounds the workers' sum: the run stops on it, well before
+  // the backstop deadline. (Cube lookahead probes are not charged, hence
+  // the factor 2.)
+  constexpr std::int64_t kCap = 1000000;
+  for (const int cube_depth : {0, 6}) {
+    ParallelSolver solver(myciel5_k5(), parallel_config(4, cube_depth));
+    const SolveBudget budget(30.0, 0, kCap);
+    EXPECT_EQ(solver.solve(budget), SolveResult::Unknown) << cube_depth;
+    EXPECT_EQ(solver.last_trip(), BudgetTrip::Propagations) << cube_depth;
+    EXPECT_LE(solver.aggregated_stats().propagations, 2 * kCap) << cube_depth;
+  }
+}
+
+TEST(ParallelBudget, DeterministicRaceSharesTheConflictCapReproducibly) {
+  // Each worker of a deterministic race holds a quarter of the cap, so
+  // the race spends the cap once, and reruns reproduce every counter.
+  constexpr std::int64_t kCap = 20000;
+  SolverConfig config = parallel_config(4, 0);
+  config.portfolio_deterministic = true;
+  const Formula formula = myciel5_k5();
+  const auto run = [&] {
+    ParallelSolver solver(formula, config);
+    const SolveBudget budget(60.0, kCap);
+    EXPECT_EQ(solver.solve(budget), SolveResult::Unknown);
+    EXPECT_EQ(solver.last_trip(), BudgetTrip::Conflicts);
+    return solver.aggregated_stats();
+  };
+  const SolverStats first = run();
+  const SolverStats second = run();
+  EXPECT_EQ(first.conflicts, second.conflicts);
+  EXPECT_EQ(first.decisions, second.decisions);
+  EXPECT_EQ(first.propagations, second.propagations);
+  EXPECT_EQ(first.restarts, second.restarts);
+  EXPECT_EQ(first.learned_clauses, second.learned_clauses);
+  EXPECT_GE(first.conflicts, kCap - 4);
+  EXPECT_LE(first.conflicts, kCap + 40) << "workers each spent the whole cap";
 }
 
 // ---- optimizer degradation ----

@@ -3,7 +3,7 @@
 // answer agreement across the engine stack (plain / portfolio /
 // cube-and-conquer at 1, 2 and 4 threads) on queen/myciel/random
 // instances, assumption ladders, last_core() soundness on a ladder,
-// clone()/add_clause()/reconfigure() after an assumption solve, and the
+// copying/add_clause()/reconfigure() after an assumption solve, and the
 // exit contract: every solve() returns at decision level 0.
 
 #include <gtest/gtest.h>
@@ -217,13 +217,13 @@ TEST(AssumptionSolve, CloneAfterAssumptionSolveIsEquivalent) {
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
   // The clone carries learned state but no assumption: it must answer
   // every query like a fresh engine would.
-  std::unique_ptr<SolverEngine> clone = solver.clone();
-  ASSERT_EQ(clone->solve(), SolveResult::Sat);
-  EXPECT_TRUE(enc.formula.satisfied_by(clone->model()));
+  CdclSolver clone(solver);
+  ASSERT_EQ(clone.solve(), SolveResult::Sat);
+  EXPECT_TRUE(enc.formula.satisfied_by(clone.model()));
   const std::vector<Lit> unsat_ladder = {Lit::negative(enc.y(6)),
                                          Lit::negative(enc.y(5)),
                                          Lit::negative(enc.y(4))};
-  EXPECT_EQ(clone->solve({}, unsat_ladder), SolveResult::Unsat);
+  EXPECT_EQ(clone.solve({}, unsat_ladder), SolveResult::Unsat);
   // The original keeps working after the clone.
   ASSERT_EQ(solver.solve({}, assume), SolveResult::Sat);
   EXPECT_TRUE(enc.formula.satisfied_by(solver.model()));

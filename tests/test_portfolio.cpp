@@ -75,17 +75,6 @@ TEST(SolverEngineIface, FactoryPicksBackendByThreadCount) {
   }
 }
 
-TEST(SolverEngineIface, CloneThroughInterfaceIsIndependent) {
-  const Formula f = queen5_formula(5);
-  const std::unique_ptr<SolverEngine> master =
-      make_solver_engine(f, profile_config(SolverKind::PbsII));
-  const std::unique_ptr<SolverEngine> copy = master->clone();
-  EXPECT_EQ(master->solve(), SolveResult::Sat);
-  // Constraints added to the original never reach the earlier clone.
-  EXPECT_EQ(copy->num_vars(), master->num_vars());
-  EXPECT_EQ(copy->solve(), SolveResult::Sat);
-}
-
 // ---- clone equivalence ----
 
 TEST(SolverClone, ReproducesResultAndStatsOnFixedInstance) {

@@ -490,14 +490,17 @@ TEST(ColorSymmetry, EdgeCasesMatchFormulaSearch) {
     }
   }
   // K = 1 leaves no two colors to swap, and SC's unit clause there
-  // repeats the vertex's one-literal exactly-one row: the formula search
-  // reports the swap of the two as a trivial generator, so K = 1 takes
-  // that route.
+  // repeats the vertex's one-literal exactly-one row: the formula graph
+  // swaps the two, which counts in log10_order, so K = 1 takes that route.
+  // The swap's literal map is the identity: no generator, and no spurious
+  // one either.
   const SymmetryInfo one = expect_same_as_formula_search(
       rigid, encode_coloring(rigid, 1, SbpOptions::sc_only()),
       SbpOptions::sc_only());
   EXPECT_FALSE(one.closed_form);
-  EXPECT_EQ(one.generators.size(), 1U);
+  EXPECT_EQ(one.generators.size(), 0U);
+  EXPECT_EQ(one.spurious_rejected, 0);
+  EXPECT_GT(one.log10_order, 0.0);
   // SC on a single vertex pins it to color 0 and leaves colors 1..4.
   const SymmetryInfo sc = expect_same_as_formula_search(
       single, encode_coloring(single, 5, SbpOptions::sc_only()),

@@ -7,8 +7,9 @@ Malformed or out-of-range numeric flag values, and flags --satloop does
 not honor, must print usage and exit 3 (never crash or silently fall back
 to a default or ignore the flag). Short solves pin the answer line and
 the exit-code convention (0 optimal, 2 budget stop) on both pipelines
-and under every --satloop search strategy, and --satloop --stats must
-print the same `solver:` line as the native pipeline.
+and under every --satloop search strategy, --satloop --stats must print
+the same `solver:` line as the native pipeline, and a propagation cap on
+a cube-and-conquer run must stop it on the cap.
 """
 
 import os
@@ -72,6 +73,17 @@ def main():
          EXIT_SOLVED, "solver:"),
         (["--instance", "queen7_7", "--conflict-budget", "1"],
          EXIT_STOPPED, "stopped (conflicts)"),
+        # A counted cap bounds the sum over all cube workers, not each
+        # cube slice: the run stops on it long before the deadline. The
+        # second cap outlasts the cube schedule's warmup solve.
+        (["--instance", "myciel5", "-k", "5", "--decision", "--sbp", "nu",
+          "--threads", "2", "--cube-depth", "4", "--prop-budget", "200000",
+          "--timeout", "20"],
+         EXIT_STOPPED, "stopped (propagations)"),
+        (["--instance", "myciel5", "-k", "5", "--decision", "--sbp", "nu",
+          "--threads", "2", "--cube-depth", "4", "--prop-budget", "1000000",
+          "--timeout", "20"],
+         EXIT_STOPPED, "stopped (propagations)"),
     ]
     for args, want_code, want_text in solves:
         code, out, _ = run(cli, *args)
