@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "cnf/formula.h"
+#include "coloring/encoder.h"
+#include "graph/generators.h"
+#include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
 #include "sat/clause_arena.h"
 #include "sat/luby.h"
@@ -830,6 +835,131 @@ TEST(CdclLoad, ConstructorMatchesClauseByClauseAddition) {
   EXPECT_GT(unsat, 0);
   EXPECT_GT(conflicts, 0);
 }
+
+// ---- pinned search path ----
+//
+// The exact search of every CDCL profile on four fixed formulas. A
+// change that means to leave the search alone (a refactor, a storage
+// layout change) must leave every count here as it is; a change to the
+// search itself updates the table and says why in its commit.
+
+struct SearchCounts {
+  std::int64_t conflicts = 0;
+  std::int64_t decisions = 0;
+  std::int64_t propagations = 0;
+  std::int64_t learned_clauses = 0;
+  std::int64_t learned_pbs = 0;
+  bool operator==(const SearchCounts&) const = default;
+};
+
+void PrintTo(const SearchCounts& c, std::ostream* os) {
+  *os << "{" << c.conflicts << ", " << c.decisions << ", " << c.propagations
+      << ", " << c.learned_clauses << ", " << c.learned_pbs << "}";
+}
+
+SearchCounts search_counts(const SolverStats& s) {
+  return {s.conflicts, s.decisions, s.propagations, s.learned_clauses,
+          s.learned_pbs};
+}
+
+/// Pigeonhole with each hole's at-most-one as one PB row: the counting
+/// argument cutting planes learns directly and clauses cannot.
+Formula pb_pigeonhole(int pigeons, int holes) {
+  Formula f;
+  f.new_vars(pigeons * holes);
+  const auto in = [holes](int p, int h) {
+    return Lit::positive(p * holes + h);
+  };
+  for (int p = 0; p < pigeons; ++p) {
+    std::vector<Lit> some_hole;
+    for (int h = 0; h < holes; ++h) some_hole.push_back(in(p, h));
+    f.add_clause(some_hole);
+  }
+  for (int h = 0; h < holes; ++h) {
+    std::vector<Lit> occupants;
+    for (int p = 0; p < pigeons; ++p) occupants.push_back(in(p, h));
+    f.add_at_most(occupants, 1);
+  }
+  return f;
+}
+
+struct PinnedSearch {
+  const char* name;
+  SolverKind kind;
+  SearchCounts coloring_cnf;   // myciel4, 4 colors, CNF: unsat, capped
+  SearchCounts coloring_pb;    // the same question, PB exactly-one rows
+  SearchCounts pb_pigeonhole;  // 8 pigeons, 7 holes, PB at-most-one rows
+  SearchCounts assumptions;    // queen5_5 ladder, chrono on every jump
+};
+
+void PrintTo(const PinnedSearch& pin, std::ostream* os) { *os << pin.name; }
+
+class PinnedSearchTest : public ::testing::TestWithParam<PinnedSearch> {};
+
+TEST_P(PinnedSearchTest, CountsMatchTheTable) {
+  const PinnedSearch& pin = GetParam();
+  const SolverConfig config = profile_config(pin.kind);
+  for (const bool cnf : {true, false}) {
+    const Graph myciel4 = make_myciel_dimacs(4);
+    const ColoringEncoding enc =
+        cnf ? encode_k_coloring_cnf(myciel4, 4, SbpOptions::none())
+            : encode_k_coloring(myciel4, 4, SbpOptions::none());
+    CdclSolver solver(enc.formula, config);
+    EXPECT_NE(solver.solve(SolveBudget(0, 3000)), SolveResult::Sat);
+    EXPECT_EQ(search_counts(solver.stats()),
+              cnf ? pin.coloring_cnf : pin.coloring_pb);
+  }
+  {
+    CdclSolver solver(pb_pigeonhole(8, 7), config);
+    EXPECT_NE(solver.solve(SolveBudget(0, 3000)), SolveResult::Sat);
+    EXPECT_EQ(search_counts(solver.stats()), pin.pb_pigeonhole);
+    if (config.pb_analysis == PbAnalysis::CuttingPlanes) {
+      EXPECT_GT(solver.stats().pb_resolutions, 0);
+      EXPECT_GT(solver.stats().learned_pbs, 0);
+    }
+  }
+  {
+    const ColoringEncoding enc =
+        encode_k_coloring(make_queen_graph(5, 5), 7, SbpOptions::none());
+    SolverConfig chrono = config;
+    chrono.chrono_threshold = 1;
+    CdclSolver solver(enc.formula, chrono);
+    std::vector<Lit> assume;
+    for (int k = 6; k >= 4; --k) {  // chi(queen5_5) = 5: SAT, SAT, UNSAT
+      assume.push_back(Lit::negative(enc.y(k)));
+      (void)solver.solve(SolveBudget(0, 3000), assume);
+    }
+    EXPECT_GT(solver.stats().chrono_backtracks, 0);
+    EXPECT_EQ(search_counts(solver.stats()), pin.assumptions);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, PinnedSearchTest,
+    ::testing::Values(
+        PinnedSearch{"Pbs", SolverKind::PbsOriginal,
+                     {2538, 2948, 81616, 2533, 0},
+                     {2079, 2455, 54139, 2071, 0},
+                     {2950, 3426, 33846, 2945, 0},
+                     {36, 57, 1397, 36, 0}},
+        PinnedSearch{"PbsII", SolverKind::PbsII,
+                     {2372, 2830, 76193, 2365, 0},
+                     {2584, 3095, 70545, 2573, 0},
+                     {3000, 3646, 40999, 3000, 0},
+                     {34, 55, 1370, 34, 0}},
+        PinnedSearch{"Galena", SolverKind::Galena,
+                     {2332, 2753, 72886, 2322, 0},
+                     {2501, 2927, 63410, 2476, 13},
+                     {105, 183, 1043, 90, 14},
+                     {39, 56, 1442, 39, 0}},
+        PinnedSearch{"Pueblo", SolverKind::Pueblo,
+                     {2663, 3389, 91208, 2658, 0},
+                     {2728, 3320, 74792, 2720, 0},
+                     {3000, 4067, 45657, 3000, 0},
+                     {32, 55, 1328, 32, 0}}),
+    [](const ::testing::TestParamInfo<PinnedSearch>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace symcolor
