@@ -1,7 +1,6 @@
 #include "coloring/color_symmetry.h"
 
 #include <cmath>
-#include <cstdio>
 #include <optional>
 #include <utility>
 
@@ -90,10 +89,7 @@ SymmetryInfo detect_coloring_symmetries(const Graph& graph,
         info->detect_seconds = timer.seconds();
         return std::move(*info);
       }
-      rejected = 1;
-      std::fputs("[symcolor WARN] closed-form color symmetry rejected; "
-                 "searching the formula graph\n",
-                 stderr);
+      rejected = 1;  // fall back to searching the formula graph
     }
   }
   SymmetryInfo info = detect_symmetries(enc.formula, budget);

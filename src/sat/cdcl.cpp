@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -14,25 +13,11 @@ namespace symcolor {
 
 namespace {
 
-// Overflow-checked int64 arithmetic for cutting-planes resolution: any
-// overflow aborts the native analysis (the caller falls back to clause
-// weakening), so a resolvent can never silently wrap.
-inline bool add_ov(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_add_overflow(a, b, out);
-}
-inline bool mul_ov(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_mul_overflow(a, b, out);
-}
-
 // Learnt-constraint activity decay (clause and PB rows alike; MiniSat's
 // value — every solver profile uses it).
 constexpr double kClauseDecay = 0.999;
-// Cutting-planes resolution steps per conflict before bailing to the
-// Weaken path (defensive bound; real analyses stay far below).
-constexpr int kPbMaxResolutions = 4096;
 // Longest clause or PB row exchanged between parallel workers, enforced on
-// both sides (glue caps alone admit arbitrarily long clauses on wide-glue
-// instances).
+// both sides (glue caps alone admit arbitrarily long clauses).
 constexpr std::size_t kShareMaxSize = 64;
 
 /// Runs `f` at scope exit, a throw included.
@@ -45,40 +30,21 @@ struct OnExit {
 }  // namespace
 
 CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
-    : config_(config), rng_(config.random_seed) {
+    : PropEngine(formula), config_(config), rng_(config.random_seed) {
+  // Allocation order: the per-variable arrays, then the pools, then the
+  // constraints. Allocating the pools first moved the heap layout enough
+  // to slow the suite's short solves by up to a quarter per instance.
   const auto n = static_cast<std::size_t>(formula.num_vars());
-  assigns_.assign(n, LBool::Undef);
-  lit_values_.assign(2 * n, LBool::Undef);
-  vardata_.assign(n, {});
   order_.assign_scores(n, 0.0);
   polarity_.assign(n, config_.default_phase ? 1 : 0);
   seen_.assign(n, 0);
-  cp_coef_.assign(n, 0);
-  cp_lit_.assign(n, kUndefLit);
-  cp_in_.assign(n, 0);
+  cp_.resize(n);
   lbd_level_stamp_.assign(n + 1, 0);  // one slot per possible decision level
-  watches_.init(2 * n);
-  bin_watches_.init(2 * n);
-  pb_occs_.init(2 * n);
-
-  // The trail holds at most one entry per variable: reserving up front
-  // removes the capacity branch from enqueue() for the whole search.
-  trail_.reserve(n);
-  trail_lim_.reserve(n);
-
+  init_pools();
   std::vector<Var> vars(n);
-  for (std::size_t v = 0; v < n; ++v) vars[v] = static_cast<Var>(v);
+  std::iota(vars.begin(), vars.end(), 0);
   order_.rebuild(vars);
-
-  ok_ = !formula.trivially_unsat();
-  for (const Clause& clause : formula.clauses()) {
-    if (!ok_) break;
-    load_clause(clause);
-  }
-  for (const PbConstraint& c : formula.pb_constraints()) {
-    if (!ok_) break;
-    load_pb(c);
-  }
+  load(formula);
   // Aggressive first reduction (Glucose lineage): with LBD tiers
   // protecting core/mid clauses, a small local pool propagates much
   // faster than MiniSat's max(2000, m/3) would allow, and the 1.2 growth
@@ -92,260 +58,11 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
 void CdclSolver::reconfigure(const SolverConfig& config) {
   config_ = config;
   rng_ = Rng(config.random_seed);
-  // std::vector copies do not preserve capacity, so a freshly cloned
-  // solver lost the constructor's trail reservation; restore it here (the
-  // portfolio reconfigures every clone before it searches).
+  // A copied vector loses its capacity: restore the trail reservation
+  // (the portfolio reconfigures every clone before it searches).
   trail_.reserve(assigns_.size());
   trail_lim_.reserve(assigns_.size());
   if (config.max_learnts_init > 0.0) max_learnts_ = config.max_learnts_init;
-}
-
-bool CdclSolver::add_clause(Clause clause) { return load_clause(clause); }
-
-bool CdclSolver::add_pb(PbConstraint constraint) { return load_pb(constraint); }
-
-bool CdclSolver::load_clause(std::span<const Lit> lits) {
-  if (!ok_) return false;
-  load_lits_.assign(lits.begin(), lits.end());
-  return load_buffered_clause();
-}
-
-bool CdclSolver::load_buffered_clause() {
-  // Sort, dedup, then simplify against the level-0 assignment by
-  // compacting the undecided literals to the front of the same buffer
-  // (write index <= read index, and the tautology test reads ahead only).
-  std::vector<Lit>& lits = load_lits_;
-  std::sort(lits.begin(), lits.end());
-  lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    const Lit l = lits[i];
-    if (i + 1 < lits.size() && lits[i + 1].var() == l.var()) return true;
-    if (value(l) == LBool::True) return true;  // already satisfied
-    if (value(l) == LBool::Undef) lits[kept++] = l;
-  }
-  lits.resize(kept);
-  if (lits.empty()) {
-    ok_ = false;
-    return false;
-  }
-  if (lits.size() == 1) {
-    enqueue(lits[0], {ReasonKind::None, kInvalidClauseRef});
-    if (propagate().valid()) ok_ = false;
-    return ok_;
-  }
-  attach_clause(lits, /*learnt=*/false);
-  return true;
-}
-
-bool CdclSolver::load_pb(const PbConstraint& constraint) {
-  if (!ok_) return false;
-  if (constraint.is_tautology()) return true;
-  if (constraint.is_contradiction()) {
-    ok_ = false;
-    return false;
-  }
-  if (constraint.is_clause()) {
-    load_lits_.clear();
-    for (const PbTerm& t : constraint.terms()) load_lits_.push_back(t.lit);
-    return load_buffered_clause();
-  }
-  const std::uint32_t pb_index =
-      attach_pb_row(constraint.terms(), constraint.bound());
-  // The new constraint may already be conflicting or unit under the
-  // level-0 assignment; propagate() alone would not notice (no new trail
-  // entries), so check it directly.
-  if (pbs_[pb_index].slack < 0) {
-    ok_ = false;
-    return false;
-  }
-  for (const PbTerm& t : pb_terms(pbs_[pb_index])) {
-    if (t.coeff <= pbs_[pb_index].slack) break;
-    if (value(t.lit) == LBool::Undef) {
-      enqueue(t.lit, {ReasonKind::PbRef, pb_index});
-    }
-  }
-  if (propagate().valid()) ok_ = false;
-  return ok_;
-}
-
-ClauseRef CdclSolver::attach_clause(std::span<const Lit> lits, bool learnt) {
-  assert(lits.size() >= 2);
-  const ClauseRef cref = arena_.alloc(lits, learnt);
-  FlatOccPool<Watcher>& pool = lits.size() == 2 ? bin_watches_ : watches_;
-  pool.push(static_cast<std::size_t>(lits[0].code()), {cref, lits[1]});
-  pool.push(static_cast<std::size_t>(lits[1].code()), {cref, lits[0]});
-  return cref;
-}
-
-std::uint32_t CdclSolver::attach_pb_row(std::span<const PbTerm> terms,
-                                        std::int64_t bound) {
-  PbData data;
-  data.terms_begin = static_cast<std::uint32_t>(pb_terms_.size());
-  data.terms_len = static_cast<std::uint32_t>(terms.size());
-  data.bound = bound;
-  // Terms arrive sorted by descending coefficient (PbConstraint invariant;
-  // analyze_pb's emit path upholds it for learned rows).
-  data.max_coeff = terms.empty() ? 0 : terms[0].coeff;
-  const auto index = static_cast<std::uint32_t>(pbs_.size());
-  std::int64_t slack = -bound;
-  for (const PbTerm& t : terms) {
-    pb_terms_.push_back(t);
-    pb_occs_.push(static_cast<std::size_t>(t.lit.code()), {index, t.coeff});
-    // Literals already false contribute nothing to slack.
-    if (value(t.lit) != LBool::False) slack += t.coeff;
-  }
-  pb_occs_dirty_ = true;
-  data.slack = slack;
-  pbs_.push_back(data);
-  return index;
-}
-
-void CdclSolver::enqueue(Lit l, Reason reason) {
-  assert(value(l) == LBool::Undef);
-  const auto v = static_cast<std::size_t>(l.var());
-  const Lit falsified = ~l;
-  assigns_[v] = lbool_of(!l.negated());
-  lit_values_[static_cast<std::size_t>(l.code())] = LBool::True;
-  lit_values_[static_cast<std::size_t>(falsified.code())] = LBool::False;
-  vardata_[v].reason = reason;
-  vardata_[v].level = decision_level();
-  vardata_[v].trail_pos = static_cast<int>(trail_.size());
-  trail_.push_back(l);
-  if (pbs_.empty()) return;
-  // PB slack bookkeeping: literal ~l just became false.
-  for (const PbOcc& occ :
-       pb_occs_.row(static_cast<std::size_t>(falsified.code()))) {
-    pbs_[occ.pb_index].slack -= occ.coeff;
-  }
-}
-
-CdclSolver::Conflict CdclSolver::propagate_pb_for(Lit falsified) {
-  // Slack was already decremented in enqueue(); here we detect conflicts
-  // and propagate forced literals for every constraint containing the
-  // falsified literal.
-  for (const PbOcc& occ :
-       pb_occs_.row(static_cast<std::size_t>(falsified.code()))) {
-    PbData& pb = pbs_[occ.pb_index];
-    if (pb.slack < 0) return {ReasonKind::PbRef, occ.pb_index};
-    if (pb.slack >= pb.max_coeff) {
-      // No coefficient exceeds the slack: the constraint can neither
-      // conflict nor force anything, so skip the term scan entirely.
-      ++stats_.pb_short_circuits;
-      continue;
-    }
-    for (const PbTerm& t : pb_terms(pb)) {
-      if (t.coeff <= pb.slack) break;  // terms sorted by descending coeff
-      if (value(t.lit) == LBool::Undef) {
-        enqueue(t.lit, {ReasonKind::PbRef, occ.pb_index});
-      }
-    }
-  }
-  return {};
-}
-
-CdclSolver::Conflict CdclSolver::propagate() {
-  while (qhead_ < static_cast<int>(trail_.size())) {
-    const Lit p = trail_[static_cast<std::size_t>(qhead_++)];
-    ++stats_.propagations;
-    const Lit falsified = ~p;
-    const auto fcode = static_cast<std::uint32_t>(falsified.code());
-    // Overlap the NEXT trail literal's watcher slabs with this literal's
-    // scan: the row headers are hot, but the slab lines they point at are
-    // scattered across the pool and their load latency otherwise lands on
-    // the critical path of the next iteration. (A push into another row
-    // during the long scan below can reallocate the slab, invalidating
-    // the hint — prefetch is advisory, so that is merely a wasted line.)
-    if (qhead_ < static_cast<int>(trail_.size())) {
-      const auto nrow = static_cast<std::size_t>(
-          (~trail_[static_cast<std::size_t>(qhead_)]).code());
-      __builtin_prefetch(bin_watches_.data(nrow));
-      __builtin_prefetch(watches_.data(nrow));
-    }
-
-    // --- binary implications first ---
-    // The binary row is read-only during the scan (binary watches never
-    // move) and needs no tag test or keep-compaction: each entry is the
-    // other literal plus the clause ref for the implication reason.
-    const auto frow = static_cast<std::size_t>(falsified.code());
-    {
-      const Watcher* const bw_data = bin_watches_.data(frow);
-      const std::uint32_t bw_size = bin_watches_.size(frow);
-      for (std::uint32_t i = 0; i < bw_size; ++i) {
-        const Watcher w = bw_data[i];
-        const LBool bv = value(w.blocker);
-        if (bv == LBool::True) continue;
-        if (bv == LBool::False) {
-          qhead_ = static_cast<int>(trail_.size());
-          return {ReasonKind::ClauseRef, w.cref};
-        }
-        enqueue(w.blocker, {ReasonKind::ClauseRef, w.cref});
-      }
-    }
-
-    // --- long-clause propagation via two watched literals ---
-    // This literal's row never grows during the scan (new watches go to
-    // other literals' rows — the moved-to literal is non-false, the
-    // falsified one is false), so its offset/size are stable. The slab
-    // base pointer is NOT: a push into another row can reallocate the
-    // pool, so `ws_data` is re-read after every watch move (the only
-    // path that pushes).
-    Watcher* ws_data = watches_.data(frow);
-    const std::uint32_t ws_size = watches_.size(frow);
-    std::uint32_t keep = 0;
-    for (std::uint32_t read = 0; read < ws_size; ++read) {
-      const Watcher w = ws_data[read];
-      if (value(w.blocker) == LBool::True) {
-        ws_data[keep++] = w;
-        continue;
-      }
-      std::uint32_t* lits = arena_.lit_codes(w.cref);
-      const int size = arena_.size(w.cref);
-      // Ensure the falsified literal sits at position 1.
-      if (lits[0] == fcode) std::swap(lits[0], lits[1]);
-      assert(lits[1] == fcode);
-      const Lit first = Lit::from_code(static_cast<int>(lits[0]));
-      if (value(first) == LBool::True) {
-        ws_data[keep++] = {w.cref, first};
-        continue;
-      }
-      bool moved = false;
-      for (int k = 2; k < size; ++k) {
-        const Lit lk = Lit::from_code(static_cast<int>(lits[k]));
-        if (value(lk) != LBool::False) {
-          std::swap(lits[1], lits[k]);
-          watches_.push(static_cast<std::size_t>(lits[1]), {w.cref, first});
-          ws_data = watches_.data(frow);  // push may have moved the slab
-          moved = true;
-          break;
-        }
-      }
-      if (moved) continue;
-      // Unit or conflicting.
-      ws_data[keep++] = w;
-      if (value(first) == LBool::False) {
-        // Conflict: restore the remaining watchers and report.
-        for (std::uint32_t rest = read + 1; rest < ws_size; ++rest) {
-          ws_data[keep++] = ws_data[rest];
-        }
-        watches_.truncate(frow, keep);
-        qhead_ = static_cast<int>(trail_.size());
-        return {ReasonKind::ClauseRef, w.cref};
-      }
-      enqueue(first, {ReasonKind::ClauseRef, w.cref});
-    }
-    watches_.truncate(frow, keep);
-
-    // --- PB propagation ---
-    if (!pbs_.empty()) {
-      const Conflict conflict = propagate_pb_for(falsified);
-      if (conflict.valid()) {
-        qhead_ = static_cast<int>(trail_.size());
-        return conflict;
-      }
-    }
-  }
-  return {};
 }
 
 void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
@@ -353,11 +70,9 @@ void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
   learnt->clear();
   learnt->push_back(kUndefLit);  // slot for the asserting (1UIP) literal
 
-  // Marks stay set for the whole analysis (a current-level variable can
-  // appear in several reasons and must only be counted once); they are
-  // cleared in one sweep at the end. The seen_ marks also make it safe to
-  // revisit the implied literal a clause reason may yield: its variable
-  // is always already marked.
+  // Marks stay set for the whole analysis (a variable must be counted
+  // once) and are cleared in one sweep at the end; they also make the
+  // implied literal a clause reason yields harmless (already marked).
   std::vector<Var>& to_clear = analyze_toclear_;
   to_clear.clear();
   int counter = 0;
@@ -376,31 +91,25 @@ void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
     return true;
   };
 
-  if (conflict.kind == ReasonKind::ClauseRef) {
-    bump_clause(conflict.index);
-    touch_learnt(conflict.index);
-  }
-  for_each_reason_lit({conflict.kind, conflict.index}, kUndefLit, absorb);
-
+  // Resolve backwards along the trail, the conflict first, until one
+  // literal of the conflict level is left.
   Lit p = kUndefLit;
+  Reason r = conflict;
   int index = static_cast<int>(trail_.size()) - 1;
   for (;;) {
-    // Walk back to the next marked trail literal.
-    while (!seen_[static_cast<std::size_t>(
-        trail_[static_cast<std::size_t>(index)].var())]) {
-      --index;
-    }
-    p = trail_[static_cast<std::size_t>(index)];
-    --index;
-    --counter;
-    if (counter == 0) break;
-    const Reason r = vardata_[static_cast<std::size_t>(p.var())].reason;
-    assert(r.kind != ReasonKind::None);
+    assert(r.valid());
     if (r.kind == ReasonKind::ClauseRef) {
       bump_clause(r.index);
       touch_learnt(r.index);
     }
     for_each_reason_lit(r, p, absorb);
+    while (!seen_[static_cast<std::size_t>(
+        trail_[static_cast<std::size_t>(index)].var())]) {
+      --index;
+    }
+    p = trail_[static_cast<std::size_t>(index--)];
+    if (--counter == 0) break;
+    r = reason(p.var());
   }
   (*learnt)[0] = ~p;
 
@@ -408,10 +117,8 @@ void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
   if (config_.minimize_learned) minimize_learnt(learnt);
 
   // One scan computes both the backjump level (second-highest level in
-  // the clause) and the LBD: every non-asserting literal's level is
-  // loaded here anyway, so counting distinct levels is free. The
-  // asserting literal sits alone at the conflict level, which no other
-  // literal shares, hence the count starts at 1.
+  // the clause) and the LBD; the asserting literal sits alone at the
+  // conflict level, hence the count starts at 1.
   if (learnt->size() == 1) {
     *backjump = 0;
     *lbd = 1;
@@ -440,510 +147,9 @@ void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
   for (const Var v : to_clear) seen_[static_cast<std::size_t>(v)] = 0;
 }
 
-// ---- cutting-planes PB conflict analysis ----
-//
-// The resolvent invariant maintained throughout: the accumulator is a
-// valid consequence of the constraint database (modulo level-0 units) and
-// is CONFLICTING under the full current assignment (slack < 0). Each step
-// resolves it against the reason of the latest trail literal it contains,
-// with the reason weakened just enough that the coefficient-scaled sum is
-// guaranteed conflicting again (slack is subadditive under the scaled
-// addition). The walk stops as soon as the resolvent is assertive below
-// the current decision level — the PB generalization of 1UIP.
-
-bool CdclSolver::cp_load(Conflict conflict) {
-  for (const Var v : cp_vars_) {
-    cp_coef_[static_cast<std::size_t>(v)] = 0;
-    cp_in_[static_cast<std::size_t>(v)] = 0;
-  }
-  cp_vars_.clear();
-  cp_degree_ = 0;
-  const auto add = [&](std::int64_t a, Lit l) -> bool {
-    const auto v = static_cast<std::size_t>(l.var());
-    // Level-0 strengthening: a globally false literal drops outright (it
-    // is unit-implied away, degree unchanged), a globally true one drops
-    // with its weight paid off the degree. Exactly mirrors how add_clause
-    // simplifies against the level-0 assignment.
-    if (value(l.var()) != LBool::Undef && level(l.var()) == 0) {
-      if (value(l) == LBool::False) return true;
-      return !add_ov(cp_degree_, -a, &cp_degree_);
-    }
-    assert(!cp_in_[v]);
-    cp_in_[v] = 1;
-    cp_vars_.push_back(l.var());
-    cp_coef_[v] = a;
-    cp_lit_[v] = l;
-    return true;
-  };
-  if (conflict.kind == ReasonKind::ClauseRef) {
-    const std::uint32_t* codes = arena_.lit_codes(conflict.index);
-    const int size = arena_.size(conflict.index);
-    cp_degree_ = 1;
-    for (int i = 0; i < size; ++i) {
-      if (!add(1, Lit::from_code(static_cast<int>(codes[i])))) return false;
-    }
-  } else {
-    const PbData& pb = pbs_[conflict.index];
-    cp_degree_ = pb.bound;
-    for (const PbTerm& t : pb_terms(pb)) {
-      if (!add(t.coeff, t.lit)) return false;
-    }
-  }
-  return true;
-}
-
-std::int64_t CdclSolver::cp_slack_full() const {
-  __int128 s = -static_cast<__int128>(cp_degree_);
-  for (const Var v : cp_vars_) {
-    const std::int64_t a = cp_coef_[static_cast<std::size_t>(v)];
-    if (a != 0 && value(cp_lit_[static_cast<std::size_t>(v)]) != LBool::False) {
-      s += a;
-    }
-  }
-  // Saturating clamp: callers only branch on the sign and compare against
-  // single coefficients, and saturation errs toward extra weakening —
-  // never toward an unsound resolvent.
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
-  if (s > kMax) return kMax;
-  if (s < kMin) return kMin;
-  return static_cast<std::int64_t>(s);
-}
-
-bool CdclSolver::cp_assertive() const {
-  // Assertive below the current level L: with every level-L (and dummy
-  // assumption level) assignment undone, the resolvent either still
-  // conflicts or forces some literal not assigned below L. Terms false
-  // below L stay false; everything else — unassigned, true anywhere,
-  // false at L — counts as non-false, and the not-assigned-below-L subset
-  // are the propagation candidates.
-  const int L = decision_level();
-  __int128 slack = -static_cast<__int128>(cp_degree_);
-  std::int64_t maxcand = 0;
-  for (const Var v : cp_vars_) {
-    const auto vi = static_cast<std::size_t>(v);
-    const std::int64_t a = cp_coef_[vi];
-    if (a == 0) continue;
-    const bool assigned_below = value(v) != LBool::Undef && level(v) < L;
-    if (assigned_below && value(cp_lit_[vi]) == LBool::False) continue;
-    slack += a;
-    if (!assigned_below) maxcand = std::max(maxcand, a);
-  }
-  return slack < 0 || static_cast<__int128>(maxcand) > slack;
-}
-
-bool CdclSolver::cp_saturate_and_divide() {
-  if (cp_degree_ <= 0) return false;
-  std::int64_t g = 0;
-  for (const Var v : cp_vars_) {
-    std::int64_t& a = cp_coef_[static_cast<std::size_t>(v)];
-    if (a == 0) continue;
-    if (a > cp_degree_) a = cp_degree_;  // saturation
-    g = std::gcd(g, a);
-  }
-  if (g <= 1) return true;  // g == 0: empty resolvent — caller decides
-  for (const Var v : cp_vars_) {
-    std::int64_t& a = cp_coef_[static_cast<std::size_t>(v)];
-    if (a != 0) a /= g;
-  }
-  // Chvátal-Gomory rounding: the bound divides rounding UP, which is the
-  // sound direction (the integer LHS cannot land strictly between).
-  cp_degree_ = cp_degree_ / g + (cp_degree_ % g != 0 ? 1 : 0);
-  return true;
-}
-
-bool CdclSolver::cp_weaken_nonfalse() {
-  for (const Var v : cp_vars_) {
-    const auto vi = static_cast<std::size_t>(v);
-    const std::int64_t a = cp_coef_[vi];
-    if (a == 0 || value(cp_lit_[vi]) == LBool::False) continue;
-    // Weakening a non-false term (drop it, pay its weight off the degree)
-    // leaves the slack unchanged, so the resolvent stays conflicting.
-    cp_coef_[vi] = 0;
-    cp_degree_ -= a;
-  }
-  if (cp_degree_ <= 0) return false;
-  return cp_saturate_and_divide();
-}
-
-bool CdclSolver::cp_reduce_reason(Reason reason, Lit l, int pos_l) {
-  cp_reason_.clear();
-  cp_cands_.clear();
-  cp_reason_degree_ = 0;
-  std::int64_t coef_l = 0;
-  const auto load_term = [&](std::int64_t a, Lit t) -> bool {
-    if (t == l) {
-      coef_l = a;
-      return true;
-    }
-    const Var v = t.var();
-    if (value(v) != LBool::Undef && level(v) == 0) {
-      if (value(t) == LBool::False) return true;  // strengthen away
-      return !add_ov(cp_reason_degree_, -a, &cp_reason_degree_);
-    }
-    if (value(t) == LBool::False) {
-      if (vardata_[static_cast<std::size_t>(v)].trail_pos < pos_l) {
-        cp_reason_.push_back({a, t});  // falsified before l: keep
-        return true;
-      }
-      // Falsified AFTER l was propagated: weaken unconditionally, or the
-      // resolvent would gain a literal past the analysis walk's cursor
-      // and the walk could miss it. (Weakening a false term raises the
-      // reason's slack; the loop below re-establishes the guarantee.)
-      return !add_ov(cp_reason_degree_, -a, &cp_reason_degree_);
-    }
-    cp_cands_.push_back({a, t});  // non-false: optional weakening fodder
-    return true;
-  };
-  bool ok = true;
-  if (reason.kind == ReasonKind::ClauseRef) {
-    cp_reason_degree_ = 1;
-    const std::uint32_t* codes = arena_.lit_codes(reason.index);
-    const int size = arena_.size(reason.index);
-    for (int i = 0; ok && i < size; ++i) {
-      ok = load_term(1, Lit::from_code(static_cast<int>(codes[i])));
-    }
-  } else {
-    assert(reason.kind == ReasonKind::PbRef);
-    const PbData& pb = pbs_[reason.index];
-    cp_reason_degree_ = pb.bound;
-    for (const PbTerm& t : pb_terms(pb)) {
-      if (!(ok = load_term(t.coeff, t.lit))) break;
-    }
-  }
-  if (!ok || coef_l <= 0 || cp_reason_degree_ <= 0) return false;
-
-  // Weaken candidates (weakest coefficients first — they cost the least
-  // strength) until the planned resolvent is guaranteed conflicting:
-  // slack is subadditive under the scaled addition, so it suffices that
-  //   c1 * slack(resolvent) + c2 * slack(reason) < 0
-  // with c1 = coef_l/g, c2 = p/g the cancellation multipliers. Because a
-  // fully weakened reason (l plus only falsified-before-l literals,
-  // saturated) has slack <= 0, the loop always terminates in a state that
-  // satisfies the condition.
-  std::sort(cp_cands_.begin(), cp_cands_.end(),
-            [](const PbTerm& a, const PbTerm& b) { return a.coeff < b.coeff; });
-  const __int128 slack_c = cp_slack_full();  // < 0: analyze_pb's invariant
-  const std::int64_t p =
-      cp_coef_[static_cast<std::size_t>(l.var())];  // resolvent's ~l weight
-  std::size_t weakened = 0;
-  for (;;) {
-    // Saturate the reason at its current degree.
-    if (coef_l > cp_reason_degree_) coef_l = cp_reason_degree_;
-    for (PbTerm& t : cp_reason_) t.coeff = std::min(t.coeff, cp_reason_degree_);
-    __int128 slack_r =
-        static_cast<__int128>(coef_l) - static_cast<__int128>(cp_reason_degree_);
-    for (std::size_t i = weakened; i < cp_cands_.size(); ++i) {
-      cp_cands_[i].coeff = std::min(cp_cands_[i].coeff, cp_reason_degree_);
-      slack_r += cp_cands_[i].coeff;  // non-false terms all count
-    }
-    const std::int64_t g = std::gcd(p, coef_l);
-    const __int128 c1 = coef_l / g;
-    const __int128 c2 = p / g;
-    if (c1 * slack_c + c2 * slack_r < 0) break;
-    if (weakened == cp_cands_.size()) return false;  // unreachable; defensive
-    cp_reason_degree_ -= cp_cands_[weakened].coeff;
-    ++weakened;
-    if (cp_reason_degree_ <= 0) return false;  // degenerated to tautology
-  }
-  // Emit: l's own term first (analyze_pb reads the coefficient there),
-  // then the kept falsified terms and the surviving candidates.
-  cp_reason_.insert(cp_reason_.begin(), {coef_l, l});
-  cp_reason_.insert(cp_reason_.end(), cp_cands_.begin() + weakened,
-                    cp_cands_.end());
-  return true;
-}
-
-int CdclSolver::cp_backjump_level() {
-  // The lowest level b < L at which the resolvent still conflicts or
-  // propagates. slack_b counts every term not falsified at levels <= b
-  // (unassigned terms and terms assigned above b revert to non-false
-  // after backtracking); propagation candidates at b are exactly the
-  // terms not assigned at or below b.
-  const int L = decision_level();
-  std::vector<BjEnt>& ents = cp_bj_ents_;
-  ents.clear();
-  __int128 total = 0;
-  std::int64_t unassigned_max = 0;
-  for (const Var v : cp_vars_) {
-    const auto vi = static_cast<std::size_t>(v);
-    const std::int64_t a = cp_coef_[vi];
-    if (a == 0) continue;
-    total += a;
-    if (value(v) == LBool::Undef) {
-      unassigned_max = std::max(unassigned_max, a);
-      continue;
-    }
-    ents.push_back({level(v), a, value(cp_lit_[vi]) == LBool::False});
-  }
-  std::sort(ents.begin(), ents.end(),
-            [](const BjEnt& a, const BjEnt& b) { return a.lvl < b.lvl; });
-  std::vector<std::int64_t>& suffix_max = cp_bj_suffix_;
-  suffix_max.assign(ents.size() + 1, 0);
-  for (std::size_t i = ents.size(); i-- > 0;) {
-    suffix_max[i] = std::max(suffix_max[i + 1], ents[i].coeff);
-  }
-  __int128 false_below = 0;
-  std::size_t i = 0;
-  for (int b = 0; b < L; ++b) {
-    while (i < ents.size() && ents[i].lvl <= b) {
-      if (ents[i].falsified) false_below += ents[i].coeff;
-      ++i;
-    }
-    const __int128 slack_b =
-        total - false_below - static_cast<__int128>(cp_degree_);
-    const std::int64_t cand = std::max(unassigned_max, suffix_max[i]);
-    if (slack_b < 0 || static_cast<__int128>(cand) > slack_b) return b;
-  }
-  // cp_assertive() held, so b = L-1 must have fired; keep a sane answer.
-  return L - 1;
-}
-
-CdclSolver::PbOutcome CdclSolver::analyze_pb(Conflict conflict,
-                                             PbLearned* out) {
-  if (!cp_load(conflict)) return PbOutcome::Fallback;
-  if (cp_degree_ <= 0 || !cp_saturate_and_divide()) return PbOutcome::Fallback;
-  if (conflict.kind == ReasonKind::PbRef) bump_pb(conflict.index);
-  if (cp_slack_full() >= 0) return PbOutcome::Fallback;  // defensive
-
-  int i = static_cast<int>(trail_.size()) - 1;
-  int steps = 0;
-  while (!cp_assertive()) {
-    // Latest trail literal the resolvent depends on (its negation carries
-    // a nonzero coefficient).
-    while (i >= 0) {
-      const auto vi =
-          static_cast<std::size_t>(trail_[static_cast<std::size_t>(i)].var());
-      if (cp_coef_[vi] != 0 &&
-          cp_lit_[vi] == ~trail_[static_cast<std::size_t>(i)]) {
-        break;
-      }
-      --i;
-    }
-    if (i < 0) return PbOutcome::Fallback;  // defensive: nothing to resolve
-    const Lit l = trail_[static_cast<std::size_t>(i)];
-    const auto lv = static_cast<std::size_t>(l.var());
-    const Reason r = vardata_[lv].reason;
-    if (r.kind == ReasonKind::None) {
-      // A decision (or assumption pseudo-decision) has no reason to
-      // resolve with. Weakening every non-false term out of the resolvent
-      // preserves the conflict; if even that does not make it assertive,
-      // hand the conflict to the clausal path.
-      if (!cp_weaken_nonfalse()) return PbOutcome::Fallback;
-      if (cp_assertive()) break;
-      return PbOutcome::Fallback;
-    }
-    if (++steps > kPbMaxResolutions) return PbOutcome::Fallback;
-    bump_var(l.var());
-    if (r.kind == ReasonKind::ClauseRef) {
-      bump_clause(r.index);
-      touch_learnt(r.index);
-    } else {
-      bump_pb(r.index);
-    }
-    if (!cp_reduce_reason(r, l, i)) return PbOutcome::Fallback;
-
-    // Resolve: cp := c1*cp + c2*reason', cancelling var(l). All stored
-    // arithmetic is overflow-checked int64; gcd division and saturation
-    // right after keep the coefficients from compounding.
-    const std::int64_t p = cp_coef_[lv];
-    const std::int64_t q = cp_reason_[0].coeff;  // l's own coefficient
-    const std::int64_t g = std::gcd(p, q);
-    const std::int64_t c1 = q / g;
-    const std::int64_t c2 = p / g;
-    if (c1 > 1) {
-      for (const Var v : cp_vars_) {
-        std::int64_t& a = cp_coef_[static_cast<std::size_t>(v)];
-        if (a != 0 && mul_ov(a, c1, &a)) return PbOutcome::Fallback;
-      }
-      if (mul_ov(cp_degree_, c1, &cp_degree_)) return PbOutcome::Fallback;
-    }
-    std::int64_t scaled_degree = 0;
-    if (mul_ov(cp_reason_degree_, c2, &scaled_degree) ||
-        add_ov(cp_degree_, scaled_degree, &cp_degree_)) {
-      return PbOutcome::Fallback;
-    }
-    for (const PbTerm& t : cp_reason_) {
-      std::int64_t a2 = 0;
-      if (mul_ov(t.coeff, c2, &a2)) return PbOutcome::Fallback;
-      const auto vi = static_cast<std::size_t>(t.lit.var());
-      if (cp_coef_[vi] == 0) {
-        if (!cp_in_[vi]) {
-          cp_in_[vi] = 1;
-          cp_vars_.push_back(t.lit.var());
-        }
-        cp_coef_[vi] = a2;
-        cp_lit_[vi] = t.lit;
-      } else if (cp_lit_[vi] == t.lit) {
-        if (add_ov(cp_coef_[vi], a2, &cp_coef_[vi])) return PbOutcome::Fallback;
-      } else {
-        // Opposite literals: a*x + b*~x = min(a,b) + |a-b|*(majority side),
-        // so the degree pays min(a,b) and the difference stays.
-        const std::int64_t m = std::min(cp_coef_[vi], a2);
-        cp_degree_ -= m;
-        if (cp_coef_[vi] == a2) {
-          cp_coef_[vi] = 0;
-        } else if (cp_coef_[vi] > a2) {
-          cp_coef_[vi] -= a2;
-        } else {
-          cp_coef_[vi] = a2 - cp_coef_[vi];
-          cp_lit_[vi] = t.lit;
-        }
-      }
-    }
-    assert(cp_coef_[lv] == 0);  // exact cancellation of the pivot
-    if (cp_degree_ <= 0 || !cp_saturate_and_divide()) {
-      return PbOutcome::Fallback;
-    }
-    assert(cp_slack_full() < 0);
-    ++stats_.pb_resolutions;
-    --i;
-  }
-
-  // Emit the assertive resolvent.
-  bool empty = true;
-  for (const Var v : cp_vars_) {
-    if (cp_coef_[static_cast<std::size_t>(v)] != 0) {
-      empty = false;
-      break;
-    }
-  }
-  if (empty) return PbOutcome::Unsat;  // 0 >= degree > 0: level-0 conflict
-
-  // Glue equivalent: distinct decision levels among the falsified terms.
-  ++lbd_stamp_;
-  int glue = 0;
-  for (const Var v : cp_vars_) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (cp_coef_[vi] == 0 || value(cp_lit_[vi]) != LBool::False) continue;
-    const int lvl = level(v);
-    if (lvl <= 0) continue;
-    auto& stamp = lbd_level_stamp_[static_cast<std::size_t>(lvl)];
-    if (stamp != lbd_stamp_) {
-      stamp = lbd_stamp_;
-      ++glue;
-    }
-  }
-  out->glue = std::max(glue, 1);
-  out->backjump = cp_backjump_level();
-  if (cp_degree_ == 1) {
-    // Saturation left every coefficient at 1: the resolvent IS a clause.
-    out->is_clause = true;
-    out->clause.clear();
-    for (const Var v : cp_vars_) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (cp_coef_[vi] != 0) out->clause.push_back(cp_lit_[vi]);
-    }
-  } else {
-    out->is_clause = false;
-    out->terms.clear();
-    for (const Var v : cp_vars_) {
-      const auto vi = static_cast<std::size_t>(v);
-      if (cp_coef_[vi] != 0) out->terms.push_back({cp_coef_[vi], cp_lit_[vi]});
-    }
-    std::sort(out->terms.begin(), out->terms.end(),
-              [](const PbTerm& a, const PbTerm& b) {
-                if (a.coeff != b.coeff) return a.coeff > b.coeff;
-                return a.lit.code() < b.lit.code();
-              });
-    out->degree = cp_degree_;
-  }
-  return PbOutcome::Learned;
-}
-
-std::uint32_t CdclSolver::attach_learned_pb(std::span<const PbTerm> terms,
-                                            std::int64_t degree, int glue) {
-  assert(!terms.empty());
-  const std::uint32_t index = attach_pb_row(terms, degree);
-  PbData& pb = pbs_[index];
-  pb.activity = static_cast<float>(pb_inc_);
-  pb.lbd = static_cast<std::uint8_t>(std::min(glue, 255));
-  pb.flags = kPbLearnt | kPbUsed;
-  ++learnt_count_;
-  ++stats_.learned_pbs;
-  return index;
-}
-
-void CdclSolver::reduce_learned_pbs() {
-  if (stats_.learned_pbs == stats_.deleted_pbs) return;  // no learnt rows
-  // Rows serving as trail reasons are locked (their slack history is part
-  // of the implication graph the next analyses will walk).
-  std::vector<char> locked(pbs_.size(), 0);
-  for (const Lit l : trail_) {
-    const Reason& r = vardata_[static_cast<std::size_t>(l.var())].reason;
-    if (r.kind == ReasonKind::PbRef) locked[r.index] = 1;
-  }
-  // Same tier policy as the clause DB: core glue is immortal, mid glue
-  // survives while used since the previous reduction, the rest is sorted
-  // by activity and the colder half dropped.
-  std::vector<std::uint32_t> candidates;
-  for (std::uint32_t idx = 0; idx < pbs_.size(); ++idx) {
-    PbData& pb = pbs_[idx];
-    if (!(pb.flags & kPbLearnt)) continue;
-    if (pb.lbd <= config_.tier_core_lbd) continue;
-    if (pb.lbd <= config_.tier_mid_lbd) {
-      if ((pb.flags & kPbUsed) || locked[idx]) {
-        pb.flags &= ~kPbUsed;
-        continue;
-      }
-      ++stats_.tier_demotions;
-    } else if (locked[idx]) {
-      pb.flags &= ~kPbUsed;
-      continue;
-    }
-    pb.flags &= ~kPbUsed;
-    candidates.push_back(idx);
-  }
-  const std::size_t drop = candidates.size() / 2;
-  if (drop == 0) return;
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return pbs_[a].activity < pbs_[b].activity;
-            });
-  for (std::size_t k = 0; k < drop; ++k) {
-    pbs_[candidates[k]].flags |= kPbDeleted;
-    ++stats_.deleted_pbs;
-    --learnt_count_;
-  }
-  // Compact rows, the shared term pool and the occurrence lists, then
-  // remap trail reasons — the PB analog of garbage_collect(). Cached
-  // slacks move with their rows; incremental maintenance carries on.
-  constexpr std::uint32_t kDead = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> old2new(pbs_.size(), kDead);
-  std::vector<PbData> fresh;
-  fresh.reserve(pbs_.size() - drop);
-  std::vector<PbTerm> fresh_terms;
-  fresh_terms.reserve(pb_terms_.size());
-  for (std::uint32_t idx = 0; idx < pbs_.size(); ++idx) {
-    const PbData& pb = pbs_[idx];
-    if (pb.flags & kPbDeleted) continue;
-    old2new[idx] = static_cast<std::uint32_t>(fresh.size());
-    PbData moved = pb;
-    moved.terms_begin = static_cast<std::uint32_t>(fresh_terms.size());
-    const PbTerm* src = pb_terms_.data() + pb.terms_begin;
-    fresh_terms.insert(fresh_terms.end(), src, src + pb.terms_len);
-    fresh.push_back(moved);
-  }
-  pbs_ = std::move(fresh);
-  pb_terms_ = std::move(fresh_terms);
-  pb_occs_.rebuild([&](std::size_t, PbOcc& occ) {
-    if (old2new[occ.pb_index] == kDead) return false;
-    occ.pb_index = old2new[occ.pb_index];
-    return true;
-  });
-  for (const Lit l : trail_) {
-    Reason& r = vardata_[static_cast<std::size_t>(l.var())].reason;
-    if (r.kind == ReasonKind::PbRef) r.index = old2new[r.index];
-  }
-}
-
 void CdclSolver::analyze_final(Lit failed) {
-  // `failed` is a pending assumption whose complement the assumption
-  // prefix taken so far already implies. Walk the implication graph from
-  // ~failed back to pseudo-decisions: every reason-less trail literal
-  // reached is one of the earlier assumptions this conflict rests on
-  // (assumption-taking happens before any branch decision, so at this
-  // point every open decision level is an assumption level).
+  // Assumptions are taken before any branch decision, so every
+  // reason-less trail literal reached from ~failed is an assumption.
   core_.clear();
   core_.push_back(failed);
   if (decision_level() == 0) return;  // implied by root units alone
@@ -953,7 +159,7 @@ void CdclSolver::analyze_final(Lit failed) {
     const Lit p = trail_[static_cast<std::size_t>(i)];
     const auto v = static_cast<std::size_t>(p.var());
     if (!seen_[v]) continue;
-    const Reason r = vardata_[v].reason;
+    const Reason r = reason(p.var());
     if (r.kind == ReasonKind::None) {
       // Pseudo-decision: `p` is itself one of the caller's assumptions.
       core_.push_back(p);
@@ -978,7 +184,7 @@ void CdclSolver::minimize_learnt(std::vector<Lit>* learnt) {
   std::size_t keep = 1;
   for (std::size_t i = 1; i < learnt->size(); ++i) {
     const Lit l = (*learnt)[i];
-    const Reason r = vardata_[static_cast<std::size_t>(l.var())].reason;
+    const Reason r = reason(l.var());
     // Redundant iff every reason literal is already in the clause or at
     // level 0; the visitor aborts at the first counterexample.
     const bool redundant =
@@ -997,30 +203,26 @@ void CdclSolver::minimize_learnt(std::vector<Lit>* learnt) {
   learnt->resize(keep);
 }
 
-void CdclSolver::backtrack(int target_level) {
-  if (decision_level() <= target_level) return;
-  const int bound = trail_lim_[static_cast<std::size_t>(target_level)];
-  for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
-    const Lit p = trail_[static_cast<std::size_t>(i)];
-    const auto v = static_cast<std::size_t>(p.var());
-    if (!pbs_.empty()) {
-      // Restore PB slack for the literal that stops being false.
-      const Lit falsified = ~p;
-      for (const PbOcc& occ :
-           pb_occs_.row(static_cast<std::size_t>(falsified.code()))) {
-        pbs_[occ.pb_index].slack += occ.coeff;
-      }
-    }
-    if (config_.phase_saving) polarity_[v] = p.negated() ? 0 : 1;
-    assigns_[v] = LBool::Undef;
-    lit_values_[static_cast<std::size_t>(p.code())] = LBool::Undef;
-    lit_values_[static_cast<std::size_t>((~p).code())] = LBool::Undef;
-    vardata_[v].reason = {ReasonKind::None, kInvalidClauseRef};
-    order_.insert(p.var());
+void CdclSolver::learn_clause(std::span<const Lit> lits, int lbd) {
+  if (lits.size() == 1) {
+    enqueue(lits[0], {});
+    return;
   }
-  trail_.resize(static_cast<std::size_t>(bound));
-  trail_lim_.resize(static_cast<std::size_t>(target_level));
-  qhead_ = bound;
+  const ClauseRef cref = attach_clause(lits, /*learnt=*/true);
+  arena_.set_lbd(cref, lbd);
+  bump_clause(cref);
+  ++learnt_count_;
+  ++stats_.learned_clauses;
+  enqueue(lits[0], {ReasonKind::ClauseRef, cref});
+}
+
+void CdclSolver::backtrack(int target_level) {
+  PropEngine::backtrack(target_level, [this](Lit p) {
+    if (config_.phase_saving) {
+      polarity_[static_cast<std::size_t>(p.var())] = p.negated() ? 0 : 1;
+    }
+    order_.insert(p.var());
+  });
 }
 
 Lit CdclSolver::pick_branch() {
@@ -1038,12 +240,7 @@ Lit CdclSolver::pick_branch() {
   }
   while (!order_.empty()) {
     const Var v = order_.pop_max();
-    if (value(v) == LBool::Undef) {
-      const bool phase_true = config_.phase_saving
-                                  ? polarity_[static_cast<std::size_t>(v)] != 0
-                                  : config_.default_phase;
-      return Lit(v, !phase_true);
-    }
+    if (value(v) == LBool::Undef) return Lit(v, !saved_phase(v));
   }
   return kUndefLit;
 }
@@ -1079,19 +276,6 @@ void CdclSolver::decay_activities() {
   pb_inc_ /= kClauseDecay;
 }
 
-void CdclSolver::bump_pb(std::uint32_t pb_index) {
-  PbData& pb = pbs_[pb_index];
-  if (!(pb.flags & kPbLearnt)) return;
-  pb.flags |= kPbUsed;
-  pb.activity += static_cast<float>(pb_inc_);
-  if (pb.activity > 1e20f) {
-    for (PbData& other : pbs_) {
-      if (other.flags & kPbLearnt) other.activity *= 1e-20f;
-    }
-    pb_inc_ *= 1e-20;
-  }
-}
-
 int CdclSolver::compute_clause_lbd(ClauseRef cref) {
   ++lbd_stamp_;
   int lbd = 0;
@@ -1117,9 +301,8 @@ void CdclSolver::touch_learnt(ClauseRef cref) {
   if (arena_.used(cref)) return;
   arena_.set_used(cref);
   const int stored = arena_.lbd(cref);
-  // Core clauses cannot improve in tier; skip the recomputation. All
-  // literals of a conflict/reason clause are assigned here, so levels are
-  // fresh (touch_learnt is only called from analyze()).
+  // Core clauses cannot improve in tier. All literals of a conflict or
+  // reason clause are assigned, so their levels are fresh.
   if (stored <= config_.tier_core_lbd) return;
   const int fresh = compute_clause_lbd(cref);
   if (fresh < stored) {
@@ -1141,10 +324,8 @@ void CdclSolver::maybe_export(std::span<const Lit> learnt, int lbd) {
 
 void CdclSolver::maybe_export_pb(std::span<const PbTerm> terms,
                                  std::int64_t degree, int glue) {
-  // Same admission caps as clause exports: glue-tier currency, bounded
-  // width. Weakening-mode workers never reach this (they learn clauses
-  // only), so the PB lane carries traffic exactly when a cutting-planes
-  // worker is in the race.
+  // Same admission caps as clause exports. Only cutting-planes workers
+  // learn PB rows, so only they use this lane.
   if (hooks_.sharing == nullptr || glue > config_.share_max_lbd ||
       terms.size() > kShareMaxSize) {
     return;
@@ -1166,10 +347,8 @@ bool CdclSolver::drain_imports() {
   hooks_.sharing->import_clauses(hooks_.worker_id, &hooks_.import_cursor,
                                  &import_buf_);
   for (SharedClause& sc : import_buf_) {
-    // Importer-side admission control: the exporter filtered on ITS caps,
-    // which (after reconfigure-based diversification) need not match ours.
-    // Re-check glue and size against this solver's thresholds and count
-    // what gets turned away.
+    // The exporter filtered on ITS caps, which (after reconfigure-based
+    // diversification) need not match ours: re-check them here.
     if (sc.lbd > config_.share_max_lbd ||
         sc.lits.size() > kShareMaxSize) {
       ++stats_.rejected_imports;
@@ -1178,19 +357,12 @@ bool CdclSolver::drain_imports() {
     ++stats_.imported_clauses;
     // Learnt clauses are consequences of the shared formula (conflict
     // analysis never resolves on assumption pseudo-decisions), so a
-    // foreign clause is added exactly like a problem clause: simplified
-    // against the level-0 assignment, unit-propagated if forcing — and a
-    // clause that is empty or all-false under the level-0 assignment
-    // derives level-0 unsatisfiability (add_clause clears ok_), which the
-    // `false` return surfaces to solve() instead of silently attaching a
-    // falsified record. Glue imports would be core-tier anyway, so
-    // attaching them as permanent clauses loses nothing to reduce_db().
+    // foreign clause is loaded like a problem clause, level-0 refutation
+    // included. Glue imports would be core-tier anyway, so attaching them
+    // as permanent clauses loses nothing to reduce_db().
     if (!add_clause(std::move(sc.lits))) return false;
   }
-  // Learned PB rows travel the same way. add_pb re-normalizes the row and
-  // runs the full level-0 admission logic: clause/unit degeneration,
-  // contradiction and conflicting-under-level-0 detection (ok_ cleared,
-  // surfaced through the false return), initial propagation.
+  // Learned PB rows travel the same way; add_pb re-normalizes the row.
   pb_import_buf_.clear();
   hooks_.sharing->import_pbs(hooks_.worker_id, &hooks_.pb_import_cursor,
                              &pb_import_buf_);
@@ -1216,20 +388,9 @@ bool CdclSolver::drain_imports() {
   return true;
 }
 
-bool CdclSolver::clause_locked(ClauseRef cref) const {
-  const Lit first = arena_.lit(cref, 0);
-  const VarData& vd = vardata_[static_cast<std::size_t>(first.var())];
-  return value(first) == LBool::True &&
-         vd.reason.kind == ReasonKind::ClauseRef && vd.reason.index == cref;
-}
-
 void CdclSolver::reduce_db() {
-  // LBD-tiered retention (Glucose lineage):
-  //   core  — glue clauses (lbd <= tier_core_lbd) and binaries: immortal;
-  //   mid   — lbd <= tier_mid_lbd, kept while used since the previous
-  //           reduction, demoted to the local pool otherwise;
-  //   local — everything else, sorted by activity, less active half dropped
-  //           (locked clauses are retained regardless).
+  // The tier policy of the header comment; locked clauses are retained
+  // regardless.
   std::vector<ClauseRef> candidates;
   std::int64_t core = 0;
   std::int64_t mid = 0;
@@ -1241,22 +402,13 @@ void CdclSolver::reduce_db() {
       ++core;
       continue;
     }
-    if (tier == Tier::Mid) {
-      if (arena_.used(cr) || clause_locked(cr)) {
-        arena_.clear_used(cr);  // must earn its keep again by next cycle
-        ++mid;
-        continue;
-      }
-      ++stats_.tier_demotions;
-    } else if (clause_locked(cr)) {
-      // Locked local clauses survive but still reset their touch throttle,
-      // or their LBD would never be recomputed again.
-      arena_.clear_used(cr);
-      ++local_locked;
-      continue;
-    }
+    const bool drop = retire(tier, arena_.used(cr), clause_locked(cr));
     arena_.clear_used(cr);
-    candidates.push_back(cr);
+    if (drop) {
+      candidates.push_back(cr);
+    } else {
+      ++(tier == Tier::Mid ? mid : local_locked);
+    }
   }
   std::sort(candidates.begin(), candidates.end(),
             [&](ClauseRef a, ClauseRef b) {
@@ -1273,60 +425,50 @@ void CdclSolver::reduce_db() {
       --learnt_count_;
       ++stats_.deleted_clauses;
     }
-    garbage_collect();
+    garbage_collect([this](ClauseRef cr) {
+      return arena_.learnt(cr) ? static_cast<int>(clause_tier(cr)) : 0;
+    });
   }
-  // Learned PB constraints go through the same tier policy against their
-  // own storage (rows + term pool + occurrence lists).
   reduce_learned_pbs();
 }
 
-void CdclSolver::garbage_collect() {
-  // Compact live clauses into a fresh arena, then remap every stored
-  // ClauseRef (watch lists and trail reasons) through the forwarding
-  // pointers the relocation left behind. Deleted clauses are simply not
-  // copied, so no tombstones survive into the next propagation.
-  //
-  // Tier-partitioned layout: survivors are relocated in three passes —
-  // problem clauses + core-tier learnts first, then mid, then local — so
-  // each retention tier lands in one contiguous arena segment. The hot
-  // tier (problem + glue clauses, which every conflict-heavy propagation
-  // touches) packs into the lowest addresses and stays cache-resident
-  // while the churny local tier is swept in and out behind it. Multi-pass
-  // sweeping needs no arena support beyond what single-pass used:
-  // relocate() is idempotent per record (relocated bit + forwarding ref)
-  // and leaves the old header's size/learnt/LBD bits intact, so later
-  // passes still classify records and step next() over ones already moved.
-  ClauseArena to;
-  to.reserve(arena_.words());
-  const auto sweep = [&](auto&& want) {
-    for (ClauseRef cr = 0; cr != arena_.end_ref(); cr = arena_.next(cr)) {
-      if (arena_.deleted(cr) || arena_.relocated(cr)) continue;
-      if (want(cr)) arena_.relocate(cr, &to);
-    }
-  };
-  sweep([&](ClauseRef cr) {
-    return !arena_.learnt(cr) || clause_tier(cr) == Tier::Core;
-  });
-  sweep([&](ClauseRef cr) { return clause_tier(cr) == Tier::Mid; });
-  sweep([](ClauseRef) { return true; });  // local tier — the remainder
-  // Remap surviving watchers through the forwarding refs while rebuilding
-  // each pool: one pass both drops dead entries and restores the
-  // garbage-free CSR layout (rows in literal order, zero slack).
-  const auto remap = [&](std::size_t, Watcher& w) {
-    if (arena_.deleted(w.cref)) return false;
-    w.cref = arena_.forward(w.cref);
-    return true;
-  };
-  watches_.rebuild(remap);
-  bin_watches_.rebuild(remap);
+bool CdclSolver::retire(Tier tier, bool used, bool locked) {
+  if (locked || (tier == Tier::Mid && used)) return false;
+  if (tier == Tier::Mid) ++stats_.tier_demotions;
+  return true;
+}
+
+void CdclSolver::reduce_learned_pbs() {
+  if (stats_.learned_pbs == stats_.deleted_pbs) return;  // no learnt rows
+  // Rows serving as trail reasons are locked (their slack history is part
+  // of the implication graph the next analyses will walk).
+  std::vector<char> locked(pbs_.size(), 0);
   for (const Lit l : trail_) {
-    Reason& reason = vardata_[static_cast<std::size_t>(l.var())].reason;
-    if (reason.kind == ReasonKind::ClauseRef) {
-      reason.index = arena_.forward(reason.index);
-    }
+    const Reason r = reason(l.var());
+    if (r.kind == ReasonKind::PbRef) locked[r.index] = 1;
   }
-  arena_ = std::move(to);
-  ++stats_.arena_collections;
+  // Same tier policy as the clause DB.
+  std::vector<std::uint32_t> candidates;
+  for (std::uint32_t idx = 0; idx < pbs_.size(); ++idx) {
+    PbData& pb = pbs_[idx];
+    const Tier tier = tier_of(pb.lbd);
+    if (!(pb.flags & kPbLearnt) || tier == Tier::Core) continue;
+    const bool drop = retire(tier, (pb.flags & kPbUsed) != 0, locked[idx]);
+    pb.flags &= ~kPbUsed;
+    if (drop) candidates.push_back(idx);
+  }
+  const std::size_t drop = candidates.size() / 2;
+  if (drop == 0) return;
+  std::sort(candidates.begin(), candidates.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return pbs_[a].activity < pbs_[b].activity;
+            });
+  for (std::size_t k = 0; k < drop; ++k) {
+    pbs_[candidates[k]].flags |= kPbDeleted;
+    ++stats_.deleted_pbs;
+    --learnt_count_;
+  }
+  compact_pbs();
 }
 
 TierCounts CdclSolver::learned_tier_counts() const {
@@ -1363,15 +505,13 @@ SolveResult CdclSolver::budget_exit(BudgetTrip trip) {
 
 SolveResult CdclSolver::solve(const SolveBudget& budget,
                               std::span<const Lit> assumptions) {
-  // The core is an artifact of one Unsat-under-assumptions answer; every
-  // other outcome leaves it empty (Unsat with an empty core means the
-  // formula is unsatisfiable regardless of assumptions).
+  using Outcome = CuttingPlanes::Outcome;
+  // Only an Unsat-under-assumptions answer fills the core.
   core_.clear();
   last_trip_ = BudgetTrip::None;
   if (!ok_) return SolveResult::Unsat;
-  // Entry poll: a budget that is already interrupted or expired preempts
-  // the solve before any work — the in-loop cadence alone would let an
-  // instance that finishes in under one poll interval slip through.
+  // Entry poll: the in-loop cadence alone would let an instance that
+  // finishes in under one poll interval slip past a spent budget.
   if (const BudgetTrip entry_trip = budget.poll();
       entry_trip != BudgetTrip::None) {
     return budget_exit(entry_trip);
@@ -1392,15 +532,8 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
   const std::int64_t props_left = budget.propagations_left();
   const std::int64_t start_conflicts = stats_.conflicts;
   const std::int64_t start_props = stats_.propagations;
-  // Rebuild hooks for the flat pools: incremental add_clause/add_pb since
-  // the last solve appended through the growth path; re-compact to CSR
-  // order so the search starts from a garbage-free layout.
-  if (pb_occs_dirty_) {
-    pb_occs_.compact();
-    pb_occs_dirty_ = false;
-  }
-  if (watches_.sparse()) watches_.compact();
-  if (bin_watches_.sparse()) bin_watches_.compact();
+  // The search starts from garbage-free pools.
+  compact_pools();
   for (const Lit a : assumptions) {
     if (!a.valid() || a.var() >= num_vars()) return SolveResult::Unsat;
   }
@@ -1422,15 +555,13 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
 
   std::int64_t restart_number = 0;
   std::vector<Lit> learnt;
-  PbLearned pl;  // analyze_pb output, hoisted like `learnt` (vector reuse)
+  CuttingPlanes::Learned pl;  // analyze_pb output, hoisted like `learnt`
   const std::int64_t fault_after =
       config_.fault_injection.throw_after_conflicts;
 
   for (;;) {
-    // Restart boundary (also the solve entry): absorb clauses other
-    // portfolio workers published. We are at decision level 0 here, so
-    // imports take the ordinary root-clause path; deriving level-0 unsat
-    // from a foreign clause ends the search outright.
+    // Restart boundary (also the solve entry), at level 0: absorb what
+    // other workers published.
     if (hooks_.sharing != nullptr && !drain_imports()) {
       ok_ = false;
       return SolveResult::Unsat;
@@ -1449,9 +580,7 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
     std::int64_t ticks = 0;
     for (;;) {
       // The ledger and the asynchronous conditions (wall clock, interrupt
-      // flag, caps other solves spent) ride a coarse cadence — one charge
-      // and poll per 256 search steps bound the preemption latency without
-      // costing the propagation loop anything measurable.
+      // flag, caps other solves spent) ride a coarse cadence.
       if (++ticks % 256 == 0) {
         charge();
         const BudgetTrip async = budget.poll();
@@ -1467,10 +596,8 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
       }
       Conflict conflict = propagate();
       if (conflict.valid()) {
-        // Native PB learning can leave the learned constraint conflicting
-        // again at the backjump level; each round of this loop handles one
-        // conflict, and a re-conflict re-enters at a strictly lower
-        // decision level (so the loop is bounded by the level).
+        // One conflict per round; a learned PB constraint conflicting
+        // again at its (strictly lower) backjump level re-enters.
         for (bool reconflict = true; reconflict;) {
           reconflict = false;
           ++stats_.conflicts;
@@ -1486,119 +613,30 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
             ok_ = false;
             return SolveResult::Unsat;
           }
-          bool handled = false;
+          // Cutting planes first; Fallback leaves `conflict` to the
+          // clausal path.
+          Outcome outcome = Outcome::Fallback;
           if (config_.pb_analysis == PbAnalysis::CuttingPlanes &&
               conflict.kind == ReasonKind::PbRef) {
-            // Galena-style native PB conflict analysis. Fallback keeps
-            // `conflict` untouched, so the clausal path below still sees
-            // the original conflicting constraint.
-            switch (analyze_pb(conflict, &pl)) {
-              case PbOutcome::Unsat:
-                ok_ = false;
-                return SolveResult::Unsat;
-              case PbOutcome::Fallback:
-                ++stats_.pb_fallbacks;
-                break;
-              case PbOutcome::Learned: {
-                handled = true;
-                stats_.lbd_sum += pl.glue;
-                if (pl.is_clause) maybe_export(pl.clause, pl.glue);
-                // Chronological backtracking deliberately does NOT apply
-                // to PB-learned outcomes: a PB resolvent assertive at its
-                // backjump level need not propagate (or conflict) at any
-                // higher level, so stopping at L-1 could stall the search
-                // or re-learn the same resolvent; and the degenerate
-                // clause path's unit enqueue below assumes every other
-                // literal is false at exactly pl.backjump.
-                backtrack(pl.backjump);
-                if (pl.is_clause && pl.clause.size() == 1) {
-                  // Asserting unit: the backjump level is 0 by
-                  // construction (a unit propagates at every level).
-                  enqueue(pl.clause[0], {ReasonKind::None, kInvalidClauseRef});
-                } else if (pl.is_clause) {
-                  // Watcher discipline: slot 0 gets the asserting (still
-                  // unassigned) literal, slot 1 the highest-level
-                  // falsified one — the same shape analyze() emits.
-                  std::size_t undef_idx = pl.clause.size();
-                  for (std::size_t k = 0; k < pl.clause.size(); ++k) {
-                    if (value(pl.clause[k]) == LBool::Undef) {
-                      undef_idx = k;
-                      break;
-                    }
-                  }
-                  if (undef_idx == pl.clause.size()) {
-                    // Every literal is false at the backjump level (the
-                    // resolvent conflicts rather than propagates there).
-                    // A watched-clause attach would break the watcher
-                    // invariant mid-conflict, so store it as a degree-1
-                    // PB row — occurrence lists and cached slack are
-                    // consistent in any assignment state — and loop on
-                    // the fresh conflict.
-                    pl.terms.clear();
-                    for (const Lit cl : pl.clause) pl.terms.push_back({1, cl});
-                    const std::uint32_t idx =
-                        attach_learned_pb(pl.terms, 1, pl.glue);
-                    conflict = {ReasonKind::PbRef, idx};
-                    reconflict = true;
-                  } else {
-                    std::swap(pl.clause[0], pl.clause[undef_idx]);
-                    std::size_t max_idx = 1;
-                    for (std::size_t k = 1; k < pl.clause.size(); ++k) {
-                      if (level(pl.clause[k].var()) >
-                          level(pl.clause[max_idx].var())) {
-                        max_idx = k;
-                      }
-                    }
-                    std::swap(pl.clause[1], pl.clause[max_idx]);
-                    const ClauseRef cref =
-                        attach_clause(pl.clause, /*learnt=*/true);
-                    arena_.set_lbd(cref, pl.glue);
-                    bump_clause(cref);
-                    ++learnt_count_;
-                    ++stats_.learned_clauses;
-                    enqueue(pl.clause[0], {ReasonKind::ClauseRef, cref});
-                  }
-                } else {
-                  const std::uint32_t idx =
-                      attach_learned_pb(pl.terms, pl.degree, pl.glue);
-                  maybe_export_pb(pl.terms, pl.degree, pl.glue);
-                  const std::int64_t slack = pbs_[idx].slack;
-                  if (slack < 0) {
-                    conflict = {ReasonKind::PbRef, idx};
-                    reconflict = true;
-                  } else {
-                    for (const PbTerm& t : pb_terms(pbs_[idx])) {
-                      if (t.coeff <= slack) break;  // sorted by desc coeff
-                      if (value(t.lit) == LBool::Undef) {
-                        enqueue(t.lit, {ReasonKind::PbRef, idx});
-                      }
-                    }
-                  }
-                }
-                break;
-              }
+            outcome = analyze_pb(conflict, &pl);
+            if (outcome == Outcome::Unsat) {
+              ok_ = false;
+              return SolveResult::Unsat;
             }
+            if (outcome == Outcome::Learned) reconflict = learn_pb(pl, &conflict);
           }
-          if (!handled) {
+          if (outcome == Outcome::Fallback) {
             int backjump = 0;
             int lbd = 1;
             analyze(conflict, &learnt, &backjump, &lbd);
             stats_.lbd_sum += lbd;
             maybe_export(learnt, lbd);
-            // Chronological backtracking (CaDiCaL/MapleLCM): when the
-            // 1UIP backjump would discard a long stretch of levels, undo
-            // only the conflicting level and assert the learnt clause one
-            // level down — the skipped levels' propagations stay standing.
-            // Sound here because (a) assignments record their enqueue-time
-            // decision level, so the trail stays level-monotone and
-            // analyze()/analyze_final()/for_each_reason_lit see the same
-            // invariants as eager backjumping; (b) every non-asserting
-            // learnt literal sits at level <= backjump <= L-1, so the
-            // watcher attach below is shape-identical; (c) assumption
-            // levels keep their positional mapping — chrono only removes
-            // the top level. Unit learnts are excluded: their reason-less
-            // enqueue is only legal at level 0, where analyze_final and
-            // the analysis walk both know to stop.
+            // Chronological backtracking (SolverConfig::chrono_threshold).
+            // Also sound for the watcher attach: every non-asserting learnt
+            // literal sits at level <= backjump <= L-1. Assumption levels
+            // keep their positional mapping (only the top level goes).
+            // Unit learnts are excluded: their reason-less enqueue is only
+            // legal at level 0.
             int target = backjump;
             if (config_.chrono_threshold > 0 && learnt.size() > 1 &&
                 decision_level() - backjump > config_.chrono_threshold) {
@@ -1609,16 +647,7 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
                   trail_lim_[static_cast<std::size_t>(backjump)];
             }
             backtrack(target);
-            if (learnt.size() == 1) {
-              enqueue(learnt[0], {ReasonKind::None, kInvalidClauseRef});
-            } else {
-              const ClauseRef cref = attach_clause(learnt, /*learnt=*/true);
-              arena_.set_lbd(cref, lbd);
-              bump_clause(cref);
-              enqueue(learnt[0], {ReasonKind::ClauseRef, cref});
-              ++learnt_count_;
-              ++stats_.learned_clauses;
-            }
+            learn_clause(learnt, lbd);
           }
           decay_activities();
         }
@@ -1661,43 +690,14 @@ SolveResult CdclSolver::solve(const SolveBudget& budget,
         ++stats_.decisions;
       }
       new_decision_level();
-      enqueue(next, {ReasonKind::None, kInvalidClauseRef});
+      enqueue(next, {});
     }
   }
 }
 
 CdclSolver::ProbeResult CdclSolver::probe_assumptions(
     std::span<const Lit> assumptions) {
-  ProbeResult result;
-  if (!ok_) {
-    result.refuted = true;
-    return result;
-  }
-  assert(decision_level() == 0);
-  if (propagate().valid()) {
-    ok_ = false;  // level-0 conflict: unsat outright
-    result.refuted = true;
-    return result;
-  }
-  const int root = static_cast<int>(trail_.size());
-  result.free_vars = num_vars() - root;
-  for (const Lit a : assumptions) {
-    if (!a.valid() || a.var() >= num_vars() ||
-        value(a) == LBool::False) {
-      result.refuted = true;
-      break;
-    }
-    if (value(a) == LBool::True) continue;
-    new_decision_level();
-    enqueue(a, {ReasonKind::None, kInvalidClauseRef});
-    if (propagate().valid()) {
-      result.refuted = true;
-      break;
-    }
-  }
-  if (!result.refuted) {
-    result.forced = static_cast<int>(trail_.size()) - root;
-  }
+  const ProbeResult result = probe(assumptions);
   backtrack(0);
   return result;
 }

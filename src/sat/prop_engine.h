@@ -1,0 +1,378 @@
+#pragma once
+// PropEngine — the propagation layer of the CDCL(+PB) engine: constraint
+// storage, the assignment and the trail, and propagation over them —
+// two watched literals for clauses, counters (slack maintenance) for
+// pseudo-Boolean constraints. The searcher (CdclSolver, sat/cdcl.h)
+// derives from it; the cutting-planes analyzer (sat/cutting_planes.h)
+// reads it through a const reference. What an operation needs from the
+// searcher arrives as an argument, never as a stored pointer.
+//
+// Constraint storage (the propagation hot path):
+//   * Clauses live in a single contiguous ClauseArena (sat/clause_arena.h)
+//     as [header | activity | lits...] records addressed by 32-bit
+//     ClauseRefs; LBD and the used flag ride in spare header bits so the
+//     record stays at the minimal 2 + size words. Watchers carry
+//     {ClauseRef, blocker literal}; a watcher visit whose blocker is
+//     already true never touches the arena at all.
+//   * Watch lists live in flat watcher pools (sat/watcher_pool.h):
+//     per-literal {offset, size, capacity} headers into a single
+//     contiguous Watcher slab with amortized-doubling growth. The pools
+//     are compacted back to garbage-free CSR order by garbage_collect()
+//     (and before a solve when they have grown sparse), so propagation
+//     scans ride one allocation instead of 2N heap vectors.
+//   * Binary clauses watch through a dedicated pool scanned before the
+//     long-clause rows: each entry is the implied literal plus the clause
+//     ref, so the scan needs no tag test, no arena access, and no
+//     keep-compaction write-back — on the paper's coloring encodings
+//     (overwhelmingly binary) most propagation never leaves this loop.
+//   * garbage_collect() is MiniSat-style: live clauses move to a fresh
+//     arena and every stored ref is remapped. There are no tombstones —
+//     propagation never skips dead records, and watcher lists physically
+//     shrink at every collection.
+//   * PB terms live in one shared pool (pb_terms_); each PbData row holds
+//     an offset/length into it plus the cached slack and the largest
+//     coefficient. A row whose slack is at least its max coefficient can
+//     neither conflict nor force a literal, so propagation skips it.
+//   * PB occurrence lists use the same flat pool layout (pb_occs_); add_pb
+//     between solves appends through the pool's growth path and
+//     compact_pools() re-compacts the rows to CSR order at the next
+//     solve() entry.
+//
+// The load path: every problem clause and PB row, from the constructor
+// or between solves, enters through load_clause() or load_pb(). A clause
+// is copied once into the reusable load_lits_ buffer, sorted, deduplicated
+// and simplified against the level-0 assignment in place, then attached
+// in that order — MiniSat's addClause_, with no heap allocation per
+// clause. Each returns false once level-0 unsatisfiability is derived.
+
+#include <cassert>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "cnf/formula.h"
+#include "cnf/literals.h"
+#include "sat/clause_arena.h"
+#include "sat/solver_engine.h"
+#include "sat/watcher_pool.h"
+
+namespace symcolor {
+
+class PropEngine {
+ public:
+  /// Why a variable is assigned: a clause, a PB row, or nothing (a
+  /// decision, an assumption or a level-0 unit). A conflict names the
+  /// falsified constraint the same way.
+  enum class ReasonKind : std::uint8_t { None, ClauseRef, PbRef };
+  struct Reason {
+    ReasonKind kind = ReasonKind::None;
+    std::uint32_t index = kInvalidClauseRef;  // ClauseRef or pbs_ index
+    [[nodiscard]] bool valid() const noexcept {
+      return kind != ReasonKind::None;
+    }
+  };
+  using Conflict = Reason;
+
+  /// Outcome of one propagation-count lookahead probe.
+  struct ProbeResult {
+    /// Propagation alone refuted the formula plus the probed prefix.
+    bool refuted = false;
+    /// Trail literals beyond the level-0 roots once every assumption was
+    /// propagated (assumptions included): the hardness estimate — more
+    /// forced means an easier subproblem.
+    int forced = 0;
+    /// Unassigned variables after root propagation, before any assumption
+    /// (the denominator of the forced-fraction easiness cutoff).
+    int free_vars = 0;
+  };
+
+  /// Size the assignment; init_pools() and load() follow.
+  explicit PropEngine(const Formula& formula);
+
+  // ---- the assignment ----
+  // lit_values_ mirrors assigns_ per literal code so the hot value(Lit)
+  // is one byte load with no sign arithmetic.
+  [[nodiscard]] LBool value(Lit l) const noexcept {
+    return lit_values_[static_cast<std::size_t>(l.code())];
+  }
+  [[nodiscard]] LBool value(Var v) const noexcept {
+    return assigns_[static_cast<std::size_t>(v)];
+  }
+  [[nodiscard]] int level(Var v) const noexcept {
+    return vardata_[static_cast<std::size_t>(v)].level;
+  }
+  [[nodiscard]] Reason reason(Var v) const noexcept {
+    return vardata_[static_cast<std::size_t>(v)].reason;
+  }
+  [[nodiscard]] int trail_pos(Var v) const noexcept {
+    return vardata_[static_cast<std::size_t>(v)].trail_pos;
+  }
+  [[nodiscard]] const std::vector<Lit>& trail() const noexcept {
+    return trail_;
+  }
+  /// Current decision level; 0 whenever no solve() is running.
+  [[nodiscard]] int decision_level() const noexcept {
+    return static_cast<int>(trail_lim_.size());
+  }
+  [[nodiscard]] int num_vars() const noexcept {
+    return static_cast<int>(assigns_.size());
+  }
+
+  // ---- constraints ----
+  /// The constraint `c` names, read as `sum terms >= bound`: a clause is
+  /// its literals with coefficient 1 and bound 1. for_each_term() calls
+  /// visit(coeff, lit) per term until visit returns false (then false).
+  [[nodiscard]] std::int64_t bound(Reason c) const {
+    return c.kind == ReasonKind::PbRef ? pbs_[c.index].bound : 1;
+  }
+  template <typename Visit>
+  bool for_each_term(Reason c, Visit&& visit) const {
+    if (c.kind == ReasonKind::PbRef) {
+      for (const PbTerm& t : pb_terms(pbs_[c.index])) {
+        if (!visit(t.coeff, t.lit)) return false;
+      }
+      return true;
+    }
+    const std::uint32_t* codes = arena_.lit_codes(c.index);
+    for (int i = 0; i < arena_.size(c.index); ++i) {
+      const Lit l = Lit::from_code(static_cast<int>(codes[i]));
+      if (!visit(std::int64_t{1}, l)) return false;
+    }
+    return true;
+  }
+
+  /// Visit every literal of `implied`'s reason except `implied` itself,
+  /// without materializing a vector (analyze and minimize are
+  /// reason-iteration bound). `visit` returns false to abort; the call
+  /// then returns false. A PB reason is weakened to a clause on the fly
+  /// (the classic PBS scheme): only literals falsified strictly before
+  /// `implied` — anything later would let analyze() chase implications
+  /// forward — or all false literals for a conflict (implied == undef).
+  template <typename Visit>
+  bool for_each_reason_lit(Reason reason, Lit implied, Visit&& visit) const {
+    if (reason.kind == ReasonKind::ClauseRef) {
+      const std::uint32_t* codes = arena_.lit_codes(reason.index);
+      const int size = arena_.size(reason.index);
+      for (int i = 0; i < size; ++i) {
+        const Lit l = Lit::from_code(static_cast<int>(codes[i]));
+        if (l != implied && !visit(l)) return false;
+      }
+      return true;
+    }
+    const int implied_pos = implied.valid() ? trail_pos(implied.var())
+                                            : static_cast<int>(trail_.size());
+    for (const PbTerm& t : pb_terms(pbs_[reason.index])) {
+      if (t.lit == implied || value(t.lit) != LBool::False) continue;
+      if (trail_pos(t.lit.var()) >= implied_pos) continue;
+      if (!visit(t.lit)) return false;
+    }
+    return true;
+  }
+
+  // ---- storage introspection (tests / benchmarks) ----
+  /// Total watcher entries across all literals (binary + long pools).
+  /// After a collection this is exactly 2 * live_clauses(): no tombstone
+  /// watchers survive.
+  [[nodiscard]] std::size_t total_watchers() const noexcept {
+    return watches_.live_entries() + bin_watches_.live_entries();
+  }
+  /// Slab cells owned by the watcher pools, including relocation garbage.
+  /// Equals total_watchers() right after a compaction.
+  [[nodiscard]] std::size_t watcher_pool_slots() const noexcept {
+    return watches_.slab_slots() + bin_watches_.slab_slots();
+  }
+  /// Same occupancy pair for the PB occurrence pool.
+  [[nodiscard]] std::size_t total_pb_occs() const noexcept {
+    return pb_occs_.live_entries();
+  }
+  [[nodiscard]] std::size_t pb_occ_pool_slots() const noexcept {
+    return pb_occs_.slab_slots();
+  }
+  /// Clauses currently attached (problem + learned, excluding units).
+  [[nodiscard]] std::int64_t live_clauses() const noexcept {
+    return arena_.live_clauses();
+  }
+  /// 32-bit words owned by the clause arena.
+  [[nodiscard]] std::size_t arena_words() const noexcept {
+    return arena_.words();
+  }
+
+ protected:
+  /// In bin_watches_ the blocker IS the other literal of the clause.
+  struct Watcher {
+    ClauseRef cref = kInvalidClauseRef;
+    Lit blocker;
+  };
+  /// One PB row: a view into the shared term pool plus cached slack.
+  /// Learned rows (cutting-planes resolvents) carry the searcher's
+  /// learnt-DB metadata too, so it can tier them like learnt clauses.
+  struct PbData {
+    std::uint32_t terms_begin = 0;  // offset into pb_terms_
+    std::uint32_t terms_len = 0;
+    std::int64_t bound = 0;
+    std::int64_t slack = 0;      // sum of non-false coefficients minus bound
+    std::int64_t max_coeff = 0;  // terms are sorted by descending coeff
+    float activity = 0.0f;       // learned rows only
+    std::uint8_t lbd = 0;        // 0 on problem rows
+    std::uint8_t flags = 0;      // kPbLearnt | kPbUsed | kPbDeleted
+  };
+  static constexpr std::uint8_t kPbLearnt = 1u << 0;
+  static constexpr std::uint8_t kPbUsed = 1u << 1;
+  static constexpr std::uint8_t kPbDeleted = 1u << 2;
+  struct PbOcc {
+    std::uint32_t pb_index = 0;
+    std::int64_t coeff = 0;
+  };
+
+  [[nodiscard]] std::span<const PbTerm> pb_terms(const PbData& pb) const {
+    return {pb_terms_.data() + pb.terms_begin, pb.terms_len};
+  }
+
+  /// Size the watch and occurrence pools and reserve the trail.
+  void init_pools();
+  /// Load every constraint of `formula`; a formula refuted at level 0
+  /// leaves ok_ false.
+  void load(const Formula& formula);
+  bool load_clause(std::span<const Lit> lits);
+  bool load_pb(const PbConstraint& constraint);
+  ClauseRef attach_clause(std::span<const Lit> lits, bool learnt);
+  /// Append a PB row with its terms and occurrences, computing its slack
+  /// under the current assignment. Terms must be sorted by descending
+  /// coefficient.
+  std::uint32_t attach_pb_row(std::span<const PbTerm> terms,
+                              std::int64_t bound);
+  /// Enqueue every literal row `index` forces under the current
+  /// assignment; false (nothing enqueued) when the row conflicts.
+  bool propagate_row(std::uint32_t index);
+
+  void enqueue(Lit l, Reason reason) {
+    assert(value(l) == LBool::Undef);
+    const auto v = static_cast<std::size_t>(l.var());
+    const Lit falsified = ~l;
+    assigns_[v] = lbool_of(!l.negated());
+    lit_values_[static_cast<std::size_t>(l.code())] = LBool::True;
+    lit_values_[static_cast<std::size_t>(falsified.code())] = LBool::False;
+    vardata_[v] = {reason, decision_level(), static_cast<int>(trail_.size())};
+    trail_.push_back(l);
+    if (pbs_.empty()) return;
+    // PB slack bookkeeping: literal ~l just became false.
+    for (const PbOcc& occ :
+         pb_occs_.row(static_cast<std::size_t>(falsified.code()))) {
+      pbs_[occ.pb_index].slack -= occ.coeff;
+    }
+  }
+  void new_decision_level() {
+    trail_lim_.push_back(static_cast<int>(trail_.size()));
+  }
+  /// Unit and PB propagation to fixpoint; the first conflict found, or an
+  /// invalid Conflict.
+  Conflict propagate();
+
+  /// Undo every assignment above `target_level` in one pass over the
+  /// trail, restoring PB slack; `on_unassign(p)` runs for each undone
+  /// literal p (the searcher's phase saving and heap re-insert, inlined).
+  template <typename OnUnassign>
+  void backtrack(int target_level, OnUnassign&& on_unassign) {
+    if (decision_level() <= target_level) return;
+    const int bound = trail_lim_[static_cast<std::size_t>(target_level)];
+    for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
+      const Lit p = trail_[static_cast<std::size_t>(i)];
+      const auto v = static_cast<std::size_t>(p.var());
+      if (!pbs_.empty()) {
+        // Restore PB slack for the literal that stops being false.
+        for (const PbOcc& occ :
+             pb_occs_.row(static_cast<std::size_t>((~p).code()))) {
+          pbs_[occ.pb_index].slack += occ.coeff;
+        }
+      }
+      on_unassign(p);
+      assigns_[v] = LBool::Undef;
+      lit_values_[static_cast<std::size_t>(p.code())] = LBool::Undef;
+      lit_values_[static_cast<std::size_t>((~p).code())] = LBool::Undef;
+      vardata_[v].reason = {};
+    }
+    trail_.resize(static_cast<std::size_t>(bound));
+    trail_lim_.resize(static_cast<std::size_t>(target_level));
+    qhead_ = bound;
+  }
+
+  /// Compact the arena, dropping deleted records, and remap every stored
+  /// ClauseRef (watch lists, trail reasons) through the forwarding refs.
+  /// Pass p of three moves the records with rank(cref) <= p, so each rank
+  /// (0..2) lands in one contiguous segment: the hot rank stays packed
+  /// and cache-resident while the churny tail is swept in and out behind
+  /// it. relocate() is idempotent per record and keeps the old header's
+  /// bits, so later passes still rank records and step over moved ones.
+  template <typename Rank>
+  void garbage_collect(Rank&& rank) {
+    ClauseArena to;
+    to.reserve(arena_.words());
+    for (int pass = 0; pass < 3; ++pass) {
+      for (ClauseRef cr = 0; cr != arena_.end_ref(); cr = arena_.next(cr)) {
+        if (arena_.deleted(cr) || arena_.relocated(cr)) continue;
+        if (rank(cr) <= pass) arena_.relocate(cr, &to);
+      }
+    }
+    // One rebuild per pool both drops dead entries and restores the
+    // garbage-free CSR layout (rows in literal order, zero slack).
+    const auto remap = [&](std::size_t, Watcher& w) {
+      if (arena_.deleted(w.cref)) return false;
+      w.cref = arena_.forward(w.cref);
+      return true;
+    };
+    watches_.rebuild(remap);
+    bin_watches_.rebuild(remap);
+    for (const Lit l : trail_) {
+      Reason& r = vardata_[static_cast<std::size_t>(l.var())].reason;
+      if (r.kind == ReasonKind::ClauseRef) r.index = arena_.forward(r.index);
+    }
+    arena_ = std::move(to);
+    ++stats_.arena_collections;
+  }
+  /// Drop the PB rows flagged kPbDeleted: compact the rows, the term pool
+  /// and the occurrence lists, and remap trail PbRef reasons — the PB
+  /// analog of garbage_collect(). Cached slacks move with their rows.
+  void compact_pbs();
+  /// The clause serves as the reason of its first literal's assignment.
+  [[nodiscard]] bool clause_locked(ClauseRef cref) const;
+  /// Re-compact pools that add_clause/add_pb grew since the last solve.
+  void compact_pools();
+
+  /// CdclSolver::probe_assumptions() without the final backtrack(0): the
+  /// caller unwinds the trail.
+  ProbeResult probe(std::span<const Lit> assumptions);
+
+  // ---- state ----
+  /// Every layer's counters; the engine's own are propagations,
+  /// pb_short_circuits and arena_collections.
+  SolverStats stats_;
+  bool ok_ = true;  // false once level-0 conflict derived
+
+  ClauseArena arena_;
+  FlatOccPool<Watcher> watches_;      // long clauses, by lit code
+  FlatOccPool<Watcher> bin_watches_;  // binary clauses, by lit code
+  std::vector<PbData> pbs_;
+  std::vector<PbTerm> pb_terms_;  // shared flat term pool
+  FlatOccPool<PbOcc> pb_occs_;    // rows by literal code
+  bool pb_occs_dirty_ = false;    // set by attach_pb_row()
+
+  std::vector<LBool> assigns_;     // by variable (model extraction)
+  std::vector<LBool> lit_values_;  // by literal code (hot-path lookups)
+  struct VarData {
+    Reason reason;
+    int level = 0;
+    int trail_pos = -1;
+  };
+  std::vector<VarData> vardata_;
+  std::vector<Lit> trail_;
+  std::vector<int> trail_lim_;
+  int qhead_ = 0;
+
+ private:
+  Conflict propagate_pb_for(Lit falsified);
+  /// load_clause on the literals already in load_lits_.
+  bool load_buffered_clause();
+  std::vector<Lit> load_lits_;  // load path scratch
+};
+
+}  // namespace symcolor

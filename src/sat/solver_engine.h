@@ -27,13 +27,7 @@
 // measurable on propagation throughput.
 //
 // ClauseExchange is the bounded clause pool the parallel engine hands its
-// workers: export_clause() publishes a freshly learnt core-tier clause,
-// import_clauses() drains every clause published by other workers since
-// the caller's cursor (learned PB rows travel the same way through
-// export_pb()/import_pbs()). Workers call it only at learn time (exports
-// are throttled to glue clauses, LBD <= SolverConfig::share_max_lbd) and
-// at restart boundaries (imports happen at decision level 0, where a
-// plain level-0 clause addition is sound).
+// workers (CdclSolver::set_sharing).
 
 #include <algorithm>
 #include <atomic>
@@ -318,8 +312,8 @@ class ClauseExchange {
 };
 
 /// Abstract solve backend: incremental constraint addition, assumption
-/// solving, model/stats access, and cloning. See the header comment for
-/// the layering contract.
+/// solving, and model/core/stats access. See the header comment for the
+/// layering contract.
 class SolverEngine {
  public:
   virtual ~SolverEngine() = default;

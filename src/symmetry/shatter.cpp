@@ -1,6 +1,5 @@
 #include "symmetry/shatter.h"
 
-#include <cstdio>
 #include <optional>
 
 #include "symmetry/formula_graph.h"
@@ -40,8 +39,6 @@ SymmetryInfo detect_symmetries(const Formula& formula,
     if (!verifier) verifier.emplace(formula);
     if (lit_perm.empty() || !verifier->is_symmetry(lit_perm)) {
       ++info.spurious_rejected;
-      std::fputs("[symcolor WARN] discarding spurious symmetry generator\n",
-                 stderr);
       continue;
     }
     info.generators.push_back(std::move(lit_perm));

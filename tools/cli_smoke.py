@@ -9,12 +9,14 @@ to a default or ignore the flag). Short solves pin the answer line and
 the exit-code convention (0 optimal, 2 budget stop) on both pipelines
 and under every --satloop search strategy, --satloop --stats must print
 the same `solver:` line as the native pipeline, and a propagation cap on
-a cube-and-conquer run must stop it on the cap.
+a cube-and-conquer run must stop it on the cap. A generator that fails
+verification is reported on the `symmetries:` line, not on stderr.
 """
 
 import os
 import subprocess
 import sys
+import tempfile
 
 EXIT_SOLVED = 0
 EXIT_STOPPED = 2
@@ -91,6 +93,19 @@ def main():
               f"{' '.join(args)} must exit {want_code}, got {code}")
         check(want_text in out,
               f"{' '.join(args)} must print '{want_text}', got: {out}")
+
+    # A one-vertex graph at K = 1 has a formula-graph automorphism with no
+    # consistent literal map; the library counts it and stays silent.
+    with tempfile.TemporaryDirectory() as tmp:
+        one = os.path.join(tmp, "one.col")
+        with open(one, "w") as f:
+            f.write("p edge 1 0\n")
+        code, out, err = run(cli, one, "-k", "1", "--decision", "--shatter",
+                             "--stats")
+    check(code == EXIT_SOLVED, f"one-vertex --shatter must exit 0, got {code}")
+    check(", 1 spurious)" in out,
+          f"one-vertex --shatter must report 1 spurious, got: {out}")
+    check(err == "", f"one-vertex --shatter must not write stderr: {err}")
 
     print("cli_smoke: all checks passed")
     return 0

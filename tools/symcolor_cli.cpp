@@ -283,12 +283,16 @@ int main(int argc, char** argv) {
     std::printf("formula: %d vars, %d clauses, %d PB\n", r.formula_vars,
                 r.formula_clauses, r.formula_pb);
     if (r.symmetry) {
-      const std::string route =
+      std::string route =
           r.symmetry->closed_form
               ? std::string("closed form")
               : "formula graph, " +
                     std::to_string(r.symmetry->formula_graph_vertices) +
                     " vertices";
+      if (r.symmetry->spurious_rejected > 0) {
+        route += ", " + std::to_string(r.symmetry->spurious_rejected) +
+                 " spurious";
+      }
       std::printf(
           "symmetries: 10^%.2f in %d generators (%.3f s detection, %s)\n",
           r.symmetry->log10_order,
