@@ -14,15 +14,6 @@ void ActivityHeap::insert(Var v) {
   sift_up(heap_.size() - 1);
 }
 
-void ActivityHeap::update(Var v) {
-  if (!contains(v)) return;
-  const auto i = static_cast<std::size_t>(index_[static_cast<std::size_t>(v)]);
-  sift_up(i);
-  sift_down(index_[static_cast<std::size_t>(v)] >= 0
-                ? static_cast<std::size_t>(index_[static_cast<std::size_t>(v)])
-                : i);
-}
-
 Var ActivityHeap::pop_max() {
   assert(!heap_.empty());
   const Var top = heap_.front();

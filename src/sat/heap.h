@@ -3,7 +3,10 @@
 //
 // The VSIDS decision order needs three operations the standard library
 // does not combine: pop-max, increase-key for an arbitrary variable, and
-// membership test. This is the classic MiniSat order heap.
+// membership test. This is the classic MiniSat order heap. Scores only
+// rise (bumps) or shrink all together (rescaling by one positive factor
+// keeps every parent no smaller than its children), so restoring order
+// after a change is a sift up alone.
 
 #include <vector>
 
@@ -14,8 +17,8 @@ namespace symcolor {
 class ActivityHeap {
  public:
   /// The heap owns the score array (one double per variable): comparisons
-  /// read it directly, the solver mutates it through scores() and then
-  /// calls update() to restore heap order. Owning the scores keeps the
+  /// read it directly, the solver raises a score through scores() and then
+  /// calls increase() to restore heap order. Owning the scores keeps the
   /// class a plain value type — the solver clone path copies heap and
   /// scores together with no rebinding step.
   ActivityHeap() = default;
@@ -37,8 +40,12 @@ class ActivityHeap {
   /// Insert `v` if absent.
   void insert(Var v);
 
-  /// Restore heap order around `v` after its activity changed.
-  void update(Var v);
+  /// Restore heap order after `v`'s score rose (no-op when `v` is absent).
+  void increase(Var v) {
+    if (contains(v)) {
+      sift_up(static_cast<std::size_t>(index_[static_cast<std::size_t>(v)]));
+    }
+  }
 
   /// Remove and return the variable with maximal activity.
   Var pop_max();

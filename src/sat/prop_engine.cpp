@@ -7,13 +7,13 @@ namespace symcolor {
 
 PropEngine::PropEngine(const Formula& formula) {
   const auto n = static_cast<std::size_t>(formula.num_vars());
-  assigns_.assign(n, LBool::Undef);
   lit_values_.assign(2 * n, LBool::Undef);
+  in_pb_.assign(2 * n, 0);
   vardata_.assign(n, {});
 }
 
 void PropEngine::init_pools() {
-  const auto n = assigns_.size();
+  const auto n = vardata_.size();
   watches_.init(2 * n);
   bin_watches_.init(2 * n);
   pb_occs_.init(2 * n);
@@ -112,6 +112,7 @@ std::uint32_t PropEngine::attach_pb_row(std::span<const PbTerm> terms,
   for (const PbTerm& t : terms) {
     pb_terms_.push_back(t);
     pb_occs_.push(static_cast<std::size_t>(t.lit.code()), {index, t.coeff});
+    in_pb_[static_cast<std::size_t>(t.lit.code())] = 1;
     // Literals already false contribute nothing to slack.
     if (value(t.lit) != LBool::False) slack += t.coeff;
   }
@@ -250,7 +251,7 @@ PropEngine::Conflict PropEngine::propagate() {
     watches_.truncate(frow, keep);
 
     // --- PB propagation ---
-    if (!pbs_.empty()) {
+    if (in_pb_[frow]) {
       const Conflict conflict = propagate_pb_for(falsified);
       if (conflict.valid()) {
         qhead_ = static_cast<int>(trail_.size());

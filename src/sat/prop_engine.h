@@ -90,17 +90,21 @@ class PropEngine {
   explicit PropEngine(const Formula& formula);
 
   // ---- the assignment ----
-  // lit_values_ mirrors assigns_ per literal code so the hot value(Lit)
-  // is one byte load with no sign arithmetic.
+  // One byte per literal code, so the hot value(Lit) is one load with no
+  // sign arithmetic; a variable's value is its positive literal's.
   [[nodiscard]] LBool value(Lit l) const noexcept {
     return lit_values_[static_cast<std::size_t>(l.code())];
   }
   [[nodiscard]] LBool value(Var v) const noexcept {
-    return assigns_[static_cast<std::size_t>(v)];
+    return value(Lit::positive(v));
   }
   [[nodiscard]] int level(Var v) const noexcept {
     return vardata_[static_cast<std::size_t>(v)].level;
   }
+  /// Meaningful only while `v` is assigned: backtrack() leaves the
+  /// reasons of undone variables stale, so every reader (analysis, core
+  /// extraction, locking, the collectors' remaps) looks only at assigned
+  /// variables — trail literals, or a clause_locked() value test first.
   [[nodiscard]] Reason reason(Var v) const noexcept {
     return vardata_[static_cast<std::size_t>(v)].reason;
   }
@@ -115,7 +119,7 @@ class PropEngine {
     return static_cast<int>(trail_lim_.size());
   }
   [[nodiscard]] int num_vars() const noexcept {
-    return static_cast<int>(assigns_.size());
+    return static_cast<int>(vardata_.size());
   }
 
   // ---- constraints ----
@@ -248,16 +252,14 @@ class PropEngine {
   void enqueue(Lit l, Reason reason) {
     assert(value(l) == LBool::Undef);
     const auto v = static_cast<std::size_t>(l.var());
-    const Lit falsified = ~l;
-    assigns_[v] = lbool_of(!l.negated());
+    const auto fcode = static_cast<std::size_t>((~l).code());
     lit_values_[static_cast<std::size_t>(l.code())] = LBool::True;
-    lit_values_[static_cast<std::size_t>(falsified.code())] = LBool::False;
+    lit_values_[fcode] = LBool::False;
     vardata_[v] = {reason, decision_level(), static_cast<int>(trail_.size())};
     trail_.push_back(l);
-    if (pbs_.empty()) return;
+    if (!in_pb_[fcode]) return;
     // PB slack bookkeeping: literal ~l just became false.
-    for (const PbOcc& occ :
-         pb_occs_.row(static_cast<std::size_t>(falsified.code()))) {
+    for (const PbOcc& occ : pb_occs_.row(fcode)) {
       pbs_[occ.pb_index].slack -= occ.coeff;
     }
   }
@@ -277,19 +279,16 @@ class PropEngine {
     const int bound = trail_lim_[static_cast<std::size_t>(target_level)];
     for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
       const Lit p = trail_[static_cast<std::size_t>(i)];
-      const auto v = static_cast<std::size_t>(p.var());
-      if (!pbs_.empty()) {
+      const auto fcode = static_cast<std::size_t>((~p).code());
+      if (in_pb_[fcode]) {
         // Restore PB slack for the literal that stops being false.
-        for (const PbOcc& occ :
-             pb_occs_.row(static_cast<std::size_t>((~p).code()))) {
+        for (const PbOcc& occ : pb_occs_.row(fcode)) {
           pbs_[occ.pb_index].slack += occ.coeff;
         }
       }
       on_unassign(p);
-      assigns_[v] = LBool::Undef;
       lit_values_[static_cast<std::size_t>(p.code())] = LBool::Undef;
-      lit_values_[static_cast<std::size_t>((~p).code())] = LBool::Undef;
-      vardata_[v].reason = {};
+      lit_values_[fcode] = LBool::Undef;
     }
     trail_.resize(static_cast<std::size_t>(bound));
     trail_lim_.resize(static_cast<std::size_t>(target_level));
@@ -355,9 +354,12 @@ class PropEngine {
   std::vector<PbTerm> pb_terms_;  // shared flat term pool
   FlatOccPool<PbOcc> pb_occs_;    // rows by literal code
   bool pb_occs_dirty_ = false;    // set by attach_pb_row()
+  // By literal code: 1 once the literal occurs in a PB row (set by
+  // attach_pb_row(), never cleared), so the assignment path skips the
+  // nearly always empty occurrence rows with one byte load.
+  std::vector<std::uint8_t> in_pb_;
 
-  std::vector<LBool> assigns_;     // by variable (model extraction)
-  std::vector<LBool> lit_values_;  // by literal code (hot-path lookups)
+  std::vector<LBool> lit_values_;  // by literal code
   struct VarData {
     Reason reason;
     int level = 0;

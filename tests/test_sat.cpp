@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <ostream>
 
 #include "cnf/formula.h"
@@ -12,6 +13,7 @@
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
 #include "sat/clause_arena.h"
+#include "sat/heap.h"
 #include "sat/luby.h"
 #include "sat/watcher_pool.h"
 #include "util/rng.h"
@@ -834,6 +836,106 @@ TEST(CdclLoad, ConstructorMatchesClauseByClauseAddition) {
   EXPECT_GT(sat, 0);
   EXPECT_GT(unsat, 0);
   EXPECT_GT(conflicts, 0);
+}
+
+TEST(CdclLoad, PbRowsAddedAfterASolveMatchLoadingThemUpFront) {
+  int sat = 0;
+  int unsat = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const MessyFormula m = messy_formula(seed);
+    // One more row over the unit-clause variables, so some of its
+    // literals are already true or false at level 0 when it is added.
+    std::vector<PbConstraint> rows = m.pbs;
+    const Lit unit0 = m.clauses[0][0];
+    const Lit unit1 = m.clauses[1][0];
+    const int v = 2 + static_cast<int>(seed % 30);
+    rows.push_back(PbConstraint::at_least({{2, unit0},
+                                           {2, ~unit1},
+                                           {1, Lit::positive(v)},
+                                           {1, Lit::negative(v + 5)},
+                                           {1, Lit::positive(v + 7)}},
+                                          3));
+    Formula clauses;
+    clauses.new_vars(m.num_vars);
+    for (const Clause& c : m.clauses) clauses.add_clause(c);
+    Formula full = clauses;
+    for (const PbConstraint& pb : rows) full.add_pb(pb);
+
+    // The clauses alone are solved first, with the units (and anything
+    // learnt at level 0) assigned; no literal has a PB occurrence yet.
+    CdclSolver staged(clauses);
+    (void)staged.solve();
+    for (const PbConstraint& pb : rows) (void)staged.add_pb(pb);
+    CdclSolver upfront(full);
+
+    const SolveResult r = upfront.solve();
+    ASSERT_EQ(staged.solve(), r) << "seed " << seed;
+    if (r == SolveResult::Sat) {
+      ++sat;
+      EXPECT_TRUE(full.satisfied_by(staged.model())) << "seed " << seed;
+    } else {
+      ++unsat;
+    }
+  }
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+}
+
+// ---- VSIDS order heap ----
+
+TEST(ActivityHeap, PopsAMaximalScoreAndEachInsertOnce) {
+  constexpr int n = 64;
+  Rng rng(11);
+  ActivityHeap heap;
+  heap.assign_scores(n, 0.0);
+  std::vector<Var> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  heap.rebuild(all);
+  std::vector<double>& score = heap.scores();
+  std::vector<int> inserted(n, 1);
+  std::vector<int> popped(n, 0);
+  const auto pop_and_check = [&] {
+    const Var top = heap.pop_max();
+    ASSERT_GE(top, 0);
+    ASSERT_LT(top, n);
+    for (Var u = 0; u < n; ++u) {
+      if (heap.contains(u)) {
+        EXPECT_GE(score[static_cast<std::size_t>(top)],
+                  score[static_cast<std::size_t>(u)]);
+      }
+    }
+    ++popped[static_cast<std::size_t>(top)];
+  };
+  // The searcher's bump schedule: a growing increment, and one uniform
+  // 1e-100 rescale once a score passes 1e100 (about 4,500 bumps in).
+  double inc = 1.0;
+  int rescales = 0;
+  for (int bumps = 0; bumps < 6000;) {
+    const std::uint64_t op = rng.below(8);
+    if (op < 5) {  // raise any variable's score, in the heap or not
+      const auto v = static_cast<Var>(rng.below(n));
+      double& a = score[static_cast<std::size_t>(v)];
+      a += inc * static_cast<double>(1 + rng.below(4));
+      if (a > 1e100) {
+        for (double& x : score) x *= 1e-100;
+        inc *= 1e-100;
+        ++rescales;
+      }
+      heap.increase(v);
+      inc /= 0.95;
+      ++bumps;
+    } else if (op == 5 && !heap.empty()) {
+      pop_and_check();
+    } else if (op >= 6) {  // inserting a present variable is a no-op
+      const auto v = static_cast<Var>(rng.below(n));
+      const bool present = heap.contains(v);
+      heap.insert(v);
+      if (!present) ++inserted[static_cast<std::size_t>(v)];
+    }
+  }
+  while (!heap.empty()) pop_and_check();
+  EXPECT_EQ(rescales, 1);
+  EXPECT_EQ(popped, inserted);
 }
 
 // ---- pinned search path ----
