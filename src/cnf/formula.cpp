@@ -1,6 +1,8 @@
 #include "cnf/formula.h"
 
 #include <algorithm>
+#include <functional>
+#include <limits>
 #include <stdexcept>
 
 namespace symcolor {
@@ -22,20 +24,43 @@ Var Formula::new_vars(int count) {
   return first;
 }
 
-void Formula::add_clause(Clause clause) {
-  for (Lit l : clause) {
+void Formula::add_clause(std::span<const Lit> lits) {
+  for (Lit l : lits) {
     if (!l.valid() || l.var() >= num_vars_) {
       throw std::out_of_range("clause literal out of range");
     }
   }
-  std::sort(clause.begin(), clause.end());
-  clause.erase(std::unique(clause.begin(), clause.end()), clause.end());
-  // Tautology check: after sorting, x and ~x are adjacent.
-  for (std::size_t i = 0; i + 1 < clause.size(); ++i) {
-    if (clause[i].var() == clause[i + 1].var()) return;
+  const std::size_t start = lits_.size();
+  if (lits.size() > std::numeric_limits<std::uint32_t>::max() - start) {
+    throw std::length_error("formula literal pool exceeds 2^32 literals");
   }
-  if (clause.empty()) trivially_unsat_ = true;
-  clauses_.push_back(std::move(clause));
+  if (offsets_.empty()) offsets_.push_back(static_cast<std::uint32_t>(start));
+  const Lit* pool = lits_.data();
+  if (std::less_equal<>{}(pool, lits.data()) &&
+      std::less<>{}(lits.data(), pool + start)) {
+    // The clause is already in this pool, which the append may move:
+    // grow first, then copy it by position.
+    const auto from = static_cast<std::size_t>(lits.data() - pool);
+    lits_.resize(start + lits.size());
+    std::copy_n(lits_.begin() + static_cast<std::ptrdiff_t>(from),
+                lits.size(),
+                lits_.begin() + static_cast<std::ptrdiff_t>(start));
+  } else {
+    lits_.insert(lits_.end(), lits.begin(), lits.end());
+  }
+  // Normalize the new tail in place; a tautology rolls it back.
+  const auto first = lits_.begin() + static_cast<std::ptrdiff_t>(start);
+  std::sort(first, lits_.end());
+  lits_.erase(std::unique(first, lits_.end()), lits_.end());
+  // Tautology check: after sorting, x and ~x are adjacent.
+  for (auto it = first; it + 1 < lits_.end(); ++it) {
+    if (it->var() == (it + 1)->var()) {
+      lits_.resize(start);
+      return;
+    }
+  }
+  if (lits_.size() == start) trivially_unsat_ = true;
+  offsets_.push_back(static_cast<std::uint32_t>(lits_.size()));
 }
 
 void Formula::add_pb(PbConstraint constraint) {
@@ -73,7 +98,7 @@ void Formula::add_exactly(const std::vector<Lit>& lits, std::int64_t bound) {
 
 bool Formula::satisfied_by(std::span<const LBool> values) const {
   if (trivially_unsat_) return false;
-  for (const Clause& clause : clauses_) {
+  for (std::span<const Lit> clause : clauses()) {
     bool sat = false;
     for (Lit l : clause) {
       if (lit_value(values[static_cast<std::size_t>(l.var())], l.negated()) ==

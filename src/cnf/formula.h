@@ -3,8 +3,19 @@
 // the paper's "0-1 ILP" instance representation (Section 2.3): CNF clauses
 // for disjunctive structure, PB constraints for counting structure, and a
 // MIN objective over literals.
+//
+// Clause storage: every clause's literals sit end to end in one pool,
+// and clause i is the slice [offsets_[i], offsets_[i + 1]) of it — one
+// allocation for all clauses, none per clause (MiniSat's region idea,
+// applied before the engine's own ClauseArena). clauses() reads the pool
+// as spans; a span, or a view from clauses(), is valid until the next
+// add_clause() on the same formula, which may move the pool.
 
+#include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <vector>
@@ -14,7 +25,86 @@
 
 namespace symcolor {
 
+/// An owned clause: the type of the engine API and of clause sharing
+/// (SolverEngine::add_clause, SharedClause). A Formula stores none.
 using Clause = std::vector<Lit>;
+
+/// Random-access view of a formula's clauses; each element is a
+/// std::span<const Lit> into the formula's literal pool.
+class ClauseView {
+ public:
+  class iterator {
+   public:
+    using iterator_concept = std::random_access_iterator_tag;
+    using value_type = std::span<const Lit>;
+    using reference = std::span<const Lit>;
+    using difference_type = std::ptrdiff_t;
+
+    iterator() = default;
+    iterator(const Lit* pool, const std::uint32_t* offset) noexcept
+        : pool_(pool), offset_(offset) {}
+
+    reference operator*() const noexcept {
+      return {pool_ + offset_[0], pool_ + offset_[1]};
+    }
+    reference operator[](difference_type i) const noexcept {
+      return *(*this + i);
+    }
+    iterator& operator++() noexcept { ++offset_; return *this; }
+    iterator operator++(int) noexcept { return {pool_, offset_++}; }
+    iterator& operator--() noexcept { --offset_; return *this; }
+    iterator operator--(int) noexcept { return {pool_, offset_--}; }
+    iterator& operator+=(difference_type n) noexcept {
+      offset_ += n;
+      return *this;
+    }
+    iterator& operator-=(difference_type n) noexcept {
+      offset_ -= n;
+      return *this;
+    }
+    friend iterator operator+(iterator it, difference_type n) noexcept {
+      return it += n;
+    }
+    friend iterator operator+(difference_type n, iterator it) noexcept {
+      return it += n;
+    }
+    friend iterator operator-(iterator it, difference_type n) noexcept {
+      return it -= n;
+    }
+    friend difference_type operator-(iterator a, iterator b) noexcept {
+      return a.offset_ - b.offset_;
+    }
+    friend bool operator==(iterator a, iterator b) noexcept {
+      return a.offset_ == b.offset_;
+    }
+    friend std::strong_ordering operator<=>(iterator a, iterator b) noexcept {
+      return a.offset_ <=> b.offset_;
+    }
+
+   private:
+    const Lit* pool_ = nullptr;
+    const std::uint32_t* offset_ = nullptr;  // this clause's start
+  };
+
+  ClauseView(const Lit* pool, const std::uint32_t* offsets,
+             std::size_t size) noexcept
+      : pool_(pool), offsets_(offsets), size_(size) {}
+
+  [[nodiscard]] iterator begin() const noexcept { return {pool_, offsets_}; }
+  [[nodiscard]] iterator end() const noexcept {
+    return {pool_, offsets_ + size_};
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] std::span<const Lit> operator[](std::size_t i) const noexcept {
+    return begin()[static_cast<std::ptrdiff_t>(i)];
+  }
+
+ private:
+  const Lit* pool_;
+  const std::uint32_t* offsets_;
+  std::size_t size_;
+};
 
 /// Linear minimization objective: MIN sum coeff_i * lit_i.
 struct Objective {
@@ -35,10 +125,14 @@ class Formula {
 
   [[nodiscard]] int num_vars() const noexcept { return num_vars_; }
 
-  /// Append a clause. Tautological clauses (l and ~l) are dropped;
-  /// duplicate literals are merged. Empty clauses are recorded and make
-  /// the formula trivially unsat.
-  void add_clause(Clause clause);
+  /// Append a clause, stored sorted. Tautological clauses (l and ~l) are
+  /// dropped; duplicate literals are merged. Empty clauses are recorded
+  /// and make the formula trivially unsat. `lits` may point into this
+  /// formula's own pool.
+  void add_clause(std::span<const Lit> lits);
+  void add_clause(std::initializer_list<Lit> lits) {
+    add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
   void add_unit(Lit l) { add_clause({l}); }
   /// a -> b, i.e. (~a | b).
   void add_implication(Lit a, Lit b) { add_clause({~a, b}); }
@@ -57,14 +151,19 @@ class Formula {
     return objective_;
   }
 
-  [[nodiscard]] std::span<const Clause> clauses() const noexcept {
-    return clauses_;
+  [[nodiscard]] ClauseView clauses() const noexcept {
+    return {lits_.data(), offsets_.data(),
+            static_cast<std::size_t>(num_clauses())};
   }
   [[nodiscard]] std::span<const PbConstraint> pb_constraints() const noexcept {
     return pb_constraints_;
   }
   [[nodiscard]] int num_clauses() const noexcept {
-    return static_cast<int>(clauses_.size());
+    return offsets_.empty() ? 0 : static_cast<int>(offsets_.size()) - 1;
+  }
+  /// Literals over all clauses: the size of the clause pool.
+  [[nodiscard]] std::size_t num_clause_lits() const noexcept {
+    return lits_.size();
   }
   [[nodiscard]] int num_pb() const noexcept {
     return static_cast<int>(pb_constraints_.size());
@@ -77,7 +176,11 @@ class Formula {
 
  private:
   int num_vars_ = 0;
-  std::vector<Clause> clauses_;
+  std::vector<Lit> lits_;  ///< every clause's literals, end to end
+  /// Clause i is lits_[offsets_[i], offsets_[i + 1]). Empty until the
+  /// first clause, so a default-constructed or moved-from formula holds
+  /// no clause without allocating.
+  std::vector<std::uint32_t> offsets_;
   std::vector<PbConstraint> pb_constraints_;
   std::optional<Objective> objective_;
   bool trivially_unsat_ = false;

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 namespace symcolor {
 namespace {
 
-void add_pairwise_amo(Formula& formula, const std::vector<Lit>& lits) {
+void add_pairwise_amo(Formula& formula, std::span<const Lit> lits) {
   for (std::size_t a = 0; a < lits.size(); ++a) {
     for (std::size_t b = a + 1; b < lits.size(); ++b) {
       formula.add_clause({~lits[a], ~lits[b]});
@@ -158,8 +159,7 @@ PbToCnfStats encode_at_most_one(Formula& formula, std::vector<Lit> lits) {
     std::vector<Lit> commanders;
     for (std::size_t start = 0; start < lits.size(); start += kGroup) {
       const std::size_t end = std::min(start + kGroup, lits.size());
-      const std::vector<Lit> group(lits.begin() + static_cast<long>(start),
-                                   lits.begin() + static_cast<long>(end));
+      const std::span<const Lit> group(lits.data() + start, end - start);
       if (group.size() == 1) {
         commanders.push_back(group[0]);
         continue;
@@ -199,10 +199,10 @@ PbToCnfStats encode_cardinality_at_least(Formula& formula,
 PbToCnfStats encode_pb_as_cnf(Formula& formula, const PbConstraint& pb) {
   if (pb.is_tautology()) return {};
   if (pb.is_clause()) {
-    Clause clause;
+    std::vector<Lit> clause;
     for (const PbTerm& t : pb.terms()) clause.push_back(t.lit);
     const int before = formula.num_clauses();
-    formula.add_clause(std::move(clause));
+    formula.add_clause(clause);
     return {0, formula.num_clauses() - before};
   }
   if (pb.is_cardinality()) {
@@ -219,7 +219,7 @@ PbToCnfStats encode_pb_as_cnf(Formula& formula, const PbConstraint& pb) {
 Formula to_pure_cnf(const Formula& formula, PbToCnfStats* stats) {
   Formula cnf;
   cnf.new_vars(formula.num_vars());
-  for (const Clause& clause : formula.clauses()) cnf.add_clause(clause);
+  for (std::span<const Lit> clause : formula.clauses()) cnf.add_clause(clause);
   PbToCnfStats total;
   for (const PbConstraint& pb : formula.pb_constraints()) {
     const PbToCnfStats s = encode_pb_as_cnf(cnf, pb);

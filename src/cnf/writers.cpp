@@ -31,7 +31,7 @@ void write_opb(std::ostream& out, const Formula& formula) {
     write_opb_terms(out, c.terms());
     out << ">= " << c.bound() << " ;\n";
   }
-  for (const Clause& clause : formula.clauses()) {
+  for (std::span<const Lit> clause : formula.clauses()) {
     for (Lit l : clause) {
       out << "+1 " << (l.negated() ? "~x" : "x") << (l.var() + 1) << ' ';
     }

@@ -84,12 +84,12 @@ ColoringEncoding encode_impl(const Graph& graph, int max_colors,
 
   // Usage indicators: y(j) <-> OR_i x(i,j).
   for (int j = 0; j < k; ++j) {
-    Clause some_user{Lit::negative(enc.y(j))};
+    std::vector<Lit> some_user{Lit::negative(enc.y(j))};
     for (int i = 0; i < n; ++i) {
       f.add_implication(Lit::positive(enc.x(i, j)), Lit::positive(enc.y(j)));
       some_user.push_back(Lit::positive(enc.x(i, j)));
     }
-    f.add_clause(std::move(some_user));
+    f.add_clause(some_user);
   }
 
   if (with_objective) add_color_count_objective(&enc);

@@ -99,11 +99,11 @@ void add_li(ColoringEncoding* enc) {
     }
   }
   for (int k = 0; k < k_colors; ++k) {
-    Clause lowest_exists{Lit::negative(enc->y(k))};
+    std::vector<Lit> lowest_exists{Lit::negative(enc->y(k))};
     for (int i = 0; i < n; ++i) {
       lowest_exists.push_back(Lit::positive(v(i, k)));
     }
-    f.add_clause(std::move(lowest_exists));
+    f.add_clause(lowest_exists);
   }
 
   enc->sbp_vars += f.num_vars() - vars_before;
@@ -139,18 +139,18 @@ void add_li_paper_literal(ColoringEncoding* enc) {
       }
       // Ordering (descending): some later vertex is lowest for color k-1.
       if (k > 0) {
-        Clause later{~v_ik};
+        std::vector<Lit> later{~v_ik};
         for (int j = i + 1; j < n; ++j) {
           later.push_back(Lit::positive(v(j, k - 1)));
         }
-        f.add_clause(std::move(later));
+        f.add_clause(later);
       }
     }
   }
   for (int k = 0; k < k_colors; ++k) {
-    Clause lowest_exists{Lit::negative(enc->y(k))};
+    std::vector<Lit> lowest_exists{Lit::negative(enc->y(k))};
     for (int i = 0; i < n; ++i) lowest_exists.push_back(Lit::positive(v(i, k)));
-    f.add_clause(std::move(lowest_exists));
+    f.add_clause(lowest_exists);
   }
 
   enc->sbp_vars += f.num_vars() - vars_before;

@@ -20,17 +20,18 @@ std::optional<SetCoverEncoding> encode_set_cover_coloring(
   f.new_vars(num_sets);
 
   // Covering constraint per vertex.
-  std::vector<Clause> covers(static_cast<std::size_t>(graph.num_vertices()));
+  std::vector<std::vector<Lit>> covers(
+      static_cast<std::size_t>(graph.num_vertices()));
   for (int s = 0; s < num_sets; ++s) {
     for (const int v : enc.set_members[static_cast<std::size_t>(s)]) {
       covers[static_cast<std::size_t>(v)].push_back(Lit::positive(s));
     }
   }
-  for (Clause& cover : covers) {
+  for (const std::vector<Lit>& cover : covers) {
     if (cover.empty()) {
       throw std::logic_error("vertex in no maximal independent set");
     }
-    f.add_clause(std::move(cover));
+    f.add_clause(cover);
   }
 
   Objective objective;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <span>
 #include <vector>
 
 namespace symcolor {
@@ -20,7 +21,7 @@ class BnbSearch {
     occurrences_.assign(static_cast<std::size_t>(2 * num_vars_), {});
     occurrence_count_.assign(static_cast<std::size_t>(num_vars_), 0);
 
-    for (const Clause& clause : formula.clauses()) add_row(clause);
+    for (std::span<const Lit> clause : formula.clauses()) add_row(clause);
     for (const PbConstraint& pb : formula.pb_constraints()) {
       // The row representation assumes unit coefficients. Every constraint
       // this library emits is a cardinality constraint after
@@ -101,10 +102,10 @@ class BnbSearch {
     int row = -1;
   };
 
-  void add_row(const std::vector<Lit>& lits, std::int64_t bound = 1,
+  void add_row(std::span<const Lit> lits, std::int64_t bound = 1,
                const PbConstraint* pb = nullptr) {
     Row row;
-    row.lits = lits;
+    row.lits.assign(lits.begin(), lits.end());
     row.bound = bound;
     row.slack = static_cast<std::int64_t>(lits.size()) - bound;
     (void)pb;

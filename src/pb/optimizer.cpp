@@ -21,14 +21,16 @@ PbConstraint objective_at_most(const Objective& objective, std::int64_t bound) {
 }
 
 /// Shared state of one minimization run: the persistent engine, the
-/// ladder, and the result being assembled.
+/// ladder, and the result being assembled. The formula itself is not
+/// kept: the ladder is built into it, the engine loads it, and it is
+/// freed before the first probe, so the run never holds the formula and
+/// the engine's copy of it at once.
 struct MinimizeRun {
   const Objective objective;
   const int num_vars;  // of the caller's formula, before the ladder
   const SolveBudget& budget;
   OptResult result;
   Timer timer;
-  Formula working;
   ObjectiveLadder ladder;
   std::unique_ptr<SolverEngine> engine;
 
@@ -36,13 +38,13 @@ struct MinimizeRun {
       : objective(*f.objective()),
         num_vars(f.num_vars()),
         budget(b),
-        working(std::move(f)),
-        ladder(&working, objective) {
+        ladder(&f, objective) {
     if (!ladder.ok()) {
       throw std::invalid_argument(
           "minimize: objective has too many distinct sums for its ladder");
     }
-    engine = make_solver_engine(working, config);
+    engine = make_solver_engine(f, config);
+    f = Formula();
     // The ladder floor (objective value with every normalized term off) is
     // proven by construction; mining and Unsat probes only lift it.
     result.lower_bound = ladder.min_value();

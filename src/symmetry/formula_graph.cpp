@@ -23,7 +23,7 @@ class GraphBuilder {
     next_vertex_ = lits;
     // Count extra vertices: one per clause of size >= 3, one per
     // non-clausal PB constraint (plus coefficient groups), objective.
-    for (const Clause& c : formula.clauses()) {
+    for (std::span<const Lit> c : formula.clauses()) {
       if (c.size() >= 3 || c.size() == 1) ++extra_;  // unit clauses get markers
     }
     for (const PbConstraint& pb : formula.pb_constraints()) {
@@ -55,10 +55,10 @@ class GraphBuilder {
     for (Var v = 0; v < formula_.num_vars(); ++v) {
       graph_->add_edge(Lit::positive(v).code(), Lit::negative(v).code());
     }
-    for (const Clause& c : formula_.clauses()) add_clause_structure(c);
+    for (std::span<const Lit> c : formula_.clauses()) add_clause_structure(c);
     for (const PbConstraint& pb : formula_.pb_constraints()) {
       if (pb.is_clause()) {
-        Clause c;
+        std::vector<Lit> c;
         for (const PbTerm& t : pb.terms()) c.push_back(t.lit);
         add_clause_structure(c);
       } else {
@@ -108,7 +108,7 @@ class GraphBuilder {
     return it->second;
   }
 
-  void add_clause_structure(const Clause& c) {
+  void add_clause_structure(std::span<const Lit> c) {
     if (c.size() == 1) {
       // Unit clause: a private marker vertex pins the literal's identity
       // (a unit-constrained literal must not swap with a free one).
@@ -213,7 +213,12 @@ SymmetryVerifier::SymmetryVerifier(const Formula& formula)
   const int num_constraints = num_clauses_ + formula.num_pb();
   begin_.reserve(static_cast<std::size_t>(num_constraints) + 1);
   begin_.push_back(0);
-  for (const Clause& c : formula.clauses()) {
+  std::size_t num_lits = formula.num_clause_lits();
+  for (const PbConstraint& pb : formula.pb_constraints()) {
+    num_lits += pb.terms().size();
+  }
+  lits_.reserve(num_lits);
+  for (std::span<const Lit> c : formula.clauses()) {
     for (const Lit l : c) lits_.push_back(l.code());
     begin_.push_back(lits_.size());
   }

@@ -37,9 +37,11 @@ LexLeaderStats add_lex_leader_sbps(Formula& formula,
       const Lit x = Lit::positive(vars[i]);
       const Lit y = Lit::from_code(pi[static_cast<std::size_t>(x.code())]);
       // e_{i-1} -> (x <= y)
-      Clause ordering{~x, y};
-      if (prev_e.valid()) ordering.push_back(~prev_e);
-      formula.add_clause(std::move(ordering));
+      if (prev_e.valid()) {
+        formula.add_clause({~x, y, ~prev_e});
+      } else {
+        formula.add_clause({~x, y});
+      }
 
       if (i + 1 == vars.size()) break;  // no successor needs e_i
       const Lit e = Lit::positive(formula.new_var());
@@ -49,14 +51,13 @@ LexLeaderStats add_lex_leader_sbps(Formula& formula,
       // dropped by Formula::add_clause; e then floats free, which is
       // sound: the prefix can never be equal past a phase-shifted
       // variable.)
-      Clause both_true{~x, ~y, e};
-      Clause both_false{x, y, e};
       if (prev_e.valid()) {
-        both_true.push_back(~prev_e);
-        both_false.push_back(~prev_e);
+        formula.add_clause({~x, ~y, e, ~prev_e});
+        formula.add_clause({x, y, e, ~prev_e});
+      } else {
+        formula.add_clause({~x, ~y, e});
+        formula.add_clause({x, y, e});
       }
-      formula.add_clause(std::move(both_true));
-      formula.add_clause(std::move(both_false));
       prev_e = e;
     }
     stats.clauses_added += formula.num_clauses() - before_clauses;
@@ -77,15 +78,16 @@ LexLeaderStats add_lex_leader_sbps_quadratic(Formula& formula,
     ++stats.generators_used;
 
     const int before_clauses = formula.num_clauses();
-    Clause prefix;  // accumulates ~x_1 .. ~x_{i-1}
+    // ~x_1 .. ~x_{i-1}, then this step's ~x_i and y_i: one buffer for
+    // every clause of the generator.
+    std::vector<Lit> clause;
     for (std::size_t i = 0; i < vars.size(); ++i) {
       const Lit x = Lit::positive(vars[i]);
       const Lit y = Lit::from_code(pi[static_cast<std::size_t>(x.code())]);
-      Clause clause = prefix;
       clause.push_back(~x);
       clause.push_back(y);
-      formula.add_clause(std::move(clause));
-      prefix.push_back(~x);
+      formula.add_clause(clause);
+      clause.pop_back();  // ~x stays in the prefix
     }
     stats.clauses_added += formula.num_clauses() - before_clauses;
   }

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <ranges>
+#include <utility>
+#include <vector>
+
 #include "cnf/formula.h"
 #include "cnf/literals.h"
 #include "cnf/pb_constraint.h"
@@ -158,6 +163,110 @@ TEST(Formula, EmptyClauseMakesTriviallyUnsat) {
   Formula f;
   f.add_clause({});
   EXPECT_TRUE(f.trivially_unsat());
+}
+
+// ---- the flat clause store ----
+
+static_assert(std::random_access_iterator<ClauseView::iterator>);
+static_assert(std::ranges::random_access_range<ClauseView>);
+
+std::vector<Lit> as_vector(std::span<const Lit> clause) {
+  return {clause.begin(), clause.end()};
+}
+
+TEST(FormulaStore, TautologyLeavesCountAndPoolUnchanged) {
+  Formula f;
+  f.new_vars(3);
+  f.add_clause({Lit::positive(0), Lit::negative(2)});
+  f.add_clause({Lit::positive(1), Lit::positive(2), Lit::negative(1)});
+  EXPECT_EQ(f.num_clauses(), 1);
+  EXPECT_EQ(f.num_clause_lits(), 2u);
+  EXPECT_EQ(as_vector(f.clauses()[0]),
+            (std::vector<Lit>{Lit::positive(0), Lit::negative(2)}));
+}
+
+TEST(FormulaStore, DuplicatesMergeIntoOneSortedClause) {
+  Formula f;
+  f.new_vars(4);
+  f.add_clause({Lit::negative(3), Lit::positive(1), Lit::negative(3),
+                Lit::positive(0), Lit::positive(1)});
+  ASSERT_EQ(f.num_clauses(), 1);
+  EXPECT_EQ(f.num_clause_lits(), 3u);
+  EXPECT_EQ(as_vector(f.clauses()[0]),
+            (std::vector<Lit>{Lit::positive(0), Lit::positive(1),
+                              Lit::negative(3)}));
+}
+
+TEST(FormulaStore, EmptyClauseIsStoredAndMakesTriviallyUnsat) {
+  Formula f;
+  f.new_var();
+  f.add_clause({Lit::positive(0)});
+  EXPECT_FALSE(f.trivially_unsat());
+  f.add_clause({});
+  EXPECT_TRUE(f.trivially_unsat());
+  ASSERT_EQ(f.num_clauses(), 2);
+  EXPECT_TRUE(f.clauses()[1].empty());
+  EXPECT_EQ(f.clauses()[0].size(), 1u);
+}
+
+TEST(FormulaStore, ViewIterationEqualsIndexAccess) {
+  Formula f;
+  f.new_vars(6);
+  for (int i = 0; i < 6; ++i) {
+    std::vector<Lit> clause;
+    for (int v = 0; v <= i; ++v) clause.push_back(Lit(v, (v + i) % 2 == 1));
+    f.add_clause(clause);
+  }
+  const ClauseView view = f.clauses();
+  ASSERT_EQ(view.size(), 6u);
+  std::size_t i = 0;
+  for (std::span<const Lit> clause : view) {
+    EXPECT_EQ(clause.data(), view[i].data());
+    EXPECT_EQ(clause.size(), i + 1);
+    ++i;
+  }
+  EXPECT_EQ(i, view.size());
+  EXPECT_EQ(view.end() - view.begin(), 6);
+  EXPECT_EQ(view.begin()[4].size(), 5u);
+  EXPECT_EQ((*(view.end() - 1)).size(), 6u);
+}
+
+TEST(FormulaStore, AppendingAClauseOfTheSamePoolCopiesIt) {
+  Formula f;
+  f.new_vars(4);
+  f.add_clause({Lit::negative(3), Lit::positive(1), Lit::positive(2)});
+  const std::vector<Lit> first = as_vector(f.clauses()[0]);
+  // Each append grows the pool by three literals, so some appends
+  // reallocate it while reading their source out of it.
+  for (int i = 0; i < 200; ++i) {
+    f.add_clause(f.clauses()[0]);
+    f.add_clause(f.clauses()[static_cast<std::size_t>(f.num_clauses() / 2)]);
+  }
+  ASSERT_EQ(f.num_clauses(), 401);
+  for (std::span<const Lit> clause : f.clauses()) {
+    EXPECT_EQ(as_vector(clause), first);
+  }
+}
+
+TEST(FormulaStore, DefaultAndMovedFromFormulasHoldNoClause) {
+  Formula empty;
+  EXPECT_EQ(empty.num_clauses(), 0);
+  EXPECT_TRUE(empty.clauses().empty());
+  EXPECT_EQ(empty.clauses().begin(), empty.clauses().end());
+
+  Formula f;
+  f.new_vars(2);
+  f.add_clause({Lit::positive(0), Lit::positive(1)});
+  f.add_clause({Lit::negative(0)});
+  Formula g = std::move(f);
+  EXPECT_EQ(g.num_clauses(), 2);
+  EXPECT_EQ(f.num_clauses(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_TRUE(f.clauses().empty());
+  Formula h;
+  h = std::move(g);
+  EXPECT_EQ(h.num_clauses(), 2);
+  EXPECT_EQ(g.num_clauses(), 0);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(as_vector(h.clauses()[1]), std::vector<Lit>{Lit::negative(0)});
 }
 
 TEST(Formula, OutOfRangeLiteralThrows) {

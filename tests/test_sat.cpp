@@ -838,6 +838,68 @@ TEST(CdclLoad, ConstructorMatchesClauseByClauseAddition) {
   EXPECT_GT(conflicts, 0);
 }
 
+// load() attaches a formula clause straight from the formula's pool when
+// none of its literals is assigned, and copies it through load_clause()
+// otherwise. Units placed between and after the clauses that mention
+// their variables send clauses of one formula down both paths.
+TEST(CdclLoad, UnitsAmongTheClausesMatchClauseByClauseAddition) {
+  int sat = 0;
+  int unsat = 0;
+  std::int64_t conflicts = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    constexpr int kVars = 40;
+    auto lit = [&](int v) {
+      return rng.chance(0.5) ? Lit::positive(v) : Lit::negative(v);
+    };
+    auto var = [&] { return static_cast<int>(rng.below(kVars)); };
+    // Units on the last four variables, whose literals sort last in a
+    // clause (so past its watches): two units between the clauses, two
+    // after them.
+    auto unit_var = [](int u) { return kVars - 4 + u; };
+    std::vector<Clause> clauses;
+    for (int i = 0; i < 170; ++i) {
+      if (i == 60 || i == 120) clauses.push_back({lit(unit_var(i / 60 - 1))});
+      Clause c = {lit(var()), lit(var()), lit(var())};
+      if (i % 3 == 0) {
+        c.push_back(lit(unit_var(static_cast<int>(rng.below(4)))));
+      }
+      clauses.push_back(std::move(c));
+    }
+    clauses.push_back({lit(unit_var(2))});
+    clauses.push_back({lit(unit_var(3))});
+
+    Formula full;
+    full.new_vars(kVars);
+    for (const Clause& c : clauses) full.add_clause(c);
+    Formula empty;
+    empty.new_vars(kVars);
+    CdclSolver loaded(full);
+    CdclSolver added(empty);
+    for (const Clause& c : clauses) added.add_clause(c);
+
+    const SolveResult r = loaded.solve();
+    ASSERT_EQ(added.solve(), r) << "seed " << seed;
+    conflicts += loaded.stats().conflicts;
+    EXPECT_EQ(added.stats().conflicts, loaded.stats().conflicts)
+        << "seed " << seed;
+    EXPECT_EQ(added.stats().decisions, loaded.stats().decisions)
+        << "seed " << seed;
+    EXPECT_EQ(added.stats().propagations, loaded.stats().propagations)
+        << "seed " << seed;
+    if (r == SolveResult::Sat) {
+      ++sat;
+      EXPECT_EQ(added.model(), loaded.model()) << "seed " << seed;
+      EXPECT_TRUE(full.satisfied_by(loaded.model())) << "seed " << seed;
+    } else {
+      ++unsat;
+    }
+  }
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+  EXPECT_GT(conflicts, 0);
+}
+
 TEST(CdclLoad, PbRowsAddedAfterASolveMatchLoadingThemUpFront) {
   int sat = 0;
   int unsat = 0;

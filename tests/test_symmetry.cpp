@@ -253,12 +253,12 @@ bool reference_is_formula_symmetry(const Formula& formula,
     return Lit::from_code(lit_perm[static_cast<std::size_t>(l.code())]);
   };
   std::set<Clause> clause_set;
-  for (const Clause& c : formula.clauses()) {
-    Clause sorted = c;
+  for (std::span<const Lit> c : formula.clauses()) {
+    Clause sorted(c.begin(), c.end());
     std::sort(sorted.begin(), sorted.end());
     clause_set.insert(std::move(sorted));
   }
-  for (const Clause& c : formula.clauses()) {
+  for (std::span<const Lit> c : formula.clauses()) {
     Clause image;
     for (const Lit l : c) image.push_back(map_lit(l));
     std::sort(image.begin(), image.end());

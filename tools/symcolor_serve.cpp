@@ -261,7 +261,7 @@ std::shared_ptr<const Formula> clause_formula(const Json& msg, Fields& fields) {
       fields.fail("clauses", "must hold arrays of DIMACS literals");
       return nullptr;
     }
-    formula->add_clause(std::move(clause));
+    formula->add_clause(clause);
   }
   return formula;
 }
