@@ -566,12 +566,14 @@ void BM_ColoringSymmetryClosedForm(benchmark::State& state) {
     if (inst.name == "DSJC125.1") g = std::move(inst.graph);
   }
   const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
+  const MinorFaults faults;
   for (auto _ : state) {
     const SymmetryInfo info =
         detect_coloring_symmetries(g, enc, SbpOptions::sc_only());
     if (!info.closed_form) state.SkipWithError("formula graph searched");
     benchmark::DoNotOptimize(info.generators.data());
   }
+  faults.report(state);
 }
 BENCHMARK(BM_ColoringSymmetryClosedForm);
 
@@ -634,6 +636,7 @@ void run_symmetry_verify(benchmark::State& state, const Graph& g) {
   const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
   const SymmetryInfo info = detect_symmetries(enc.formula);
   std::int64_t verified = 0;
+  const MinorFaults faults;
   for (auto _ : state) {
     SymmetryVerifier verifier(enc.formula);
     for (const Perm& p : info.generators) {
@@ -641,6 +644,7 @@ void run_symmetry_verify(benchmark::State& state, const Graph& g) {
     }
     verified += static_cast<std::int64_t>(info.generators.size());
   }
+  faults.report(state);
   state.counters["generators_per_sec"] = benchmark::Counter(
       static_cast<double>(verified), benchmark::Counter::kIsRate);
 }

@@ -9,7 +9,8 @@
 // allocation for all clauses, none per clause (MiniSat's region idea,
 // applied before the engine's own ClauseArena). clauses() reads the pool
 // as spans; a span, or a view from clauses(), is valid until the next
-// add_clause() on the same formula, which may move the pool.
+// add_clause() on the same formula (which may move the pool) or the
+// formula's end.
 
 #include <compare>
 #include <cstddef>

@@ -31,8 +31,9 @@ struct OnExit {
 
 CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
     : PropEngine(formula), config_(config), rng_(config.random_seed) {
-  // The pools follow the per-variable arrays: allocated first, they
-  // raised suite-solver's peak RSS by 3.6 %.
+  // The pools follow the per-variable arrays. The order moves peak RSS
+  // by heap placement alone, both ways: allocated first, the pools took
+  // suite-sbp's up 10 % and suite-solver's down 10 %.
   const auto n = static_cast<std::size_t>(formula.num_vars());
   order_.assign_scores(n, 0.0);
   polarity_.assign(n, config_.default_phase ? 1 : 0);

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
-"""Diff two BENCH_micro.json runs and print a speedup table.
+"""Diff BENCH_micro.json runs and print a speedup table.
 
 Usage:
     tools/bench_compare.py OLD.json NEW.json [--fail-below RATIO]
                            [--filter SUBSTRING ...]
+    tools/bench_compare.py --old A1.json A2.json ... --new B1.json ...
+                           [--fail-below RATIO] [--filter SUBSTRING ...]
 
 Each input is the flat JSON array bench_micro emits (see bench/bench_micro.cpp):
     [{"name": ..., "n": ..., "reps": ..., "ns_per_op": ...,
       "propagations_per_sec": ...}, ...]
 
-Benchmarks are matched by name. The speedup column is old/new for
+Benchmarks are matched by name. With several files per side (--old and
+--new), each benchmark's ns_per_op and propagations_per_sec are the
+medians over that side's files, so one slow run on a shared machine does
+not decide the comparison; a benchmark counts as present on a side only
+when every file of that side has it. The speedup column is old/new for
 ns_per_op (higher is better; 1.10x means the new run is 10% faster) and
 new/old for propagations_per_sec where both runs report it. Benchmarks
-present in only one file are listed separately so a renamed or dropped
+present in only one side are listed separately so a renamed or dropped
 benchmark never silently vanishes from the comparison.
 
 --filter may be repeated; a benchmark is compared when its name contains
@@ -30,6 +36,7 @@ informational only; the gate stays on the worst case.
 import argparse
 import json
 import math
+import statistics
 import sys
 
 
@@ -40,6 +47,24 @@ def load(path):
     for row in rows:
         table[row["name"]] = row
     return table
+
+
+def load_side(paths):
+    """One row per benchmark present in every file: the median ns_per_op
+    and propagations_per_sec over the files."""
+    tables = [load(p) for p in paths]
+    side = {}
+    for name in tables[0]:
+        rows = [t[name] for t in tables if name in t]
+        if len(rows) < len(tables):
+            continue
+        side[name] = {
+            "ns_per_op": statistics.median(r["ns_per_op"] for r in rows),
+            "propagations_per_sec": statistics.median(
+                r.get("propagations_per_sec", 0.0) for r in rows
+            ),
+        }
+    return side
 
 
 def fmt_time(ns):
@@ -60,8 +85,18 @@ def fmt_rate(per_sec):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("old", help="baseline BENCH_micro.json")
-    parser.add_argument("new", help="candidate BENCH_micro.json")
+    parser.add_argument(
+        "files",
+        nargs="*",
+        metavar="OLD.json NEW.json",
+        help="one baseline and one candidate run (or use --old/--new)",
+    )
+    parser.add_argument(
+        "--old", nargs="+", metavar="JSON", help="baseline runs (medians)"
+    )
+    parser.add_argument(
+        "--new", nargs="+", metavar="JSON", help="candidate runs (medians)"
+    )
     parser.add_argument(
         "--fail-below",
         type=float,
@@ -77,12 +112,22 @@ def main():
         "repeatable (a name matching ANY pattern is kept)",
     )
     args = parser.parse_args()
+    if args.old or args.new:
+        if args.files or not (args.old and args.new):
+            parser.error("--old and --new go together, without positional files")
+        old_paths, new_paths = args.old, args.new
+    elif len(args.files) == 2:
+        old_paths, new_paths = [args.files[0]], [args.files[1]]
+    else:
+        parser.error("need OLD.json NEW.json, or --old ... --new ...")
+    old_label = " ".join(old_paths)
+    new_label = " ".join(new_paths)
 
     def matches(name):
         return args.filter is None or any(p in name for p in args.filter)
 
-    old = load(args.old)
-    new = load(args.new)
+    old = load_side(old_paths)
+    new = load_side(new_paths)
     names = [n for n in old if n in new and matches(n)]
     only_old = [n for n in old if n not in new and matches(n)]
     only_new = [n for n in new if n not in old and matches(n)]
@@ -121,9 +166,9 @@ def main():
         )
 
     for name in only_old:
-        print(f"{name:<{width}}  only in {args.old}")
+        print(f"{name:<{width}}  only in {old_label}")
     for name in only_new:
-        print(f"{name:<{width}}  only in {args.new}")
+        print(f"{name:<{width}}  only in {new_label}")
 
     if args.fail_below is not None and worst is not None:
         if worst < args.fail_below:
