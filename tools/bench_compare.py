@@ -4,18 +4,19 @@
 Usage:
     tools/bench_compare.py OLD.json NEW.json [--fail-below RATIO]
                            [--filter SUBSTRING ...]
-    tools/bench_compare.py --old A1.json A2.json ... --new B1.json ...
-                           [--fail-below RATIO] [--filter SUBSTRING ...]
+
+OLD and NEW may each name several runs, comma-separated
+(A1.json,A2.json,A3.json).
 
 Each input is the flat JSON array bench_micro emits (see bench/bench_micro.cpp):
     [{"name": ..., "n": ..., "reps": ..., "ns_per_op": ...,
       "propagations_per_sec": ...}, ...]
 
-Benchmarks are matched by name. With several files per side (--old and
---new), each benchmark's ns_per_op and propagations_per_sec are the
-medians over that side's files, so one slow run on a shared machine does
-not decide the comparison; a benchmark counts as present on a side only
-when every file of that side has it. The speedup column is old/new for
+Benchmarks are matched by name. With several files per side, each
+benchmark's ns_per_op and propagations_per_sec are the medians over that
+side's files, so one slow run on a shared machine does not decide the
+comparison; a benchmark counts as present on a side only when every file
+of that side has it. The speedup column is old/new for
 ns_per_op (higher is better; 1.10x means the new run is 10% faster) and
 new/old for propagations_per_sec where both runs report it. Benchmarks
 present in only one side are listed separately so a renamed or dropped
@@ -86,16 +87,10 @@ def fmt_rate(per_sec):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "files",
-        nargs="*",
-        metavar="OLD.json NEW.json",
-        help="one baseline and one candidate run (or use --old/--new)",
+        "old", help="baseline BENCH_micro.json (comma-separated: medians)"
     )
     parser.add_argument(
-        "--old", nargs="+", metavar="JSON", help="baseline runs (medians)"
-    )
-    parser.add_argument(
-        "--new", nargs="+", metavar="JSON", help="candidate runs (medians)"
+        "new", help="candidate BENCH_micro.json (comma-separated: medians)"
     )
     parser.add_argument(
         "--fail-below",
@@ -112,16 +107,8 @@ def main():
         "repeatable (a name matching ANY pattern is kept)",
     )
     args = parser.parse_args()
-    if args.old or args.new:
-        if args.files or not (args.old and args.new):
-            parser.error("--old and --new go together, without positional files")
-        old_paths, new_paths = args.old, args.new
-    elif len(args.files) == 2:
-        old_paths, new_paths = [args.files[0]], [args.files[1]]
-    else:
-        parser.error("need OLD.json NEW.json, or --old ... --new ...")
-    old_label = " ".join(old_paths)
-    new_label = " ".join(new_paths)
+    old_paths = args.old.split(",")
+    new_paths = args.new.split(",")
 
     def matches(name):
         return args.filter is None or any(p in name for p in args.filter)
@@ -166,9 +153,9 @@ def main():
         )
 
     for name in only_old:
-        print(f"{name:<{width}}  only in {old_label}")
+        print(f"{name:<{width}}  only in {args.old}")
     for name in only_new:
-        print(f"{name:<{width}}  only in {new_label}")
+        print(f"{name:<{width}}  only in {args.new}")
 
     if args.fail_below is not None and worst is not None:
         if worst < args.fail_below:
