@@ -25,8 +25,20 @@ void PropEngine::init_pools() {
 
 void PropEngine::load(const Formula& formula) {
   ok_ = !formula.trivially_unsat();
+  // A formula clause is already sorted, duplicate-free and not a
+  // tautology, so load_buffered_clause() would attach it unchanged (same
+  // order, same watches) unless a level-0 unit assigns one of its
+  // literals: attach it straight from the formula's pool then.
   for (std::span<const Lit> clause : formula.clauses()) {
-    if (!load_clause(clause)) break;
+    if (!ok_) break;
+    if (clause.size() >= 2 &&
+        std::all_of(clause.begin(), clause.end(), [this](Lit l) {
+          return value(l) == LBool::Undef;
+        })) {
+      attach_clause(clause, /*learnt=*/false);
+    } else if (!load_clause(clause)) {
+      break;
+    }
   }
   for (const PbConstraint& c : formula.pb_constraints()) {
     if (!load_pb(c)) break;

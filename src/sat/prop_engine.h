@@ -44,6 +44,9 @@
 // and simplified against the level-0 assignment in place, then attached
 // in that order — MiniSat's addClause_, with no heap allocation per
 // clause. Each returns false once level-0 unsatisfiability is derived.
+// load() skips the copy for a formula clause none of whose literals is
+// assigned: the Formula already stores it sorted and deduplicated, so it
+// is attached as it stands.
 
 #include <cassert>
 #include <cstdint>

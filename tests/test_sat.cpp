@@ -838,10 +838,10 @@ TEST(CdclLoad, ConstructorMatchesClauseByClauseAddition) {
   EXPECT_GT(conflicts, 0);
 }
 
-// load() simplifies each formula clause against the level-0 assignment
-// made by the units before it, as add_clause() on a running engine does.
-// Units placed between and after the clauses that mention their
-// variables leave some clauses untouched and shorten others.
+// load() attaches a formula clause straight from the formula's pool when
+// none of its literals is assigned, and copies it through load_clause()
+// otherwise. Units placed between and after the clauses that mention
+// their variables send clauses of one formula down both paths.
 TEST(CdclLoad, UnitsAmongTheClausesMatchClauseByClauseAddition) {
   int sat = 0;
   int unsat = 0;
