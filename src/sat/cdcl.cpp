@@ -475,6 +475,7 @@ TierCounts CdclSolver::learned_tier_counts() const {
   TierCounts tc;
   for (ClauseRef cr = 0; cr != arena_.end_ref(); cr = arena_.next(cr)) {
     if (!arena_.learnt(cr) || arena_.deleted(cr)) continue;
+    if (arena_.size(cr) == 2) ++tc.binary;
     switch (clause_tier(cr)) {
       case Tier::Core: ++tc.core; break;
       case Tier::Mid: ++tc.mid; break;

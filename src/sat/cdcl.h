@@ -206,6 +206,8 @@ struct TierCounts {
   std::int64_t core = 0;
   std::int64_t mid = 0;
   std::int64_t local = 0;
+  /// Of `core`, the learnt clauses of two literals.
+  std::int64_t binary = 0;
 };
 
 /// One solver instance owns a private copy of the formula's constraints.

@@ -1125,5 +1125,64 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
+// The same pin on a binary-heavy search. The coloring encodings are
+// almost all binary clauses (one per edge and color), so this table pins
+// a dense random graph, G(30, 300), at K = 8, two colors below its
+// DSATUR bound of 10, under SC: its CNF under every profile, and its PB
+// encoding, where Galena's cutting planes resolve on binary reasons. Each
+// search refutes K = 8 within the cap with learnt binary clauses alive,
+// most of them after one or two arena collections.
+
+struct PinnedBinarySearch {
+  const char* name;
+  SolverKind kind;
+  SearchCounts gnm_cnf;  // encode_k_coloring_cnf
+  SearchCounts gnm_pb;   // encode_k_coloring
+};
+
+void PrintTo(const PinnedBinarySearch& pin, std::ostream* os) {
+  *os << pin.name;
+}
+
+class PinnedBinarySearchTest
+    : public ::testing::TestWithParam<PinnedBinarySearch> {};
+
+TEST_P(PinnedBinarySearchTest, CountsMatchTheTable) {
+  const PinnedBinarySearch& pin = GetParam();
+  const SolverConfig config = profile_config(pin.kind);
+  const Graph g = make_random_gnm(30, 300, 7);
+  for (const bool cnf : {true, false}) {
+    const ColoringEncoding enc =
+        cnf ? encode_k_coloring_cnf(g, 8, SbpOptions::sc_only())
+            : encode_k_coloring(g, 8, SbpOptions::sc_only());
+    CdclSolver solver(enc.formula, config);
+    EXPECT_EQ(solver.solve(SolveBudget(0, 3000)), SolveResult::Unsat);
+    EXPECT_EQ(search_counts(solver.stats()), cnf ? pin.gnm_cnf : pin.gnm_pb);
+    EXPECT_GT(solver.learned_tier_counts().binary, 0);
+    if (!cnf && config.pb_analysis == PbAnalysis::CuttingPlanes) {
+      EXPECT_GT(solver.stats().pb_resolutions, 0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Profiles, PinnedBinarySearchTest,
+    ::testing::Values(
+        PinnedBinarySearch{"Pbs", SolverKind::PbsOriginal,
+                           {1021, 1182, 48808, 1014, 0},
+                           {976, 1042, 41188, 968, 0}},
+        PinnedBinarySearch{"PbsII", SolverKind::PbsII,
+                           {762, 883, 34577, 757, 0},
+                           {1339, 1513, 61398, 1333, 0}},
+        PinnedBinarySearch{"Galena", SolverKind::Galena,
+                           {1061, 1272, 53556, 1055, 0},
+                           {1263, 1415, 58018, 1252, 5}},
+        PinnedBinarySearch{"Pueblo", SolverKind::Pueblo,
+                           {1536, 1958, 85582, 1532, 0},
+                           {1199, 1484, 58461, 1193, 0}}),
+    [](const ::testing::TestParamInfo<PinnedBinarySearch>& info) {
+      return std::string(info.param.name);
+    });
+
 }  // namespace
 }  // namespace symcolor
