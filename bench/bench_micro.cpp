@@ -589,23 +589,36 @@ void BM_FormulaGraphBuild(benchmark::State& state) {
 BENCHMARK(BM_FormulaGraphBuild);
 
 // Loading a formula into the engine, the fixed cost between the SBP
-// stage and the first decision: queen8_12's K=20 SC encoding with its
-// Shatter SBPs added (the suite-sbp configuration), one CdclSolver
-// constructed per iteration.
+// stage and the first decision: one CdclSolver constructed per iteration.
+void run_engine_load(benchmark::State& state, const Formula& formula) {
+  const SolverConfig config = profile_config(SolverKind::PbsII);
+  const MinorFaults faults;
+  for (auto _ : state) {
+    CdclSolver solver(formula, config);
+    benchmark::DoNotOptimize(solver.live_clauses());
+  }
+  faults.report(state);
+  state.counters["clauses"] = static_cast<double>(formula.num_clauses());
+}
+
+// queen8_12's K=20 SC encoding with its Shatter SBPs added (the suite-sbp
+// configuration).
 void BM_EngineLoad(benchmark::State& state) {
   ColoringEncoding enc =
       encode_coloring(make_queen_graph(8, 12), 20, SbpOptions::sc_only());
   shatter(enc.formula);
-  const SolverConfig config = profile_config(SolverKind::PbsII);
-  const MinorFaults faults;
-  for (auto _ : state) {
-    CdclSolver solver(enc.formula, config);
-    benchmark::DoNotOptimize(solver.live_clauses());
-  }
-  faults.report(state);
-  state.counters["clauses"] = static_cast<double>(enc.formula.num_clauses());
+  run_engine_load(state, enc.formula);
 }
 BENCHMARK(BM_EngineLoad);
+
+// The SAT loop's CNF (NU on) of the DSJC125.9 shape, G(125, 6961), at
+// its K = 47: about 99 % of its clauses are binary.
+void BM_EngineLoadBinaryCnf(benchmark::State& state) {
+  const ColoringEncoding enc = encode_k_coloring_cnf(
+      make_random_gnm(125, 6961, 0xD59), 47, SbpOptions::nu_only());
+  run_engine_load(state, enc.formula);
+}
+BENCHMARK(BM_EngineLoadBinaryCnf);
 
 // The formula's share of the set-up ahead of EngineLoad, in the same
 // configuration: queen8_12's K=20 SC encoding, its Shatter lex-leader

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <ostream>
 
@@ -379,6 +380,151 @@ TEST(Cdcl, ArenaGcPreservesAnswersUnderLoad) {
     EXPECT_EQ(solver.total_watchers(),
               2 * static_cast<std::size_t>(solver.live_clauses()));
   }
+}
+
+/// Random mostly-binary formulas for the differential test below. Rounds
+/// alternate between two shapes. Random CNFs of at most 14 variables,
+/// three in four with a planted model, where the assumptions decide most
+/// answers; these settle in two or three conflicts each. And pigeonhole
+/// PHP(5, 4) (20 variables) with random literal signs and, in most
+/// rounds, one at-most-one pair dropped so it becomes satisfiable: its
+/// searches run long enough for reduce_db() and the arena collection to
+/// fire while learnt binary clauses are alive.
+Formula binary_heavy_formula(Rng& rng, int round) {
+  Formula f;
+  if (round % 2 == 0) {
+    const int vars = 6 + static_cast<int>(rng.below(9));
+    f.new_vars(vars);
+    const bool planted = round % 8 != 0;
+    const auto hidden = static_cast<std::uint32_t>(rng.below(1u << vars));
+    const int clauses = 2 * vars + static_cast<int>(rng.below(
+                                       static_cast<std::uint64_t>(vars)));
+    for (int c = 0; c < clauses; ++c) {
+      const double shape = rng.uniform();
+      const int len = shape < 0.02 ? 1 : shape < 0.75 ? 2 : 3;
+      Clause clause;
+      bool satisfied = false;
+      for (int i = 0; i < len; ++i) {
+        const Lit l(
+            static_cast<Var>(rng.below(static_cast<std::uint64_t>(vars))),
+            rng.chance(0.5));
+        satisfied =
+            satisfied || (((hidden >> l.var()) & 1u) != 0) != l.negated();
+        clause.push_back(l);
+      }
+      if (planted && !satisfied) clause[0] = ~clause[0];
+      f.add_clause(std::move(clause));
+    }
+    return f;
+  }
+  constexpr int kPigeons = 5;
+  constexpr int kHoles = 4;
+  f.new_vars(kPigeons * kHoles);
+  const auto flip = static_cast<std::uint32_t>(rng.below(1u << 20));
+  const auto in = [&](int p, int h, bool negated) {
+    const int v = p * kHoles + h;
+    return Lit(v, negated != (((flip >> v) & 1u) != 0));
+  };
+  const auto kept = static_cast<int>(
+      rng.below(kHoles * kPigeons * (kPigeons - 1) / 2 + 1));
+  for (int p = 0; p < kPigeons; ++p) {
+    Clause some_hole;
+    for (int h = 0; h < kHoles; ++h) some_hole.push_back(in(p, h, false));
+    f.add_clause(std::move(some_hole));
+  }
+  int pair = 0;
+  for (int h = 0; h < kHoles; ++h) {
+    for (int a = 0; a < kPigeons; ++a) {
+      for (int b = a + 1; b < kPigeons; ++b) {
+        if (pair++ != kept) f.add_clause({in(a, h, true), in(b, h, true)});
+      }
+    }
+  }
+  return f;
+}
+
+TEST(CdclDifferential, BinaryHeavyAssumptionSolvesAgreeWithBruteForce) {
+  // Each formula is solved under several random assumption sets on one
+  // engine whose tiny learnt limit keeps reduce_db() and the arena
+  // collection running; every answer, model and core is checked against
+  // the formula's full model set, and the storage after every solve.
+  SolverConfig config;
+  config.max_learnts_init = 8;
+  Rng rng(0xB1A2);
+  int sat = 0;
+  int unsat = 0;
+  std::int64_t collections = 0;
+  std::int64_t learnt_binaries = 0;
+  for (int round = 0; round < 60; ++round) {
+    const Formula f = binary_heavy_formula(rng, round);
+    const int vars = f.num_vars();
+    // Every model, as a bit mask over the variables: a clause holds under
+    // assignment a when a sets one of its positive literals or clears one
+    // of its negative ones.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> masks;
+    for (std::span<const Lit> clause : f.clauses()) {
+      std::uint32_t pos = 0;
+      std::uint32_t neg = 0;
+      for (const Lit l : clause) (l.negated() ? neg : pos) |= 1u << l.var();
+      masks.emplace_back(pos, neg);
+    }
+    std::vector<std::uint32_t> models;
+    for (std::uint32_t a = 0; a < (1u << vars) && !f.trivially_unsat(); ++a) {
+      if (std::all_of(masks.begin(), masks.end(), [a](const auto& m) {
+            return ((a & m.first) | (~a & m.second)) != 0;
+          })) {
+        models.push_back(a);
+      }
+    }
+    const auto has_model = [&](std::span<const Lit> lits) {
+      return std::any_of(models.begin(), models.end(), [&](std::uint32_t a) {
+        return std::all_of(lits.begin(), lits.end(), [a](Lit l) {
+          return (((a >> l.var()) & 1u) != 0) != l.negated();
+        });
+      });
+    };
+
+    CdclSolver solver(f, config);
+    for (int query = 0; query < 10; ++query) {
+      std::vector<Lit> assumptions;
+      const int count = static_cast<int>(rng.below(5));
+      for (int i = 0; i < count; ++i) {
+        assumptions.push_back(
+            Lit(static_cast<Var>(rng.below(static_cast<std::uint64_t>(vars))),
+                rng.chance(0.5)));
+      }
+      const SolveResult r = solver.solve({}, assumptions);
+      ASSERT_NE(r, SolveResult::Unknown);
+      EXPECT_EQ(r == SolveResult::Sat, has_model(assumptions))
+          << "round " << round << " query " << query;
+      if (r == SolveResult::Sat) {
+        ++sat;
+        EXPECT_TRUE(f.satisfied_by(solver.model()));
+        for (const Lit a : assumptions) {
+          EXPECT_EQ(solver.model()[static_cast<std::size_t>(a.var())],
+                    a.negated() ? LBool::False : LBool::True);
+        }
+      } else {
+        ++unsat;
+        const std::span<const Lit> core = solver.last_core();
+        for (const Lit c : core) {
+          EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), c),
+                    assumptions.end())
+              << "round " << round << " query " << query;
+        }
+        EXPECT_FALSE(has_model(core))
+            << "round " << round << " query " << query;
+      }
+      EXPECT_EQ(solver.total_watchers(),
+                2 * static_cast<std::size_t>(solver.live_clauses()));
+    }
+    collections += solver.stats().arena_collections;
+    learnt_binaries += solver.learned_tier_counts().binary;
+  }
+  EXPECT_GT(sat, 0);
+  EXPECT_GT(unsat, 0);
+  EXPECT_GT(collections, 0);
+  EXPECT_GT(learnt_binaries, 0);
 }
 
 TEST(Cdcl, PbShortCircuitCountsAndStaysCorrect) {
