@@ -52,7 +52,7 @@ CdclSolver::CdclSolver(const Formula& formula, SolverConfig config)
   max_learnts_ =
       config_.max_learnts_init > 0.0
           ? config_.max_learnts_init
-          : std::max(800.0, static_cast<double>(arena_.live_clauses()) / 8.0);
+          : std::max(800.0, static_cast<double>(live_clauses()) / 8.0);
 }
 
 void CdclSolver::reconfigure(const SolverConfig& config) {
@@ -92,24 +92,29 @@ void CdclSolver::analyze(Conflict conflict, std::vector<Lit>* learnt,
   };
 
   // Resolve backwards along the trail, the conflict first, until one
-  // literal of the conflict level is left.
+  // literal of the conflict level is left. Binary clauses carry no
+  // activity or LBD: they are core tier and never deleted.
+  if (conflict.kind == ReasonKind::ClauseRef) {
+    bump_clause(conflict.index);
+    touch_learnt(conflict.index);
+  }
+  for_each_conflict_lit(conflict, absorb);
   Lit p = kUndefLit;
-  Reason r = conflict;
   int index = static_cast<int>(trail_.size()) - 1;
   for (;;) {
-    assert(r.valid());
-    if (r.kind == ReasonKind::ClauseRef) {
-      bump_clause(r.index);
-      touch_learnt(r.index);
-    }
-    for_each_reason_lit(r, p, absorb);
     while (!seen_[static_cast<std::size_t>(
         trail_[static_cast<std::size_t>(index)].var())]) {
       --index;
     }
     p = trail_[static_cast<std::size_t>(index--)];
     if (--counter == 0) break;
-    r = reason(p.var());
+    const Reason r = reason(p.var());
+    assert(r.valid());
+    if (r.kind == ReasonKind::ClauseRef) {
+      bump_clause(r.index);
+      touch_learnt(r.index);
+    }
+    for_each_reason_lit(r, p, absorb);
   }
   (*learnt)[0] = ~p;
 
@@ -208,11 +213,16 @@ void CdclSolver::learn_clause(std::span<const Lit> lits, int lbd) {
     enqueue(lits[0], {});
     return;
   }
-  const ClauseRef cref = attach_clause(lits, /*learnt=*/true);
-  arena_.set_lbd(cref, lbd);
-  bump_clause(cref);
   ++learnt_count_;
   ++stats_.learned_clauses;
+  const ClauseRef cref = attach_clause(lits, /*learnt=*/true);
+  if (lits.size() == 2) {
+    enqueue(lits[0],
+            {ReasonKind::Binary, static_cast<std::uint32_t>(lits[1].code())});
+    return;
+  }
+  arena_.set_lbd(cref, lbd);
+  bump_clause(cref);
   enqueue(lits[0], {ReasonKind::ClauseRef, cref});
 }
 
@@ -392,7 +402,7 @@ void CdclSolver::reduce_db() {
   // The tier policy of the header comment; locked clauses are retained
   // regardless.
   std::vector<ClauseRef> candidates;
-  std::int64_t core = 0;
+  std::int64_t core = learnt_binaries_;
   std::int64_t mid = 0;
   std::int64_t local_locked = 0;
   for (ClauseRef cr = 0; cr != arena_.end_ref(); cr = arena_.next(cr)) {
@@ -472,10 +482,9 @@ void CdclSolver::reduce_learned_pbs() {
 }
 
 TierCounts CdclSolver::learned_tier_counts() const {
-  TierCounts tc;
+  TierCounts tc{.core = learnt_binaries_, .binary = learnt_binaries_};
   for (ClauseRef cr = 0; cr != arena_.end_ref(); cr = arena_.next(cr)) {
     if (!arena_.learnt(cr) || arena_.deleted(cr)) continue;
-    if (arena_.size(cr) == 2) ++tc.binary;
     switch (clause_tier(cr)) {
       case Tier::Core: ++tc.core; break;
       case Tier::Mid: ++tc.mid; break;

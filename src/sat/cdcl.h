@@ -373,16 +373,17 @@ class CdclSolver final : public SolverEngine, private PropEngine {
   void bump_var(Var v);
   void bump_clause(ClauseRef cref);
   void decay_activities();
-  /// Retention tier of a learnt clause under the configured thresholds.
-  /// Binary clauses are core regardless of glue: they are two words of
-  /// storage propagated without arena access, never worth deleting.
+  /// Retention tier of a learnt constraint under the configured
+  /// thresholds. Learnt binary clauses live outside the arena and are
+  /// core whatever their glue: two watch words, propagated without arena
+  /// access, never worth deleting.
   enum class Tier : std::uint8_t { Core, Mid, Local };
   [[nodiscard]] Tier tier_of(int lbd) const {
     if (lbd <= config_.tier_core_lbd) return Tier::Core;
     return lbd <= config_.tier_mid_lbd ? Tier::Mid : Tier::Local;
   }
   [[nodiscard]] Tier clause_tier(ClauseRef cref) const {
-    return arena_.size(cref) <= 2 ? Tier::Core : tier_of(arena_.lbd(cref));
+    return tier_of(arena_.lbd(cref));
   }
   /// The reduction verdict on a non-core learnt constraint: true makes it
   /// a deletion candidate (a mid-tier one is then counted as demoted).

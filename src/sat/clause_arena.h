@@ -1,9 +1,12 @@
 #pragma once
 // Contiguous clause storage for the CDCL engine — a MiniSat-style arena.
 //
-// Every clause lives in one flat vector of 32-bit words as a
+// Every clause of three or more literals lives in one flat vector of
+// 32-bit words as a
 //     [header | activity | lit0 lit1 ... litN-1]
 // record and is addressed by a `ClauseRef`: the word offset of its header.
+// Binary clauses have no record: the engine stores each as two implicit
+// watch entries (sat/prop_engine.h), so a record holds >= 3 literals.
 // Propagation therefore walks a single allocation in address order instead
 // of chasing per-clause heap pointers, and a watcher dereference costs one
 // predictable cache line.
@@ -67,7 +70,7 @@ class ClauseArena {
   /// Append a clause record; returns its ref. Refs stay valid until the
   /// next collection.
   ClauseRef alloc(std::span<const Lit> lits, bool learnt) {
-    assert(lits.size() >= 2);
+    assert(lits.size() >= 3);
     // The header holds a 24-bit literal count; an oversized clause would
     // silently spill into the used/LBD bits in a Release build, so fail
     // fast even with asserts compiled out. The cap is not reachable in

@@ -163,8 +163,9 @@ bool CuttingPlanes::reduce_reason(const PropEngine& e, Reason reason, Lit l,
     cands_.push_back({a, t});  // non-false: optional weakening fodder
     return true;
   };
-  reason_degree_ = e.bound(reason);
-  if (!e.for_each_term(reason, load_term) || coef_l <= 0 ||
+  const Conflict constraint = PropEngine::constraint_of(reason, l);
+  reason_degree_ = e.bound(constraint);
+  if (!e.for_each_term(constraint, load_term) || coef_l <= 0 ||
       reason_degree_ <= 0) {
     return false;
   }
@@ -394,7 +395,7 @@ CuttingPlanes::Outcome CdclSolver::analyze_pb(Conflict conflict,
     if (r.kind == ReasonKind::ClauseRef) {
       bump_clause(r.index);
       touch_learnt(r.index);
-    } else {
+    } else if (r.kind == ReasonKind::PbRef) {
       bump_pb(r.index);
     }
   }

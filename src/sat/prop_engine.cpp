@@ -103,10 +103,18 @@ bool PropEngine::load_pb(const PbConstraint& constraint) {
 
 ClauseRef PropEngine::attach_clause(std::span<const Lit> lits, bool learnt) {
   assert(lits.size() >= 2);
+  const auto code0 = static_cast<std::uint32_t>(lits[0].code());
+  const auto code1 = static_cast<std::uint32_t>(lits[1].code());
+  if (lits.size() == 2) {
+    bin_watches_.push(code0, {(code1 << 1) | 1u});
+    bin_watches_.push(code1, {code0 << 1});
+    ++binary_clauses_;
+    if (learnt) ++learnt_binaries_;
+    return kInvalidClauseRef;
+  }
   const ClauseRef cref = arena_.alloc(lits, learnt);
-  FlatOccPool<Watcher>& pool = lits.size() == 2 ? bin_watches_ : watches_;
-  pool.push(static_cast<std::size_t>(lits[0].code()), {cref, lits[1]});
-  pool.push(static_cast<std::size_t>(lits[1].code()), {cref, lits[0]});
+  watches_.push(code0, {cref, lits[1]});
+  watches_.push(code1, {cref, lits[0]});
   return cref;
 }
 
@@ -192,20 +200,24 @@ PropEngine::Conflict PropEngine::propagate() {
     // --- binary implications first ---
     // The binary row is read-only during the scan (binary watches never
     // move) and needs no tag test or keep-compaction: each entry is the
-    // other literal plus the clause ref for the implication reason.
+    // other literal, and the implication's reason is the falsified one.
     const auto frow = static_cast<std::size_t>(falsified.code());
     {
-      const Watcher* const bw_data = bin_watches_.data(frow);
+      const BinWatch* const bw_data = bin_watches_.data(frow);
       const std::uint32_t bw_size = bin_watches_.size(frow);
       for (std::uint32_t i = 0; i < bw_size; ++i) {
-        const Watcher w = bw_data[i];
-        const LBool bv = value(w.blocker);
+        const BinWatch w = bw_data[i];
+        const Lit other = w.other();
+        const LBool bv = value(other);
         if (bv == LBool::True) continue;
         if (bv == LBool::False) {
           qhead_ = static_cast<int>(trail_.size());
-          return {ReasonKind::ClauseRef, w.cref};
+          const auto ocode = static_cast<std::uint32_t>(other.code());
+          return w.watched_first()
+                     ? Conflict{ReasonKind::Binary, fcode, ocode}
+                     : Conflict{ReasonKind::Binary, ocode, fcode};
         }
-        enqueue(w.blocker, {ReasonKind::ClauseRef, w.cref});
+        enqueue(other, {ReasonKind::Binary, fcode});
       }
     }
 

@@ -8,27 +8,36 @@
 // searcher arrives as an argument, never as a stored pointer.
 //
 // Constraint storage (the propagation hot path):
-//   * Clauses live in a single contiguous ClauseArena (sat/clause_arena.h)
-//     as [header | activity | lits...] records addressed by 32-bit
-//     ClauseRefs; LBD and the used flag ride in spare header bits so the
-//     record stays at the minimal 2 + size words. Watchers carry
-//     {ClauseRef, blocker literal}; a watcher visit whose blocker is
-//     already true never touches the arena at all.
+//   * Clauses of three or more literals live in a single contiguous
+//     ClauseArena (sat/clause_arena.h) as [header | activity | lits...]
+//     records addressed by 32-bit ClauseRefs; LBD and the used flag ride
+//     in spare header bits so the record stays at the minimal 2 + size
+//     words. Watchers carry {ClauseRef, blocker literal}; a watcher visit
+//     whose blocker is already true never touches the arena at all.
 //   * Watch lists live in flat watcher pools (sat/watcher_pool.h):
 //     per-literal {offset, size, capacity} headers into a single
 //     contiguous Watcher slab with amortized-doubling growth. The pools
 //     are compacted back to garbage-free CSR order by garbage_collect()
 //     (and before a solve when they have grown sparse), so propagation
 //     scans ride one allocation instead of 2N heap vectors.
-//   * Binary clauses watch through a dedicated pool scanned before the
-//     long-clause rows: each entry is the implied literal plus the clause
-//     ref, so the scan needs no tag test, no arena access, and no
-//     keep-compaction write-back — on the paper's coloring encodings
-//     (overwhelmingly binary) most propagation never leaves this loop.
-//   * garbage_collect() is MiniSat-style: live clauses move to a fresh
-//     arena and every stored ref is remapped. There are no tombstones —
-//     propagation never skips dead records, and watcher lists physically
-//     shrink at every collection.
+//   * Binary clauses are implicit (Chu, Harwood & Stuckey, JSAT 2009; the
+//     Lingeling/CaDiCaL layout): a binary clause is its two 4-byte
+//     entries in a dedicated watch pool and nothing else — no arena
+//     record. An entry is the other literal plus one bit saying whether
+//     the watched literal comes first in the clause, so the clause order
+//     survives. The pool is scanned before the long-clause rows with no
+//     tag test, no arena access and no keep-compaction write-back; on the
+//     paper's coloring encodings (almost all binary: one clause per edge
+//     and color) most propagation never leaves this loop. A binary reason
+//     is ReasonKind::Binary naming the other literal, and a binary
+//     conflict carries both literals, so conflict analysis reads no
+//     arena line for a binary clause either.
+//   * garbage_collect() is MiniSat-style: live arena records move to a
+//     fresh arena and every stored ref is remapped. There are no
+//     tombstones — propagation never skips dead records, and watcher
+//     lists physically shrink at every collection. Binary clauses are
+//     never deleted (problem clauses stay, learnt binaries are core tier),
+//     so a collection leaves the binary pool alone.
 //   * PB terms live in one shared pool (pb_terms_); each PbData row holds
 //     an offset/length into it plus the cached slack and the largest
 //     coefficient. A row whose slack is at least its max coefficient can
@@ -63,18 +72,31 @@ namespace symcolor {
 
 class PropEngine {
  public:
-  /// Why a variable is assigned: a clause, a PB row, or nothing (a
-  /// decision, an assumption or a level-0 unit). A conflict names the
-  /// falsified constraint the same way.
-  enum class ReasonKind : std::uint8_t { None, ClauseRef, PbRef };
+  /// Why a variable is assigned: an arena clause, a binary clause, a PB
+  /// row, or nothing (a decision, an assumption or a level-0 unit).
+  enum class ReasonKind : std::uint8_t { None, ClauseRef, PbRef, Binary };
   struct Reason {
     ReasonKind kind = ReasonKind::None;
-    std::uint32_t index = kInvalidClauseRef;  // ClauseRef or pbs_ index
+    /// ClauseRef, pbs_ index, or for Binary the code of the clause's other
+    /// literal (the one the implied literal's assignment came from).
+    std::uint32_t index = kInvalidClauseRef;
     [[nodiscard]] bool valid() const noexcept {
       return kind != ReasonKind::None;
     }
   };
-  using Conflict = Reason;
+  /// A constraint named by value: the falsified one a conflict reports,
+  /// or a reason read as a whole constraint (constraint_of()). Kinds and
+  /// `index` are a Reason's, except that a Binary names both literals in
+  /// clause order: `index` is the first literal's code, `second` the
+  /// second's.
+  struct Conflict {
+    ReasonKind kind = ReasonKind::None;
+    std::uint32_t index = kInvalidClauseRef;
+    std::uint32_t second = 0;
+    [[nodiscard]] bool valid() const noexcept {
+      return kind != ReasonKind::None;
+    }
+  };
 
   /// Outcome of one propagation-count lookahead probe.
   struct ProbeResult {
@@ -126,19 +148,33 @@ class PropEngine {
   }
 
   // ---- constraints ----
+  /// The reason of `implied`'s assignment as a whole constraint. A binary
+  /// reason lists `implied` first: its clause order is not stored, and no
+  /// reader needs it (the other literal is false, so cutting planes keeps
+  /// it whatever the order, and it resolves on `implied` by literal).
+  [[nodiscard]] static Conflict constraint_of(Reason r, Lit implied) {
+    if (r.kind == ReasonKind::Binary) {
+      return {r.kind, static_cast<std::uint32_t>(implied.code()), r.index};
+    }
+    return {r.kind, r.index};
+  }
   /// The constraint `c` names, read as `sum terms >= bound`: a clause is
   /// its literals with coefficient 1 and bound 1. for_each_term() calls
   /// visit(coeff, lit) per term until visit returns false (then false).
-  [[nodiscard]] std::int64_t bound(Reason c) const {
+  [[nodiscard]] std::int64_t bound(Conflict c) const {
     return c.kind == ReasonKind::PbRef ? pbs_[c.index].bound : 1;
   }
   template <typename Visit>
-  bool for_each_term(Reason c, Visit&& visit) const {
+  bool for_each_term(Conflict c, Visit&& visit) const {
     if (c.kind == ReasonKind::PbRef) {
       for (const PbTerm& t : pb_terms(pbs_[c.index])) {
         if (!visit(t.coeff, t.lit)) return false;
       }
       return true;
+    }
+    if (c.kind == ReasonKind::Binary) {
+      return visit(std::int64_t{1}, Lit::from_code(static_cast<int>(c.index))) &&
+             visit(std::int64_t{1}, Lit::from_code(static_cast<int>(c.second)));
     }
     const std::uint32_t* codes = arena_.lit_codes(c.index);
     for (int i = 0; i < arena_.size(c.index); ++i) {
@@ -157,6 +193,9 @@ class PropEngine {
   /// forward — or all false literals for a conflict (implied == undef).
   template <typename Visit>
   bool for_each_reason_lit(Reason reason, Lit implied, Visit&& visit) const {
+    if (reason.kind == ReasonKind::Binary) {
+      return visit(Lit::from_code(static_cast<int>(reason.index)));
+    }
     if (reason.kind == ReasonKind::ClauseRef) {
       const std::uint32_t* codes = arena_.lit_codes(reason.index);
       const int size = arena_.size(reason.index);
@@ -174,6 +213,16 @@ class PropEngine {
       if (!visit(t.lit)) return false;
     }
     return true;
+  }
+  /// for_each_reason_lit() over every literal of a conflict, in clause
+  /// order for a clause.
+  template <typename Visit>
+  bool for_each_conflict_lit(Conflict c, Visit&& visit) const {
+    if (c.kind == ReasonKind::Binary) {
+      return visit(Lit::from_code(static_cast<int>(c.index))) &&
+             visit(Lit::from_code(static_cast<int>(c.second)));
+    }
+    return for_each_reason_lit(Reason{c.kind, c.index}, kUndefLit, visit);
   }
 
   // ---- storage introspection (tests / benchmarks) ----
@@ -195,20 +244,34 @@ class PropEngine {
   [[nodiscard]] std::size_t pb_occ_pool_slots() const noexcept {
     return pb_occs_.slab_slots();
   }
-  /// Clauses currently attached (problem + learned, excluding units).
+  /// Clauses currently attached (problem + learned, binary + longer,
+  /// excluding units).
   [[nodiscard]] std::int64_t live_clauses() const noexcept {
-    return arena_.live_clauses();
+    return arena_.live_clauses() + binary_clauses_;
   }
-  /// 32-bit words owned by the clause arena.
+  /// 32-bit words owned by the clause arena (clauses of three or more
+  /// literals).
   [[nodiscard]] std::size_t arena_words() const noexcept {
     return arena_.words();
   }
 
  protected:
-  /// In bin_watches_ the blocker IS the other literal of the clause.
+  /// A long clause's watch entry.
   struct Watcher {
     ClauseRef cref = kInvalidClauseRef;
     Lit blocker;
+  };
+  /// A binary clause's watch entry and its whole storage, one word: the
+  /// other literal's code shifted left once, plus a low bit set when the
+  /// watched literal is the clause's first.
+  struct BinWatch {
+    std::uint32_t bits = 0;
+    [[nodiscard]] Lit other() const noexcept {
+      return Lit::from_code(static_cast<int>(bits >> 1));
+    }
+    [[nodiscard]] bool watched_first() const noexcept {
+      return (bits & 1u) != 0;
+    }
   };
   /// One PB row: a view into the shared term pool plus cached slack.
   /// Learned rows (cutting-planes resolvents) carry the searcher's
@@ -242,6 +305,9 @@ class PropEngine {
   void load(const Formula& formula);
   bool load_clause(std::span<const Lit> lits);
   bool load_pb(const PbConstraint& constraint);
+  /// Attach a clause of two or more literals, watching its first two.
+  /// A binary clause goes to the binary pool only and returns
+  /// kInvalidClauseRef; a longer one returns its arena record.
   ClauseRef attach_clause(std::span<const Lit> lits, bool learnt);
   /// Append a PB row with its terms and occurrences, computing its slack
   /// under the current assignment. Terms must be sorted by descending
@@ -299,7 +365,9 @@ class PropEngine {
   }
 
   /// Compact the arena, dropping deleted records, and remap every stored
-  /// ClauseRef (watch lists, trail reasons) through the forwarding refs.
+  /// ClauseRef (long-clause watch lists, trail reasons) through the
+  /// forwarding refs. Binary clauses hold no ClauseRef and are never
+  /// deleted, so their pool is left as it is.
   /// Pass p of three moves the records with rank(cref) <= p, so each rank
   /// (0..2) lands in one contiguous segment: the hot rank stays packed
   /// and cache-resident while the churny tail is swept in and out behind
@@ -315,15 +383,13 @@ class PropEngine {
         if (rank(cr) <= pass) arena_.relocate(cr, &to);
       }
     }
-    // One rebuild per pool both drops dead entries and restores the
-    // garbage-free CSR layout (rows in literal order, zero slack).
-    const auto remap = [&](std::size_t, Watcher& w) {
+    // One rebuild both drops dead entries and restores the garbage-free
+    // CSR layout (rows in literal order, zero slack).
+    watches_.rebuild([&](std::size_t, Watcher& w) {
       if (arena_.deleted(w.cref)) return false;
       w.cref = arena_.forward(w.cref);
       return true;
-    };
-    watches_.rebuild(remap);
-    bin_watches_.rebuild(remap);
+    });
     for (const Lit l : trail_) {
       Reason& r = vardata_[static_cast<std::size_t>(l.var())].reason;
       if (r.kind == ReasonKind::ClauseRef) r.index = arena_.forward(r.index);
@@ -351,8 +417,10 @@ class PropEngine {
   bool ok_ = true;  // false once level-0 conflict derived
 
   ClauseArena arena_;
-  FlatOccPool<Watcher> watches_;      // long clauses, by lit code
-  FlatOccPool<Watcher> bin_watches_;  // binary clauses, by lit code
+  FlatOccPool<Watcher> watches_;       // long clauses, by lit code
+  FlatOccPool<BinWatch> bin_watches_;  // binary clauses, by lit code
+  std::int64_t binary_clauses_ = 0;    // problem + learnt
+  std::int64_t learnt_binaries_ = 0;
   std::vector<PbData> pbs_;
   std::vector<PbTerm> pb_terms_;  // shared flat term pool
   FlatOccPool<PbOcc> pb_occs_;    // rows by literal code

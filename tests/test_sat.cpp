@@ -271,17 +271,18 @@ TEST(ClauseArena, AllocRoundTrip) {
   ClauseArena arena;
   const std::vector<Lit> a{Lit::positive(0), Lit::negative(1),
                            Lit::positive(2)};
-  const std::vector<Lit> b{Lit::negative(3), Lit::positive(4)};
+  const std::vector<Lit> b{Lit::negative(3), Lit::positive(4),
+                           Lit::negative(5), Lit::positive(6)};
   const ClauseRef ra = arena.alloc(a, /*learnt=*/false);
   const ClauseRef rb = arena.alloc(b, /*learnt=*/true);
   ASSERT_EQ(arena.live_clauses(), 2);
 
   EXPECT_EQ(arena.size(ra), 3);
   EXPECT_FALSE(arena.learnt(ra));
-  EXPECT_EQ(arena.size(rb), 2);
+  EXPECT_EQ(arena.size(rb), 4);
   EXPECT_TRUE(arena.learnt(rb));
   for (int i = 0; i < 3; ++i) EXPECT_EQ(arena.lit(ra, i), a[static_cast<std::size_t>(i)]);
-  for (int i = 0; i < 2; ++i) EXPECT_EQ(arena.lit(rb, i), b[static_cast<std::size_t>(i)]);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(arena.lit(rb, i), b[static_cast<std::size_t>(i)]);
 
   EXPECT_EQ(arena.activity(rb), 0.0f);
   arena.set_activity(rb, 3.5f);
