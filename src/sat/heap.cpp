@@ -4,11 +4,10 @@
 
 namespace symcolor {
 
-void ActivityHeap::insert(Var v) {
+void ActivityHeap::push(Var v) {
   if (v >= static_cast<Var>(index_.size())) {
     index_.resize(static_cast<std::size_t>(v) + 1, -1);
   }
-  if (contains(v)) return;
   heap_.push_back(v);
   index_[static_cast<std::size_t>(v)] = static_cast<int>(heap_.size() - 1);
   sift_up(heap_.size() - 1);

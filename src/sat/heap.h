@@ -37,8 +37,11 @@ class ActivityHeap {
     return v >= 0 && v < static_cast<Var>(index_.size()) && index_[static_cast<std::size_t>(v)] >= 0;
   }
 
-  /// Insert `v` if absent.
-  void insert(Var v);
+  /// Insert `v` if absent. Inline, because backtrack() calls it for
+  /// every variable it undoes and most of them are still in the heap.
+  void insert(Var v) {
+    if (!contains(v)) push(v);
+  }
 
   /// Restore heap order after `v`'s score rose (no-op when `v` is absent).
   void increase(Var v) {
@@ -58,6 +61,8 @@ class ActivityHeap {
     return activity_[static_cast<std::size_t>(a)] <
            activity_[static_cast<std::size_t>(b)];
   }
+  /// insert() past its membership test.
+  void push(Var v);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void place(std::size_t i, Var v) {
