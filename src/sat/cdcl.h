@@ -30,6 +30,12 @@
 //     its LBD is recomputed — at most once per reduction cycle, throttled
 //     by the used flag — and kept if smaller, so glue estimates only
 //     improve.
+//   * A learnt binary clause lives only in the binary watch pool
+//     (sat/prop_engine.h), with no arena record, activity or LBD. It is
+//     core tier whatever its glue: two watch words propagated without an
+//     arena access cost less to keep than any deletion saves. It still
+//     counts in the learnt total that triggers reduce_db(), in the
+//     initial limit's clause count and in stats().tier_core.
 //   * reduce_db() splits the learned DB into three tiers by current LBD:
 //       core  (lbd <= tier_core_lbd, default 2): kept unconditionally —
 //             glue clauses connect decision levels and are never deleted;
@@ -324,8 +330,9 @@ class CdclSolver final : public SolverEngine, private PropEngine {
   using PropEngine::total_pb_occs;
   using PropEngine::total_watchers;
   using PropEngine::watcher_pool_slots;
-  /// Census of the live learnt DB by retention tier (arena scan; see the
-  /// tier thresholds in SolverConfig). Unlike stats().tier_*, which
+  /// Census of the live learnt DB by retention tier (an arena scan plus
+  /// the learnt binaries, all core; see the tier thresholds in
+  /// SolverConfig). Unlike stats().tier_*, which
   /// snapshots the last reduce_db(), this reflects the current instant.
   [[nodiscard]] TierCounts learned_tier_counts() const;
 

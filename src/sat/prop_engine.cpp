@@ -103,18 +103,18 @@ bool PropEngine::load_pb(const PbConstraint& constraint) {
 
 ClauseRef PropEngine::attach_clause(std::span<const Lit> lits, bool learnt) {
   assert(lits.size() >= 2);
-  const auto code0 = static_cast<std::uint32_t>(lits[0].code());
-  const auto code1 = static_cast<std::uint32_t>(lits[1].code());
+  const auto row0 = static_cast<std::size_t>(lits[0].code());
+  const auto row1 = static_cast<std::size_t>(lits[1].code());
   if (lits.size() == 2) {
-    bin_watches_.push(code0, {(code1 << 1) | 1u});
-    bin_watches_.push(code1, {code0 << 1});
+    bin_watches_.push(row0, BinWatch::of(lits[1], /*watched_first=*/true));
+    bin_watches_.push(row1, BinWatch::of(lits[0], /*watched_first=*/false));
     ++binary_clauses_;
     if (learnt) ++learnt_binaries_;
     return kInvalidClauseRef;
   }
   const ClauseRef cref = arena_.alloc(lits, learnt);
-  watches_.push(code0, {cref, lits[1]});
-  watches_.push(code1, {cref, lits[0]});
+  watches_.push(row0, {cref, lits[1]});
+  watches_.push(row1, {cref, lits[0]});
   return cref;
 }
 

@@ -173,8 +173,9 @@ class PropEngine {
       return true;
     }
     if (c.kind == ReasonKind::Binary) {
-      return visit(std::int64_t{1}, Lit::from_code(static_cast<int>(c.index))) &&
-             visit(std::int64_t{1}, Lit::from_code(static_cast<int>(c.second)));
+      const std::int64_t one = 1;
+      return visit(one, Lit::from_code(static_cast<int>(c.index))) &&
+             visit(one, Lit::from_code(static_cast<int>(c.second)));
     }
     const std::uint32_t* codes = arena_.lit_codes(c.index);
     for (int i = 0; i < arena_.size(c.index); ++i) {
@@ -266,6 +267,10 @@ class PropEngine {
   /// watched literal is the clause's first.
   struct BinWatch {
     std::uint32_t bits = 0;
+    [[nodiscard]] static BinWatch of(Lit other, bool watched_first) {
+      return {(static_cast<std::uint32_t>(other.code()) << 1) |
+              (watched_first ? 1u : 0u)};
+    }
     [[nodiscard]] Lit other() const noexcept {
       return Lit::from_code(static_cast<int>(bits >> 1));
     }
