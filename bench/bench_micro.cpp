@@ -557,13 +557,13 @@ void BM_AutomorphismFormulaGraph(benchmark::State& state) {
 BENCHMARK(BM_AutomorphismFormulaGraph);
 
 // The coloring detector as the pipeline's symmetry stage runs it on a
-// rigid suite graph, DSJC125.1 at K=20 with SC: the input-graph search
-// proves it rigid, and the 17 color transpositions are built and
-// verified in closed form instead of searching the formula graph.
-void BM_ColoringSymmetryClosedForm(benchmark::State& state) {
+// rigid suite graph at K=20 with SC: the input-graph search proves it
+// rigid, and the 17 color transpositions are emitted in closed form
+// after two verifier checks instead of searching the formula graph.
+void run_closed_form(benchmark::State& state, const std::string& name) {
   Graph g;
   for (Instance& inst : dimacs_suite()) {
-    if (inst.name == "DSJC125.1") g = std::move(inst.graph);
+    if (inst.name == name) g = std::move(inst.graph);
   }
   const ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
   const MinorFaults faults;
@@ -575,7 +575,18 @@ void BM_ColoringSymmetryClosedForm(benchmark::State& state) {
   }
   faults.report(state);
 }
+
+void BM_ColoringSymmetryClosedForm(benchmark::State& state) {
+  run_closed_form(state, "DSJC125.1");
+}
 BENCHMARK(BM_ColoringSymmetryClosedForm);
+
+// zeroin.i.1, the suite's median instance under suite-sbp, where the
+// index build and the checks dominate its set-up (86k constraints).
+void BM_ColoringSymmetryClosedFormZeroin(benchmark::State& state) {
+  run_closed_form(state, "zeroin.i.1");
+}
+BENCHMARK(BM_ColoringSymmetryClosedFormZeroin);
 
 void BM_FormulaGraphBuild(benchmark::State& state) {
   const Graph g = make_random_gnm(125, 736, 0xD51);

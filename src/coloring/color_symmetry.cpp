@@ -1,7 +1,9 @@
 #include "coloring/color_symmetry.h"
 
 #include <cmath>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "automorphism/search.h"
@@ -11,47 +13,77 @@
 namespace symcolor {
 namespace {
 
-/// The literal permutation that swaps colors j and j + 1: x(v, j) with
-/// x(v, j + 1) for every vertex, and y(j) with y(j + 1), in both phases.
-Perm color_transposition(const ColoringEncoding& enc, int j) {
+/// The literal permutation that sends color first + i to color_image[i]
+/// and fixes every other color: x(v, first + i) goes to
+/// x(v, color_image[i]) for every vertex, and y(first + i) to
+/// y(color_image[i]), in both phases.
+Perm color_permutation(const ColoringEncoding& enc, int first,
+                       std::span<const int> color_image) {
   Perm perm = identity_perm(2 * enc.formula.num_vars());
-  const auto swap_vars = [&perm](Var a, Var b) {
+  const auto map_var = [&perm](Var from, Var to) {
     for (const int phase : {0, 1}) {
-      const int ca = Lit::positive(a).code() ^ phase;
-      const int cb = Lit::positive(b).code() ^ phase;
-      perm[static_cast<std::size_t>(ca)] = cb;
-      perm[static_cast<std::size_t>(cb)] = ca;
+      perm[static_cast<std::size_t>(Lit::positive(from).code() ^ phase)] =
+          Lit::positive(to).code() ^ phase;
     }
   };
-  for (int v = 0; v < enc.num_vertices; ++v) {
-    swap_vars(enc.x(v, j), enc.x(v, j + 1));
+  for (std::size_t i = 0; i < color_image.size(); ++i) {
+    const int from = first + static_cast<int>(i);
+    for (int v = 0; v < enc.num_vertices; ++v) {
+      map_var(enc.x(v, from), enc.x(v, color_image[i]));
+    }
+    map_var(enc.y(from), enc.y(color_image[i]));
   }
-  swap_vars(enc.y(j), enc.y(j + 1));
   return perm;
 }
 
-/// The permutations of colors first_free..K-1, each generator verified;
-/// nullopt when one fails verification. log10_order sums log10 of the
-/// orbit sizes 2, 3, ..., K - first_free in the order the formula-graph
-/// search adds them, so both routes give the same double.
+/// The literal permutation that swaps colors j and j + 1.
+Perm color_transposition(const ColoringEncoding& enc, int j) {
+  const int image[] = {j + 1, j};
+  return color_permutation(enc, j, image);
+}
+
+/// The permutations of colors first_free..K-1, or nullopt when they are
+/// no symmetries of the formula. Two maps are verified: tau = (K-2 K-1)
+/// and the cycle zeta = (f f+1 ... K-1). They generate every permutation
+/// of the free colors, and each adjacent transposition (j j+1) is
+/// zeta^-m tau zeta^m with m = K-2-j, so all of them are symmetries
+/// exactly when tau and zeta are (a formula's symmetries form a group).
+/// The generators are those transpositions, (K-2 K-1) first, in the
+/// order the formula-graph search adds them, and log10_order sums log10
+/// of the orbit sizes 2, 3, ..., K - first_free in that order, so both
+/// routes give the same double. On a budget trip `complete` is false and
+/// tau is kept if it has passed.
 std::optional<SymmetryInfo> closed_form(const ColoringEncoding& enc,
                                         int first_free,
                                         const SolveBudget& budget) {
   SymmetryInfo info;
   info.closed_form = true;
-  for (int orbit = 2; orbit <= enc.num_colors - first_free; ++orbit) {
+  const int num_free = enc.num_colors - first_free;
+  for (int orbit = 2; orbit <= num_free; ++orbit) {
     info.log10_order += std::log10(static_cast<double>(orbit));
   }
-  std::optional<SymmetryVerifier> verifier;
-  for (int j = enc.num_colors - 2; j >= first_free; --j) {
-    if (budget.poll() != BudgetTrip::None) {
-      info.complete = false;
-      break;
+  const auto tripped = [&] {
+    if (budget.poll() == BudgetTrip::None) return false;
+    info.complete = false;
+    return true;
+  };
+  if (num_free < 2 || tripped()) return info;
+  const int last = enc.num_colors - 2;  // tau swaps colors last and last + 1
+  SymmetryVerifier verifier(enc.formula);
+  Perm tau = color_transposition(enc, last);
+  if (!verifier.is_symmetry(tau)) return std::nullopt;
+  info.generators.push_back(std::move(tau));
+  if (num_free > 2) {  // at two free colors zeta is tau
+    if (tripped()) return info;
+    std::vector<int> image(static_cast<std::size_t>(num_free));
+    std::iota(image.begin(), image.end(), first_free + 1);
+    image.back() = first_free;
+    if (!verifier.is_symmetry(color_permutation(enc, first_free, image))) {
+      return std::nullopt;
     }
-    if (!verifier) verifier.emplace(enc.formula);
-    Perm perm = color_transposition(enc, j);
-    if (!verifier->is_symmetry(perm)) return std::nullopt;
-    info.generators.push_back(std::move(perm));
+  }
+  for (int j = last - 1; j >= first_free; --j) {
+    info.generators.push_back(color_transposition(enc, j));
   }
   return info;
 }

@@ -19,6 +19,7 @@
 #include "pb/optimizer.h"
 #include "symmetry/formula_graph.h"
 #include "symmetry/shatter.h"
+#include "util/rng.h"
 
 namespace symcolor {
 namespace {
@@ -358,17 +359,19 @@ INSTANTIATE_TEST_SUITE_P(AllRows, SbpRowTest, ::testing::Range(0, 7));
 // ---- color symmetries in closed form (coloring/color_symmetry.h) ----
 
 /// Detects the symmetries of `enc` both ways and expects the formula-graph
-/// search's answer; returns the coloring detector's result.
+/// search's answer, plus `rejected` spurious generators for a closed form
+/// that failed verification; returns the coloring detector's result.
 SymmetryInfo expect_same_as_formula_search(const Graph& g,
                                            const ColoringEncoding& enc,
-                                           const SbpOptions& sbps) {
+                                           const SbpOptions& sbps,
+                                           int rejected = 0) {
   const SymmetryInfo fast = detect_coloring_symmetries(g, enc, sbps);
   const SymmetryInfo slow = detect_symmetries(enc.formula);
   EXPECT_EQ(fast.generators, slow.generators) << sbps.label();
   EXPECT_EQ(fast.log10_order, slow.log10_order) << sbps.label();
   EXPECT_EQ(fast.complete, slow.complete) << sbps.label();
   EXPECT_TRUE(fast.complete);
-  EXPECT_EQ(fast.spurious_rejected, slow.spurious_rejected);
+  EXPECT_EQ(fast.spurious_rejected, slow.spurious_rejected + rejected);
   EXPECT_EQ(fast.formula_graph_vertices,
             fast.closed_form ? 0 : slow.formula_graph_vertices);
   return fast;
@@ -541,6 +544,101 @@ TEST(ColorSymmetry, RejectedClosedFormFallsBackToFormulaSearch) {
   EXPECT_EQ(info.spurious_rejected, slow.spurious_rejected + 1);
   EXPECT_EQ(info.generators, slow.generators);
   EXPECT_EQ(info.log10_order, slow.log10_order);
+}
+
+/// The literal map that swaps colors j and j + 1, built here apart from
+/// the detector's own.
+Perm swap_colors(const ColoringEncoding& enc, int j) {
+  Perm perm = identity_perm(2 * enc.formula.num_vars());
+  const auto swap = [&perm](Var a, Var b) {
+    for (const bool neg : {false, true}) {
+      const int ca = Lit(a, neg).code();
+      const int cb = Lit(b, neg).code();
+      perm[static_cast<std::size_t>(ca)] = cb;
+      perm[static_cast<std::size_t>(cb)] = ca;
+    }
+  };
+  for (int v = 0; v < enc.num_vertices; ++v) swap(enc.x(v, j), enc.x(v, j + 1));
+  swap(enc.y(j), enc.y(j + 1));
+  return perm;
+}
+
+/// Does every adjacent transposition of colors first_free..K-1 pass the
+/// verifier, each checked on its own?
+bool every_transposition_verifies(const ColoringEncoding& enc, int first_free) {
+  SymmetryVerifier verifier(enc.formula);
+  for (int j = first_free; j + 1 < enc.num_colors; ++j) {
+    if (!verifier.is_symmetry(swap_colors(enc, j))) return false;
+  }
+  return true;
+}
+
+TEST(ColorSymmetry, ClosedFormRejectedWhenOnlyTheLastSwapHolds) {
+  // x(0, 2) breaks (1 2) and (2 3), and so the cycle (0 1 2 3 4 5), but
+  // (4 5) still holds: checking the last swap alone would accept.
+  const Graph g = rigid_gnm(12, 20, 1);
+  ColoringEncoding enc = encode_coloring(g, 6);
+  enc.formula.add_unit(Lit::positive(enc.x(0, 2)));
+  ASSERT_TRUE(is_formula_symmetry(enc.formula, swap_colors(enc, 4)));
+  ASSERT_FALSE(is_formula_symmetry(enc.formula, swap_colors(enc, 1)));
+  EXPECT_FALSE(expect_same_as_formula_search(g, enc, SbpOptions::none(), 1)
+                   .closed_form);
+}
+
+TEST(ColorSymmetry, ClosedFormRejectedWhenOnlyTheCycleHolds) {
+  // (x(0, j) | x(1, j+1 mod 5)) for every color j: the cycle
+  // (0 1 2 3 4) maps the set onto itself, (3 4) does not.
+  const Graph g = rigid_gnm(12, 20, 1);
+  const int k = 5;
+  ColoringEncoding enc = encode_coloring(g, k);
+  for (int j = 0; j < k; ++j) {
+    enc.formula.add_clause(
+        {Lit::positive(enc.x(0, j)), Lit::positive(enc.x(1, (j + 1) % k))});
+  }
+  ASSERT_FALSE(is_formula_symmetry(enc.formula, swap_colors(enc, 3)));
+  EXPECT_FALSE(expect_same_as_formula_search(g, enc, SbpOptions::none(), 1)
+                   .closed_form);
+}
+
+TEST(ColorSymmetry, ClosedFormExactlyWhenEveryTranspositionVerifies) {
+  // Rigid graphs with a random clause over x and y added after encoding:
+  // the closed form must stand exactly when each adjacent transposition
+  // of the free colors is a symmetry on its own.
+  int accepted = 0;
+  int rejected = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const int n = 10 + 2 * static_cast<int>(seed);
+    const Graph g = rigid_gnm(n, 2 * n, seed * 37);
+    Rng rng(seed);
+    for (const int k : {2, 3, 5, 8}) {
+      for (const SbpOptions& sbps :
+           {SbpOptions::none(), SbpOptions::sc_only()}) {
+        for (int extra = 0; extra <= 2; ++extra) {
+          SCOPED_TRACE("n=" + std::to_string(n) + " K=" + std::to_string(k) +
+                       " " + sbps.label() + " extra=" + std::to_string(extra));
+          ColoringEncoding enc = encode_coloring(g, k, sbps);
+          const auto random_lit = [&] {
+            const auto below = [&rng](std::uint64_t bound) {
+              return static_cast<int>(rng.below(bound));
+            };
+            const int v = below(n + 1);  // n stands for y
+            const int j = below(k);
+            return Lit(v == n ? enc.y(j) : enc.x(v, j), below(2) == 1);
+          };
+          if (extra == 1) enc.formula.add_unit(random_lit());
+          if (extra == 2) enc.formula.add_clause({random_lit(), random_lit()});
+          const bool every = every_transposition_verifies(
+              enc, color_freedom(g, k, sbps).first_free);
+          const SymmetryInfo info =
+              expect_same_as_formula_search(g, enc, sbps, every ? 0 : 1);
+          EXPECT_EQ(info.closed_form, every);
+          (every ? accepted : rejected) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(SbpSizes, MatchPaperFormulas) {
