@@ -16,6 +16,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -37,6 +38,7 @@
 #include "sat/watcher_pool.h"
 #include "symmetry/formula_graph.h"
 #include "symmetry/shatter.h"
+#include "util/perf_counters.h"
 
 namespace symcolor {
 namespace {
@@ -62,6 +64,25 @@ class MinorFaults {
     return usage.ru_minflt;
   }
   long start_;
+};
+
+/// User-space instructions per iteration of the timed loop, as the
+/// `instr_per_iter` counter (util/perf_counters.h): the work itself, which
+/// memory layout does not move. Left out where the counter is unavailable.
+class RetiredInstructions {
+ public:
+  RetiredInstructions() : start_(counter_.read()) {}
+  void report(benchmark::State& state) const {
+    if (!counter_.available()) return;
+    state.counters["instr_per_iter"] =
+        static_cast<double>(counter_.read() - start_) /
+        static_cast<double>(std::max<benchmark::IterationCount>(
+            state.iterations(), 1));
+  }
+
+ private:
+  InstructionCounter counter_;
+  std::int64_t start_;
 };
 
 void BM_EncodeColoring(benchmark::State& state) {
@@ -604,11 +625,13 @@ BENCHMARK(BM_FormulaGraphBuild);
 void run_engine_load(benchmark::State& state, const Formula& formula) {
   const SolverConfig config = profile_config(SolverKind::PbsII);
   const MinorFaults faults;
+  const RetiredInstructions instructions;
   for (auto _ : state) {
     CdclSolver solver(formula, config);
     benchmark::DoNotOptimize(solver.live_clauses());
   }
   faults.report(state);
+  instructions.report(state);
   state.counters["clauses"] = static_cast<double>(formula.num_clauses());
 }
 
@@ -642,6 +665,7 @@ void BM_ColoringSetup(benchmark::State& state) {
           .generators;
   int clauses = 0;
   const MinorFaults faults;
+  const RetiredInstructions instructions;
   for (auto _ : state) {
     ColoringEncoding enc = encode_coloring(g, 20, SbpOptions::sc_only());
     add_lex_leader_sbps(enc.formula, generators);
@@ -649,6 +673,7 @@ void BM_ColoringSetup(benchmark::State& state) {
     benchmark::DoNotOptimize(clauses);
   }  // the formula is destroyed inside the timed loop
   faults.report(state);
+  instructions.report(state);
   state.counters["clauses"] = static_cast<double>(clauses);
 }
 BENCHMARK(BM_ColoringSetup);

@@ -25,6 +25,24 @@ void PropEngine::init_pools() {
 
 void PropEngine::load(const Formula& formula) {
   ok_ = !formula.trivially_unsat();
+  // Lay out the watch rows once from a count of the rows each clause of
+  // two or more literals watches (its first two literals), so attaching
+  // the clauses below relocates no row and leaves no garbage. A clause
+  // that a level-0 unit shortens may watch other rows; push() relocates
+  // a row it overfills.
+  {
+    std::vector<std::uint32_t> bin_counts(bin_watches_.num_rows(), 0);
+    std::vector<std::uint32_t> long_counts(watches_.num_rows(), 0);
+    for (std::span<const Lit> clause : formula.clauses()) {
+      if (clause.size() < 2) continue;
+      std::vector<std::uint32_t>& counts =
+          clause.size() == 2 ? bin_counts : long_counts;
+      ++counts[static_cast<std::size_t>(clause[0].code())];
+      ++counts[static_cast<std::size_t>(clause[1].code())];
+    }
+    bin_watches_.lay_out(bin_counts);
+    watches_.lay_out(long_counts);
+  }
   // A formula clause is already sorted, duplicate-free and not a
   // tautology, so load_buffered_clause() would attach it unchanged (same
   // order, same watches) unless a level-0 unit assigns one of its

@@ -16,10 +16,15 @@
 //     whose blocker is already true never touches the arena at all.
 //   * Watch lists live in flat watcher pools (sat/watcher_pool.h):
 //     per-literal {offset, size, capacity} headers into a single
-//     contiguous Watcher slab with amortized-doubling growth. The pools
-//     are compacted back to garbage-free CSR order by garbage_collect()
-//     (and before a solve when they have grown sparse), so propagation
-//     scans ride one allocation instead of 2N heap vectors.
+//     contiguous Watcher slab, so propagation scans ride one allocation
+//     instead of 2N heap vectors. load() counts the rows every clause will
+//     watch and lays each row out once with rebuild()'s headroom, so the
+//     load leaves no garbage. Learnt clauses and watch moves then grow
+//     rows by relocation; garbage_collect() (and compact_pools() before a
+//     solve, when a pool has grown sparse) compacts back to garbage-free
+//     CSR order. The slabs and the arena are GrowBuffers
+//     (sat/grow_buffer.h), grown by realloc, so a growing buffer is never
+//     resident twice.
 //   * Binary clauses are implicit (Chu, Harwood & Stuckey, JSAT 2009; the
 //     Lingeling/CaDiCaL layout): a binary clause is its two 4-byte
 //     entries in a dedicated watch pool and nothing else — no arena

@@ -8,16 +8,25 @@
 // then walks a single allocation instead of chasing a heap pointer per
 // literal, and consecutive rows share cache lines after compaction.
 //
+// Layout: `lay_out()` gives every row of a fresh pool its block up front
+// from a count of the entries it will receive, each with the headroom
+// `rebuild()` leaves (half again plus two). The engine counts the watches
+// of a formula's clauses before loading them, so the load relocates no
+// row.
+//
 // Growth: `push` appends in place while the row has spare capacity;
 // a full row is relocated to the end of the slab with doubled capacity
-// (amortized O(1) per push). Relocation leaves the old block as garbage,
-// so the slab accumulates slack over time.
+// (amortized O(1) per push). Relocation leaves the old block as garbage:
+// learnt clauses and watch moves make the slab accumulate slack between
+// compactions. The slab itself is a GrowBuffer (sat/grow_buffer.h), which
+// grows with realloc, so a slab that grows is not resident twice.
 //
 // Compaction: `compact()` (or `rebuild()` with a filter) rewrites the
-// slab with rows in index order and capacity == size, which both frees
-// the garbage and restores the CSR layout. The CDCL solver compacts
-// during `reduce_db()` garbage collection — the same moment clause refs
-// are remapped — and before a solve when the slack ratio is high.
+// slab with rows in index order and that same headroom, which both frees
+// the garbage and restores the CSR layout; the fresh slab is sized
+// exactly, garbage left out. The CDCL solver compacts during
+// `reduce_db()` garbage collection — the same moment clause refs are
+// remapped — and before a solve when the slack ratio is high.
 //
 // Pointer stability: a `push` to row A may reallocate the slab and
 // thereby invalidate raw entry pointers into every other row. Hot loops
@@ -30,6 +39,8 @@
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "sat/grow_buffer.h"
 
 namespace symcolor {
 
@@ -60,6 +71,31 @@ class FlatOccPool {
     return {data(row), rows_[row].size};
   }
 
+  /// Capacity rebuild() and lay_out() give a row of `n` entries: half
+  /// again plus two, and none for an empty row.
+  [[nodiscard]] static std::uint32_t reserved_capacity(std::uint32_t n) {
+    return n == 0 ? 0 : n + n / 2 + 2;
+  }
+
+  /// Lay out an empty pool (just init()) for a known fill: row i gets its
+  /// own block of reserved_capacity(counts[i]) cells, rows in index order.
+  /// That is the layout rebuild() leaves once row i holds counts[i]
+  /// entries, so pushing up to counts[i] entries into each row relocates
+  /// nothing and leaves no garbage. A row pushed past its count relocates
+  /// as usual.
+  void lay_out(std::span<const std::uint32_t> counts) {
+    assert(counts.size() == rows_.size() && slab_.size() == 0);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      Row& r = rows_[i];
+      r.offset = static_cast<std::uint32_t>(total);
+      r.capacity = reserved_capacity(counts[i]);
+      total += r.capacity;
+    }
+    slab_.reserve(total);
+    slab_.resize(total);
+  }
+
   /// Append to a row; may relocate the row (and reallocate the slab),
   /// invalidating entry pointers into all rows.
   void push(std::size_t row, Entry e) {
@@ -80,14 +116,19 @@ class FlatOccPool {
   /// Rewrite the slab with rows in index order, keeping only entries for
   /// which `keep(row_index, entry)` returns true. `keep` may mutate the
   /// entry (ref remapping during GC). Every outstanding entry pointer is
-  /// invalidated. Non-empty rows keep ~50% growth headroom: an exact
-  /// repack would force the very next push on every row through the
-  /// relocation path, which measurably taxes clause learning right after
-  /// a reduction.
+  /// invalidated. Non-empty rows keep ~50% growth headroom
+  /// (reserved_capacity()): an exact repack would force the very next push
+  /// on every row through the relocation path, which measurably taxes
+  /// clause learning right after a reduction. The fresh slab is sized to
+  /// the layout the rows would take if `keep` dropped nothing, not to the
+  /// old slab, whose relocation garbage would otherwise be carried over
+  /// as unused capacity.
   template <typename Keep>
   void rebuild(Keep&& keep) {
-    std::vector<Entry> fresh;
-    fresh.reserve(slab_.size());
+    std::size_t bound = 0;
+    for (const Row& r : rows_) bound += reserved_capacity(r.size);
+    GrowBuffer<Entry> fresh;
+    fresh.reserve(bound);
     live_ = 0;
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       Row& r = rows_[i];
@@ -98,7 +139,7 @@ class FlatOccPool {
       }
       r.offset = begin;
       r.size = static_cast<std::uint32_t>(fresh.size()) - begin;
-      r.capacity = r.size == 0 ? 0 : r.size + r.size / 2 + 2;
+      r.capacity = reserved_capacity(r.size);
       fresh.resize(begin + r.capacity);
       live_ += r.size;
     }
@@ -144,7 +185,7 @@ class FlatOccPool {
     r.capacity = new_cap;
   }
 
-  std::vector<Entry> slab_;
+  GrowBuffer<Entry> slab_;
   std::vector<Row> rows_;
   std::size_t live_ = 0;
 };

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <numeric>
 #include <ostream>
+#include <span>
+#include <utility>
 
 #include "cnf/formula.h"
 #include "coloring/encoder.h"
@@ -14,6 +16,7 @@
 #include "pb/solver_profiles.h"
 #include "sat/cdcl.h"
 #include "sat/clause_arena.h"
+#include "sat/grow_buffer.h"
 #include "sat/heap.h"
 #include "sat/luby.h"
 #include "sat/watcher_pool.h"
@@ -743,6 +746,138 @@ TEST(WatcherPool, SparseDetectsGarbageButNotHeadroom) {
   EXPECT_FALSE(pool.sparse());
 }
 
+// ---- realloc-grown storage (clause arena and pool slabs) ----
+
+TEST(GrowBuffer, KeepsContentsAcrossReallocsCopiesAndMoves) {
+  constexpr std::uint32_t kN = 200000;  // about 30 grows from empty
+  const auto expect_iota = [](const GrowBuffer<std::uint32_t>& b,
+                              std::uint32_t n) {
+    ASSERT_EQ(b.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) ASSERT_EQ(b[i], i) << "at " << i;
+  };
+  GrowBuffer<std::uint32_t> buf;
+  for (std::uint32_t i = 0; i < kN / 2; ++i) buf.push_back(i);
+  std::vector<std::uint32_t> tail(kN / 2);
+  std::iota(tail.begin(), tail.end(), kN / 2);
+  buf.append(tail.data(), tail.size());
+  expect_iota(buf, kN);
+
+  // resize() shrinks, then grows with value-initialized entries.
+  buf.resize(kN - 7);
+  buf.resize(kN + 5);
+  for (std::uint32_t i = kN - 7; i < kN + 5; ++i) EXPECT_EQ(buf[i], 0u);
+  buf.resize(kN - 7);
+  for (std::uint32_t i = kN - 7; i < kN; ++i) buf.push_back(i);
+  expect_iota(buf, kN);
+
+  const GrowBuffer<std::uint32_t> copy(buf);
+  expect_iota(copy, kN);
+  EXPECT_EQ(copy.capacity(), kN);  // a copy holds exactly the entries
+
+  GrowBuffer<std::uint32_t> small;
+  small.push_back(42);
+  small = buf;  // copy into a smaller buffer
+  expect_iota(small, kN);
+  GrowBuffer<std::uint32_t> large(buf);
+  large.resize(2 * kN);
+  large = small;  // copy into a larger buffer
+  expect_iota(large, kN);
+  GrowBuffer<std::uint32_t>& alias = large;
+  large = alias;  // self-assignment
+  expect_iota(large, kN);
+
+  GrowBuffer<std::uint32_t> moved(std::move(large));
+  expect_iota(moved, kN);
+  EXPECT_EQ(large.size(), 0u);  // NOLINT(bugprone-use-after-move)
+  GrowBuffer<std::uint32_t> target;
+  target.push_back(7);
+  target = std::move(moved);
+  expect_iota(target, kN);
+  GrowBuffer<std::uint32_t>& self = target;
+  target = std::move(self);  // self-move keeps the contents
+  expect_iota(target, kN);
+  // The source still holds its contents after every copy.
+  expect_iota(buf, kN);
+}
+
+/// Per-row entry counts and the entries, in push order, of a random fill
+/// of `rows` rows.
+struct PoolFill {
+  std::vector<std::uint32_t> counts;
+  std::vector<std::pair<std::size_t, int>> pushes;
+};
+
+PoolFill random_pool_fill(std::size_t rows, int entries, std::uint64_t seed) {
+  Rng rng(seed);
+  PoolFill fill;
+  fill.counts.assign(rows, 0);
+  for (int i = 0; i < entries; ++i) {
+    // Skewed rows: a few long ones, many short or empty ones.
+    const std::size_t r = rng.chance(0.3)
+                              ? rng.below(3)
+                              : rng.below(static_cast<std::uint64_t>(rows));
+    ++fill.counts[r];
+    fill.pushes.emplace_back(r, i);
+  }
+  return fill;
+}
+
+TEST(WatcherPool, LaidOutPoolFillsLikeAPushOnlyPool) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    constexpr std::size_t kRows = 64;
+    const PoolFill fill = random_pool_fill(kRows, 3000, seed);
+    FlatOccPool<int> laid;
+    laid.init(kRows);
+    laid.lay_out(fill.counts);
+    FlatOccPool<int> pushed;
+    pushed.init(kRows);
+    for (const auto& [r, v] : fill.pushes) {
+      laid.push(r, v);
+      pushed.push(r, v);
+    }
+    ASSERT_EQ(laid.live_entries(), pushed.live_entries());
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const std::span<const int> a = laid.row(r);
+      const std::span<const int> b = pushed.row(r);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+          << "seed " << seed << " row " << r;
+    }
+    // The laid-out pool relocated nothing: its slab is exactly the rows'
+    // headroom, what a compaction would leave.
+    std::size_t headroom = 0;
+    for (const std::uint32_t c : fill.counts) {
+      headroom += c == 0 ? 0 : c + c / 2 + 2;
+    }
+    EXPECT_EQ(laid.slab_slots(), headroom) << "seed " << seed;
+    EXPECT_GT(pushed.slab_slots(), laid.slab_slots()) << "seed " << seed;
+    pushed.compact();
+    EXPECT_EQ(pushed.slab_slots(), headroom) << "seed " << seed;
+  }
+}
+
+TEST(WatcherPool, RowPushedPastItsCountRelocatesInOrder) {
+  FlatOccPool<int> pool;
+  pool.init(3);
+  const std::vector<std::uint32_t> counts{4, 0, 2};
+  pool.lay_out(counts);
+  const std::size_t laid = pool.slab_slots();
+  EXPECT_EQ(laid, (4u + 2 + 2) + (2u + 1 + 2));
+  for (int i = 0; i < 2; ++i) pool.push(2, 100 + i);
+  // Row 0's block holds 8 cells: the ninth entry relocates the row.
+  for (int i = 0; i < 8; ++i) pool.push(0, i);
+  EXPECT_EQ(pool.slab_slots(), laid);
+  pool.push(0, 8);
+  pool.push(1, 50);  // a row counted empty gets its first block
+  EXPECT_GT(pool.slab_slots(), laid);
+  ASSERT_EQ(pool.size(0), 9u);
+  for (int i = 0; i < 9; ++i) EXPECT_EQ(pool.data(0)[i], i);
+  ASSERT_EQ(pool.size(1), 1u);
+  EXPECT_EQ(pool.data(1)[0], 50);
+  ASSERT_EQ(pool.size(2), 2u);
+  EXPECT_EQ(pool.data(2)[0], 100);
+  EXPECT_EQ(pool.data(2)[1], 101);
+}
+
 // ---- LBD metadata in the clause arena ----
 
 TEST(ClauseArena, LbdAndUsedSurviveRelocation) {
@@ -1045,6 +1180,53 @@ TEST(CdclLoad, UnitsAmongTheClausesMatchClauseByClauseAddition) {
   EXPECT_GT(sat, 0);
   EXPECT_GT(unsat, 0);
   EXPECT_GT(conflicts, 0);
+}
+
+// load() lays the watch rows out from a count of every clause's first two
+// literals, so a formula with no level-0 unit loads without relocating a
+// row: the pools hold each row's headroom and no garbage.
+TEST(CdclLoad, LoadLeavesNoGarbageInTheWatchPools) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    constexpr int kVars = 60;
+    Formula f;
+    f.new_vars(kVars);
+    for (int i = 0; i < 400; ++i) {
+      // Two to five distinct variables, mostly binary clauses.
+      const int len =
+          rng.chance(0.6) ? 2 : 3 + static_cast<int>(rng.below(3));
+      std::vector<int> vars(kVars);
+      std::iota(vars.begin(), vars.end(), 0);
+      Clause c;
+      for (int k = 0; k < len; ++k) {
+        const auto j = static_cast<std::size_t>(k) +
+                       rng.below(static_cast<std::uint64_t>(kVars - k));
+        std::swap(vars[static_cast<std::size_t>(k)], vars[j]);
+        const int v = vars[static_cast<std::size_t>(k)];
+        c.push_back(rng.chance(0.5) ? Lit::positive(v) : Lit::negative(v));
+      }
+      f.add_clause(c);
+    }
+    std::vector<std::uint32_t> bin(2 * kVars, 0);
+    std::vector<std::uint32_t> lng(2 * kVars, 0);
+    std::size_t watches = 0;
+    for (std::span<const Lit> c : f.clauses()) {
+      ASSERT_GE(c.size(), 2u);
+      std::vector<std::uint32_t>& counts = c.size() == 2 ? bin : lng;
+      ++counts[static_cast<std::size_t>(c[0].code())];
+      ++counts[static_cast<std::size_t>(c[1].code())];
+      watches += 2;
+    }
+    std::size_t headroom = 0;
+    for (const auto* counts : {&bin, &lng}) {
+      for (const std::uint32_t n : *counts) {
+        headroom += n == 0 ? 0 : n + n / 2 + 2;
+      }
+    }
+    const CdclSolver solver(f);
+    ASSERT_EQ(solver.total_watchers(), watches) << "seed " << seed;
+    EXPECT_EQ(solver.watcher_pool_slots(), headroom) << "seed " << seed;
+  }
 }
 
 TEST(CdclLoad, PbRowsAddedAfterASolveMatchLoadingThemUpFront) {

@@ -20,9 +20,9 @@ environment padding of 0 to 4 KB (the AB_PAIRS_PAD variable).
 The environment sits at the top of the process stack, so the padding
 moves the stack, and everything addressed relative to it, the way
 Mytkowicz et al. (ASPLOS 2009) showed can swing a timing by more than a
-code change does. GLIBC_TUNABLES is not set: a malloc top_pad tunable
-turns off glibc's dynamic mmap threshold (mallopt(3)), so the program it
-times allocates differently from the one the benchmark runs.
+code change does. GLIBC_TUNABLES is not set on the timed runs: a malloc
+tunable turns off glibc's dynamic mmap threshold (mallopt(3)), so the
+program it times allocates differently from the one the benchmark runs.
 
 For every end-to-end metric BENCHMARK.json declares it prints each side's
 median and quartiles over the N runs, how many pairs head won, and the
@@ -31,7 +31,12 @@ median gap wider than the base's interquartile range ("gain"; "loss" is
 the same rule with the sides swapped). It also says whether the search
 moved: whether every run's first-pass solve records (status, colors,
 lower bound, conflicts, SAT calls per instance) equal the first base
-run's. A build failure, a run failure or a wrong answer exits 2.
+run's. After the pairs it runs each side once more, one pass, with
+GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072, and prints both
+peak_rss_mb readings as a check: with the threshold fixed, peak RSS does
+not depend on which freed block raised the dynamic threshold first. That
+check is not part of the gain rule. A build failure, a run failure or a
+wrong answer exits 2.
 """
 
 import argparse
@@ -49,6 +54,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAD_VAR = "AB_PAIRS_PAD"
 MAX_PAD = 4096
+# ROADMAP item 12's placement-free memory reading: glibc's mmap threshold
+# pinned at 128 KB (its default before any free raises it).
+FIXED_MMAP_THRESHOLD = "glibc.malloc.mmap_threshold=131072"
 SEARCH_FIELDS = ("instance", "mode", "status", "colors", "lower_bound",
                  "conflicts", "sat_calls")
 
@@ -66,13 +74,20 @@ def git(*args):
     return done.stdout.strip()
 
 
-def run_side(tree, workload, args, pad):
-    """One suitebench run in `tree`: its metrics and its first-pass solves."""
+def run_side(tree, workload, args, pad, seconds=None, tunables=None):
+    """One suitebench run in `tree`: its metrics and its first-pass solves.
+
+    `seconds` overrides --seconds (0 runs one pass); `tunables`, when
+    given, is set as GLIBC_TUNABLES for the run.
+    """
     env = dict(os.environ)
     env[PAD_VAR] = "x" * pad
+    if tunables is not None:
+        env["GLIBC_TUNABLES"] = tunables
     cmd = [sys.executable, str(tree / "suitebench" / "run.py"),
            "--workload", workload, "--seed", str(args.seed),
-           "--seconds", repr(args.seconds), "--trace", "0"]
+           "--seconds", repr(args.seconds if seconds is None else seconds),
+           "--trace", "0"]
     done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           text=True, env=env)
     if done.returncode != 0:
@@ -145,12 +160,22 @@ def compare(workload, spec, base_tree, args, rng):
         print(f"  {name:<16} {cells[0]:>28} {cells[1]:>28}  "
               f"{wins(base, head, sign):>4}/{args.pairs:<4}  "
               f"{verdict(base, head, sign)}")
+    fixed = {}  # the fixed-threshold memory check, outside the gain rule
+    for side, tree in (("base", base_tree), ("head", ROOT)):
+        metrics, search = run_side(tree, workload, args, 0, seconds=0,
+                                   tunables=FIXED_MMAP_THRESHOLD)
+        fixed[side] = metrics["peak_rss_mb"]
+        if search != reference:
+            moved.append(f"fixed-threshold {side}")
+    print(f"  check: peak_rss_mb with GLIBC_TUNABLES={FIXED_MMAP_THRESHOLD}, "
+          f"one pass per side: base {fixed['base']:.4g}, "
+          f"head {fixed['head']:.4g} (not in the gain rule)")
     if moved:
         print(f"  search MOVED: solve records differ from the first base run "
               f"in {len(moved)} runs ({', '.join(moved[:4])}...)")
     else:
         print(f"  search unchanged: {len(reference)} first-pass solve records "
-              f"equal on all {2 * args.pairs + 2} runs")
+              f"equal on all {2 * args.pairs + 4} runs")
 
 
 def main():
