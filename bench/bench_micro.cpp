@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -748,6 +749,21 @@ void BM_DsaturHeuristic(benchmark::State& state) {
 }
 BENCHMARK(BM_DsaturHeuristic);
 
+// The SAT loop's whole bounds stage (bounds_meet in exact_colorer.cpp):
+// DSATUR, then max_clique at the loop's node cap with the DSATUR count as
+// upper bound, on the zeroin.i.1 shape, the satloop workload's median
+// instance, which these bounds close on their own.
+void BM_SatLoopBounds(benchmark::State& state) {
+  const Graph g = make_register_graph(211, 4100, 49, 0x2E01);
+  for (auto _ : state) {
+    const std::vector<int> coloring = dsatur_coloring(g);
+    benchmark::DoNotOptimize(max_clique(g, SolveBudget{}, nullptr,
+                                        kSatLoopCliqueNodeCap,
+                                        Graph::count_colors(coloring)));
+  }
+}
+BENCHMARK(BM_SatLoopBounds);
+
 void BM_DsaturBnbQueen55(benchmark::State& state) {
   const Graph g = make_queen_graph(5, 5);
   for (auto _ : state) {
@@ -820,6 +836,15 @@ class JsonFileReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  {
+    // Says whether `instr_per_iter` can appear, and if not, why.
+    const symcolor::InstructionCounter probe;
+    benchmark::AddCustomContext(
+        "instr_counter",
+        probe.available() ? std::string("available")
+                          : std::string("unavailable, perf_event_open: ") +
+                                std::strerror(probe.error()));
+  }
   const char* path = std::getenv("SYMCOLOR_BENCH_JSON");
   symcolor::JsonFileReporter reporter(path != nullptr ? path
                                                       : "BENCH_micro.json");

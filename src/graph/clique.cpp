@@ -1,6 +1,7 @@
 #include "graph/clique.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 namespace symcolor {
@@ -14,7 +15,8 @@ class CliqueSearch {
       : graph_(graph),
         budget_(budget),
         node_cap_(node_cap),
-        upper_bound_(upper_bound) {}
+        upper_bound_(upper_bound),
+        mark_(static_cast<std::size_t>(graph.num_vertices()), 0) {}
 
   std::vector<int> run(std::vector<int> seed, bool* proved_optimal) {
     best_ = std::move(seed);
@@ -39,23 +41,36 @@ class CliqueSearch {
            best_.size() >= static_cast<std::size_t>(upper_bound_);
   }
 
+  // Stamps N(v) with a fresh value, so adjacent(u) is true until the next
+  // call iff u is a neighbour of v: one pass over v's row instead of a
+  // binary search per queried pair.
+  void mark_neighbors(int v) {
+    if (++stamp_ == 0) {  // wrapped: old stamps could read as current
+      std::fill(mark_.begin(), mark_.end(), 0);
+      stamp_ = 1;
+    }
+    for (const int u : graph_.neighbors(v)) {
+      mark_[static_cast<std::size_t>(u)] = stamp_;
+    }
+  }
+  [[nodiscard]] bool adjacent(int u) const {
+    return mark_[static_cast<std::size_t>(u)] == stamp_;
+  }
+
   // Greedy coloring of the candidate set; returns per-candidate color
   // numbers (1-based). max color bounds the clique extension size.
-  std::vector<int> color_bound(const std::vector<int>& candidates) const {
+  std::vector<int> color_bound(const std::vector<int>& candidates) {
     std::vector<int> color(candidates.size(), 0);
     std::vector<std::vector<int>> classes;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const int v = candidates[i];
+      mark_neighbors(v);
       std::size_t c = 0;
       for (; c < classes.size(); ++c) {
-        bool conflict = false;
-        for (int u : classes[c]) {
-          if (graph_.has_edge(u, v)) {
-            conflict = true;
-            break;
-          }
+        if (std::none_of(classes[c].begin(), classes[c].end(),
+                         [&](int u) { return adjacent(u); })) {
+          break;
         }
-        if (!conflict) break;
       }
       if (c == classes.size()) classes.emplace_back();
       classes[c].push_back(v);
@@ -94,9 +109,11 @@ class CliqueSearch {
       }
       const int v = sorted[i];
       current_.push_back(v);
+      // The stamp is read before the recursion below re-stamps.
+      mark_neighbors(v);
       std::vector<int> next;
       for (std::size_t j = 0; j < i; ++j) {
-        if (graph_.has_edge(sorted[j], v)) next.push_back(sorted[j]);
+        if (adjacent(sorted[j])) next.push_back(sorted[j]);
       }
       if (next.empty()) {
         if (current_.size() > best_.size()) {
@@ -117,6 +134,9 @@ class CliqueSearch {
   std::int64_t nodes_ = 0;
   std::vector<int> best_;
   std::vector<int> current_;
+  // mark_[u] == stamp_ iff u is adjacent to the vertex last stamped.
+  std::vector<std::uint32_t> mark_;
+  std::uint32_t stamp_ = 0;
   bool complete_ = true;
   // Set when the search must unwind: a limit tripped (complete_ false) or
   // the incumbent reached the caller's upper bound (complete_ stays true).
@@ -135,19 +155,27 @@ std::vector<int> greedy_clique(const Graph& graph) {
                                               : a < b;
   });
 
+  // adjacent_members[v] counts the clique members adjacent to v, so v
+  // extends the clique iff that count is the clique's size (a member is
+  // never adjacent to itself, so it never qualifies twice).
+  std::vector<int> adjacent_members(static_cast<std::size_t>(n));
   std::vector<int> best;
   const int restarts = std::min(n, 16);
   for (int r = 0; r < restarts; ++r) {
-    std::vector<int> clique{by_degree[static_cast<std::size_t>(r)]};
-    for (int v : by_degree) {
-      bool compatible = true;
-      for (int u : clique) {
-        if (u == v || !graph.has_edge(u, v)) {
-          compatible = false;
-          break;
-        }
+    std::fill(adjacent_members.begin(), adjacent_members.end(), 0);
+    std::vector<int> clique;
+    const auto join = [&](int v) {
+      clique.push_back(v);
+      for (const int u : graph.neighbors(v)) {
+        ++adjacent_members[static_cast<std::size_t>(u)];
       }
-      if (compatible) clique.push_back(v);
+    };
+    join(by_degree[static_cast<std::size_t>(r)]);
+    for (const int v : by_degree) {
+      if (adjacent_members[static_cast<std::size_t>(v)] ==
+          static_cast<int>(clique.size())) {
+        join(v);
+      }
     }
     if (clique.size() > best.size()) best = std::move(clique);
   }

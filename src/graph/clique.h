@@ -15,11 +15,17 @@ namespace symcolor {
 /// Greedy clique: repeatedly add the highest-degree vertex compatible with
 /// the clique so far, restarting from each of the top-degree vertices and
 /// keeping the best. Deterministic. Returns vertex ids of the clique.
+/// After an O(n log n) degree sort, costs O(restarts * (n + sum of the
+/// members' degrees)), restarts <= 16: each vertex keeps a count of the
+/// clique members adjacent to it, raised over a member's row when it joins.
 std::vector<int> greedy_clique(const Graph& graph);
 
 /// Exact maximum clique via branch and bound with greedy-coloring bounds
 /// (a compact Tomita-style MCS), seeded with greedy_clique. Returns the
-/// clique sorted ascending, never smaller than the greedy one.
+/// clique sorted ascending, never smaller than the greedy one. Each search
+/// node marks one neighbour row per candidate it colours or branches on,
+/// so its adjacency tests are array reads: O(sum of those rows' lengths)
+/// per node plus the colour-class scans.
 ///
 /// The search stops early in three ways:
 ///  * after `node_cap` search nodes (<= 0 = unlimited). The cap is the

@@ -8,6 +8,8 @@
 #include <cstring>
 #endif
 
+#include <cerrno>
+
 namespace symcolor {
 
 #if defined(__linux__)
@@ -25,7 +27,10 @@ InstructionCounter::InstructionCounter() {
   // CPU. The counter starts enabled.
   fd_ = static_cast<int>(
       syscall(SYS_perf_event_open, &attr, 0, -1, -1, PERF_FLAG_FD_CLOEXEC));
-  if (fd_ < 0) fd_ = -1;
+  if (fd_ < 0) {
+    error_ = errno;
+    fd_ = -1;
+  }
 }
 
 InstructionCounter::~InstructionCounter() {
@@ -42,7 +47,7 @@ std::int64_t InstructionCounter::read() const {
 
 #else
 
-InstructionCounter::InstructionCounter() = default;
+InstructionCounter::InstructionCounter() : error_(ENOSYS) {}
 InstructionCounter::~InstructionCounter() = default;
 std::int64_t InstructionCounter::read() const { return -1; }
 

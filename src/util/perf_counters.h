@@ -7,7 +7,8 @@
 //
 // The counter is unavailable where the kernel refuses the event: no PMU
 // (many virtual machines), a seccomp filter, perf_event_paranoid 3, or a
-// platform other than Linux. Callers then leave the reading out.
+// platform other than Linux. Callers then leave the reading out, and
+// error() says why.
 
 #include <cstdint>
 
@@ -24,11 +25,15 @@ class InstructionCounter {
 
   /// False when perf_event_open failed.
   [[nodiscard]] bool available() const noexcept { return fd_ >= 0; }
+  /// The errno of the failed perf_event_open (ENOSYS off Linux); 0 when
+  /// available. ENOENT: the kernel has no such hardware event (no PMU).
+  [[nodiscard]] int error() const noexcept { return error_; }
   /// Instructions since construction; -1 when unavailable.
   [[nodiscard]] std::int64_t read() const;
 
  private:
   int fd_ = -1;
+  int error_ = 0;
 };
 
 }  // namespace symcolor

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
+#include <string>
 #include <thread>
 
 #include "coloring/dsatur_bnb.h"
@@ -49,6 +51,79 @@ TEST(Dsatur, EdgelessGraph) {
   Graph g(5);
   g.finalize();
   EXPECT_EQ(Graph::count_colors(dsatur_coloring(g)), 1);
+}
+
+TEST(Dsatur, LongPathUsesTwoColors) {
+  // The saturation flags are sized by the maximum degree, not by n: a
+  // 30,000-vertex path needs 3 flags per vertex, not 30,001.
+  const int n = 30000;
+  Graph g(n);
+  for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
+  g.finalize();
+  const auto colors = dsatur_coloring(g);
+  EXPECT_TRUE(g.is_proper_coloring(colors));
+  EXPECT_EQ(Graph::count_colors(colors), 2);
+}
+
+// DSATUR with per-pick saturation and Graph::degree() comparisons and an
+// n + 1 flag row per vertex, kept verbatim: the precomputed key must pick
+// the same vertex at every step, so the colorings are identical.
+std::vector<int> reference_dsatur(const Graph& graph) {
+  const int n = graph.num_vertices();
+  std::vector<int> colors(static_cast<std::size_t>(n), -1);
+  const std::size_t stride = static_cast<std::size_t>(n) + 1;
+  std::vector<char> neighbour_has(static_cast<std::size_t>(n) * stride, 0);
+  const auto has = [&](int v, int color) -> char& {
+    return neighbour_has[static_cast<std::size_t>(v) * stride +
+                         static_cast<std::size_t>(color)];
+  };
+  std::vector<int> saturation(static_cast<std::size_t>(n), 0);
+  for (int step = 0; step < n; ++step) {
+    int best = -1;
+    for (int v = 0; v < n; ++v) {
+      if (colors[static_cast<std::size_t>(v)] >= 0) continue;
+      if (best < 0 ||
+          saturation[static_cast<std::size_t>(v)] >
+              saturation[static_cast<std::size_t>(best)] ||
+          (saturation[static_cast<std::size_t>(v)] ==
+               saturation[static_cast<std::size_t>(best)] &&
+           graph.degree(v) > graph.degree(best))) {
+        best = v;
+      }
+    }
+    int color = 0;
+    while (has(best, color)) ++color;
+    colors[static_cast<std::size_t>(best)] = color;
+    for (const int u : graph.neighbors(best)) {
+      if (!has(u, color)) {
+        has(u, color) = 1;
+        ++saturation[static_cast<std::size_t>(u)];
+      }
+    }
+  }
+  return colors;
+}
+
+TEST(DsaturEquivalence, SeededRandomGraphs) {
+  std::uint64_t seed = 0xD5A;
+  for (const int n : {1, 2, 7, 20, 45, 90, 140, 200}) {
+    const int pairs = n * (n - 1) / 2;
+    for (const int percent : {1, 4, 15, 40, 65, 85, 97}) {
+      for (int rep = 0; rep < 2; ++rep) {
+        const int m = pairs * percent / 100;
+        const Graph g = make_random_gnm(n, m, ++seed);
+        EXPECT_EQ(dsatur_coloring(g), reference_dsatur(g))
+            << "G(" << n << ", " << m << ") seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(DsaturEquivalence, DimacsSuite) {
+  for (const Instance& inst : dimacs_suite()) {
+    EXPECT_EQ(dsatur_coloring(inst.graph), reference_dsatur(inst.graph))
+        << inst.name;
+  }
 }
 
 TEST(DsaturBnb, EmptyGraph) {

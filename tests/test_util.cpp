@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "util/json.h"
+#include "util/perf_counters.h"
 #include "util/rng.h"
 #include "util/text.h"
 #include "util/timer.h"
@@ -79,6 +80,18 @@ TEST(Deadline, CopyPreservesTheOriginalClock) {
   std::this_thread::sleep_for(std::chrono::milliseconds(25));
   EXPECT_TRUE(copy.expired());
   EXPECT_EQ(copy.remaining(), 0.0);
+}
+
+TEST(InstructionCounter, ErrorExplainsAnUnavailableCounter) {
+  // Either the counter reads, or it keeps the errno that refused it.
+  const InstructionCounter counter;
+  if (counter.available()) {
+    EXPECT_EQ(counter.error(), 0);
+    EXPECT_GE(counter.read(), 0);
+  } else {
+    EXPECT_NE(counter.error(), 0);
+    EXPECT_EQ(counter.read(), -1);
+  }
 }
 
 TEST(Rng, DeterministicForEqualSeeds) {
