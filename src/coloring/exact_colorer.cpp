@@ -87,7 +87,6 @@ OptResult solve_stage(Formula formula, const ColoringOptions& options,
   }
   SolverConfig config = profile_config(options.solver);
   config.portfolio_threads = options.threads;
-  config.cube_depth = options.cube_depth;
   if (options.chrono_threshold >= 0) {
     config.chrono_threshold = options.chrono_threshold;
   }
@@ -100,6 +99,9 @@ ColoringOutcome run_pipeline(const Graph& graph, const ColoringOptions& options,
                              const Plan& plan) {
   if (options.presimplify) {
     throw std::invalid_argument("the pipeline has no pre-solve simplifier");
+  }
+  if (options.cube_depth != 0) {
+    throw std::invalid_argument("the parallel engine has one cube depth");
   }
   Timer total;
   // One budget covers the pipeline end to end, every stage included. A

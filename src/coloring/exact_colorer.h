@@ -81,13 +81,15 @@ struct ColoringOptions {
   /// entry point throws std::invalid_argument when this is set. Read only
   /// by suitebench; ROADMAP item 1c's [benchmark] PR deletes it.
   bool presimplify = false;
-  /// Parallel workers inside every CDCL solve (sat/parallel_solver.h);
-  /// 1 = the plain sequential engine. The reported optimum is identical
-  /// at any thread count. Ignored by SolverKind::GenericIlp.
+  /// Cube-and-conquer workers inside every CDCL solve
+  /// (sat/parallel_solver.h); 1 = the plain sequential engine. The
+  /// reported optimum is identical at any thread count. Ignored by
+  /// SolverKind::GenericIlp.
   int threads = 1;
-  /// > 0 switches the parallel engine to its cube-and-conquer schedule:
-  /// the search space is split into assumption cubes of up to this depth
-  /// and dealt to `threads` workers. Answers stay exact; 0 = off.
+  /// Compat residue: the parallel engine runs one cube depth
+  /// (kCubeDepth), nothing in src/ reads this, and every entry point
+  /// throws std::invalid_argument when it is non-zero. Read only by
+  /// suitebench; ROADMAP item 1c's [benchmark] PR deletes it.
   int cube_depth = 0;
   /// Compat residue, read by nothing in src/: only suitebench's
   /// workloads.cpp reads it (deleted by ROADMAP item 1c's [benchmark] PR).
@@ -144,7 +146,7 @@ struct ColoringOutcome {
   int inst_dep_sbp_clauses = 0;
   SolverStats solver_stats;
   /// All-workers sum (engine aggregated_stats()); equals solver_stats on
-  /// a sequential run, the whole pool's work on portfolio/cube runs.
+  /// a sequential run, the whole pool's work on parallel runs.
   SolverStats solver_stats_all;
   double encode_seconds = 0.0;
   double solve_seconds = 0.0;
@@ -166,10 +168,11 @@ ColoringOutcome solve_k_coloring(const Graph& graph,
 
 /// Minimize the number of colors through the SAT-loop plan: bounds first,
 /// then CNF K-queries on one persistent engine. Reads `sbps`, `solver`,
-/// `search`, `threads`, `cube_depth`, `chrono_threshold` and the budget
-/// fields; ignores `max_colors`. Throws std::invalid_argument for
+/// `search`, `threads`, `chrono_threshold` and the budget fields; ignores
+/// `max_colors`. Throws std::invalid_argument for
 /// `instance_dependent_sbps` and SolverKind::GenericIlp, which it cannot
-/// honor, and, as every entry point does, for `presimplify`.
+/// honor, and, as every entry point does, for `presimplify` and a
+/// non-zero `cube_depth`.
 ColoringOutcome solve_coloring_sat_loop(const Graph& graph,
                                         const ColoringOptions& options = {});
 

@@ -81,8 +81,8 @@ struct OptResult {
                              ///< auxiliaries are stripped)
   SolverStats stats;         ///< cumulative across all probes (one engine)
   /// All-workers view: the engine's aggregated_stats() — equal to `stats`
-  /// on a sequential backend, the sum over every portfolio/cube worker on
-  /// a parallel one (the honest cost of the run).
+  /// on a sequential backend, the sum over every cube worker on a
+  /// parallel one (the honest cost of the run).
   SolverStats agg_stats;
   /// Number of solve() calls the search issued — all against the same
   /// persistent engine; the strategy comparison statistic.

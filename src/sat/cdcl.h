@@ -101,6 +101,12 @@ struct FaultInjection {
   }
 };
 
+/// The parallel engine's cube depth: lookahead splits each query into at
+/// most 2^kCubeDepth cubes before work stealing splits stragglers further.
+/// Picked from a sweep of depths 4, 6 and 8 at 4 threads on the hard
+/// queen8_8 and queen8_12 runs (CHANGES.md).
+inline constexpr int kCubeDepth = 8;
+
 /// Search configuration, in three groups: the solver-profile axes along
 /// which the paper's solvers differ (profile_config, pb/solver_profiles.h;
 /// varied per worker by diversify_config), the pipeline and
@@ -147,17 +153,9 @@ struct SolverConfig {
 
   // ---- parallel engine (read by make_solver_engine/ParallelSolver,
   // ---- ignored by CdclSolver itself) ----
-  /// Number of parallel workers; <= 1 (with cube_depth == 0) selects the
-  /// plain sequential engine with zero threading overhead.
+  /// Number of cube-and-conquer workers; > 1 selects ParallelSolver, <= 1
+  /// the plain sequential engine with zero threading overhead.
   int portfolio_threads = 1;
-  /// > 0 selects the cube schedule of the parallel engine (0 = the race):
-  /// lookahead probing splits the
-  /// search space into assumption cubes of (up to) this depth, dealt to
-  /// portfolio_threads workers from a shared queue. 0 = off. Splitting
-  /// beats the racing portfolio when the instance is hard enough that one
-  /// worker cannot finish a whole-space search inside the budget; racing
-  /// wins on instances where diversification alone finds a short proof.
-  int cube_depth = 0;
 
   // ---- test levers ----
   /// Initial learned-clause limit before the first reduce_db(); <= 0 means
@@ -178,11 +176,15 @@ struct SolverConfig {
   /// whose learn-time glue exceeds the importer's own threshold is
   /// dropped and counted in stats().rejected_imports.
   int share_max_lbd = 2;
-  /// Reproducible mode: clause sharing and cooperative cancellation off.
-  /// A race runs every worker to completion and the lowest-indexed
-  /// definitive answer wins; the cube schedule runs one worker in FIFO
-  /// deal order. Costs the parallel speedup; meant for tests.
+  /// Reproducible mode: the parallel engine runs one worker, with clause
+  /// sharing off, in FIFO deal order. Costs the parallel speedup; meant
+  /// for tests.
   bool portfolio_deterministic = false;
+  /// Lookahead probing splits the search space into assumption cubes of
+  /// up to this depth (>= 1; ParallelSolver throws std::invalid_argument
+  /// below). Every front end runs kCubeDepth; tests write smaller depths
+  /// for test-sized partitions.
+  int cube_depth = kCubeDepth;
   /// Candidate variables probed (both phases) per cube split, drawn from
   /// the top of the activity heap.
   int cube_candidates = 8;

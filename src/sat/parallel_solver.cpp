@@ -34,8 +34,8 @@ SolverConfig diversify_config(const SolverConfig& base, int index) {
     case 1:
       // Native cutting-planes PB learning under long Luby restarts: the
       // worker holds on to deep trails between rare restarts, and on
-      // PB-heavy instances the portfolio always races both analysis
-      // modes (a no-op on purely clausal formulas).
+      // PB-heavy instances the pool always runs both analysis modes (a
+      // no-op on purely clausal formulas).
       c.restart_scheme = RestartScheme::Luby;
       c.restart_base = 512;
       c.pb_analysis = PbAnalysis::CuttingPlanes;
@@ -43,7 +43,7 @@ SolverConfig diversify_config(const SolverConfig& base, int index) {
     case 2:
       // Slow-and-steady: gentle geometric restarts. Explicitly pins
       // clause-weakening PB analysis so a CuttingPlanes base (the Galena
-      // profile) still races a weakening worker.
+      // profile) still runs a weakening worker.
       c.restart_scheme = RestartScheme::Geometric;
       c.restart_base = 100;
       c.restart_growth = 1.3;
@@ -92,17 +92,24 @@ bool contains(const std::vector<Lit>& lits, Lit l) {
   return std::find(lits.begin(), lits.end(), l) != lits.end();
 }
 
+/// `config` itself, once its cube depth is checked.
+SolverConfig with_cube_depth(SolverConfig config) {
+  if (config.cube_depth < 1) {
+    throw std::invalid_argument("ParallelSolver needs a cube depth >= 1");
+  }
+  return config;
+}
+
 }  // namespace
 
 struct ParallelSolver::Pool {
   /// Worker 0 is `master`; 1..n-1 are diversified clones of its current
   /// state, so constraints added between calls (and whatever the master
   /// learned or imported so far) carry over. Every worker solves under
-  /// `budget`, one child of the caller's, or under a share carved from it.
+  /// `budget`, one child of the caller's.
   Pool(CdclSolver& master, const SolverConfig& config, int n,
        const SolveBudget& caller)
       : budget(caller.child()),
-        deterministic(config.portfolio_deterministic),
         clone_base(master.stats()),
         exchange(kExchangeCapacity, n),
         results(static_cast<std::size_t>(n), SolveResult::Unknown),
@@ -118,11 +125,8 @@ struct ParallelSolver::Pool {
 
   [[nodiscard]] int size() const { return static_cast<int>(workers.size()); }
 
-  /// Stop every worker at its next poll. Deterministic mode never stops
-  /// early: every worker runs to completion.
-  void stop() const {
-    if (!deterministic) budget.interrupt();
-  }
+  /// Stop every worker at its next poll.
+  void stop() const { budget.interrupt(); }
 
   /// Worker `i` answered the whole query; the first claim stops the rest.
   void claim(int i, SolveResult r) {
@@ -131,16 +135,9 @@ struct ParallelSolver::Pool {
     if (first.compare_exchange_strong(none, i)) stop();
   }
 
-  /// The first claim — or, in deterministic mode, where every worker ran
-  /// to completion, the lowest-indexed definitive answer, which repeated
-  /// runs reproduce. Dead workers never claim, so they never win.
-  [[nodiscard]] int winner() const {
-    if (!deterministic) return first.load();
-    const auto it = std::find_if(results.begin(), results.end(), [](auto r) {
-      return r != SolveResult::Unknown;
-    });
-    return it == results.end() ? -1 : static_cast<int>(it - results.begin());
-  }
+  /// The first claim (-1 when none). Dead workers never claim, so they
+  /// never win.
+  [[nodiscard]] int winner() const { return first.load(); }
 
   /// The lowest-indexed worker's recorded budget condition (None if no
   /// worker recorded one).
@@ -152,11 +149,11 @@ struct ParallelSolver::Pool {
   }
 
   /// Run `body(i, worker)` on every worker behind an exception barrier:
-  /// worker 0 on the calling thread, the clones on their own threads.
-  /// Unless deterministic, workers share through the exchange.
+  /// worker 0 on the calling thread, the clones on their own threads,
+  /// sharing through the exchange.
   template <typename Body>
   void run(Body body) {
-    const bool share = size() > 1 && !deterministic;
+    const bool share = size() > 1;
     const auto guarded = [&](int i) {
       CdclSolver& worker = *workers[static_cast<std::size_t>(i)];
       try {
@@ -174,9 +171,8 @@ struct ParallelSolver::Pool {
       for (int i = 1; i < size(); ++i) threads.emplace_back(guarded, i);
     } catch (...) {
       // Thread creation failed (resource exhaustion): wave off the clones
-      // already running, deterministic or not, and join them before
-      // unwinding — destroying a joinable std::thread would terminate the
-      // process.
+      // already running and join them before unwinding — destroying a
+      // joinable std::thread would terminate the process.
       spawn_error = std::current_exception();
       budget.interrupt();
     }
@@ -191,7 +187,6 @@ struct ParallelSolver::Pool {
   /// the first-answer stop. Frame-local, so a stop never outlives the
   /// solve() that fired it.
   const SolveBudget budget;
-  const bool deterministic;
   std::vector<std::unique_ptr<CdclSolver>> clones;
   std::vector<CdclSolver*> workers;
   /// The master's cumulative counters, which every clone inherited.
@@ -205,9 +200,9 @@ struct ParallelSolver::Pool {
   std::vector<std::exception_ptr> faults;
 };
 
-/// The conquer phase of the cube schedule: the pool's workers pull cubes
-/// from one queue until a cube answers the query, the partition is
-/// refuted, or a global condition winds the pool down.
+/// The conquer phase: the pool's workers pull cubes from one queue until
+/// a cube answers the query, the partition is refuted, or a global
+/// condition winds the pool down.
 struct ParallelSolver::CubeRun {
   Pool& pool;
   std::span<const Lit> assumptions;
@@ -350,7 +345,8 @@ struct ParallelSolver::CubeRun {
 };
 
 ParallelSolver::ParallelSolver(const Formula& formula, SolverConfig config)
-    : config_(config), master_(std::make_unique<CdclSolver>(formula, config)) {}
+    : config_(with_cube_depth(std::move(config))),
+      master_(std::make_unique<CdclSolver>(formula, config_)) {}
 
 SolveResult ParallelSolver::solve(const SolveBudget& budget,
                                   std::span<const Lit> assumptions) {
@@ -360,8 +356,8 @@ SolveResult ParallelSolver::solve(const SolveBudget& budget,
   const SolverStats before = master_->stats();
   // A fault spec aimed at a clone is stripped off the master (the target
   // clone receives it at spawn). A spec aimed at worker 0 or at every
-  // worker fires on the master — in the cube schedule possibly during the
-  // warmup, where no survivor exists yet and the fault reaches the caller.
+  // worker fires on the master, possibly during the warmup, where no
+  // survivor exists yet and the fault reaches the caller.
   if (aimed_elsewhere(config_.fault_injection, 0)) {
     master_->reconfigure(worker_config(config_, 0));
   }
@@ -369,31 +365,6 @@ SolveResult ParallelSolver::solve(const SolveBudget& budget,
   if (const BudgetTrip trip = budget.poll(); trip != BudgetTrip::None) {
     return adopt(SolveResult::Unknown, *master_, -1, {}, trip);
   }
-  if (config_.cube_depth > 0) return conquer(budget, assumptions, before);
-
-  const int n = std::max(1, config_.portfolio_threads);
-  Pool pool(*master_, config_, n, budget);
-  // A deterministic race carves each worker 1/N of the counted caps up
-  // front, so no worker's trip depends on how far the others got.
-  std::vector<SolveBudget> shares;
-  if (pool.deterministic) {
-    shares.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) shares.push_back(pool.budget.share(n));
-  }
-  pool.run([&](int i, CdclSolver& worker) {
-    const SolveResult r = worker.solve(
-        shares.empty() ? pool.budget : shares[static_cast<std::size_t>(i)],
-        assumptions);
-    pool.trips[static_cast<std::size_t>(i)] = worker.last_trip();
-    if (r != SolveResult::Unknown) pool.claim(i, r);
-  });
-  settle(pool, before);
-  return conclude(pool, budget);
-}
-
-SolveResult ParallelSolver::conquer(const SolveBudget& budget,
-                                    std::span<const Lit> assumptions,
-                                    const SolverStats& before) {
   // Exits before the pool exists answer from the master alone.
   const auto master_answer = [&](SolveResult r, BudgetTrip trip) {
     accumulate_stats(&agg_stats_, stats_delta(master_->stats(), before));
@@ -433,9 +404,10 @@ SolveResult ParallelSolver::conquer(const SolveBudget& budget,
   }
 
   // ---- conquer ----
-  const bool deterministic = config_.portfolio_deterministic;
   Pool pool(*master_, config_,
-            deterministic ? 1 : std::max(1, config_.portfolio_threads),
+            config_.portfolio_deterministic
+                ? 1
+                : std::max(1, config_.portfolio_threads),
             budget);
   CubeRun run{
       .pool = pool,
@@ -552,10 +524,10 @@ SolveResult ParallelSolver::adopt(SolveResult r, const CdclSolver& from,
 
 std::unique_ptr<SolverEngine> make_solver_engine(const Formula& formula,
                                                  const SolverConfig& config) {
-  if (config.portfolio_threads <= 1 && config.cube_depth <= 0) {
-    return std::make_unique<CdclSolver>(formula, config);
+  if (config.portfolio_threads > 1) {
+    return std::make_unique<ParallelSolver>(formula, config);
   }
-  return std::make_unique<ParallelSolver>(formula, config);
+  return std::make_unique<CdclSolver>(formula, config);
 }
 
 }  // namespace symcolor

@@ -1,68 +1,59 @@
 #pragma once
-// Clone-based parallel engine over the CDCL solver: one worker pool, two
-// schedules.
+// Clone-based parallel engine over the CDCL solver: cube-and-conquer
+// (Heule, Kullmann, Wieringa & Biere, HVC 2011) on one worker pool.
 //
 // A ParallelSolver owns ONE master CdclSolver that carries all incremental
 // state (constraints added between solves, learned clauses, activities,
-// saved phases). Each solve() deals work to a pool of N =
-// portfolio_threads workers on std::thread:
+// saved phases). Each solve() runs three phases:
 //
-//   * worker 0 IS the master (so whatever it learns persists into the
-//     next query — the incremental-SAT behaviour callers rely on);
-//   * workers 1..N-1 are fresh clones of the master — the contiguous
-//     arena/pool storage makes a clone a handful of memcpys — each
-//     diversified by diversify_config along the classic portfolio axes
+//   * warmup: the master runs a short budgeted solve
+//     (SolverConfig::cube_warmup_conflicts). Easy queries end here, and
+//     the rest start the cube phase with warmed activities and learned
+//     clauses;
+//   * lookahead: propagation-count probing on the warmed master splits
+//     the space into assumption cubes of up to SolverConfig::cube_depth
+//     literals (sat/cubes.h);
+//   * conquer: a pool of N = portfolio_threads workers on std::thread
+//     pulls the cubes from one CubeQueue. Worker 0 IS the master (so
+//     whatever it learns persists into the next query); workers 1..N-1
+//     are fresh clones of it, each diversified by diversify_config
 //     (restart schedule, polarity policy, first-reduction size,
-//     random-branching rate, PB analysis mode, and a per-worker RNG seed).
+//     random-branching rate, PB analysis mode and a per-worker RNG seed).
+//     A cube that exhausts its conflict slice is split further ON THE
+//     STUCK WORKER (whose activity heap reflects exactly that cube's hard
+//     core) and its children are re-dealt; a refuted cube's
+//     failed-assumption core prunes every queued sibling containing the
+//     same cube literals. A Sat cube answers the query; refuting every
+//     cube refutes it.
 //
-// The schedule follows from SolverConfig::cube_depth:
+// Workers exchange core-tier learnt clauses and learned PB rows through
+// one bounded ClauseExchange per solve (sat/solver_engine.h; exports at
+// learn time, imports at restart boundaries as ordinary level-0
+// additions). Sharing across cubes is sound: learnt constraints are
+// consequences of the formula alone — conflict analysis never resolves on
+// assumption pseudo-decisions. The ANSWER is exact at any worker count;
+// only the wall clock moves.
 //
-//   * race (cube_depth == 0, ManySAT-style portfolio): every worker gets
-//     the empty cube — the whole query — under the caller's full budget.
-//     The first worker to reach a definitive answer wins; it interrupts
-//     the pool's budget and the losers bail out at their next poll.
-//   * cubes (cube_depth > 0, cube-and-conquer): the master runs a short
-//     warmup solve (easy instances never go further), propagation-count
-//     lookahead on the warmed master partitions the space into assumption
-//     cubes (sat/cubes.h), and the pool pulls them from one CubeQueue. A
-//     cube that exhausts its conflict slice is split further ON THE STUCK
-//     WORKER (whose activity heap reflects exactly that cube's hard core)
-//     and its children are re-dealt; a refuted cube's failed-assumption
-//     core prunes every queued sibling containing the same cube literals.
-//     A Sat cube answers the query; refuting every cube refutes it.
-//
-// Either way workers exchange core-tier learnt clauses and learned PB rows
-// through one bounded ClauseExchange per solve (sat/solver_engine.h;
-// exports at learn time, imports at restart boundaries as ordinary
-// level-0 additions). Sharing across cubes
-// is sound: learnt constraints are consequences of the formula alone —
-// conflict analysis never resolves on assumption pseudo-decisions. The
-// ANSWER is exact at any worker count; only the wall clock moves.
-//
-// Determinism: portfolio_deterministic turns sharing and early exit off.
-// The race still runs all N workers to completion and crowns the
-// lowest-indexed definitive answer; the cube schedule runs one worker in
-// FIFO deal order. Repeated runs reproduce the same result, model and
-// stats (tests rely on this). A 1-worker race runs the master inline with
-// no threads and no sharing — bit-for-bit the sequential engine.
+// Determinism: portfolio_deterministic runs the pool as one worker, with
+// sharing off, in FIFO deal order. Repeated runs reproduce the same
+// result, model and stats (tests rely on this).
 //
 // Fault isolation: every worker runs under an exception barrier. A worker
 // that throws mid-solve (a real bug, resource exhaustion, or the
 // SolverConfig::fault_injection test hook) is marked dead and excluded —
-// the survivors finish and answer (a dead cube worker's in-flight cube is
-// re-dealt so the partition stays covered). If the dead worker is the
-// master, the master is rebuilt from a surviving clone before solve()
-// returns — sound because every clone holds only consequences of the same
-// formula. Injected fault specs are one-shot: after any worker dies the
-// spec is disarmed for later solves. Only when EVERY worker dies does
-// solve() rethrow (the lowest-indexed worker's exception); a 1-worker
-// solve therefore propagates a fault to the caller unchanged.
+// its in-flight cube is re-dealt so the partition stays covered, and the
+// survivors finish and answer. If the dead worker is the master, the
+// master is rebuilt from a surviving clone before solve() returns — sound
+// because every clone holds only consequences of the same formula.
+// Injected fault specs are one-shot: after any worker dies the spec is
+// disarmed for later solves. Only when EVERY worker dies does solve()
+// rethrow (the lowest-indexed worker's exception); a fault during the
+// warmup, before any clone exists, reaches the caller unchanged.
 //
 // Budgets: the pool runs every worker under one child of the caller's
-// budget, whose interrupt() is the first-answer stop (never fired in
-// deterministic mode) and whose children are the cube slices. All limits
-// are global: every worker charges the one chain, so a counted cap bounds
-// the workers' sum (a deterministic race carves each worker 1/N of it).
+// budget, whose interrupt() is the first-answer stop and whose children
+// are the cube slices. All limits are global: every worker charges the
+// one chain, so a counted cap bounds the workers' sum.
 
 #include <cstdint>
 #include <memory>
@@ -88,12 +79,13 @@ namespace symcolor {
 [[nodiscard]] SolverConfig diversify_config(const SolverConfig& base,
                                             int index);
 
-/// SolverEngine that runs a pool of diversified clones of one master
-/// CdclSolver per solve() call, racing them (cube_depth == 0) or dealing
-/// them a cube partition (cube_depth > 0). See the header comment for the
-/// architecture; see make_solver_engine for the usual way to obtain one.
+/// SolverEngine that deals a cube partition of each solve() call to a
+/// pool of diversified clones of one master CdclSolver. See the header
+/// comment for the architecture; see make_solver_engine for the usual way
+/// to obtain one.
 class ParallelSolver final : public SolverEngine {
  public:
+  /// Throws std::invalid_argument when config.cube_depth < 1.
   ParallelSolver(const Formula& formula, SolverConfig config);
 
   bool add_clause(Clause clause) override {
@@ -102,26 +94,25 @@ class ParallelSolver final : public SolverEngine {
   bool add_pb(PbConstraint constraint) override {
     return master_->add_pb(std::move(constraint));
   }
-  /// Solve under one shared budget. Each worker polls the budget's
-  /// asynchronous conditions itself (so interrupt() preempts the whole
-  /// pool, deterministic mode included).
+  /// Solve under one shared budget: warmup, lookahead, then the pool.
+  /// Each worker polls the budget's asynchronous conditions itself (so
+  /// interrupt() preempts the whole pool, deterministic mode included).
   SolveResult solve(const SolveBudget& budget = {},
                     std::span<const Lit> assumptions = {}) override;
   [[nodiscard]] const std::vector<LBool>& model() const noexcept override {
     return model_;
   }
-  /// Failed-assumption core of the last Unsat answer. A race surfaces the
-  /// WINNING worker's core (diversified workers may find different,
-  /// equally valid cores). The cube schedule surfaces the union of the
+  /// Failed-assumption core of the last Unsat answer: the union of the
   /// caller-assumption parts of every refuted cube's core (or a single
-  /// refutation's core when one cube already refutes without its cube
-  /// literals), falling back to the full assumption set when any
-  /// refutation lacked core attribution.
+  /// refutation's core when the warmup or one cube already refutes
+  /// without cube literals), falling back to the full assumption set when
+  /// any refutation lacked core attribution.
   [[nodiscard]] std::span<const Lit> last_core() const noexcept override {
     return core_;
   }
-  /// Stats of the answering worker (the losers' partial work is reported
-  /// through aggregated_stats(), not folded in here).
+  /// Stats of the answering worker, plus the solve's cube counters (the
+  /// other workers' work is reported through aggregated_stats(), not
+  /// folded in here).
   [[nodiscard]] const SolverStats& stats() const noexcept override {
     return stats_;
   }
@@ -153,13 +144,9 @@ class ParallelSolver final : public SolverEngine {
  private:
   /// One solve's workers and their per-worker outcomes (parallel_solver.cpp).
   struct Pool;
-  /// The cube schedule's conquer phase over a Pool (parallel_solver.cpp).
+  /// The conquer phase over a Pool (parallel_solver.cpp).
   struct CubeRun;
 
-  /// The cube schedule: warmup, generation, then the pool on a CubeQueue.
-  SolveResult conquer(const SolveBudget& budget,
-                      std::span<const Lit> assumptions,
-                      const SolverStats& before);
   /// Aggregate the pool's stats, then handle its dead workers: rethrow
   /// when nobody survived, disarm the fault spec, repair the master.
   void settle(Pool& pool, const SolverStats& before);
@@ -183,16 +170,15 @@ class ParallelSolver final : public SolverEngine {
   int last_faults_ = 0;
 };
 
-/// Backend factory the whole pipeline funnels through: a plain CdclSolver
-/// when config.portfolio_threads <= 1 and config.cube_depth == 0 (zero
-/// parallel overhead on the 1-thread path), a ParallelSolver otherwise.
+/// Backend factory the whole pipeline funnels through: a ParallelSolver
+/// when config.portfolio_threads > 1, otherwise a plain CdclSolver (zero
+/// parallel overhead on the 1-thread path).
 [[nodiscard]] std::unique_ptr<SolverEngine> make_solver_engine(
     const Formula& formula, const SolverConfig& config);
 
-/// The ranges every front end bounds its thread count (1..kMaxThreads;
-/// each worker is one std::thread) and cube depth (0..kMaxCubeDepth) to.
-/// Each front end names its own flag or field when a value falls outside.
+/// The range every front end bounds its thread count to (1..kMaxThreads;
+/// each worker is one std::thread). Each front end names its own flag or
+/// field when a value falls outside.
 inline constexpr int kMaxThreads = 64;
-inline constexpr int kMaxCubeDepth = 32;
 
 }  // namespace symcolor

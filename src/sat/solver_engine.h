@@ -12,13 +12,13 @@
 // last_core() is what lets core-guided search lift lower bounds from
 // Unsat answers. The two implementations are
 //   * CdclSolver (sat/cdcl.h) — the sequential CDCL(+PB) engine, and
-//   * ParallelSolver (sat/parallel_solver.h) — N diversified CdclSolver
-//     workers spawned by cloning one master, on threads with core-clause
-//     exchange, either racing on the whole query or conquering a
-//     lookahead cube partition.
+//   * ParallelSolver (sat/parallel_solver.h) — cube-and-conquer: N
+//     diversified CdclSolver workers spawned by cloning one master, on
+//     threads with core-clause exchange, conquering a lookahead cube
+//     partition of each query.
 // make_solver_engine (sat/parallel_solver.h) picks between them from
-// SolverConfig::portfolio_threads and cube_depth, so a knob anywhere in
-// the pipeline swaps the whole backend without the caller changing shape.
+// SolverConfig::portfolio_threads, so one knob anywhere in the pipeline
+// swaps the whole backend without the caller changing shape.
 //
 // Design constraint: the interface is deliberately coarse — one virtual
 // call per solve/add, never per propagation or per conflict. The CDCL hot
@@ -354,8 +354,8 @@ class SolverEngine {
   /// Aggregated view across every worker the engine ran: the field-wise sum
   /// of the master's and all clones' counters, cumulative across solve()
   /// calls. For a sequential engine this IS stats(); the parallel engine
-  /// overrides it so the losers' search — most of the work in a race —
-  /// stays measurable instead of being dropped with the losing workers.
+  /// overrides it so every worker's search — most of the work in a
+  /// parallel solve — stays measurable, not only the answering worker's.
   [[nodiscard]] virtual const SolverStats& aggregated_stats() const noexcept {
     return stats();
   }

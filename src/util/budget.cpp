@@ -28,8 +28,7 @@ std::int64_t SolveBudget::left(
     std::int64_t SolveBudget::*cap,
     std::atomic<std::int64_t> SolveBudget::*spent) const noexcept {
   std::int64_t left = kUncapped;
-  for (const SolveBudget* b = this; b != nullptr;
-       b = b->carved_ ? nullptr : b->parent_) {
+  for (const SolveBudget* b = this; b != nullptr; b = b->parent_) {
     if (b->*cap > 0) left = std::min(left, b->*cap - (b->*spent).load());
   }
   return std::max<std::int64_t>(left, 0);
@@ -49,16 +48,6 @@ double SolveBudget::remaining_seconds() const noexcept {
     if (r < remaining) remaining = r;
   }
   return remaining;
-}
-
-SolveBudget SolveBudget::share(int n) const noexcept {
-  const auto part = [n](std::int64_t left) -> std::int64_t {
-    return left == kUncapped ? 0 : std::max<std::int64_t>(1, left / n);
-  };
-  SolveBudget carved = child(0.0, part(conflicts_left()),
-                             part(propagations_left()));
-  carved.carved_ = true;
-  return carved;
 }
 
 }  // namespace symcolor

@@ -21,9 +21,9 @@
 // Counted caps are a run-wide ledger: the CDCL engine charges what it
 // spends (at its poll cadence and on exit) to its budget and every
 // ancestor, so a cap bounds the sum of all work under it — every probe of
-// a minimize() run, every race worker and cube slice of the parallel
-// engine. The lookahead probes of cube generation (sat/cubes.h) are not
-// charged.
+// a minimize() run, the parallel engine's warmup and every cube slice its
+// workers solve. The lookahead probes of cube generation (sat/cubes.h)
+// are not charged.
 //
 // SolveBudget is non-copyable (it owns atomics and is the identity other
 // threads signal through); pass it by const reference. All mutating entry
@@ -82,7 +82,6 @@ class SolveBudget {
         conflict_cap_(other.conflict_cap_),
         prop_cap_(other.prop_cap_),
         parent_(other.parent_),
-        carved_(other.carved_),
         interrupted_(other.interrupted_.load(std::memory_order_acquire)),
         spent_conflicts_(other.spent_conflicts_.load()),
         spent_propagations_(other.spent_propagations_.load()) {}
@@ -165,13 +164,6 @@ class SolveBudget {
     return SolveBudget(seconds, conflicts, propagations, this);
   }
 
-  /// A child holding 1/n (n >= 1; at least 1) of each counted cap the
-  /// chain has left, standing in for the chain's caps: its counted trips
-  /// depend on its own spend alone, whatever its siblings spend. Its
-  /// charges still reach every ancestor. Carve only from a chain poll()
-  /// passes.
-  [[nodiscard]] SolveBudget share(int n) const noexcept;
-
  private:
   SolveBudget(double seconds, std::int64_t conflicts, std::int64_t propagations,
               const SolveBudget* parent) noexcept
@@ -187,7 +179,6 @@ class SolveBudget {
   std::int64_t conflict_cap_ = 0;
   std::int64_t prop_cap_ = 0;
   const SolveBudget* parent_ = nullptr;
-  bool carved_ = false;  // share(): the counted-cap walk ends here
   mutable std::atomic<bool> interrupted_{false};
   mutable std::atomic<std::int64_t> spent_conflicts_{0};
   mutable std::atomic<std::int64_t> spent_propagations_{0};

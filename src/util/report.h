@@ -26,9 +26,9 @@ inline constexpr int kExitUsage = 3;
 [[nodiscard]] std::string format_solver_line(const SolverStats& stats);
 
 /// "workers: N conflicts, N decisions, N propagations, N exported, N
-/// imported" — the aggregated all-workers view of a parallel solve
-/// (portfolio or cube-and-conquer): the sum over every worker, losers
-/// included, where the `solver:` line shows only the winner.
+/// imported" — the aggregated all-workers view of a parallel
+/// (cube-and-conquer) solve: the sum over every worker, warmup included,
+/// where the `solver:` line shows only the answering worker.
 [[nodiscard]] std::string format_workers_line(const SolverStats& stats);
 
 /// "cubes: N dealt, N refuted, N siblings pruned, N splits" — the

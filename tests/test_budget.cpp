@@ -175,29 +175,6 @@ TEST(SolveBudgetChild, UnlimitedParentPassesChildLimitsThrough) {
   EXPECT_EQ(parent.poll(), BudgetTrip::None);
 }
 
-TEST(SolveBudgetChild, SharesAreCarvedFromTheRemainder) {
-  const SolveBudget parent(0.0, 100, 0);
-  parent.charge(20, 0);
-  const SolveBudget a = parent.share(4);
-  const SolveBudget b = parent.share(4);
-  EXPECT_EQ(a.conflicts_left(), 20);  // 80 left, 1/4 each
-  EXPECT_EQ(a.propagations_left(), SolveBudget::kUncapped);
-  // A share's trips depend on its own spend alone: a sibling overspending
-  // the parent does not cut it short, but its charges reach the parent.
-  b.charge(90, 0);
-  EXPECT_EQ(parent.poll(), BudgetTrip::Conflicts);
-  EXPECT_EQ(a.conflicts_left(), 20);
-  EXPECT_EQ(a.poll(), BudgetTrip::None);
-  a.charge(20, 0);
-  EXPECT_EQ(a.poll(), BudgetTrip::Conflicts);
-  // Interrupts still come from the whole chain.
-  parent.interrupt();
-  EXPECT_EQ(b.poll(), BudgetTrip::Interrupt);
-  // A share of a small remainder rounds down, but never to "uncapped".
-  const SolveBudget small(0.0, 2);
-  EXPECT_EQ(small.share(3).conflicts_left(), 1);
-}
-
 TEST(SolveBudgetChild, WallClockClampedToParentRemaining) {
   const SolveBudget parent(0.001);
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
@@ -302,6 +279,7 @@ TEST(CdclInterrupt, PoolStopDoesNotLeakAcrossSolves) {
   // budget is never interrupted.
   SolverConfig config;
   config.portfolio_threads = 2;
+  config.cube_warmup_conflicts = 0;  // the pool answers, not the warmup
   ParallelSolver solver(pigeonhole_formula(5, 6), config);
   const SolveBudget budget;
   EXPECT_EQ(solver.solve(budget), SolveResult::Sat);
@@ -341,51 +319,22 @@ Formula myciel5_k5() {
       .formula;
 }
 
-SolverConfig parallel_config(int threads, int cube_depth) {
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = threads;
-  config.cube_depth = cube_depth;
-  return config;
-}
-
 TEST(ParallelBudget, PropagationCapBoundsTheWorkersSum) {
-  // Every race worker and every cube slice charges the caller's budget,
-  // so the cap bounds the workers' sum: the run stops on it, well before
-  // the backstop deadline. (Cube lookahead probes are not charged, hence
-  // the factor 2.)
+  // The warmup and every cube slice charge the caller's budget, so the
+  // cap bounds the workers' sum: the run stops on it, well before the
+  // backstop deadline. (Cube lookahead probes are not charged, hence the
+  // factor 2.)
   constexpr std::int64_t kCap = 1000000;
-  for (const int cube_depth : {0, 6}) {
-    ParallelSolver solver(myciel5_k5(), parallel_config(4, cube_depth));
+  for (const int threads : {2, 4}) {
+    SolverConfig config = profile_config(SolverKind::PbsII);
+    config.portfolio_threads = threads;
+    ParallelSolver solver(myciel5_k5(), config);
     const SolveBudget budget(30.0, 0, kCap);
-    EXPECT_EQ(solver.solve(budget), SolveResult::Unknown) << cube_depth;
-    EXPECT_EQ(solver.last_trip(), BudgetTrip::Propagations) << cube_depth;
-    EXPECT_LE(solver.aggregated_stats().propagations, 2 * kCap) << cube_depth;
+    EXPECT_EQ(solver.solve(budget), SolveResult::Unknown) << threads;
+    EXPECT_EQ(solver.last_trip(), BudgetTrip::Propagations) << threads;
+    EXPECT_LE(solver.aggregated_stats().propagations, 2 * kCap) << threads;
+    EXPECT_GT(solver.aggregated_stats().cubes_dealt, 0) << threads;
   }
-}
-
-TEST(ParallelBudget, DeterministicRaceSharesTheConflictCapReproducibly) {
-  // Each worker of a deterministic race holds a quarter of the cap, so
-  // the race spends the cap once, and reruns reproduce every counter.
-  constexpr std::int64_t kCap = 20000;
-  SolverConfig config = parallel_config(4, 0);
-  config.portfolio_deterministic = true;
-  const Formula formula = myciel5_k5();
-  const auto run = [&] {
-    ParallelSolver solver(formula, config);
-    const SolveBudget budget(60.0, kCap);
-    EXPECT_EQ(solver.solve(budget), SolveResult::Unknown);
-    EXPECT_EQ(solver.last_trip(), BudgetTrip::Conflicts);
-    return solver.aggregated_stats();
-  };
-  const SolverStats first = run();
-  const SolverStats second = run();
-  EXPECT_EQ(first.conflicts, second.conflicts);
-  EXPECT_EQ(first.decisions, second.decisions);
-  EXPECT_EQ(first.propagations, second.propagations);
-  EXPECT_EQ(first.restarts, second.restarts);
-  EXPECT_EQ(first.learned_clauses, second.learned_clauses);
-  EXPECT_GE(first.conflicts, kCap - 4);
-  EXPECT_LE(first.conflicts, kCap + 40) << "workers each spent the whole cap";
 }
 
 // ---- optimizer degradation ----

@@ -105,6 +105,18 @@ TEST(ExactColorer, RejectsPresimplify) {
   EXPECT_THROW(solve_k_coloring(g, options), std::invalid_argument);
 }
 
+TEST(ExactColorer, RejectsCubeDepth) {
+  // The parallel engine has one cube depth; the compat field must stay 0.
+  ColoringOptions options;
+  options.max_colors = 6;
+  options.threads = 2;
+  options.cube_depth = 4;
+  const Graph g = make_myciel_dimacs(3);
+  EXPECT_THROW(solve_coloring(g, options), std::invalid_argument);
+  EXPECT_THROW(solve_k_coloring(g, options), std::invalid_argument);
+  EXPECT_THROW(solve_coloring_sat_loop(g, options), std::invalid_argument);
+}
+
 struct PipelineCase {
   int sbp_row;
   bool inst_dep;

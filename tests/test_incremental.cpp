@@ -1,7 +1,7 @@
 // Incremental solving tests: chronological backtracking and repeated
 // assumption solves on one persistent engine. Covers chrono on-vs-off
-// answer agreement across the engine stack (plain / portfolio /
-// cube-and-conquer at 1, 2 and 4 threads) on queen/myciel/random
+// answer agreement across the engine stack (the sequential engine and
+// cube-and-conquer at 2 and 4 threads) on queen/myciel/random
 // instances, assumption ladders, last_core() soundness on a ladder,
 // copying/add_clause()/reconfigure() after an assumption solve, and the
 // exit contract: every solve() returns at decision level 0.
@@ -44,10 +44,13 @@ Formula random_plain(int k, std::uint64_t seed) {
 /// Chronological backtracking on, with the threshold cranked down to 1 so
 /// the tiny test instances actually take chronological backtracks (the
 /// production default of 100 would never fire at these depths); off = 0.
-SolverConfig inc_config(bool on, int threads = 1, int cube_depth = 0) {
+/// More than one thread runs cube-and-conquer on a test-sized partition,
+/// with a warmup short enough that the queries reach the workers.
+SolverConfig inc_config(bool on, int threads = 1) {
   SolverConfig c = profile_config(SolverKind::PbsII);
   c.portfolio_threads = threads;
-  c.cube_depth = cube_depth;
+  c.cube_depth = 2;
+  c.cube_warmup_conflicts = 8;
   c.chrono_threshold = on ? 1 : 0;
   return c;
 }
@@ -96,16 +99,13 @@ std::vector<AgreementCase> agreement_suite() {
   return suite;
 }
 
-void check_agreement(int threads, int cube_depth) {
+void check_agreement(int threads) {
   for (AgreementCase& tc : agreement_suite()) {
-    auto off =
-        make_solver_engine(tc.formula, inc_config(false, threads, cube_depth));
-    auto on =
-        make_solver_engine(tc.formula, inc_config(true, threads, cube_depth));
+    auto off = make_solver_engine(tc.formula, inc_config(false, threads));
+    auto on = make_solver_engine(tc.formula, inc_config(true, threads));
     const SolveResult r_off = off->solve();
     const SolveResult r_on = on->solve();
-    EXPECT_EQ(r_off, r_on) << tc.name << " threads=" << threads
-                           << " cube_depth=" << cube_depth;
+    EXPECT_EQ(r_off, r_on) << tc.name << " threads=" << threads;
     if (tc.expected != SolveResult::Unknown) {
       EXPECT_EQ(r_on, tc.expected) << tc.name;
     }
@@ -116,11 +116,9 @@ void check_agreement(int threads, int cube_depth) {
   }
 }
 
-TEST(IncrementalAgreement, PlainOneThread) { check_agreement(1, 0); }
-TEST(IncrementalAgreement, PortfolioTwoThreads) { check_agreement(2, 0); }
-TEST(IncrementalAgreement, PortfolioFourThreads) { check_agreement(4, 0); }
-TEST(IncrementalAgreement, CubeDepthTwoTwoThreads) { check_agreement(2, 2); }
-TEST(IncrementalAgreement, CubeDepthTwoFourThreads) { check_agreement(4, 2); }
+TEST(IncrementalAgreement, PlainOneThread) { check_agreement(1); }
+TEST(IncrementalAgreement, CubesTwoThreads) { check_agreement(2); }
+TEST(IncrementalAgreement, CubesFourThreads) { check_agreement(4); }
 
 // Chronological backtracking must actually FIRE on the instances the
 // matrix runs, or the agreement above proves nothing about its code path.

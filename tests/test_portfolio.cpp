@@ -1,9 +1,9 @@
-// Parallel engine / SolverEngine tests: clone equivalence,
-// deterministic-mode reproducibility, core-clause import soundness on the
+// Parallel engine / SolverEngine tests: clone equivalence, the warmup
+// answering as the sequential engine, core-clause import soundness on the
 // queen/myciel suite, 2-vs-1-thread agreement across the SAT-loop and PB
-// optimizer paths, restart blocking, the conflict-interval reduce
-// schedule, per-worker seed mixing, and a randomized differential test of
-// both schedules against the sequential engine.
+// optimizer paths, per-worker seed mixing, master-fault recovery and
+// poisoned imports, and a randomized differential test of the cube
+// schedule at 1 to 5 workers against the sequential engine.
 
 #include <gtest/gtest.h>
 
@@ -59,6 +59,24 @@ Formula queen5_formula(int k) {
   return encode_k_coloring(g, k, SbpOptions::nu_sc()).formula;
 }
 
+/// queen5 coloring CNF without SBPs: dozens of conflicts for the master
+/// (34 UNSAT at k=4, 28 SAT at k=5), where nu+sc collapses the instances
+/// to ~3 conflicts, inside any warmup.
+Formula queen5_plain_formula(int k) {
+  const Graph g = make_queen_graph(5, 5);
+  return encode_k_coloring(g, k, SbpOptions::none()).formula;
+}
+
+/// A parallel configuration whose warmup is short enough that the test
+/// instances reach the worker pool, and whose partition is test-sized.
+SolverConfig pool_config(int threads) {
+  SolverConfig config = profile_config(SolverKind::PbsII);
+  config.portfolio_threads = threads;
+  config.cube_depth = 3;
+  config.cube_warmup_conflicts = 2;
+  return config;
+}
+
 // ---- SolverEngine interface ----
 
 TEST(SolverEngineIface, FactoryPicksBackendByThreadCount) {
@@ -68,6 +86,8 @@ TEST(SolverEngineIface, FactoryPicksBackendByThreadCount) {
     SolverConfig config = profile_config(SolverKind::PbsII);
     config.portfolio_threads = threads;
     const std::unique_ptr<SolverEngine> a = make_solver_engine(sat, config);
+    // More than one thread, and nothing else, selects the parallel engine.
+    EXPECT_EQ(dynamic_cast<ParallelSolver*>(a.get()) != nullptr, threads > 1);
     EXPECT_EQ(a->solve(), SolveResult::Sat) << threads << " threads";
     EXPECT_TRUE(sat.satisfied_by(a->model()));
     const std::unique_ptr<SolverEngine> b = make_solver_engine(unsat, config);
@@ -120,48 +140,42 @@ TEST(SolverClone, MidSearchCloneCarriesLearnedState) {
 
 // ---- portfolio determinism and soundness ----
 
-TEST(Portfolio, DeterministicModeIsReproducible) {
+TEST(Portfolio, WarmupAnswerIsTheSequentialEngines) {
+  // A query the master's warmup answers never reaches the pool: the
+  // master runs the base configuration, so the answer, model and counters
+  // are the sequential engine's.
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.portfolio_threads = 4;
-  config.portfolio_deterministic = true;
   const Formula f = queen5_formula(5);
-
-  ParallelSolver a(f, config);
-  ParallelSolver b(f, config);
-  ASSERT_EQ(a.solve(), SolveResult::Sat);
-  ASSERT_EQ(b.solve(), SolveResult::Sat);
-  EXPECT_EQ(a.model(), b.model());
-  EXPECT_EQ(a.last_winner(), b.last_winner());
-
-  // The deterministic winner is the lowest-indexed definitive worker —
-  // the master — so the surfaced model matches the sequential engine's.
-  SolverConfig sequential = config;
-  sequential.portfolio_threads = 1;
-  CdclSolver reference(f, sequential);
+  ParallelSolver solver(f, config);
+  CdclSolver reference(f, profile_config(SolverKind::PbsII));
+  ASSERT_EQ(solver.solve(), SolveResult::Sat);
   ASSERT_EQ(reference.solve(), SolveResult::Sat);
-  EXPECT_EQ(a.last_winner(), 0);
-  EXPECT_EQ(a.model(), reference.model());
+  EXPECT_EQ(solver.last_winner(), 0);
+  EXPECT_EQ(solver.model(), reference.model());
+  EXPECT_EQ(solver.stats().conflicts, reference.stats().conflicts);
+  EXPECT_EQ(solver.stats().cubes_dealt, 0);
 }
 
 TEST(Portfolio, ImportSoundnessOnQueenMycielSuite) {
-  // Racing mode with clause sharing on: imported core clauses must never
+  // Cube workers with clause sharing on: imported core clauses must never
   // flip a SAT/UNSAT answer. chi(queen5) = 5, chi(myciel3) = 4.
   struct Case {
     Formula formula;
     SolveResult expected;
   };
   std::vector<Case> cases;
-  cases.push_back({queen5_formula(4), SolveResult::Unsat});
-  cases.push_back({queen5_formula(5), SolveResult::Sat});
+  cases.push_back({queen5_plain_formula(4), SolveResult::Unsat});
+  cases.push_back({queen5_plain_formula(5), SolveResult::Sat});
   const Graph myciel = make_myciel_dimacs(3);
-  cases.push_back({encode_k_coloring(myciel, 3, SbpOptions::nu_sc()).formula,
+  cases.push_back({encode_k_coloring(myciel, 3, SbpOptions::none()).formula,
                    SolveResult::Unsat});
-  cases.push_back({encode_k_coloring(myciel, 4, SbpOptions::nu_sc()).formula,
+  cases.push_back({encode_k_coloring(myciel, 4, SbpOptions::none()).formula,
                    SolveResult::Sat});
 
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 4;
+  SolverConfig config = pool_config(4);
   config.share_max_lbd = 3;  // share a little more than the default glue
+  std::int64_t dealt = 0;
   for (const Case& c : cases) {
     for (int round = 0; round < 3; ++round) {  // vary thread interleaving
       ParallelSolver solver(c.formula, config);
@@ -169,8 +183,10 @@ TEST(Portfolio, ImportSoundnessOnQueenMycielSuite) {
       if (c.expected == SolveResult::Sat) {
         EXPECT_TRUE(c.formula.satisfied_by(solver.model()));
       }
+      dealt += solver.stats().cubes_dealt;
     }
   }
+  EXPECT_GT(dealt, 0) << "no query reached the worker pool";
 }
 
 TEST(Portfolio, IncrementalModelEnumerationMatchesSequential) {
@@ -206,14 +222,13 @@ TEST(Portfolio, IncrementalModelEnumerationMatchesSequential) {
 // ---- 2-vs-1-thread agreement across the call layers ----
 
 TEST(Portfolio, SatLoopAgreesAcrossThreadCounts) {
-  // ColoringOptions::threads is the SAT loop's one thread knob; 1 vs 2
-  // threads must agree on the optimum under every search strategy, both
-  // racing full copies (CLI --satloop --threads 2) and under the cube
-  // schedule (--threads 2 --cube-depth 2). myciel3 leaves a gap between
-  // its clique (2) and DSATUR bounds, so every row makes SAT calls.
+  // ColoringOptions::threads is the SAT loop's one thread knob (CLI
+  // --satloop --threads 2); 1 vs 2 threads must agree on the optimum
+  // under every search strategy. myciel3 leaves a gap between its clique
+  // (2) and DSATUR bounds, so every row makes SAT calls.
   const Graph g = make_myciel_dimacs(3);
-  // On myciel3 every query ends inside the cube schedule's default warmup,
-  // so the cube row runs on myciel5 (chi 6), which deals cubes.
+  // On myciel3 every query ends inside the default warmup, so a second
+  // 2-thread row runs on myciel5 (chi 6), which deals cubes.
   const Graph cube_graph = make_myciel_dimacs(5);
   for (const SearchStrategy strategy :
        {SearchStrategy::Linear, SearchStrategy::Binary,
@@ -226,17 +241,15 @@ TEST(Portfolio, SatLoopAgreesAcrossThreadCounts) {
     EXPECT_EQ(r1.num_colors, 4) << name;
     EXPECT_GT(r1.sat_calls, 0) << name;
 
-    ColoringOptions race = one;
-    race.threads = 2;
-    const ColoringOutcome r2 = solve_coloring_sat_loop(g, race);
+    ColoringOptions two = one;
+    two.threads = 2;
+    const ColoringOutcome r2 = solve_coloring_sat_loop(g, two);
     ASSERT_EQ(r2.status, OptStatus::Optimal) << name;
     EXPECT_EQ(r2.num_colors, r1.num_colors) << name;
     EXPECT_TRUE(g.is_proper_coloring(r2.coloring)) << name;
     EXPECT_GT(r2.sat_calls, 0) << name;
 
-    ColoringOptions cubes = race;
-    cubes.cube_depth = 2;
-    const ColoringOutcome rc = solve_coloring_sat_loop(cube_graph, cubes);
+    const ColoringOutcome rc = solve_coloring_sat_loop(cube_graph, two);
     ASSERT_EQ(rc.status, OptStatus::Optimal) << name;
     EXPECT_EQ(rc.num_colors, 6) << name;
     EXPECT_TRUE(cube_graph.is_proper_coloring(rc.coloring)) << name;
@@ -302,7 +315,7 @@ TEST(WorkerSeeds, DiversifiedConfigsReseedAndVary) {
   // The four personalities cover distinct restart/phase/reduce policies,
   // and PB analysis is a diversification axis: worker 1 always runs
   // native cutting planes, worker 2 always runs clause weakening, so both
-  // modes race regardless of the base profile.
+  // modes run regardless of the base profile.
   const SolverConfig w1 = diversify_config(base, 1);
   EXPECT_EQ(w1.restart_scheme, RestartScheme::Luby);
   EXPECT_EQ(w1.restart_base, 512);
@@ -461,7 +474,7 @@ TEST(PbShare, ForeignRowFalsifiedAtRootDerivesUnsat) {
 
 TEST(PbShare, CuttingPlanesWorkerExportsLearnedRows) {
   // A solo cutting-planes solver on a PB pigeonhole publishes qualifying
-  // learned rows at learn time (exports do not depend on a race).
+  // learned rows at learn time (exports do not depend on a pool).
   Formula f;
   std::vector<std::vector<Var>> in(7);
   for (int p = 0; p < 7; ++p) {
@@ -505,128 +518,71 @@ TEST(PbShare, CuttingPlanesWorkerExportsLearnedRows) {
   EXPECT_GT(importer.stats().imported_pbs, 0);
 }
 
-TEST(PbShare, PortfolioRaceWithPbTrafficStaysSound) {
-  // End-to-end: PB-heavy queen encodings raced at 4 threads (worker 1
+TEST(PbShare, CubeWorkersWithPbTrafficStaySound) {
+  // End-to-end: queen encodings conquered by 4 cube workers (worker 1
   // always runs cutting planes, so the PB lane sees traffic when rows
   // qualify) never flip an answer, across interleavings.
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 4;
+  SolverConfig config = pool_config(4);
   config.share_max_lbd = 4;
   for (int round = 0; round < 3; ++round) {
-    ParallelSolver unsat(queen5_formula(4), config);
+    ParallelSolver unsat(queen5_plain_formula(4), config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << "round " << round;
-    ParallelSolver sat(queen5_formula(5), config);
+    EXPECT_GT(unsat.stats().cubes_dealt, 0) << "round " << round;
+    ParallelSolver sat(queen5_plain_formula(5), config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << "round " << round;
   }
 }
 
-TEST(ClauseImport, PortfolioRaceSurvivesDegenerateImports) {
-  // End-to-end regression: racing workers with sharing enabled on
+TEST(ClauseImport, CubeWorkersSurviveDegenerateImports) {
+  // End-to-end regression: cube workers with sharing enabled on
   // instances whose imports can simplify to units (myciel3 at its
   // chromatic boundary) must never flip an answer or trip the
   // disagreement check, across several interleavings.
   const Graph myciel = make_myciel_dimacs(3);
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 4;
+  SolverConfig config = pool_config(4);
   config.share_max_lbd = 4;  // admit enough traffic to exercise the path
   for (int round = 0; round < 3; ++round) {
     ParallelSolver unsat(
-        encode_k_coloring(myciel, 3, SbpOptions::nu_sc()).formula, config);
+        encode_k_coloring(myciel, 3, SbpOptions::none()).formula, config);
     EXPECT_EQ(unsat.solve(), SolveResult::Unsat) << "round " << round;
     ParallelSolver sat(
-        encode_k_coloring(myciel, 4, SbpOptions::nu_sc()).formula, config);
+        encode_k_coloring(myciel, 4, SbpOptions::none()).formula, config);
     EXPECT_EQ(sat.solve(), SolveResult::Sat) << "round " << round;
   }
 }
 
 // ---- fault-isolated workers ----
-
-/// queen5 coloring CNF without SBPs: dozens of conflicts for the master
-/// (34 UNSAT at k=4, 28 SAT at k=5), and every diversified personality is
-/// guaranteed at least one conflict — so a throw-after-1-conflict fault
-/// spec fires deterministically on whichever worker carries it. (The
-/// SBP-laden encodings are useless here: nu+sc collapses these instances
-/// to ~3 conflicts, below any useful fault threshold.)
-Formula queen5_plain_formula(int k) {
-  const Graph g = make_queen_graph(5, 5);
-  return encode_k_coloring(g, k, SbpOptions::none()).formula;
-}
-
-TEST(PortfolioFaults, FaultyWorkerStillAnswers) {
-  // Worker 1 is armed to die at its first conflict; the survivors must
-  // still deliver the correct definitive answer, at every thread count
-  // and in both scheduling modes. In deterministic mode every worker runs
-  // to completion, so the fault ALWAYS fires (exactly one death); in race
-  // mode a fast winner may early-exit worker 1 before its first conflict,
-  // so the death toll is 0 or 1 — never more, and never a wrong answer.
-  for (const int threads : {1, 2, 4}) {
-    for (const bool deterministic : {false, true}) {
-      SolverConfig config = profile_config(SolverKind::PbsII);
-      config.portfolio_threads = threads;
-      config.portfolio_deterministic = deterministic;
-      config.fault_injection.worker = 1;
-      config.fault_injection.throw_after_conflicts = 1;
-      // threads == 1 has no worker 1: the spec is inert there.
-      const int min_faults = (threads > 1 && deterministic) ? 1 : 0;
-      const int max_faults = threads > 1 ? 1 : 0;
-
-      ParallelSolver sat(queen5_plain_formula(5), config);
-      EXPECT_EQ(sat.solve(), SolveResult::Sat)
-          << threads << " threads, deterministic=" << deterministic;
-      EXPECT_GE(sat.last_fault_count(), min_faults);
-      EXPECT_LE(sat.last_fault_count(), max_faults);
-
-      ParallelSolver unsat(queen5_plain_formula(4), config);
-      EXPECT_EQ(unsat.solve(), SolveResult::Unsat)
-          << threads << " threads, deterministic=" << deterministic;
-      EXPECT_GE(unsat.last_fault_count(), min_faults);
-      EXPECT_LE(unsat.last_fault_count(), max_faults);
-    }
-  }
-}
+// (A dead clone, every worker dead and a preset interrupt are covered in
+// test_cubes.cpp.)
 
 TEST(PortfolioFaults, MasterFaultRecoversAndNextSolveIsHealthy) {
-  // Worker 0 (the master itself) dies; a surviving clone answers, the
-  // master is rebuilt from it, and — fault specs being one-shot — a
-  // second solve on the same engine runs fault-free. Deterministic mode
-  // turns early exit off, so the master always reaches its first conflict
-  // and the fault fires; in a race the clone could answer first.
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 2;
-  config.portfolio_deterministic = true;
+  // Worker 0 (the master itself) dies at its first conflict in the pool;
+  // a surviving clone answers, the master is rebuilt from it, and — fault
+  // specs being one-shot — a second solve on the same engine runs
+  // fault-free. With no warmup the master's first conflict falls in its
+  // first cube, and php(8,7) (thousands of conflicts) leaves cubes for
+  // the master whatever the clone does.
+  SolverConfig config = pool_config(2);
+  config.cube_warmup_conflicts = 0;
   config.fault_injection.worker = 0;
   config.fault_injection.throw_after_conflicts = 1;
 
-  ParallelSolver solver(queen5_plain_formula(4), config);
+  ParallelSolver solver(pigeonhole_formula(8, 7), config);
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_EQ(solver.last_fault_count(), 1);
   EXPECT_EQ(solver.solve(), SolveResult::Unsat);
   EXPECT_EQ(solver.last_fault_count(), 0);
 }
 
-TEST(PortfolioFaults, AllWorkersDeadRethrows) {
-  // worker < 0 arms the fault on every worker: with nobody left to
-  // answer, the portfolio must surface the failure, not fabricate a
-  // result.
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 2;
-  config.fault_injection.worker = -1;
-  config.fault_injection.throw_after_conflicts = 1;
-
-  ParallelSolver solver(queen5_plain_formula(4), config);
-  EXPECT_THROW(solver.solve(), std::runtime_error);
-}
-
 TEST(PortfolioFaults, PoisonedImportIsolatedToItsWorker) {
   // A worker whose import path throws (poisoned exchange payload) dies at
-  // its first drain; the exchange keeps serving the survivors and the
-  // race still concludes correctly. A worker that starts after the race
-  // is won stops at its entry poll, before any drain, so the instances
-  // keep the master busy for about a thousand conflicts or more (queen7
-  // at k=7 is SAT, myciel4 at k=4 UNSAT, both without SBPs): far longer
-  // than it takes worker 1 to start.
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 2;
+  // the solve() entry of its first cube; the exchange keeps serving the
+  // survivors and the pool still concludes correctly. Refuting php(8,7)
+  // takes every cube and thousands of conflicts, far longer than worker
+  // 1 takes to start; on queen7 at k=7 (SAT, no SBPs) the master may find
+  // a model first.
+  SolverConfig config = pool_config(2);
+  config.cube_warmup_conflicts = 0;
   config.fault_injection.worker = 1;
   config.fault_injection.poison_import = true;
 
@@ -635,19 +591,17 @@ TEST(PortfolioFaults, PoisonedImportIsolatedToItsWorker) {
           .formula;
   ParallelSolver sat(sat_formula, config);
   EXPECT_EQ(sat.solve(), SolveResult::Sat);
-  EXPECT_EQ(sat.last_fault_count(), 1);
+  EXPECT_TRUE(sat_formula.satisfied_by(sat.model()));
+  EXPECT_LE(sat.last_fault_count(), 1);
 
-  const Formula unsat_formula =
-      encode_k_coloring(make_myciel_dimacs(4), 4, SbpOptions::none())
-          .formula;
-  ParallelSolver unsat(unsat_formula, config);
+  ParallelSolver unsat(pigeonhole_formula(8, 7), config);
   EXPECT_EQ(unsat.solve(), SolveResult::Unsat);
   EXPECT_EQ(unsat.last_fault_count(), 1);
 }
 
 TEST(PortfolioFaults, SingleThreadFaultPropagates) {
   // With one worker there is nobody to hide behind: the fault reaches
-  // the caller (worker 0 == the sequential master).
+  // the caller (worker 0 == the master, dying in its warmup).
   SolverConfig config = profile_config(SolverKind::PbsII);
   config.portfolio_threads = 1;
   config.fault_injection.worker = 0;
@@ -657,26 +611,7 @@ TEST(PortfolioFaults, SingleThreadFaultPropagates) {
   EXPECT_THROW(solver.solve(), std::runtime_error);
 }
 
-TEST(PortfolioFaults, PresetInterruptReturnsUnknownWithTrip) {
-  // An interrupt raised before the race starts preempts every worker:
-  // the portfolio reports Unknown and surfaces the Interrupt trip.
-  SolverConfig config = profile_config(SolverKind::PbsII);
-  config.portfolio_threads = 2;
-  // Hard enough that the first poll-cadence check fires long before any
-  // worker could finish, small enough that the re-armed solve is quick.
-  const Formula f = pigeonhole_formula(8, 7);
-  ParallelSolver solver(f, config);
-  SolveBudget budget;
-  budget.interrupt();
-  EXPECT_EQ(solver.solve(budget), SolveResult::Unknown);
-  EXPECT_EQ(solver.last_trip(), BudgetTrip::Interrupt);
-  // Re-armed, the same engine solves to completion.
-  budget.clear_interrupt();
-  EXPECT_EQ(solver.solve(budget), SolveResult::Unsat);
-  EXPECT_EQ(solver.last_trip(), BudgetTrip::None);
-}
-
-// ---- differential: both schedules vs the sequential engine ----
+// ---- differential: the cube schedule vs the sequential engine ----
 
 /// Random 3-CNF near the satisfiability threshold plus a few weighted
 /// at-most rows, so both answers and both propagation kinds show up.
@@ -703,7 +638,7 @@ Formula random_cnf_pb(Rng& rng, int vars) {
   return f;
 }
 
-TEST(ParallelDifferential, SchedulesAgreeWithSequentialUnderAssumptions) {
+TEST(ParallelDifferential, WorkerCountsAgreeWithSequentialUnderAssumptions) {
   Rng rng(0xD1FFu);
   int sat = 0;
   int unsat_with_core = 0;
@@ -722,7 +657,7 @@ TEST(ParallelDifferential, SchedulesAgreeWithSequentialUnderAssumptions) {
     const SolveResult expected = reference.solve({}, assumptions);
     ASSERT_NE(expected, SolveResult::Unknown);
 
-    for (const int depth : {0, 1, 2, 3}) {
+    for (const int depth : {1, 2, 3}) {
       for (const int workers : {1, 2, 4, 5}) {
         for (const bool deterministic : {false, true}) {
           SolverConfig config = base;

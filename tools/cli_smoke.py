@@ -9,8 +9,10 @@ to a default or ignore the flag). Short solves pin the answer line and
 the exit-code convention (0 optimal, 2 budget stop) on both pipelines
 and under every --satloop search strategy, --satloop --stats must print
 the same `solver:` line as the native pipeline, and a propagation cap on
-a cube-and-conquer run must stop it on the cap. A generator that fails
-verification is reported on the `symmetries:` line, not on stderr.
+a --threads 2 (cube-and-conquer) run must stop it on the cap, whose
+--stats print the all-workers `workers:` line and the `cubes:` line. A
+generator that fails verification is reported on the `symmetries:` line,
+not on stderr.
 """
 
 import os
@@ -43,10 +45,11 @@ def main():
 
     for bad in (["-k", "0"], ["-k", "abc"], ["--threads", "2x"],
                 ["--timeout", "abc"],
-                # Every front end bounds the thread count and cube depth
-                # (1..64, 0..32), since each worker is a thread.
+                # Every front end bounds the thread count (1..64), since
+                # each worker is a thread.
                 ["--threads", "0"], ["--threads", "65"],
-                ["--cube-depth", "-1"], ["--cube-depth", "33"],
+                # The parallel engine has one cube depth.
+                ["--cube-depth", "4"],
                 # The pipeline has no pre-solve simplifier.
                 ["--simplify"],
                 # --satloop rejects the flags only the native pipeline
@@ -77,14 +80,12 @@ def main():
          EXIT_STOPPED, "stopped (conflicts)"),
         # A counted cap bounds the sum over all cube workers, not each
         # cube slice: the run stops on it long before the deadline. The
-        # second cap outlasts the cube schedule's warmup solve.
+        # second cap outlasts the warmup solve.
         (["--instance", "myciel5", "-k", "5", "--decision", "--sbp", "nu",
-          "--threads", "2", "--cube-depth", "4", "--prop-budget", "200000",
-          "--timeout", "20"],
+          "--threads", "2", "--prop-budget", "200000", "--timeout", "20"],
          EXIT_STOPPED, "stopped (propagations)"),
         (["--instance", "myciel5", "-k", "5", "--decision", "--sbp", "nu",
-          "--threads", "2", "--cube-depth", "4", "--prop-budget", "1000000",
-          "--timeout", "20"],
+          "--threads", "2", "--prop-budget", "1000000", "--timeout", "20"],
          EXIT_STOPPED, "stopped (propagations)"),
     ]
     for args, want_code, want_text in solves:
@@ -93,6 +94,17 @@ def main():
               f"{' '.join(args)} must exit {want_code}, got {code}")
         check(want_text in out,
               f"{' '.join(args)} must print '{want_text}', got: {out}")
+
+    # Past the warmup, a parallel run's --stats add the all-workers sum
+    # and the cube schedule's counters to the answering worker's line.
+    args = ["--instance", "myciel5", "-k", "5", "--decision", "--sbp", "nu",
+            "--threads", "2", "--prop-budget", "1000000", "--timeout", "20",
+            "--stats"]
+    code, out, _ = run(cli, *args)
+    check(code == EXIT_STOPPED, f"{' '.join(args)} must exit 2, got {code}")
+    for line in ("solver: ", "workers: ", "cubes: "):
+        check(f"\n{line}" in f"\n{out}",
+              f"{' '.join(args)} must print a '{line}' line, got: {out}")
 
     # A one-vertex graph at K = 1 has a formula-graph automorphism with no
     # consistent literal map; the library counts it and stays silent.

@@ -5,10 +5,11 @@ Usage: serve_smoke.py <path-to-symcolor_serve> <path-to-symcolor_cli>
 
 Run 1 drives a scripted batch over a deliberately small pool
 (--workers 1 --queue 1): a SAT solve, an UNSAT solve, requests whose
-`search`, `threads`, `cube_depth`, `k` or `sbp` is out of range or of
-the wrong type, or that carry a key outside their kind's list (a field
-of the other kind, or an unknown one), and must fail,
-an over-budget solve that must degrade, a
+`search`, `threads`, `k` or `sbp` is out of range or of the wrong type,
+or that carry a key outside their kind's list (a field of the other
+kind, or an unknown one such as the retired `cube_depth`), and must
+fail, a coloring request at `threads` 2 that must answer the same chi as
+at 1 thread, an over-budget solve that must degrade, a
 mid-flight cancellation, an overload burst where the newest requests are
 shed with retry hints, a stats probe, and a clean quit — asserting every
 submitted request reaches exactly one well-formed terminal response and
@@ -154,9 +155,6 @@ def run_batch(binary):
                               ("big_threads", "threads", 65),
                               ("huge_threads", "threads", 1e300),
                               ("str_threads", "threads", "4"),
-                              ("bad_cube", "cube_depth", 99),
-                              ("big_cube", "cube_depth", 33),
-                              ("neg_cube", "cube_depth", -1),
                               ("zero_k", "k", 0),
                               ("wrapped_k", "k", 4294967301),
                               ("frac_k", "k", 5.5),
@@ -170,18 +168,36 @@ def run_batch(binary):
               f"{field}={value!r} error must name the field: {r}")
     # A key outside the request kind's list fails the request too, instead
     # of being dropped: clauses beside an instance, a K on a clause
-    # request, a field serve does not have, a misspelling.
+    # request, a field serve does not have, a misspelling, and the cube
+    # depth, which the parallel engine fixes for both kinds.
     for rid, field, body in (("mixed", "vars", {"instance": "queen5_5",
                                                 **php(3, 4)}),
                              ("clause_k", "k", {"k": 5, **php(3, 4)}),
                              ("chrono", "chrono", {"instance": "myciel4",
                                                    "chrono": 5}),
-                             ("typo", "theads", {"theads": 4, **php(3, 4)})):
+                             ("typo", "theads", {"theads": 4, **php(3, 4)}),
+                             ("cube_clause", "cube_depth",
+                              {"cube_depth": 6, **php(3, 4)}),
+                             ("cube_coloring", "cube_depth",
+                              {"instance": "queen5_5", "cube_depth": 6})):
         srv.send({"op": "solve", "id": rid, **body})
         r = srv.result_of(rid)
         check(r["outcome"] == "failed", f"{rid} must fail: {r}")
         check(f'"{field}"' in r.get("error", ""),
               f"{rid} error must name \"{field}\": {r}")
+
+    # 1c. More than one thread runs cube-and-conquer, whose answer is the
+    #     sequential engine's: queen6_6 under the SAT loop proves chi = 7
+    #     at 1 and at 2 threads.
+    chi = {}
+    for threads in (1, 2):
+        rid = f"threads{threads}"
+        srv.send({"op": "solve", "id": rid, "instance": "queen6_6",
+                  "satloop": True, "threads": threads})
+        r = srv.result_of(rid)
+        check(r["outcome"] == "sat", f"{rid} must prove chi: {r}")
+        chi[threads] = r["colors"]
+    check(chi[1] == chi[2] == 7, f"chi at 1 and 2 threads: {chi}")
 
     # 2. Over-budget request degrades gracefully with the trip recorded.
     srv.send({"op": "solve", "id": "capped", "conflicts": 50, **slow})

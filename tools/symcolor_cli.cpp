@@ -13,13 +13,9 @@
 //                   (strengthen from above), binary (bisect), or core
 //                   (UNSAT-core lower-bound lifting); default linear.
 //                   Both the native PB and --satloop pipelines run it
-//   --threads <n>   racing portfolio workers per CDCL solve, 1..64
-//                   (default 1; the answer is identical at any thread
-//                   count)
-//   --cube-depth <n> cube-and-conquer: split the search space into
-//                   assumption cubes of up to depth n (0..32) and deal
-//                   them to --threads workers (default 0 = race full
-//                   copies)
+//   --threads <n>   cube-and-conquer workers per CDCL solve, 1..64
+//                   (default 1 = the sequential engine; the answer is
+//                   identical at any thread count)
 //   --chrono <n>    chronological-backtracking threshold: backjumps
 //                   longer than n levels undo only the conflicting level
 //                   (0 = always full backjump; default is the solver
@@ -28,8 +24,8 @@
 //   --decision      K-colorability query instead of minimization
 //   --satloop       pure-CNF SAT-loop pipeline instead of native PB: one
 //                   persistent CNF engine answers every K-query. Takes
-//                   --sbp, --search, --threads, --cube-depth, --chrono and
-//                   the resource-control flags; -k, --decision, --shatter,
+//                   --sbp, --search, --threads, --chrono and the
+//                   resource-control flags; -k, --decision, --shatter,
 //                   --solver and --opb are usage errors with it
 //   --opb <file>    dump the encoded 0-1 ILP instance as OPB and exit
 //   --stats         print symmetry/solver statistics
@@ -83,16 +79,14 @@ void usage() {
   std::fprintf(stderr,
                "usage: symcolor_cli [-k K] [--sbp row] [--shatter] "
                "[--solver s] [--search linear|binary|core]\n"
-               "                    [--threads n] [--cube-depth n] "
-               "[--chrono n]\n"
+               "                    [--threads n] [--chrono n]\n"
                "                    [--decision] [--satloop] [--opb file] "
                "[--stats]\n"
                "                    (<graph.col> | --instance <name>)\n"
-               "--satloop takes --sbp, --search, --threads, --cube-depth, "
-               "--chrono and the\n"
-               "                    resource-control flags, not -k, "
-               "--decision, --shatter,\n"
-               "                    --solver or --opb\n"
+               "--satloop takes --sbp, --search, --threads, --chrono and "
+               "the resource-control\n"
+               "                    flags, not -k, --decision, --shatter, "
+               "--solver or --opb\n"
                "resource control (<= 0 = unlimited; Ctrl-C interrupts and "
                "reports best-so-far):\n"
                "                    [--timeout sec] [--conflict-budget n] "
@@ -108,7 +102,6 @@ int main(int argc, char** argv) {
   SolverKind solver = SolverKind::PbsII;
   SearchStrategy search = SearchStrategy::Linear;
   int threads = 1;
-  int cube_depth = 0;
   long long chrono = -1;  // < 0 = keep the solver profile's default
   double timeout = 0.0;
   long long conflict_budget = 0;
@@ -160,14 +153,6 @@ int main(int argc, char** argv) {
         return kExitUsage;
       }
       threads = *v;
-    } else if (arg == "--cube-depth") {
-      const auto v = parse_number<int>(next(), 0);
-      if (!v || *v > kMaxCubeDepth) {
-        std::fprintf(stderr, "--cube-depth takes 0..%d\n", kMaxCubeDepth);
-        usage();
-        return kExitUsage;
-      }
-      cube_depth = *v;
     } else if (arg == "--chrono") {
       const auto v = parse_number<long long>(next(), 0);
       if (!v) { usage(); return kExitUsage; }
@@ -272,7 +257,6 @@ int main(int argc, char** argv) {
   options.solver = solver;
   options.search = search;
   options.threads = threads;
-  options.cube_depth = cube_depth;
   options.chrono_threshold = chrono;
   options.budget = &run_budget;
   const ColoringOutcome r = satloop    ? solve_coloring_sat_loop(graph, options)
@@ -304,8 +288,8 @@ int main(int argc, char** argv) {
     std::printf("%s\n", format_solver_line(r.solver_stats).c_str());
     if (r.solver_stats_all.conflicts != r.solver_stats.conflicts ||
         r.solver_stats_all.propagations != r.solver_stats.propagations) {
-      // Parallel run: the winner line above hides the losers' work, so
-      // surface the all-workers sum too.
+      // Parallel run: the answering worker's line above hides the other
+      // workers' work, so surface the all-workers sum too.
       std::printf("%s\n", format_workers_line(r.solver_stats_all).c_str());
     }
     if (r.solver_stats_all.cubes_dealt > 0) {

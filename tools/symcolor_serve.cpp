@@ -24,10 +24,10 @@
 // A coloring request (`instance`, a built-in suite member) runs through
 // the CLI's driver (coloring/exact_colorer.h) and takes the CLI's options
 // under their names, values and defaults: `k` (1..256, 20), `decision`,
-// `satloop` (not both), `sbp`, `shatter`, `solver`, `search`, `threads`
-// (1..64) and `cube_depth` (0..32). A clause request (`vars`, `clauses`
-// as DIMACS literal arrays) runs one engine and takes `threads`,
-// `cube_depth` and the fault hook `fault_conflicts` (throw after N
+// `satloop` (not both), `sbp`, `shatter`, `solver`, `search` and
+// `threads` (1..64; more than 1 runs cube-and-conquer). A clause request
+// (`vars`, `clauses` as DIMACS literal arrays) runs one engine and takes
+// `threads` and the fault hook `fault_conflicts` (throw after N
 // conflicts: outcome "failed"). Both take `timeout`/`conflicts`/`props`.
 // A mistyped, non-integral or out-of-range field, or a key outside its
 // request kind's list (a misspelling, or a field of the other kind),
@@ -314,16 +314,14 @@ void handle_solve(SolveService& service, const Json& msg,
   SolveRequest request;
   const auto threads =
       static_cast<int>(fields.integer("threads", 1, 1, kMaxThreads));
-  const auto cube_depth =
-      static_cast<int>(fields.integer("cube_depth", 0, 0, kMaxCubeDepth));
   request.timeout_seconds = fields.number("timeout", 0.0);
   request.conflict_budget = fields.integer("conflicts", 0);
   request.prop_budget = fields.integer("props", 0);
 
   if (const Json* instance = msg.find("instance")) {
-    fields.only({"op", "id", "threads", "cube_depth", "timeout", "conflicts",
-                 "props", "instance", "k", "decision", "satloop", "sbp",
-                 "shatter", "solver", "search"},
+    fields.only({"op", "id", "threads", "timeout", "conflicts", "props",
+                 "instance", "k", "decision", "satloop", "sbp", "shatter",
+                 "solver", "search"},
                 "a coloring request");
     ColoringOptions& options = request.options;
     options.max_colors = static_cast<int>(fields.integer("k", 20, 1, 256));
@@ -338,20 +336,18 @@ void handle_solve(SolveService& service, const Json& msg,
     options.search = fields.named("search", "linear", parse_search,
                                   "must be linear|binary|core");
     options.threads = threads;
-    options.cube_depth = cube_depth;
     request.graph = suite_graph(instance->as_string());
     if (!request.graph) fields.fail("instance", "must name a suite graph");
     request.entry = satloop    ? solve_coloring_sat_loop
                     : decision ? solve_k_coloring
                                : solve_coloring;
   } else {
-    fields.only({"op", "id", "threads", "cube_depth", "timeout", "conflicts",
-                 "props", "vars", "clauses", "fault_conflicts"},
+    fields.only({"op", "id", "threads", "timeout", "conflicts", "props",
+                 "vars", "clauses", "fault_conflicts"},
                 "a clause request");
     const std::int64_t fault = fields.integer("fault_conflicts", 0, 0);
     request.formula = clause_formula(msg, fields);
     request.config.portfolio_threads = threads;
-    request.config.cube_depth = cube_depth;
     if (fault > 0) {
       request.config.fault_injection.worker = -1;
       request.config.fault_injection.throw_after_conflicts = fault;
