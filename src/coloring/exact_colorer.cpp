@@ -14,11 +14,12 @@ namespace {
 
 /// Stage 1, the procedure of the paper's Section 4.1: a DSATUR coloring
 /// above and a clique below, kept in `outcome` as its incumbent and its
-/// lower-bound certificate. max_clique starts from the greedy clique and
-/// branches only while that clique is smaller than the DSATUR count,
-/// stopping once it meets it. Its node cap is the only limit that may bind
-/// on its own, so the bound is the same on every machine. Returns true
-/// when the two meet: the DSATUR coloring is then optimal.
+/// lower-bound certificate. max_clique starts from the greedy clique, whose
+/// restarts stop once one meets the DSATUR count, and branches only while
+/// that clique is smaller than the count, stopping once it meets it. Its
+/// node cap is the only limit that may bind on its own, so the bound is the
+/// same on every machine. Returns true when the two meet: the DSATUR
+/// coloring is then optimal.
 bool bounds_meet(const Graph& graph, const SolveBudget& budget,
                  ColoringOutcome& outcome) {
   if (graph.num_vertices() == 0) {

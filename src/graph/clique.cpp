@@ -145,7 +145,7 @@ class CliqueSearch {
 
 }  // namespace
 
-std::vector<int> greedy_clique(const Graph& graph) {
+std::vector<int> greedy_clique(const Graph& graph, int upper_bound) {
   const int n = graph.num_vertices();
   if (n == 0) return {};
   std::vector<int> by_degree(static_cast<std::size_t>(n));
@@ -161,7 +161,11 @@ std::vector<int> greedy_clique(const Graph& graph) {
   std::vector<int> adjacent_members(static_cast<std::size_t>(n));
   std::vector<int> best;
   const int restarts = std::min(n, 16);
-  for (int r = 0; r < restarts; ++r) {
+  const auto bound_met = [&] {
+    return upper_bound > 0 &&
+           best.size() >= static_cast<std::size_t>(upper_bound);
+  };
+  for (int r = 0; r < restarts && !bound_met(); ++r) {
     std::fill(adjacent_members.begin(), adjacent_members.end(), 0);
     std::vector<int> clique;
     const auto join = [&](int v) {
@@ -187,7 +191,7 @@ std::vector<int> max_clique(const Graph& graph, const SolveBudget& budget,
                             bool* proved_optimal, std::int64_t node_cap,
                             int upper_bound) {
   CliqueSearch search(graph, budget, node_cap, upper_bound);
-  return search.run(greedy_clique(graph), proved_optimal);
+  return search.run(greedy_clique(graph, upper_bound), proved_optimal);
 }
 
 namespace {

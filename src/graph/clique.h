@@ -18,14 +18,21 @@ namespace symcolor {
 /// After an O(n log n) degree sort, costs O(restarts * (n + sum of the
 /// members' degrees)), restarts <= 16: each vertex keeps a count of the
 /// clique members adjacent to it, raised over a member's row when it joins.
-std::vector<int> greedy_clique(const Graph& graph);
+///
+/// `upper_bound` (<= 0 = none) is an upper bound on the clique number the
+/// caller already knows, such as the color count of a proper coloring, as
+/// in max_clique. The restarts stop once the best clique reaches it. The
+/// result is the clique the unbounded call returns: a later restart
+/// replaces the best only with a strictly larger clique, and no clique
+/// exceeds a valid bound.
+std::vector<int> greedy_clique(const Graph& graph, int upper_bound = 0);
 
 /// Exact maximum clique via branch and bound with greedy-coloring bounds
-/// (a compact Tomita-style MCS), seeded with greedy_clique. Returns the
-/// clique sorted ascending, never smaller than the greedy one. Each search
-/// node marks one neighbour row per candidate it colours or branches on,
-/// so its adjacency tests are array reads: O(sum of those rows' lengths)
-/// per node plus the colour-class scans.
+/// (a compact Tomita-style MCS), seeded with greedy_clique under the same
+/// `upper_bound`. Returns the clique sorted ascending, never smaller than
+/// the greedy one. Each search node marks one neighbour row per candidate
+/// it colours or branches on, so its adjacency tests are array reads:
+/// O(sum of those rows' lengths) per node plus the colour-class scans.
 ///
 /// The search stops early in three ways:
 ///  * after `node_cap` search nodes (<= 0 = unlimited). The cap is the

@@ -503,13 +503,7 @@ void CdclSolver::maybe_reduce() {
 
 SolveResult CdclSolver::budget_exit(BudgetTrip trip) {
   last_trip_ = trip;
-  switch (trip) {
-    case BudgetTrip::Deadline: ++stats_.deadline_exits; break;
-    case BudgetTrip::Conflicts: ++stats_.conflict_budget_exits; break;
-    case BudgetTrip::Propagations: ++stats_.prop_budget_exits; break;
-    case BudgetTrip::Interrupt: ++stats_.interrupt_exits; break;
-    case BudgetTrip::None: break;
-  }
+  count_budget_exit(&stats_, trip);
   backtrack(0);
   return SolveResult::Unknown;
 }

@@ -514,6 +514,14 @@ SolveResult ParallelSolver::adopt(SolveResult r, const CdclSolver& from,
                                   int winner, std::span<const Lit> core,
                                   BudgetTrip trip) {
   stats_ = from.stats();
+  // The worker's exit counters also count its warmup slice, its cube
+  // slices and the pool's wind-down stop; this engine's count its own
+  // solve() calls, by the trip each returned.
+  if (r == SolveResult::Unknown) count_budget_exit(&exits_, trip);
+  stats_.deadline_exits = exits_.deadline_exits;
+  stats_.conflict_budget_exits = exits_.conflict_budget_exits;
+  stats_.prop_budget_exits = exits_.prop_budget_exits;
+  stats_.interrupt_exits = exits_.interrupt_exits;
   if (r == SolveResult::Sat) model_ = from.model();
   core_.clear();
   if (r == SolveResult::Unsat) core_.assign(core.begin(), core.end());

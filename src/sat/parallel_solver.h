@@ -112,7 +112,9 @@ class ParallelSolver final : public SolverEngine {
   }
   /// Stats of the answering worker, plus the solve's cube counters (the
   /// other workers' work is reported through aggregated_stats(), not
-  /// folded in here).
+  /// folded in here). The four exit counters count this engine's own
+  /// solve() calls by the trip each returned, as on the sequential
+  /// engine: a worker's cube slices and wind-down stops are not exits.
   [[nodiscard]] const SolverStats& stats() const noexcept override {
     return stats_;
   }
@@ -165,6 +167,8 @@ class ParallelSolver final : public SolverEngine {
   std::vector<Lit> core_;
   SolverStats stats_;
   SolverStats agg_stats_;
+  /// Only the exit counters are used: one count per Unknown solve().
+  SolverStats exits_;
   BudgetTrip last_trip_ = BudgetTrip::None;
   int last_winner_ = -1;
   int last_faults_ = 0;

@@ -213,6 +213,18 @@ inline void accumulate_stats(SolverStats* into, const SolverStats& delta) {
   return after;
 }
 
+/// Count one Unknown exit on `trip` in the matching exit counter of
+/// `*stats` (None counts nothing).
+inline void count_budget_exit(SolverStats* stats, BudgetTrip trip) {
+  switch (trip) {
+    case BudgetTrip::Deadline: ++stats->deadline_exits; break;
+    case BudgetTrip::Conflicts: ++stats->conflict_budget_exits; break;
+    case BudgetTrip::Propagations: ++stats->prop_budget_exits; break;
+    case BudgetTrip::Interrupt: ++stats->interrupt_exits; break;
+    case BudgetTrip::None: break;
+  }
+}
+
 /// A clause in transit between portfolio workers, tagged with the glue the
 /// exporter measured at learn time so the importer can apply its own
 /// size/LBD admission caps before attaching.

@@ -337,6 +337,40 @@ TEST(ParallelBudget, PropagationCapBoundsTheWorkersSum) {
   }
 }
 
+TEST(ParallelBudget, ExitCountersCountTheEnginesOwnSolves) {
+  // A conflict cap past the warmup reaches the pool, whose wind-down stops
+  // the other workers by interrupt and whose warmup slice ended on its own
+  // conflict cap. Neither is an exit of the caller's solve: the engine's
+  // stats() count one conflicts exit per capped solve(), as on one worker,
+  // in every repeat whatever worker spent the cap.
+  constexpr std::int64_t kCap = 8000;
+  CdclSolver sequential(myciel5_k5(), profile_config(SolverKind::PbsII));
+  const SolveBudget sequential_budget(30.0, kCap);
+  ASSERT_EQ(sequential.solve(sequential_budget), SolveResult::Unknown);
+  ASSERT_EQ(sequential.solve(sequential_budget), SolveResult::Unknown);
+  const SolverStats& want = sequential.stats();
+  ASSERT_EQ(want.conflict_budget_exits, 2);
+  for (int repeat = 0; repeat < 10; ++repeat) {
+    SolverConfig config = profile_config(SolverKind::PbsII);
+    config.portfolio_threads = 4;
+    ParallelSolver solver(myciel5_k5(), config);
+    const SolveBudget budget(30.0, kCap);
+    // The second solve finds the cap spent and exits at its entry poll.
+    for (int solve = 0; solve < 2; ++solve) {
+      EXPECT_EQ(solver.solve(budget), SolveResult::Unknown) << repeat;
+      EXPECT_EQ(solver.last_trip(), BudgetTrip::Conflicts) << repeat;
+    }
+    EXPECT_GT(solver.aggregated_stats().cubes_dealt, 0) << repeat;
+    const SolverStats& got = solver.stats();
+    EXPECT_EQ(got.interrupt_exits, 0) << repeat;
+    EXPECT_EQ(got.deadline_exits, want.deadline_exits) << repeat;
+    EXPECT_EQ(got.conflict_budget_exits, want.conflict_budget_exits)
+        << repeat;
+    EXPECT_EQ(got.prop_budget_exits, want.prop_budget_exits) << repeat;
+    EXPECT_EQ(got.interrupt_exits, want.interrupt_exits) << repeat;
+  }
+}
+
 // ---- optimizer degradation ----
 
 TEST(OptimizerBudget, DecisionUnderExhaustedBudgetIsUnknownNeverFeasible) {

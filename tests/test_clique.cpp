@@ -313,14 +313,17 @@ void expect_same_max_clique(const Graph& g, std::int64_t node_cap,
                                 << upper_bound;
 }
 
-// The greedy clique, max_clique at a 50-node cap, the SAT loop's call (its
-// node cap, the DSATUR count as upper bound) and, for n <= 90, the
-// uncapped search.
+// The greedy clique unbounded and bounded by the DSATUR count, max_clique
+// at a 50-node cap, the SAT loop's call (its node cap, the DSATUR count as
+// upper bound) and, for n <= 90, the uncapped search. The reference's
+// max_clique starts from the unbounded greedy clique.
 void expect_same_cliques(const Graph& g, const std::string& label) {
+  const int dsatur_count = Graph::count_colors(dsatur_coloring(g));
   EXPECT_EQ(greedy_clique(g), reference::greedy_clique(g)) << label;
+  EXPECT_EQ(greedy_clique(g, dsatur_count), reference::greedy_clique(g))
+      << label << " bound " << dsatur_count;
   expect_same_max_clique(g, 50, 0, label);
-  expect_same_max_clique(g, kSatLoopCliqueNodeCap,
-                         Graph::count_colors(dsatur_coloring(g)), label);
+  expect_same_max_clique(g, kSatLoopCliqueNodeCap, dsatur_count, label);
   if (g.num_vertices() <= 90) expect_same_max_clique(g, 0, 0, label);
 }
 

@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "coloring/dsatur_bnb.h"
+#include "coloring/exact_colorer.h"
 #include "coloring/heuristics.h"
 #include "graph/generators.h"
 
@@ -53,16 +54,44 @@ TEST(Dsatur, EdgelessGraph) {
   EXPECT_EQ(Graph::count_colors(dsatur_coloring(g)), 1);
 }
 
-TEST(Dsatur, LongPathUsesTwoColors) {
-  // The saturation flags are sized by the maximum degree, not by n: a
-  // 30,000-vertex path needs 3 flags per vertex, not 30,001.
-  const int n = 30000;
+Graph path_graph(int n) {
   Graph g(n);
   for (int i = 0; i + 1 < n; ++i) g.add_edge(i, i + 1);
   g.finalize();
+  return g;
+}
+
+Graph star_graph(int n) {
+  Graph g(n);
+  for (int leaf = 1; leaf < n; ++leaf) g.add_edge(0, leaf);
+  g.finalize();
+  return g;
+}
+
+TEST(Dsatur, LongPathUsesTwoColors) {
+  // The saturation flags are sized by the colors in use, not by n: a
+  // 30,000-vertex path needs 2 flags per vertex, not 30,001.
+  const Graph g = path_graph(30000);
   const auto colors = dsatur_coloring(g);
   EXPECT_TRUE(g.is_proper_coloring(colors));
   EXPECT_EQ(Graph::count_colors(colors), 2);
+}
+
+TEST(DsaturMemory, FortyThousandVertexStarClosesByBounds) {
+  // A flag row of max degree + 1 bytes per vertex would take 1.6 GB here;
+  // the flags of the colors in use take 80 KB. CI reruns this test under
+  // a 1 GB address-space limit.
+  const Graph g = star_graph(40000);
+  const auto colors = dsatur_coloring(g);
+  EXPECT_TRUE(g.is_proper_coloring(colors));
+  EXPECT_EQ(Graph::count_colors(colors), 2);
+
+  const ColoringOutcome r = solve_coloring_sat_loop(g, ColoringOptions{});
+  EXPECT_EQ(r.status, OptStatus::Optimal);
+  EXPECT_EQ(r.num_colors, 2);
+  EXPECT_EQ(r.lower_bound, 2);
+  EXPECT_EQ(r.sat_calls, 0) << "the bounds must close the star";
+  EXPECT_TRUE(g.is_proper_coloring(r.coloring));
 }
 
 // DSATUR with per-pick saturation and Graph::degree() comparisons and an
@@ -104,6 +133,57 @@ std::vector<int> reference_dsatur(const Graph& graph) {
   return colors;
 }
 
+// The O(n^2) DSATUR this file's dsatur_coloring replaced, kept verbatim:
+// one precomputed key per vertex, scanned in full for every pick, and a
+// flag row of max degree + 1 bytes per vertex. Its memory follows the
+// maximum degree, not n, so it also checks the large sparse inputs.
+std::vector<int> keyed_reference_dsatur(const Graph& graph) {
+  const int n = graph.num_vertices();
+  std::vector<int> colors(static_cast<std::size_t>(n), -1);
+  // The color picked for v is the least one absent from its neighbours,
+  // so at most deg(v) <= max degree: a row of max degree + 1 flags per
+  // vertex holds every color a neighbour can take, in one flat strided
+  // buffer so the update loops stay in-cache.
+  const std::size_t stride = static_cast<std::size_t>(graph.max_degree()) + 1;
+  std::vector<char> neighbour_has(static_cast<std::size_t>(n) * stride, 0);
+  const auto has = [&](int v, int color) -> char& {
+    return neighbour_has[static_cast<std::size_t>(v) * stride +
+                         static_cast<std::size_t>(color)];
+  };
+  // key[v] = saturation(v) * stride + degree(v) while v is uncolored, -1
+  // once colored. Degree and saturation are at most the max degree, so the
+  // key orders by saturation, then degree, and stays below 2^62 for any n.
+  const auto step_key = static_cast<std::int64_t>(stride);
+  std::vector<std::int64_t> key(static_cast<std::size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    key[static_cast<std::size_t>(v)] = graph.degree(v);
+  }
+
+  for (int step = 0; step < n; ++step) {
+    // Pick the uncolored vertex with max saturation, tie-break degree,
+    // then the lower index (the first maximum).
+    int best = 0;
+    std::int64_t best_key = -1;
+    for (int v = 0; v < n; ++v) {
+      if (key[static_cast<std::size_t>(v)] > best_key) {
+        best = v;
+        best_key = key[static_cast<std::size_t>(v)];
+      }
+    }
+    int color = 0;
+    while (has(best, color)) ++color;
+    colors[static_cast<std::size_t>(best)] = color;
+    key[static_cast<std::size_t>(best)] = -1;
+    for (const int u : graph.neighbors(best)) {
+      if (key[static_cast<std::size_t>(u)] >= 0 && !has(u, color)) {
+        has(u, color) = 1;
+        key[static_cast<std::size_t>(u)] += step_key;
+      }
+    }
+  }
+  return colors;
+}
+
 TEST(DsaturEquivalence, SeededRandomGraphs) {
   std::uint64_t seed = 0xD5A;
   for (const int n : {1, 2, 7, 20, 45, 90, 140, 200}) {
@@ -124,6 +204,53 @@ TEST(DsaturEquivalence, DimacsSuite) {
     EXPECT_EQ(dsatur_coloring(inst.graph), reference_dsatur(inst.graph))
         << inst.name;
   }
+}
+
+TEST(DsaturEquivalence, SkewedRegisterGraphsWithHubs) {
+  // The pressure clique's vertices are hubs: every fringe vertex joins a
+  // window of them, so their degrees run to hundreds against a fringe
+  // degree near 2m/n. Picks move between the hubs' top ranks and the
+  // fringe's far ones.
+  std::uint64_t seed = 0x4E6;
+  for (const int n : {300, 1200, 4000}) {
+    for (const int pressure : {4, 12, 40}) {
+      for (const int edges_per_vertex : {3, 10}) {
+        const int m = n * edges_per_vertex;
+        const Graph g = make_register_graph(n, m, pressure, ++seed);
+        EXPECT_EQ(dsatur_coloring(g), keyed_reference_dsatur(g))
+            << "register(" << n << ", " << m << ", " << pressure
+            << ") seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(DsaturEquivalence, ManyColors) {
+  // Color counts from 9 to 60: the flags grow one column per new color
+  // many times over, and saturations climb through as many levels.
+  std::uint64_t seed = 0xC0105;
+  for (const int n : {40, 60, 90}) {
+    for (const int percent : {60, 80, 95}) {
+      const int m = n * (n - 1) / 2 * percent / 100;
+      const Graph g = make_random_gnm(n, m, ++seed);
+      const auto colors = dsatur_coloring(g);
+      EXPECT_GT(Graph::count_colors(colors), 8) << n << " " << percent;
+      EXPECT_EQ(colors, keyed_reference_dsatur(g)) << n << " " << percent;
+    }
+  }
+  for (const int n : {9, 17, 33, 60}) {
+    const Graph g = complete_graph(n);
+    EXPECT_EQ(dsatur_coloring(g), keyed_reference_dsatur(g)) << "K" << n;
+  }
+  const Graph queens = make_queen_graph(8, 12);
+  EXPECT_EQ(dsatur_coloring(queens), keyed_reference_dsatur(queens));
+}
+
+TEST(DsaturEquivalence, LongPath) {
+  // After the first pick, every pick is the next vertex along the path,
+  // taken from saturation level 1 while the far end waits at a high rank.
+  const Graph g = path_graph(30000);
+  EXPECT_EQ(dsatur_coloring(g), keyed_reference_dsatur(g));
 }
 
 TEST(DsaturBnb, EmptyGraph) {

@@ -10,7 +10,8 @@ the exit-code convention (0 optimal, 2 budget stop) on both pipelines
 and under every --satloop search strategy, --satloop --stats must print
 the same `solver:` line as the native pipeline, and a propagation cap on
 a --threads 2 (cube-and-conquer) run must stop it on the cap, whose
---stats print the all-workers `workers:` line and the `cubes:` line. A
+--stats print the all-workers `workers:` line and the `cubes:` line, and
+a `budget:` line with the exit counts of a one-thread run. A
 generator that fails verification is reported on the `symmetries:` line,
 not on stderr.
 """
@@ -105,6 +106,24 @@ def main():
     for line in ("solver: ", "workers: ", "cubes: "):
         check(f"\n{line}" in f"\n{out}",
               f"{' '.join(args)} must print a '{line}' line, got: {out}")
+
+    # The budget: line counts the engine's own solves by the trip each
+    # returned, as at one thread: a worker's warmup slice and the pool's
+    # wind-down interrupt are not exits of the run.
+    budget_runs = [
+        (args, "budget: tripped=propagations exits deadline=0 conflicts=0 "
+               "propagations=1 interrupt=0"),
+        (["--instance", "DSJC125.9", "--sbp", "nu+sc", "--solver", "galena",
+          "--conflict-budget", "10000", "--threads", "2", "--stats"],
+         "budget: tripped=conflicts exits deadline=0 conflicts=1 "
+         "propagations=0 interrupt=0"),
+    ]
+    for budget_args, want in budget_runs:
+        code, out, _ = run(cli, *budget_args)
+        check(code == EXIT_STOPPED,
+              f"{' '.join(budget_args)} must exit 2, got {code}")
+        check(f"\n{want}\n" in f"\n{out}",
+              f"{' '.join(budget_args)} must print '{want}', got: {out}")
 
     # A one-vertex graph at K = 1 has a formula-graph automorphism with no
     # consistent literal map; the library counts it and stays silent.
