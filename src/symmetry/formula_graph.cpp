@@ -1,6 +1,7 @@
 #include "symmetry/formula_graph.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cassert>
 #include <map>
@@ -206,19 +207,74 @@ std::uint32_t next_epoch(std::vector<std::uint32_t>& stamps,
   return epoch;
 }
 
+/// The key set's empty slot; no key has two codes of 2^32 - 1.
+constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+/// The exact key of the binary clause {a, b}: lower code << 32 | higher.
+std::uint64_t binary_key(int a, int b) noexcept {
+  const auto lo = static_cast<std::uint32_t>(std::min(a, b));
+  const auto hi = static_cast<std::uint32_t>(std::max(a, b));
+  return std::uint64_t{lo} << 32 | hi;
+}
+
+/// Turn per-row counts at rows[r] (rows[last] = 0) into inclusive prefix
+/// sums: rows[r] is then the end of row r, and filling each row by
+/// pre-decrement leaves rows[r] at its start.
+void inclusive_prefix_sums(std::vector<int>& rows) {
+  for (std::size_t r = 1; r < rows.size(); ++r) rows[r] += rows[r - 1];
+}
+
 }  // namespace
 
 SymmetryVerifier::SymmetryVerifier(const Formula& formula)
-    : num_lits_(2 * formula.num_vars()), num_clauses_(formula.num_clauses()) {
+    : num_lits_(2 * formula.num_vars()) {
+  const auto code_of = [](Lit l) { return static_cast<std::size_t>(l.code()); };
+  const std::size_t num_codes = static_cast<std::size_t>(num_lits_);
+
+  // Binary clauses: partner rows by counting sort, then the key set.
+  partner_begin_.assign(num_codes + 1, 0);
+  std::size_t num_binary = 0;
+  std::size_t num_lits = 0;  // of every other constraint
+  for (std::span<const Lit> c : formula.clauses()) {
+    if (c.size() == 2) {
+      ++partner_begin_[code_of(c[0])];
+      ++partner_begin_[code_of(c[1])];
+      ++num_binary;
+    } else {
+      ++num_clauses_;
+      num_lits += c.size();
+    }
+  }
+  inclusive_prefix_sums(partner_begin_);
+  partner_.resize(2 * num_binary);
+  const std::size_t key_slots = std::bit_ceil(std::max<std::size_t>(
+      2 * num_binary, 2));
+  keys_.assign(key_slots, kNoKey);
+  key_shift_ = 64 - std::countr_zero(key_slots);
+  for (std::span<const Lit> c : formula.clauses()) {
+    if (c.size() != 2) continue;
+    const int a = c[0].code();
+    const int b = c[1].code();
+    partner_[static_cast<std::size_t>(--partner_begin_[code_of(c[0])])] = b;
+    partner_[static_cast<std::size_t>(--partner_begin_[code_of(c[1])])] = a;
+    const std::uint64_t key = binary_key(a, b);
+    std::size_t slot = key_slot(key);
+    while (keys_[slot] != kNoKey && keys_[slot] != key) {
+      slot = (slot + 1) & (key_slots - 1);
+    }
+    keys_[slot] = key;
+  }
+
+  // Every other constraint, clauses first then PB rows.
   const int num_constraints = num_clauses_ + formula.num_pb();
   begin_.reserve(static_cast<std::size_t>(num_constraints) + 1);
   begin_.push_back(0);
-  std::size_t num_lits = formula.num_clause_lits();
   for (const PbConstraint& pb : formula.pb_constraints()) {
     num_lits += pb.terms().size();
   }
   lits_.reserve(num_lits);
   for (std::span<const Lit> c : formula.clauses()) {
+    if (c.size() == 2) continue;
     for (const Lit l : c) lits_.push_back(l.code());
     begin_.push_back(lits_.size());
   }
@@ -233,7 +289,7 @@ SymmetryVerifier::SymmetryVerifier(const Formula& formula)
   }
 
   Rng rng;
-  lit_hash_.resize(static_cast<std::size_t>(num_lits_));
+  lit_hash_.resize(num_codes);
   for (std::uint64_t& h : lit_hash_) h = rng.next();
   const Perm identity = identity_perm(num_lits_);
   hash_.resize(static_cast<std::size_t>(num_constraints));
@@ -248,16 +304,14 @@ SymmetryVerifier::SymmetryVerifier(const Formula& formula)
   }
 
   // Occurrence lists by counting sort over the literal codes.
-  occ_begin_.assign(static_cast<std::size_t>(num_lits_) + 1, 0);
-  for (const int code : lits_) ++occ_begin_[static_cast<std::size_t>(code) + 1];
-  for (std::size_t c = 1; c < occ_begin_.size(); ++c) {
-    occ_begin_[c] += occ_begin_[c - 1];
-  }
+  occ_begin_.assign(num_codes + 1, 0);
+  for (const int code : lits_) ++occ_begin_[static_cast<std::size_t>(code)];
+  inclusive_prefix_sums(occ_begin_);
   occ_.resize(lits_.size());
-  std::vector<int> next(occ_begin_.begin(), occ_begin_.end() - 1);
   for (int id = 0; id < num_constraints; ++id) {
     for (const int code : literals(id)) {
-      occ_[static_cast<std::size_t>(next[static_cast<std::size_t>(code)]++)] = id;
+      const int at = --occ_begin_[static_cast<std::size_t>(code)];
+      occ_[static_cast<std::size_t>(at)] = id;
     }
   }
 
@@ -268,8 +322,52 @@ SymmetryVerifier::SymmetryVerifier(const Formula& formula)
     std::sort(objective_.begin(), objective_.end());
   }
   visited_.assign(hash_.size(), 0);
-  marked_.assign(static_cast<std::size_t>(num_lits_), 0);
-  term_at_.assign(static_cast<std::size_t>(num_lits_), 0);
+  marked_.assign(num_codes, 0);
+  term_at_.assign(num_codes, 0);
+}
+
+std::size_t SymmetryVerifier::key_slot(std::uint64_t key) const noexcept {
+  // Fibonacci hashing: the top bits of the product mix every key bit.
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ULL) >> key_shift_);
+}
+
+bool SymmetryVerifier::key_present(std::uint64_t key) const noexcept {
+  const std::size_t mask = keys_.size() - 1;
+  for (std::size_t slot = key_slot(key); keys_[slot] != kNoKey;
+       slot = (slot + 1) & mask) {
+    if (keys_[slot] == key) return true;
+  }
+  return false;
+}
+
+bool SymmetryVerifier::binary_images_present(std::span<const int> perm) const {
+  // Image keys wait in a batch of 16 whose slots are prefetched before
+  // any of them is probed.
+  constexpr std::size_t kBatch = 16;
+  std::array<std::uint64_t, kBatch> batch{};
+  std::size_t pending = 0;
+  const auto probe_batch = [&] {
+    for (std::size_t i = 0; i < pending; ++i) {
+      if (!key_present(batch[i])) return false;
+    }
+    pending = 0;
+    return true;
+  };
+  for (const int code : moved_) {
+    const int image = perm[static_cast<std::size_t>(code)];
+    for (int k = partner_begin_[static_cast<std::size_t>(code)];
+         k < partner_begin_[static_cast<std::size_t>(code) + 1]; ++k) {
+      const int other = partner_[static_cast<std::size_t>(k)];
+      const int other_image = perm[static_cast<std::size_t>(other)];
+      // A clause whose two literals both move is taken from its lower code.
+      if (other_image != other && other < code) continue;
+      const std::uint64_t key = binary_key(image, other_image);
+      __builtin_prefetch(&keys_[key_slot(key)]);
+      batch[pending++] = key;
+      if (pending == kBatch && !probe_batch()) return false;
+    }
+  }
+  return probe_batch();
 }
 
 std::span<const int> SymmetryVerifier::literals(int id) const {
@@ -351,27 +449,33 @@ bool SymmetryVerifier::is_image(int id, int candidate,
 }
 
 bool SymmetryVerifier::is_symmetry(std::span<const int> lit_perm) {
-  if (static_cast<int>(lit_perm.size()) != num_lits_ ||
-      !is_permutation(lit_perm)) {
-    return false;
-  }
+  if (static_cast<int>(lit_perm.size()) != num_lits_) return false;
+  // A bijection commuting with negation: every image in range and taken
+  // once, and perm(~l) == ~perm(l). The moved codes are listed on the way.
+  const std::uint32_t taken = next_epoch(marked_, mark_epoch_);
+  moved_.clear();
   for (int code = 0; code < num_lits_; ++code) {
-    if ((lit_perm[static_cast<std::size_t>(code)] ^ 1) !=
-        lit_perm[static_cast<std::size_t>(code ^ 1)]) {
+    const int image = lit_perm[static_cast<std::size_t>(code)];
+    if (image < 0 || image >= num_lits_ ||
+        marked_[static_cast<std::size_t>(image)] == taken ||
+        (image ^ 1) != lit_perm[static_cast<std::size_t>(code ^ 1)]) {
       return false;
     }
+    marked_[static_cast<std::size_t>(image)] = taken;
+    if (image != code) moved_.push_back(code);
   }
 
   // A constraint with no moved literal maps to itself. The image of one
   // that touches a moved literal l touches pi(l), which is moved too (by
   // injectivity, pi(pi(l)) == pi(l) would force pi(l) == l). So only the
   // touched constraints need checking, each once.
-  //
-  // Per moved literal, the image hashes of its unvisited constraints are
-  // computed and their table slots prefetched before any is probed.
+  if (!binary_images_present(lit_perm)) return false;
+
+  // Per moved literal, the image hashes of its unvisited other
+  // constraints are computed and their table slots prefetched before any
+  // is probed.
   const std::uint32_t visit = next_epoch(visited_, visit_epoch_);
-  for (int code = 0; code < num_lits_; ++code) {
-    if (lit_perm[static_cast<std::size_t>(code)] == code) continue;
+  for (const int code : moved_) {
     pending_.clear();
     for (int k = occ_begin_[static_cast<std::size_t>(code)];
          k < occ_begin_[static_cast<std::size_t>(code) + 1]; ++k) {

@@ -53,16 +53,31 @@ Perm literal_permutation(const FormulaGraph& fg, std::span<const int> perm);
 /// coefficients and bound, and objective terms to objective terms with
 /// equal coefficient.
 ///
-/// The constructor indexes the formula once in O(|F|): every constraint's
-/// literals in one flat array, an order-independent 64-bit hash per
-/// constraint in an open-addressing table, and a literal-to-constraint
-/// occurrence list. `is_symmetry` then visits only the constraints that
-/// contain a moved literal (the rest map to themselves), hashes each
-/// image without sorting it, and accepts it only after an exact
-/// comparison with a table candidate. A call costs O(2*num_vars) for the
-/// bijection check plus O(occurrences of the moved literals) plus one
-/// probe per touched constraint. Scratch state lives in the verifier, so
-/// one instance must not be shared between threads.
+/// The constructor indexes the formula once in O(|F|), binary clauses
+/// apart from everything else (in the coloring encodings nearly every
+/// clause is a binary edge or at-most-one clause):
+///   * binary clauses, twice: per literal code c, the codes of c's
+///     partners in one flat array (a CSR filled by counting sort, 8 bytes
+///     per clause), and each clause as one exact 64-bit key, lower code
+///     << 32 | higher code, in an open-addressing set at load <= 1/2
+///     (all-ones marks an empty slot; 16 to 32 bytes per clause).
+///     Duplicate clauses share one key;
+///   * every other constraint (units, clauses of three or more literals,
+///     PB rows): its literals in one flat array, an order-independent
+///     64-bit hash per constraint in an open-addressing table, and a
+///     literal-to-constraint occurrence list over these constraints only.
+///
+/// `is_symmetry` visits only what contains a moved literal (the rest maps
+/// to itself). For each moved literal it walks the partner row, computes
+/// the image key of each clause (a clause whose two literals both move is
+/// taken once, from its lower code) and probes the key set, prefetching
+/// slots in batches of 16; a key match is exact, so no comparison
+/// follows. Each other touched constraint is hashed without sorting and
+/// accepted only after an exact comparison with a table candidate. A call
+/// costs O(2*num_vars) for the bijection check plus O(occurrences of the
+/// moved literals) plus one probe per touched constraint. Scratch state
+/// lives in the verifier, so one instance must not be shared between
+/// threads.
 class SymmetryVerifier {
  public:
   explicit SymmetryVerifier(const Formula& formula);
@@ -84,8 +99,22 @@ class SymmetryVerifier {
   [[nodiscard]] bool image_present(int id, std::uint64_t h,
                                    std::span<const int> perm);
   [[nodiscard]] bool is_image(int id, int candidate, std::span<const int> perm);
+  /// The key set's slot for `key`, the first to probe.
+  [[nodiscard]] std::size_t key_slot(std::uint64_t key) const noexcept;
+  [[nodiscard]] bool key_present(std::uint64_t key) const noexcept;
+  /// True iff every binary clause with a literal in moved_ maps onto one.
+  [[nodiscard]] bool binary_images_present(std::span<const int> perm) const;
 
   int num_lits_ = 0;
+
+  // Binary clauses. The partners of literal code c are
+  // partner_[partner_begin_[c] .. partner_begin_[c + 1]).
+  std::vector<int> partner_begin_;
+  std::vector<int> partner_;
+  std::vector<std::uint64_t> keys_;  ///< the key set; all-ones = empty slot
+  int key_shift_ = 0;                ///< 64 - log2(keys_.size())
+
+  // Every other constraint.
   int num_clauses_ = 0;  ///< constraint ids below this are clauses
   /// Constraint literal codes, clauses first then PB rows; constraint id
   /// spans [begin_[id], begin_[id + 1]). PB terms start at pb_base_.
@@ -108,9 +137,11 @@ class SymmetryVerifier {
   // Epoch-stamped scratch: a slot is set iff it holds the current epoch.
   std::vector<std::uint32_t> visited_;  ///< per constraint, per call
   std::uint32_t visit_epoch_ = 0;
-  std::vector<std::uint32_t> marked_;   ///< per literal, per comparison
+  /// Per literal, per comparison (and per call, for the bijection check).
+  std::vector<std::uint32_t> marked_;
   std::uint32_t mark_epoch_ = 0;
   std::vector<int> term_at_;            ///< per literal: PB term index
+  std::vector<int> moved_;              ///< codes the map moves, per call
   /// Constraints of one moved literal awaiting their probe, with hashes.
   std::vector<std::pair<int, std::uint64_t>> pending_;
 };

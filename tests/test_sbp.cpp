@@ -18,6 +18,7 @@
 #include "graph/generators.h"
 #include "pb/optimizer.h"
 #include "symmetry/formula_graph.h"
+#include "symmetry/lexleader.h"
 #include "symmetry/shatter.h"
 #include "util/rng.h"
 
@@ -639,6 +640,67 @@ TEST(ColorSymmetry, ClosedFormExactlyWhenEveryTranspositionVerifies) {
   }
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+TEST(ShatterSuiteTable, PinnedOutcomePerInstanceAtK20WithSc) {
+  // The Shatter stage of the native pipeline on every suite instance at
+  // K = 20 under SC: which route ran, the verified generators, the
+  // spurious rejections and the lex-leader clauses they give. A change to
+  // how generators are verified must leave every row as it is.
+  struct Row {
+    std::string name;
+    bool closed_form;
+    std::size_t generators;
+    int spurious_rejected;
+    int inst_dep_sbp_clauses;
+  };
+  const std::vector<Row> pinned = {
+      {"anna", true, 17, 0, 14144},
+      {"david", true, 17, 0, 8942},
+      {"DSJC125.1", true, 17, 0, 12818},
+      {"DSJC125.9", true, 17, 0, 12818},
+      {"games120", true, 17, 0, 12308},
+      {"huck", true, 17, 0, 7616},
+      {"jean", true, 17, 0, 8228},
+      {"miles250", false, 30, 0, 14658},
+      {"mulsol.i.2", true, 17, 0, 19244},
+      {"mulsol.i.4", true, 17, 0, 18938},
+      {"myciel3", false, 18, 0, 1668},
+      {"myciel4", false, 19, 0, 4330},
+      {"myciel5", false, 19, 0, 8698},
+      {"queen5_5", false, 18, 0, 3816},
+      {"queen6_6", false, 18, 0, 5904},
+      {"queen7_7", false, 18, 0, 7584},
+      {"queen8_12", false, 18, 0, 15624},
+      {"zeroin.i.1", true, 17, 0, 21590},
+      {"zeroin.i.2", true, 17, 0, 21590},
+      {"zeroin.i.3", true, 17, 0, 21080},
+  };
+  const std::vector<Instance> suite = dimacs_suite();
+  ASSERT_EQ(suite.size(), pinned.size());
+  std::size_t generators = 0;
+  int clauses = 0;
+  for (std::size_t i = 0; i < suite.size(); ++i) {
+    const Instance& inst = suite[i];
+    const Row& row = pinned[i];
+    SCOPED_TRACE(inst.name);
+    ASSERT_EQ(inst.name, row.name);
+    ColoringEncoding enc = encode_coloring(inst.graph, 20, SbpOptions::sc_only());
+    const SymmetryInfo info =
+        detect_coloring_symmetries(inst.graph, enc, SbpOptions::sc_only());
+    const int added =
+        add_lex_leader_sbps(enc.formula, info.generators).clauses_added;
+    EXPECT_TRUE(info.complete);
+    EXPECT_EQ(info.closed_form, row.closed_form);
+    EXPECT_EQ(info.generators.size(), row.generators);
+    EXPECT_EQ(info.spurious_rejected, row.spurious_rejected);
+    EXPECT_EQ(added, row.inst_dep_sbp_clauses);
+    generators += info.generators.size();
+    clauses += added;
+  }
+  // suitebench's suite-sbp pass: 362 generators, 241,598 SBP clauses.
+  EXPECT_EQ(generators, 362U);
+  EXPECT_EQ(clauses, 241598);
 }
 
 TEST(SbpSizes, MatchPaperFormulas) {

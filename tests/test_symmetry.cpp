@@ -363,6 +363,29 @@ FormulaSpec random_symmetric_spec(Rng& rng, int num_vars, const Perm& sigma) {
       spec.clauses.push_back(image);
     }
   }
+  // Binary clauses whose two literals sigma both moves (each with its
+  // image), then a second copy of some binary clauses: duplicates share
+  // one entry in the verifier's binary index.
+  std::vector<Var> moved;
+  for (Var v = 0; v < num_vars; ++v) {
+    if (apply(sigma, Lit::positive(v)) != Lit::positive(v)) moved.push_back(v);
+  }
+  const int num_moved_binary = static_cast<int>(rng.range(1, 3));
+  for (int i = 0; i < num_moved_binary; ++i) {
+    const std::vector<int> pick = rng.permutation(static_cast<int>(moved.size()));
+    const Clause c = {Lit(moved[static_cast<std::size_t>(pick[0])], rng.chance(0.5)),
+                      Lit(moved[static_cast<std::size_t>(pick[1])], rng.chance(0.5))};
+    const Clause image = {apply(sigma, c[0]), apply(sigma, c[1])};
+    spec.clauses.push_back(c);
+    if (!std::is_permutation(c.begin(), c.end(), image.begin(), image.end())) {
+      spec.clauses.push_back(image);
+    }
+  }
+  for (std::size_t i = 0, size = spec.clauses.size(); i < size; ++i) {
+    if (spec.clauses[i].size() == 2 && rng.chance(0.3)) {
+      spec.clauses.push_back(spec.clauses[i]);
+    }
+  }
   const int num_rows = static_cast<int>(rng.range(1, 4));
   for (int i = 0; i < num_rows; ++i) {
     std::vector<PbTerm> terms;
@@ -440,14 +463,31 @@ TEST(IsFormulaSymmetryDifferential, AgreesWithWholeFormulaCheck) {
       EXPECT_TRUE(agree(verifier, f, sigma)) << "seed " << seed;
     }
 
-    // Perturbations that break one clause, one PB bound or one objective
-    // coefficient that sigma moves.
+    // Perturbations that drop one clause, or change one PB bound or one
+    // objective coefficient, that sigma moves.
     std::vector<FormulaSpec> perturbed;
     for (std::size_t i = 0; i < spec.clauses.size(); ++i) {
       if (!moves_any(sigma, spec.clauses[i])) continue;
       FormulaSpec s = spec;
       s.clauses.erase(s.clauses.begin() + static_cast<std::ptrdiff_t>(i));
       perturbed.push_back(std::move(s));
+    }
+    // A moved binary clause restated as the two-term PB row it is
+    // equivalent to, or grown into a ternary clause: the verifier must
+    // not find either where the binary clause was.
+    for (std::size_t i = 0; i < spec.clauses.size(); ++i) {
+      const Clause& c = spec.clauses[i];
+      if (c.size() != 2 || !moves_any(sigma, c)) continue;
+      FormulaSpec as_row = spec;
+      as_row.clauses.erase(as_row.clauses.begin() +
+                           static_cast<std::ptrdiff_t>(i));
+      as_row.at_least_rows.push_back({{{1, c[0]}, {1, c[1]}}, 1});
+      perturbed.push_back(std::move(as_row));
+      Var third = 0;
+      while (third == c[0].var() || third == c[1].var()) ++third;
+      FormulaSpec grown = spec;
+      grown.clauses[i].push_back(Lit(third, rng.chance(0.5)));
+      perturbed.push_back(std::move(grown));
     }
     for (std::size_t i = 0; i < spec.at_least_rows.size(); ++i) {
       std::vector<Lit> lits;

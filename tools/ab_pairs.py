@@ -34,9 +34,13 @@ lower bound, conflicts, SAT calls per instance) equal the first base
 run's. After the pairs it runs each side once more, one pass, with
 GLIBC_TUNABLES=glibc.malloc.mmap_threshold=131072, and prints both
 peak_rss_mb readings as a check: with the threshold fixed, peak RSS does
-not depend on which freed block raised the dynamic threshold first. That
-check is not part of the gain rule. A build failure, a run failure or a
-wrong answer exits 2.
+not depend on which freed block raised the dynamic threshold first. On
+the same line it prints each side's minor page faults for one pass of the
+built suite_bench, run directly (run.py would add cmake's own faults),
+read as the getrusage(RUSAGE_CHILDREN) delta: a count of work and heap
+churn that repeats from run to run where no hardware counter can be read.
+That check is not part of the gain rule. A build failure, a run failure
+or a wrong answer exits 2.
 """
 
 import argparse
@@ -44,6 +48,7 @@ import json
 import math
 import os
 import random
+import resource
 import shutil
 import statistics
 import subprocess
@@ -103,6 +108,20 @@ def run_side(tree, workload, args, pad, seconds=None, tunables=None):
     return metrics, search
 
 
+def pass_faults(tree, workload, args):
+    """Minor page faults of one suite_bench pass in `tree`, run directly."""
+    exe = tree / ".bench_build" / "suitebench" / "suite_bench"
+    cmd = [str(exe), "--workload", workload, "--seed", str(args.seed),
+           "--seconds", "0", "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    done = subprocess.run(cmd, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        sys.stderr.write(done.stderr[-2000:])
+        fail(f"{exe} --workload {workload} exited {done.returncode}")
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+
 def quartiles(values):
     """q1, median, q3 (the one value three times for a single run)."""
     if len(values) < 2:
@@ -160,16 +179,22 @@ def compare(workload, spec, base_tree, args, rng):
         print(f"  {name:<16} {cells[0]:>28} {cells[1]:>28}  "
               f"{wins(base, head, sign):>4}/{args.pairs:<4}  "
               f"{verdict(base, head, sign)}")
-    fixed = {}  # the fixed-threshold memory check, outside the gain rule
+    # The fixed-threshold memory check and the page faults of one pass,
+    # outside the gain rule.
+    fixed = {}
+    faults = {}
     for side, tree in (("base", base_tree), ("head", ROOT)):
         metrics, search = run_side(tree, workload, args, 0, seconds=0,
                                    tunables=FIXED_MMAP_THRESHOLD)
         fixed[side] = metrics["peak_rss_mb"]
         if search != reference:
             moved.append(f"fixed-threshold {side}")
+        faults[side] = pass_faults(tree, workload, args)
     print(f"  check: peak_rss_mb with GLIBC_TUNABLES={FIXED_MMAP_THRESHOLD}, "
           f"one pass per side: base {fixed['base']:.4g}, "
-          f"head {fixed['head']:.4g} (not in the gain rule)")
+          f"head {fixed['head']:.4g}; minor faults per pass: "
+          f"base {faults['base']}, head {faults['head']} "
+          f"(not in the gain rule)")
     if moved:
         print(f"  search MOVED: solve records differ from the first base run "
               f"in {len(moved)} runs ({', '.join(moved[:4])}...)")
